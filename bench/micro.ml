@@ -21,6 +21,7 @@ module Op = Untx_msg.Op
 module Wire = Untx_msg.Wire
 module Dc = Untx_dc.Dc
 module Tc_id = Untx_util.Tc_id
+module Stored_record = Untx_dc.Stored_record
 
 let ok = function
   | `Ok v -> v
@@ -260,12 +261,102 @@ let gate_dc_apply () =
   in
   gate_line "DC: apply one update (with LWM every 16)" ns ~ceiling:40_000.
 
+(* --- codec gates --------------------------------------------------- *)
+
+(* One frame of each shape the data path sends most: an update request,
+   and the reply to a 10-row scan. *)
+let update_req =
+  write_req 123_456
+    (Op.Update { table = "kv"; key = key_of 42; value = "value-0042" })
+
+let scan_reply =
+  {
+    Wire.tc = tc1;
+    lsn = Lsn.of_int 123_457;
+    prior = None;
+    result =
+      Wire.Pairs
+        (List.init 10 (fun i ->
+             (key_of (100 + i), Printf.sprintf "value-%04d" i)));
+  }
+
+let record =
+  {
+    Stored_record.value = "value-0042";
+    deleted = false;
+    before = Stored_record.Value_before "value-0041";
+    writer = tc1;
+    wlsn = Lsn.of_int 123_456;
+  }
+
+(* Minor-heap words one call allocates: exact and independent of
+   machine speed.  Each ceiling sits below what the Buffer and
+   string_of_int encoder allocated for the same fixture (86, 436 and 62
+   words), so a return to it fails here. *)
+let words_per_op f =
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let alloc_line name f ~ceiling =
+  let words = words_per_op f in
+  Printf.printf "%-45s %12.1f  (gate <= %.0f words)\n" name words ceiling;
+  words <= ceiling
+
+let gate_codec_alloc () =
+  let req =
+    alloc_line "Wire: encode update request, words" ~ceiling:60. (fun () ->
+        Wire.encode_request update_req)
+  in
+  let rep =
+    alloc_line "Wire: encode 10-pair scan reply, words" ~ceiling:260.
+      (fun () -> Wire.encode_reply scan_reply)
+  in
+  let rcd =
+    alloc_line "Stored_record: encode, words" ~ceiling:45. (fun () ->
+        Stored_record.encode record)
+  in
+  req && rep && rcd
+
+(* Frame encode and decode.  As for DC apply, each ceiling is ~5x the
+   cost measured on a 2-core x86 container (0.5-1.8 us); the Buffer and
+   string_of_int encoder took 3.5x as long to encode there. *)
+let gate_codec_ns () =
+  let req_bytes = Wire.encode_request update_req in
+  let rep_bytes = Wire.encode_reply scan_reply in
+  let line name ~ceiling f =
+    let ns = ns_per_op 50_000 (fun _ -> ignore (Sys.opaque_identity (f ()))) in
+    gate_line name ns ~ceiling
+  in
+  let enc_req =
+    line "Wire: encode update request" ~ceiling:2_500. (fun () ->
+        Wire.encode_request update_req)
+  in
+  let dec_req =
+    line "Wire: decode update request" ~ceiling:2_500. (fun () ->
+        Wire.decode_request req_bytes)
+  in
+  let enc_rep =
+    line "Wire: encode 10-pair scan reply" ~ceiling:7_500. (fun () ->
+        Wire.encode_reply scan_reply)
+  in
+  let dec_rep =
+    line "Wire: decode 10-pair scan reply" ~ceiling:9_000. (fun () ->
+        Wire.decode_reply rep_bytes)
+  in
+  enc_req && dec_req && enc_rep && dec_rep
+
 let run_gates () =
   Printf.printf "\nMicro gates (ns/op)\n";
   let reconstruct = gate_reconstruct () in
   let lwm_flat = gate_lwm_flat () in
   let dc_apply = gate_dc_apply () in
-  if not (reconstruct && lwm_flat && dc_apply) then begin
+  let codec_ns = gate_codec_ns () in
+  let codec_alloc = gate_codec_alloc () in
+  if not (reconstruct && lwm_flat && dc_apply && codec_ns && codec_alloc) then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
     exit 1
   end

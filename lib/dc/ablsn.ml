@@ -45,9 +45,9 @@ let equal a b = Lsn.equal a.lw b.lw && Lsn.Set.equal a.ins b.ins
 
 let encode t =
   Codec.encode
-    (string_of_int (Lsn.to_int t.lw)
+    (Codec.encode_int (Lsn.to_int t.lw)
     :: List.map
-         (fun l -> string_of_int (Lsn.to_int l))
+         (fun l -> Codec.encode_int (Lsn.to_int l))
          (Lsn.Set.elements t.ins))
 
 let decode s =

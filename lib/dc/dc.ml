@@ -377,7 +377,7 @@ let write_master t =
         tbl.t_name
         :: (if tbl.versioned then "1" else "0")
         :: (if tbl.sealed then "1" else "0")
-        :: string_of_int (Page_id.to_int (Btree.root tbl.tree))
+        :: Codec.encode_int (Page_id.to_int (Btree.root tbl.tree))
         :: acc)
       t.tables []
   in

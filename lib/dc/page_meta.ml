@@ -13,10 +13,10 @@ let ablsn t tc =
 
 let encode t =
   let fields =
-    string_of_int (Lsn.to_int t.dlsn)
+    Codec.encode_int (Lsn.to_int t.dlsn)
     :: Tc_id.Map.fold
          (fun tc ab acc ->
-           string_of_int (Tc_id.to_int tc) :: Ablsn.encode ab :: acc)
+           Codec.encode_int (Tc_id.to_int tc) :: Ablsn.encode ab :: acc)
          t.ablsns []
   in
   Codec.encode fields

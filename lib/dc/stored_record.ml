@@ -36,8 +36,8 @@ let encode t =
       (if t.deleted then "1" else "0");
       before_tag;
       before_val;
-      string_of_int (Tc_id.to_int t.writer);
-      string_of_int (Lsn.to_int t.wlsn);
+      Codec.encode_int (Tc_id.to_int t.writer);
+      Codec.encode_int (Lsn.to_int t.wlsn);
     ]
 
 let decode s =

@@ -1,3 +1,5 @@
+module Codec = Untx_util.Codec
+
 type key = string
 
 type value = string
@@ -85,9 +87,10 @@ let mode_of_tag = function
   | _ -> invalid_arg "Op.of_fields: bad read mode"
 
 let int_of_field f =
-  match int_of_string_opt f with
-  | Some i when i >= 0 -> i
-  | _ -> invalid_arg "Op.of_fields: bad int field"
+  match Codec.decode_int f with
+  | i when i >= 0 -> i
+  | _ | (exception Invalid_argument _) ->
+    invalid_arg "Op.of_fields: bad int field"
 
 let to_fields = function
   | Insert { table; key; value } -> [ "I"; table; key; value ]
@@ -95,9 +98,9 @@ let to_fields = function
   | Delete { table; key } -> [ "D"; table; key ]
   | Read { table; key; mode } -> [ "R"; table; key; mode_tag mode ]
   | Scan { table; from_key; limit; mode } ->
-    [ "S"; table; from_key; string_of_int limit; mode_tag mode ]
+    [ "S"; table; from_key; Codec.encode_int limit; mode_tag mode ]
   | Probe { table; from_key; limit } ->
-    [ "P"; table; from_key; string_of_int limit ]
+    [ "P"; table; from_key; Codec.encode_int limit ]
   | Commit_versions { table; keys } -> "V" :: table :: keys
   | Abort_versions { table; keys } -> "A" :: table :: keys
 

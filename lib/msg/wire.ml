@@ -95,10 +95,13 @@ let header_len = 9
 
 let trailer_len = 4
 
-let fnv32 s lo hi =
+(* Over bytes, so a frame under construction is hashed where it sits; a
+   received string is read through [Bytes.unsafe_of_string], never
+   written. *)
+let fnv32 b lo hi =
   let h = ref 0x811c9dc5 in
   for i = lo to hi - 1 do
-    h := !h lxor Char.code (String.unsafe_get s i);
+    h := !h lxor Char.code (Bytes.unsafe_get b i);
     h := !h * 0x01000193 land 0xFFFFFFFF
   done;
   !h
@@ -115,15 +118,16 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let frame ?(tid = 0) kind payload =
-  let len = String.length payload in
+(* The payload is encoded straight into the frame, between header and
+   trailer. *)
+let frame ?(tid = 0) kind fields =
+  let len = Codec.encoded_length fields in
   let b = Bytes.create (header_len + len + trailer_len) in
   Bytes.set b 0 kind;
   put_u32 b 1 (tid land 0xFFFFFFFF);
   put_u32 b 5 len;
-  Bytes.blit_string payload 0 b header_len len;
-  let body = Bytes.sub_string b 0 (header_len + len) in
-  put_u32 b (header_len + len) (fnv32 body 0 (header_len + len));
+  Codec.write fields b header_len;
+  put_u32 b (header_len + len) (fnv32 b 0 (header_len + len));
   Bytes.unsafe_to_string b
 
 let frame_kind s =
@@ -132,7 +136,10 @@ let frame_kind s =
   else
     let len = get_u32 s 5 in
     if n <> header_len + len + trailer_len then None
-    else if get_u32 s (header_len + len) <> fnv32 s 0 (header_len + len) then
+    else if
+      get_u32 s (header_len + len)
+      <> fnv32 (Bytes.unsafe_of_string s) 0 (header_len + len)
+    then
       None
     else
       match s.[0] with
@@ -151,19 +158,21 @@ let frame_ok s = frame_kind s <> None
    operation's id. *)
 let frame_tid s = if frame_ok s then get_u32 s 1 else 0
 
+(* The payload's fields, decoded in place from the frame. *)
 let unframe kind s =
   match frame_kind s with
-  | Some k when k = kind -> String.sub s header_len (get_u32 s 5)
+  | Some k when k = kind ->
+    Codec.decode_sub s ~pos:header_len ~len:(get_u32 s 5)
   | _ -> invalid_arg "Wire: bad frame"
 
 (* ---- field helpers ---- *)
 
-let int_field = string_of_int
+let int_field = Codec.encode_int
 
 let int_of_field f =
-  match int_of_string_opt f with
-  | Some i when i >= 0 -> i
-  | _ -> invalid_arg "Wire: bad int field"
+  match Codec.decode_int f with
+  | i when i >= 0 -> i
+  | _ | (exception Invalid_argument _) -> invalid_arg "Wire: bad int field"
 
 let lsn_of_field f = Lsn.of_int (int_of_field f)
 
@@ -181,14 +190,13 @@ let opt_of_field f =
 
 let encode_request ?tid { tc; lsn; part; op } =
   frame ?tid 'Q'
-    (Codec.encode
-       (int_field (Tc_id.to_int tc)
-       :: int_field (Lsn.to_int lsn)
-       :: int_field part
-       :: Op.to_fields op))
+    (int_field (Tc_id.to_int tc)
+     :: int_field (Lsn.to_int lsn)
+     :: int_field part
+     :: Op.to_fields op)
 
 let decode_request s =
-  match Codec.decode (unframe `Request s) with
+  match unframe `Request s with
   | tc :: lsn :: part :: op_fields ->
     {
       tc = tc_of_field tc;
@@ -200,10 +208,14 @@ let decode_request s =
 
 (* ---- replies ---- *)
 
+let[@tail_mod_cons] rec pair_fields = function
+  | [] -> []
+  | (k, v) :: tl -> k :: v :: pair_fields tl
+
 let result_fields = function
   | Done -> [ "D" ]
   | Value v -> [ "V"; opt_field v ]
-  | Pairs ps -> "P" :: List.concat_map (fun (k, v) -> [ k; v ]) ps
+  | Pairs ps -> "P" :: pair_fields ps
   | Next_keys ks -> "N" :: ks
   | Failed m -> [ "F"; m ]
 
@@ -223,13 +235,12 @@ let result_of_fields = function
 
 let encode_reply ?tid { tc; lsn; result; prior } =
   frame ?tid 'R'
-    (Codec.encode
-       (int_field (Tc_id.to_int tc)
-       :: int_field (Lsn.to_int lsn)
-       :: opt_field prior :: result_fields result))
+    (int_field (Tc_id.to_int tc)
+     :: int_field (Lsn.to_int lsn)
+     :: opt_field prior :: result_fields result)
 
 let decode_reply s =
-  match Codec.decode (unframe `Reply s) with
+  match unframe `Reply s with
   | tc :: lsn :: prior :: rest ->
     {
       tc = tc_of_field tc;
@@ -273,11 +284,10 @@ let control_of_fields = function
 
 let encode_control ?tid { c_epoch; c_seq; c_ctl } =
   frame ?tid 'C'
-    (Codec.encode
-       (int_field c_epoch :: int_field c_seq :: control_fields c_ctl))
+    (int_field c_epoch :: int_field c_seq :: control_fields c_ctl)
 
 let decode_control s =
-  match Codec.decode (unframe `Control s) with
+  match unframe `Control s with
   | epoch :: seq :: rest ->
     {
       c_epoch = int_of_field epoch;
@@ -298,13 +308,12 @@ let control_reply_of_fields = function
 
 let encode_control_reply ?tid { r_tc; r_epoch; r_seq; r_reply } =
   frame ?tid 'K'
-    (Codec.encode
-       (int_field (Tc_id.to_int r_tc)
-       :: int_field r_epoch :: int_field r_seq
-       :: control_reply_fields r_reply))
+    (int_field (Tc_id.to_int r_tc)
+     :: int_field r_epoch :: int_field r_seq
+     :: control_reply_fields r_reply)
 
 let decode_control_reply s =
-  match Codec.decode (unframe `Control_reply s) with
+  match unframe `Control_reply s with
   | tc :: epoch :: seq :: rest ->
     {
       r_tc = tc_of_field tc;
@@ -351,10 +360,10 @@ let repl_of_fields = function
 
 let encode_repl ?tid { p_epoch; p_seq; p_repl } =
   frame ?tid 'S'
-    (Codec.encode (int_field p_epoch :: int_field p_seq :: repl_fields p_repl))
+    (int_field p_epoch :: int_field p_seq :: repl_fields p_repl)
 
 let decode_repl s =
-  match Codec.decode (unframe `Repl s) with
+  match unframe `Repl s with
   | epoch :: seq :: rest ->
     {
       p_epoch = int_of_field epoch;
@@ -372,13 +381,12 @@ let repl_reply_of_fields = function
 
 let encode_repl_reply ?tid { q_tc; q_epoch; q_seq; q_reply } =
   frame ?tid 'T'
-    (Codec.encode
-       (int_field (Tc_id.to_int q_tc)
-       :: int_field q_epoch :: int_field q_seq
-       :: repl_reply_fields q_reply))
+    (int_field (Tc_id.to_int q_tc)
+     :: int_field q_epoch :: int_field q_seq
+     :: repl_reply_fields q_reply)
 
 let decode_repl_reply s =
-  match Codec.decode (unframe `Repl_reply s) with
+  match unframe `Repl_reply s with
   | tc :: epoch :: seq :: rest ->
     {
       q_tc = tc_of_field tc;

@@ -149,8 +149,9 @@ val repl_tc : repl -> Untx_util.Tc_id.t
     big-endian payload length, the payload (a {!Untx_util.Codec} field
     list), and a 4-byte FNV-1a checksum.  [decode_*] raise
     [Invalid_argument] on anything malformed — wrong kind, bad length,
-    checksum mismatch, unparseable payload — and never return a
-    silently wrong value. *)
+    checksum mismatch, unparseable payload, an integer written in any
+    form {!Untx_util.Codec.encode_int} would not write — and never
+    return a silently wrong value. *)
 
 val encode_request : ?tid:int -> request -> string
 

@@ -34,16 +34,21 @@ type t = {
   mutable latch_depth : int; (* operation latches: eviction deferred *)
 }
 
+(* The index and the ring start small and grow with the pages resident:
+   sizing them by [capacity] would reserve major heap for pages a run
+   may never hold. *)
+let initial_slots = 16
+
 let create ?(counters = Instrument.global) ~disk ~capacity () =
   if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
   {
     disk;
     capacity;
-    entries = Page_id.Tbl.create (2 * capacity);
+    entries = Page_id.Tbl.create initial_slots;
     counters;
     can_flush = (fun _ -> true);
     prepare_flush = ignore;
-    ring = Array.make (2 * capacity) None;
+    ring = Array.make initial_slots None;
     ring_len = 0;
     hand = 0;
     evictions = 0;
@@ -224,7 +229,7 @@ let drop_page t id = detach t id
 
 let crash t =
   Page_id.Tbl.reset t.entries;
-  Array.fill t.ring 0 (Array.length t.ring) None;
+  t.ring <- Array.make initial_slots None;
   t.ring_len <- 0;
   t.hand <- 0
 

@@ -1,35 +1,98 @@
+(* Every integer this codec turns into text — length prefixes and
+   integer fields alike — goes through one non-positive digit writer:
+   negating a non-negative int never overflows, while negating
+   [min_int] would, so the digits are peeled off the negated value. *)
+
+(* Decimal digits of [n <= 0]. *)
+let rec ndigits n = if n > -10 then 1 else 1 + ndigits (n / 10)
+
+(* Writes the [d] decimal digits of [-n] (with [n <= 0]) ending just
+   before [stop]. *)
+let rec write_digits b stop d n =
+  if d > 0 then begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 - (n mod 10)));
+    write_digits b (stop - 1) (d - 1) (n / 10)
+  end
+
+let encoded_length fields =
+  List.fold_left
+    (fun acc f ->
+      let l = String.length f in
+      acc + ndigits (-l) + 1 + l)
+    0 fields
+
+let rec write fields b pos =
+  match fields with
+  | [] -> ()
+  | f :: rest ->
+    let l = String.length f in
+    let d = ndigits (-l) in
+    write_digits b (pos + d) d (-l);
+    Bytes.unsafe_set b (pos + d) ':';
+    Bytes.unsafe_blit_string f 0 b (pos + d + 1) l;
+    write rest b (pos + d + 1 + l)
+
 let encode fields =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf (string_of_int (String.length f));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf f)
-    fields;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_length fields) in
+  write fields b 0;
+  Bytes.unsafe_to_string b
 
-let decode s =
-  let n = String.length s in
-  let rec go pos acc =
-    if pos >= n then List.rev acc
+let encode_int i =
+  let n = if i >= 0 then -i else i in
+  let d = ndigits n in
+  let sign = if i < 0 then 1 else 0 in
+  let b = Bytes.create (sign + d) in
+  if i < 0 then Bytes.unsafe_set b 0 '-';
+  write_digits b (sign + d) d n;
+  Bytes.unsafe_to_string b
+
+(* Parses the digits [s.[lo .. hi-1]] as exactly what [write_digits]
+   writes — at least one digit, no leading zero unless the number is
+   0 — and returns the negated value, which cannot overflow until
+   beyond [min_int]. *)
+let neg_digits s lo hi what =
+  if hi <= lo || (String.unsafe_get s lo = '0' && hi - lo > 1) then
+    invalid_arg what;
+  let acc = ref 0 in
+  for i = lo to hi - 1 do
+    let c = Char.code (String.unsafe_get s i) - 48 in
+    if c < 0 || c > 9 || !acc < (min_int + c) / 10 then invalid_arg what;
+    acc := (!acc * 10) - c
+  done;
+  !acc
+
+let rec digits_end s i stop =
+  if i < stop && String.unsafe_get s i >= '0' && String.unsafe_get s i <= '9'
+  then digits_end s (i + 1) stop
+  else i
+
+let decode_sub s ~pos ~len =
+  let stop = pos + len in
+  if pos < 0 || len < 0 || stop > String.length s then
+    invalid_arg "Codec.decode_sub";
+  let[@tail_mod_cons] rec go pos =
+    if pos = stop then []
     else
-      match String.index_from_opt s pos ':' with
-      | None -> invalid_arg "Codec.decode: missing length delimiter"
-      | Some colon ->
-        let len =
-          match int_of_string_opt (String.sub s pos (colon - pos)) with
-          | Some l when l >= 0 -> l
-          | _ -> invalid_arg "Codec.decode: bad length"
-        in
-        if colon + 1 + len > n then invalid_arg "Codec.decode: truncated field";
-        let field = String.sub s (colon + 1) len in
-        go (colon + 1 + len) (field :: acc)
+      let colon = digits_end s pos stop in
+      if colon = stop || String.unsafe_get s colon <> ':' then
+        invalid_arg "Codec.decode: missing length delimiter";
+      let l = neg_digits s pos colon "Codec.decode: bad length" in
+      if l = min_int || -l > stop - colon - 1 then
+        invalid_arg "Codec.decode: truncated field";
+      String.sub s (colon + 1) (-l) :: go (colon + 1 - l)
   in
-  go 0 []
+  go pos
 
-let encode_int i = string_of_int i
+let decode s = decode_sub s ~pos:0 ~len:(String.length s)
 
 let decode_int s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> invalid_arg "Codec.decode_int"
+  let n = String.length s in
+  if n > 0 && String.unsafe_get s 0 = '-' then begin
+    let v = neg_digits s 1 n "Codec.decode_int" in
+    if v = 0 then invalid_arg "Codec.decode_int";
+    v
+  end
+  else
+    let v = neg_digits s 0 n "Codec.decode_int" in
+    if v = min_int then invalid_arg "Codec.decode_int";
+    -v

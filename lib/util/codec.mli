@@ -1,14 +1,36 @@
-(** Length-prefixed field encoding.
+(** Length-prefixed field encoding, and the one integer text path.
 
-    A tiny, binary-safe serialization used for page cell payloads, page
-    metadata blobs and log-record size accounting.  Fields are arbitrary
-    byte strings; [decode (encode fs) = fs] for every field list. *)
+    A tiny, binary-safe serialization used for wire payloads, page cell
+    payloads, page metadata blobs and log-record size accounting.
+    Fields are arbitrary byte strings, each written as its decimal
+    length, [':'], then its bytes; [decode (encode fs) = fs] for every
+    field list.
+
+    Decoding is canonical: every decoder here accepts exactly the text
+    its encoder writes (ASCII digits, no leading zero except ["0"]
+    itself, no overflow, and a [-] sign only on a negative integer), so
+    a string that decodes re-encodes to itself. *)
 
 val encode : string list -> string
+
+val encoded_length : string list -> int
+(** [String.length (encode fs)], without building it. *)
+
+val write : string list -> Bytes.t -> int -> unit
+(** [write fs b pos] writes [encode fs] into [b] at [pos]; [b] must
+    have [encoded_length fs] bytes free there.  Lets a caller wrap the
+    encoding in a header without a second copy. *)
 
 val decode : string -> string list
 (** Raises [Invalid_argument] on malformed input. *)
 
+val decode_sub : string -> pos:int -> len:int -> string list
+(** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)],
+    copying only the field bytes. *)
+
 val encode_int : int -> string
+(** Plain decimal, as [Printf.sprintf "%d"] writes it. *)
 
 val decode_int : string -> int
+(** The inverse of {!encode_int}; raises [Invalid_argument] on anything
+    it would not have written. *)

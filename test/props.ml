@@ -353,3 +353,84 @@ let prop_scan_protocol_equivalence =
           Untx_tc.Tc.Optimistic ])
 
 let suite = suite @ [ test prop_scan_protocol_equivalence ]
+
+(* --- codec byte identity ---------------------------------------------- *)
+
+(* The encoder [Codec.encode] replaced, kept as the reference model: the
+   stored and wire formats are whatever it wrote. *)
+let reference_encode fields =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (string_of_int (String.length f));
+      Buffer.add_char buf ':';
+      Buffer.add_string buf f)
+    fields;
+  Buffer.contents buf
+
+(* Field lengths cluster at the digit-count boundaries of the length
+   prefix, and empty fields are common. *)
+let field_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:char
+          (oneofl [ 0; 1; 9; 10; 11; 99; 100; 101; 999; 1000; 1001 ]);
+        string_size ~gen:(oneofl [ '0'; '9'; ':'; '-'; 'x' ]) (int_bound 12);
+        string_size ~gen:char (int_bound 1100);
+      ])
+
+let fields_arb =
+  QCheck.make
+    ~print:(fun fs ->
+      String.concat ";"
+        (List.map (fun f -> Printf.sprintf "<%d bytes>" (String.length f)) fs))
+    QCheck.Gen.(list_size (int_bound 8) field_gen)
+
+let prop_codec_reference =
+  QCheck.Test.make ~name:"codec encode matches the reference encoder"
+    ~count:300 fields_arb (fun fs ->
+      String.equal (Codec.encode fs) (reference_encode fs)
+      && Codec.encoded_length fs = String.length (reference_encode fs)
+      && Codec.decode (Codec.encode fs) = fs)
+
+let int_arb =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0; 1; -1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ];
+          int;
+          small_signed_int;
+        ])
+
+let prop_int_reference =
+  QCheck.Test.make ~name:"encode_int matches string_of_int" ~count:500
+    int_arb (fun i ->
+      String.equal (Codec.encode_int i) (string_of_int i)
+      && Codec.decode_int (Codec.encode_int i) = i)
+
+(* Strings over the codec's own alphabet, so that a fair share of them
+   decode: any that does must be exactly what the encoder writes. *)
+let codec_text_arb =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ '0'; '1'; '2'; '3'; '9'; ':'; '-'; '+'; 'x'; '_'; ' ' ])
+        (int_bound 24))
+
+let prop_decode_canonical =
+  QCheck.Test.make ~name:"whatever decodes re-encodes to itself" ~count:2000
+    codec_text_arb (fun s ->
+      (match Codec.decode s with
+      | fs -> String.equal (Codec.encode fs) s
+      | exception Invalid_argument _ -> true)
+      &&
+      match Codec.decode_int s with
+      | i -> String.equal (Codec.encode_int i) s
+      | exception Invalid_argument _ -> true)
+
+let suite =
+  suite
+  @ List.map test
+      [ prop_codec_reference; prop_int_reference; prop_decode_canonical ]

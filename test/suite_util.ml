@@ -46,7 +46,25 @@ let test_codec_malformed () =
       match Codec.decode s with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "accepted malformed %S" s)
-    [ "nocolon"; "5:abc"; "-1:"; "abc:x" ]
+    [
+      "nocolon"; "5:abc"; "-1:"; "abc:x";
+      (* lengths the encoder never writes: each would re-encode as 3:abc *)
+      "03:abc"; "+3:abc"; "0x3:abc"; "0_3:abc"; " 3:abc"; "-0:"; ":";
+      "1:a:"; "99999999999999999999:x"; "9223372036854775808:x";
+    ];
+  List.iter
+    (fun s ->
+      match Codec.decode_int s with
+      | exception Invalid_argument _ -> ()
+      | i -> Alcotest.failf "decode_int accepted %S as %d" s i)
+    [
+      ""; "-"; "+7"; "0x7"; "007"; "-0"; "-07"; "1_0"; " 7"; "7 "; "--7";
+      "9223372036854775808"; "-9223372036854775809"; "99999999999999999999";
+    ];
+  List.iter
+    (fun i ->
+      Alcotest.(check int) "decode_int" i (Codec.decode_int (Codec.encode_int i)))
+    [ 0; 7; -7; 10; max_int; min_int ]
 
 let test_rng_determinism () =
   let a = Rng.create ~seed:123 and b = Rng.create ~seed:123 in

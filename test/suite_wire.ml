@@ -313,6 +313,170 @@ let prop_kind_separation =
         rejects Wire.decode_request && rejects Wire.decode_reply
         && rejects Wire.decode_control)
 
+(* --- golden frames ------------------------------------------------- *)
+
+(* One frame of each kind, as hex, captured from the Buffer and
+   string_of_int encoder this codec replaced.  Field lengths cross the
+   9/10 and 99/100 digit boundaries, one field is empty, and two frames
+   carry trace ids.  The wire format must not move by a byte. *)
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let tc = Tc_id.of_int
+
+let lsn = Lsn.of_int
+
+let golden =
+  [
+    ( "request",
+      String.concat ""
+        [
+          "510102030400000029313a33343a31323334313a32313a55323a6b76393a";
+          "6b3030303030303432393a763a313233343536374bdee54e"
+        ],
+      Wire.encode_request ~tid:0x01020304
+        {
+          Wire.tc = tc 3;
+          lsn = lsn 1234;
+          part = 2;
+          op = Op.Update { table = "kv"; key = "k00000042"; value = "v:1234567" };
+        },
+      fun s -> Wire.encode_request ~tid:0x01020304 (Wire.decode_request s) );
+    ( "reply with pairs",
+      String.concat ""
+        [
+          "520000004d00000088313a33343a31323335343a2b6f6c64313a50313a61";
+          "313a31323a6262303a303a3130303a787878787878787878787878787878";
+          "787878787878787878787878787878787878787878787878787878787878";
+          "787878787878787878787878787878787878787878787878787878787878";
+          "78787878787878787878787878787878787878787878787878a8f0dbd3"
+        ],
+      Wire.encode_reply ~tid:77
+        {
+          Wire.tc = tc 3;
+          lsn = lsn 1235;
+          prior = Some "old";
+          result =
+            Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
+        },
+      fun s -> Wire.encode_reply ~tid:77 (Wire.decode_reply s) );
+    ( "control",
+      String.concat ""
+        [
+          "430000000000000018313a32323a3137313a57313a33343a31303030333a";
+          "3939388d6a093b"
+        ],
+      Wire.encode_control
+        {
+          Wire.c_epoch = 2;
+          c_seq = 17;
+          c_ctl = Wire.Watermarks { tc = tc 3; eosl = lsn 1000; lwm = lsn 998 };
+        },
+      fun s -> Wire.encode_control (Wire.decode_control s) );
+    ( "control reply",
+      String.concat ""
+        [
+          "4b0000000000000010313a33313a32323a3137313a47313a319502f097"
+        ],
+      Wire.encode_control_reply
+        {
+          Wire.r_tc = tc 3;
+          r_epoch = 2;
+          r_seq = 17;
+          r_reply = Wire.Checkpoint_done { granted = true };
+        },
+      fun s -> Wire.encode_control_reply (Wire.decode_control_reply s) );
+    ( "repl ship",
+      String.concat ""
+        [
+          "53000000050000003f313a31313a39313a53313a32323a3132323a313032";
+          "3a313231383a323a3131313a49323a6b76323a6b31313a7631353a323a31";
+          "32313a44323a6b76323a6b309276ab11"
+        ],
+      Wire.encode_repl ~tid:5
+        {
+          Wire.p_epoch = 1;
+          p_seq = 9;
+          p_repl =
+            Wire.Repl_ship
+              {
+                tc = tc 2;
+                eosl = lsn 12;
+                lwm = lsn 10;
+                upto = lsn 12;
+                ops =
+                  [
+                    (lsn 11, Op.Insert { table = "kv"; key = "k1"; value = "v" });
+                    (lsn 12, Op.Delete { table = "kv"; key = "k0" });
+                  ];
+              };
+        },
+      fun s -> Wire.encode_repl ~tid:5 (Wire.decode_repl s) );
+    ( "repl ack",
+      String.concat ""
+        [
+          "540000000000000010313a32313a31313a39313a41323a31324db3ccf3"
+        ],
+      Wire.encode_repl_reply
+        {
+          Wire.q_tc = tc 2;
+          q_epoch = 1;
+          q_seq = 9;
+          q_reply = Wire.Repl_ack { applied = lsn 12 };
+        },
+      fun s -> Wire.encode_repl_reply (Wire.decode_repl_reply s) );
+  ]
+
+let test_golden_frames () =
+  List.iter
+    (fun (name, hex, encoded, reencode) ->
+      let bytes = of_hex hex in
+      Alcotest.(check string) (name ^ ": encoded") bytes encoded;
+      Alcotest.(check string) (name ^ ": decoded and re-encoded") bytes
+        (reencode bytes))
+    golden
+
+(* --- canonical integers ----------------------------------------------- *)
+
+(* A request frame built by hand around the payload [fields], with a
+   valid length and checksum, so only the payload can be at fault. *)
+let hand_frame fields =
+  let payload =
+    String.concat ""
+      (List.map (fun f -> string_of_int (String.length f) ^ ":" ^ f) fields)
+  in
+  let u32 v =
+    String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+  in
+  let body = "Q" ^ u32 0 ^ u32 (String.length payload) ^ payload in
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
+    body;
+  body ^ u32 !h
+
+let test_noncanonical_int_field () =
+  let request tc_field = hand_frame [ tc_field; "5"; "0"; "D"; "kv"; "k" ] in
+  Alcotest.(check bool) "the canonical frame decodes" true
+    (Wire.decode_request (request "7")
+    = {
+        Wire.tc = tc 7;
+        lsn = lsn 5;
+        part = 0;
+        op = Op.Delete { table = "kv"; key = "k" };
+      });
+  List.iter
+    (fun f ->
+      let frame = request f in
+      Alcotest.(check bool) ("frame checks out: " ^ f) true
+        (Wire.frame_ok frame);
+      match Wire.decode_request frame with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "int field %S accepted" f)
+    [ "+7"; "0x7"; "007"; "07"; "-0"; "" ]
+
 let suite =
   List.map Helpers.qcheck_test
     [
@@ -327,4 +491,10 @@ let suite =
       prop_tid_roundtrip;
       prop_corrupted_tid_never_misattributes;
       prop_kind_separation;
+    ]
+  @ [
+      Alcotest.test_case "golden frames re-encode byte for byte" `Quick
+        test_golden_frames;
+      Alcotest.test_case "non-canonical int fields are rejected" `Quick
+        test_noncanonical_int_field;
     ]
