@@ -1,6 +1,7 @@
 module Page = Untx_storage.Page
 module Page_id = Untx_storage.Page_id
 module Cache = Untx_storage.Cache
+module Codec = Untx_util.Codec
 
 type split_event = {
   level : int;
@@ -26,7 +27,9 @@ type hooks = {
 
 let null_hooks = { on_split = ignore; on_consolidate = ignore }
 
-let child_data pid = string_of_int (Page_id.to_int pid)
+let child_data pid = Codec.encode_int (Page_id.to_int pid)
+
+let child_of_data data = Page_id.of_int (Codec.decode_int data)
 
 type t = {
   cache : Cache.t;
@@ -38,10 +41,6 @@ type t = {
   mutable consolidations : int;
   mutable consolidation_enabled : bool;
 }
-
-let data_of_child pid = string_of_int (Page_id.to_int pid)
-
-let child_of_data data = Page_id.of_int (int_of_string data)
 
 let create ~cache ~name ~page_capacity ~hooks =
   let root = Cache.new_page cache ~kind:Page.Leaf ~page_capacity in
@@ -69,32 +68,42 @@ let set_root t root = t.root <- root
 let page_capacity t = t.page_capacity
 
 (* Routing: the child covering [key] is named by the rightmost separator
-   <= key; the leftmost separator acts as minus infinity. *)
+   <= key; the leftmost separator acts as minus infinity.  Returns the
+   routing cell's index. *)
 let route page key =
-  match Page.find_le page key with
-  | Some (i, _, data) -> (i, child_of_data data)
-  | None ->
-    if Page.cell_count page = 0 then
-      invalid_arg "Btree.route: empty inner page";
-    let _, data = Page.nth page 0 in
-    (0, child_of_data data)
+  let i = Page.find_le page key in
+  if i >= 0 then i
+  else if Page.cell_count page = 0 then
+    invalid_arg "Btree.route: empty inner page"
+  else 0
+
+let child_at page i =
+  let _, data = Page.nth page i in
+  child_of_data data
 
 (* Descend to the leaf covering [key]; the path lists the inner pages
-   visited (root first) with the child index taken at each. *)
+   visited (root first) with the child index taken at each.  Only
+   structure modifications need the path. *)
 let descend t key =
   let rec go pid path =
     let page = Cache.get t.cache pid in
     match Page.kind page with
     | Page.Leaf -> (page, List.rev path)
     | Page.Inner ->
-      let idx, child = route page key in
-      go child ((page, idx) :: path)
+      let idx = route page key in
+      go (child_at page idx) ((page, idx) :: path)
   in
   go t.root []
 
-let find_leaf t key =
-  let leaf, _ = descend t key in
-  leaf
+(* The descent every point operation takes: no path, no closure, and on
+   cache hits no allocation at all. *)
+let rec leaf_from cache key pid =
+  let page = Cache.get cache pid in
+  match Page.kind page with
+  | Page.Leaf -> page
+  | Page.Inner -> leaf_from cache key (child_at page (route page key))
+
+let find_leaf t key = leaf_from t.cache key t.root
 
 let find t key =
   let leaf = find_leaf t key in
@@ -115,7 +124,7 @@ let rec split t page ancestors ~level =
       let new_root =
         Cache.new_page t.cache ~kind:Page.Inner ~page_capacity:t.page_capacity
       in
-      Page.set new_root ~key:"" ~data:(data_of_child (Page.id page));
+      Page.set new_root ~key:"" ~data:(child_data (Page.id page));
       t.root <- Page.id new_root;
       (new_root, [], true)
   in
@@ -128,7 +137,7 @@ let rec split t page ancestors ~level =
     Page.set_next new_page (Page.next page);
     Page.set_next page (Some (Page.id new_page))
   end;
-  Page.set parent ~key:split_key ~data:(data_of_child (Page.id new_page));
+  Page.set parent ~key:split_key ~data:(child_data (Page.id new_page));
   Cache.mark_dirty t.cache page;
   Cache.mark_dirty t.cache new_page;
   Cache.mark_dirty t.cache parent;
@@ -138,21 +147,26 @@ let rec split t page ancestors ~level =
   if overflows parent then
     split t parent remaining_ancestors ~level:(level + 1)
 
-let set t ~key ~data =
+let write_cell t leaf ~key ~data =
+  Page.set leaf ~key ~data;
+  Cache.mark_dirty t.cache leaf
+
+(* The split path: descend with the path, split until the cell fits. *)
+let rec split_and_set t ~key ~data =
+  let leaf, path = descend t key in
+  if Page.would_overflow leaf ~key ~data then begin
+    split t leaf path ~level:0;
+    split_and_set t ~key ~data
+  end
+  else write_cell t leaf ~key ~data
+
+let set_in t leaf ~key ~data =
   if Page.cell_size ~key ~data > t.page_capacity then
     invalid_arg "Btree.set: record larger than a page";
-  let rec attempt () =
-    let leaf, path = descend t key in
-    if Page.would_overflow leaf ~key ~data then begin
-      split t leaf path ~level:0;
-      attempt ()
-    end
-    else begin
-      Page.set leaf ~key ~data;
-      Cache.mark_dirty t.cache leaf
-    end
-  in
-  attempt ()
+  if Page.would_overflow leaf ~key ~data then split_and_set t ~key ~data
+  else write_cell t leaf ~key ~data
+
+let set t ~key ~data = set_in t (find_leaf t key) ~key ~data
 
 let underflows t page = Page.used_bytes page < t.page_capacity / 4
 
@@ -216,17 +230,20 @@ let consolidate t leaf path =
 
 let set_consolidation_enabled t enabled = t.consolidation_enabled <- enabled
 
-let remove t key =
-  let leaf, path = descend t key in
+let remove_in t leaf key =
   let removed = Page.remove leaf key in
   if removed then begin
     Cache.mark_dirty t.cache leaf;
-    if t.consolidation_enabled && underflows t leaf then consolidate t leaf path
+    if t.consolidation_enabled && underflows t leaf then
+      let _, path = descend t key in
+      consolidate t leaf path
   end;
   removed
 
+let remove t key = remove_in t (find_leaf t key) key
+
 let scan t ~from f =
-  let leaf, _ = descend t from in
+  let leaf = find_leaf t from in
   let stopped = ref false in
   let visit_from page start =
     Page.iter_from page start (fun k d ->

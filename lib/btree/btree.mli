@@ -98,6 +98,17 @@ val set : t -> key:string -> data:string -> unit
 val remove : t -> string -> bool
 (** Delete the cell, consolidating pages when the leaf underflows. *)
 
+val set_in : t -> Untx_storage.Page.t -> key:string -> data:string -> unit
+(** [set_in t leaf ~key ~data] is [set t ~key ~data] for a caller that
+    already holds [leaf = find_leaf t key], with no split or
+    consolidation since ({!splits} and {!consolidations} unchanged):
+    the cell is written into [leaf] without another descent, unless it
+    must split. *)
+
+val remove_in : t -> Untx_storage.Page.t -> string -> bool
+(** [remove t key] on the leaf the caller already holds, under the same
+    condition as {!set_in}; descends again only to consolidate. *)
+
 val scan :
   t -> from:string -> (string -> string -> [ `Continue | `Stop ]) -> unit
 (** In-order visit of cells with key >= [from], crossing leaf boundaries

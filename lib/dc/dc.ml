@@ -79,6 +79,7 @@ type ctl_session = (Wire.control, Wire.control_reply) Session.Receiver.t
 type t = {
   cfg : config;
   counters : Instrument.t;
+  c_requests : int ref; (* "dc.requests", resolved once *)
   disk : Disk.t;
   cache : Cache.t;
   dc_log : Smo_record.t Wal.t;
@@ -342,6 +343,7 @@ let create ?(counters = Instrument.global) cfg =
     {
       cfg;
       counters;
+      c_requests = Metrics.counter_cell counters "dc.requests";
       disk;
       cache;
       dc_log = Wal.create ~counters ~label:"wal.dc" ~size:Smo_record.size ();
@@ -435,6 +437,13 @@ let decode_cell = Stored_record.decode
 
 let find_record tree key = Option.map decode_cell (Btree.find tree key)
 
+let record_in leaf key = Option.map decode_cell (Page.find leaf key)
+
+(* Splits and consolidations are the only events that move a key to
+   another leaf: while this count stands still, a leaf found for a key
+   still covers it. *)
+let smo_count tree = Btree.splits tree + Btree.consolidations tree
+
 let visible mode record =
   match mode with
   | Op.Own | Op.Dirty -> Stored_record.current record
@@ -453,11 +462,12 @@ let memoized t (req : Wire.request) =
        effect is already present can reach here, so a bare ack serves. *)
     { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done; prior = None }
 
-(* Mutations.  Each returns the operation result; structure
-   modifications (splits, consolidations) happen inside the B-tree call
-   under the installed hooks. *)
+(* Mutations.  Each writes into [leaf], the leaf covering [key], and
+   returns the operation result; structure modifications (splits,
+   consolidations) happen inside the B-tree call under the installed
+   hooks. *)
 
-let do_insert tbl ~tc ~lsn ~key ~value prior =
+let do_insert tbl ~tc ~lsn ~key ~value leaf prior =
   if tbl.sealed then Wire.Failed "table is sealed read-only"
   else
   match prior with
@@ -475,10 +485,10 @@ let do_insert tbl ~tc ~lsn ~key ~value prior =
           wlsn = lsn }
       else Stored_record.plain ~writer:tc ~wlsn:lsn value
     in
-    Btree.set tbl.tree ~key ~data:(Stored_record.encode record);
+    Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record);
     Wire.Done
 
-let do_update tbl ~tc ~lsn ~key ~value prior =
+let do_update tbl ~tc ~lsn ~key ~value leaf prior =
   if tbl.sealed then Wire.Failed "table is sealed read-only"
   else
   match prior with
@@ -494,11 +504,11 @@ let do_update tbl ~tc ~lsn ~key ~value prior =
           wlsn = lsn }
       else Stored_record.plain ~writer:tc ~wlsn:lsn value
     in
-    Btree.set tbl.tree ~key ~data:(Stored_record.encode record);
+    Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record);
     Wire.Done
   | _ -> Wire.Failed "no such key"
 
-let do_delete tbl ~tc ~lsn ~key prior =
+let do_delete tbl ~tc ~lsn ~key leaf prior =
   if tbl.sealed then Wire.Failed "table is sealed read-only"
   else
   match prior with
@@ -513,32 +523,32 @@ let do_delete tbl ~tc ~lsn ~key prior =
         { Stored_record.value = r.value; deleted = true; before; writer = tc;
           wlsn = lsn }
       in
-      Btree.set tbl.tree ~key ~data:(Stored_record.encode record)
+      Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record)
     end
-    else ignore (Btree.remove tbl.tree key);
+    else ignore (Btree.remove_in tbl.tree leaf key);
     Wire.Done
   | _ -> Wire.Done (* deleting an absent record is a no-op *)
 
-let commit_version tbl ~lsn key =
-  match find_record tbl.tree key with
+let commit_version tbl ~lsn leaf key =
+  match record_in leaf key with
   | None -> ()
   | Some r ->
-    if r.Stored_record.deleted then ignore (Btree.remove tbl.tree key)
+    if r.Stored_record.deleted then ignore (Btree.remove_in tbl.tree leaf key)
     else if r.before <> Stored_record.Absent then
-      Btree.set tbl.tree ~key
+      Btree.set_in tbl.tree leaf ~key
         ~data:
           (Stored_record.encode
              { r with before = Stored_record.Absent; wlsn = lsn })
 
-let abort_version tbl ~lsn key =
-  match find_record tbl.tree key with
+let abort_version tbl ~lsn leaf key =
+  match record_in leaf key with
   | None -> ()
   | Some r -> (
     match r.Stored_record.before with
     | Stored_record.Absent -> ()
-    | Stored_record.Null_before -> ignore (Btree.remove tbl.tree key)
+    | Stored_record.Null_before -> ignore (Btree.remove_in tbl.tree leaf key)
     | Stored_record.Value_before v ->
-      Btree.set tbl.tree ~key
+      Btree.set_in tbl.tree leaf ~key
         ~data:
           (Stored_record.encode
              {
@@ -549,17 +559,23 @@ let abort_version tbl ~lsn key =
                wlsn = lsn;
              }))
 
-(* Single-key write shell: idempotence test against the covering page's
-   abstract LSN, execution, then marking the operation applied on the
-   page that finally holds the key (it can move during splits). *)
-let write_one t tbl (req : Wire.request) key mutate =
-  let leaf = Btree.find_leaf tbl.tree key in
-  let st = state_of t leaf in
+let absorbed t (req : Wire.request) st =
   if Ablsn.included req.lsn (ablsn_of st req.tc) then begin
     t.dup_absorbed <- t.dup_absorbed + 1;
     Instrument.bump t.counters "dc.dup_absorbed";
-    memoized t req
+    true
   end
+  else false
+
+(* Single-key write shell, on one descent: the idempotence test against
+   the covering leaf's abstract LSN, the prior record read from that
+   leaf, the write into it, then marking the operation applied on the
+   page that finally holds the key — the same leaf, unless a split or
+   consolidation moved the key. *)
+let write_one t tbl (req : Wire.request) key mutate =
+  let leaf = Btree.find_leaf tbl.tree key in
+  let st = state_of t leaf in
+  if absorbed t req st then memoized t req
   else begin
     (* E3 instrumentation: an arrival below the page's maximum known LSN
        is out of order; the classical [opLSN <= pageLSN] test would have
@@ -568,11 +584,14 @@ let write_one t tbl (req : Wire.request) key mutate =
       Instrument.bump t.counters "dc.out_of_order_arrivals";
       Instrument.bump t.counters "dc.classical_test_would_lie"
     end;
-    let prior = find_record tbl.tree key in
-    let result = mutate prior in
-    let leaf' = Btree.find_leaf tbl.tree key in
-    record_applied t leaf' req.tc req.lsn;
-    Untx_storage.Cache.mark_dirty t.cache leaf';
+    let prior = record_in leaf key in
+    let smo = smo_count tbl.tree in
+    let result = mutate leaf prior in
+    let leaf =
+      if smo_count tbl.tree = smo then leaf else Btree.find_leaf tbl.tree key
+    in
+    record_applied t leaf req.tc req.lsn;
+    Cache.mark_dirty t.cache leaf;
     let reply =
       {
         Wire.tc = req.tc;
@@ -588,31 +607,30 @@ let write_one t tbl (req : Wire.request) key mutate =
 (* Multi-key version housekeeping: per-page idempotence, decided for
    every key *before* any mutation — applying the first key would
    otherwise make the page's abstract LSN hide the remaining keys of the
-   same request. *)
+   same request.  Each key's leaf is found once and reused by the later
+   passes until a split or consolidation moves keys. *)
 let write_many t tbl (req : Wire.request) keys mutate_key =
+  let smo = smo_count tbl.tree in
   let todo =
-    List.filter
+    List.filter_map
       (fun key ->
         let leaf = Btree.find_leaf tbl.tree key in
-        let st = state_of t leaf in
-        if Ablsn.included req.lsn (ablsn_of st req.tc) then begin
-          t.dup_absorbed <- t.dup_absorbed + 1;
-          Instrument.bump t.counters "dc.dup_absorbed";
-          false
-        end
-        else true)
+        if absorbed t req (state_of t leaf) then None else Some (key, leaf))
       keys
+  in
+  let leaf_of (key, leaf) =
+    if smo_count tbl.tree = smo then leaf else Btree.find_leaf tbl.tree key
   in
   if todo <> [] && tbl.sealed then
     { Wire.tc = req.tc; lsn = req.lsn;
       result = Wire.Failed "table is sealed read-only"; prior = None }
   else begin
-    List.iter mutate_key todo;
+    List.iter (fun kl -> mutate_key (leaf_of kl) (fst kl)) todo;
     List.iter
-      (fun key ->
-        let leaf = Btree.find_leaf tbl.tree key in
+      (fun kl ->
+        let leaf = leaf_of kl in
         record_applied t leaf req.tc req.lsn;
-        Untx_storage.Cache.mark_dirty t.cache leaf)
+        Cache.mark_dirty t.cache leaf)
       todo;
     { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done; prior = None }
   end
@@ -644,7 +662,7 @@ let do_probe tbl ~from_key ~limit =
   Wire.Next_keys (List.rev !acc)
 
 let perform_unlatched t (req : Wire.request) =
-  Instrument.bump t.counters "dc.requests";
+  incr t.c_requests;
   let fail msg =
     { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Failed msg; prior = None }
   in
@@ -1329,7 +1347,7 @@ let control t (ctl : Wire.control) =
    to another TC's idempotence state.  Like a misrouted partition id,
    it is refused loudly (Failed reply, counted) instead of applied. *)
 let handle_request_frame ?expect t frame =
-  match Wire.decode_request frame with
+  match Wire.Verified.decode_request frame with
   | exception Invalid_argument _ ->
     Instrument.bump t.counters "dc.bad_frames";
     None
@@ -1338,7 +1356,7 @@ let handle_request_frame ?expect t frame =
          | Some tc -> not (Tc_id.equal req.Wire.tc tc)
          | None -> false ->
     Instrument.bump t.counters "dc.misattributed";
-    let tid = if Trace.enabled () then Wire.frame_tid frame else 0 in
+    let tid = if Trace.enabled () then Wire.Verified.tid frame else 0 in
     Some
       (Wire.encode_reply ~tid
          {
@@ -1351,7 +1369,7 @@ let handle_request_frame ?expect t frame =
            prior = None;
          })
   | req ->
-    let tid = if Trace.enabled () then Wire.frame_tid frame else 0 in
+    let tid = if Trace.enabled () then Wire.Verified.tid frame else 0 in
     let t0 = Metrics.start t.counters in
     (* The idempotence table absorbs duplicates inside [perform]; the
        counter delta distinguishes a real apply from an absorbed one
@@ -1379,7 +1397,7 @@ let session t tc =
     s
 
 let handle_control_frame ?expect t frame =
-  match Wire.decode_control frame with
+  match Wire.Verified.decode_control frame with
   | exception Invalid_argument _ ->
     Instrument.bump t.counters "dc.bad_frames";
     None

@@ -104,9 +104,11 @@ val control : t -> Untx_msg.Wire.control -> Untx_msg.Wire.control_reply
 val handle_request_frame :
   ?expect:Untx_util.Tc_id.t -> t -> string -> string option
 (** Transport endpoint for the data channel: decode a request frame,
-    {!perform} it, return the encoded reply frame.  An undecodable frame
-    is dropped (counted as ["dc.bad_frames"]) — indistinguishable from
-    loss, so the TC's resend carries it.
+    {!perform} it, return the encoded reply frame.  The frame must have
+    passed {!Untx_msg.Wire.frame_ok}, as every frame the transport
+    delivers has: the checksum is not computed again here.  An
+    undecodable frame is dropped (counted as ["dc.bad_frames"]) —
+    indistinguishable from loss, so the TC's resend carries it.
 
     [expect] is the link's owning TC (deployments wire one transport per
     (TC, DC) pair): a frame stamped with a different [tc] is refused
@@ -115,14 +117,15 @@ val handle_request_frame :
 
 val handle_control_frame :
   ?expect:Untx_util.Tc_id.t -> t -> string -> string option
-(** Transport endpoint for the control channel.  Enforces the control
-    contract of Section 4.2 on the per-TC session table: frames from a
-    dead epoch are discarded; duplicates are absorbed and re-answered
-    from a reply memo (["dc.control_dups_absorbed"]); frames arriving
-    ahead of their sequence turn are buffered (["dc.control_buffered"])
-    until the TC's resend fills the gap; in-turn frames are applied via
-    {!control} and acknowledged.  [None] means no reply travels back —
-    the TC's backoff resend recovers.
+(** Transport endpoint for the control channel, for frames that passed
+    {!Untx_msg.Wire.frame_ok} like {!handle_request_frame}'s.  Enforces
+    the control contract of Section 4.2 on the per-TC session table:
+    frames from a dead epoch are discarded; duplicates are absorbed and
+    re-answered from a reply memo (["dc.control_dups_absorbed"]); frames
+    arriving ahead of their sequence turn are buffered
+    (["dc.control_buffered"]) until the TC's resend fills the gap;
+    in-turn frames are applied via {!control} and acknowledged.  [None]
+    means no reply travels back — the TC's backoff resend recovers.
 
     [expect] as in {!handle_request_frame}: a control frame speaking for
     another TC is dropped (counted as ["dc.misattributed"]) rather than

@@ -41,22 +41,23 @@ let encode t =
     ]
 
 let decode s =
-  match Codec.decode s with
-  | [ value; deleted; before_tag; before_val; writer; wlsn ] ->
-    let before =
-      match before_tag with
-      | "a" -> Absent
-      | "n" -> Null_before
-      | "v" -> Value_before before_val
-      | _ -> invalid_arg "Stored_record.decode: bad before tag"
-    in
-    {
-      value;
-      deleted = String.equal deleted "1";
-      before;
-      writer = Tc_id.of_int (Codec.decode_int writer);
-      wlsn = Lsn.of_int (Codec.decode_int wlsn);
-    }
-  | _ -> invalid_arg "Stored_record.decode: bad field count"
+  let r = Codec.reader s in
+  let value = Codec.read_string r in
+  let deleted = String.equal (Codec.read_string r) "1" in
+  let before_tag = Codec.read_string r in
+  let before_val = Codec.read_string r in
+  let writer = Codec.read_int r in
+  let wlsn = Codec.read_int r in
+  if not (Codec.at_end r) then
+    invalid_arg "Stored_record.decode: bad field count";
+  let before =
+    match before_tag with
+    | "a" -> Absent
+    | "n" -> Null_before
+    | "v" -> Value_before before_val
+    | _ -> invalid_arg "Stored_record.decode: bad before tag"
+  in
+  { value; deleted; before; writer = Tc_id.of_int writer;
+    wlsn = Lsn.of_int wlsn }
 
 let encoded_size t = String.length (encode t)

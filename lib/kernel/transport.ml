@@ -29,6 +29,43 @@ type channel = Data | Control | Repl
 
 type item = { due : int; seq : int; frame : string }
 
+(* The counters every frame bumps, resolved once at creation.  A link
+   without a label mirrors into private cells nobody reads. *)
+type cells = {
+  c_data_bytes : int ref;
+  c_control_bytes : int ref;
+  c_repl_bytes : int ref;
+  c_delivered : int ref;
+  c_batches : int ref;
+  c_batched_frames : int ref;
+  l_data_bytes : int ref;
+  l_control_bytes : int ref;
+  l_repl_bytes : int ref;
+  l_delivered : int ref;
+}
+
+let cells_for counters label =
+  let cell name = Metrics.counter_cell counters ("transport." ^ name) in
+  let labeled suffix =
+    match label with
+    | None -> ref 0
+    | Some l -> cell (l ^ "." ^ suffix)
+  in
+  {
+    c_data_bytes = cell "data_bytes";
+    c_control_bytes = cell "control_bytes";
+    c_repl_bytes = cell "repl_bytes";
+    c_delivered = cell "delivered";
+    c_batches = cell "batches";
+    c_batched_frames = cell "batched_frames";
+    l_data_bytes = labeled "data_bytes";
+    l_control_bytes = labeled "control_bytes";
+    l_repl_bytes = labeled "repl_bytes";
+    l_delivered = labeled "delivered";
+  }
+
+let add cell n = cell := !cell + n
+
 type t = {
   mutable policy : policy;
   mutable control_policy : policy;
@@ -37,6 +74,7 @@ type t = {
   control_handler : string -> string option;
   repl_handler : string -> string option;
   counters : Instrument.t;
+  cells : cells;
   label : string option;
       (* per-link counter prefix: a deployment names each (TC, DC) link
          so byte/delivery accounting can be read out per partition *)
@@ -68,6 +106,7 @@ let create ?(counters = Instrument.global) ?(policy = reliable) ?control_policy
     control_handler = control;
     repl_handler = repl;
     counters;
+    cells = cells_for counters label;
     label;
     now = 0;
     seq = 0;
@@ -86,12 +125,6 @@ let create ?(counters = Instrument.global) ?(policy = reliable) ?control_policy
     control_bytes = 0;
     repl_bytes = 0;
   }
-
-let bump_labeled t suffix n =
-  match t.label with
-  | None -> ()
-  | Some l ->
-    Instrument.bump_by t.counters (Printf.sprintf "transport.%s.%s" l suffix) n
 
 let set_policy t policy =
   t.policy <- policy;
@@ -116,9 +149,12 @@ let trace_attrs t ch dir =
   in
   match t.label with None -> base | Some l -> ("link", l) :: base
 
+(* Every frame traced here is either the sender's own or one the
+   receiving edge has verified, so the id is read without a checksum
+   pass. *)
 let trace_event t ch dir ev frame =
   if Trace.enabled () then
-    let tid = Wire.frame_tid frame in
+    let tid = Wire.Verified.tid frame in
     if tid <> 0 then Trace.record ~tid ~comp:"transport" ~ev (trace_attrs t ch dir)
 
 let schedule t ch dir queue frame =
@@ -129,16 +165,16 @@ let schedule t ch dir queue frame =
   (match ch with
   | Data ->
     t.data_bytes <- t.data_bytes + len;
-    Instrument.bump_by t.counters "transport.data_bytes" len;
-    bump_labeled t "data_bytes" len
+    add t.cells.c_data_bytes len;
+    add t.cells.l_data_bytes len
   | Control ->
     t.control_bytes <- t.control_bytes + len;
-    Instrument.bump_by t.counters "transport.control_bytes" len;
-    bump_labeled t "control_bytes" len
+    add t.cells.c_control_bytes len;
+    add t.cells.l_control_bytes len
   | Repl ->
     t.repl_bytes <- t.repl_bytes + len;
-    Instrument.bump_by t.counters "transport.repl_bytes" len;
-    bump_labeled t "repl_bytes" len);
+    add t.cells.c_repl_bytes len;
+    add t.cells.l_repl_bytes len);
   if Metrics.timed t.counters then
     Metrics.observe t.counters "transport.frame_bytes" len;
   let copies =
@@ -175,7 +211,7 @@ let send_repl t frame = t.dc_repl <- schedule t Repl `Req t.dc_repl frame
 
 (* Split a queue into due and not-yet-due; due messages come back in
    delivery order (FIFO by seq, or shuffled when reordering). *)
-let take_due t ch queue =
+let split_due t ch queue =
   let due, rest = List.partition (fun item -> item.due <= t.now) queue in
   let due = List.sort (fun (a : item) b -> Int.compare a.seq b.seq) due in
   let due =
@@ -187,6 +223,19 @@ let take_due t ch queue =
     else due
   in
   (due, rest)
+
+(* A queue is newest first (sends prepend, and the split keeps order),
+   so when everything is due and nothing reorders — always, under a
+   policy without delays — delivery order is the queue reversed. *)
+let take_due t ch queue =
+  match queue with
+  | [] -> ([], [])
+  | _ ->
+    if
+      (not (policy_for t ch).reorder)
+      && List.for_all (fun item -> item.due <= t.now) queue
+    then (List.rev queue, [])
+    else split_due t ch queue
 
 (* The receiving edge of either channel: maybe corrupt (fault point),
    then verify the checksum.  A frame that fails verification is
@@ -216,8 +265,8 @@ let receive t frame =
    actually allows. *)
 let count_batch t n =
   if n > 0 then begin
-    Instrument.bump t.counters "transport.batches";
-    Instrument.bump_by t.counters "transport.batched_frames" n
+    incr t.cells.c_batches;
+    add t.cells.c_batched_frames n
   end
 
 let deliver_requests t =
@@ -232,8 +281,8 @@ let deliver_requests t =
       | None -> ()
       | Some frame -> (
         t.delivered <- t.delivered + 1;
-        Instrument.bump t.counters "transport.delivered";
-        bump_labeled t "delivered" 1;
+        incr t.cells.c_delivered;
+        incr t.cells.l_delivered;
         trace_event t Data `Req "recv" frame;
         match t.data_handler frame with
         | None -> ()

@@ -24,7 +24,10 @@
     The receiving edge validates every frame's checksum
     ({!Untx_msg.Wire.frame_ok}) and silently drops failures
     (["transport.corrupt_dropped"]) — corruption is indistinguishable
-    from loss, and the sender's resend path carries it. *)
+    from loss, and the sender's resend path carries it.  This is the
+    one checksum pass a frame gets: handlers and {!drain} see only
+    frames that passed it, and decode them with
+    {!Untx_msg.Wire.Verified}. *)
 
 type policy = {
   delay_min : int;

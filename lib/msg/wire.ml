@@ -130,15 +130,19 @@ let frame ?(tid = 0) kind fields =
   put_u32 b (header_len + len) (fnv32 b 0 (header_len + len));
   Bytes.unsafe_to_string b
 
-let frame_kind s =
+(* The frame's kind if its shape holds — and, with [verify], its
+   checksum too.  Only a frame that already passed [frame_ok] may skip
+   the checksum. *)
+let frame_kind ~verify s =
   let n = String.length s in
   if n < header_len + trailer_len then None
   else
     let len = get_u32 s 5 in
     if n <> header_len + len + trailer_len then None
     else if
-      get_u32 s (header_len + len)
-      <> fnv32 (Bytes.unsafe_of_string s) 0 (header_len + len)
+      verify
+      && get_u32 s (header_len + len)
+         <> fnv32 (Bytes.unsafe_of_string s) 0 (header_len + len)
     then
       None
     else
@@ -151,7 +155,7 @@ let frame_kind s =
       | 'T' -> Some `Repl_reply
       | _ -> None
 
-let frame_ok s = frame_kind s <> None
+let frame_ok s = frame_kind ~verify:true s <> None
 
 (* Validates the whole frame first: a corrupted trace id fails the
    checksum and reads as 0 ("untraced") rather than as some other
@@ -159,8 +163,8 @@ let frame_ok s = frame_kind s <> None
 let frame_tid s = if frame_ok s then get_u32 s 1 else 0
 
 (* The payload's fields, decoded in place from the frame. *)
-let unframe kind s =
-  match frame_kind s with
+let unframe ~verify kind s =
+  match frame_kind ~verify s with
   | Some k when k = kind ->
     Codec.decode_sub s ~pos:header_len ~len:(get_u32 s 5)
   | _ -> invalid_arg "Wire: bad frame"
@@ -195,8 +199,8 @@ let encode_request ?tid { tc; lsn; part; op } =
      :: int_field part
      :: Op.to_fields op)
 
-let decode_request s =
-  match unframe `Request s with
+let decode_request_from ~verify s =
+  match unframe ~verify `Request s with
   | tc :: lsn :: part :: op_fields ->
     {
       tc = tc_of_field tc;
@@ -239,8 +243,8 @@ let encode_reply ?tid { tc; lsn; result; prior } =
      :: int_field (Lsn.to_int lsn)
      :: opt_field prior :: result_fields result)
 
-let decode_reply s =
-  match unframe `Reply s with
+let decode_reply_from ~verify s =
+  match unframe ~verify `Reply s with
   | tc :: lsn :: prior :: rest ->
     {
       tc = tc_of_field tc;
@@ -286,8 +290,8 @@ let encode_control ?tid { c_epoch; c_seq; c_ctl } =
   frame ?tid 'C'
     (int_field c_epoch :: int_field c_seq :: control_fields c_ctl)
 
-let decode_control s =
-  match unframe `Control s with
+let decode_control_from ~verify s =
+  match unframe ~verify `Control s with
   | epoch :: seq :: rest ->
     {
       c_epoch = int_of_field epoch;
@@ -312,8 +316,8 @@ let encode_control_reply ?tid { r_tc; r_epoch; r_seq; r_reply } =
      :: int_field r_epoch :: int_field r_seq
      :: control_reply_fields r_reply)
 
-let decode_control_reply s =
-  match unframe `Control_reply s with
+let decode_control_reply_from ~verify s =
+  match unframe ~verify `Control_reply s with
   | tc :: epoch :: seq :: rest ->
     {
       r_tc = tc_of_field tc;
@@ -362,8 +366,8 @@ let encode_repl ?tid { p_epoch; p_seq; p_repl } =
   frame ?tid 'S'
     (int_field p_epoch :: int_field p_seq :: repl_fields p_repl)
 
-let decode_repl s =
-  match unframe `Repl s with
+let decode_repl_from ~verify s =
+  match unframe ~verify `Repl s with
   | epoch :: seq :: rest ->
     {
       p_epoch = int_of_field epoch;
@@ -385,8 +389,8 @@ let encode_repl_reply ?tid { q_tc; q_epoch; q_seq; q_reply } =
      :: int_field q_epoch :: int_field q_seq
      :: repl_reply_fields q_reply)
 
-let decode_repl_reply s =
-  match unframe `Repl_reply s with
+let decode_repl_reply_from ~verify s =
+  match unframe ~verify `Repl_reply s with
   | tc :: epoch :: seq :: rest ->
     {
       q_tc = tc_of_field tc;
@@ -395,6 +399,36 @@ let decode_repl_reply s =
       q_reply = repl_reply_of_fields rest;
     }
   | _ -> invalid_arg "Wire.decode_repl_reply"
+
+let decode_request = decode_request_from ~verify:true
+
+let decode_reply = decode_reply_from ~verify:true
+
+let decode_control = decode_control_from ~verify:true
+
+let decode_control_reply = decode_control_reply_from ~verify:true
+
+let decode_repl = decode_repl_from ~verify:true
+
+let decode_repl_reply = decode_repl_reply_from ~verify:true
+
+(* The receiving edge checksums each frame once ([frame_ok]); what it
+   hands on is decoded here without hashing it again. *)
+module Verified = struct
+  let decode_request = decode_request_from ~verify:false
+
+  let decode_reply = decode_reply_from ~verify:false
+
+  let decode_control = decode_control_from ~verify:false
+
+  let decode_control_reply = decode_control_reply_from ~verify:false
+
+  let decode_repl = decode_repl_from ~verify:false
+
+  let decode_repl_reply = decode_repl_reply_from ~verify:false
+
+  let tid s = if String.length s >= header_len then get_u32 s 1 else 0
+end
 
 (* The real size of a request on the wire — what the transport's byte
    accounting charges, not an estimate. *)

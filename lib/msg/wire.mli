@@ -189,6 +189,28 @@ val frame_tid : string -> int
     checksummed region, so corruption can invalidate a frame but never
     reattribute it to another trace. *)
 
+(** Decoders for frames that already passed {!frame_ok}, as every frame
+    the kernel's transport hands to its endpoints has: they check
+    the frame's shape and payload like [decode_*], but skip the
+    checksum, so a delivered frame is hashed once.  Any other caller
+    uses [decode_*]. *)
+module Verified : sig
+  val decode_request : string -> request
+
+  val decode_reply : string -> reply
+
+  val decode_control : string -> control_msg
+
+  val decode_control_reply : string -> control_reply_msg
+
+  val decode_repl : string -> repl_msg
+
+  val decode_repl_reply : string -> repl_reply_msg
+
+  val tid : string -> int
+  (** {!frame_tid} without the checksum pass. *)
+end
+
 val request_size : request -> int
 (** The exact encoded frame length of the request — measured from the
     codec, not estimated. *)

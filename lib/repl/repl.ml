@@ -94,7 +94,7 @@ module Standby = struct
     Instrument.bump t.counters "repl.standby_batches"
 
   let handle_repl_frame ?expect t frame =
-    match Wire.decode_repl frame with
+    match Wire.Verified.decode_repl frame with
     | exception Invalid_argument _ ->
       Instrument.bump t.counters "repl.bad_frames";
       None
@@ -421,7 +421,7 @@ module Manager = struct
         if attached r then begin
           List.iter
             (fun frame ->
-              match Wire.decode_repl_reply frame with
+              match Wire.Verified.decode_repl_reply frame with
               | exception Invalid_argument _ ->
                 Instrument.bump t.counters "repl.bad_frames"
               | m when not (Tc_id.equal m.Wire.q_tc (Tc.id t.tc)) ->

@@ -69,7 +69,8 @@ module Standby : sig
     ?expect:Untx_util.Tc_id.t -> t -> string -> string option
   (** Decode one repl frame, run it through the session contract, apply
       in-turn ships, and return the encoded [Repl_ack] if one is owed.
-      Wired as the transport's repl handler.
+      Wired as the transport's repl handler: the frame has passed
+      {!Untx_msg.Wire.frame_ok} there, so it is not checksummed again.
 
       [expect] is the link's shipping TC: a ship stamped with another
       TC's id is dropped (counted as ["repl.misattributed"]) instead of
@@ -182,7 +183,9 @@ module Manager : sig
   (** Register a standby for [primary] and open its session with a
       hello; the ack carries the standby's exact applied LSN, from
       which shipping resumes — a rejoining standby catches up from
-      where it left off instead of rebuilding. *)
+      where it left off instead of rebuilding.  [drain] returns frames
+      that passed {!Untx_msg.Wire.frame_ok} (a transport's
+      [drain_repl]). *)
 
   val detach : t -> name:string -> unit
   (** Stop shipping without forgetting the replica: its applied LSN

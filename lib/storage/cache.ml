@@ -190,8 +190,14 @@ let lookup t id =
       Instrument.bump t.counters "cache.misses";
       Some entry.page)
 
+(* A hit — every level of nearly every descent — allocates nothing. *)
 let get t id =
-  match lookup t id with Some page -> page | None -> raise Not_found
+  match Page_id.Tbl.find t.entries id with
+  | entry ->
+    touch t entry;
+    entry.page
+  | exception Not_found -> (
+    match lookup t id with Some page -> page | None -> raise Not_found)
 
 let mark_dirty t page =
   match Page_id.Tbl.find_opt t.entries (Page.id page) with

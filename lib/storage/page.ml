@@ -28,42 +28,39 @@ let used_bytes t = t.used
 
 let cell_size ~key ~data = String.length key + String.length data + slot_overhead
 
-(* Index of [key] if present, else [Error insertion_point]. *)
-let search t key =
-  let rec go lo hi =
-    if lo >= hi then Error lo
-    else
-      let mid = (lo + hi) / 2 in
-      let k, _ = t.cells.(mid) in
-      let c = String.compare key k in
-      if c = 0 then Ok mid else if c < 0 then go lo mid else go (mid + 1) hi
-  in
-  go 0 (Array.length t.cells)
+(* Binary search over [cells.(lo .. hi-1)]: the index of [key] if
+   present, else [-(insertion_point + 1)].  A top-level loop returning
+   an int, so a lookup allocates nothing. *)
+let rec search_in cells key lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) / 2 in
+    let k, _ = Array.unsafe_get cells mid in
+    let c = String.compare key k in
+    if c = 0 then mid
+    else if c < 0 then search_in cells key lo mid
+    else search_in cells key (mid + 1) hi
+
+let search t key = search_in t.cells key 0 (Array.length t.cells)
 
 let find t key =
-  match search t key with
-  | Ok i ->
+  let i = search t key in
+  if i >= 0 then
     let _, data = t.cells.(i) in
     Some data
-  | Error _ -> None
+  else None
 
 let find_le t key =
-  let at i =
-    let k, d = t.cells.(i) in
-    Some (i, k, d)
-  in
-  match search t key with
-  | Ok i -> at i
-  | Error 0 -> None
-  | Error i -> at (i - 1)
+  let i = search t key in
+  if i >= 0 then i else -i - 2
 
 let would_overflow t ~key ~data =
+  let i = search t key in
   let delta =
-    match search t key with
-    | Ok i ->
+    if i >= 0 then
       let _, old = t.cells.(i) in
       String.length data - String.length old
-    | Error _ -> cell_size ~key ~data
+    else cell_size ~key ~data
   in
   t.used + delta > t.capacity
 
@@ -76,17 +73,18 @@ let insert_at t i cell size_delta =
   t.used <- t.used + size_delta
 
 let set t ~key ~data =
-  match search t key with
-  | Ok i ->
+  let i = search t key in
+  if i >= 0 then begin
     let _, old = t.cells.(i) in
     t.cells.(i) <- (key, data);
     t.used <- t.used + String.length data - String.length old
-  | Error i -> insert_at t i (key, data) (cell_size ~key ~data)
+  end
+  else insert_at t (-i - 1) (key, data) (cell_size ~key ~data)
 
 let remove t key =
-  match search t key with
-  | Error _ -> false
-  | Ok i ->
+  let i = search t key in
+  if i < 0 then false
+  else
     let k, d = t.cells.(i) in
     let n = Array.length t.cells in
     let cells = Array.make (n - 1) ("", "") in
@@ -112,7 +110,8 @@ let max_key t =
 let cells t = Array.to_list t.cells
 
 let iter_from t key f =
-  let start = match search t key with Ok i -> i | Error i -> i in
+  let i = search t key in
+  let start = if i >= 0 then i else -i - 1 in
   let n = Array.length t.cells in
   let rec go i =
     if i < n then

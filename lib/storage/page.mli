@@ -36,10 +36,11 @@ val would_overflow : t -> key:string -> data:string -> bool
 val find : t -> string -> string option
 (** Exact-key lookup. *)
 
-val find_le : t -> string -> (int * string * string) option
-(** [(index, key, data)] of the rightmost cell with key <= the argument;
-    [None] if every cell is greater (or the page is empty).  This is the
-    routing primitive for inner B-tree pages. *)
+val find_le : t -> string -> int
+(** Index of the rightmost cell with key <= the argument ({!nth} reads
+    it); [-1] if every cell is greater (or the page is empty).  This is
+    the routing primitive for inner B-tree pages, and allocates
+    nothing. *)
 
 val set : t -> key:string -> data:string -> unit
 (** Insert or replace.  The caller must have checked {!would_overflow};

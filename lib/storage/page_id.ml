@@ -22,5 +22,7 @@ module Tbl = Hashtbl.Make (struct
 
   let equal = Int.equal
 
-  let hash = Hashtbl.hash
+  (* Page ids are small non-negative ints: they index buckets as they
+     are, with no call into the polymorphic hash. *)
+  let hash t = t land max_int
 end)

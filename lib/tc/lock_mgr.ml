@@ -10,57 +10,50 @@ let pp_resource ppf = function
   | Range { table; slot } -> Format.fprintf ppf "range:%s/%d" table slot
   | Table table -> Format.fprintf ppf "table:%s" table
 
-(* A queued request.  The FIFO holds these nodes; removal just marks
-   [w_dead] and the queue compacts lazily at the head — O(1) cancel
-   without rebuilding the queue. *)
-type waiter = { w_owner : int; w_mode : mode; mutable w_dead : bool }
+(* One resource's lock state, held inline: a lock is contended by a
+   handful of owners at most, so short lists beat per-entry tables,
+   which a fresh entry would build only to drop them at release.
+   Holders are kept oldest first (an upgrade changes the mode in
+   place); waiters are the live FIFO, head first. *)
+type holder = { h_owner : int; mutable h_mode : mode }
+
+type waiter = { w_owner : int; w_mode : mode }
 
 type entry = {
-  holders : (int, mode) Hashtbl.t;
+  mutable holders : holder list;
   mutable x_holders : int; (* holders in X mode, for O(1) grant tests *)
-  queue : waiter Queue.t; (* FIFO: head is next candidate *)
-  queued : (int * mode, waiter) Hashtbl.t; (* the live queue members *)
+  mutable waiters : waiter list;
 }
+
+(* What an owner holds, and where it has a live queued request — so
+   releasing or cancelling never scans the whole lock table. *)
+type owner = { mutable held : resource list; mutable waits : resource list }
 
 type t = {
   table : (resource, entry) Hashtbl.t;
-  owner_locks : (int, (resource, unit) Hashtbl.t) Hashtbl.t;
-  owner_waits : (int, (resource, unit) Hashtbl.t) Hashtbl.t;
-      (* resources where the owner has a live queued request, so
-         cancelling waits never scans the whole lock table *)
+  owners : (int, owner) Hashtbl.t;
   mutable total_acquisitions : int;
 }
 
 let create () =
-  {
-    table = Hashtbl.create 256;
-    owner_locks = Hashtbl.create 32;
-    owner_waits = Hashtbl.create 32;
-    total_acquisitions = 0;
-  }
+  { table = Hashtbl.create 256; owners = Hashtbl.create 32;
+    total_acquisitions = 0 }
 
 let entry_of t rsrc =
   match Hashtbl.find_opt t.table rsrc with
   | Some e -> e
   | None ->
-    let e =
-      {
-        holders = Hashtbl.create 4;
-        x_holders = 0;
-        queue = Queue.create ();
-        queued = Hashtbl.create 4;
-      }
-    in
+    let e = { holders = []; x_holders = 0; waiters = [] } in
     Hashtbl.add t.table rsrc e;
     e
 
-let index_cell index owner =
-  match Hashtbl.find_opt index owner with
-  | Some c -> c
+let owner_of t owner =
+  match Hashtbl.find_opt t.owners owner with
+  | Some o -> o
   | None ->
-    let c = Hashtbl.create 8 in
-    Hashtbl.add index owner c;
-    c
+    let o = { held = []; waits = [] } in
+    Hashtbl.add t.owners owner o;
+    o
 
 let mode_covers held wanted =
   match (held, wanted) with X, _ -> true | S, S -> true | S, X -> false
@@ -69,18 +62,33 @@ let compatible m1 m2 = match (m1, m2) with S, S -> true | _ -> false
 
 (* ---- holder bookkeeping ---- *)
 
+let rec holder_in owner = function
+  | [] -> None
+  | h :: rest -> if h.h_owner = owner then Some h else holder_in owner rest
+
+let holder e owner = holder_in owner e.holders
+
+(* Grant [mode] to [owner]; whether it is a new holder (not an
+   upgrade). *)
 let set_holder e owner mode =
-  (match Hashtbl.find_opt e.holders owner with
-  | Some X -> e.x_holders <- e.x_holders - 1
-  | _ -> ());
-  Hashtbl.replace e.holders owner mode;
-  if mode = X then e.x_holders <- e.x_holders + 1
+  let fresh =
+    match holder e owner with
+    | Some h ->
+      if h.h_mode = X then e.x_holders <- e.x_holders - 1;
+      h.h_mode <- mode;
+      false
+    | None ->
+      e.holders <- e.holders @ [ { h_owner = owner; h_mode = mode } ];
+      true
+  in
+  if mode = X then e.x_holders <- e.x_holders + 1;
+  fresh
 
 let remove_holder e owner =
-  match Hashtbl.find_opt e.holders owner with
-  | Some held ->
-    if held = X then e.x_holders <- e.x_holders - 1;
-    Hashtbl.remove e.holders owner
+  match holder e owner with
+  | Some h ->
+    if h.h_mode = X then e.x_holders <- e.x_holders - 1;
+    e.holders <- List.filter (fun h -> h.h_owner <> owner) e.holders
   | None -> ()
 
 (* Can [owner] be granted [mode] on [e] right now?  Re-entrant holders
@@ -88,59 +96,47 @@ let remove_holder e owner =
    compatible. *)
 let grantable e owner mode =
   match mode with
-  | X -> Hashtbl.length e.holders - (if Hashtbl.mem e.holders owner then 1 else 0) = 0
+  | X -> (
+    match e.holders with [] -> true | [ h ] -> h.h_owner = owner | _ -> false)
   | S ->
-    e.x_holders
-    - (match Hashtbl.find_opt e.holders owner with Some X -> 1 | _ -> 0)
-    = 0
+    e.x_holders = 0
+    || e.x_holders = 1
+       && match holder e owner with Some { h_mode = X; _ } -> true | _ -> false
 
-let note_granted t owner rsrc =
+let grant t e rsrc owner mode =
   t.total_acquisitions <- t.total_acquisitions + 1;
-  Hashtbl.replace (index_cell t.owner_locks owner) rsrc ()
+  if set_holder e owner mode then begin
+    let o = owner_of t owner in
+    o.held <- rsrc :: o.held
+  end
 
 (* ---- waiter bookkeeping ---- *)
 
-let live_waiters e =
-  Queue.fold
-    (fun acc w -> if w.w_dead then acc else (w.w_owner, w.w_mode) :: acc)
-    [] e.queue
-  |> List.rev
+let is_waiter owner mode w = w.w_owner = owner && w.w_mode = mode
 
-let rec live_head e =
-  match Queue.peek_opt e.queue with
-  | Some w when w.w_dead ->
-    ignore (Queue.pop e.queue);
-    live_head e
-  | other -> other
+let queued e owner mode = List.exists (is_waiter owner mode) e.waiters
 
 let drop_wait_index t owner rsrc e =
-  if
-    (not (Hashtbl.mem e.queued (owner, S)))
-    && not (Hashtbl.mem e.queued (owner, X))
-  then
-    match Hashtbl.find_opt t.owner_waits owner with
-    | Some c ->
-      Hashtbl.remove c rsrc;
-      if Hashtbl.length c = 0 then Hashtbl.remove t.owner_waits owner
+  if not (List.exists (fun w -> w.w_owner = owner) e.waiters) then
+    match Hashtbl.find_opt t.owners owner with
+    | Some o -> o.waits <- List.filter (fun r -> r <> rsrc) o.waits
     | None -> ()
 
 let kill_wait t e rsrc owner mode =
-  match Hashtbl.find_opt e.queued (owner, mode) with
-  | Some w ->
-    w.w_dead <- true;
-    Hashtbl.remove e.queued (owner, mode);
+  if queued e owner mode then begin
+    e.waiters <- List.filter (fun w -> not (is_waiter owner mode w)) e.waiters;
     drop_wait_index t owner rsrc e
-  | None -> ()
+  end
 
 let entry_gc t rsrc e =
-  if Hashtbl.length e.holders = 0 && Hashtbl.length e.queued = 0 then
-    Hashtbl.remove t.table rsrc
+  if e.holders = [] && e.waiters = [] then Hashtbl.remove t.table rsrc
 
 let acquire t ~owner rsrc mode =
   let e = entry_of t rsrc in
-  match Hashtbl.find_opt e.holders owner with
-  | Some held when mode_covers held mode -> `Granted
-  | current -> (
+  let current = holder e owner in
+  match current with
+  | Some h when mode_covers h.h_mode mode -> `Granted
+  | _ ->
     (* Fairness: a newcomer must not overtake queued waiters — except an
        upgrade request (current = Some S), which jumps the queue as in
        most real lock managers to avoid self-blocking behind strangers.
@@ -148,11 +144,11 @@ let acquire t ~owner rsrc mode =
        compatible: holders can change between its enqueue and its retry,
        and release-time promotion cannot fire if nobody releases. *)
     let at_head =
-      match live_head e with Some w -> w.w_owner = owner | None -> false
+      match e.waiters with w :: _ -> w.w_owner = owner | [] -> false
     in
     let must_queue =
       (not (grantable e owner mode))
-      || (current = None && Hashtbl.length e.queued > 0 && not at_head)
+      || (Option.is_none current && e.waiters <> [] && not at_head)
     in
     if not must_queue then begin
       (* Retire only the owner's queued requests the granted mode
@@ -161,89 +157,92 @@ let acquire t ~owner rsrc mode =
          vanishes and both transactions sleep forever. *)
       kill_wait t e rsrc owner S;
       if mode = X then kill_wait t e rsrc owner X;
-      set_holder e owner mode;
-      note_granted t owner rsrc;
+      grant t e rsrc owner mode;
       `Granted
     end
     else begin
-      if not (Hashtbl.mem e.queued (owner, mode)) then begin
-        let w = { w_owner = owner; w_mode = mode; w_dead = false } in
-        Queue.add w e.queue;
-        Hashtbl.replace e.queued (owner, mode) w;
-        Hashtbl.replace (index_cell t.owner_waits owner) rsrc ()
+      if not (queued e owner mode) then begin
+        e.waiters <- e.waiters @ [ { w_owner = owner; w_mode = mode } ];
+        let o = owner_of t owner in
+        if not (List.mem rsrc o.waits) then o.waits <- rsrc :: o.waits
       end;
       `Blocked
-    end)
+    end
 
 let holds t ~owner rsrc mode =
   match Hashtbl.find_opt t.table rsrc with
   | None -> false
   | Some e -> (
-    match Hashtbl.find_opt e.holders owner with
-    | Some held -> mode_covers held mode
+    match holder e owner with
+    | Some h -> mode_covers h.h_mode mode
     | None -> false)
 
 (* Promote waiters at the head of the queue while they are grantable. *)
-let promote t rsrc e granted =
-  let rec go granted =
-    match live_head e with
-    | None -> granted
-    | Some w ->
-      if grantable e w.w_owner w.w_mode then begin
-        ignore (Queue.pop e.queue);
-        Hashtbl.remove e.queued (w.w_owner, w.w_mode);
-        drop_wait_index t w.w_owner rsrc e;
-        set_holder e w.w_owner w.w_mode;
-        note_granted t w.w_owner rsrc;
-        go (w.w_owner :: granted)
-      end
-      else granted
-  in
-  go granted
+let rec promote t rsrc e granted =
+  match e.waiters with
+  | w :: rest when grantable e w.w_owner w.w_mode ->
+    e.waiters <- rest;
+    drop_wait_index t w.w_owner rsrc e;
+    grant t e rsrc w.w_owner w.w_mode;
+    promote t rsrc e (w.w_owner :: granted)
+  | _ -> granted
 
-(* Kill every queued request of [owner], touching only the entries the
+(* Kill every queued request of [owner], touching only the entries its
    wait index names — not the whole lock table. *)
-let kill_all_waits t ~owner =
-  match Hashtbl.find_opt t.owner_waits owner with
-  | None -> ()
-  | Some cell ->
-    let resources = Hashtbl.fold (fun rsrc () acc -> rsrc :: acc) cell [] in
-    List.iter
-      (fun rsrc ->
-        match Hashtbl.find_opt t.table rsrc with
-        | None -> ()
-        | Some e ->
-          kill_wait t e rsrc owner S;
-          kill_wait t e rsrc owner X;
-          entry_gc t rsrc e)
-      resources;
-    Hashtbl.remove t.owner_waits owner
+let kill_all_waits t o ~owner =
+  let resources = o.waits in
+  o.waits <- [];
+  List.iter
+    (fun rsrc ->
+      match Hashtbl.find_opt t.table rsrc with
+      | None -> ()
+      | Some e ->
+        kill_wait t e rsrc owner S;
+        kill_wait t e rsrc owner X;
+        entry_gc t rsrc e)
+    resources
 
 let release_all t ~owner =
-  kill_all_waits t ~owner;
-  let resources =
-    match Hashtbl.find_opt t.owner_locks owner with
-    | Some c -> Hashtbl.fold (fun rsrc () acc -> rsrc :: acc) c []
-    | None -> []
-  in
-  Hashtbl.remove t.owner_locks owner;
-  let granted =
-    List.fold_left
-      (fun granted rsrc ->
-        match Hashtbl.find_opt t.table rsrc with
-        | None -> granted
-        | Some e ->
-          remove_holder e owner;
-          let granted = promote t rsrc e granted in
-          entry_gc t rsrc e;
-          granted)
-      [] resources
-  in
-  List.sort_uniq Int.compare granted
+  match Hashtbl.find_opt t.owners owner with
+  | None -> []
+  | Some o ->
+    kill_all_waits t o ~owner;
+    Hashtbl.remove t.owners owner;
+    let granted =
+      List.fold_left
+        (fun granted rsrc ->
+          match Hashtbl.find_opt t.table rsrc with
+          | None -> granted
+          | Some e ->
+            remove_holder e owner;
+            let granted = promote t rsrc e granted in
+            entry_gc t rsrc e;
+            granted)
+        [] o.held
+    in
+    List.sort_uniq Int.compare granted
 
-let cancel_waits t ~owner = kill_all_waits t ~owner
+let cancel_waits t ~owner =
+  match Hashtbl.find_opt t.owners owner with
+  | None -> ()
+  | Some o ->
+    kill_all_waits t o ~owner;
+    if o.held = [] then Hashtbl.remove t.owners owner
 
-let waiting t ~owner = Hashtbl.mem t.owner_waits owner
+let waiting t ~owner =
+  match Hashtbl.find_opt t.owners owner with
+  | Some o -> o.waits <> []
+  | None -> false
+
+(* An entry's holders in the order its former per-entry [Hashtbl]
+   listed them — by bucket of the owner id, highest first, then oldest
+   first (exact up to 32 holders, as many as that table held without
+   growing) — so the waits-for edges, and with them the deadlock victim,
+   come out exactly as before. *)
+let holders_in_table_order e =
+  let bucket h = Hashtbl.hash h.h_owner land 15 in
+  List.stable_sort (fun a b -> Int.compare (bucket b) (bucket a)) e.holders
+  |> List.map (fun h -> (h.h_owner, h.h_mode))
 
 (* Waits-for edges.  A queued request waits for every current holder it
    is incompatible with, and — because the queue is FIFO — for every
@@ -254,7 +253,7 @@ let find_deadlock t =
   let edges = Hashtbl.create 32 in
   Hashtbl.iter
     (fun _ e ->
-      let holders = Hashtbl.fold (fun h hm acc -> (h, hm) :: acc) e.holders [] in
+      let holders = holders_in_table_order e in
       let rec waiters_loop earlier = function
         | [] -> ()
         | (w, wm) :: rest ->
@@ -270,7 +269,7 @@ let find_deadlock t =
             earlier;
           waiters_loop ((w, wm) :: earlier) rest
       in
-      waiters_loop [] (live_waiters e))
+      waiters_loop [] (List.map (fun w -> (w.w_owner, w.w_mode)) e.waiters))
     t.table;
   let color = Hashtbl.create 32 in
   let cycle_members = ref [] in
@@ -302,31 +301,32 @@ let find_deadlock t =
   | members -> Some (List.fold_left Stdlib.max Int.min_int members)
 
 let held_count t ~owner =
-  match Hashtbl.find_opt t.owner_locks owner with
-  | Some c -> Hashtbl.length c
+  match Hashtbl.find_opt t.owners owner with
+  | Some o -> List.length o.held
   | None -> 0
 
 let total_acquisitions t = t.total_acquisitions
 
 let live_locks t =
-  Hashtbl.fold (fun _ e acc -> acc + Hashtbl.length e.holders) t.table 0
+  Hashtbl.fold (fun _ e acc -> acc + List.length e.holders) t.table 0
 
 let dump t =
   let buf = Buffer.create 256 in
   Hashtbl.iter
     (fun rsrc e ->
-      if Hashtbl.length e.holders > 0 || Hashtbl.length e.queued > 0 then begin
+      if e.holders <> [] || e.waiters <> [] then begin
         Buffer.add_string buf (Format.asprintf "%a:" pp_resource rsrc);
-        Hashtbl.iter
-          (fun h m ->
+        List.iter
+          (fun (h, m) ->
             Buffer.add_string buf
               (Printf.sprintf " h%d%s" h (match m with S -> "S" | X -> "X")))
-          e.holders;
+          (List.rev (holders_in_table_order e));
         List.iter
-          (fun (w, m) ->
+          (fun w ->
             Buffer.add_string buf
-              (Printf.sprintf " w%d%s" w (match m with S -> "S" | X -> "X")))
-          (live_waiters e);
+              (Printf.sprintf " w%d%s" w.w_owner
+                 (match w.w_mode with S -> "S" | X -> "X")))
+          e.waiters;
         Buffer.add_char buf '\n'
       end)
     t.table;

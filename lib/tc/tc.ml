@@ -52,7 +52,8 @@ type dc_link = {
   send : string -> unit; (* encoded request frame, data channel *)
   send_control : string -> unit; (* encoded control frame *)
   drain : unit -> string list * string list;
-      (* due (reply frames, control-reply frames) *)
+      (* due (reply frames, control-reply frames), verified by the
+         transport's receiving edge *)
 }
 
 (* Per-link control-session state wrapped around the kernel-provided
@@ -117,6 +118,7 @@ type route =
 type t = {
   cfg : config;
   counters : Instrument.t;
+  c_requests_sent : int ref; (* "tc.requests_sent", resolved once *)
   log : Log_record.t Wal.t;
   mutable locks : Lock_mgr.t;
   links : (string, link_state) Hashtbl.t;
@@ -168,6 +170,7 @@ let create ?(counters = Instrument.global) cfg =
   {
     cfg;
     counters;
+    c_requests_sent = Metrics.counter_cell counters "tc.requests_sent";
     log = Wal.create ~counters ~label:"wal.tc" ~size:Log_record.size ();
     locks = Lock_mgr.create ();
     links = Hashtbl.create 4;
@@ -388,7 +391,7 @@ let dispatch t link ~lsn ~op ~xid ~wants_reply =
     | None -> ())
   | None -> ());
   t.msgs <- t.msgs + 1;
-  Instrument.bump t.counters "tc.requests_sent";
+  incr t.c_requests_sent;
   link.ls_link.send frame
 
 let retire_pending t (p : pending) =
@@ -461,7 +464,7 @@ let pump t =
       let replies, ctl_replies = ls.ls_link.drain () in
       List.iter
         (fun frame ->
-          match Wire.decode_reply frame with
+          match Wire.Verified.decode_reply frame with
           | r ->
             progressed := true;
             handle_reply t r
@@ -470,7 +473,7 @@ let pump t =
         replies;
       List.iter
         (fun frame ->
-          match Wire.decode_control_reply frame with
+          match Wire.Verified.decode_control_reply frame with
           | m -> if handle_control_reply t ls m then progressed := true
           | exception Invalid_argument _ ->
             Instrument.bump t.counters "tc.bad_frames")
@@ -569,14 +572,16 @@ let broadcast_sync t ctl =
 
 (* The TC's obligation: never two conflicting operations in flight.
    Fenced pendings don't count: their messages died with the DC, and the
-   redo scan is about to re-dispatch them in LSN order. *)
+   redo scan is about to re-dispatch them in LSN order.  With nothing
+   in flight there is nothing to wait for. *)
 let await_conflicts t op =
-  await t (fun () ->
-      not
-        (Hashtbl.fold
-           (fun _ p acc ->
-             acc || ((not p.p_fenced) && Op.conflicts p.p_req.Wire.op op))
-           t.pendings false))
+  if Hashtbl.length t.pendings > 0 then
+    await t (fun () ->
+        not
+          (Hashtbl.fold
+             (fun _ p acc ->
+               acc || ((not p.p_fenced) && Op.conflicts p.p_req.Wire.op op))
+             t.pendings false))
 
 (* A synchronous unlogged request (reads, probes, scans): unique request
    id from the log's LSN sequence, but no record — reads are never
@@ -947,24 +952,45 @@ let scan t txn ~table ~from_key ~limit =
 (* ------------------------------------------------------------------ *)
 (* Commit / abort                                                      *)
 
+(* Several groups leave in the order the per-commit [Hashtbl] that
+   used to collect them listed them: by bucket of [(table, dc)], highest
+   first, then first seen.  Each group's Commit_versions thus keeps its
+   LSN, and its frame its bytes. *)
+let in_bucket_order groups =
+  let n = List.length groups in
+  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
+  let mask = buckets 16 - 1 in
+  let bucket (table, dc, _) = Hashtbl.hash (table, dc) land mask in
+  List.stable_sort (fun g h -> Int.compare (bucket h) (bucket g)) groups
+
 (* Group a transaction's versioned writes by (table, DC): version
-   housekeeping operations must each target a single DC. *)
+   housekeeping operations must each target a single DC.  Within a
+   group, keys are newest first, each once. *)
 let versioned_write_sets t txn =
-  let tbl = Hashtbl.create 4 in
+  let groups = ref [] (* newest first *) in
   List.iter
     (fun (table, key) ->
-      let group = (table, dc_of_key t table key) in
+      let dc = dc_of_key t table key in
       let keys =
-        match Hashtbl.find_opt tbl group with
-        | Some l -> l
+        match
+          List.find_opt
+            (fun (tb, d, _) -> String.equal tb table && String.equal d dc)
+            !groups
+        with
+        | Some (_, _, keys) -> keys
         | None ->
-          let l = ref [] in
-          Hashtbl.add tbl group l;
-          l
+          let keys = ref [] in
+          groups := (table, dc, keys) :: !groups;
+          keys
       in
       if not (List.mem key !keys) then keys := key :: !keys)
     txn.vwrites;
-  Hashtbl.fold (fun (table, _) keys acc -> (table, !keys) :: acc) tbl []
+  let groups =
+    match !groups with
+    | ([] | [ _ ]) as one -> one
+    | several -> in_bucket_order (List.rev several)
+  in
+  List.map (fun (table, _, keys) -> (table, !keys)) groups
 
 let send_compensation t txn op =
   let link = route_op t op in
@@ -995,6 +1021,7 @@ let abort t txn ~reason =
     ignore (Wal.append t.log (Log_record.Finished { xid = txn.t_xid }));
     release_locks t txn;
     txn.state <- Aborted;
+    Hashtbl.remove t.txns txn.t_xid;
     Instrument.bump t.counters "tc.aborts"
   end
 
@@ -1122,6 +1149,7 @@ let rec commit t txn =
       ignore (Wal.append t.log (Log_record.Finished { xid = txn.t_xid }));
       release_locks t txn;
       txn.state <- Committed;
+      Hashtbl.remove t.txns txn.t_xid;
       Instrument.bump t.counters "tc.commits";
       `Ok ()
   end

@@ -76,6 +76,9 @@ type dc_link = {
   send : string -> unit;
   send_control : string -> unit;
   drain : unit -> string list * string list;
+      (** due (reply, control-reply) frames, each already past
+          {!Untx_msg.Wire.frame_ok} — what the transport's [drain]
+          returns; the TC does not checksum them again *)
 }
 
 type t

@@ -66,33 +66,60 @@ let rec digits_end s i stop =
   then digits_end s (i + 1) stop
   else i
 
-let decode_sub s ~pos ~len =
-  let stop = pos + len in
-  if pos < 0 || len < 0 || stop > String.length s then
-    invalid_arg "Codec.decode_sub";
-  let[@tail_mod_cons] rec go pos =
-    if pos = stop then []
-    else
-      let colon = digits_end s pos stop in
-      if colon = stop || String.unsafe_get s colon <> ':' then
-        invalid_arg "Codec.decode: missing length delimiter";
-      let l = neg_digits s pos colon "Codec.decode: bad length" in
-      if l = min_int || -l > stop - colon - 1 then
-        invalid_arg "Codec.decode: truncated field";
-      String.sub s (colon + 1) (-l) :: go (colon + 1 - l)
-  in
-  go pos
+(* A cursor over an encoded field list: decoders that know their
+   field layout read each field where it sits, with no list in
+   between. *)
+type reader = { src : string; mutable pos : int; stop : int }
 
-let decode s = decode_sub s ~pos:0 ~len:(String.length s)
+let reader s = { src = s; pos = 0; stop = String.length s }
 
-let decode_int s =
-  let n = String.length s in
-  if n > 0 && String.unsafe_get s 0 = '-' then begin
-    let v = neg_digits s 1 n "Codec.decode_int" in
+let at_end r = r.pos = r.stop
+
+(* Steps over the next field, returning where its bytes start; they
+   end at the new [r.pos]. *)
+let next r =
+  let colon = digits_end r.src r.pos r.stop in
+  if colon = r.stop || String.unsafe_get r.src colon <> ':' then
+    invalid_arg "Codec.decode: missing length delimiter";
+  let l = neg_digits r.src r.pos colon "Codec.decode: bad length" in
+  if l = min_int || -l > r.stop - colon - 1 then
+    invalid_arg "Codec.decode: truncated field";
+  r.pos <- colon + 1 - l;
+  colon + 1
+
+let read_string r =
+  let start = next r in
+  String.sub r.src start (r.pos - start)
+
+(* [decode_int] of [s.[lo .. hi-1]]. *)
+let int_sub s lo hi =
+  if hi > lo && String.unsafe_get s lo = '-' then begin
+    let v = neg_digits s (lo + 1) hi "Codec.decode_int" in
     if v = 0 then invalid_arg "Codec.decode_int";
     v
   end
   else
-    let v = neg_digits s 0 n "Codec.decode_int" in
+    let v = neg_digits s lo hi "Codec.decode_int" in
     if v = min_int then invalid_arg "Codec.decode_int";
     -v
+
+let read_int r =
+  let start = next r in
+  int_sub r.src start r.pos
+
+let decode_sub s ~pos ~len =
+  let stop = pos + len in
+  if pos < 0 || len < 0 || stop > String.length s then
+    invalid_arg "Codec.decode_sub";
+  let r = { src = s; pos; stop } in
+  let[@tail_mod_cons] rec go () =
+    if at_end r then []
+    else
+      let f = read_string r in
+      f :: go ()
+  in
+  go ()
+
+let decode s = decode_sub s ~pos:0 ~len:(String.length s)
+
+let decode_int s = int_sub s 0 (String.length s)

@@ -28,6 +28,26 @@ val decode_sub : string -> pos:int -> len:int -> string list
 (** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)],
     copying only the field bytes. *)
 
+(** {2 Reading fields in place} *)
+
+type reader
+(** A cursor over one encoded field list.  A decoder that knows its
+    field layout reads the fields one by one where they sit, instead of
+    through the list {!decode} builds; both accept exactly the same
+    encodings. *)
+
+val reader : string -> reader
+
+val read_string : reader -> string
+(** The next field.  Raises [Invalid_argument] if there is none or it
+    is malformed. *)
+
+val read_int : reader -> int
+(** [decode_int] of the next field, without copying it out. *)
+
+val at_end : reader -> bool
+(** Whether every field has been read. *)
+
 val encode_int : int -> string
 (** Plain decimal, as [Printf.sprintf "%d"] writes it. *)
 

@@ -7,6 +7,7 @@ module Fault = Untx_fault.Fault
 type 'a t = {
   size : 'a -> int;
   counters : Instrument.t;
+  c_appends : int ref; (* "wal.appends", resolved once *)
   label : string;
   h_append : string; (* label-prefixed histogram names, built once *)
   h_force : string;
@@ -25,6 +26,7 @@ let create ?(counters = Instrument.global) ?(label = "wal") ~size () =
   {
     size;
     counters;
+    c_appends = Metrics.counter_cell counters "wal.appends";
     label;
     h_append = label ^ ".append_ns";
     h_force = label ^ ".force_ns";
@@ -49,7 +51,7 @@ let append t record =
   let lsn = fresh_lsn t in
   t.volatile <- (lsn, record) :: t.volatile;
   t.appended_bytes <- t.appended_bytes + t.size record;
-  Instrument.bump t.counters "wal.appends";
+  incr t.c_appends;
   Metrics.stop t.counters t.h_append t0;
   lsn
 

@@ -116,9 +116,128 @@ let prop_full_release_drains =
       && List.for_all (fun o -> not (Lock_mgr.waiting lm ~owner:o)) owners
       && List.for_all (fun o -> Lock_mgr.held_count lm ~owner:o = 0) owners)
 
+(* ---- differential: Lock_mgr against the reference model ---- *)
+
+(* Scripts the TC could not issue are fair game here too — acquires by
+   a waiting owner, several queued requests per owner — because both
+   implementations must decide every step the same way.  [Victim] is
+   the TC's deadlock resolution: find the victim, cancel its waits,
+   release its locks. *)
+type dstep =
+  | D_acquire of int * int * Lock_mgr.mode
+  | D_release of int
+  | D_cancel of int
+  | D_victim
+
+let d_owners = [ 1; 2; 3; 4; 5 ]
+
+let d_resources = List.filteri (fun i _ -> i < 4) resources
+
+let dstep_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map3
+            (fun o r m -> D_acquire (o, r, (if m then Lock_mgr.X else Lock_mgr.S)))
+            (int_range 1 5)
+            (int_bound (List.length d_resources - 1))
+            bool );
+        (2, map (fun o -> D_release o) (int_range 1 5));
+        (1, map (fun o -> D_cancel o) (int_range 1 5));
+        (2, return D_victim);
+      ])
+
+let print_dstep = function
+  | D_acquire (o, r, m) ->
+    Printf.sprintf "acq o%d r%d %s" o r
+      (match m with Lock_mgr.S -> "S" | Lock_mgr.X -> "X")
+  | D_release o -> Printf.sprintf "rel o%d" o
+  | D_cancel o -> Printf.sprintf "cancel o%d" o
+  | D_victim -> "victim"
+
+let dsteps_arb =
+  QCheck.make
+    ~print:(fun steps -> String.concat ";" (List.map print_dstep steps))
+    QCheck.Gen.(list_size (int_range 1 80) dstep_gen)
+
+(* What one step returns: the grant decision, or the woken owners. *)
+type outcome = Decided of [ `Granted | `Blocked ] | Woken of int list
+
+let step_new lm = function
+  | D_acquire (o, r, m) ->
+    Decided (Lock_mgr.acquire lm ~owner:o (List.nth d_resources r) m)
+  | D_release o -> Woken (Lock_mgr.release_all lm ~owner:o)
+  | D_cancel o ->
+    Lock_mgr.cancel_waits lm ~owner:o;
+    Woken []
+  | D_victim -> (
+    match Lock_mgr.find_deadlock lm with
+    | None -> Woken []
+    | Some v ->
+      Lock_mgr.cancel_waits lm ~owner:v;
+      Woken (v :: Lock_mgr.release_all lm ~owner:v))
+
+let step_ref lm = function
+  | D_acquire (o, r, m) ->
+    Decided (Lock_ref.acquire lm ~owner:o (List.nth d_resources r) m)
+  | D_release o -> Woken (Lock_ref.release_all lm ~owner:o)
+  | D_cancel o ->
+    Lock_ref.cancel_waits lm ~owner:o;
+    Woken []
+  | D_victim -> (
+    match Lock_ref.find_deadlock lm with
+    | None -> Woken []
+    | Some v ->
+      Lock_ref.cancel_waits lm ~owner:v;
+      Woken (v :: Lock_ref.release_all lm ~owner:v))
+
+let victims_seen = ref 0
+
+(* Everything observable after a step: [holds] for every owner,
+   resource and mode, each owner's [held_count] and [waiting], the
+   deadlock victim, and the totals. *)
+let same_state lm rf =
+  let victim = Lock_mgr.find_deadlock lm in
+  if victim <> None then incr victims_seen;
+  victim = Lock_ref.find_deadlock rf
+  && Lock_mgr.total_acquisitions lm = Lock_ref.total_acquisitions rf
+  && Lock_mgr.live_locks lm = Lock_ref.live_locks rf
+  && List.for_all
+       (fun o ->
+         Lock_mgr.held_count lm ~owner:o = Lock_ref.held_count rf ~owner:o
+         && Lock_mgr.waiting lm ~owner:o = Lock_ref.waiting rf ~owner:o
+         && List.for_all
+              (fun r ->
+                List.for_all
+                  (fun m ->
+                    Lock_mgr.holds lm ~owner:o r m
+                    = Lock_ref.holds rf ~owner:o r m)
+                  [ Lock_mgr.S; Lock_mgr.X ])
+              d_resources)
+       d_owners
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"lock manager decides like the reference model"
+    ~count:500 dsteps_arb (fun steps ->
+      let lm = Lock_mgr.create () and rf = Lock_ref.create () in
+      List.for_all
+        (fun step -> step_new lm step = step_ref rf step && same_state lm rf)
+        steps)
+
+(* The differential property above only means something if its scripts
+   reach deadlocks. *)
+let test_scripts_reach_deadlocks () =
+  Alcotest.(check bool)
+    "the property's scripts produced deadlock victims" true
+    (!victims_seen > 100)
+
 let suite =
   [
     test prop_no_incompatible_coholders;
     test prop_granted_on_release_really_hold;
     test prop_full_release_drains;
+    test prop_matches_reference;
+    Alcotest.test_case "differential scripts reach deadlocks" `Quick
+      test_scripts_reach_deadlocks;
   ]

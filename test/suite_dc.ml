@@ -422,6 +422,127 @@ let test_flush_carries_lazy_advance () =
     Alcotest.(check (list int)) "flushed ins above the mark" [ 5 ]
       (List.map Lsn.to_int (Lsn.Set.elements (Ablsn.ins ab)))
 
+(* --- one descent per write ------------------------------------------- *)
+
+(* A write finds its leaf once and descends again only when a split or
+   consolidation moved keys.  These cases make the structure change
+   inside the write and check that the operation is still marked on the
+   page that ends up holding (or covering) each key: a resend must be
+   absorbed as a duplicate, not applied twice. *)
+
+let leaf_holding dc table key =
+  List.find_opt
+    (fun pid ->
+      match Cache.lookup (Dc.cache dc) pid with
+      | Some page -> Page.kind page = Page.Leaf && Page.find page key <> None
+      | None -> false)
+    (Dc.table_pages dc table)
+
+let marked_on_holder dc table key l =
+  match leaf_holding dc table key with
+  | None -> Alcotest.failf "no leaf holds %s" key
+  | Some pid ->
+    Ablsn.included (lsn l) (Page_meta.ablsn (Dc.page_meta_of dc pid) tc1)
+
+let check_ok dc =
+  match Dc.check dc with Ok () -> () | Error e -> Alcotest.fail e
+
+let test_split_write_marks_final_page () =
+  let dc = mk ~page_capacity:128 () in
+  (* Ascending keys: the insert that splits a leaf lands on the new
+     right-hand page, not on the leaf it descended to. *)
+  let rec insert_until_split i =
+    let before = Dc.splits dc in
+    let key = Printf.sprintf "k%04d" i in
+    ignore (Dc.perform dc (insert i key "vvvv"));
+    if Dc.splits dc = before then insert_until_split (i + 1) else (i, key)
+  in
+  let l, key = insert_until_split 1 in
+  Alcotest.(check bool) "insert marked on the page holding its key" true
+    (marked_on_holder dc "t" key l);
+  let dups = Dc.dup_absorbed dc in
+  ignore (Dc.perform dc (insert l key "vvvv"));
+  Alcotest.(check int) "resent insert absorbed" (dups + 1) (Dc.dup_absorbed dc);
+  (* An update that grows its record past its leaf's capacity. *)
+  let grown = String.make 60 'w' in
+  let rec update_until_split i =
+    if i > l then Alcotest.fail "no update split its leaf";
+    let before = Dc.splits dc in
+    let key = Printf.sprintf "k%04d" i in
+    ignore (Dc.perform dc (update (l + i) key grown));
+    if Dc.splits dc = before then update_until_split (i + 1) else (l + i, key)
+  in
+  let u, key = update_until_split 1 in
+  Alcotest.(check bool) "update marked on the page holding its key" true
+    (marked_on_holder dc "t" key u);
+  let dups = Dc.dup_absorbed dc in
+  let rep = Dc.perform dc (update u key grown) in
+  Alcotest.(check int) "resent update absorbed" (dups + 1) (Dc.dup_absorbed dc);
+  Alcotest.(check (option string)) "resend replays the memoized prior"
+    (Some "vvvv") rep.Wire.prior;
+  Alcotest.(check (option string)) "applied once" (Some grown)
+    (value_of dc (read key));
+  check_ok dc
+
+let test_delete_consolidates_leaf () =
+  let dc = mk ~page_capacity:128 () in
+  let keys = List.init 24 (fun i -> Printf.sprintf "k%04d" i) in
+  List.iteri (fun i key -> ignore (Dc.perform dc (insert (i + 1) key "vvvv"))) keys;
+  Alcotest.(check bool) "several leaves" true
+    (List.length (Dc.table_pages dc "t") > 3);
+  let delete l key = req l (Op.Delete { table = "t"; key }) in
+  let rec delete_until_consolidation l = function
+    | [] -> Alcotest.fail "no delete consolidated a leaf"
+    | key :: rest ->
+      let before = Dc.consolidations dc in
+      ignore (Dc.perform dc (delete l key));
+      if Dc.consolidations dc = before then delete_until_consolidation (l + 1) rest
+      else (l, key)
+  in
+  let l, key = delete_until_consolidation 100 (List.rev keys) in
+  Alcotest.(check (option string)) "deleted" None (value_of dc (read key));
+  check_ok dc;
+  let dups = Dc.dup_absorbed dc in
+  ignore (Dc.perform dc (delete l key));
+  Alcotest.(check int) "resent delete absorbed by the survivor" (dups + 1)
+    (Dc.dup_absorbed dc);
+  (* the survivor now covers the key: a fresh insert lands beside the
+     consolidated cells *)
+  ignore (Dc.perform dc (insert (l + 1) key "back"));
+  Alcotest.(check (option string)) "reinserted" (Some "back")
+    (value_of dc (read key));
+  check_ok dc
+
+let test_commit_versions_straddles_split () =
+  let dc = mk ~page_capacity:128 () in
+  let keys = List.init 13 (fun i -> Printf.sprintf "k%04d" i) in
+  List.iteri
+    (fun i key -> ignore (Dc.perform dc (insert ~table:"vt" (i + 1) key "vvvv")))
+    keys;
+  Alcotest.(check bool) "the keys span several leaves" true
+    (List.length (Dc.table_pages dc "vt") > 2);
+  (* A long commit LSN lengthens every record it rewrites, so the
+     fullest leaf — the last, whose keys the request names first —
+     splits while the request is half applied. *)
+  let keys = List.rev keys in
+  let l = 1_000_000_000 in
+  let commit = req l (Op.Commit_versions { table = "vt"; keys }) in
+  let splits = Dc.splits dc in
+  ignore (Dc.perform dc commit);
+  Alcotest.(check bool) "the commit split leaves" true (Dc.splits dc > splits);
+  List.iter
+    (fun (key, r) ->
+      Alcotest.(check bool) (key ^ " committed") true
+        (r.Stored_record.before = Stored_record.Absent);
+      Alcotest.(check bool) (key ^ " marked on its page") true
+        (marked_on_holder dc "vt" key l))
+    (Dc.dump_table dc "vt");
+  let dups = Dc.dup_absorbed dc in
+  ignore (Dc.perform dc commit);
+  Alcotest.(check int) "resend absorbed for every key"
+    (dups + List.length keys) (Dc.dup_absorbed dc);
+  check_ok dc
+
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
 let suite =
@@ -441,4 +562,10 @@ let suite =
         test_restart_keeps_lwm_coverage;
       Alcotest.test_case "flush carries a lazily applied LWM" `Quick
         test_flush_carries_lazy_advance;
+      Alcotest.test_case "a write that splits marks the final page" `Quick
+        test_split_write_marks_final_page;
+      Alcotest.test_case "an unversioned delete consolidates a leaf" `Quick
+        test_delete_consolidates_leaf;
+      Alcotest.test_case "Commit_versions straddles a split" `Quick
+        test_commit_versions_straddles_split;
     ]

@@ -60,7 +60,10 @@ let test_page_overflow_check () =
 let test_page_find_le () =
   let p = mk_page 1 in
   List.iter (fun k -> Page.set p ~key:k ~data:k) [ "b"; "d"; "f" ];
-  let le k = Option.map (fun (_, key, _) -> key) (Page.find_le p k) in
+  let le k =
+    let i = Page.find_le p k in
+    if i < 0 then None else Some (fst (Page.nth p i))
+  in
   Alcotest.(check (option string)) "exact" (Some "d") (le "d");
   Alcotest.(check (option string)) "between" (Some "d") (le "e");
   Alcotest.(check (option string)) "below all" None (le "a");

@@ -174,6 +174,41 @@ let test_wakeups_and_deadlock () =
   Alcotest.(check (option string))
     "a holds t1's committed value, not t2's" (Some "1") (get k ~table "a")
 
+(* A finished transaction leaves nothing behind in the TC: with
+   checkpoints truncating the log, the TC's memory after 5000
+   transactions stays near its size after 1000, instead of growing with
+   every transaction it ever ran. *)
+let test_finished_txns_released () =
+  let k =
+    Kernel.create
+      {
+        (kernel_config ()) with
+        Kernel.auto_checkpoint_every = 50;
+      }
+  in
+  Kernel.create_table k ~name:table ~versioned:true;
+  seed_rows k 64;
+  let run n =
+    for i = 1 to n do
+      let txn = Kernel.begin_txn k in
+      ok
+        (Kernel.update k txn ~table
+           ~key:(Printf.sprintf "k%04d" (i mod 64))
+           ~value:(Printf.sprintf "w%d" i));
+      if i mod 10 = 0 then Kernel.abort k txn ~reason:"test"
+      else ok (Kernel.commit k txn)
+    done
+  in
+  run 1000;
+  let at_1000 = Obj.reachable_words (Obj.repr (Kernel.tc k)) in
+  run 4000;
+  let at_5000 = Obj.reachable_words (Obj.repr (Kernel.tc k)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "TC words %d after 5000 txns within 1.5x of %d after 1000"
+       at_5000 at_1000)
+    true
+    (float_of_int at_5000 <= 1.5 *. float_of_int at_1000)
+
 let suite =
   [
     Alcotest.test_case "scan protocols agree" `Quick test_scan_protocols_agree;
@@ -192,4 +227,6 @@ let suite =
     Alcotest.test_case "resends on lossy link" `Quick
       test_resends_counted_on_lossy_link;
     Alcotest.test_case "wakeups and deadlock" `Quick test_wakeups_and_deadlock;
+    Alcotest.test_case "finished transactions are released" `Quick
+      test_finished_txns_released;
   ]
