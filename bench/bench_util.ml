@@ -99,8 +99,7 @@ let print_hists ~title c names =
 let kernel_config ?(policy = Transport.reliable) ?(sync_policy = Dc.Full_ablsn)
     ?(tc_reset_mode = Dc.Selective) ?(cc_protocol = Tc.Key_locks)
     ?(pipeline_writes = true) ?(page_capacity = 512) ?(cache_pages = 512)
-    ?(seed = 42) ?(lwm_every = 16) ?(counters = Instrument.global) () =
-  ignore counters;
+    ?(seed = 42) ?(lwm_every = 16) () =
   {
     Kernel.tc =
       {
@@ -128,8 +127,7 @@ let make_kernel ?policy ?sync_policy ?tc_reset_mode ?cc_protocol
   let k =
     Kernel.create ?counters
       (kernel_config ?policy ?sync_policy ?tc_reset_mode ?cc_protocol
-         ?pipeline_writes ?page_capacity ?cache_pages ?seed ?lwm_every
-         ?counters ())
+         ?pipeline_writes ?page_capacity ?cache_pages ?seed ?lwm_every ())
   in
   Kernel.create_table k ~name:table ~versioned;
   k

@@ -1472,10 +1472,6 @@ let dc_log_records t = Wal.stable_count t.dc_log + Wal.volatile_count t.dc_log
 
 let dc_log_bytes t = Wal.appended_bytes t.dc_log
 
-let iter_dc_log t f =
-  Wal.iter_from t.dc_log Lsn.zero f;
-  Wal.iter_volatile t.dc_log f
-
 let splits t = t.total_splits
 
 let consolidations t = t.total_consolidations

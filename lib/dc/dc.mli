@@ -168,10 +168,6 @@ val disk : t -> Untx_storage.Disk.t
 
 val dc_log_records : t -> int
 
-val iter_dc_log :
-  t -> (Untx_util.Lsn.t -> Smo_record.t -> unit) -> unit
-(** Visit every DC-log record, stable then volatile (diagnostics). *)
-
 val dc_log_bytes : t -> int
 
 val splits : t -> int

@@ -1,23 +1,117 @@
 (** Deterministic chaos-soak engine.
 
-    One {e cycle} builds a fresh kernel from a seed, runs a randomized
-    transactional workload against a shadow-map oracle while a fault
-    plan is armed, translates every injected crash into a hard kill of
-    the owning component ([Kernel.crash_for_point]), quiesces through
-    the resend path, and hands the survivor to {!Audit.run}.
+    One {e cycle} builds a fresh deployment of some {!shape} from a
+    seed, runs a randomized transactional workload against a shadow-map
+    oracle while a fault plan is armed, answers every injected fault
+    with a hard kill of the component it escaped from (or, at the
+    ["repl.ship.batch"] boundary of a replicated shape, a standby
+    promotion), quiesces through the resend path, and hands the
+    survivor to the auditor ({!Audit.run} for the plain kernel,
+    {!Audit.run_deploy} plus the shape's own checks otherwise).
+
+    Every shape runs the same engine: the same seed-derived deployment
+    (transport policy, DC sync policy, reset mode, versioned tables,
+    small pages and a tiny cache so splits, evictions and flushes
+    happen), the same workload generator and the same fate protocol.
+    A shape only adds what really differs: its crash routing, its
+    mid-workload maintenance, its transactional surface and its audit.
 
     Everything — workload, transport policy, fault plan, crash instant —
-    is a pure function of the seed and the plan, so any violation is
-    reproducible by rerunning the cycle with the same arguments.
+    is a pure function of the shape, seed, plan and [txns], so any
+    violation is reproducible by rerunning the cycle with the same
+    arguments.  A violating cycle's [c_shape], [c_label], [c_seed] and
+    [c_txns] are exactly those arguments:
+    [run_cycle ~shape ~label ~plan:(List.assoc label (plans shape))
+    ~seed ~txns ()].
 
     A commit interrupted by a crash is ambiguous (the Commit record may
     or may not have reached the stable log).  Every transaction's first
     write is a unique marker key; after a TC crash the engine probes the
     marker to learn the transaction's fate and updates the oracle
     accordingly — exactly the "did my transaction commit?" probe an
-    application would issue. *)
+    application would issue.  A DC crash leaves the TC and the
+    transaction alive: an unfinished body is rolled back, an unfinished
+    commit is retried. *)
+
+type repl = {
+  parts : int;
+  replicas : int;  (** warm standbys per partition *)
+  durability : Untx_repl.Repl.durability option;
+      (** [None] alternates [Quorum 1] (even seeds) and [Primary_only]
+          (odd seeds), so Quorum-gated commits also live through
+          mid-workload promotions *)
+}
+
+(** What a cycle deploys and drives.  The [int] is the DC count. *)
+type shape =
+  | Kernel
+      (** one TC and one DC as a {!Untx_kernel.Kernel}, driven through
+          [Kernel] itself, so commits take its auto-checkpoint path
+          (every 7 commits on seeds divisible by 4); quiesce and
+          checkpoint at the midpoint; audited by {!Audit.run} *)
+  | Partitioned of int
+      (** one TC over hash-partitioned DCs ({!Untx_cloud.Deploy}).  An
+          injected DC fault kills whichever partition it escaped from;
+          that partition recovers alone while its siblings keep serving.
+          Fan-out checkpoint at the midpoint. *)
+  | Replicated of repl
+      (** {!Partitioned} with warm standbys fed by continuous redo
+          shipping.  A kill at ["repl.ship.batch"] is answered with
+          {!Untx_cloud.Deploy.fail_over} — promote the most-caught-up
+          eligible standby, re-drive only the gap; the TC survives it —
+          and, if the gate refuses every candidate
+          ({!Untx_cloud.Deploy.Promotion_refused}), with a cold restart
+          of the primary.  DC faults inside a standby's apply crash the
+          standby, which rejoins from its stable state.  The audit also
+          holds every attached standby to parity with its primary. *)
+  | Detach of repl
+      (** {!Replicated} with the detach→checkpoint→promote interleaving
+          as its maintenance: dc0's first standby detaches a quarter
+          into the workload, a granted checkpoint at the midpoint
+          advances the redo-scan start point past its frozen cursor
+          (burning one unit of its retention lease), and at the
+          three-quarter mark dc0 fails over to that laggard.  The
+          promotion must catch the laggard up from the retained log, or
+          refuse and cold-restart — never serve a hole. *)
+  | Front of int
+      (** TC kill under load: two TCs share the DCs behind the session
+          front end ({!Untx_front.Front}), each TC's sessions updating
+          their own table (the Section 6 disjoint-updaters rule) with
+          bounded queues and group-commit batching.  At the midpoint one
+          TC (picked by seed) is hard-killed with non-empty queues; no
+          planned fault is routed (one escapes the cycle).  After the
+          final drain every acknowledged commit's marker is probed, since
+          acknowledged commits may have ridden unforced batches into the
+          kill.  The audit runs {!Audit.run_deploy} once per TC,
+          including the cross-TC watermark check. *)
+  | Indexed of int
+      (** {!Partitioned} with every mutation routed through
+          {!Untx_index.Index} on a table carrying two secondary indexes
+          (categories from the value, occasionally NUL-embedded; length
+          buckets), under a seed-picked Section 3.1 lock protocol (never
+          Optimistic).  A kill can land between a primary write and its
+          entry maintenance; any index op answering non-[`Ok] aborts the
+          transaction.  The audit adds {!Audit.check_index}. *)
+  | Branch of int
+      (** fork under load on a layered deployment: a third into the
+          workload the deployment forks a copy-on-write branch at its
+          stable LSN, later iterations drive one parent and one branch
+          transaction over the same key space (deletes at a fixed 0.3),
+          and at the two-thirds mark the parent compacts, truncates
+          history at its stable LSN — the cut must clamp at the live
+          branch's fork pin — and the branch DC is killed and
+          recovered.  TC-side points that escaped a branch operation
+          crash-recover the branch's own TC.  The audit adds
+          {!Audit.check_branch} and the two branch oracle laws (the
+          branch tracks its own shadow map; the shared prefix at the
+          fork point still reads back as the parent's oracle stood when
+          the fork was cut). *)
 
 type cycle = {
+  c_shape : string;
+      (** the shape in OCaml syntax (["Partitioned 3"]), or ["bank"]
+          for a {!run_cycle_workload} cycle *)
+  c_txns : int;
   c_label : string;  (** human-readable plan description *)
   c_seed : int;
   c_fired : string list;  (** fault points that fired, in firing order *)
@@ -36,6 +130,7 @@ type cycle = {
 
 val run_cycle :
   ?keep_trace:bool ->
+  shape:shape ->
   label:string ->
   plan:Untx_fault.Fault.rule list ->
   seed:int ->
@@ -47,174 +142,29 @@ val run_cycle :
     dumps are deterministic per cycle); [keep_trace] (default false)
     retains the dump in [c_trace] even for a clean cycle. *)
 
-val plans : unit -> (string * Untx_fault.Fault.rule list) list
-(** The standard plan sweep: every registered crash point at several
-    Nth-hit positions, double-failure plans that also crash during
-    recovery (["tc.recover.mid"]), and transient-I/O-error plans. *)
-
-val run_cycle_partitioned :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** The partitioned twin of {!run_cycle}: one TC fronting [parts]
-    hash-partitioned DCs ({!Untx_cloud.Deploy}).  An injected DC fault
-    kills whichever partition it actually escaped from; that partition
-    recovers alone (its siblings keep serving) and the cycle ends in
-    {!Audit.run_deploy} — per-partition structure and version hygiene,
-    idempotent redelivery through the partition map, and the oracle
-    against the by-key merge of every partition's fragment. *)
-
-val plans_partitioned : unit -> (string * Untx_fault.Fault.rule list) list
-(** Per-partition crash plans: kills mid-SMO, mid-checkpoint-grant,
-    mid-flush and mid-WAL-force on whichever DC the fault escapes from,
-    TC commit-point kills that drive redo fan-out over all partitions,
-    and double-kill plans that take down two different partitions in
-    one cycle. *)
-
-val run_cycle_replicated :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  replicas:int ->
-  durability:Untx_repl.Repl.durability ->
-  unit ->
-  cycle
-(** The replicated twin of {!run_cycle_partitioned}: every partition has
-    [replicas] warm standbys fed by continuous redo shipping.  A kill at
-    the ["repl.ship.batch"] boundary is answered with
-    {!Untx_cloud.Deploy.fail_over} — promote the most-caught-up eligible
-    standby and re-drive only the gap — instead of a cold crash+restart;
-    if the gate refuses every candidate
-    ({!Untx_cloud.Deploy.Promotion_refused}) the harness cold-restarts
-    the primary instead, trading availability for zero loss.  DC faults
-    that fire inside a standby's apply crash the standby, which rejoins
-    from its stable state (or is demoted to rebuild-required when
-    truncation already passed its rejoin cursor).  The audit
-    additionally checks every surviving {e attached} standby's logical
-    state against its primary after shipping parity. *)
-
-val plans_replicated : unit -> (string * Untx_fault.Fault.rule list) list
-(** Primary kills swept across shipped-batch boundaries (early, mid,
-    deep), a double-promotion plan, and combos pairing a promotion with
-    cold DC kills and TC commit kills. *)
-
-val run_cycle_detach :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  replicas:int ->
-  durability:Untx_repl.Repl.durability ->
-  unit ->
-  cycle
-(** The detach→checkpoint→promote interleaving on the replicated
-    deployment: dc0's first standby detaches a quarter into the
-    workload, a granted checkpoint at the midpoint advances the
-    redo-scan start point past its frozen cursor (burning one unit of
-    its retention lease), and at the three-quarter mark dc0 dies and
-    fails over to that laggard — the repro_gap shape with live traffic
-    around it.  The promotion must catch the laggard up from the
-    retained log, or refuse ({!Untx_cloud.Deploy.Promotion_refused},
-    answered with a cold restart) — never serve a hole. *)
-
-val plans_detach : unit -> (string * Untx_fault.Fault.rule list) list
-(** The pure interleaving (no faults), a forced ["repl.lease.expire"]
-    (drives the refusal path), and combos landing primary-kill and
-    TC-kill plans around the same interleaving. *)
-
-val run_cycle_mtc :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** TC-kill-under-load over the session front end: two TCs share
-    [parts] partitioned DCs behind {!Untx_front.Front}; each TC's
-    sessions update their own table (the Section 6 disjoint-updaters
-    rule) with bounded queues, so submission overlapping execution
-    exercises admission control and group-commit batching.  At the
-    midpoint one TC (picked by seed) is hard-killed while queues are
-    non-empty; the survivor must sail through and the victim's recovery
-    reset exactly its own lost suffix.  Because acknowledged commits may
-    have ridden unforced batches into the kill, the oracle is settled by
-    probing every committed transaction's unique marker after the final
-    drain.  The audit runs {!Audit.run_deploy} once per TC — including
-    the cross-TC watermark check, so one TC's crash leaking into the
-    other's watermark slots is a reported violation. *)
-
-val plans_mtc : unit -> (string * Untx_fault.Fault.rule list) list
-(** The scripted midpoint kill alone, and with 5% frame corruption
-    layered on top. *)
-
-val run_cycle_indexed :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** The partitioned cycle with every mutation routed through
-    {!Untx_index.Index} on a table carrying two secondary indexes
-    (categories extracted from the value, occasionally NUL-embedded;
-    length buckets), under one of the two Section 3.1 lock protocols
-    (seed-picked — never Optimistic, which cannot re-read its own
-    buffered writes).  A kill can land between a primary write and its
-    entry maintenance; transactional rollback and redo must keep them
-    atomic anyway.  Any index op answering non-[`Ok] aborts the whole
-    transaction (the Fail-means-caller-aborts contract).  The audit is
-    {!Audit.run_deploy} plus {!Audit.check_index}: merged entry tables
-    must exactly match the image of the surviving primary rows. *)
-
-val plans_indexed : unit -> (string * Untx_fault.Fault.rule list) list
-(** Kills mid-entry-table-SMO (tiny pages and long escaped entry keys
-    make index splits frequent), mid-flush, mid-WAL-force, and at both
-    commit-force edges; a double landing an SMO kill and a commit kill
-    in one cycle; 5% frame corruption under the SMO kill. *)
-
-val run_cycle_branch :
-  ?keep_trace:bool ->
-  label:string ->
-  plan:Untx_fault.Fault.rule list ->
-  seed:int ->
-  txns:int ->
-  parts:int ->
-  unit ->
-  cycle
-(** The fork-under-load cycle on a layered deployment: a third into the
-    workload the deployment forks a copy-on-write branch at its stable
-    LSN, every later iteration drives one parent and one branch
-    transaction over the same key space (materialization racing live
-    parent traffic), and at the two-thirds mark the parent compacts,
-    truncates history at its stable LSN — the cut must clamp at the
-    live branch's fork pin — and the branch DC is killed and recovered.
-    Faults route by attribution: DC-side points that escaped the branch
-    crash the branch DC, TC-side points that escaped a branch operation
-    crash-recover the branch's own TC.  The audit is the parent's full
-    {!Audit.run_deploy} plus {!Audit.check_branch} plus the two branch
-    oracle laws (the branch tracks its own shadow map; the shared
-    prefix at the fork point still reads back as the parent's oracle
-    stood when the fork was cut). *)
-
-val plans_branch : unit -> (string * Untx_fault.Fault.rule list) list
-(** A fault-free control, DC-flush / WAL-force / commit-edge kills
-    (landing on either side by attribution), a kill inside the parent's
-    compaction while the branch pins its history, 5% frame corruption,
-    and a flush+commit double. *)
+val plans : shape -> (string * Untx_fault.Fault.rule list) list
+(** The shape's fault plans, as [(label, rules)]:
+    - [Kernel]: every registered crash point at several Nth-hit
+      positions, double-failure plans that also crash during recovery
+      (["tc.recover.mid"]), transient-I/O-error plans and a corrupting
+      wire;
+    - [Partitioned]: kills mid-SMO, mid-checkpoint-grant, mid-flush and
+      mid-WAL-force on whichever DC the fault escapes from, TC commit
+      kills that drive redo fan-out, and doubles that take down two
+      partitions in one cycle;
+    - [Replicated]: primary kills swept across shipped-batch boundaries,
+      a double promotion, and promotions paired with cold DC and TC
+      kills;
+    - [Detach]: the pure interleaving, a forced ["repl.lease.expire"]
+      (the refusal path), and primary-kill and TC-kill combos;
+    - [Front]: the scripted kill alone and under 5% frame corruption;
+    - [Indexed]: kills mid-entry-table-SMO, mid-flush, mid-WAL-force and
+      at both commit-force edges, an SMO+commit double, and 5%
+      corruption under an SMO kill;
+    - [Branch]: a fault-free control, flush / WAL-force / commit-edge
+      kills (landing on either side by attribution), a kill inside the
+      parent's compaction while the branch pins its history, 5%
+      corruption, and a flush+commit double. *)
 
 val run_cycle_workload :
   spec:Untx_workload.Workload.spec -> seed:int -> unit -> cycle
@@ -223,7 +173,8 @@ val run_cycle_workload :
     DC/TC kills included), then the surviving deployment takes the full
     {!Audit.run_deploy} per table against the oracle's rows and — for
     index-maintaining specs — {!Audit.check_index}.  [c_violations]
-    merges the run's differential violations with the audit's. *)
+    merges the run's differential violations with the audit's;
+    [c_redelivered] sums the per-table audits. *)
 
 type summary = {
   s_cycles : int;
@@ -234,72 +185,12 @@ type summary = {
   s_counters : (string * int) list;  (** summed across cycles *)
 }
 
-val soak :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans} across [seeds_per_plan] seeds
-    (default 7, [base_seed] 0xC1D9, [txns] 24 per cycle). *)
+val soak : shape:shape -> seeds_per_plan:int -> cycle list * summary
+(** Sweep every plan of [plans shape] across [seeds_per_plan] seeds, 24
+    transactions per cycle.  Plan [p]'s seeds are
+    [base + 131 p + 17 s], with a fixed [base] per shape. *)
 
-val soak_partitioned :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_partitioned} across [seeds_per_plan]
-    seeds (default 4, [parts] 3, [txns] 24 per cycle) over a
-    1-TC × [parts]-DC deployment. *)
-
-val soak_replicated :
-  ?base_seed:int ->
-  ?seeds_per_plan:int ->
-  ?txns:int ->
-  ?parts:int ->
-  ?replicas:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_replicated} across [seeds_per_plan]
-    seeds (default 3, [parts] 2, [replicas] 2, [txns] 24 per cycle),
-    alternating [Quorum 1] and [Primary_only] durability by seed. *)
-
-val soak_detach :
-  ?base_seed:int ->
-  ?seeds_per_plan:int ->
-  ?txns:int ->
-  ?parts:int ->
-  ?replicas:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_detach} across [seeds_per_plan] seeds
-    (default 3, [parts] 2, [replicas] 1 — a sole standby, so the lease
-    decides promotability — [txns] 24 per cycle), alternating
-    durability by seed as {!soak_replicated} does. *)
-
-val soak_mtc :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_mtc} across [seeds_per_plan] seeds
-    (default 4, [parts] 2, [txns] 24 per cycle): the TC-kill-under-load
-    front-end cycles, alternating the killed TC and the group-commit
-    batch size by seed. *)
-
-val soak_indexed :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_indexed} across [seeds_per_plan]
-    seeds (default 3, [parts] 2, [txns] 24 per cycle), alternating the
-    lock protocol, versioned-ness, transport and sync policy by seed. *)
-
-val soak_branch :
-  ?base_seed:int -> ?seeds_per_plan:int -> ?txns:int -> ?parts:int ->
-  unit ->
-  cycle list * summary
-(** Sweep every plan from {!plans_branch} across [seeds_per_plan] seeds
-    (default 3, [parts] 2, [txns] 24 per cycle), alternating transport
-    and sync policy by seed as the other layered soaks do. *)
-
-val soak_workloads :
-  ?base_seed:int -> ?seeds_per_spec:int -> unit -> cycle list * summary
+val soak_workloads : seeds_per_spec:int -> cycle list * summary
 (** Run every workload-bank spec ({!Untx_workload.Workload.bank}) as a
-    {!run_cycle_workload} across [seeds_per_spec] seeds (default 2,
-    [base_seed] 0xB0B — the bank's canonical seed). *)
+    {!run_cycle_workload} across [seeds_per_spec] seeds, from the
+    bank's canonical base seed 0xB0B. *)

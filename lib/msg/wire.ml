@@ -434,17 +434,6 @@ end
    accounting charges, not an estimate. *)
 let request_size r = String.length (encode_request r)
 
-let pp_result ppf = function
-  | Done -> Format.pp_print_string ppf "done"
-  | Value None -> Format.pp_print_string ppf "value:none"
-  | Value (Some v) -> Format.fprintf ppf "value:%S" v
-  | Pairs ps -> Format.fprintf ppf "pairs:%d" (List.length ps)
-  | Next_keys ks -> Format.fprintf ppf "next-keys:%d" (List.length ks)
-  | Failed msg -> Format.fprintf ppf "failed:%s" msg
-
-let pp_request ppf { tc; lsn; part; op } =
-  Format.fprintf ppf "[%a %a p%d] %a" Tc_id.pp tc Lsn.pp lsn part Op.pp op
-
 let pp_control ppf = function
   | End_of_stable_log { tc; eosl } ->
     Format.fprintf ppf "eosl %a %a" Tc_id.pp tc Lsn.pp eosl
@@ -462,13 +451,3 @@ let pp_control ppf = function
   | Redo_fence_begin { tc } ->
     Format.fprintf ppf "redo-fence-begin %a" Tc_id.pp tc
   | Redo_fence_end { tc } -> Format.fprintf ppf "redo-fence-end %a" Tc_id.pp tc
-
-let pp_repl ppf = function
-  | Repl_hello { tc } -> Format.fprintf ppf "repl-hello %a" Tc_id.pp tc
-  | Repl_ship { tc; eosl; lwm; upto; ops } ->
-    Format.fprintf ppf "repl-ship %a eosl=%a lwm=%a upto=%a ops=%d" Tc_id.pp tc
-      Lsn.pp eosl Lsn.pp lwm Lsn.pp upto (List.length ops)
-
-let pp_repl_reply ppf = function
-  | Repl_ack { applied } ->
-    Format.fprintf ppf "repl-ack applied=%a" Lsn.pp applied

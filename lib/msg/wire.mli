@@ -215,12 +215,4 @@ val request_size : request -> int
 (** The exact encoded frame length of the request — measured from the
     codec, not estimated. *)
 
-val pp_result : Format.formatter -> result -> unit
-
-val pp_request : Format.formatter -> request -> unit
-
 val pp_control : Format.formatter -> control -> unit
-
-val pp_repl : Format.formatter -> repl -> unit
-
-val pp_repl_reply : Format.formatter -> repl_reply -> unit

@@ -223,11 +223,6 @@ let free_page t id =
   detach t id;
   Disk.free t.disk id
 
-let try_flush t id =
-  match Page_id.Tbl.find_opt t.entries id with
-  | None -> true
-  | Some entry -> flush_entry t entry
-
 let flush_all t =
   Page_id.Tbl.iter (fun _ entry -> ignore (flush_entry t entry)) t.entries
 

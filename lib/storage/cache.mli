@@ -56,10 +56,6 @@ val is_dirty : t -> Page_id.t -> bool
 val free_page : t -> Page_id.t -> unit
 (** Discard the page everywhere (cache and stable storage): page delete. *)
 
-val try_flush : t -> Page_id.t -> bool
-(** Flush one dirty page if policy allows; [true] on success (or if the
-    page was already clean). *)
-
 val flush_all : t -> unit
 (** Flush every dirty page whose policy allows it. *)
 

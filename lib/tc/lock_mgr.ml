@@ -309,25 +309,3 @@ let total_acquisitions t = t.total_acquisitions
 
 let live_locks t =
   Hashtbl.fold (fun _ e acc -> acc + List.length e.holders) t.table 0
-
-let dump t =
-  let buf = Buffer.create 256 in
-  Hashtbl.iter
-    (fun rsrc e ->
-      if e.holders <> [] || e.waiters <> [] then begin
-        Buffer.add_string buf (Format.asprintf "%a:" pp_resource rsrc);
-        List.iter
-          (fun (h, m) ->
-            Buffer.add_string buf
-              (Printf.sprintf " h%d%s" h (match m with S -> "S" | X -> "X")))
-          (List.rev (holders_in_table_order e));
-        List.iter
-          (fun w ->
-            Buffer.add_string buf
-              (Printf.sprintf " w%d%s" w.w_owner
-                 (match w.w_mode with S -> "S" | X -> "X")))
-          e.waiters;
-        Buffer.add_char buf '\n'
-      end)
-    t.table;
-  Buffer.contents buf

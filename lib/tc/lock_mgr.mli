@@ -52,6 +52,3 @@ val total_acquisitions : t -> int
 (** Cumulative granted requests — the locking-overhead metric of E7. *)
 
 val live_locks : t -> int
-
-val dump : t -> string
-(** Human-readable lock table (diagnostics). *)

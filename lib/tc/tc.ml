@@ -1612,5 +1612,3 @@ let iter_stable_ops_from t ~from f =
 let force_log t =
   Wal.force t.log;
   send_eosl t
-
-let dump_locks t = Lock_mgr.dump t.locks

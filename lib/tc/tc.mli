@@ -302,6 +302,3 @@ val table_versioned : t -> string -> bool
 
 val part_of_dc : t -> dc:string -> int
 (** The partition id the named DC's link was attached with. *)
-
-val dump_locks : t -> string
-(** Lock-table diagnostics. *)

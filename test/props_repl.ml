@@ -203,8 +203,10 @@ let prop_failover_never_loses_acked =
 
 let run_clean ~label ~plan ~seed ~durability =
   let c =
-    Chaos.run_cycle_replicated ~label ~plan ~seed ~txns:18 ~parts:2
-      ~replicas:2 ~durability ()
+    Chaos.run_cycle
+      ~shape:
+        (Replicated { parts = 2; replicas = 2; durability = Some durability })
+      ~label ~plan ~seed ~txns:18 ()
   in
   Alcotest.(check (list string)) (label ^ " audit clean") []
     c.Chaos.c_violations;

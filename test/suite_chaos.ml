@@ -9,7 +9,7 @@ module Chaos = Untx_audit.Chaos
 module Analyzer = Untx_obs.Analyzer
 
 let cycle ?keep_trace ~label ~plan ~seed () =
-  Chaos.run_cycle ?keep_trace ~label ~plan ~seed ~txns:12 ()
+  Chaos.run_cycle ?keep_trace ~shape:Chaos.Kernel ~label ~plan ~seed ~txns:12 ()
 
 let check_clean (c : Chaos.cycle) =
   Alcotest.(check (list string))
@@ -45,19 +45,37 @@ let test_small_soak () =
     plans
 
 let test_reproducible () =
-  let run () =
-    cycle ~label:"repro" ~seed:9
-      ~plan:[ Fault.crash_at "dc.flush.after_page_write" 2 ]
-      ()
-  in
-  let a = run () and b = run () in
-  check_clean a;
-  Alcotest.(check (list string)) "same fired points" a.c_fired b.c_fired;
-  Alcotest.(check int) "same crash count" a.c_crashes b.c_crashes;
-  Alcotest.(check int) "same committed count" a.c_committed b.c_committed;
-  Alcotest.(check int) "same redelivery count" a.c_redelivered b.c_redelivered;
-  Alcotest.(check (list (pair string int))) "same counter snapshot"
-    a.c_counters b.c_counters
+  (* One fixed-seed cycle of every shape but the partitioned one (which
+     has its own case), each with a rule that fires at seed 9, run twice:
+     everything the cycle reports must repeat. *)
+  let repl = { Chaos.parts = 2; replicas = 2; durability = None } in
+  List.iter
+    (fun (shape, plan) ->
+      let run () =
+        Chaos.run_cycle ~shape ~label:"repro" ~plan ~seed:9 ~txns:12 ()
+      in
+      let a = run () and b = run () in
+      let same what = Printf.sprintf "%s: same %s" a.c_shape what in
+      check_clean a;
+      Alcotest.(check bool)
+        (a.c_shape ^ ": a rule fired")
+        true (a.c_fired <> []);
+      Alcotest.(check (list string)) (same "fired points") a.c_fired b.c_fired;
+      Alcotest.(check int) (same "crash count") a.c_crashes b.c_crashes;
+      Alcotest.(check int) (same "committed count") a.c_committed b.c_committed;
+      Alcotest.(check int) (same "redelivery count") a.c_redelivered
+        b.c_redelivered;
+      Alcotest.(check (list (pair string int))) (same "counter snapshot")
+        a.c_counters b.c_counters)
+    [
+      (Chaos.Kernel, [ Fault.crash_at "dc.flush.after_page_write" 2 ]);
+      (Replicated repl, [ Fault.crash_at "repl.ship.batch" 3 ]);
+      ( Detach { repl with replicas = 1 },
+        [ Fault.crash_at "tc.commit.after_force" 3 ] );
+      (Front 2, [ Fault.crash_with_prob "transport.frame.corrupt" 0.05 ]);
+      (Indexed 2, [ Fault.crash_at "dc.smo.split.mid" 1 ]);
+      (Branch 2, [ Fault.crash_at "dc.flush.before_page_write" 1 ]);
+    ]
 
 let test_lossy_resend_completes () =
   (* Seeds divisible by 3 run under the lossy policy (10% drop); the
@@ -159,7 +177,8 @@ let test_partitioned_cycles () =
       List.iter
         (fun seed ->
           let c =
-            Chaos.run_cycle_partitioned ~label ~plan ~seed ~txns:12 ~parts:3 ()
+            Chaos.run_cycle ~shape:(Partitioned 3) ~label ~plan ~seed
+              ~txns:12 ()
           in
           check_clean c;
           Alcotest.(check bool)
@@ -179,7 +198,7 @@ let test_redo_window_watermark_race () =
   List.iter
     (fun (label, plan, seed) ->
       let c =
-        Chaos.run_cycle_partitioned ~label ~plan ~seed ~txns:24 ~parts:3 ()
+        Chaos.run_cycle ~shape:(Partitioned 3) ~label ~plan ~seed ~txns:24 ()
       in
       check_clean c;
       Alcotest.(check bool)
@@ -194,7 +213,8 @@ let test_redo_window_watermark_race () =
 
 let test_partitioned_reproducible () =
   let run () =
-    Chaos.run_cycle_partitioned ~label:"repro-part" ~seed:9 ~txns:12 ~parts:3
+    Chaos.run_cycle ~shape:(Partitioned 3) ~label:"repro-part" ~seed:9
+      ~txns:12
       ~plan:[ Fault.crash_at "dc.flush.after_page_write" 2 ]
       ()
   in
@@ -213,7 +233,7 @@ let test_plan_sweep_covers_required_points () =
     List.sort_uniq compare
       (List.concat_map
          (fun (_, plan) -> List.map (fun r -> r.Fault.point) plan)
-         (Chaos.plans ()))
+         (Chaos.plans Chaos.Kernel))
   in
   Alcotest.(check bool) "at least 8 distinct points" true
     (List.length points >= 8);

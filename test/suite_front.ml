@@ -388,7 +388,7 @@ let test_tc_kill_under_load () =
       List.iter
         (fun seed ->
           let c =
-            Chaos.run_cycle_mtc ~label ~plan ~seed ~txns:24 ~parts:2 ()
+            Chaos.run_cycle ~shape:(Front 2) ~label ~plan ~seed ~txns:24 ()
           in
           Alcotest.(check (list string))
             (Printf.sprintf "%s seed %d: no violations" label seed)
@@ -403,7 +403,7 @@ let test_tc_kill_under_load () =
              <> Some 0
             && List.assoc_opt "front.admitted" c.Chaos.c_counters <> None))
         [ 3; 8 ])
-    (Chaos.plans_mtc ())
+    (Chaos.plans (Front 2))
 
 let suite =
   [
