@@ -71,14 +71,14 @@ let scenario label ~reset_mode ~checkpointed ~crash =
   populate_more k;
   open_work k;
   let requests_before = Instrument.get counters "dc.requests" in
-  let dropped_before = Dc.pages_dropped (Kernel.dc k) in
+  let reset_before = Dc.pages_reset (Kernel.dc k) in
   let _, t = time (fun () -> crash k) in
   [
     label;
     (if checkpointed then "yes" else "no");
     Printf.sprintf "%.1f" (t *. 1000.);
     string_of_int (Instrument.get counters "dc.requests" - requests_before);
-    string_of_int (Dc.pages_dropped (Kernel.dc k) - dropped_before);
+    string_of_int (Dc.pages_reset (Kernel.dc k) - reset_before);
     string_of_int (Dc.dup_absorbed (Kernel.dc k));
   ]
 

@@ -81,13 +81,13 @@ let () =
   ok (Kernel.update k doomed ~table ~key:"entry042" ~value:"lost-forever");
   Kernel.quiesce k;
   let dc = Kernel.dc k in
-  let dropped_before = Dc.pages_dropped dc in
+  let reset_before = Dc.pages_reset dc in
   Kernel.crash_tc k;
   Printf.printf
     "TC lost its volatile log tail; the DC reset %d page(s) — exactly\n\
      those whose abstract LSNs reached past the TC's stable log — and\n\
      kept every other page in cache.\n"
-    (Dc.pages_dropped dc - dropped_before);
+    (Dc.pages_reset dc - reset_before);
   Printf.printf "rows after restart: %d (uncommitted update gone)\n" (count k);
 
   banner "TC failure with DRACONIAN (complete) reset";

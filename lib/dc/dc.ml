@@ -92,7 +92,7 @@ type t = {
   mutable lwm_gen : int; (* bumped by every LWM message and withdrawal *)
   current_table : string ref; (* table whose tree is being operated on *)
   mutable dup_absorbed : int;
-  mutable pages_dropped : int;
+  mutable pages_reset : int;
   mutable records_reset : int;
   mutable total_splits : int;
   mutable total_consolidations : int;
@@ -356,7 +356,7 @@ let create ?(counters = Instrument.global) cfg =
       lwm_gen = 0;
       current_table = ref "";
       dup_absorbed = 0;
-      pages_dropped = 0;
+      pages_reset = 0;
       records_reset = 0;
       total_splits = 0;
       total_consolidations = 0;
@@ -892,78 +892,36 @@ let rebuild_page_from_stable t pid ~tc ~stable_lsn =
   Wal.iter_volatile t.dc_log visit;
   !found
 
-let reset_page_for_tc t pid st ~tc ~stable_lsn =
-  let multi = Tc_id.Map.cardinal st.ablsns > 1 in
-  if not multi then begin
-    (* All data on this page belongs to the failed TC: revert to the
-       stable version wholesale.  Causality guarantees the disk image
-       holds nothing beyond the TC's stable log.  A page that never
-       reached the disk keeps its structure (sibling link, dLSN) but
-       loses its records: redo from the scan start point refills it. *)
-    (match rebuild_page_from_stable t pid ~tc ~stable_lsn with
-    | Some (page, ablsns, dlsn) ->
-      Cache.install t.cache page;
-      Page_id.Tbl.replace t.states pid (new_state ~dlsn ~ablsns)
-    | None ->
-      (* No stable base and no image anywhere: the table's original
-         root, never split and never flushed — all its content is at or
-         above the redo scan start point. *)
-      (match Cache.cached t.cache pid with
-      | Some page ->
-        Page.clear page;
-        Cache.mark_dirty t.cache page
-      | None -> ());
-      st.ablsns <- Tc_id.Map.empty;
-      st.pending <- Tc_id.Map.empty);
-    t.pages_dropped <- t.pages_dropped + 1;
-    Instrument.bump t.counters "dc.pages_dropped"
-  end
-  else begin
-    (* Shared page: replace only the failed TC's records from the disk
-       version, leaving other TCs' (possibly unflushed) updates alone. *)
-    match Cache.cached t.cache pid with
-    | None -> ()
-    | Some page ->
-      let disk_page = Disk.read t.disk pid in
-      let disk_meta =
-        match disk_page with
-        | Some p -> Page_meta.decode (Page.meta p)
-        | None -> Page_meta.empty
-      in
-      let disk_cells =
-        match disk_page with Some p -> Page.cells p | None -> []
-      in
-      let owned_cached =
-        List.filter_map
-          (fun (k, d) ->
-            if Tc_id.equal (decode_cell d).Stored_record.writer tc then Some k
-            else None)
-          (Page.cells page)
-      in
-      let disk_assoc = disk_cells in
-      let owned_disk =
-        List.filter_map
-          (fun (k, d) ->
-            if Tc_id.equal (decode_cell d).Stored_record.writer tc then Some k
-            else None)
-          disk_cells
-      in
-      let keys =
-        List.sort_uniq String.compare (owned_cached @ owned_disk)
-      in
-      List.iter
-        (fun k ->
-          t.records_reset <- t.records_reset + 1;
-          match List.assoc_opt k disk_assoc with
-          | Some d -> Page.set page ~key:k ~data:d
-          | None -> ignore (Page.remove page k))
-        keys;
-      st.ablsns <- Tc_id.Map.add tc (Page_meta.ablsn disk_meta tc) st.ablsns;
-      st.pending <- Tc_id.Map.remove tc st.pending;
-      Cache.mark_dirty t.cache page;
-      Instrument.bump t.counters "dc.pages_record_reset"
-  end;
-  ignore stable_lsn
+(* Reset one affected page: the failed TC's cells and abstract LSN come
+   back from the page's stable base, every other TC's cells stay as
+   cached.  Without a stable base the TC's cells and abLSN entry go:
+   redo from the scan start point refills them.  The cached page keeps
+   its sibling link and dLSN, since structure modifications are never
+   undone. *)
+let reset_page_for_tc t page st ~tc ~stable_lsn =
+  let owned cells =
+    List.filter
+      (fun (_, d) -> Tc_id.equal (decode_cell d).Stored_record.writer tc)
+      cells
+  in
+  let restored, ablsn =
+    match rebuild_page_from_stable t (Page.id page) ~tc ~stable_lsn with
+    | Some (base, ablsns, _) ->
+      (owned (Page.cells base), Tc_id.Map.find_opt tc ablsns)
+    | None -> ([], None)
+  in
+  let dropped = owned (Page.cells page) in
+  List.iter (fun (k, _) -> ignore (Page.remove page k)) dropped;
+  List.iter (fun (key, data) -> Page.set page ~key ~data) restored;
+  st.ablsns <- Tc_id.Map.update tc (fun _ -> ablsn) st.ablsns;
+  st.pending <- Tc_id.Map.remove tc st.pending;
+  Cache.mark_dirty t.cache page;
+  t.records_reset <-
+    t.records_reset
+    + List.length
+        (List.sort_uniq String.compare (List.map fst (dropped @ restored)));
+  t.pages_reset <- t.pages_reset + 1;
+  Instrument.bump t.counters "dc.pages_reset"
 
 let reset_for_tc t ~tc ~stable_lsn =
   (* Drop memoized results for operations that no longer exist. *)
@@ -977,13 +935,13 @@ let reset_for_tc t ~tc ~stable_lsn =
       (fun pid st acc ->
         match Cache.cached t.cache pid with
         | None -> acc
-        | Some _ ->
+        | Some page ->
           let ab = ablsn_of st tc in
-          if Lsn.(Ablsn.max_lsn ab > stable_lsn) then (pid, st) :: acc
+          if Lsn.(Ablsn.max_lsn ab > stable_lsn) then (page, st) :: acc
           else acc)
       t.states []
   in
-  List.iter (fun (pid, st) -> reset_page_for_tc t pid st ~tc ~stable_lsn)
+  List.iter (fun (page, st) -> reset_page_for_tc t page st ~tc ~stable_lsn)
     affected
 
 (* ------------------------------------------------------------------ *)
@@ -1478,7 +1436,7 @@ let consolidations t = t.total_consolidations
 
 let dup_absorbed t = t.dup_absorbed
 
-let pages_dropped t = t.pages_dropped
+let pages_reset t = t.pages_reset
 
 let records_reset t = t.records_reset
 

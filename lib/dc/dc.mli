@@ -14,8 +14,10 @@
     handling follows Section 5.3: on a DC crash, {!recover} rebuilds
     well-formed structures from stable state and the DC-log *before* any
     TC redo arrives; on a TC crash, [Restart_begin] resets exactly the
-    cache pages holding that TC's lost operations — record-granular on
-    pages shared between TCs (Section 6.1.2). *)
+    cache pages holding that TC's lost operations, record by record
+    (Section 6.1.2): the failed TC's cells and abstract LSN come back
+    from the page's stable base, the disk image with the DC-log replayed
+    on top, while other TCs' cells stay as cached. *)
 
 (** How abstract LSNs are made stable atomically with a page flush
     (the three page-sync options of Section 5.1.2). *)
@@ -202,11 +204,11 @@ val take_escalation : t -> bool
     clears the flag.  Deployments use this to drive redo from the other
     TCs. *)
 
-val pages_dropped : t -> int
-(** Pages dropped whole by a TC-failure reset. *)
+val pages_reset : t -> int
+(** Pages reset by a TC-failure reset. *)
 
 val records_reset : t -> int
-(** Records individually reverted by a multi-TC page reset. *)
+(** Records individually reverted by a TC-failure reset. *)
 
 val page_meta_of : t -> Untx_storage.Page_id.t -> Page_meta.t
 (** Current (volatile) recovery metadata of a page, for tests: its

@@ -163,10 +163,6 @@ let meta_size t = String.length t.meta
 
 let copy t = { t with cells = Array.copy t.cells }
 
-let clear t =
-  t.cells <- [||];
-  t.used <- 0
-
 let replace_cells t cells =
   t.cells <- [||];
   t.used <- 0;

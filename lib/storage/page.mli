@@ -88,9 +88,6 @@ val meta_size : t -> int
 val copy : t -> t
 (** Deep copy; disk snapshots rely on this. *)
 
-val clear : t -> unit
-(** Drop every cell (metadata and links retained). *)
-
 val replace_cells : t -> (string * string) list -> unit
 (** Overwrite the cell content wholesale (recovery from a physical page
     image).  The list need not be sorted. *)

@@ -2,11 +2,12 @@
 
    The DC folds a TC's low-water mark into a page's abstract LSN only
    when something next reads that page's state.  This property drives
-   one DC through random interleavings of writes (fresh ones, and
-   resends below and above the marks), watermark messages, evictions,
-   flushes, checkpoints, TC restarts (Restart_begin, redo, Restart_end)
-   and DC crashes (crash, recover, redo), beside a reference
-   model that applies every mark to every page the moment it arrives.
+   one DC through random interleavings of two TCs' writes on shared
+   pages (fresh ones, and resends below and above the marks), watermark
+   messages, evictions, flushes, checkpoints, TC restarts
+   (Restart_begin, redo, Restart_end) and DC crashes (crash, recover,
+   redo), beside a reference model that applies every mark to every
+   page the moment it arrives.
    After each step, every page's [Dc.page_meta_of] must equal the
    model's, and each write must be absorbed exactly when the model's
    abstract LSN for its leaf already includes it.
@@ -31,14 +32,6 @@ module Btree = Untx_btree.Btree
 let page_capacity = 96
 
 let tcs = [| Tc_id.of_int 1; Tc_id.of_int 2 |]
-
-(* Data comes from the first TC only; the second sends marks,
-   checkpoints and restarts of its own.  On a page two TCs share, the
-   TC-failure reset restores disk cells without replaying the DC-log
-   and can re-add cells a later split moved away, leaving recovery an
-   ill-formed tree (an open defect older than lazy marks, described in
-   ROADMAP.md), so shared pages stay out of this property. *)
-let writer = 0
 
 (* Steps name TCs by index and choose LSNs by [pick], resolved against
    the TC's state when the step runs, so every generated script keeps
@@ -242,7 +235,8 @@ let run_script script =
   in
   let apply = function
     | Fresh (k, kind) ->
-      let i = writer in
+      (* each TC writes its own keys, interleaved on shared pages *)
+      let i = k land 1 in
       let s = tcs_st.(i) in
       s.issued <- s.issued + 1;
       let key = Printf.sprintf "k%02d" k in
@@ -256,7 +250,7 @@ let run_script script =
       Hashtbl.replace s.log s.issued (key, op);
       write i s.issued (key, op)
     | Resend p ->
-      let i = writer in
+      let i = p land 1 in
       let s = tcs_st.(i) in
       if s.issued > 0 then
         let lsn = in_range 1 s.issued p in

@@ -17,11 +17,16 @@ let ok = function
   | `Blocked -> Alcotest.fail "unexpected `Blocked"
   | `Fail m -> Alcotest.fail ("unexpected `Fail: " ^ m)
 
-let mk_deploy ~reset_mode ~n_tcs =
+(* The chaos engine's DC geometry: small pages split often, and a tiny
+   cache evicts and flushes them mid-workload. *)
+let small_pages =
+  { Dc.default_config with page_capacity = 160; cache_pages = 6 }
+
+let mk_deploy ~dc ~reset_mode ~n_tcs =
   let d = Deploy.create () in
   ignore
     (Deploy.add_dc d ~name:"dc1"
-       { Dc.default_config with tc_reset_mode = reset_mode; debug_checks = true });
+       { dc with Dc.tc_reset_mode = reset_mode; debug_checks = true });
   Deploy.create_table d ~dc:"dc1" ~name:table ~versioned:true;
   let tcs =
     List.init n_tcs (fun i ->
@@ -77,12 +82,12 @@ let check_oracle ?(seed = 0) tcs oracles reader_ix o =
           (Option.value ~default:"NONE" got))
     oracles.(o)
 
-let sweep ~reset_mode ~crash_dc_instead ~seeds () =
+let sweep ?(dc = Dc.default_config) ~reset_mode ~crash_dc_instead ~seeds () =
   List.iter
     (fun seed ->
       let rng = Rng.create ~seed in
       let n_tcs = 2 + Rng.int rng 2 in
-      let d, tcs = mk_deploy ~reset_mode ~n_tcs in
+      let d, tcs = mk_deploy ~dc ~reset_mode ~n_tcs in
       let oracles = Array.init n_tcs (fun _ -> Hashtbl.create 64) in
       for _ = 1 to 20 + Rng.int rng 40 do
         run_txn tcs oracles rng (Rng.int rng n_tcs)
@@ -120,7 +125,9 @@ let sweep ~reset_mode ~crash_dc_instead ~seeds () =
 let test_record_reset_metric () =
   (* interleaved single-key commits per TC force genuinely shared pages,
      so a TC crash exercises the record-granular reset *)
-  let d, tcs = mk_deploy ~reset_mode:Dc.Selective ~n_tcs:2 in
+  let d, tcs =
+    mk_deploy ~dc:Dc.default_config ~reset_mode:Dc.Selective ~n_tcs:2
+  in
   for i = 0 to 40 do
     List.iteri
       (fun o tc ->
@@ -153,4 +160,7 @@ let suite =
     Alcotest.test_case "multi-TC sweep: DC crash" `Slow
       (sweep ~reset_mode:Dc.Selective ~crash_dc_instead:true ~seeds:10);
     Alcotest.test_case "record-granular reset" `Quick test_record_reset_metric;
+    Alcotest.test_case "multi-TC sweep: TC crash, selective, small pages" `Slow
+      (sweep ~dc:small_pages ~reset_mode:Dc.Selective ~crash_dc_instead:false
+         ~seeds:10);
   ]
