@@ -19,9 +19,22 @@ let included lsn t = Lsn.(lsn <= t.lw) || Lsn.Set.mem lsn t.ins
 let add lsn t =
   if Lsn.(lsn <= t.lw) then t else { t with ins = Lsn.Set.add lsn t.ins }
 
+(* A low-water mark advances every page state it reaches, so this must
+   not cost a pass over the whole set: a mark above every member, or
+   below all of them, leaves nothing to visit, and any other splits the
+   set in one descent. *)
 let advance ~lwm t =
   if Lsn.(lwm <= t.lw) then t
-  else { lw = lwm; ins = Lsn.Set.filter (fun l -> Lsn.(l > lwm)) t.ins }
+  else
+    let ins =
+      if Lsn.Set.is_empty t.ins || Lsn.(Lsn.Set.max_elt t.ins <= lwm) then
+        Lsn.Set.empty
+      else if Lsn.(Lsn.Set.min_elt t.ins > lwm) then t.ins
+      else
+        let _, _, above = Lsn.Set.split lwm t.ins in
+        above
+    in
+    { lw = lwm; ins }
 
 let truncate ~upto t =
   {

@@ -76,16 +76,28 @@ type table = {
    — is {!Session.Receiver}, shared with the replication channel. *)
 type ctl_session = (Wire.control, Wire.control_reply) Session.Receiver.t
 
+(* The reply memo's table, keyed (tc, lsn) as ints: every write stores
+   one entry and every absorbed duplicate looks one up, so its keys are
+   hashed and compared without the polymorphic primitives. *)
+module Memo = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a : int), (b : int)) (c, d) = a = c && b = d
+
+  let hash (tc, lsn) = ((lsn * 65599) + tc) land max_int
+end)
+
 type t = {
   cfg : config;
   counters : Instrument.t;
   c_requests : int ref; (* "dc.requests", resolved once *)
+  c_dup_absorbed : int ref; (* "dc.dup_absorbed", resolved once *)
   disk : Disk.t;
   cache : Cache.t;
   dc_log : Smo_record.t Wal.t;
   tables : (string, table) Hashtbl.t;
   states : pstate Page_id.Tbl.t;
-  memo : (int * int, Wire.reply) Hashtbl.t; (* (tc, lsn) -> original reply *)
+  memo : Wire.reply Memo.t; (* (tc, lsn) -> original reply *)
   ctl_sessions : (int, ctl_session) Hashtbl.t; (* keyed by Tc_id.to_int *)
   mutable eosl : Lsn.t Tc_id.Map.t;
   mutable lwm : Lsn.t Tc_id.Map.t;
@@ -344,12 +356,13 @@ let create ?(counters = Instrument.global) cfg =
       cfg;
       counters;
       c_requests = Metrics.counter_cell counters "dc.requests";
+      c_dup_absorbed = Metrics.counter_cell counters "dc.dup_absorbed";
       disk;
       cache;
       dc_log = Wal.create ~counters ~label:"wal.dc" ~size:Smo_record.size ();
       tables = Hashtbl.create 8;
       states = Page_id.Tbl.create 256;
-      memo = Hashtbl.create 1024;
+      memo = Memo.create 1024;
       ctl_sessions = Hashtbl.create 4;
       eosl = Tc_id.Map.empty;
       lwm = Tc_id.Map.empty;
@@ -452,10 +465,10 @@ let visible mode record =
 let memo_key tc lsn = (Tc_id.to_int tc, Lsn.to_int lsn)
 
 let memoize t (req : Wire.request) reply =
-  Hashtbl.replace t.memo (memo_key req.tc req.lsn) reply
+  Memo.replace t.memo (memo_key req.tc req.lsn) reply
 
 let memoized t (req : Wire.request) =
-  match Hashtbl.find_opt t.memo (memo_key req.tc req.lsn) with
+  match Memo.find_opt t.memo (memo_key req.tc req.lsn) with
   | Some reply -> reply
   | None ->
     (* The memo was truncated by contract termination; only writes whose
@@ -562,7 +575,7 @@ let abort_version tbl ~lsn leaf key =
 let absorbed t (req : Wire.request) st =
   if Ablsn.included req.lsn (ablsn_of st req.tc) then begin
     t.dup_absorbed <- t.dup_absorbed + 1;
-    Instrument.bump t.counters "dc.dup_absorbed";
+    incr t.c_dup_absorbed;
     true
   end
   else false
@@ -608,13 +621,25 @@ let write_one t tbl (req : Wire.request) key mutate =
    every key *before* any mutation — applying the first key would
    otherwise make the page's abstract LSN hide the remaining keys of the
    same request.  Each key's leaf is found once and reused by the later
-   passes until a split or consolidation moves keys. *)
+   passes until a split or consolidation moves keys.  A transaction's
+   keys cluster, so the leaf found for one key is tried first for the
+   next: a key the leaf holds lives in no other leaf, and the tree does
+   not change while the leaves are found. *)
 let write_many t tbl (req : Wire.request) keys mutate_key =
   let smo = smo_count tbl.tree in
+  let last = ref None in
+  let leaf_for key =
+    match !last with
+    | Some leaf when Page.mem leaf key -> leaf
+    | _ ->
+      let leaf = Btree.find_leaf tbl.tree key in
+      last := Some leaf;
+      leaf
+  in
   let todo =
     List.filter_map
       (fun key ->
-        let leaf = Btree.find_leaf tbl.tree key in
+        let leaf = leaf_for key in
         if absorbed t req (state_of t leaf) then None else Some (key, leaf))
       keys
   in
@@ -626,11 +651,17 @@ let write_many t tbl (req : Wire.request) keys mutate_key =
       result = Wire.Failed "table is sealed read-only"; prior = None }
   else begin
     List.iter (fun kl -> mutate_key (leaf_of kl) (fst kl)) todo;
+    let marked = ref None in
     List.iter
       (fun kl ->
         let leaf = leaf_of kl in
-        record_applied t leaf req.tc req.lsn;
-        Cache.mark_dirty t.cache leaf)
+        (* once per run of keys on one leaf: both steps are idempotent *)
+        match !marked with
+        | Some m when m == leaf -> ()
+        | _ ->
+          marked := Some leaf;
+          record_applied t leaf req.tc req.lsn;
+          Cache.mark_dirty t.cache leaf)
       todo;
     { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done; prior = None }
   end
@@ -925,11 +956,11 @@ let reset_page_for_tc t page st ~tc ~stable_lsn =
 
 let reset_for_tc t ~tc ~stable_lsn =
   (* Drop memoized results for operations that no longer exist. *)
-  Hashtbl.iter
-    (fun (mtc, mlsn) _ ->
-      if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn > stable_lsn) then
-        Hashtbl.remove t.memo (mtc, mlsn))
-    (Hashtbl.copy t.memo);
+  Memo.filter_map_inplace
+    (fun (mtc, mlsn) reply ->
+      if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn > stable_lsn) then None
+      else Some reply)
+    t.memo;
   let affected =
     Page_id.Tbl.fold
       (fun pid st acc ->
@@ -964,7 +995,7 @@ let exit_fence t =
 let crash t =
   Cache.crash t.cache;
   Page_id.Tbl.reset t.states;
-  Hashtbl.reset t.memo;
+  Memo.reset t.memo;
   Hashtbl.reset t.ctl_sessions;
   Wal.crash t.dc_log;
   t.eosl <- Tc_id.Map.empty;
@@ -1228,11 +1259,11 @@ let control t (ctl : Wire.control) =
     if granted then begin
       (* Contract terminated below the new RSSP: memoized results for
          those operations can never be legitimately resent. *)
-      Hashtbl.iter
-        (fun (mtc, mlsn) _ ->
-          if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn < new_rssp) then
-            Hashtbl.remove t.memo (mtc, mlsn))
-        (Hashtbl.copy t.memo);
+      Memo.filter_map_inplace
+        (fun (mtc, mlsn) reply ->
+          if mtc = Tc_id.to_int tc && Lsn.(of_int mlsn < new_rssp) then None
+          else Some reply)
+        t.memo;
       ignore (self_checkpoint t)
     end;
     Wire.Checkpoint_done { granted }
@@ -1295,6 +1326,39 @@ let control t (ctl : Wire.control) =
 (* ------------------------------------------------------------------ *)
 (* Transport endpoints: the DC side of the serialized message plane    *)
 
+(* One operation through [perform], with its apply latency and, on a
+   traced frame, an "apply" or "skip" event under the frame's trace id.
+   The idempotence table absorbs duplicates inside [perform]; the
+   counter delta tells a real apply from an absorbed one without
+   threading the trace id through the write path. *)
+let perform_traced t ~tid (req : Wire.request) =
+  let t0 = Metrics.start t.counters in
+  let dup_before = t.dup_absorbed in
+  let reply = perform t req in
+  Metrics.stop t.counters "dc.apply_ns" t0;
+  Metrics.stop t.counters t.h_apply_part t0;
+  if tid <> 0 then
+    Trace.record ~tid ~comp:"dc"
+      ~ev:(if t.dup_absorbed > dup_before then "skip" else "apply")
+      [ ("part", string_of_int t.part); ("lsn", Lsn.to_string req.Wire.lsn) ];
+  reply
+
+(* Between two operations of a redo batch: a crash here leaves the
+   batch's prefix applied and its reply unsent. *)
+let p_redo_batch = Fault.declare "dc.redo.batch"
+
+(* A redo batch runs its operations one by one, in LSN order, each
+   through the same [perform] as a single request: the partition check,
+   the abLSN test, the memo and the operation latch all stay per
+   operation.  One frame, one reply. *)
+let perform_batch t ~tid ~tc ~part ops =
+  List.mapi
+    (fun i (lsn, op) ->
+      if i > 0 then Fault.hit p_redo_batch;
+      let r = perform_traced t ~tid { Wire.tc; lsn; part; op } in
+      (lsn, r.Wire.result, r.Wire.prior))
+    ops
+
 (* An undecodable frame is dropped like a lost message: no reply, and
    the TC's resend carries it.  (The transport's checksum gate already
    rejects corruption; this guards against version or framing bugs.)
@@ -1303,46 +1367,43 @@ let control t (ctl : Wire.control) =
    per (TC, DC) pair, so a frame stamped with another TC's id on this
    link is a wiring bug — applying it would charge one TC's operation
    to another TC's idempotence state.  Like a misrouted partition id,
-   it is refused loudly (Failed reply, counted) instead of applied. *)
+   it is refused loudly (Failed reply for every operation, counted)
+   instead of applied. *)
 let handle_request_frame ?expect t frame =
   match Wire.Verified.decode_request frame with
   | exception Invalid_argument _ ->
     Instrument.bump t.counters "dc.bad_frames";
     None
-  | req
-    when match expect with
-         | Some tc -> not (Tc_id.equal req.Wire.tc tc)
-         | None -> false ->
-    Instrument.bump t.counters "dc.misattributed";
+  | msg ->
     let tid = if Trace.enabled () then Wire.Verified.tid frame else 0 in
-    Some
-      (Wire.encode_reply ~tid
-         {
-           Wire.tc = req.Wire.tc;
-           lsn = req.Wire.lsn;
-           result =
-             Wire.Failed
-               (Format.asprintf "misattributed: request from %a on %a's link"
-                  Tc_id.pp req.Wire.tc Tc_id.pp (Option.get expect));
-           prior = None;
-         })
-  | req ->
-    let tid = if Trace.enabled () then Wire.Verified.tid frame else 0 in
-    let t0 = Metrics.start t.counters in
-    (* The idempotence table absorbs duplicates inside [perform]; the
-       counter delta distinguishes a real apply from an absorbed one
-       without threading the trace id through the write path. *)
-    let dup_before = t.dup_absorbed in
-    let reply = perform t req in
-    Metrics.stop t.counters "dc.apply_ns" t0;
-    Metrics.stop t.counters t.h_apply_part t0;
-    if tid <> 0 then
-      Trace.record ~tid ~comp:"dc"
-        ~ev:(if t.dup_absorbed > dup_before then "skip" else "apply")
-        [
-          ("part", string_of_int t.part);
-          ("lsn", Lsn.to_string req.Wire.lsn);
-        ];
+    let tc =
+      match msg with Wire.Request { tc; _ } | Wire.Redo_batch { tc; _ } -> tc
+    in
+    let reply =
+      match expect with
+      | Some owner when not (Tc_id.equal tc owner) -> (
+        Instrument.bump t.counters "dc.misattributed";
+        let refused =
+          Wire.Failed
+            (Format.asprintf "misattributed: request from %a on %a's link"
+               Tc_id.pp tc Tc_id.pp owner)
+        in
+        match msg with
+        | Wire.Request { lsn; _ } ->
+          Wire.Reply { Wire.tc; lsn; result = refused; prior = None }
+        | Wire.Redo_batch { ops; _ } ->
+          Wire.Redo_batch_reply
+            {
+              tc;
+              outcomes = List.map (fun (lsn, _) -> (lsn, refused, None)) ops;
+            })
+      | _ -> (
+        match msg with
+        | Wire.Request req -> Wire.Reply (perform_traced t ~tid req)
+        | Wire.Redo_batch { tc; part; ops } ->
+          Wire.Redo_batch_reply
+            { tc; outcomes = perform_batch t ~tid ~tc ~part ops })
+    in
     Some (Wire.encode_reply ~tid reply)
 
 let session t tc =

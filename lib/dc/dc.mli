@@ -106,7 +106,11 @@ val control : t -> Untx_msg.Wire.control -> Untx_msg.Wire.control_reply
 val handle_request_frame :
   ?expect:Untx_util.Tc_id.t -> t -> string -> string option
 (** Transport endpoint for the data channel: decode a request frame,
-    {!perform} it, return the encoded reply frame.  The frame must have
+    {!perform} it, return the encoded reply frame.  A redo batch
+    ({!Untx_msg.Wire.Redo_batch}) runs its operations one by one, in
+    LSN order, each through {!perform}, and gets one reply listing every
+    outcome; the fault point ["dc.redo.batch"] sits between two of its
+    operations.  The frame must have
     passed {!Untx_msg.Wire.frame_ok}, as every frame the transport
     delivers has: the checksum is not computed again here.  An
     undecodable frame is dropped (counted as ["dc.bad_frames"]) —
@@ -114,8 +118,9 @@ val handle_request_frame :
 
     [expect] is the link's owning TC (deployments wire one transport per
     (TC, DC) pair): a frame stamped with a different [tc] is refused
-    with a [Failed] reply and counted as ["dc.misattributed"] — applying
-    it would charge the operation to another TC's idempotence state. *)
+    with a [Failed] reply (one per operation of a batch) and counted as
+    ["dc.misattributed"] — applying it would charge the operation to
+    another TC's idempotence state. *)
 
 val handle_control_frame :
   ?expect:Untx_util.Tc_id.t -> t -> string -> string option

@@ -956,6 +956,11 @@ let plans = function
         pair "wal.tc.force.mid" 2 "tc.recover.mid" 2;
         (* Two independent DC kills in one cycle. *)
         pair "dc.flush.after_page_write" 2 "dc.flush.before_page_write" 5;
+        (* A DC kill, then a second one between two operations of a
+           redo batch the restart sends: the batch's prefix is applied,
+           its reply never sent. *)
+        pair "dc.flush.after_page_write" 2 "dc.redo.batch" 1;
+        pair "wal.dc.force.begin" 3 "dc.redo.batch" 3;
         (* Torn write, then a later crash over the repaired page. *)
         pair "disk.page_write.torn" 1 "wal.dc.force.begin" 6;
         ("disk.page_write.io@1", [ Fault.io_error_at "disk.page_write.io" 1 ]);
@@ -985,6 +990,7 @@ let plans = function
     @ [
         pair "dc.smo.split.mid" 1 "dc.flush.after_page_write" 3;
         pair "dc.checkpoint.mid" 1 "wal.dc.force.mid" 2;
+        pair "dc.smo.split.mid" 1 "dc.redo.batch" 2;
         corrupt_and 5 "dc.smo.split.mid" 1;
       ]
   | Replicated _ ->

@@ -45,6 +45,31 @@ type reply = {
           operation replaced, which the TC logs as undo information *)
 }
 
+(** {2 Data-channel frames}
+
+    A request frame carries one operation, or a {e redo batch}: a run of
+    logged operations, in LSN order, that a TC resends to one DC after a
+    restart.  Every operation keeps its own LSN, so the DC's per-operation
+    idempotence test and memo work on a batch exactly as on single
+    requests; the batch only saves the per-message cost.  Its reply lists
+    each operation's [(lsn, result, prior)] in the same order. *)
+
+type request_msg =
+  | Request of request
+  | Redo_batch of {
+      tc : Untx_util.Tc_id.t;
+      part : int;  (** as {!request.part}, for every operation *)
+      ops : (Untx_util.Lsn.t * Op.t) list;
+    }
+
+type reply_msg =
+  | Reply of reply
+  | Redo_batch_reply of {
+      tc : Untx_util.Tc_id.t;
+      outcomes : (Untx_util.Lsn.t * result * Op.value option) list;
+          (** one per batched operation, in the batch's order *)
+    }
+
 type control =
   | End_of_stable_log of { tc : Untx_util.Tc_id.t; eosl : Untx_util.Lsn.t }
   | Low_water_mark of { tc : Untx_util.Tc_id.t; lwm : Untx_util.Lsn.t }
@@ -153,13 +178,19 @@ val repl_tc : repl -> Untx_util.Tc_id.t
     form {!Untx_util.Codec.encode_int} would not write — and never
     return a silently wrong value. *)
 
-val encode_request : ?tid:int -> request -> string
+val encode_request : ?tid:int -> request_msg -> string
+(** A single request's frame is its tc, LSN, partition and operation
+    fields.  A redo batch's frame is the tag ["B"], the tc and partition,
+    then per operation its LSN, its field count and its fields. *)
 
-val decode_request : string -> request
+val decode_request : string -> request_msg
 
-val encode_reply : ?tid:int -> reply -> string
+val encode_reply : ?tid:int -> reply_msg -> string
+(** A batch reply's frame is the tag ["B"], the tc, then per outcome its
+    LSN, a field count, and that many fields: the prior, then the
+    result's. *)
 
-val decode_reply : string -> reply
+val decode_reply : string -> reply_msg
 
 val encode_control : ?tid:int -> control_msg -> string
 
@@ -195,9 +226,9 @@ val frame_tid : string -> int
     checksum, so a delivered frame is hashed once.  Any other caller
     uses [decode_*]. *)
 module Verified : sig
-  val decode_request : string -> request
+  val decode_request : string -> request_msg
 
-  val decode_reply : string -> reply
+  val decode_reply : string -> reply_msg
 
   val decode_control : string -> control_msg
 

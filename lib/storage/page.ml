@@ -50,6 +50,8 @@ let find t key =
     Some data
   else None
 
+let mem t key = search t key >= 0
+
 let find_le t key =
   let i = search t key in
   if i >= 0 then i else -i - 2

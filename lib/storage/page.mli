@@ -36,6 +36,9 @@ val would_overflow : t -> key:string -> data:string -> bool
 val find : t -> string -> string option
 (** Exact-key lookup. *)
 
+val mem : t -> string -> bool
+(** Whether the page holds [key]; allocates nothing. *)
+
 val find_le : t -> string -> int
 (** Index of the rightmost cell with key <= the argument ({!nth} reads
     it); [-1] if every cell is greater (or the page is empty).  This is

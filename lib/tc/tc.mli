@@ -187,6 +187,15 @@ val recover : t -> unit
     start point (repeating history), then roll back loser transactions
     and finish interrupted version cleanup. *)
 
+val redo_batch_cap : int
+(** The most logged operations one redo frame carries.  {!recover},
+    {!on_dc_restart} and {!on_dc_failover} resend history as
+    {!Untx_msg.Wire.Redo_batch} frames, in LSN order, one batch in
+    flight at a time: a batch closes at this cap, when the next
+    operation routes to another DC, or when the history ends.  The DC
+    applies a batch's operations in order, each through its own
+    idempotence test, and answers with one reply. *)
+
 val on_dc_restart : ?from:Untx_util.Lsn.t -> t -> dc:string -> unit
 (** A DC lost its cache (Section 5.3.2 DC failure): resend logged
     operations from the redo-scan start point to that DC.  [from]

@@ -14,37 +14,65 @@ let rec write_digits b stop d n =
     write_digits b (stop - 1) (d - 1) (n / 10)
   end
 
-let encoded_length fields =
-  List.fold_left
-    (fun acc f ->
-      let l = String.length f in
-      acc + ndigits (-l) + 1 + l)
-    0 fields
+(* The encoded length of an [l]-byte field.  Most fields are shorter
+   than ten bytes, so a one-digit length prefix takes a fast path here,
+   in [write_prefix] and in [next]. *)
+let field_length l = (if l < 10 then 2 else ndigits (-l) + 1) + l
 
-let rec write fields b pos =
-  match fields with
-  | [] -> ()
-  | f :: rest ->
-    let l = String.length f in
+let encoded_length fields =
+  List.fold_left (fun acc f -> acc + field_length (String.length f)) 0 fields
+
+(* Writes the length prefix of an [l]-byte field at [pos]; returns
+   where the field's bytes start. *)
+let write_prefix b pos l =
+  if l < 10 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 + l));
+    Bytes.unsafe_set b (pos + 1) ':';
+    pos + 2
+  end
+  else
     let d = ndigits (-l) in
     write_digits b (pos + d) d (-l);
     Bytes.unsafe_set b (pos + d) ':';
-    Bytes.unsafe_blit_string f 0 b (pos + d + 1) l;
-    write rest b (pos + d + 1 + l)
+    pos + d + 1
+
+let rec write fields b pos =
+  match fields with
+  | [] -> pos
+  | f :: rest ->
+    let l = String.length f in
+    let start = write_prefix b pos l in
+    Bytes.unsafe_blit_string f 0 b start l;
+    write rest b (start + l)
 
 let encode fields =
   let b = Bytes.create (encoded_length fields) in
-  write fields b 0;
+  ignore (write fields b 0);
   Bytes.unsafe_to_string b
 
+(* [i]'s text: its length, and the writer of its [l] bytes at [pos]. *)
+let int_text_length i = if i >= 0 then ndigits (-i) else 1 + ndigits i
+
+let write_int_text b pos l i =
+  if i < 0 then begin
+    Bytes.unsafe_set b pos '-';
+    write_digits b (pos + l) (l - 1) i
+  end
+  else write_digits b (pos + l) l (-i)
+
 let encode_int i =
-  let n = if i >= 0 then -i else i in
-  let d = ndigits n in
-  let sign = if i < 0 then 1 else 0 in
-  let b = Bytes.create (sign + d) in
-  if i < 0 then Bytes.unsafe_set b 0 '-';
-  write_digits b (sign + d) d n;
+  let l = int_text_length i in
+  let b = Bytes.create l in
+  write_int_text b 0 l i;
   Bytes.unsafe_to_string b
+
+let int_length i = field_length (int_text_length i)
+
+let write_int i b pos =
+  let l = int_text_length i in
+  let start = write_prefix b pos l in
+  write_int_text b start l i;
+  start + l
 
 (* Parses the digits [s.[lo .. hi-1]] as exactly what [write_digits]
    writes — at least one digit, no leading zero unless the number is
@@ -78,6 +106,19 @@ let at_end r = r.pos = r.stop
 (* Steps over the next field, returning where its bytes start; they
    end at the new [r.pos]. *)
 let next r =
+  let pos = r.pos in
+  if
+    pos + 1 < r.stop
+    && String.unsafe_get r.src (pos + 1) = ':'
+    && String.unsafe_get r.src pos >= '0'
+    && String.unsafe_get r.src pos <= '9'
+  then begin
+    let l = Char.code (String.unsafe_get r.src pos) - 48 in
+    if l > r.stop - pos - 2 then invalid_arg "Codec.decode: truncated field";
+    r.pos <- pos + 2 + l;
+    pos + 2
+  end
+  else
   let colon = digits_end r.src r.pos r.stop in
   if colon = r.stop || String.unsafe_get r.src colon <> ':' then
     invalid_arg "Codec.decode: missing length delimiter";
@@ -107,11 +148,14 @@ let read_int r =
   let start = next r in
   int_sub r.src start r.pos
 
-let decode_sub s ~pos ~len =
+let reader_sub s ~pos ~len =
   let stop = pos + len in
   if pos < 0 || len < 0 || stop > String.length s then
-    invalid_arg "Codec.decode_sub";
-  let r = { src = s; pos; stop } in
+    invalid_arg "Codec.reader_sub";
+  { src = s; pos; stop }
+
+let decode_sub s ~pos ~len =
+  let r = reader_sub s ~pos ~len in
   let[@tail_mod_cons] rec go () =
     if at_end r then []
     else

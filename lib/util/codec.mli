@@ -16,10 +16,18 @@ val encode : string list -> string
 val encoded_length : string list -> int
 (** [String.length (encode fs)], without building it. *)
 
-val write : string list -> Bytes.t -> int -> unit
-(** [write fs b pos] writes [encode fs] into [b] at [pos]; [b] must
-    have [encoded_length fs] bytes free there.  Lets a caller wrap the
-    encoding in a header without a second copy. *)
+val write : string list -> Bytes.t -> int -> int
+(** [write fs b pos] writes [encode fs] into [b] at [pos] and returns
+    the position after it; [b] must have [encoded_length fs] bytes free
+    there.  Lets a caller wrap the encoding in a header without a second
+    copy. *)
+
+val int_length : int -> int
+(** [encoded_length [encode_int i]], without building the field. *)
+
+val write_int : int -> Bytes.t -> int -> int
+(** [write_int i b pos] is [write [encode_int i] b pos], without
+    building the field. *)
 
 val decode : string -> string list
 (** Raises [Invalid_argument] on malformed input. *)
@@ -37,6 +45,10 @@ type reader
     encodings. *)
 
 val reader : string -> reader
+
+val reader_sub : string -> pos:int -> len:int -> reader
+(** A reader over the field list [String.sub s pos len], without the
+    copy. *)
 
 val read_string : reader -> string
 (** The next field.  Raises [Invalid_argument] if there is none or it

@@ -543,6 +543,106 @@ let test_commit_versions_straddles_split () =
     (dups + List.length keys) (Dc.dup_absorbed dc);
   check_ok dc
 
+(* Ascending keys over several leaves, with a key no leaf holds in the
+   middle: the leaf found for one key serves the next keys it holds, and
+   every committed key is still marked on the page that holds it. *)
+let test_commit_versions_leaf_runs () =
+  let dc = mk ~page_capacity:128 () in
+  let keys = List.init 24 (fun i -> Printf.sprintf "k%04d" (2 * i)) in
+  List.iteri
+    (fun i key -> ignore (Dc.perform dc (insert ~table:"vt" (i + 1) key "vvvv")))
+    keys;
+  Alcotest.(check bool) "the keys span several leaves" true
+    (List.length (Dc.table_pages dc "vt") > 3);
+  let named =
+    List.concat_map (fun k -> if k = "k0020" then [ k; "k0021" ] else [ k ]) keys
+  in
+  let l = 100 in
+  let commit = req l (Op.Commit_versions { table = "vt"; keys = named }) in
+  ignore (Dc.perform dc commit);
+  List.iter
+    (fun (key, r) ->
+      Alcotest.(check bool) (key ^ " committed") true
+        (r.Stored_record.before = Stored_record.Absent);
+      Alcotest.(check bool) (key ^ " marked on its page") true
+        (marked_on_holder dc "vt" key l))
+    (Dc.dump_table dc "vt");
+  let dups = Dc.dup_absorbed dc in
+  ignore (Dc.perform dc commit);
+  Alcotest.(check int) "resend absorbed for every key"
+    (dups + List.length named) (Dc.dup_absorbed dc);
+  check_ok dc
+
+(* --- redo batches ------------------------------------------------------ *)
+
+(* Ten inserts, then an update, a second update of the same key and a
+   delete: the batch carries conflicting operations, in LSN order. *)
+let redo_ops =
+  List.init 10 (fun i ->
+      (lsn (10 + i), Op.Insert { table = "t"; key = Printf.sprintf "b%02d" i; value = "v" }))
+  @ [
+      (lsn 20, Op.Update { table = "t"; key = "b00"; value = "w" });
+      (lsn 21, Op.Update { table = "t"; key = "b00"; value = "x" });
+      (lsn 22, Op.Delete { table = "t"; key = "b01" });
+    ]
+
+let mk_counted () =
+  let counters = Untx_util.Instrument.create () in
+  let dc =
+    Dc.create ~counters
+      { Dc.default_config with page_capacity = 128; debug_checks = true }
+  in
+  Dc.create_table dc ~name:"t" ~versioned:false;
+  (dc, fun () -> Untx_util.Instrument.get counters "dc.requests")
+
+(* One batch frame through the DC's endpoint; its outcomes. *)
+let deliver dc ops =
+  let frame = Wire.encode_request (Wire.Redo_batch { tc = tc1; part = 0; ops }) in
+  match Dc.handle_request_frame dc frame with
+  | None -> Alcotest.fail "the batch was dropped"
+  | Some reply -> (
+    match Wire.decode_reply reply with
+    | Wire.Redo_batch_reply { tc; outcomes } ->
+      Alcotest.(check int) "reply for the batch's tc" 1 (Tc_id.to_int tc);
+      Alcotest.(check (list int)) "one outcome per op, in order"
+        (List.map (fun (l, _) -> Lsn.to_int l) ops)
+        (List.map (fun (l, _, _) -> Lsn.to_int l) outcomes);
+      outcomes
+    | Wire.Reply _ -> Alcotest.fail "a batch answered with a single reply")
+
+let test_batch_delivered_twice () =
+  let dc, requests = mk_counted () in
+  let first = deliver dc redo_ops in
+  let rows = Dc.dump_table dc "t" in
+  Alcotest.(check (option string)) "applied in LSN order" (Some "x")
+    (Option.bind (List.assoc_opt "b00" rows) Stored_record.current);
+  let dups = Dc.dup_absorbed dc and before = requests () in
+  let second = deliver dc redo_ops in
+  let n = List.length redo_ops in
+  Alcotest.(check int) "every op absorbed" (dups + n) (Dc.dup_absorbed dc);
+  Alcotest.(check int) "dc.requests counts ops" (before + n) (requests ());
+  Alcotest.(check bool) "table unchanged" true (Dc.dump_table dc "t" = rows);
+  Alcotest.(check bool) "the memo repeats every outcome" true (first = second);
+  check_ok dc
+
+let test_batch_half_applied () =
+  let half = List.filteri (fun i _ -> i < 6) redo_ops in
+  let dc, requests = mk_counted () in
+  (* the first half arrives and applies; its reply is lost *)
+  ignore (deliver dc half);
+  let dups = Dc.dup_absorbed dc and before = requests () in
+  let outcomes = deliver dc redo_ops in
+  let n = List.length redo_ops and h = List.length half in
+  Alcotest.(check int) "the applied half is absorbed" (dups + h) (Dc.dup_absorbed dc);
+  Alcotest.(check int) "only the second half applies" (n - h)
+    (requests () - before - (Dc.dup_absorbed dc - dups));
+  let once, _ = mk_counted () in
+  let expected = deliver once redo_ops in
+  Alcotest.(check bool) "same table as one delivery" true
+    (Dc.dump_table dc "t" = Dc.dump_table once "t");
+  Alcotest.(check bool) "same outcomes as one delivery" true (outcomes = expected);
+  check_ok dc
+
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
 let suite =
@@ -568,4 +668,10 @@ let suite =
         test_delete_consolidates_leaf;
       Alcotest.test_case "Commit_versions straddles a split" `Quick
         test_commit_versions_straddles_split;
+      Alcotest.test_case "Commit_versions over leaf runs" `Quick
+        test_commit_versions_leaf_runs;
+      Alcotest.test_case "a redo batch delivered twice is absorbed" `Quick
+        test_batch_delivered_twice;
+      Alcotest.test_case "a half-applied redo batch applies the rest" `Quick
+        test_batch_half_applied;
     ]

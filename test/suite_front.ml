@@ -207,16 +207,21 @@ let test_misattributed_frames_rejected () =
   let wrong = Tc_id.of_int 2 and expect = Tc_id.of_int 1 in
   let req =
     Wire.encode_request
-      {
-        Wire.tc = wrong;
-        lsn = Lsn.of_int 1;
-        part = 0;
-        op = Op.Insert { table = "t"; key = "k"; value = "v" };
-      }
+      (Wire.Request
+         {
+           Wire.tc = wrong;
+           lsn = Lsn.of_int 1;
+           part = 0;
+           op = Op.Insert { table = "t"; key = "k"; value = "v" };
+         })
   in
   (match Dc.handle_request_frame ~expect dc req with
   | Some reply -> (
-    let r = Wire.decode_reply reply in
+    let r =
+      match Wire.decode_reply reply with
+      | Wire.Reply r -> r
+      | Wire.Redo_batch_reply _ -> Alcotest.fail "a single request's reply"
+    in
     Alcotest.(check int) "refusal echoes the frame's own tc"
       (Tc_id.to_int wrong)
       (Tc_id.to_int r.Wire.tc);

@@ -75,7 +75,7 @@ let test_sizes_positive () =
   (* request_size is no longer an estimate: it is the length of the
      actual encoded frame. *)
   Alcotest.(check int) "request size is the encoded length"
-    (String.length (Wire.encode_request req))
+    (String.length (Wire.encode_request (Wire.Request req)))
     (Wire.request_size req);
   Alcotest.(check bool) "request bigger than op" true
     (Wire.request_size req > Op.size (ins "a"))

@@ -118,6 +118,100 @@ let sweep ~crash ~versioned ~chaotic ~seeds () =
         (oracle_rows oracle) (snapshot k ~table))
     (List.init seeds (fun i -> 1000 + (i * 37)))
 
+(* --- batched redo -------------------------------------------------- *)
+
+module Deploy = Untx_cloud.Deploy
+module Audit = Untx_audit.Audit
+module Tc = Untx_tc.Tc
+module Tc_id = Untx_util.Tc_id
+module Trace = Untx_obs.Trace
+module Fault = Untx_fault.Fault
+
+(* A TC crash over two range partitions: each transaction writes runs
+   of keys on one DC, then on the other, so the redo stream switches
+   link several times.  Redo must reach the DCs in LSN order across
+   both of them, and the recovered deployment must pass the audit. *)
+let test_partitioned_redo_in_lsn_order () =
+  let d = Deploy.create () in
+  let tc = Deploy.add_tc d ~name:"tc1" (Tc.default_config (Tc_id.of_int 1)) in
+  List.iter
+    (fun n -> ignore (Deploy.add_dc d ~name:n Dc.default_config))
+    [ "dc0"; "dc1" ];
+  Deploy.add_partitioned_table d ~scheme:(Deploy.Range [ "m" ]) ~name:table
+    ~versioned:true ~dcs:[ "dc0"; "dc1" ] ();
+  let oracle = Hashtbl.create 64 in
+  for i = 0 to 11 do
+    let txn = Tc.begin_txn tc in
+    List.iter
+      (fun prefix ->
+        for j = 0 to 2 do
+          let key = Printf.sprintf "%s%02d-%d" prefix i j in
+          let value = Printf.sprintf "v%d" i in
+          ok (Tc.insert tc txn ~table ~key ~value);
+          Hashtbl.replace oracle key value
+        done)
+      (if i mod 2 = 0 then [ "a"; "p" ] else [ "p"; "a" ]);
+    ok (Tc.commit tc txn)
+  done;
+  Deploy.quiesce d;
+  let sent = Tc.messages_sent tc in
+  Trace.clear ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled false)
+    (fun () -> Deploy.crash_tc d "tc1");
+  let redone =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.e_comp = "dc" && (e.e_ev = "apply" || e.e_ev = "skip") then
+          Some
+            ( List.assoc "part" e.e_attrs,
+              int_of_string (List.assoc "lsn" e.e_attrs) )
+        else None)
+      (Trace.events ())
+  in
+  Trace.clear ();
+  let applied = List.map snd redone in
+  Alcotest.(check (list string)) "both DCs redid operations" [ "0"; "1" ]
+    (List.sort_uniq compare (List.map fst redone));
+  Alcotest.(check (list int)) "redo reached the DCs in LSN order"
+    (List.sort_uniq compare applied) applied;
+  Alcotest.(check bool) "fewer frames than operations" true
+    (Tc.messages_sent tc - sent < List.length applied);
+  let expected =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) oracle []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let report = Audit.run_deploy d ~tc:"tc1" ~table ~expected in
+  Alcotest.(check (list string)) "audit clean" [] report.Audit.violations
+
+(* A DC killed between two operations of a redo batch keeps the batch's
+   prefix and loses its reply; the next restart redoes the whole
+   stream and leaves exactly the table the first crash interrupted. *)
+let test_redo_batch_crash () =
+  let k = make_kernel ~cache_pages:256 () in
+  for i = 0 to 19 do
+    committed k
+      (List.init 4 (fun j txn ->
+           let key = Printf.sprintf "k%02d" ((i * 4) + j) in
+           Kernel.insert k txn ~table ~key ~value:(string_of_int i)));
+    if i mod 3 = 0 then
+      committed k
+        [ (fun txn -> Kernel.update k txn ~table ~key:(Printf.sprintf "k%02d" i) ~value:"u") ]
+  done;
+  Kernel.quiesce k;
+  let pre = Dc.dump_table (Kernel.dc k) table in
+  Fault.arm [ Fault.crash_at "dc.redo.batch" 5 ];
+  Fun.protect ~finally:Fault.disarm (fun () ->
+      match Kernel.crash_dc k with
+      | () -> Alcotest.fail "the planned crash did not fire"
+      | exception Fault.Injected_crash p -> Kernel.crash_for_point k p);
+  Alcotest.(check (list string)) "crashed mid-batch" [ "dc.redo.batch" ]
+    (Fault.fired_points ());
+  check_wellformed k;
+  Alcotest.(check bool) "table equals its pre-crash dump" true
+    (Dc.dump_table (Kernel.dc k) table = pre)
+
 let suite =
   [
     Alcotest.test_case "sweep: TC crash, versioned" `Slow
@@ -134,4 +228,8 @@ let suite =
       (sweep ~crash:Crash_tc ~versioned:true ~chaotic:true ~seeds:8);
     Alcotest.test_case "sweep: DC crash over chaotic transport" `Slow
       (sweep ~crash:Crash_dc ~versioned:true ~chaotic:true ~seeds:8);
+    Alcotest.test_case "partitioned TC crash redoes in LSN order" `Quick
+      test_partitioned_redo_in_lsn_order;
+    Alcotest.test_case "a crash inside a redo batch" `Quick
+      test_redo_batch_crash;
   ]

@@ -15,20 +15,26 @@ module Kernel = Untx_kernel.Kernel
 
 let req i =
   Wire.encode_request
-    {
-      Wire.tc = Tc_id.of_int 1;
-      lsn = Lsn.of_int i;
-      part = 0;
-      op = Op.Read { table = "t"; key = string_of_int i; mode = Op.Own };
-    }
+    (Wire.Request
+       {
+         Wire.tc = Tc_id.of_int 1;
+         lsn = Lsn.of_int i;
+         part = 0;
+         op = Op.Read { table = "t"; key = string_of_int i; mode = Op.Own };
+       })
 
 (* A DC stand-in that answers every request frame with a Done reply
    carrying the request's LSN, and acks every control frame. *)
 let echo_data frame =
-  let r = Wire.decode_request frame in
+  let r =
+    match Wire.decode_request frame with
+    | Wire.Request r -> r
+    | Wire.Redo_batch _ -> invalid_arg "echo_data: a redo batch"
+  in
   Some
     (Wire.encode_reply
-       { Wire.tc = r.Wire.tc; lsn = r.Wire.lsn; result = Wire.Done; prior = None })
+       (Wire.Reply
+          { Wire.tc = r.Wire.tc; lsn = r.Wire.lsn; result = Wire.Done; prior = None }))
 
 let echo_control frame =
   let m = Wire.decode_control frame in
@@ -43,7 +49,10 @@ let make ?counters ?policy ?control_policy ~seed () =
 
 let drain_ids t =
   List.map
-    (fun frame -> Lsn.to_int (Wire.decode_reply frame).Wire.lsn)
+    (fun frame ->
+      match Wire.decode_reply frame with
+      | Wire.Reply r -> Lsn.to_int r.Wire.lsn
+      | Wire.Redo_batch_reply _ -> invalid_arg "drain_ids: a batch reply")
     (fst (Transport.drain t))
 
 let test_reliable_fifo () =

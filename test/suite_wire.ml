@@ -9,6 +9,7 @@ module Wire = Untx_msg.Wire
 module Op = Untx_msg.Op
 module Lsn = Untx_util.Lsn
 module Tc_id = Untx_util.Tc_id
+module Tc = Untx_tc.Tc
 
 open QCheck
 
@@ -58,6 +59,24 @@ let gen_request =
     Gen.int_bound 7 >>= fun part ->
     gen_op >>= fun op -> return { Wire.tc; lsn; part; op })
 
+(* A redo batch of [n] operations. *)
+let gen_batch_of n =
+  Gen.(
+    gen_tc >>= fun tc ->
+    Gen.int_bound 7 >>= fun part ->
+    list_repeat n (pair gen_lsn gen_op) >>= fun ops ->
+    return (Wire.Redo_batch { tc; part; ops }))
+
+(* Batch sizes: empty, one operation, a few, and the TC's cap. *)
+let gen_batch_size =
+  Gen.oneof
+    [ Gen.return 0; Gen.return 1; Gen.int_range 2 9; Gen.return Tc.redo_batch_cap ]
+
+let gen_batch = Gen.(gen_batch_size >>= gen_batch_of)
+
+let gen_request_msg =
+  Gen.oneof [ Gen.map (fun r -> Wire.Request r) gen_request; gen_batch ]
+
 let gen_result =
   Gen.(
     gen_str >>= fun s ->
@@ -74,6 +93,17 @@ let gen_reply =
     gen_lsn >>= fun lsn ->
     gen_result >>= fun result ->
     opt gen_str >>= fun prior -> return { Wire.tc; lsn; result; prior })
+
+let gen_batch_reply_of n =
+  Gen.(
+    gen_tc >>= fun tc ->
+    list_repeat n (triple gen_lsn gen_result (opt gen_str)) >>= fun outcomes ->
+    return (Wire.Redo_batch_reply { tc; outcomes }))
+
+let gen_batch_reply = Gen.(gen_batch_size >>= gen_batch_reply_of)
+
+let gen_reply_msg =
+  Gen.oneof [ Gen.map (fun r -> Wire.Reply r) gen_reply; gen_batch_reply ]
 
 let gen_control =
   Gen.(
@@ -112,16 +142,16 @@ let gen_control_reply_msg =
 (* One arbitrary covering all four frame kinds, as (name, bytes) with
    the decoded-re-encoded check done against the right decoder. *)
 type any_frame =
-  | Freq of Wire.request
-  | Frep of Wire.reply
+  | Freq of Wire.request_msg
+  | Frep of Wire.reply_msg
   | Fctl of Wire.control_msg
   | Fcrp of Wire.control_reply_msg
 
 let gen_any_frame =
   Gen.oneof
     [
-      Gen.map (fun r -> Freq r) gen_request;
-      Gen.map (fun r -> Frep r) gen_reply;
+      Gen.map (fun r -> Freq r) gen_request_msg;
+      Gen.map (fun r -> Frep r) gen_reply_msg;
       Gen.map (fun m -> Fctl m) gen_control_msg;
       Gen.map (fun m -> Fcrp m) gen_control_reply_msg;
     ]
@@ -142,14 +172,14 @@ let print_any f =
 
 let prop_request_roundtrip =
   Test.make ~name:"decode_request (encode_request r) = r" ~count:500
-    (make ~print:print_any (Gen.map (fun r -> Freq r) gen_request))
+    (make ~print:print_any (Gen.map (fun r -> Freq r) gen_request_msg))
     (function
       | Freq r -> Wire.decode_request (Wire.encode_request r) = r
       | _ -> assert false)
 
 let prop_reply_roundtrip =
   Test.make ~name:"decode_reply (encode_reply r) = r" ~count:500
-    (make ~print:print_any (Gen.map (fun r -> Frep r) gen_reply))
+    (make ~print:print_any (Gen.map (fun r -> Frep r) gen_reply_msg))
     (function
       | Frep r -> Wire.decode_reply (Wire.encode_reply r) = r
       | _ -> assert false)
@@ -337,12 +367,14 @@ let golden =
           "6b3030303030303432393a763a313233343536374bdee54e"
         ],
       Wire.encode_request ~tid:0x01020304
-        {
-          Wire.tc = tc 3;
-          lsn = lsn 1234;
-          part = 2;
-          op = Op.Update { table = "kv"; key = "k00000042"; value = "v:1234567" };
-        },
+        (Wire.Request
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 1234;
+             part = 2;
+             op =
+               Op.Update { table = "kv"; key = "k00000042"; value = "v:1234567" };
+           }),
       fun s -> Wire.encode_request ~tid:0x01020304 (Wire.decode_request s) );
     ( "reply with pairs",
       String.concat ""
@@ -354,14 +386,55 @@ let golden =
           "78787878787878787878787878787878787878787878787878a8f0dbd3"
         ],
       Wire.encode_reply ~tid:77
-        {
-          Wire.tc = tc 3;
-          lsn = lsn 1235;
-          prior = Some "old";
-          result =
-            Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
-        },
+        (Wire.Reply
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 1235;
+             prior = Some "old";
+             result =
+               Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
+           }),
       fun s -> Wire.encode_reply ~tid:77 (Wire.decode_reply s) );
+    (* "B", tc 3, part 1, then (lsn, field count, op fields) twice. *)
+    ( "redo batch",
+      String.concat ""
+        [
+          "510000000900000037313a42313a33313a31323a3431313a34313a55323a";
+          "6b76323a6b37343a763a3431323a3432313a34313a56323a6b76323a6b37";
+          "323a6b38bd124c71"
+        ],
+      Wire.encode_request ~tid:9
+        (Wire.Redo_batch
+           {
+             tc = tc 3;
+             part = 1;
+             ops =
+               [
+                 (lsn 41, Op.Update { table = "kv"; key = "k7"; value = "v:41" });
+                 (lsn 42, Op.Commit_versions { table = "kv"; keys = [ "k7"; "k8" ] });
+               ];
+           }),
+      fun s -> Wire.encode_request ~tid:9 (Wire.decode_request s) );
+    (* "B", tc 3, then (lsn, field count, prior, result fields)
+       twice. *)
+    ( "redo batch reply",
+      String.concat ""
+        [
+          "520000000900000032313a42313a33323a3431313a32353a2b763a343031";
+          "3a44323a3432313a33313a2d313a4631313a6e6f2073756368206b6579fd";
+          "c91b1e"
+        ],
+      Wire.encode_reply ~tid:9
+        (Wire.Redo_batch_reply
+           {
+             tc = tc 3;
+             outcomes =
+               [
+                 (lsn 41, Wire.Done, Some "v:40");
+                 (lsn 42, Wire.Failed "no such key", None);
+               ];
+           }),
+      fun s -> Wire.encode_reply ~tid:9 (Wire.decode_reply s) );
     ( "control",
       String.concat ""
         [
@@ -440,9 +513,10 @@ let test_golden_frames () =
 
 (* --- canonical integers ----------------------------------------------- *)
 
-(* A request frame built by hand around the payload [fields], with a
-   valid length and checksum, so only the payload can be at fault. *)
-let hand_frame fields =
+(* A frame built by hand around the payload [fields] (a request unless
+   [kind] says otherwise), with a valid length and checksum, so only the
+   payload can be at fault. *)
+let hand_frame ?(kind = "Q") fields =
   let payload =
     String.concat ""
       (List.map (fun f -> string_of_int (String.length f) ^ ":" ^ f) fields)
@@ -450,7 +524,7 @@ let hand_frame fields =
   let u32 v =
     String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
   in
-  let body = "Q" ^ u32 0 ^ u32 (String.length payload) ^ payload in
+  let body = kind ^ u32 0 ^ u32 (String.length payload) ^ payload in
   let h = ref 0x811c9dc5 in
   String.iter
     (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
@@ -461,12 +535,13 @@ let test_noncanonical_int_field () =
   let request tc_field = hand_frame [ tc_field; "5"; "0"; "D"; "kv"; "k" ] in
   Alcotest.(check bool) "the canonical frame decodes" true
     (Wire.decode_request (request "7")
-    = {
-        Wire.tc = tc 7;
-        lsn = lsn 5;
-        part = 0;
-        op = Op.Delete { table = "kv"; key = "k" };
-      });
+    = Wire.Request
+        {
+          Wire.tc = tc 7;
+          lsn = lsn 5;
+          part = 0;
+          op = Op.Delete { table = "kv"; key = "k" };
+        });
   List.iter
     (fun f ->
       let frame = request f in
@@ -476,6 +551,56 @@ let test_noncanonical_int_field () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "int field %S accepted" f)
     [ "+7"; "0x7"; "007"; "07"; "-0"; "" ]
+
+(* Batch payloads that pass the checksum but are cut short or written in
+   a form the encoder never writes. *)
+let test_bad_batch_payloads () =
+  let batch = [ "B"; "7"; "0"; "5"; "3"; "D"; "kv"; "k" ] in
+  let reply = [ "B"; "7"; "5"; "2"; "-"; "D" ] in
+  Alcotest.(check bool) "the canonical batch decodes" true
+    (Wire.decode_request (hand_frame batch)
+    = Wire.Redo_batch
+        {
+          tc = tc 7;
+          part = 0;
+          ops = [ (lsn 5, Op.Delete { table = "kv"; key = "k" }) ];
+        });
+  Alcotest.(check bool) "the canonical batch reply decodes" true
+    (Wire.decode_reply (hand_frame ~kind:"R" reply)
+    = Wire.Redo_batch_reply { tc = tc 7; outcomes = [ (lsn 5, Wire.Done, None) ] });
+  let rejected what decode frame =
+    Alcotest.(check bool) (what ^ ": frame checks out") true (Wire.frame_ok frame);
+    match decode frame with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let request what fields = rejected what Wire.decode_request (hand_frame fields) in
+  let reply_ what fields =
+    rejected what Wire.decode_reply (hand_frame ~kind:"R" fields)
+  in
+  request "batch without part" [ "B"; "7" ];
+  request "entry without count" [ "B"; "7"; "0"; "5" ];
+  request "count beyond the payload" [ "B"; "7"; "0"; "5"; "4"; "D"; "kv"; "k" ];
+  request "count short of the op" [ "B"; "7"; "0"; "5"; "2"; "D"; "kv"; "k" ];
+  request "count with a leading zero" [ "B"; "7"; "0"; "5"; "03"; "D"; "kv"; "k" ];
+  request "negative count" [ "B"; "7"; "0"; "5"; "-3"; "D"; "kv"; "k" ];
+  request "non-canonical lsn" [ "B"; "7"; "0"; "05"; "3"; "D"; "kv"; "k" ];
+  request "non-canonical part" [ "B"; "7"; "+0"; "5"; "3"; "D"; "kv"; "k" ];
+  request "second entry cut short" (batch @ [ "6"; "3"; "D"; "kv" ]);
+  reply_ "outcome without count" [ "B"; "7"; "5" ];
+  reply_ "outcome count beyond the payload" [ "B"; "7"; "5"; "3"; "-"; "D" ];
+  reply_ "outcome count with a leading zero" [ "B"; "7"; "5"; "02"; "-"; "D" ];
+  reply_ "outcome with a bad prior" [ "B"; "7"; "5"; "2"; "x"; "D" ];
+  reply_ "outcome with an empty result" [ "B"; "7"; "5"; "1"; "-" ];
+  reply_ "outcome with no fields" [ "B"; "7"; "5"; "0" ];
+  reply_ "second outcome cut short" (reply @ [ "6"; "2"; "-" ]);
+  (* every proper prefix of a batch frame's bytes is rejected *)
+  let bytes = hand_frame batch in
+  for cut = 0 to String.length bytes - 1 do
+    match Wire.decode_request (String.sub bytes 0 cut) with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "batch frame cut at %d accepted" cut
+  done
 
 let suite =
   List.map Helpers.qcheck_test
@@ -497,4 +622,6 @@ let suite =
         test_golden_frames;
       Alcotest.test_case "non-canonical int fields are rejected" `Quick
         test_noncanonical_int_field;
+      Alcotest.test_case "truncated and non-canonical batches are rejected"
+        `Quick test_bad_batch_payloads;
     ]
