@@ -76,9 +76,9 @@ type table = {
    — is {!Session.Receiver}, shared with the replication channel. *)
 type ctl_session = (Wire.control, Wire.control_reply) Session.Receiver.t
 
-(* The reply memo's table, keyed (tc, lsn) as ints: every write stores
-   one entry and every absorbed duplicate looks one up, so its keys are
-   hashed and compared without the polymorphic primitives. *)
+(* The reply memo's table, keyed (tc, lsn) as ints: a write that failed
+   stores its message, and every absorbed duplicate looks one up, so its
+   keys are hashed and compared without the polymorphic primitives. *)
 module Memo = Hashtbl.Make (struct
   type t = int * int
 
@@ -97,11 +97,14 @@ type t = {
   dc_log : Smo_record.t Wal.t;
   tables : (string, table) Hashtbl.t;
   states : pstate Page_id.Tbl.t;
-  memo : Wire.reply Memo.t; (* (tc, lsn) -> original reply *)
+  memo : string Memo.t; (* (tc, lsn) -> a failed write's message *)
   ctl_sessions : (int, ctl_session) Hashtbl.t; (* keyed by Tc_id.to_int *)
   mutable eosl : Lsn.t Tc_id.Map.t;
   mutable lwm : Lsn.t Tc_id.Map.t;
   mutable lwm_gen : int; (* bumped by every LWM message and withdrawal *)
+  mutable lwm_held : Tc_id.Set.t;
+      (* TCs whose low-water marks are ignored until their redo begins:
+         the other TCs of an escalated TC reset *)
   current_table : string ref; (* table whose tree is being operated on *)
   mutable dup_absorbed : int;
   mutable pages_reset : int;
@@ -367,6 +370,7 @@ let create ?(counters = Instrument.global) cfg =
       eosl = Tc_id.Map.empty;
       lwm = Tc_id.Map.empty;
       lwm_gen = 0;
+      lwm_held = Tc_id.Set.empty;
       current_table = ref "";
       dup_absorbed = 0;
       pages_reset = 0;
@@ -464,16 +468,22 @@ let visible mode record =
 
 let memo_key tc lsn = (Tc_id.to_int tc, Lsn.to_int lsn)
 
-let memoize t (req : Wire.request) reply =
-  Memo.replace t.memo (memo_key req.tc req.lsn) reply
+(* A write's result is [Done] or [Failed]: the memo keeps only the
+   failures, and a duplicate without an entry was [Done] — or its entry
+   went with a memo truncated by contract termination, where only writes
+   whose effect is already present can reach here, so a bare ack
+   serves. *)
+let memoize t (req : Wire.request) = function
+  | Wire.Failed msg -> Memo.replace t.memo (memo_key req.tc req.lsn) msg
+  | _ -> ()
 
 let memoized t (req : Wire.request) =
-  match Memo.find_opt t.memo (memo_key req.tc req.lsn) with
-  | Some reply -> reply
-  | None ->
-    (* The memo was truncated by contract termination; only writes whose
-       effect is already present can reach here, so a bare ack serves. *)
-    { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done; prior = None }
+  let result =
+    match Memo.find_opt t.memo (memo_key req.tc req.lsn) with
+    | Some msg -> Wire.Failed msg
+    | None -> Wire.Done
+  in
+  { Wire.tc = req.tc; lsn = req.lsn; result }
 
 (* Mutations.  Each writes into [leaf], the leaf covering [key], and
    returns the operation result; structure modifications (splits,
@@ -542,35 +552,28 @@ let do_delete tbl ~tc ~lsn ~key leaf prior =
     Wire.Done
   | _ -> Wire.Done (* deleting an absent record is a no-op *)
 
+(* Commit and abort read the cell's flags byte and rewrite the cell
+   from its own header and value bytes, without decoding the record. *)
 let commit_version tbl ~lsn leaf key =
-  match record_in leaf key with
+  match Page.find leaf key with
   | None -> ()
-  | Some r ->
-    if r.Stored_record.deleted then ignore (Btree.remove_in tbl.tree leaf key)
-    else if r.before <> Stored_record.Absent then
+  | Some cell ->
+    if Stored_record.cell_deleted cell then
+      ignore (Btree.remove_in tbl.tree leaf key)
+    else if Stored_record.cell_before cell <> `Absent then
       Btree.set_in tbl.tree leaf ~key
-        ~data:
-          (Stored_record.encode
-             { r with before = Stored_record.Absent; wlsn = lsn })
+        ~data:(Stored_record.commit_cell cell ~wlsn:lsn)
 
 let abort_version tbl ~lsn leaf key =
-  match record_in leaf key with
+  match Page.find leaf key with
   | None -> ()
-  | Some r -> (
-    match r.Stored_record.before with
-    | Stored_record.Absent -> ()
-    | Stored_record.Null_before -> ignore (Btree.remove_in tbl.tree leaf key)
-    | Stored_record.Value_before v ->
+  | Some cell -> (
+    match Stored_record.cell_before cell with
+    | `Absent -> ()
+    | `Null -> ignore (Btree.remove_in tbl.tree leaf key)
+    | `Value ->
       Btree.set_in tbl.tree leaf ~key
-        ~data:
-          (Stored_record.encode
-             {
-               Stored_record.value = v;
-               deleted = false;
-               before = Stored_record.Absent;
-               writer = r.writer;
-               wlsn = lsn;
-             }))
+        ~data:(Stored_record.abort_cell cell ~wlsn:lsn))
 
 let absorbed t (req : Wire.request) st =
   if Ablsn.included req.lsn (ablsn_of st req.tc) then begin
@@ -605,16 +608,8 @@ let write_one t tbl (req : Wire.request) key mutate =
     in
     record_applied t leaf req.tc req.lsn;
     Cache.mark_dirty t.cache leaf;
-    let reply =
-      {
-        Wire.tc = req.tc;
-        lsn = req.lsn;
-        result;
-        prior = Option.bind prior Stored_record.current;
-      }
-    in
-    memoize t req reply;
-    reply
+    memoize t req result;
+    { Wire.tc = req.tc; lsn = req.lsn; result }
   end
 
 (* Multi-key version housekeeping: per-page idempotence, decided for
@@ -648,7 +643,7 @@ let write_many t tbl (req : Wire.request) keys mutate_key =
   in
   if todo <> [] && tbl.sealed then
     { Wire.tc = req.tc; lsn = req.lsn;
-      result = Wire.Failed "table is sealed read-only"; prior = None }
+      result = Wire.Failed "table is sealed read-only" }
   else begin
     List.iter (fun kl -> mutate_key (leaf_of kl) (fst kl)) todo;
     let marked = ref None in
@@ -663,7 +658,7 @@ let write_many t tbl (req : Wire.request) keys mutate_key =
           record_applied t leaf req.tc req.lsn;
           Cache.mark_dirty t.cache leaf)
       todo;
-    { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done; prior = None }
+    { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Done }
   end
 
 let do_scan tbl ~from_key ~limit ~mode =
@@ -695,7 +690,7 @@ let do_probe tbl ~from_key ~limit =
 let perform_unlatched t (req : Wire.request) =
   incr t.c_requests;
   let fail msg =
-    { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Failed msg; prior = None }
+    { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Failed msg }
   in
   let table_name = Op.table req.op in
   if req.part <> t.part then begin
@@ -715,15 +710,13 @@ let perform_unlatched t (req : Wire.request) =
     match req.op with
     | Op.Read { key; mode; _ } ->
       let value = Option.bind (find_record tbl.tree key) (visible mode) in
-      { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Value value; prior = None }
+      { Wire.tc = req.tc; lsn = req.lsn; result = Wire.Value value }
     | Op.Scan { from_key; limit; mode; _ } ->
       { Wire.tc = req.tc; lsn = req.lsn;
-        result = do_scan tbl ~from_key ~limit ~mode;
-        prior = None }
+        result = do_scan tbl ~from_key ~limit ~mode }
     | Op.Probe { from_key; limit; _ } ->
       { Wire.tc = req.tc; lsn = req.lsn;
-        result = do_probe tbl ~from_key ~limit;
-        prior = None }
+        result = do_probe tbl ~from_key ~limit }
     | Op.Insert { key; value; _ } ->
       write_one t tbl req key (do_insert tbl ~tc:req.tc ~lsn:req.lsn ~key ~value)
     | Op.Update { key; value; _ } ->
@@ -999,7 +992,8 @@ let crash t =
   Hashtbl.reset t.ctl_sessions;
   Wal.crash t.dc_log;
   t.eosl <- Tc_id.Map.empty;
-  t.lwm <- Tc_id.Map.empty
+  t.lwm <- Tc_id.Map.empty;
+  t.lwm_held <- Tc_id.Set.empty
 
 let set_state t pid st = Page_id.Tbl.replace t.states pid st
 
@@ -1218,8 +1212,10 @@ let apply_eosl t tc eosl =
    ({!state_of}).  The map only grows here, so a late catch-up folds in
    exactly what applying the mark to every state now would. *)
 let apply_lwm t tc lwm =
-  t.lwm <- Tc_id.Map.add tc (Lsn.max lwm (lwm_of t tc)) t.lwm;
-  t.lwm_gen <- t.lwm_gen + 1
+  if not (Tc_id.Set.mem tc t.lwm_held) then begin
+    t.lwm <- Tc_id.Map.add tc (Lsn.max lwm (lwm_of t tc)) t.lwm;
+    t.lwm_gen <- t.lwm_gen + 1
+  end
 
 let control t (ctl : Wire.control) =
   match ctl with
@@ -1267,7 +1263,8 @@ let control t (ctl : Wire.control) =
       ignore (self_checkpoint t)
     end;
     Wire.Checkpoint_done { granted }
-  | Wire.Redo_fence_begin _ ->
+  | Wire.Redo_fence_begin { tc } ->
+    t.lwm_held <- Tc_id.Set.remove tc t.lwm_held;
     enter_fence t;
     Wire.Ack
   | Wire.Redo_fence_end _ ->
@@ -1284,6 +1281,7 @@ let control t (ctl : Wire.control) =
        if each mark had been applied to every state on arrival. *)
     Page_id.Tbl.iter (fun _ st -> sync t st) t.states;
     t.lwm <- Tc_id.Map.remove tc t.lwm;
+    t.lwm_held <- Tc_id.Set.remove tc t.lwm_held;
     t.lwm_gen <- t.lwm_gen + 1;
     t.eosl <- Tc_id.Map.add tc stable_lsn t.eosl;
     (* Turn the partial failure into a complete one.  The DC-log's page
@@ -1301,8 +1299,26 @@ let control t (ctl : Wire.control) =
       let sessions =
         Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.ctl_sessions []
       in
+      let others =
+        let add other _ held = Tc_id.Set.add other held in
+        List.fold_left
+          (fun held (k, _) -> Tc_id.Set.add (Tc_id.of_int k) held)
+          (Tc_id.Map.fold add t.lwm (Tc_id.Map.fold add t.eosl t.lwm_held))
+          sessions
+        |> Tc_id.Set.remove tc
+      in
       crash t;
       List.iter (fun (k, s) -> Hashtbl.replace t.ctl_sessions k s) sessions;
+      (* The other TCs' work that was only cached is gone too, and they
+         learn so only when their redo begins.  Until then a low-water
+         mark from one of them — pushed from any pump in between, even
+         by that TC's redo to another restarted DC — claims operations
+         this DC lost: a page the TC has not written since starts the
+         TC's abstract LSN at that mark on its first redone write, and
+         absorbs the rest of the redo as duplicates.  Hold the marks of
+         every TC this DC knew, or still holds, until that TC's
+         [Redo_fence_begin]. *)
+      t.lwm_held <- others;
       ignore (Wal.append t.dc_log (Smo_record.Tc_restart { tc; stable_lsn }));
       Wal.force t.dc_log;
       recover_unlatched t
@@ -1356,7 +1372,7 @@ let perform_batch t ~tid ~tc ~part ops =
     (fun i (lsn, op) ->
       if i > 0 then Fault.hit p_redo_batch;
       let r = perform_traced t ~tid { Wire.tc; lsn; part; op } in
-      (lsn, r.Wire.result, r.Wire.prior))
+      (lsn, r.Wire.result))
     ops
 
 (* An undecodable frame is dropped like a lost message: no reply, and
@@ -1390,12 +1406,12 @@ let handle_request_frame ?expect t frame =
         in
         match msg with
         | Wire.Request { lsn; _ } ->
-          Wire.Reply { Wire.tc; lsn; result = refused; prior = None }
+          Wire.Reply { Wire.tc; lsn; result = refused }
         | Wire.Redo_batch { ops; _ } ->
           Wire.Redo_batch_reply
             {
               tc;
-              outcomes = List.map (fun (lsn, _) -> (lsn, refused, None)) ops;
+              outcomes = List.map (fun (lsn, _) -> (lsn, refused)) ops;
             })
       | _ -> (
         match msg with

@@ -39,8 +39,48 @@ val committed : t -> string option
 (** What a read-committed reader from another TC sees: the before
     version when one exists, the current value otherwise. *)
 
+(** {2 The cell}
+
+    A record is stored as one binary cell:
+
+    {v
+    flags | writer | wlsn | value length | value | before-value
+    1 byte  varint   varint  varint
+    v}
+
+    The flags byte holds [deleted] in bit 0 and the before-kind in bits
+    1-2 ([0] {!Absent}, [1] {!Null_before}, [2] {!Value_before}); every
+    other bit is zero.  The varints are {!Untx_util.Codec}'s canonical
+    LEB128.  The before-value runs to the end of the cell and is there
+    only for {!Value_before}.  A 16-byte value with writer 1 and a
+    two-byte wlsn makes a 21-byte cell. *)
+
 val encode : t -> string
 
 val decode : string -> t
+(** Canonical: raises [Invalid_argument] on unknown flag bits or
+    before-kind, an overlong or truncated varint, a value running past
+    the cell, or bytes after the value of an {!Absent} or
+    {!Null_before} cell — so a cell that decodes re-encodes to itself. *)
 
 val encoded_size : t -> int
+
+(** {2 Version housekeeping on the cell}
+
+    What commit and abort of a versioned write need, read from the flags
+    byte and the header where they sit, without decoding the record. *)
+
+val cell_deleted : string -> bool
+(** The cell's [deleted] flag. *)
+
+val cell_before : string -> [ `Absent | `Null | `Value ]
+(** The cell's before-kind. *)
+
+val commit_cell : string -> wlsn:Untx_util.Lsn.t -> string
+(** For a cell that is not deleted:
+    [encode { (decode s) with before = Absent; wlsn }]. *)
+
+val abort_cell : string -> wlsn:Untx_util.Lsn.t -> string
+(** For a {!Value_before} [v] cell:
+    [encode { (decode s) with value = v; deleted = false;
+    before = Absent; wlsn }]. *)

@@ -17,7 +17,7 @@ type result =
    strays onto another TC's link is otherwise indistinguishable from
    that TC's own.  The receiver guards drop misattributed acks loudly
    instead of absorbing them. *)
-type reply = { tc : Tc_id.t; lsn : Lsn.t; result : result; prior : Op.value option }
+type reply = { tc : Tc_id.t; lsn : Lsn.t; result : result }
 
 (* The data channel's two frame kinds.  A redo batch carries a run of
    logged operations for one DC under one tc/part header; its reply
@@ -28,10 +28,7 @@ type request_msg =
 
 type reply_msg =
   | Reply of reply
-  | Redo_batch_reply of {
-      tc : Tc_id.t;
-      outcomes : (Lsn.t * result * Op.value option) list;
-    }
+  | Redo_batch_reply of { tc : Tc_id.t; outcomes : (Lsn.t * result) list }
 
 type control =
   | End_of_stable_log of { tc : Tc_id.t; eosl : Lsn.t }
@@ -353,43 +350,36 @@ let result_of_fields = function
   | [ "F"; m ] -> Failed m
   | _ -> invalid_arg "Wire: bad result"
 
-(* A batch reply entry is the operation's LSN, then its prior and the
-   result's fields, counted together. *)
+(* A batch reply entry is the operation's LSN, then its result's
+   fields, counted. *)
 let encode_reply ?tid = function
-  | Reply { tc; lsn; result; prior } ->
+  | Reply { tc; lsn; result } ->
     frame ?tid 'R'
       (int_field (Tc_id.to_int tc)
        :: int_field (Lsn.to_int lsn)
-       :: opt_field prior :: result_fields result)
+       :: result_fields result)
   | Redo_batch_reply { tc; outcomes } ->
     batch_frame ?tid 'R' [ Tc_id.to_int tc ]
-      (List.map
-         (fun (lsn, result, prior) ->
-           (lsn, opt_field prior :: result_fields result))
-         outcomes)
+      (List.map (fun (lsn, result) -> (lsn, result_fields result)) outcomes)
 
 let[@tail_mod_cons] rec read_outcomes r =
   if Codec.at_end r then []
   else
     let lsn = read_lsn r in
     let n = read_nat r in
-    match read_fields r n with
-    | prior :: result ->
-      let outcome = (lsn, result_of_fields result, opt_of_field prior) in
-      outcome :: read_outcomes r
-    | [] -> invalid_arg "Wire: empty batch outcome"
+    let outcome = (lsn, result_of_fields (read_fields r n)) in
+    outcome :: read_outcomes r
 
 let decode_reply_from ~verify s =
   match unframe_data ~verify `Reply s with
   | `Batch r ->
     let tc = Tc_id.of_int (read_nat r) in
     Redo_batch_reply { tc; outcomes = read_outcomes r }
-  | `Fields (tc :: lsn :: prior :: rest) ->
+  | `Fields (tc :: lsn :: rest) ->
     Reply
       {
         tc = tc_of_field tc;
         lsn = lsn_of_field lsn;
-        prior = opt_of_field prior;
         result = result_of_fields rest;
       }
   | `Fields _ -> invalid_arg "Wire.decode_reply"

@@ -40,9 +40,6 @@ type reply = {
           instead of absorbing them. *)
   lsn : Untx_util.Lsn.t;
   result : result;
-  prior : Op.value option;
-      (** for updates/deletes on unversioned tables: the value the
-          operation replaced, which the TC logs as undo information *)
 }
 
 (** {2 Data-channel frames}
@@ -52,7 +49,7 @@ type reply = {
     restart.  Every operation keeps its own LSN, so the DC's per-operation
     idempotence test and memo work on a batch exactly as on single
     requests; the batch only saves the per-message cost.  Its reply lists
-    each operation's [(lsn, result, prior)] in the same order. *)
+    each operation's [(lsn, result)] in the same order. *)
 
 type request_msg =
   | Request of request
@@ -66,7 +63,7 @@ type reply_msg =
   | Reply of reply
   | Redo_batch_reply of {
       tc : Untx_util.Tc_id.t;
-      outcomes : (Untx_util.Lsn.t * result * Op.value option) list;
+      outcomes : (Untx_util.Lsn.t * result) list;
           (** one per batched operation, in the batch's order *)
     }
 
@@ -187,8 +184,8 @@ val decode_request : string -> request_msg
 
 val encode_reply : ?tid:int -> reply_msg -> string
 (** A batch reply's frame is the tag ["B"], the tc, then per outcome its
-    LSN, a field count, and that many fields: the prior, then the
-    result's. *)
+    LSN, a field count, and that many fields: the result's.  A single
+    reply's frame is its tc, LSN and result fields. *)
 
 val decode_reply : string -> reply_msg
 

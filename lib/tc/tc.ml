@@ -468,7 +468,7 @@ let handle_reply t (r : Wire.reply) =
 let rec same_lsns ops outcomes =
   match (ops, outcomes) with
   | [], [] -> true
-  | (a, _) :: ops, (b, _, _) :: outcomes ->
+  | (a, _) :: ops, (b, _) :: outcomes ->
     Lsn.equal a b && same_lsns ops outcomes
   | _ -> false
 
@@ -484,7 +484,7 @@ let handle_batch_reply t tc outcomes =
       t.in_flight_batch <- None;
       let last = ref Lsn.zero in
       List.iter
-        (fun (lsn, result, _) ->
+        (fun (lsn, result) ->
           last := lsn;
           match Hashtbl.find_opt t.pendings (Lsn.to_int lsn) with
           | Some p -> settle t p result

@@ -167,3 +167,44 @@ let decode_sub s ~pos ~len =
 let decode s = decode_sub s ~pos:0 ~len:(String.length s)
 
 let decode_int s = int_sub s 0 (String.length s)
+
+(* Unsigned LEB128: seven bits a byte, least significant first, the
+   high bit set on every byte but the last. *)
+let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
+
+let varint_length n =
+  if n < 0 then invalid_arg "Codec.varint_length: negative";
+  varint_bytes n
+
+let rec write_varint_bytes n b pos =
+  if n < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    write_varint_bytes (n lsr 7) b (pos + 1)
+  end
+
+let write_varint n b pos =
+  if n < 0 then invalid_arg "Codec.write_varint: negative";
+  write_varint_bytes n b pos
+
+(* Accepts exactly what [write_varint] writes: no zero last byte after
+   the first (overlong), and at most nine bytes whose bits fit a
+   non-negative [int] — the ninth byte carries bits 56..61 only. *)
+let rec varint_from s i shift acc =
+  if i >= String.length s then invalid_arg "Codec.read_varint: truncated";
+  let c = Char.code (String.unsafe_get s i) in
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c < 0x80 then begin
+    if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then
+      invalid_arg "Codec.read_varint: not canonical";
+    acc
+  end
+  else if shift = 56 then invalid_arg "Codec.read_varint: too long"
+  else varint_from s (i + 1) (shift + 7) acc
+
+let read_varint s pos =
+  if pos < 0 then invalid_arg "Codec.read_varint: truncated";
+  varint_from s pos 0 0

@@ -66,3 +66,24 @@ val encode_int : int -> string
 val decode_int : string -> int
 (** The inverse of {!encode_int}; raises [Invalid_argument] on anything
     it would not have written. *)
+
+(** {2 Varints}
+
+    Binary non-negative integers, as unsigned LEB128: seven bits a byte,
+    least significant group first, the high bit set on every byte but
+    the last.  Decoding is canonical as above: an overlong form (a zero
+    last byte after the first), a value beyond [max_int] or a truncated
+    varint raises [Invalid_argument], so a varint that decodes
+    re-encodes to the same bytes. *)
+
+val varint_length : int -> int
+(** The bytes {!write_varint} writes for [n]; raises [Invalid_argument]
+    if [n < 0]. *)
+
+val write_varint : int -> Bytes.t -> int -> int
+(** [write_varint n b pos] writes [n] at [pos] and returns the position
+    after it; [b] must have [varint_length n] bytes free there. *)
+
+val read_varint : string -> int -> int
+(** The varint starting at [pos].  It ends [varint_length] of the
+    result bytes later. *)

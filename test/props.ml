@@ -483,3 +483,109 @@ let suite =
   @ List.map test
       [ prop_codec_reference; prop_int_reference; prop_decode_canonical;
         prop_batch_canonical ]
+
+(* --- the binary record cell ------------------------------------------- *)
+
+(* Records whose writer and wlsn span every varint length, and whose
+   values are binary, so cells cross each header-length boundary. *)
+let wide_int_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound 300;
+        oneofl [ 127; 128; 16383; 16384; max_int ];
+        map (fun i -> i land max_int) int;
+      ])
+
+let wide_record_gen =
+  QCheck.Gen.(
+    map3
+      (fun (value, deleted) (kind, bv) (writer, wlsn) ->
+        {
+          Stored_record.value;
+          deleted;
+          before =
+            (match kind with
+            | 0 -> Stored_record.Absent
+            | 1 -> Stored_record.Null_before
+            | _ -> Stored_record.Value_before bv);
+          writer = Tc_id.of_int writer;
+          wlsn = Lsn.of_int wlsn;
+        })
+      (pair (string_size ~gen:char (int_bound 140)) bool)
+      (pair (int_bound 2) (string_size ~gen:char (int_bound 20)))
+      (pair wide_int_gen wide_int_gen))
+
+let show_record (r : Stored_record.t) = Printf.sprintf "%S" (Stored_record.encode r)
+
+(* An encoded cell, then one of: overwrite byte [pos] with [c], or cut
+   the cell to its first [pos] bytes. *)
+let cell_mutation_arb =
+  QCheck.make
+    ~print:(fun (r, cut, pos, c) ->
+      Printf.sprintf "%s %s %d %C" (show_record r)
+        (if cut then "cut" else "set") pos c)
+    QCheck.Gen.(
+      quad wide_record_gen bool (int_bound 200)
+        (oneof [ char; oneofl [ '\x00'; '\x7f'; '\x80'; '\xff' ] ]))
+
+let prop_cell_canonical =
+  QCheck.Test.make
+    ~name:"a mutated or cut record cell raises or re-encodes to itself"
+    ~count:3000 cell_mutation_arb (fun (r, cut, pos, c) ->
+      let cell = Stored_record.encode r in
+      let pos = pos mod (String.length cell + 1) in
+      let s =
+        if cut then String.sub cell 0 pos
+        else if pos = String.length cell then cell ^ String.make 1 c
+        else String.mapi (fun i x -> if i = pos then c else x) cell
+      in
+      Stored_record.decode cell = r
+      && Stored_record.encoded_size r = String.length cell
+      &&
+      match Stored_record.decode s with
+      | r' -> String.equal (Stored_record.encode r') s
+      | exception Invalid_argument _ -> true)
+
+(* What commit and abort did to a record before they worked on the cell:
+   decode, edit, encode.  [None] removes the record. *)
+let commit_by_record (r : Stored_record.t) wlsn =
+  if r.deleted then None
+  else if r.before = Stored_record.Absent then Some (Stored_record.encode r)
+  else
+    Some (Stored_record.encode { r with before = Stored_record.Absent; wlsn })
+
+let abort_by_record (r : Stored_record.t) wlsn =
+  match r.before with
+  | Stored_record.Absent -> Some (Stored_record.encode r)
+  | Stored_record.Null_before -> None
+  | Stored_record.Value_before v ->
+    Some
+      (Stored_record.encode
+         { r with value = v; deleted = false; before = Absent; wlsn })
+
+(* The same decisions taken the way the DC takes them: from the cell's
+   flags byte, rewriting the cell in place. *)
+let commit_in_place cell wlsn =
+  if Stored_record.cell_deleted cell then None
+  else if Stored_record.cell_before cell = `Absent then Some cell
+  else Some (Stored_record.commit_cell cell ~wlsn)
+
+let abort_in_place cell wlsn =
+  match Stored_record.cell_before cell with
+  | `Absent -> Some cell
+  | `Null -> None
+  | `Value -> Some (Stored_record.abort_cell cell ~wlsn)
+
+let prop_cell_in_place =
+  QCheck.Test.make
+    ~name:"in-place commit and abort match decode, edit, encode" ~count:1000
+    (QCheck.make
+       ~print:(fun (r, l) -> Printf.sprintf "%s lsn %d" (show_record r) l)
+       QCheck.Gen.(pair wide_record_gen wide_int_gen))
+    (fun (r, l) ->
+      let cell = Stored_record.encode r and wlsn = Lsn.of_int l in
+      commit_in_place cell wlsn = commit_by_record r wlsn
+      && abort_in_place cell wlsn = abort_by_record r wlsn)
+
+let suite = suite @ List.map test [ prop_cell_canonical; prop_cell_in_place ]

@@ -166,15 +166,30 @@ let run_script script =
       tcs
   in
   let lwms = ref Tc_id.Map.empty in
+  (* A TC reset that escalates to a complete DC restart holds the marks
+     of every other TC the DC knew — it had the TC's end-of-stable-log
+     or low-water mark — or still held, until that TC's redo fence. *)
+  let n = Array.length tcs in
+  let has_eosl = Array.make n false
+  and has_lwm = Array.make n false
+  and held = Array.make n false in
+  let forget () =
+    Array.fill has_eosl 0 n false;
+    Array.fill has_lwm 0 n false
+  in
   let expect = ref (observe dc) in
   let control msg = ignore (Dc.control dc msg) in
   let raise_lwm i l =
-    let tc = tcs.(i) in
-    lwms := Tc_id.Map.add tc (Lsn.max (Lsn.of_int l) (lwm_in !lwms tc)) !lwms;
-    expect := List.map (fun (pid, m) -> (pid, advance !lwms m)) !expect
+    if not held.(i) then begin
+      let tc = tcs.(i) in
+      has_lwm.(i) <- true;
+      lwms := Tc_id.Map.add tc (Lsn.max (Lsn.of_int l) (lwm_in !lwms tc)) !lwms;
+      expect := List.map (fun (pid, m) -> (pid, advance !lwms m)) !expect
+    end
   in
   let pick_eosl i p =
     let s = tcs_st.(i) in
+    has_eosl.(i) <- true;
     s.eosl <- in_range s.eosl s.issued p;
     s.eosl
   in
@@ -312,8 +327,18 @@ let run_script script =
       control (Wire.Restart_begin { tc; stable_lsn = stable });
       s.issued <- s.eosl;
       s.lwm <- 0;
+      held.(i) <- false;
+      has_lwm.(i) <- false;
+      has_eosl.(i) <- true;
       let observed = observe dc in
-      if Dc.take_escalation dc then lwms := Tc_id.Map.empty
+      if Dc.take_escalation dc then begin
+        lwms := Tc_id.Map.empty;
+        Array.iteri
+          (fun j _ ->
+            if j <> i then held.(j) <- held.(j) || has_eosl.(j) || has_lwm.(j))
+          tcs;
+        forget ()
+      end
       else begin
         lwms := Tc_id.Map.remove tc !lwms;
         compare_pages ~what:"restart_begin"
@@ -328,6 +353,8 @@ let run_script script =
       Dc.crash dc;
       Dc.recover dc;
       lwms := Tc_id.Map.empty;
+      forget ();
+      Array.fill held 0 n false;
       expect := observe dc;
       Array.iteri
         (fun i tc ->

@@ -46,13 +46,15 @@ let test_small_soak () =
 
 let test_reproducible () =
   (* One fixed-seed cycle of every shape but the partitioned one (which
-     has its own case), each with a rule that fires at seed 9, run twice:
-     everything the cycle reports must repeat. *)
+     has its own case), each with a rule that fires at seed 9 within its
+     transaction count, run twice: everything the cycle reports must
+     repeat.  The branch cycle runs 16 transactions: 12 leave its DC no
+     page to flush. *)
   let repl = { Chaos.parts = 2; replicas = 2; durability = None } in
   List.iter
-    (fun (shape, plan) ->
+    (fun (shape, plan, txns) ->
       let run () =
-        Chaos.run_cycle ~shape ~label:"repro" ~plan ~seed:9 ~txns:12 ()
+        Chaos.run_cycle ~shape ~label:"repro" ~plan ~seed:9 ~txns ()
       in
       let a = run () and b = run () in
       let same what = Printf.sprintf "%s: same %s" a.c_shape what in
@@ -68,13 +70,14 @@ let test_reproducible () =
       Alcotest.(check (list (pair string int))) (same "counter snapshot")
         a.c_counters b.c_counters)
     [
-      (Chaos.Kernel, [ Fault.crash_at "dc.flush.after_page_write" 2 ]);
-      (Replicated repl, [ Fault.crash_at "repl.ship.batch" 3 ]);
+      (Chaos.Kernel, [ Fault.crash_at "dc.flush.after_page_write" 2 ], 12);
+      (Replicated repl, [ Fault.crash_at "repl.ship.batch" 3 ], 12);
       ( Detach { repl with replicas = 1 },
-        [ Fault.crash_at "tc.commit.after_force" 3 ] );
-      (Front 2, [ Fault.crash_with_prob "transport.frame.corrupt" 0.05 ]);
-      (Indexed 2, [ Fault.crash_at "dc.smo.split.mid" 1 ]);
-      (Branch 2, [ Fault.crash_at "dc.flush.before_page_write" 1 ]);
+        [ Fault.crash_at "tc.commit.after_force" 3 ],
+        12 );
+      (Front 2, [ Fault.crash_with_prob "transport.frame.corrupt" 0.05 ], 12);
+      (Indexed 2, [ Fault.crash_at "dc.smo.split.mid" 1 ], 12);
+      (Branch 2, [ Fault.crash_at "dc.flush.before_page_write" 1 ], 16);
     ]
 
 let test_lossy_resend_completes () =
@@ -211,6 +214,29 @@ let test_redo_window_watermark_race () =
       ("wal.dc.force.mid@1", [ Fault.crash_at "wal.dc.force.mid" 1 ], 24068);
     ]
 
+let test_escalated_reset_holds_marks () =
+  (* Regression: a TC kill whose reset escalates to a complete DC
+     restart loses the surviving TC's cached work, and that TC learned
+     so only when its redo began.  A low-water mark it pushed in between
+     (even from its redo to the other restarted DC) reached the rebuilt
+     DC; a page the survivor had not written since started the
+     survivor's abstract LSN at that mark on its first redone write, and
+     absorbed the version commit after it — committed versions kept
+     their before-images.  These seeds escalated and lost commits
+     before the DC held the other TCs' marks until their redo fence. *)
+  List.iter
+    (fun seed ->
+      let c =
+        Chaos.run_cycle ~shape:(Front 2) ~label:"tc-kill@mid" ~plan:[] ~seed
+          ~txns:24 ()
+      in
+      check_clean c;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed=%d: a DC escalated" seed)
+        true
+        (counter c "deploy.escalation_redo" > 0))
+    [ 60010; 60025; 60040; 60042; 60055; 60057; 60070; 62010 ]
+
 let test_partitioned_reproducible () =
   let run () =
     Chaos.run_cycle ~shape:(Partitioned 3) ~label:"repro-part" ~seed:9
@@ -265,4 +291,6 @@ let suite =
       test_partitioned_reproducible;
     Alcotest.test_case "redo-window watermark race stays fixed" `Quick
       test_redo_window_watermark_race;
+    Alcotest.test_case "an escalated TC reset holds the survivors' marks"
+      `Quick test_escalated_reset_holds_marks;
   ]

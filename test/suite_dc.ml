@@ -67,9 +67,18 @@ let test_duplicate_preserves_reply () =
   let r = update 2 "k" "v1" in
   let rep1 = Dc.perform dc r in
   let rep2 = Dc.perform dc r in
-  Alcotest.(check (option string)) "prior on first" (Some "v0") rep1.Wire.prior;
-  Alcotest.(check (option string)) "memoized prior on resend" (Some "v0")
-    rep2.Wire.prior;
+  Alcotest.(check bool) "done on first" true (rep1.Wire.result = Wire.Done);
+  Alcotest.(check bool) "same result on resend" true
+    (rep2.Wire.result = rep1.Wire.result);
+  (* A write that failed: its duplicate gets the same failure back. *)
+  let bad = insert 3 "k" "v2" in
+  let rep3 = Dc.perform dc bad in
+  let rep4 = Dc.perform dc bad in
+  Alcotest.(check bool) "failed on first" true
+    (rep3.Wire.result = Wire.Failed "duplicate key");
+  Alcotest.(check bool) "same failure on resend" true
+    (rep4.Wire.result = rep3.Wire.result);
+  Alcotest.(check int) "both resends absorbed" 2 (Dc.dup_absorbed dc);
   Alcotest.(check (option string)) "not double-applied" (Some "v1")
     (value_of dc (read "k"))
 
@@ -469,17 +478,19 @@ let test_split_write_marks_final_page () =
     if i > l then Alcotest.fail "no update split its leaf";
     let before = Dc.splits dc in
     let key = Printf.sprintf "k%04d" i in
-    ignore (Dc.perform dc (update (l + i) key grown));
-    if Dc.splits dc = before then update_until_split (i + 1) else (l + i, key)
+    let rep = Dc.perform dc (update (l + i) key grown) in
+    if Dc.splits dc = before then update_until_split (i + 1)
+    else (l + i, key, rep.Wire.result)
   in
-  let u, key = update_until_split 1 in
+  let u, key, result = update_until_split 1 in
   Alcotest.(check bool) "update marked on the page holding its key" true
     (marked_on_holder dc "t" key u);
   let dups = Dc.dup_absorbed dc in
   let rep = Dc.perform dc (update u key grown) in
   Alcotest.(check int) "resent update absorbed" (dups + 1) (Dc.dup_absorbed dc);
-  Alcotest.(check (option string)) "resend replays the memoized prior"
-    (Some "vvvv") rep.Wire.prior;
+  Alcotest.(check bool) "the update was done" true (result = Wire.Done);
+  Alcotest.(check bool) "resend replays the original result" true
+    (rep.Wire.result = result);
   Alcotest.(check (option string)) "applied once" (Some grown)
     (value_of dc (read key));
   check_ok dc
@@ -606,7 +617,7 @@ let deliver dc ops =
       Alcotest.(check int) "reply for the batch's tc" 1 (Tc_id.to_int tc);
       Alcotest.(check (list int)) "one outcome per op, in order"
         (List.map (fun (l, _) -> Lsn.to_int l) ops)
-        (List.map (fun (l, _, _) -> Lsn.to_int l) outcomes);
+        (List.map (fun (l, _) -> Lsn.to_int l) outcomes);
       outcomes
     | Wire.Reply _ -> Alcotest.fail "a batch answered with a single reply")
 
@@ -643,6 +654,96 @@ let test_batch_half_applied () =
   Alcotest.(check bool) "same outcomes as one delivery" true (outcomes = expected);
   check_ok dc
 
+(* The binary record cell, byte for byte: one record of each
+   before-kind and a tombstone, then cells the encoder never writes. *)
+let test_record_cell_golden () =
+  let record ?(deleted = false) ?(before = Stored_record.Absent) writer wlsn
+      value =
+    { Stored_record.value; deleted; before; writer = Tc_id.of_int writer;
+      wlsn = lsn wlsn }
+  in
+  List.iter
+    (fun (name, r, cell) ->
+      Alcotest.(check string) (name ^ ": encoded") cell (Stored_record.encode r);
+      Alcotest.(check bool) (name ^ ": decoded") true
+        (Stored_record.decode cell = r);
+      Alcotest.(check int) (name ^ ": size") (String.length cell)
+        (Stored_record.encoded_size r))
+    [
+      ("absent", record 1 300 "v", "\x00\x01\xac\x02\x01v");
+      ( "null before",
+        record ~before:Stored_record.Null_before 2 5 "new",
+        "\x02\x02\x05\x03new" );
+      ( "value before",
+        record ~before:(Stored_record.Value_before "old") 3 127 "cur",
+        "\x04\x03\x7f\x03curold" );
+      ( "tombstone",
+        record ~deleted:true ~before:(Stored_record.Value_before "gone") 1 128
+          "gone",
+        "\x05\x01\x80\x01\x04gonegone" );
+    ];
+  Alcotest.(check int) "a 16-byte value makes a 21-byte cell" 21
+    (String.length (Stored_record.encode (record 1 1234 (String.make 16 'v'))));
+  List.iter
+    (fun (what, cell) ->
+      match Stored_record.decode cell with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "decoded %s" what)
+    [
+      ("an empty cell", "");
+      ("an unknown flag bit", "\x08\x01\x01\x01v");
+      ("before-kind 3", "\x06\x01\x01\x01v");
+      ("a before-value on an absent cell", "\x00\x01\x01\x01vx");
+      ("a before-value on a null-before cell", "\x02\x01\x01\x01vx");
+      ("an overlong writer", "\x00\x81\x00\x01\x01v");
+      ("an overlong value length", "\x00\x01\x01\x81\x00v");
+      ("a value past the cell", "\x00\x01\x01\x02v");
+      ("a header cut short", "\x00\x01\x80");
+    ]
+
+(* A TC reset that escalates to a complete DC restart loses the other
+   TCs' cached work, and they learn so only when their redo begins.  A
+   low-water mark one of them pushes in between claims operations the
+   DC lost: held until that TC's redo fence, it cannot make the redo of
+   an insert start the page's abstract LSN at the mark and absorb the
+   version commit that follows it. *)
+let test_escalation_holds_other_lwm () =
+  let dc =
+    Dc.create
+      {
+        Dc.page_capacity = 256;
+        cache_pages = 64;
+        sync_policy = Dc.Full_ablsn;
+        tc_reset_mode = Dc.Complete;
+        debug_checks = true;
+      }
+  in
+  Dc.create_table dc ~name:"vt" ~versioned:true;
+  let tc2 = Tc_id.of_int 2 in
+  let ctl c = ignore (Dc.control dc c) in
+  let insert_k () = insert ~tc:tc2 ~table:"vt" 2 "k" "v" in
+  let commit_k () =
+    req ~tc:tc2 5 (Op.Commit_versions { table = "vt"; keys = [ "k" ] })
+  in
+  ignore (Dc.perform dc (insert_k ()));
+  ignore (Dc.perform dc (commit_k ()));
+  ctl (Wire.Watermarks { tc = tc2; eosl = lsn 5; lwm = lsn 1 });
+  ctl (Wire.Restart_begin { tc = tc1; stable_lsn = lsn 0 });
+  Alcotest.(check bool) "the reset escalated" true (Dc.take_escalation dc);
+  ctl (Wire.Restart_end { tc = tc1 });
+  ctl (Wire.Low_water_mark { tc = tc2; lwm = lsn 5 });
+  let dups = Dc.dup_absorbed dc in
+  ctl (Wire.Redo_fence_begin { tc = tc2 });
+  ignore (Dc.perform dc (insert_k ()));
+  ignore (Dc.perform dc (commit_k ()));
+  ctl (Wire.Redo_fence_end { tc = tc2 });
+  Alcotest.(check int) "both redone, none absorbed" dups (Dc.dup_absorbed dc);
+  match List.assoc_opt "k" (Dc.dump_table dc "vt") with
+  | None -> Alcotest.fail "the redone insert is missing"
+  | Some r ->
+    Alcotest.(check bool) "the version is committed" true
+      (r.Stored_record.before = Stored_record.Absent)
+
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
 let suite =
@@ -674,4 +775,8 @@ let suite =
         test_batch_delivered_twice;
       Alcotest.test_case "a half-applied redo batch applies the rest" `Quick
         test_batch_half_applied;
+      Alcotest.test_case "record cells byte for byte" `Quick
+        test_record_cell_golden;
+      Alcotest.test_case "an escalated reset holds the other TCs' marks" `Quick
+        test_escalation_holds_other_lwm;
     ]

@@ -34,7 +34,7 @@ let echo_data frame =
   Some
     (Wire.encode_reply
        (Wire.Reply
-          { Wire.tc = r.Wire.tc; lsn = r.Wire.lsn; result = Wire.Done; prior = None }))
+          { Wire.tc = r.Wire.tc; lsn = r.Wire.lsn; result = Wire.Done }))
 
 let echo_control frame =
   let m = Wire.decode_control frame in

@@ -145,6 +145,48 @@ let test_instrument () =
   Instrument.reset i;
   Alcotest.(check int) "after reset" 0 (Instrument.get i "a")
 
+(* Varints: the byte forms at each length boundary, and the forms the
+   writer never produces. *)
+let test_codec_varints () =
+  let bytes_of n =
+    let b = Bytes.create (Codec.varint_length n) in
+    Alcotest.(check int) "write fills varint_length" (Bytes.length b)
+      (Codec.write_varint n b 0);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (n, s) ->
+      Alcotest.(check string) (Printf.sprintf "varint %d" n) s (bytes_of n);
+      Alcotest.(check int) (Printf.sprintf "read %d" n) n (Codec.read_varint s 0))
+    [
+      (0, "\x00"); (1, "\x01"); (127, "\x7f"); (128, "\x80\x01");
+      (300, "\xac\x02"); (16383, "\xff\x7f"); (16384, "\x80\x80\x01");
+      (max_int, "\xff\xff\xff\xff\xff\xff\xff\xff\x3f");
+    ];
+  Alcotest.(check int) "read at an offset" 300 (Codec.read_varint "x\xac\x02" 1);
+  List.iter
+    (fun s ->
+      match Codec.read_varint s 0 with
+      | exception Invalid_argument _ -> ()
+      | n -> Alcotest.failf "read_varint accepted %S as %d" s n)
+    [
+      ""; "\x80"; "\xff\xff";
+      (* overlong: each would re-encode shorter *)
+      "\x80\x00"; "\x81\x00"; "\xff\x80\x00";
+      (* beyond max_int, and a tenth byte *)
+      "\xff\xff\xff\xff\xff\xff\xff\xff\x40";
+      "\xff\xff\xff\xff\xff\xff\xff\xff\x80\x01";
+    ];
+  List.iter
+    (fun f ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a negative varint was written")
+    [
+      (fun () -> Codec.varint_length (-1));
+      (fun () -> Codec.write_varint min_int (Bytes.create 16) 0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "lsn ordering" `Quick test_lsn_order;
@@ -159,4 +201,5 @@ let suite =
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "instrument counters" `Quick test_instrument;
+    Alcotest.test_case "codec varints" `Quick test_codec_varints;
   ]

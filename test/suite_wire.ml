@@ -91,13 +91,12 @@ let gen_reply =
   Gen.(
     gen_tc >>= fun tc ->
     gen_lsn >>= fun lsn ->
-    gen_result >>= fun result ->
-    opt gen_str >>= fun prior -> return { Wire.tc; lsn; result; prior })
+    gen_result >>= fun result -> return { Wire.tc; lsn; result })
 
 let gen_batch_reply_of n =
   Gen.(
     gen_tc >>= fun tc ->
-    list_repeat n (triple gen_lsn gen_result (opt gen_str)) >>= fun outcomes ->
+    list_repeat n (pair gen_lsn gen_result) >>= fun outcomes ->
     return (Wire.Redo_batch_reply { tc; outcomes }))
 
 let gen_batch_reply = Gen.(gen_batch_size >>= gen_batch_reply_of)
@@ -346,9 +345,11 @@ let prop_kind_separation =
 (* --- golden frames ------------------------------------------------- *)
 
 (* One frame of each kind, as hex, captured from the Buffer and
-   string_of_int encoder this codec replaced.  Field lengths cross the
-   9/10 and 99/100 digit boundaries, one field is empty, and two frames
-   carry trace ids.  The wire format must not move by a byte. *)
+   string_of_int encoder this codec replaced; the two reply frames were
+   re-derived when replies dropped their prior value.  Field lengths
+   cross the 9/10 and 99/100 digit boundaries, one field is empty, and
+   two frames carry trace ids.  The wire format must not move by a
+   byte. *)
 
 let of_hex h =
   String.init (String.length h / 2) (fun i ->
@@ -379,18 +380,17 @@ let golden =
     ( "reply with pairs",
       String.concat ""
         [
-          "520000004d00000088313a33343a31323335343a2b6f6c64313a50313a61";
-          "313a31323a6262303a303a3130303a787878787878787878787878787878";
+          "520000004d00000082313a33343a31323335313a50313a61313a31323a62";
+          "62303a303a3130303a787878787878787878787878787878787878787878";
           "787878787878787878787878787878787878787878787878787878787878";
           "787878787878787878787878787878787878787878787878787878787878";
-          "78787878787878787878787878787878787878787878787878a8f0dbd3"
+          "78787878787878787878787878787878787878ae382625"
         ],
       Wire.encode_reply ~tid:77
         (Wire.Reply
            {
              Wire.tc = tc 3;
              lsn = lsn 1235;
-             prior = Some "old";
              result =
                Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
            }),
@@ -415,14 +415,12 @@ let golden =
                ];
            }),
       fun s -> Wire.encode_request ~tid:9 (Wire.decode_request s) );
-    (* "B", tc 3, then (lsn, field count, prior, result fields)
-       twice. *)
+    (* "B", tc 3, then (lsn, field count, result fields) twice. *)
     ( "redo batch reply",
       String.concat ""
         [
-          "520000000900000032313a42313a33323a3431313a32353a2b763a343031";
-          "3a44323a3432313a33313a2d313a4631313a6e6f2073756368206b6579fd";
-          "c91b1e"
+          "520000000900000028313a42313a33323a3431313a31313a44323a343231";
+          "3a32313a4631313a6e6f2073756368206b65792010367a"
         ],
       Wire.encode_reply ~tid:9
         (Wire.Redo_batch_reply
@@ -430,8 +428,8 @@ let golden =
              tc = tc 3;
              outcomes =
                [
-                 (lsn 41, Wire.Done, Some "v:40");
-                 (lsn 42, Wire.Failed "no such key", None);
+                 (lsn 41, Wire.Done);
+                 (lsn 42, Wire.Failed "no such key");
                ];
            }),
       fun s -> Wire.encode_reply ~tid:9 (Wire.decode_reply s) );
@@ -556,7 +554,7 @@ let test_noncanonical_int_field () =
    a form the encoder never writes. *)
 let test_bad_batch_payloads () =
   let batch = [ "B"; "7"; "0"; "5"; "3"; "D"; "kv"; "k" ] in
-  let reply = [ "B"; "7"; "5"; "2"; "-"; "D" ] in
+  let reply = [ "B"; "7"; "5"; "1"; "D" ] in
   Alcotest.(check bool) "the canonical batch decodes" true
     (Wire.decode_request (hand_frame batch)
     = Wire.Redo_batch
@@ -567,7 +565,7 @@ let test_bad_batch_payloads () =
         });
   Alcotest.(check bool) "the canonical batch reply decodes" true
     (Wire.decode_reply (hand_frame ~kind:"R" reply)
-    = Wire.Redo_batch_reply { tc = tc 7; outcomes = [ (lsn 5, Wire.Done, None) ] });
+    = Wire.Redo_batch_reply { tc = tc 7; outcomes = [ (lsn 5, Wire.Done) ] });
   let rejected what decode frame =
     Alcotest.(check bool) (what ^ ": frame checks out") true (Wire.frame_ok frame);
     match decode frame with
@@ -588,12 +586,12 @@ let test_bad_batch_payloads () =
   request "non-canonical part" [ "B"; "7"; "+0"; "5"; "3"; "D"; "kv"; "k" ];
   request "second entry cut short" (batch @ [ "6"; "3"; "D"; "kv" ]);
   reply_ "outcome without count" [ "B"; "7"; "5" ];
-  reply_ "outcome count beyond the payload" [ "B"; "7"; "5"; "3"; "-"; "D" ];
-  reply_ "outcome count with a leading zero" [ "B"; "7"; "5"; "02"; "-"; "D" ];
-  reply_ "outcome with a bad prior" [ "B"; "7"; "5"; "2"; "x"; "D" ];
-  reply_ "outcome with an empty result" [ "B"; "7"; "5"; "1"; "-" ];
+  reply_ "outcome count beyond the payload" [ "B"; "7"; "5"; "2"; "D" ];
+  reply_ "outcome count with a leading zero" [ "B"; "7"; "5"; "01"; "D" ];
+  reply_ "outcome with a bad result tag" [ "B"; "7"; "5"; "1"; "x" ];
+  reply_ "outcome with a result cut short" [ "B"; "7"; "5"; "1"; "V" ];
   reply_ "outcome with no fields" [ "B"; "7"; "5"; "0" ];
-  reply_ "second outcome cut short" (reply @ [ "6"; "2"; "-" ]);
+  reply_ "second outcome cut short" (reply @ [ "6"; "2"; "D" ]);
   (* every proper prefix of a batch frame's bytes is rejected *)
   let bytes = hand_frame batch in
   for cut = 0 to String.length bytes - 1 do
