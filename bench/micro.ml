@@ -318,6 +318,21 @@ let scan_reply =
                (key_of (100 + i), Printf.sprintf "value-%04d" i)));
     }
 
+(* A redo batch of [Tc.redo_batch_cap] logged writes, as a restarted DC
+   receives them. *)
+let redo_batch =
+  Wire.Redo_batch
+    {
+      tc = tc1;
+      part = 0;
+      ops =
+        List.init Untx_tc.Tc.redo_batch_cap (fun i ->
+            let key = key_of (i * 7) in
+            ( Lsn.of_int (123_456 + i),
+              if i mod 4 = 0 then Op.Update { table = "kv"; key; value = "w" }
+              else Op.Insert { table = "kv"; key; value = "v" } ));
+    }
+
 let record =
   {
     Stored_record.value = "value-0042";
@@ -328,11 +343,14 @@ let record =
   }
 
 (* Minor-heap words one call allocates: exact and independent of
-   machine speed.  Each ceiling sits below what the Buffer and
-   string_of_int encoder allocated for the same fixture (86, 436 and 62
-   words), so a return to it fails here.  The record's ceilings sit below
-   what its text cell cost, 29 words to encode and 22 to decode, against
-   one 26-byte binary cell now. *)
+   machine speed.  The wire's binary frames encode the update request in
+   7 words (the frame itself) and the scan reply in 30, and decode the
+   request in 23; a 64-op redo batch's encode and decode take 1252.  The
+   decimal-text field lists they replaced took 36, 108, 63 and 3163, and
+   the Buffer and string_of_int encoder before those took 86 and 436 to
+   encode.  The record's ceilings sit below what its text cell cost, 29
+   words to encode and 22 to decode, against one 26-byte binary cell
+   now. *)
 let words_per_op f =
   let n = 10_000 in
   let before = Gc.minor_words () in
@@ -424,12 +442,21 @@ let gate_redo_alloc () =
 
 let gate_codec_alloc () =
   let req =
-    alloc_line "Wire: encode update request, words" ~ceiling:60. (fun () ->
+    alloc_line "Wire: encode update request, words" ~ceiling:8. (fun () ->
         Wire.encode_request update_req)
   in
   let rep =
-    alloc_line "Wire: encode 10-pair scan reply, words" ~ceiling:260.
+    alloc_line "Wire: encode 10-pair scan reply, words" ~ceiling:32.
       (fun () -> Wire.encode_reply scan_reply)
+  in
+  let req_bytes = Wire.encode_request update_req in
+  let req_dec =
+    alloc_line "Wire: decode update request, words" ~ceiling:25. (fun () ->
+        Wire.decode_request req_bytes)
+  in
+  let batch =
+    alloc_line "Wire: encode + decode 64-op redo batch, words" ~ceiling:1_300.
+      (fun () -> Wire.decode_request (Wire.encode_request redo_batch))
   in
   let rcd =
     alloc_line "Stored_record: encode, words" ~ceiling:8. (fun () ->
@@ -440,11 +467,14 @@ let gate_codec_alloc () =
     alloc_line "Stored_record: decode, words" ~ceiling:16. (fun () ->
         Stored_record.decode cell)
   in
-  req && rep && rcd && rcd_dec
+  req && rep && req_dec && batch && rcd && rcd_dec
 
 (* Frame encode and decode.  As for DC apply, each ceiling is ~5x the
-   cost measured on a 2-core x86 container (0.5-1.8 us); the Buffer and
-   string_of_int encoder took 3.5x as long to encode there. *)
+   cost measured on a 2-core x86 container: 0.11-0.24 us for the update
+   request either way, 0.60-1.05 us to encode the scan reply and
+   0.70-1.26 us to decode it.  The decimal-text field lists took
+   0.22-0.60, 0.83-1.73 and 0.90-1.8 us in the same runs, and the Buffer
+   and string_of_int encoder before them 3.5x as long to encode. *)
 let gate_codec_ns () =
   let req_bytes = Wire.encode_request update_req in
   let rep_bytes = Wire.encode_reply scan_reply in
@@ -453,19 +483,19 @@ let gate_codec_ns () =
     gate_line name ns ~ceiling
   in
   let enc_req =
-    line "Wire: encode update request" ~ceiling:2_500. (fun () ->
+    line "Wire: encode update request" ~ceiling:1_000. (fun () ->
         Wire.encode_request update_req)
   in
   let dec_req =
-    line "Wire: decode update request" ~ceiling:2_500. (fun () ->
+    line "Wire: decode update request" ~ceiling:1_000. (fun () ->
         Wire.decode_request req_bytes)
   in
   let enc_rep =
-    line "Wire: encode 10-pair scan reply" ~ceiling:7_500. (fun () ->
+    line "Wire: encode 10-pair scan reply" ~ceiling:4_000. (fun () ->
         Wire.encode_reply scan_reply)
   in
   let dec_rep =
-    line "Wire: decode 10-pair scan reply" ~ceiling:9_000. (fun () ->
+    line "Wire: decode 10-pair scan reply" ~ceiling:5_000. (fun () ->
         Wire.decode_reply rep_bytes)
   in
   enc_req && dec_req && enc_rep && dec_rep

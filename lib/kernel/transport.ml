@@ -36,6 +36,8 @@ type cells = {
   c_control_bytes : int ref;
   c_repl_bytes : int ref;
   c_delivered : int ref;
+  c_control_delivered : int ref;
+  c_repl_delivered : int ref;
   c_batches : int ref;
   c_batched_frames : int ref;
   l_data_bytes : int ref;
@@ -56,6 +58,8 @@ let cells_for counters label =
     c_control_bytes = cell "control_bytes";
     c_repl_bytes = cell "repl_bytes";
     c_delivered = cell "delivered";
+    c_control_delivered = cell "control_delivered";
+    c_repl_delivered = cell "repl_delivered";
     c_batches = cell "batches";
     c_batched_frames = cell "batched_frames";
     l_data_bytes = labeled "data_bytes";
@@ -293,7 +297,7 @@ let deliver_requests t =
       match receive t item.frame with
       | None -> ()
       | Some frame -> (
-        Instrument.bump t.counters "transport.control_delivered";
+        incr t.cells.c_control_delivered;
         trace_event t Control `Req "recv" frame;
         match t.control_handler frame with
         | None -> ()
@@ -307,7 +311,7 @@ let deliver_requests t =
       match receive t item.frame with
       | None -> ()
       | Some frame -> (
-        Instrument.bump t.counters "transport.repl_delivered";
+        incr t.cells.c_repl_delivered;
         trace_event t Repl `Req "recv" frame;
         match t.repl_handler frame with
         | None -> ()

@@ -1,5 +1,3 @@
-module Codec = Untx_util.Codec
-
 type key = string
 
 type value = string
@@ -41,7 +39,8 @@ let footprint = function
 
 let overlap a b =
   match (footprint a, footprint b) with
-  | `Points ka, `Points kb -> List.exists (fun k -> List.mem k kb) ka
+  | `Points ka, `Points kb ->
+    List.exists (fun k -> List.exists (String.equal k) kb) ka
   | `Range _, `Range _ -> true
   | `Range from_key, `Points keys | `Points keys, `Range from_key ->
     List.exists (fun k -> String.compare k from_key >= 0) keys
@@ -73,49 +72,6 @@ let pp ppf = function
     Format.fprintf ppf "commit-versions %s (%d keys)" table (List.length keys)
   | Abort_versions { table; keys } ->
     Format.fprintf ppf "abort-versions %s (%d keys)" table (List.length keys)
-
-(* Field-list serialization, used by the wire codec.  A one-character
-   tag picks the constructor; every other field is an arbitrary byte
-   string (the surrounding codec length-prefixes them). *)
-
-let mode_tag = function Own -> "o" | Committed -> "c" | Dirty -> "d"
-
-let mode_of_tag = function
-  | "o" -> Own
-  | "c" -> Committed
-  | "d" -> Dirty
-  | _ -> invalid_arg "Op.of_fields: bad read mode"
-
-let int_of_field f =
-  match Codec.decode_int f with
-  | i when i >= 0 -> i
-  | _ | (exception Invalid_argument _) ->
-    invalid_arg "Op.of_fields: bad int field"
-
-let to_fields = function
-  | Insert { table; key; value } -> [ "I"; table; key; value ]
-  | Update { table; key; value } -> [ "U"; table; key; value ]
-  | Delete { table; key } -> [ "D"; table; key ]
-  | Read { table; key; mode } -> [ "R"; table; key; mode_tag mode ]
-  | Scan { table; from_key; limit; mode } ->
-    [ "S"; table; from_key; Codec.encode_int limit; mode_tag mode ]
-  | Probe { table; from_key; limit } ->
-    [ "P"; table; from_key; Codec.encode_int limit ]
-  | Commit_versions { table; keys } -> "V" :: table :: keys
-  | Abort_versions { table; keys } -> "A" :: table :: keys
-
-let of_fields = function
-  | [ "I"; table; key; value ] -> Insert { table; key; value }
-  | [ "U"; table; key; value ] -> Update { table; key; value }
-  | [ "D"; table; key ] -> Delete { table; key }
-  | [ "R"; table; key; m ] -> Read { table; key; mode = mode_of_tag m }
-  | [ "S"; table; from_key; limit; m ] ->
-    Scan { table; from_key; limit = int_of_field limit; mode = mode_of_tag m }
-  | [ "P"; table; from_key; limit ] ->
-    Probe { table; from_key; limit = int_of_field limit }
-  | "V" :: table :: keys -> Commit_versions { table; keys }
-  | "A" :: table :: keys -> Abort_versions { table; keys }
-  | _ -> invalid_arg "Op.of_fields: bad operation"
 
 let size op =
   let base = 16 in

@@ -41,12 +41,5 @@ val conflicts : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val to_fields : t -> string list
-(** Serialize to a field list for the wire codec: a constructor tag
-    followed by the payload fields.  [of_fields (to_fields op) = op]. *)
-
-val of_fields : string list -> t
-(** Raises [Invalid_argument] on any malformed field list. *)
-
 val size : t -> int
 (** Encoded size in bytes, for log-volume accounting. *)

@@ -96,11 +96,17 @@ let control_tc = function
 
    Layout: 1 kind byte, 4-byte big-endian trace id, 4-byte big-endian
    payload length, payload, 4-byte big-endian FNV-1a checksum over
-   everything before it.  The payload is a {!Untx_util.Codec} field
-   list, so the whole frame is binary-safe and self-delimiting; any
-   mutation — including one that lands on the trace id — is caught by
-   the structure checks or the checksum and surfaces as
-   [Invalid_argument].  Trace id 0 means "untraced". *)
+   everything before it.  Trace id 0 means "untraced".  Any mutation —
+   including one that lands on the trace id — is caught by the
+   structure checks or the checksum and surfaces as [Invalid_argument].
+
+   The payload is binary (wire.mli lists every layout): integers are
+   {!Codec} varints, strings a varint length then their bytes, lists a
+   varint count then their elements, and each constructor one tag byte.
+   Every encoder sizes its payload first and writes it straight into
+   the frame; every decoder reads the fields where they sit and accepts
+   exactly what the encoder writes, so a frame that decodes re-encodes
+   to its own bytes. *)
 
 let header_len = 9
 
@@ -112,22 +118,35 @@ let trailer_len = 4
    local reference in a register), which saves the tagging arithmetic a
    tagged int pays per byte, and is reduced to 32 bits once at the end:
    the low 32 bits of an xor and a product depend only on the low 32
-   bits of their operands. *)
+   bits of their operands.  Each byte's xor and multiply wait on the
+   previous byte's, so the loop takes four bytes a turn to keep its own
+   counting and polling off that chain. *)
+let[@inline] fnv_byte h b i =
+  Int64.mul
+    (Int64.logxor h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+    0x01000193L
+
 let fnv32 b lo hi =
-  let h = ref 0x811c9dc5L in
-  for i = lo to hi - 1 do
+  let h = ref 0x811c9dc5L and i = ref lo in
+  while !i + 4 <= hi do
+    let j = !i in
     h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
-        0x01000193L
+      fnv_byte
+        (fnv_byte (fnv_byte (fnv_byte !h b j) b (j + 1)) b (j + 2))
+        b (j + 3);
+    i := j + 4
+  done;
+  for j = !i to hi - 1 do
+    h := fnv_byte !h b j
   done;
   Int64.to_int !h land 0xFFFFFFFF
 
+(* Only ever at offsets inside the frame [open_frame] sized. *)
 let put_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
+  Bytes.unsafe_set b off (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (v land 0xff))
 
 let get_u32 s off =
   (Char.code s.[off] lsl 24)
@@ -135,400 +154,527 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-(* The payload is encoded straight into the frame, between header and
-   trailer: [open_frame] makes the frame with its header, the caller
-   writes the [len]-byte payload from [header_len], [seal] adds the
+(* [open_frame] makes a frame with its header, the caller writes the
+   [len]-byte payload from [header_len], and [seal] checks that it ended
+   at [pos] — where the payload's sizing said it would — and adds the
    checksum. *)
 let open_frame ?(tid = 0) kind len =
   let b = Bytes.create (header_len + len + trailer_len) in
-  Bytes.set b 0 kind;
+  Bytes.unsafe_set b 0 kind;
   put_u32 b 1 (tid land 0xFFFFFFFF);
   put_u32 b 5 len;
   b
 
-let seal b len =
-  put_u32 b (header_len + len) (fnv32 b 0 (header_len + len));
+let seal b len pos =
+  assert (pos = header_len + len);
+  put_u32 b pos (fnv32 b 0 pos);
   Bytes.unsafe_to_string b
 
-let frame ?tid kind fields =
-  let len = Codec.encoded_length fields in
-  let b = open_frame ?tid kind len in
-  ignore (Codec.write fields b header_len);
-  seal b len
-
-(* The frame's kind if its shape holds — and, with [verify], its
-   checksum too.  Only a frame that already passed [frame_ok] may skip
-   the checksum. *)
-let frame_kind ~verify s =
+(* The payload length of [s] if its shape holds and its kind is [kind]
+   — and, with [verify], its checksum too; [-1] otherwise.  Only a frame
+   that already passed [frame_ok] may skip the checksum. *)
+let checked_len ~verify kind s =
   let n = String.length s in
-  if n < header_len + trailer_len then None
+  if n < header_len + trailer_len then -1
   else
     let len = get_u32 s 5 in
-    if n <> header_len + len + trailer_len then None
+    if n <> header_len + len + trailer_len || String.unsafe_get s 0 <> kind
+    then -1
     else if
       verify
       && get_u32 s (header_len + len)
          <> fnv32 (Bytes.unsafe_of_string s) 0 (header_len + len)
-    then
-      None
-    else
-      match s.[0] with
-      | 'Q' -> Some `Request
-      | 'R' -> Some `Reply
-      | 'C' -> Some `Control
-      | 'K' -> Some `Control_reply
-      | 'S' -> Some `Repl
-      | 'T' -> Some `Repl_reply
-      | _ -> None
+    then -1
+    else len
 
-let frame_ok s = frame_kind ~verify:true s <> None
+let frame_ok s =
+  String.length s > 0
+  &&
+  match s.[0] with
+  | ('Q' | 'R' | 'C' | 'K' | 'S' | 'T') as kind ->
+    checked_len ~verify:true kind s >= 0
+  | _ -> false
 
 (* Validates the whole frame first: a corrupted trace id fails the
    checksum and reads as 0 ("untraced") rather than as some other
    operation's id. *)
 let frame_tid s = if frame_ok s then get_u32 s 1 else 0
 
-(* The payload length of a frame of [kind]. *)
-let payload_len ~verify kind s =
-  match frame_kind ~verify s with
-  | Some k when k = kind -> get_u32 s 5
-  | _ -> invalid_arg "Wire: bad frame"
+let fail what = invalid_arg ("Wire: " ^ what)
 
-(* The payload's fields, decoded in place from the frame. *)
-let unframe ~verify kind s =
-  Codec.decode_sub s ~pos:header_len ~len:(payload_len ~verify kind s)
+(* A reader over the payload of a frame of [kind]. *)
+let payload ~verify kind s =
+  let len = checked_len ~verify kind s in
+  if len < 0 then fail "bad frame";
+  Codec.reader_sub s ~pos:header_len ~len
 
-(* A data frame's payload: a redo batch's, read field by field where it
-   sits after its "B" tag, or a single request's or reply's field list
-   (which opens with its tc, an integer field). *)
-let unframe_data ~verify kind s =
-  let len = payload_len ~verify kind s in
-  if
-    len >= 3
-    && s.[header_len] = '1'
-    && s.[header_len + 1] = ':'
-    && s.[header_len + 2] = 'B'
-  then `Batch (Codec.reader_sub s ~pos:(header_len + 3) ~len:(len - 3))
-  else `Fields (Codec.decode_sub s ~pos:header_len ~len)
+(* Every byte of the payload belongs to some field. *)
+let finish r v = if Codec.at_end r then v else fail "trailing bytes"
 
-(* ---- field helpers ---- *)
+(* ---- writing fields ----
 
-let int_field = Codec.encode_int
+   Each [*_length] sizes what the matching [write_*] writes; a writer
+   takes the frame and a position and returns the position after what
+   it wrote. *)
 
-let int_of_field f =
-  match Codec.decode_int f with
-  | i when i >= 0 -> i
-  | _ | (exception Invalid_argument _) -> invalid_arg "Wire: bad int field"
+let nat_length = Codec.varint_length
 
-let lsn_of_field f = Lsn.of_int (int_of_field f)
+let str_length = Codec.string_length
 
-let tc_of_field f = Tc_id.of_int (int_of_field f)
+let write_nat = Codec.write_varint
 
-let read_nat r =
-  match Codec.read_int r with
-  | i when i >= 0 -> i
-  | _ -> invalid_arg "Wire: bad int field"
+let lsn_length l = nat_length (Lsn.to_int l)
 
-let read_lsn r = Lsn.of_int (read_nat r)
+let write_lsn l b pos = write_nat (Lsn.to_int l) b pos
 
-(* The next [n] fields, in order. *)
-let[@tail_mod_cons] rec read_fields r n =
+let tc_length tc = nat_length (Tc_id.to_int tc)
+
+let write_tc tc b pos = write_nat (Tc_id.to_int tc) b pos
+
+let write_str = Codec.write_string
+
+let write_tag c b pos =
+  Bytes.unsafe_set b pos c;
+  pos + 1
+
+let rec strs_length acc = function
+  | [] -> acc
+  | s :: tl -> strs_length (acc + str_length s) tl
+
+(* A string list: its count, then each string. *)
+let list_length ks = strs_length (nat_length (List.length ks)) ks
+
+let rec write_strs ks b pos =
+  match ks with [] -> pos | k :: tl -> write_strs tl b (write_str k b pos)
+
+let write_list ks b pos = write_strs ks b (write_nat (List.length ks) b pos)
+
+let mode_tag = function Op.Own -> 'o' | Op.Committed -> 'c' | Op.Dirty -> 'd'
+
+let op_length = function
+  | Op.Insert { table; key; value } | Op.Update { table; key; value } ->
+    1 + str_length table + str_length key + str_length value
+  | Op.Delete { table; key } -> 1 + str_length table + str_length key
+  | Op.Read { table; key; _ } -> 2 + str_length table + str_length key
+  | Op.Scan { table; from_key; limit; _ } ->
+    2 + str_length table + str_length from_key + nat_length limit
+  | Op.Probe { table; from_key; limit } ->
+    1 + str_length table + str_length from_key + nat_length limit
+  | Op.Commit_versions { table; keys } | Op.Abort_versions { table; keys } ->
+    1 + str_length table + list_length keys
+
+let write_op op b pos =
+  match op with
+  | Op.Insert { table; key; value } ->
+    let pos = write_str table b (write_tag 'I' b pos) in
+    write_str value b (write_str key b pos)
+  | Op.Update { table; key; value } ->
+    let pos = write_str table b (write_tag 'U' b pos) in
+    write_str value b (write_str key b pos)
+  | Op.Delete { table; key } ->
+    write_str key b (write_str table b (write_tag 'D' b pos))
+  | Op.Read { table; key; mode } ->
+    let pos = write_str table b (write_tag 'R' b pos) in
+    write_tag (mode_tag mode) b (write_str key b pos)
+  | Op.Scan { table; from_key; limit; mode } ->
+    let pos = write_str table b (write_tag 'S' b pos) in
+    let pos = write_nat limit b (write_str from_key b pos) in
+    write_tag (mode_tag mode) b pos
+  | Op.Probe { table; from_key; limit } ->
+    let pos = write_str table b (write_tag 'P' b pos) in
+    write_nat limit b (write_str from_key b pos)
+  | Op.Commit_versions { table; keys } ->
+    write_list keys b (write_str table b (write_tag 'V' b pos))
+  | Op.Abort_versions { table; keys } ->
+    write_list keys b (write_str table b (write_tag 'A' b pos))
+
+let rec pairs_length acc = function
+  | [] -> acc
+  | (k, v) :: tl -> pairs_length (acc + str_length k + str_length v) tl
+
+let rec write_pairs ps b pos =
+  match ps with
+  | [] -> pos
+  | (k, v) :: tl -> write_pairs tl b (write_str v b (write_str k b pos))
+
+let result_length = function
+  | Done -> 1
+  | Value None -> 2
+  | Value (Some v) -> 2 + str_length v
+  | Pairs ps -> 1 + pairs_length (nat_length (List.length ps)) ps
+  | Next_keys ks -> 1 + list_length ks
+  | Failed m -> 1 + str_length m
+
+let write_result result b pos =
+  match result with
+  | Done -> write_tag 'D' b pos
+  | Value None -> write_tag '\000' b (write_tag 'V' b pos)
+  | Value (Some v) -> write_str v b (write_tag '\001' b (write_tag 'V' b pos))
+  | Pairs ps ->
+    write_pairs ps b (write_nat (List.length ps) b (write_tag 'P' b pos))
+  | Next_keys ks -> write_list ks b (write_tag 'N' b pos)
+  | Failed m -> write_str m b (write_tag 'F' b pos)
+
+(* Batch entries — a redo batch's operations, its reply's outcomes, a
+   ship's records — are each an LSN, then the entry. *)
+let rec entries_length length acc = function
+  | [] -> acc
+  | (lsn, v) :: tl ->
+    entries_length length (acc + lsn_length lsn + length v) tl
+
+let rec write_entries write es b pos =
+  match es with
+  | [] -> pos
+  | (lsn, v) :: tl ->
+    write_entries write tl b (write v b (write_lsn lsn b pos))
+
+(* A counted entry list. *)
+let batch_length length es =
+  entries_length length (nat_length (List.length es)) es
+
+let write_batch write es b pos =
+  write_entries write es b (write_nat (List.length es) b pos)
+
+(* ---- reading fields ---- *)
+
+let read_nat = Codec.next_varint
+
+let read_lsn r = Lsn.of_int (Codec.next_varint r)
+
+let read_tc r = Tc_id.of_int (Codec.next_varint r)
+
+let read_str = Codec.next_string
+
+(* A list's count.  Every element takes at least a byte, so a count
+   beyond the bytes left is malformed. *)
+let read_count r =
+  let n = Codec.next_varint r in
+  if n > Codec.remaining r then fail "count beyond the payload";
+  n
+
+let[@tail_mod_cons] rec read_strs r n =
   if n = 0 then []
   else
-    let f = Codec.read_string r in
-    f :: read_fields r (n - 1)
+    let s = read_str r in
+    s :: read_strs r (n - 1)
 
-let opt_field = function None -> "-" | Some v -> "+" ^ v
+let read_list r = read_strs r (read_count r)
 
-let opt_of_field f =
-  if String.equal f "-" then None
-  else if String.length f >= 1 && f.[0] = '+' then
-    Some (String.sub f 1 (String.length f - 1))
-  else invalid_arg "Wire: bad option field"
+let read_mode r =
+  match Codec.next_byte r with
+  | 'o' -> Op.Own
+  | 'c' -> Op.Committed
+  | 'd' -> Op.Dirty
+  | _ -> fail "bad read mode"
 
-(* ---- requests ---- *)
+let read_op r =
+  match Codec.next_byte r with
+  | 'I' ->
+    let table = read_str r in
+    let key = read_str r in
+    let value = read_str r in
+    Op.Insert { table; key; value }
+  | 'U' ->
+    let table = read_str r in
+    let key = read_str r in
+    let value = read_str r in
+    Op.Update { table; key; value }
+  | 'D' ->
+    let table = read_str r in
+    let key = read_str r in
+    Op.Delete { table; key }
+  | 'R' ->
+    let table = read_str r in
+    let key = read_str r in
+    let mode = read_mode r in
+    Op.Read { table; key; mode }
+  | 'S' ->
+    let table = read_str r in
+    let from_key = read_str r in
+    let limit = read_nat r in
+    let mode = read_mode r in
+    Op.Scan { table; from_key; limit; mode }
+  | 'P' ->
+    let table = read_str r in
+    let from_key = read_str r in
+    let limit = read_nat r in
+    Op.Probe { table; from_key; limit }
+  | 'V' ->
+    let table = read_str r in
+    Op.Commit_versions { table; keys = read_list r }
+  | 'A' ->
+    let table = read_str r in
+    Op.Abort_versions { table; keys = read_list r }
+  | _ -> fail "bad operation"
 
-(* A single operation's payload starts with its tc, an integer; a redo
-   batch's starts with the tag "B", which no integer field can be.  Each
-   batched operation is its LSN, its field count, then its fields, so
-   the run stays one flat field list.  A batch is written straight into
-   its frame: one pass sizes it, a second writes it. *)
-let batch_tag = [ "B" ]
+let[@tail_mod_cons] rec read_pairs r n =
+  if n = 0 then []
+  else
+    let k = read_str r in
+    let v = read_str r in
+    (k, v) :: read_pairs r (n - 1)
 
-(* A batch entry: an LSN, the count of [fields], then [fields]. *)
-let entry_length lsn fields =
-  Codec.int_length (Lsn.to_int lsn)
-  + Codec.int_length (List.length fields)
-  + Codec.encoded_length fields
+let read_result r =
+  match Codec.next_byte r with
+  | 'D' -> Done
+  | 'V' -> (
+    match Codec.next_byte r with
+    | '\000' -> Value None
+    | '\001' -> Value (Some (read_str r))
+    | _ -> fail "bad option")
+  | 'P' -> Pairs (read_pairs r (read_count r))
+  | 'N' -> Next_keys (read_list r)
+  | 'F' -> Failed (read_str r)
+  | _ -> fail "bad result"
 
-let write_entry b pos lsn fields =
-  let pos = Codec.write_int (Lsn.to_int lsn) b pos in
-  let pos = Codec.write_int (List.length fields) b pos in
-  Codec.write fields b pos
+let[@tail_mod_cons] rec read_entries read r n =
+  if n = 0 then []
+  else
+    let lsn = read_lsn r in
+    let v = read r in
+    (lsn, v) :: read_entries read r (n - 1)
 
-(* A batch frame: the tag, [head] (integer fields), then one entry per
-   [(lsn, fields)] of [entries]. *)
-let batch_frame ?tid kind head entries =
-  let len =
-    List.fold_left
-      (fun acc (lsn, fields) -> acc + entry_length lsn fields)
-      (List.fold_left
-         (fun acc i -> acc + Codec.int_length i)
-         (Codec.encoded_length batch_tag) head)
-      entries
-  in
-  let b = open_frame ?tid kind len in
-  let pos = Codec.write batch_tag b header_len in
-  let pos = List.fold_left (fun pos i -> Codec.write_int i b pos) pos head in
-  ignore
-    (List.fold_left
-       (fun pos (lsn, fields) -> write_entry b pos lsn fields)
-       pos entries);
-  seal b len
+let read_batch read r = read_entries read r (read_count r)
+
+(* ---- requests and replies ----
+
+   A data payload opens with 'S' (a single request or reply) or 'B' (a
+   redo batch or its reply). *)
+
+let request_length { tc; lsn; part; op } =
+  1 + tc_length tc + lsn_length lsn + nat_length part + op_length op
 
 let encode_request ?tid = function
-  | Request { tc; lsn; part; op } ->
-    frame ?tid 'Q'
-      (int_field (Tc_id.to_int tc)
-       :: int_field (Lsn.to_int lsn)
-       :: int_field part
-       :: Op.to_fields op)
+  | Request ({ tc; lsn; part; op } as req) ->
+    let len = request_length req in
+    let b = open_frame ?tid 'Q' len in
+    let pos = write_tag 'S' b header_len in
+    let pos = write_tc tc b pos in
+    let pos = write_nat part b (write_lsn lsn b pos) in
+    seal b len (write_op op b pos)
   | Redo_batch { tc; part; ops } ->
-    batch_frame ?tid 'Q' [ Tc_id.to_int tc; part ]
-      (List.map (fun (lsn, op) -> (lsn, Op.to_fields op)) ops)
-
-(* A batch's entries: each an LSN, a field count, then that many
-   fields, parsed by [of_fields]. *)
-let[@tail_mod_cons] rec read_batch_ops r =
-  if Codec.at_end r then []
-  else
-    let lsn = read_lsn r in
-    let n = read_nat r in
-    let op = Op.of_fields (read_fields r n) in
-    (lsn, op) :: read_batch_ops r
+    let len =
+      1 + tc_length tc + nat_length part + batch_length op_length ops
+    in
+    let b = open_frame ?tid 'Q' len in
+    let pos = write_tag 'B' b header_len in
+    let pos = write_nat part b (write_tc tc b pos) in
+    seal b len (write_batch write_op ops b pos)
 
 let decode_request_from ~verify s =
-  match unframe_data ~verify `Request s with
-  | `Batch r ->
-    let tc = Tc_id.of_int (read_nat r) in
+  let r = payload ~verify 'Q' s in
+  match Codec.next_byte r with
+  | 'S' ->
+    let tc = read_tc r in
+    let lsn = read_lsn r in
     let part = read_nat r in
-    Redo_batch { tc; part; ops = read_batch_ops r }
-  | `Fields (tc :: lsn :: part :: op_fields) ->
-    Request
-      {
-        tc = tc_of_field tc;
-        lsn = lsn_of_field lsn;
-        part = int_of_field part;
-        op = Op.of_fields op_fields;
-      }
-  | `Fields _ -> invalid_arg "Wire.decode_request"
+    let op = read_op r in
+    finish r (Request { tc; lsn; part; op })
+  | 'B' ->
+    let tc = read_tc r in
+    let part = read_nat r in
+    let ops = read_batch read_op r in
+    finish r (Redo_batch { tc; part; ops })
+  | _ -> fail "bad request"
 
-(* ---- replies ---- *)
-
-let[@tail_mod_cons] rec pair_fields = function
-  | [] -> []
-  | (k, v) :: tl -> k :: v :: pair_fields tl
-
-let result_fields = function
-  | Done -> [ "D" ]
-  | Value v -> [ "V"; opt_field v ]
-  | Pairs ps -> "P" :: pair_fields ps
-  | Next_keys ks -> "N" :: ks
-  | Failed m -> [ "F"; m ]
-
-let result_of_fields = function
-  | [ "D" ] -> Done
-  | [ "V"; v ] -> Value (opt_of_field v)
-  | "P" :: rest ->
-    let rec pairs = function
-      | [] -> []
-      | k :: v :: tl -> (k, v) :: pairs tl
-      | [ _ ] -> invalid_arg "Wire: odd pair list"
-    in
-    Pairs (pairs rest)
-  | "N" :: ks -> Next_keys ks
-  | [ "F"; m ] -> Failed m
-  | _ -> invalid_arg "Wire: bad result"
-
-(* A batch reply entry is the operation's LSN, then its result's
-   fields, counted. *)
 let encode_reply ?tid = function
   | Reply { tc; lsn; result } ->
-    frame ?tid 'R'
-      (int_field (Tc_id.to_int tc)
-       :: int_field (Lsn.to_int lsn)
-       :: result_fields result)
+    let len = 1 + tc_length tc + lsn_length lsn + result_length result in
+    let b = open_frame ?tid 'R' len in
+    let pos = write_tag 'S' b header_len in
+    let pos = write_lsn lsn b (write_tc tc b pos) in
+    seal b len (write_result result b pos)
   | Redo_batch_reply { tc; outcomes } ->
-    batch_frame ?tid 'R' [ Tc_id.to_int tc ]
-      (List.map (fun (lsn, result) -> (lsn, result_fields result)) outcomes)
-
-let[@tail_mod_cons] rec read_outcomes r =
-  if Codec.at_end r then []
-  else
-    let lsn = read_lsn r in
-    let n = read_nat r in
-    let outcome = (lsn, result_of_fields (read_fields r n)) in
-    outcome :: read_outcomes r
+    let len = 1 + tc_length tc + batch_length result_length outcomes in
+    let b = open_frame ?tid 'R' len in
+    let pos = write_tc tc b (write_tag 'B' b header_len) in
+    seal b len (write_batch write_result outcomes b pos)
 
 let decode_reply_from ~verify s =
-  match unframe_data ~verify `Reply s with
-  | `Batch r ->
-    let tc = Tc_id.of_int (read_nat r) in
-    Redo_batch_reply { tc; outcomes = read_outcomes r }
-  | `Fields (tc :: lsn :: rest) ->
-    Reply
-      {
-        tc = tc_of_field tc;
-        lsn = lsn_of_field lsn;
-        result = result_of_fields rest;
-      }
-  | `Fields _ -> invalid_arg "Wire.decode_reply"
+  let r = payload ~verify 'R' s in
+  match Codec.next_byte r with
+  | 'S' ->
+    let tc = read_tc r in
+    let lsn = read_lsn r in
+    let result = read_result r in
+    finish r (Reply { tc; lsn; result })
+  | 'B' ->
+    let tc = read_tc r in
+    let outcomes = read_batch read_result r in
+    finish r (Redo_batch_reply { tc; outcomes })
+  | _ -> fail "bad reply"
 
 (* ---- control ---- *)
 
-let control_fields ctl =
-  let tc_f tc = int_field (Tc_id.to_int tc) in
-  let lsn_f l = int_field (Lsn.to_int l) in
+(* A control message is its tag, its tc, then its LSNs. *)
+let control_length ctl =
+  1
+  + tc_length (control_tc ctl)
+  +
   match ctl with
-  | End_of_stable_log { tc; eosl } -> [ "E"; tc_f tc; lsn_f eosl ]
-  | Low_water_mark { tc; lwm } -> [ "L"; tc_f tc; lsn_f lwm ]
-  | Watermarks { tc; eosl; lwm } -> [ "W"; tc_f tc; lsn_f eosl; lsn_f lwm ]
-  | Checkpoint { tc; new_rssp } -> [ "C"; tc_f tc; lsn_f new_rssp ]
-  | Restart_begin { tc; stable_lsn } -> [ "RB"; tc_f tc; lsn_f stable_lsn ]
-  | Restart_end { tc } -> [ "RE"; tc_f tc ]
-  | Redo_fence_begin { tc } -> [ "FB"; tc_f tc ]
-  | Redo_fence_end { tc } -> [ "FE"; tc_f tc ]
+  | End_of_stable_log { eosl = l; _ }
+  | Low_water_mark { lwm = l; _ }
+  | Checkpoint { new_rssp = l; _ }
+  | Restart_begin { stable_lsn = l; _ } -> lsn_length l
+  | Watermarks { eosl; lwm; _ } -> lsn_length eosl + lsn_length lwm
+  | Restart_end _ | Redo_fence_begin _ | Redo_fence_end _ -> 0
 
-let control_of_fields = function
-  | [ "E"; tc; eosl ] ->
-    End_of_stable_log { tc = tc_of_field tc; eosl = lsn_of_field eosl }
-  | [ "L"; tc; lwm ] ->
-    Low_water_mark { tc = tc_of_field tc; lwm = lsn_of_field lwm }
-  | [ "W"; tc; eosl; lwm ] ->
-    Watermarks
-      { tc = tc_of_field tc; eosl = lsn_of_field eosl; lwm = lsn_of_field lwm }
-  | [ "C"; tc; rssp ] ->
-    Checkpoint { tc = tc_of_field tc; new_rssp = lsn_of_field rssp }
-  | [ "RB"; tc; stable ] ->
-    Restart_begin { tc = tc_of_field tc; stable_lsn = lsn_of_field stable }
-  | [ "RE"; tc ] -> Restart_end { tc = tc_of_field tc }
-  | [ "FB"; tc ] -> Redo_fence_begin { tc = tc_of_field tc }
-  | [ "FE"; tc ] -> Redo_fence_end { tc = tc_of_field tc }
-  | _ -> invalid_arg "Wire: bad control"
+let write_control_head tag tc b pos =
+  write_tc tc b (write_tag tag b pos)
+
+let write_control ctl b pos =
+  match ctl with
+  | End_of_stable_log { tc; eosl } ->
+    write_lsn eosl b (write_control_head 'E' tc b pos)
+  | Low_water_mark { tc; lwm } ->
+    write_lsn lwm b (write_control_head 'L' tc b pos)
+  | Watermarks { tc; eosl; lwm } ->
+    write_lsn lwm b (write_lsn eosl b (write_control_head 'W' tc b pos))
+  | Checkpoint { tc; new_rssp } ->
+    write_lsn new_rssp b (write_control_head 'C' tc b pos)
+  | Restart_begin { tc; stable_lsn } ->
+    write_lsn stable_lsn b (write_control_head 'R' tc b pos)
+  | Restart_end { tc } -> write_control_head 'r' tc b pos
+  | Redo_fence_begin { tc } -> write_control_head 'F' tc b pos
+  | Redo_fence_end { tc } -> write_control_head 'f' tc b pos
 
 let encode_control ?tid { c_epoch; c_seq; c_ctl } =
-  frame ?tid 'C'
-    (int_field c_epoch :: int_field c_seq :: control_fields c_ctl)
+  let len = nat_length c_epoch + nat_length c_seq + control_length c_ctl in
+  let b = open_frame ?tid 'C' len in
+  let pos = write_nat c_seq b (write_nat c_epoch b header_len) in
+  seal b len (write_control c_ctl b pos)
+
+let read_control r =
+  match Codec.next_byte r with
+  | 'E' ->
+    let tc = read_tc r in
+    End_of_stable_log { tc; eosl = read_lsn r }
+  | 'L' ->
+    let tc = read_tc r in
+    Low_water_mark { tc; lwm = read_lsn r }
+  | 'W' ->
+    let tc = read_tc r in
+    let eosl = read_lsn r in
+    let lwm = read_lsn r in
+    Watermarks { tc; eosl; lwm }
+  | 'C' ->
+    let tc = read_tc r in
+    Checkpoint { tc; new_rssp = read_lsn r }
+  | 'R' ->
+    let tc = read_tc r in
+    Restart_begin { tc; stable_lsn = read_lsn r }
+  | 'r' -> Restart_end { tc = read_tc r }
+  | 'F' -> Redo_fence_begin { tc = read_tc r }
+  | 'f' -> Redo_fence_end { tc = read_tc r }
+  | _ -> fail "bad control"
 
 let decode_control_from ~verify s =
-  match unframe ~verify `Control s with
-  | epoch :: seq :: rest ->
-    {
-      c_epoch = int_of_field epoch;
-      c_seq = int_of_field seq;
-      c_ctl = control_of_fields rest;
-    }
-  | _ -> invalid_arg "Wire.decode_control"
+  let r = payload ~verify 'C' s in
+  let c_epoch = read_nat r in
+  let c_seq = read_nat r in
+  let c_ctl = read_control r in
+  finish r { c_epoch; c_seq; c_ctl }
 
-let control_reply_fields = function
-  | Ack -> [ "A" ]
-  | Checkpoint_done { granted } -> [ "G"; (if granted then "1" else "0") ]
+(* An acknowledgement — a control or a repl reply — is the tc, epoch
+   and seq it answers, then the reply. *)
+let ack_length tc epoch seq =
+  tc_length tc + nat_length epoch + nat_length seq
 
-let control_reply_of_fields = function
-  | [ "A" ] -> Ack
-  | [ "G"; "1" ] -> Checkpoint_done { granted = true }
-  | [ "G"; "0" ] -> Checkpoint_done { granted = false }
-  | _ -> invalid_arg "Wire: bad control reply"
+let write_ack tc epoch seq b pos =
+  let pos = write_tc tc b pos in
+  write_nat seq b (write_nat epoch b pos)
 
 let encode_control_reply ?tid { r_tc; r_epoch; r_seq; r_reply } =
-  frame ?tid 'K'
-    (int_field (Tc_id.to_int r_tc)
-     :: int_field r_epoch :: int_field r_seq
-     :: control_reply_fields r_reply)
+  let len =
+    ack_length r_tc r_epoch r_seq
+    + match r_reply with Ack -> 1 | Checkpoint_done _ -> 2
+  in
+  let b = open_frame ?tid 'K' len in
+  let pos = write_ack r_tc r_epoch r_seq b header_len in
+  seal b len
+    (match r_reply with
+    | Ack -> write_tag 'A' b pos
+    | Checkpoint_done { granted } ->
+      write_tag (if granted then '\001' else '\000') b (write_tag 'G' b pos))
 
 let decode_control_reply_from ~verify s =
-  match unframe ~verify `Control_reply s with
-  | tc :: epoch :: seq :: rest ->
-    {
-      r_tc = tc_of_field tc;
-      r_epoch = int_of_field epoch;
-      r_seq = int_of_field seq;
-      r_reply = control_reply_of_fields rest;
-    }
-  | _ -> invalid_arg "Wire.decode_control_reply"
+  let r = payload ~verify 'K' s in
+  let r_tc = read_tc r in
+  let r_epoch = read_nat r in
+  let r_seq = read_nat r in
+  let r_reply =
+    match Codec.next_byte r with
+    | 'A' -> Ack
+    | 'G' -> (
+      match Codec.next_byte r with
+      | '\000' -> Checkpoint_done { granted = false }
+      | '\001' -> Checkpoint_done { granted = true }
+      | _ -> fail "bad grant")
+    | _ -> fail "bad control reply"
+  in
+  finish r { r_tc; r_epoch; r_seq; r_reply }
 
 (* ---- replication ---- *)
 
-(* Each shipped record nests as one Codec blob (lsn :: op fields), so a
-   batch of any size stays a flat field list at the envelope level. *)
-let repl_fields = function
-  | Repl_hello { tc } -> [ "H"; int_field (Tc_id.to_int tc) ]
-  | Repl_ship { tc; eosl; lwm; upto; ops } ->
-    "S"
-    :: int_field (Tc_id.to_int tc)
-    :: int_field (Lsn.to_int eosl)
-    :: int_field (Lsn.to_int lwm)
-    :: int_field (Lsn.to_int upto)
-    :: List.map
-         (fun (lsn, op) ->
-           Codec.encode (int_field (Lsn.to_int lsn) :: Op.to_fields op))
-         ops
-
-let repl_of_fields = function
-  | [ "H"; tc ] -> Repl_hello { tc = tc_of_field tc }
-  | "S" :: tc :: eosl :: lwm :: upto :: blobs ->
-    let op_of_blob blob =
-      match Codec.decode blob with
-      | lsn :: op_fields -> (lsn_of_field lsn, Op.of_fields op_fields)
-      | [] -> invalid_arg "Wire: empty shipped record"
-    in
-    Repl_ship
-      {
-        tc = tc_of_field tc;
-        eosl = lsn_of_field eosl;
-        lwm = lsn_of_field lwm;
-        upto = lsn_of_field upto;
-        ops = List.map op_of_blob blobs;
-      }
-  | _ -> invalid_arg "Wire: bad repl"
+(* A repl message opens with its epoch, seq, tag and tc. *)
+let write_repl_head epoch seq tag tc b =
+  let pos = write_nat seq b (write_nat epoch b header_len) in
+  write_tc tc b (write_tag tag b pos)
 
 let encode_repl ?tid { p_epoch; p_seq; p_repl } =
-  frame ?tid 'S'
-    (int_field p_epoch :: int_field p_seq :: repl_fields p_repl)
+  let head =
+    nat_length p_epoch + nat_length p_seq + 1 + tc_length (repl_tc p_repl)
+  in
+  match p_repl with
+  | Repl_hello { tc } ->
+    let b = open_frame ?tid 'S' head in
+    seal b head (write_repl_head p_epoch p_seq 'H' tc b)
+  | Repl_ship { tc; eosl; lwm; upto; ops } ->
+    let len =
+      head + lsn_length eosl + lsn_length lwm + lsn_length upto
+      + batch_length op_length ops
+    in
+    let b = open_frame ?tid 'S' len in
+    let pos = write_repl_head p_epoch p_seq 'S' tc b in
+    let pos = write_lsn lwm b (write_lsn eosl b pos) in
+    let pos = write_lsn upto b pos in
+    seal b len (write_batch write_op ops b pos)
 
 let decode_repl_from ~verify s =
-  match unframe ~verify `Repl s with
-  | epoch :: seq :: rest ->
-    {
-      p_epoch = int_of_field epoch;
-      p_seq = int_of_field seq;
-      p_repl = repl_of_fields rest;
-    }
-  | _ -> invalid_arg "Wire.decode_repl"
+  let r = payload ~verify 'S' s in
+  let p_epoch = read_nat r in
+  let p_seq = read_nat r in
+  let p_repl =
+    match Codec.next_byte r with
+    | 'H' -> Repl_hello { tc = read_tc r }
+    | 'S' ->
+      let tc = read_tc r in
+      let eosl = read_lsn r in
+      let lwm = read_lsn r in
+      let upto = read_lsn r in
+      let ops = read_batch read_op r in
+      Repl_ship { tc; eosl; lwm; upto; ops }
+    | _ -> fail "bad repl"
+  in
+  finish r { p_epoch; p_seq; p_repl }
 
-let repl_reply_fields = function
-  | Repl_ack { applied } -> [ "A"; int_field (Lsn.to_int applied) ]
-
-let repl_reply_of_fields = function
-  | [ "A"; applied ] -> Repl_ack { applied = lsn_of_field applied }
-  | _ -> invalid_arg "Wire: bad repl reply"
-
-let encode_repl_reply ?tid { q_tc; q_epoch; q_seq; q_reply } =
-  frame ?tid 'T'
-    (int_field (Tc_id.to_int q_tc)
-     :: int_field q_epoch :: int_field q_seq
-     :: repl_reply_fields q_reply)
+let encode_repl_reply ?tid
+    { q_tc; q_epoch; q_seq; q_reply = Repl_ack { applied } } =
+  let len = ack_length q_tc q_epoch q_seq + 1 + lsn_length applied in
+  let b = open_frame ?tid 'T' len in
+  let pos = write_tag 'A' b (write_ack q_tc q_epoch q_seq b header_len) in
+  seal b len (write_lsn applied b pos)
 
 let decode_repl_reply_from ~verify s =
-  match unframe ~verify `Repl_reply s with
-  | tc :: epoch :: seq :: rest ->
-    {
-      q_tc = tc_of_field tc;
-      q_epoch = int_of_field epoch;
-      q_seq = int_of_field seq;
-      q_reply = repl_reply_of_fields rest;
-    }
-  | _ -> invalid_arg "Wire.decode_repl_reply"
+  let r = payload ~verify 'T' s in
+  let q_tc = read_tc r in
+  let q_epoch = read_nat r in
+  let q_seq = read_nat r in
+  match Codec.next_byte r with
+  | 'A' ->
+    let applied = read_lsn r in
+    finish r { q_tc; q_epoch; q_seq; q_reply = Repl_ack { applied } }
+  | _ -> fail "bad repl reply"
 
 let decode_request = decode_request_from ~verify:true
 
@@ -562,7 +708,7 @@ end
 
 (* The real size of a request on the wire — what the transport's byte
    accounting charges, not an estimate. *)
-let request_size r = String.length (encode_request (Request r))
+let request_size r = header_len + request_length r + trailer_len
 
 let pp_control ppf = function
   | End_of_stable_log { tc; eosl } ->

@@ -168,24 +168,58 @@ val repl_tc : repl -> Untx_util.Tc_id.t
 
     [encode_*] produce self-contained binary frames: a kind byte, a
     4-byte big-endian trace id ([?tid], default 0 = untraced), a 4-byte
-    big-endian payload length, the payload (a {!Untx_util.Codec} field
-    list), and a 4-byte FNV-1a checksum.  [decode_*] raise
-    [Invalid_argument] on anything malformed — wrong kind, bad length,
-    checksum mismatch, unparseable payload, an integer written in any
-    form {!Untx_util.Codec.encode_int} would not write — and never
-    return a silently wrong value. *)
+    big-endian payload length, the payload, and a 4-byte big-endian
+    FNV-1a checksum of everything before it.  The kind bytes are ['Q']
+    request, ['R'] reply, ['C'] control, ['K'] control reply, ['S'] repl
+    and ['T'] repl reply.
+
+    The payload is binary.  An integer (tc, LSN, partition, epoch, seq,
+    limit, count) is a {!Untx_util.Codec} varint; a string is its length
+    as a varint, then its bytes; a list is its count as a varint, then
+    its elements; a boolean or an option's presence is one byte, [0x00]
+    or [0x01]; each constructor is one tag byte, an ASCII letter.  In
+    the layouts below, [tag] names that byte, [str] a string, and
+    [n × x] a count followed by [n] elements [x]:
+
+    {v
+request       'S' tc lsn part op
+redo batch    'B' tc part (n × lsn op)
+reply         'S' tc lsn result
+batch reply   'B' tc (n × lsn result)
+op            'I' table key value        insert
+              'U' table key value        update
+              'D' table key              delete
+              'R' table key mode         read; mode 'o' own, 'c' committed, 'd' dirty
+              'S' table from_key limit mode   scan
+              'P' table from_key limit   probe
+              'V' table (n × key)        commit versions
+              'A' table (n × key)        abort versions
+result        'D'                        done
+              'V' 0x00 | 'V' 0x01 value  point read, absent | present
+              'P' (n × key value)        scan pairs
+              'N' (n × key)              probe keys
+              'F' message                failed
+control msg   epoch seq control
+control       'E' tc eosl | 'L' tc lwm | 'W' tc eosl lwm | 'C' tc new_rssp
+              'R' tc stable_lsn | 'r' tc          restart begin | end
+              'F' tc | 'f' tc                     redo fence begin | end
+control reply tc epoch seq ('A' | 'G' granted)    ack | checkpoint done
+repl msg      epoch seq ('H' tc | 'S' tc eosl lwm upto (n × lsn op))
+repl reply    tc epoch seq 'A' applied
+    v}
+
+    [decode_*] raise [Invalid_argument] on anything malformed — wrong
+    kind, bad length, checksum mismatch, an unknown tag, a field cut
+    short, a count beyond the bytes left, a byte after the last field,
+    a varint in any form {!Untx_util.Codec.write_varint} would not
+    write — and never return a silently wrong value.  Decoding is
+    canonical: a frame that decodes re-encodes to its own bytes. *)
 
 val encode_request : ?tid:int -> request_msg -> string
-(** A single request's frame is its tc, LSN, partition and operation
-    fields.  A redo batch's frame is the tag ["B"], the tc and partition,
-    then per operation its LSN, its field count and its fields. *)
 
 val decode_request : string -> request_msg
 
 val encode_reply : ?tid:int -> reply_msg -> string
-(** A batch reply's frame is the tag ["B"], the tc, then per outcome its
-    LSN, a field count, and that many fields: the result's.  A single
-    reply's frame is its tc, LSN and result fields. *)
 
 val decode_reply : string -> reply_msg
 
@@ -240,7 +274,7 @@ module Verified : sig
 end
 
 val request_size : request -> int
-(** The exact encoded frame length of the request — measured from the
-    codec, not estimated. *)
+(** The exact encoded frame length of the request — sized by the
+    encoder's own sizing pass, not estimated. *)
 
 val pp_control : Format.formatter -> control -> unit

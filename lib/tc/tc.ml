@@ -134,7 +134,12 @@ type route =
 type t = {
   cfg : config;
   counters : Instrument.t;
-  c_requests_sent : int ref; (* "tc.requests_sent", resolved once *)
+  (* "tc.requests_sent", "tc.control_sent", "tc.control_unacked" and
+     "tc.commits", resolved once *)
+  c_requests_sent : int ref;
+  c_control_sent : int ref;
+  c_control_unacked : int ref;
+  c_commits : int ref;
   log : Log_record.t Wal.t;
   mutable locks : Lock_mgr.t;
   links : (string, link_state) Hashtbl.t;
@@ -188,6 +193,9 @@ let create ?(counters = Instrument.global) cfg =
     cfg;
     counters;
     c_requests_sent = Metrics.counter_cell counters "tc.requests_sent";
+    c_control_sent = Metrics.counter_cell counters "tc.control_sent";
+    c_control_unacked = Metrics.counter_cell counters "tc.control_unacked";
+    c_commits = Metrics.counter_cell counters "tc.commits";
     log = Wal.create ~counters ~label:"wal.tc" ~size:Log_record.size ();
     locks = Lock_mgr.create ();
     links = Hashtbl.create 4;
@@ -299,8 +307,8 @@ let post_control ?(awaited = false) t ls ctl =
         Wire.encode_control { Wire.c_epoch = epoch; c_seq = seq; c_ctl = ctl })
       ~send:ls.ls_link.send_control ()
   in
-  Instrument.bump t.counters "tc.control_sent";
-  Instrument.bump_by t.counters "tc.control_unacked" 1;
+  incr t.c_control_sent;
+  incr t.c_control_unacked;
   seq
 
 let broadcast_control t ctl =
@@ -314,8 +322,8 @@ let control_unacked t =
 (* Drop a link's control-session state (the pendings died with a crash,
    or a new epoch voids them), keeping the unacked gauge honest. *)
 let clear_ctl t ls =
-  Instrument.bump_by t.counters "tc.control_unacked"
-    (-Session.Sender.clear ls.ls_ctl);
+  t.c_control_unacked :=
+    !(t.c_control_unacked) - Session.Sender.clear ls.ls_ctl;
   (* The watermark memo is only valid within a session: after a crash on
      either end the DC's view is gone, so the next watermark must travel
      even if its value is unchanged. *)
@@ -325,8 +333,8 @@ let clear_ctl t ls =
    still in flight (either direction) become stale and the DC resets
    its per-TC applied-sequence state on first contact. *)
 let new_epoch t ls =
-  Instrument.bump_by t.counters "tc.control_unacked"
-    (-Session.Sender.new_epoch ls.ls_ctl);
+  t.c_control_unacked :=
+    !(t.c_control_unacked) - Session.Sender.new_epoch ls.ls_ctl;
   ls.ls_sent_watermarks <- None
 
 (* Cap a low-water claim: never past the stable log (pages whose
@@ -367,7 +375,12 @@ let current_lwm t =
 let post_watermarks t ls =
   let eosl = Wal.stable_lsn t.log in
   let lwm = current_lwm_for t ls in
-  if ls.ls_sent_watermarks <> Some (eosl, lwm) then begin
+  let unchanged =
+    match ls.ls_sent_watermarks with
+    | Some (e, l) -> Lsn.equal e eosl && Lsn.equal l lwm
+    | None -> false
+  in
+  if not unchanged then begin
     ls.ls_sent_watermarks <- Some (eosl, lwm);
     if t.cfg.combine_watermarks then
       ignore (post_control t ls (Wire.Watermarks { tc = t.cfg.id; eosl; lwm }))
@@ -515,7 +528,7 @@ let handle_control_reply t ls (m : Wire.control_reply_msg) =
     Session.Sender.ack ls.ls_ctl ~epoch:m.Wire.r_epoch ~seq:m.Wire.r_seq
       m.Wire.r_reply
   then begin
-    Instrument.bump_by t.counters "tc.control_unacked" (-1);
+    decr t.c_control_unacked;
     true
   end
   else false
@@ -934,7 +947,8 @@ let scan_fetch_ahead t txn link ~table ~from_key ~limit =
         | `Blocked -> `Blocked
         | `Granted ->
           let verify = probe t link ~table ~from_key:cursor ~limit:batch in
-          if verify <> keys then loop cursor (* speculate again *)
+          if not (List.equal String.equal verify keys) then
+            loop cursor (* speculate again *)
           else begin
             (* The DC counts only visible rows toward the limit, so the
                reply can run past the probed (and locked) window when it
@@ -1223,7 +1237,7 @@ let rec commit t txn =
       release_locks t txn;
       txn.state <- Committed;
       Hashtbl.remove t.txns txn.t_xid;
-      Instrument.bump t.counters "tc.commits";
+      incr t.c_commits;
       `Ok ()
   end
 

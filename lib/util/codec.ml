@@ -66,14 +66,6 @@ let encode_int i =
   write_int_text b 0 l i;
   Bytes.unsafe_to_string b
 
-let int_length i = field_length (int_text_length i)
-
-let write_int i b pos =
-  let l = int_text_length i in
-  let start = write_prefix b pos l in
-  write_int_text b start l i;
-  start + l
-
 (* Parses the digits [s.[lo .. hi-1]] as exactly what [write_digits]
    writes — at least one digit, no leading zero unless the number is
    0 — and returns the negated value, which cannot overflow until
@@ -94,12 +86,15 @@ let rec digits_end s i stop =
   then digits_end s (i + 1) stop
   else i
 
-(* A cursor over an encoded field list: decoders that know their
-   field layout read each field where it sits, with no list in
-   between. *)
+(* A cursor over a byte range: the text field lists below read through
+   it, and so do the wire's binary fields at the end of this file. *)
 type reader = { src : string; mutable pos : int; stop : int }
 
-let reader s = { src = s; pos = 0; stop = String.length s }
+let reader_sub s ~pos ~len =
+  let stop = pos + len in
+  if pos < 0 || len < 0 || stop > String.length s then
+    invalid_arg "Codec.reader_sub";
+  { src = s; pos; stop }
 
 let at_end r = r.pos = r.stop
 
@@ -128,10 +123,6 @@ let next r =
   r.pos <- colon + 1 - l;
   colon + 1
 
-let read_string r =
-  let start = next r in
-  String.sub r.src start (r.pos - start)
-
 (* [decode_int] of [s.[lo .. hi-1]]. *)
 let int_sub s lo hi =
   if hi > lo && String.unsafe_get s lo = '-' then begin
@@ -144,37 +135,28 @@ let int_sub s lo hi =
     if v = min_int then invalid_arg "Codec.decode_int";
     -v
 
-let read_int r =
-  let start = next r in
-  int_sub r.src start r.pos
-
-let reader_sub s ~pos ~len =
-  let stop = pos + len in
-  if pos < 0 || len < 0 || stop > String.length s then
-    invalid_arg "Codec.reader_sub";
-  { src = s; pos; stop }
-
-let decode_sub s ~pos ~len =
-  let r = reader_sub s ~pos ~len in
+let decode s =
+  let r = reader_sub s ~pos:0 ~len:(String.length s) in
   let[@tail_mod_cons] rec go () =
     if at_end r then []
     else
-      let f = read_string r in
+      let start = next r in
+      let f = String.sub r.src start (r.pos - start) in
       f :: go ()
   in
   go ()
 
-let decode s = decode_sub s ~pos:0 ~len:(String.length s)
-
 let decode_int s = int_sub s 0 (String.length s)
 
 (* Unsigned LEB128: seven bits a byte, least significant first, the
-   high bit set on every byte but the last. *)
+   high bit set on every byte but the last.  Most varints the wire and
+   the record cells carry are one byte, so each entry point below
+   inlines that case and calls the general loop for the rest. *)
 let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
 
-let varint_length n =
+let[@inline] varint_length n =
   if n < 0 then invalid_arg "Codec.varint_length: negative";
-  varint_bytes n
+  if n < 0x80 then 1 else varint_bytes n
 
 let rec write_varint_bytes n b pos =
   if n < 0x80 then begin
@@ -186,15 +168,20 @@ let rec write_varint_bytes n b pos =
     write_varint_bytes (n lsr 7) b (pos + 1)
   end
 
-let write_varint n b pos =
+let[@inline] write_varint n b pos =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
-  write_varint_bytes n b pos
+  if n < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else write_varint_bytes n b pos
 
 (* Accepts exactly what [write_varint] writes: no zero last byte after
    the first (overlong), and at most nine bytes whose bits fit a
-   non-negative [int] — the ninth byte carries bits 56..61 only. *)
-let rec varint_from s i shift acc =
-  if i >= String.length s then invalid_arg "Codec.read_varint: truncated";
+   non-negative [int] — the ninth byte carries bits 56..61 only.  The
+   varint must end before [stop]. *)
+let rec varint_from s stop i shift acc =
+  if i >= stop then invalid_arg "Codec.read_varint: truncated";
   let c = Char.code (String.unsafe_get s i) in
   let acc = acc lor ((c land 0x7f) lsl shift) in
   if c < 0x80 then begin
@@ -203,8 +190,48 @@ let rec varint_from s i shift acc =
     acc
   end
   else if shift = 56 then invalid_arg "Codec.read_varint: too long"
-  else varint_from s (i + 1) (shift + 7) acc
+  else varint_from s stop (i + 1) (shift + 7) acc
 
 let read_varint s pos =
   if pos < 0 then invalid_arg "Codec.read_varint: truncated";
-  varint_from s pos 0 0
+  varint_from s (String.length s) pos 0 0
+
+(* ---- binary fields ---- *)
+
+let[@inline] string_length s =
+  let l = String.length s in
+  (if l < 0x80 then 1 else varint_bytes l) + l
+
+let[@inline] write_string s b pos =
+  let l = String.length s in
+  let pos = write_varint l b pos in
+  Bytes.unsafe_blit_string s 0 b pos l;
+  pos + l
+
+let remaining r = r.stop - r.pos
+
+let[@inline] next_byte r =
+  if r.pos >= r.stop then invalid_arg "Codec.next_byte: truncated";
+  let c = String.unsafe_get r.src r.pos in
+  r.pos <- r.pos + 1;
+  c
+
+(* A canonical varint ends [varint_bytes] of its value after its start,
+   so the cursor moves without the reader returning a position. *)
+let[@inline] next_varint r =
+  let pos = r.pos in
+  if pos < r.stop && Char.code (String.unsafe_get r.src pos) < 0x80 then begin
+    r.pos <- pos + 1;
+    Char.code (String.unsafe_get r.src pos)
+  end
+  else
+    let n = varint_from r.src r.stop pos 0 0 in
+    r.pos <- pos + varint_bytes n;
+    n
+
+let next_string r =
+  let l = next_varint r in
+  if l > r.stop - r.pos then invalid_arg "Codec.next_string: truncated";
+  let s = String.sub r.src r.pos l in
+  r.pos <- r.pos + l;
+  s

@@ -1,7 +1,8 @@
-(** Length-prefixed field encoding, and the one integer text path.
+(** Length-prefixed field encoding, the one integer text path, and the
+    binary fields the wire is made of.
 
-    A tiny, binary-safe serialization used for wire payloads, page cell
-    payloads, page metadata blobs and log-record size accounting.
+    The text field list is a tiny, binary-safe serialization used for
+    page metadata blobs, the master record and B-tree child pointers.
     Fields are arbitrary byte strings, each written as its decimal
     length, [':'], then its bytes; [decode (encode fs) = fs] for every
     field list.
@@ -16,49 +17,8 @@ val encode : string list -> string
 val encoded_length : string list -> int
 (** [String.length (encode fs)], without building it. *)
 
-val write : string list -> Bytes.t -> int -> int
-(** [write fs b pos] writes [encode fs] into [b] at [pos] and returns
-    the position after it; [b] must have [encoded_length fs] bytes free
-    there.  Lets a caller wrap the encoding in a header without a second
-    copy. *)
-
-val int_length : int -> int
-(** [encoded_length [encode_int i]], without building the field. *)
-
-val write_int : int -> Bytes.t -> int -> int
-(** [write_int i b pos] is [write [encode_int i] b pos], without
-    building the field. *)
-
 val decode : string -> string list
 (** Raises [Invalid_argument] on malformed input. *)
-
-val decode_sub : string -> pos:int -> len:int -> string list
-(** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)],
-    copying only the field bytes. *)
-
-(** {2 Reading fields in place} *)
-
-type reader
-(** A cursor over one encoded field list.  A decoder that knows its
-    field layout reads the fields one by one where they sit, instead of
-    through the list {!decode} builds; both accept exactly the same
-    encodings. *)
-
-val reader : string -> reader
-
-val reader_sub : string -> pos:int -> len:int -> reader
-(** A reader over the field list [String.sub s pos len], without the
-    copy. *)
-
-val read_string : reader -> string
-(** The next field.  Raises [Invalid_argument] if there is none or it
-    is malformed. *)
-
-val read_int : reader -> int
-(** [decode_int] of the next field, without copying it out. *)
-
-val at_end : reader -> bool
-(** Whether every field has been read. *)
 
 val encode_int : int -> string
 (** Plain decimal, as [Printf.sprintf "%d"] writes it. *)
@@ -87,3 +47,39 @@ val write_varint : int -> Bytes.t -> int -> int
 val read_varint : string -> int -> int
 (** The varint starting at [pos].  It ends [varint_length] of the
     result bytes later. *)
+
+(** {2 Binary fields}
+
+    What the wire's frame payloads are made of: varints, single bytes,
+    and strings written as their varint length then their bytes.  A
+    {!reader} reads them in place from a byte range, bounded by its end:
+    nothing is read past it, so a field cut short by the end of the
+    range raises [Invalid_argument] even when more bytes follow in the
+    string. *)
+
+val string_length : string -> int
+(** The bytes {!write_string} writes for [s]. *)
+
+val write_string : string -> Bytes.t -> int -> int
+(** [write_string s b pos] writes [s]'s length as a varint, then [s],
+    at [pos]; returns the position after it. *)
+
+type reader
+(** A cursor over a byte range of a string. *)
+
+val reader_sub : string -> pos:int -> len:int -> reader
+(** A reader over [s.[pos .. pos+len-1]], without a copy. *)
+
+val at_end : reader -> bool
+(** Whether the whole range has been read. *)
+
+val remaining : reader -> int
+(** The bytes left in the range. *)
+
+val next_byte : reader -> char
+
+val next_varint : reader -> int
+(** Canonical, as {!read_varint}. *)
+
+val next_string : reader -> string
+(** A varint length, then that many bytes, copied out. *)

@@ -15,6 +15,7 @@ module Btree = Untx_btree.Btree
 module Lock_mgr = Untx_tc.Lock_mgr
 module Wal = Untx_wal.Wal
 module Wire = Untx_msg.Wire
+module Op = Untx_msg.Op
 
 let test prop = Helpers.qcheck_test prop
 
@@ -408,13 +409,8 @@ let int_arb =
 let prop_int_reference =
   QCheck.Test.make ~name:"encode_int matches string_of_int" ~count:500
     int_arb (fun i ->
-      let field = Codec.encode [ Codec.encode_int i ] in
-      let b = Bytes.make (String.length field + 2) '#' in
       String.equal (Codec.encode_int i) (string_of_int i)
-      && Codec.decode_int (Codec.encode_int i) = i
-      && Codec.int_length i = String.length field
-      && Codec.write_int i b 1 = 1 + String.length field
-      && String.equal (Bytes.to_string b) ("#" ^ field ^ "#"))
+      && Codec.decode_int (Codec.encode_int i) = i)
 
 (* Strings over the codec's own alphabet, so that a fair share of them
    decode: any that does must be exactly what the encoder writes. *)
@@ -436,10 +432,9 @@ let prop_decode_canonical =
       | i -> String.equal (Codec.encode_int i) s
       | exception Invalid_argument _ -> true)
 
-(* A data frame built by hand around [fields], with a valid length and
+(* A data frame built by hand around [payload], with a valid length and
    checksum, so only the payload decides whether it decodes. *)
-let data_frame kind fields =
-  let payload = Codec.encode fields in
+let data_frame kind payload =
   let u32 v =
     String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
   in
@@ -450,25 +445,26 @@ let data_frame kind fields =
     body;
   body ^ u32 !h
 
-(* Redo-batch payloads over the fields a batch is made of — counts,
-   LSNs, operation and result tags, options — and a few the encoder
-   never writes, so a fair share decode and the rest must be refused. *)
+(* Redo-batch payloads over the bytes a batch is made of — counts and
+   LSNs, operation and result tags, presence bytes, string bytes — and
+   a few the encoder never writes (a continuation bit, an overlong
+   zero), so a fair share decode and the rest must be refused. *)
 let batch_payload_arb =
   QCheck.make
-    ~print:(fun (kind, fs) -> kind ^ " " ^ String.concat ";" fs)
+    ~print:(fun (kind, p) -> Printf.sprintf "%s %S" kind p)
     QCheck.Gen.(
       pair (oneofl [ "Q"; "R" ])
         (map
-           (fun fs -> "B" :: "3" :: fs)
+           (fun bs -> "B\003" ^ String.concat "" bs)
            (list_size (int_bound 14)
               (oneofl
-                 [ "0"; "1"; "2"; "3"; "4"; "7"; "03"; "-1"; "D"; "U"; "V";
-                   "F"; "kv"; "k"; "-"; "+v"; "" ]))))
+                 [ "\000"; "\001"; "\002"; "\003"; "\004"; "\007"; "\x80";
+                   "\x81\000"; "D"; "U"; "V"; "F"; "P"; "N"; "k"; "kv" ]))))
 
 let prop_batch_canonical =
   QCheck.Test.make ~name:"a redo batch that decodes re-encodes to itself"
-    ~count:2000 batch_payload_arb (fun (kind, fields) ->
-      let frame = data_frame kind fields in
+    ~count:2000 batch_payload_arb (fun (kind, payload) ->
+      let frame = data_frame kind payload in
       if kind = "Q" then
         match Wire.decode_request frame with
         | m -> String.equal (Wire.encode_request m) frame
@@ -478,11 +474,63 @@ let prop_batch_canonical =
         | m -> String.equal (Wire.encode_reply m) frame
         | exception Invalid_argument _ -> true)
 
+(* --- operation conflicts ---------------------------------------------- *)
+
+(* [Op.conflicts] as it was written with [List.mem], kept as the
+   reference model for the version that compares keys with
+   [String.equal]. *)
+let reference_conflicts (a : Op.t) (b : Op.t) =
+  let footprint = function
+    | Op.Insert { key; _ } | Op.Update { key; _ } | Op.Delete { key; _ }
+    | Op.Read { key; _ } -> `Points [ key ]
+    | Op.Scan { from_key; _ } | Op.Probe { from_key; _ } -> `Range from_key
+    | Op.Commit_versions { keys; _ } | Op.Abort_versions { keys; _ } ->
+      `Points keys
+  in
+  let overlap =
+    match (footprint a, footprint b) with
+    | `Points ka, `Points kb -> List.exists (fun k -> List.mem k kb) ka
+    | `Range _, `Range _ -> true
+    | `Range from_key, `Points keys | `Points keys, `Range from_key ->
+      List.exists (fun k -> String.compare k from_key >= 0) keys
+  in
+  String.equal (Op.table a) (Op.table b)
+  && (not (Op.is_read a && Op.is_read b))
+  && overlap
+
+(* Operations over two tables and four keys, so footprints often meet. *)
+let op_gen =
+  QCheck.Gen.(
+    oneofl [ "t"; "u" ] >>= fun table ->
+    let key = oneofl [ ""; "a"; "b"; "ba" ] in
+    key >>= fun k ->
+    list_size (int_bound 3) key >>= fun keys ->
+    oneofl [ Op.Own; Op.Committed; Op.Dirty ] >>= fun mode ->
+    oneofl
+      [
+        Op.Insert { table; key = k; value = "v" };
+        Op.Update { table; key = k; value = "v" };
+        Op.Delete { table; key = k };
+        Op.Read { table; key = k; mode };
+        Op.Scan { table; from_key = k; limit = 3; mode };
+        Op.Probe { table; from_key = k; limit = 3 };
+        Op.Commit_versions { table; keys };
+        Op.Abort_versions { table; keys };
+      ])
+
+let prop_conflicts_reference =
+  QCheck.Test.make ~name:"Op.conflicts agrees with its List.mem definition"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> Format.asprintf "%a / %a" Op.pp a Op.pp b)
+       (QCheck.Gen.pair op_gen op_gen))
+    (fun (a, b) -> Op.conflicts a b = reference_conflicts a b)
+
 let suite =
   suite
   @ List.map test
       [ prop_codec_reference; prop_int_reference; prop_decode_canonical;
-        prop_batch_canonical ]
+        prop_batch_canonical; prop_conflicts_reference ]
 
 (* --- the binary record cell ------------------------------------------- *)
 

@@ -26,6 +26,16 @@ let gen_str =
         oneofl [ ""; "|"; "\\"; "|\\|"; "a|b"; "-"; "+"; "\n" ];
       ])
 
+(* Integers cross every varint length boundary. *)
+let gen_nat =
+  Gen.(
+    oneof
+      [
+        small_nat;
+        int_range 100 20_000;
+        oneofl [ 127; 128; 16383; 16384; max_int ];
+      ])
+
 let gen_mode = Gen.oneofl [ Op.Own; Op.Committed; Op.Dirty ]
 
 let gen_op =
@@ -33,7 +43,7 @@ let gen_op =
     gen_str >>= fun table ->
     gen_str >>= fun key ->
     gen_str >>= fun value ->
-    small_nat >>= fun limit ->
+    gen_nat >>= fun limit ->
     gen_mode >>= fun mode ->
     list_size (int_bound 5) gen_str >>= fun keys ->
     oneofl
@@ -50,7 +60,7 @@ let gen_op =
 
 let gen_tc = Gen.map (fun i -> Tc_id.of_int (1 + i)) Gen.small_nat
 
-let gen_lsn = Gen.map (fun i -> Lsn.of_int i) Gen.small_nat
+let gen_lsn = Gen.map (fun i -> Lsn.of_int i) gen_nat
 
 let gen_request =
   Gen.(
@@ -138,13 +148,43 @@ let gen_control_reply_msg =
     >>= fun r ->
     return { Wire.r_tc; r_epoch = 1 + epoch; r_seq = 1 + seq; r_reply = r })
 
-(* One arbitrary covering all four frame kinds, as (name, bytes) with
-   the decoded-re-encoded check done against the right decoder. *)
+let gen_repl_msg =
+  Gen.(
+    gen_tc >>= fun tc ->
+    small_nat >>= fun epoch ->
+    small_nat >>= fun seq ->
+    gen_lsn >>= fun eosl ->
+    gen_lsn >>= fun lwm ->
+    gen_lsn >>= fun upto ->
+    list_size (int_bound 4) (pair gen_lsn gen_op) >>= fun ops ->
+    oneofl
+      [ Wire.Repl_hello { tc }; Wire.Repl_ship { tc; eosl; lwm; upto; ops } ]
+    >>= fun p_repl ->
+    return { Wire.p_epoch = 1 + epoch; p_seq = 1 + seq; p_repl })
+
+let gen_repl_reply_msg =
+  Gen.(
+    gen_tc >>= fun q_tc ->
+    small_nat >>= fun epoch ->
+    small_nat >>= fun seq ->
+    gen_lsn >>= fun applied ->
+    return
+      {
+        Wire.q_tc;
+        q_epoch = 1 + epoch;
+        q_seq = 1 + seq;
+        q_reply = Wire.Repl_ack { applied };
+      })
+
+(* One arbitrary covering all six frame kinds, with the
+   decoded-re-encoded check done against the right decoder. *)
 type any_frame =
   | Freq of Wire.request_msg
   | Frep of Wire.reply_msg
   | Fctl of Wire.control_msg
   | Fcrp of Wire.control_reply_msg
+  | Frpl of Wire.repl_msg
+  | Frpr of Wire.repl_reply_msg
 
 let gen_any_frame =
   Gen.oneof
@@ -153,19 +193,40 @@ let gen_any_frame =
       Gen.map (fun r -> Frep r) gen_reply_msg;
       Gen.map (fun m -> Fctl m) gen_control_msg;
       Gen.map (fun m -> Fcrp m) gen_control_reply_msg;
+      Gen.map (fun m -> Frpl m) gen_repl_msg;
+      Gen.map (fun m -> Frpr m) gen_repl_reply_msg;
     ]
 
-let encode_any = function
-  | Freq r -> Wire.encode_request r
-  | Frep r -> Wire.encode_reply r
-  | Fctl m -> Wire.encode_control m
-  | Fcrp m -> Wire.encode_control_reply m
+let encode_any_tid tid = function
+  | Freq r -> Wire.encode_request ~tid r
+  | Frep r -> Wire.encode_reply ~tid r
+  | Fctl m -> Wire.encode_control ~tid m
+  | Fcrp m -> Wire.encode_control_reply ~tid m
+  | Frpl m -> Wire.encode_repl ~tid m
+  | Frpr m -> Wire.encode_repl_reply ~tid m
 
-let print_any f =
-  let hex s =
-    String.concat "" (List.map (Printf.sprintf "%02x") (List.init (String.length s) (fun i -> Char.code s.[i])))
-  in
-  hex (encode_any f)
+let encode_any = encode_any_tid 0
+
+(* Whether [bytes] decodes as the kind of [f] (to anything). *)
+let decodes_as f bytes =
+  match
+    match f with
+    | Freq _ -> ignore (Wire.decode_request bytes)
+    | Frep _ -> ignore (Wire.decode_reply bytes)
+    | Fctl _ -> ignore (Wire.decode_control bytes)
+    | Fcrp _ -> ignore (Wire.decode_control_reply bytes)
+    | Frpl _ -> ignore (Wire.decode_repl bytes)
+    | Frpr _ -> ignore (Wire.decode_repl_reply bytes)
+  with
+  | () -> true
+  | exception Invalid_argument _ -> false
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let print_any f = hex (encode_any f)
 
 (* --- round-trip properties ------------------------------------------- *)
 
@@ -238,6 +299,8 @@ let total frame =
   && well_behaved Wire.decode_reply Wire.encode_reply frame
   && well_behaved Wire.decode_control Wire.encode_control frame
   && well_behaved Wire.decode_control_reply Wire.encode_control_reply frame
+  && well_behaved Wire.decode_repl Wire.encode_repl frame
+  && well_behaved Wire.decode_repl_reply Wire.encode_repl_reply frame
   &&
   (* frame_ok must itself be total on arbitrary bytes *)
   match Wire.frame_ok frame with true | false -> true
@@ -267,12 +330,6 @@ let prop_garbage =
 
 (* --- trace-id header field -------------------------------------------- *)
 
-let encode_any_tid tid = function
-  | Freq r -> Wire.encode_request ~tid r
-  | Frep r -> Wire.encode_reply ~tid r
-  | Fctl m -> Wire.encode_control ~tid m
-  | Fcrp m -> Wire.encode_control_reply ~tid m
-
 let gen_tid = Gen.(oneof [ return 0; int_range 1 0xFFFFFFFF ])
 
 let prop_tid_roundtrip =
@@ -292,7 +349,9 @@ let prop_tid_roundtrip =
       | Freq r -> Wire.decode_request bytes = r
       | Frep r -> Wire.decode_reply bytes = r
       | Fctl m -> Wire.decode_control bytes = m
-      | Fcrp m -> Wire.decode_control_reply bytes = m)
+      | Fcrp m -> Wire.decode_control_reply bytes = m
+      | Frpl m -> Wire.decode_repl bytes = m
+      | Frpr m -> Wire.decode_repl_reply bytes = m)
 
 let prop_corrupted_tid_never_misattributes =
   (* The id sits inside the checksummed region: flip any single bit of
@@ -321,37 +380,28 @@ let prop_corrupted_tid_never_misattributes =
    another (the kind byte is part of the checksummed header). *)
 let prop_kind_separation =
   Test.make ~name:"frame kinds do not cross-decode" ~count:300
-    (make ~print:print_any gen_any_frame) (fun f ->
+    (make
+       ~print:(fun (f, other) -> print_any f ^ " as " ^ print_any other)
+       (Gen.pair gen_any_frame gen_any_frame))
+    (fun (f, other) ->
       let bytes = encode_any f in
-      let rejects decode =
-        match decode bytes with
-        | _ -> false
-        | exception Invalid_argument _ -> true
-      in
-      match f with
-      | Freq _ ->
-        rejects Wire.decode_reply && rejects Wire.decode_control
-        && rejects Wire.decode_control_reply
-      | Frep _ ->
-        rejects Wire.decode_request && rejects Wire.decode_control
-        && rejects Wire.decode_control_reply
-      | Fctl _ ->
-        rejects Wire.decode_request && rejects Wire.decode_reply
-        && rejects Wire.decode_control_reply
-      | Fcrp _ ->
-        rejects Wire.decode_request && rejects Wire.decode_reply
-        && rejects Wire.decode_control)
+      decodes_as f bytes
+      && (Char.equal bytes.[0] (encode_any other).[0]
+         || not (decodes_as other bytes)))
 
 (* --- golden frames ------------------------------------------------- *)
 
-(* One frame of each kind, as hex, captured from the Buffer and
-   string_of_int encoder this codec replaced; the two reply frames were
-   re-derived when replies dropped their prior value.  Field lengths
-   cross the 9/10 and 99/100 digit boundaries, one field is empty, and
-   two frames carry trace ids.  The wire format must not move by a
-   byte. *)
+(* One frame of each kind, plus a scan request and the redo batch and
+   its reply, written out byte by byte from the layout in wire.mli:
+   header (kind, trace id, payload length), payload fields, FNV-1a
+   checksum.  They cross the varint boundaries 127/128 and
+   16383/16384, carry an empty field and a 100-byte value, and use two
+   trace ids.  The binary layout replaced a decimal-text field list;
+   from here on the wire format must not move by a byte. *)
 
+(* Hex, with spaces between fields for the reader. *)
 let of_hex h =
+  let h = String.concat "" (String.split_on_char ' ' h) in
   String.init (String.length h / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
@@ -362,47 +412,78 @@ let lsn = Lsn.of_int
 let golden =
   [
     ( "request",
-      String.concat ""
-        [
-          "510102030400000029313a33343a31323334313a32313a55323a6b76393a";
-          "6b3030303030303432393a763a313233343536374bdee54e"
-        ],
+      [
+        "51 01020304 0000001c";  (* 'Q', trace id, 28-byte payload *)
+        "53 03 7f 02";  (* 'S', tc 3, lsn 127, part 2 *)
+        "55 02 6b76";  (* 'U', table "kv" *)
+        "09 6b3030303030303432";  (* key "k00000042" *)
+        "09 763a31323334353637";  (* value "v:1234567" *)
+        "f3e53ca6";
+      ],
       Wire.encode_request ~tid:0x01020304
         (Wire.Request
            {
              Wire.tc = tc 3;
-             lsn = lsn 1234;
+             lsn = lsn 127;
              part = 2;
              op =
                Op.Update { table = "kv"; key = "k00000042"; value = "v:1234567" };
            }),
       fun s -> Wire.encode_request ~tid:0x01020304 (Wire.decode_request s) );
+    ( "scan request",
+      [
+        "51 00000000 0000000e";
+        "53 03 8001 00";  (* 'S', tc 3, lsn 128, part 0 *)
+        "53 02 6b76 00";  (* 'S' scan, table "kv", from_key "" *)
+        "808001 63";  (* limit 16384, mode 'c' committed *)
+        "05faeb9b";
+      ],
+      Wire.encode_request
+        (Wire.Request
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 128;
+             part = 0;
+             op =
+               Op.Scan
+                 {
+                   table = "kv";
+                   from_key = "";
+                   limit = 16384;
+                   mode = Op.Committed;
+                 };
+           }),
+      fun s -> Wire.encode_request (Wire.decode_request s) );
     ( "reply with pairs",
-      String.concat ""
-        [
-          "520000004d00000082313a33343a31323335313a50313a61313a31323a62";
-          "62303a303a3130303a787878787878787878787878787878787878787878";
-          "787878787878787878787878787878787878787878787878787878787878";
-          "787878787878787878787878787878787878787878787878787878787878";
-          "78787878787878787878787878787878787878ae382625"
-        ],
+      [
+        "52 0000004d 00000074";  (* 'R', trace id 77, 116-byte payload *)
+        "53 03 8001";  (* 'S', tc 3, lsn 128 *)
+        "50 03";  (* 'P', 3 pairs *)
+        "01 61 01 31";  (* "a" -> "1" *)
+        "02 6262 00";  (* "bb" -> "" *)
+        "00 64" ^ String.concat "" (List.init 100 (fun _ -> "78"));
+        (* "" -> 100 'x' *)
+        "18e93be8";
+      ],
       Wire.encode_reply ~tid:77
         (Wire.Reply
            {
              Wire.tc = tc 3;
-             lsn = lsn 1235;
+             lsn = lsn 128;
              result =
                Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
            }),
       fun s -> Wire.encode_reply ~tid:77 (Wire.decode_reply s) );
-    (* "B", tc 3, part 1, then (lsn, field count, op fields) twice. *)
     ( "redo batch",
-      String.concat ""
-        [
-          "510000000900000037313a42313a33313a31323a3431313a34313a55323a";
-          "6b76323a6b37343a763a3431323a3432313a34313a56323a6b76323a6b37";
-          "323a6b38bd124c71"
-        ],
+      [
+        "51 00000009 00000020";
+        "42 03 01 02";  (* 'B', tc 3, part 1, 2 operations *)
+        "ff7f 55 02 6b76 02 6b37 04 763a3431";
+        (* lsn 16383: 'U' "kv" "k7" "v:41" *)
+        "808001 56 02 6b76 02 02 6b37 02 6b38";
+        (* lsn 16384: 'V' "kv", keys ["k7"; "k8"] *)
+        "28b42b99";
+      ],
       Wire.encode_request ~tid:9
         (Wire.Redo_batch
            {
@@ -410,18 +491,23 @@ let golden =
              part = 1;
              ops =
                [
-                 (lsn 41, Op.Update { table = "kv"; key = "k7"; value = "v:41" });
-                 (lsn 42, Op.Commit_versions { table = "kv"; keys = [ "k7"; "k8" ] });
+                 ( lsn 16383,
+                   Op.Update { table = "kv"; key = "k7"; value = "v:41" } );
+                 ( lsn 16384,
+                   Op.Commit_versions { table = "kv"; keys = [ "k7"; "k8" ] } );
                ];
            }),
       fun s -> Wire.encode_request ~tid:9 (Wire.decode_request s) );
-    (* "B", tc 3, then (lsn, field count, result fields) twice. *)
     ( "redo batch reply",
-      String.concat ""
-        [
-          "520000000900000028313a42313a33323a3431313a31313a44323a343231";
-          "3a32313a4631313a6e6f2073756368206b65792010367a"
-        ],
+      [
+        "52 00000009 0000001b";
+        "42 03 04";  (* 'B', tc 3, 4 outcomes *)
+        "29 44";  (* lsn 41: 'D' done *)
+        "2a 46 0b 6e6f2073756368206b6579";  (* lsn 42: 'F' "no such key" *)
+        "2b 56 00";  (* lsn 43: 'V', absent *)
+        "2c 56 01 01 76";  (* lsn 44: 'V', present, "v" *)
+        "f45130fc";
+      ],
       Wire.encode_reply ~tid:9
         (Wire.Redo_batch_reply
            {
@@ -430,15 +516,18 @@ let golden =
                [
                  (lsn 41, Wire.Done);
                  (lsn 42, Wire.Failed "no such key");
+                 (lsn 43, Wire.Value None);
+                 (lsn 44, Wire.Value (Some "v"));
                ];
            }),
       fun s -> Wire.encode_reply ~tid:9 (Wire.decode_reply s) );
     ( "control",
-      String.concat ""
-        [
-          "430000000000000018313a32323a3137313a57313a33343a31303030333a";
-          "3939388d6a093b"
-        ],
+      [
+        "43 00000000 00000008";
+        "02 11";  (* epoch 2, seq 17 *)
+        "57 03 e807 e607";  (* 'W', tc 3, eosl 1000, lwm 998 *)
+        "1e17cf8f";
+      ],
       Wire.encode_control
         {
           Wire.c_epoch = 2;
@@ -447,10 +536,12 @@ let golden =
         },
       fun s -> Wire.encode_control (Wire.decode_control s) );
     ( "control reply",
-      String.concat ""
-        [
-          "4b0000000000000010313a33313a32323a3137313a47313a319502f097"
-        ],
+      [
+        "4b 00000000 00000005";
+        "03 02 11";  (* tc 3, epoch 2, seq 17 *)
+        "47 01";  (* 'G', granted *)
+        "2c87f5a3";
+      ],
       Wire.encode_control_reply
         {
           Wire.r_tc = tc 3;
@@ -460,12 +551,15 @@ let golden =
         },
       fun s -> Wire.encode_control_reply (Wire.decode_control_reply s) );
     ( "repl ship",
-      String.concat ""
-        [
-          "53000000050000003f313a31313a39313a53313a32323a3132323a313032";
-          "3a313231383a323a3131313a49323a6b76323a6b31313a7631353a323a31";
-          "32313a44323a6b76323a6b309276ab11"
-        ],
+      [
+        "53 00000005 0000001a";
+        "01 09";  (* epoch 1, seq 9 *)
+        "53 02 0c 0a 0c";  (* 'S', tc 2, eosl 12, lwm 10, upto 12 *)
+        "02";  (* 2 records *)
+        "0b 49 02 6b76 02 6b31 01 76";  (* lsn 11: 'I' "kv" "k1" "v" *)
+        "0c 44 02 6b76 02 6b30";  (* lsn 12: 'D' "kv" "k0" *)
+        "d38f0808";
+      ],
       Wire.encode_repl ~tid:5
         {
           Wire.p_epoch = 1;
@@ -486,10 +580,12 @@ let golden =
         },
       fun s -> Wire.encode_repl ~tid:5 (Wire.decode_repl s) );
     ( "repl ack",
-      String.concat ""
-        [
-          "540000000000000010313a32313a31313a39313a41323a31324db3ccf3"
-        ],
+      [
+        "54 00000000 00000005";
+        "02 01 09";  (* tc 2, epoch 1, seq 9 *)
+        "41 0c";  (* 'A', applied 12 *)
+        "69f91895";
+      ],
       Wire.encode_repl_reply
         {
           Wire.q_tc = tc 2;
@@ -503,22 +599,17 @@ let golden =
 let test_golden_frames () =
   List.iter
     (fun (name, hex, encoded, reencode) ->
-      let bytes = of_hex hex in
+      let bytes = of_hex (String.concat " " hex) in
       Alcotest.(check string) (name ^ ": encoded") bytes encoded;
       Alcotest.(check string) (name ^ ": decoded and re-encoded") bytes
         (reencode bytes))
     golden
 
-(* --- canonical integers ----------------------------------------------- *)
+(* --- malformed payloads ------------------------------------------------ *)
 
-(* A frame built by hand around the payload [fields] (a request unless
-   [kind] says otherwise), with a valid length and checksum, so only the
-   payload can be at fault. *)
-let hand_frame ?(kind = "Q") fields =
-  let payload =
-    String.concat ""
-      (List.map (fun f -> string_of_int (String.length f) ^ ":" ^ f) fields)
-  in
+(* A frame of [kind] built by hand around [payload], with a valid length
+   and checksum, so only the payload can be at fault. *)
+let hand_frame ?(kind = "Q") payload =
   let u32 v =
     String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
   in
@@ -529,10 +620,29 @@ let hand_frame ?(kind = "Q") fields =
     body;
   body ^ u32 !h
 
+(* The payload, in hex, of a frame that passes the checksum but must
+   not decode. *)
+let rejected what decode kind payload_hex =
+  let frame = hand_frame ~kind (of_hex payload_hex) in
+  Alcotest.(check bool)
+    (what ^ ": frame checks out")
+    true (Wire.frame_ok frame);
+  match decode frame with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s accepted" what
+
+let reject_request what = rejected what Wire.decode_request "Q"
+
+let reject_reply what = rejected what Wire.decode_reply "R"
+
+(* Integers in a form the encoder never writes: overlong varints,
+   varints past [max_int], and one whose last byte would sit in the
+   checksum. *)
 let test_noncanonical_int_field () =
-  let request tc_field = hand_frame [ tc_field; "5"; "0"; "D"; "kv"; "k" ] in
+  (* 'S', tc, lsn 5, part 0, 'D' "kv" "k" *)
+  let request tc_hex = "53 " ^ tc_hex ^ " 05 00 44 02 6b76 01 6b" in
   Alcotest.(check bool) "the canonical frame decodes" true
-    (Wire.decode_request (request "7")
+    (Wire.decode_request (hand_frame (of_hex (request "07")))
     = Wire.Request
         {
           Wire.tc = tc 7;
@@ -541,22 +651,28 @@ let test_noncanonical_int_field () =
           op = Op.Delete { table = "kv"; key = "k" };
         });
   List.iter
-    (fun f ->
-      let frame = request f in
-      Alcotest.(check bool) ("frame checks out: " ^ f) true
-        (Wire.frame_ok frame);
-      match Wire.decode_request frame with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "int field %S accepted" f)
-    [ "+7"; "0x7"; "007"; "07"; "-0"; "" ]
+    (fun (what, tc_hex) -> reject_request what (request tc_hex))
+    [
+      ("overlong 7", "8700");
+      ("overlong 7, three bytes", "878000");
+      ("overlong 0", "8000");
+      ("beyond max_int", "ffffffffffffffff40");
+      ("ten bytes", "ffffffffffffffff8001");
+    ];
+  (* A varint cut short by the end of the payload, though the bytes of
+     the checksum follow it in the frame. *)
+  rejected "truncated varint" Wire.decode_repl_reply "T" "02 01 09 41 8c";
+  rejected "truncated varint" Wire.decode_control "C" "02 91"
 
-(* Batch payloads that pass the checksum but are cut short or written in
-   a form the encoder never writes. *)
+(* Batch payloads that pass the checksum but are cut short, miscounted
+   or carry bytes past their last entry. *)
 let test_bad_batch_payloads () =
-  let batch = [ "B"; "7"; "0"; "5"; "3"; "D"; "kv"; "k" ] in
-  let reply = [ "B"; "7"; "5"; "1"; "D" ] in
+  (* 'B', tc 7, part 0, 1 op: lsn 5, 'D' "kv" "k" *)
+  let batch = "42 07 00 01 05 44 02 6b76 01 6b" in
+  (* 'B', tc 7, 1 outcome: lsn 5, 'D' *)
+  let reply = "42 07 01 05 44" in
   Alcotest.(check bool) "the canonical batch decodes" true
-    (Wire.decode_request (hand_frame batch)
+    (Wire.decode_request (hand_frame (of_hex batch))
     = Wire.Redo_batch
         {
           tc = tc 7;
@@ -564,41 +680,83 @@ let test_bad_batch_payloads () =
           ops = [ (lsn 5, Op.Delete { table = "kv"; key = "k" }) ];
         });
   Alcotest.(check bool) "the canonical batch reply decodes" true
-    (Wire.decode_reply (hand_frame ~kind:"R" reply)
+    (Wire.decode_reply (hand_frame ~kind:"R" (of_hex reply))
     = Wire.Redo_batch_reply { tc = tc 7; outcomes = [ (lsn 5, Wire.Done) ] });
-  let rejected what decode frame =
-    Alcotest.(check bool) (what ^ ": frame checks out") true (Wire.frame_ok frame);
-    match decode frame with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s accepted" what
-  in
-  let request what fields = rejected what Wire.decode_request (hand_frame fields) in
-  let reply_ what fields =
-    rejected what Wire.decode_reply (hand_frame ~kind:"R" fields)
-  in
-  request "batch without part" [ "B"; "7" ];
-  request "entry without count" [ "B"; "7"; "0"; "5" ];
-  request "count beyond the payload" [ "B"; "7"; "0"; "5"; "4"; "D"; "kv"; "k" ];
-  request "count short of the op" [ "B"; "7"; "0"; "5"; "2"; "D"; "kv"; "k" ];
-  request "count with a leading zero" [ "B"; "7"; "0"; "5"; "03"; "D"; "kv"; "k" ];
-  request "negative count" [ "B"; "7"; "0"; "5"; "-3"; "D"; "kv"; "k" ];
-  request "non-canonical lsn" [ "B"; "7"; "0"; "05"; "3"; "D"; "kv"; "k" ];
-  request "non-canonical part" [ "B"; "7"; "+0"; "5"; "3"; "D"; "kv"; "k" ];
-  request "second entry cut short" (batch @ [ "6"; "3"; "D"; "kv" ]);
-  reply_ "outcome without count" [ "B"; "7"; "5" ];
-  reply_ "outcome count beyond the payload" [ "B"; "7"; "5"; "2"; "D" ];
-  reply_ "outcome count with a leading zero" [ "B"; "7"; "5"; "01"; "D" ];
-  reply_ "outcome with a bad result tag" [ "B"; "7"; "5"; "1"; "x" ];
-  reply_ "outcome with a result cut short" [ "B"; "7"; "5"; "1"; "V" ];
-  reply_ "outcome with no fields" [ "B"; "7"; "5"; "0" ];
-  reply_ "second outcome cut short" (reply @ [ "6"; "2"; "D" ]);
+  reject_request "batch without part" "42 07";
+  reject_request "batch without count" "42 07 00";
+  reject_request "entry without op" "42 07 00 01 05";
+  reject_request "count beyond the payload" "42 07 00 0b 05 44 02 6b76 01 6b";
+  reject_request "count of two, one entry" "42 07 00 02 05 44 02 6b76 01 6b";
+  reject_request "count with a zero continuation"
+    "42 07 00 8100 05 44 02 6b76 01 6b";
+  reject_request "non-canonical lsn" "42 07 00 01 8500 44 02 6b76 01 6b";
+  reject_request "string beyond the payload" "42 07 00 01 05 44 02 6b76 02 6b";
+  reject_request "trailing byte" (batch ^ " 00");
+  reject_request "second entry cut short"
+    "42 07 00 02 05 44 02 6b76 01 6b 06 44 02 6b76";
+  reject_reply "outcome without result" "42 07 01 05";
+  reject_reply "outcome count beyond the payload" "42 07 03 05 44";
+  reject_reply "outcome with a bad result tag" "42 07 01 05 78";
+  reject_reply "outcome with a value cut short" "42 07 01 05 56";
+  reject_reply "outcome with a bad presence byte" "42 07 01 05 56 02 01 76";
+  reject_reply "trailing byte" (reply ^ " 44");
   (* every proper prefix of a batch frame's bytes is rejected *)
-  let bytes = hand_frame batch in
+  let bytes = hand_frame (of_hex batch) in
   for cut = 0 to String.length bytes - 1 do
     match Wire.decode_request (String.sub bytes 0 cut) with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "batch frame cut at %d accepted" cut
   done
+
+(* Unknown tags and trailing bytes on every other frame kind. *)
+let test_bad_payloads () =
+  reject_request "unknown request tag" "51 07 05 00 44 02 6b76 01 6b";
+  reject_request "unknown op tag" "53 07 05 00 5a 02 6b76 01 6b";
+  reject_request "unknown read mode" "53 07 05 00 52 02 6b76 01 6b 78";
+  reject_request "keys count beyond the payload"
+    "53 07 05 00 56 02 6b76 09 01 6b";
+  reject_request "trailing byte" "53 07 05 00 44 02 6b76 01 6b 00";
+  reject_reply "unknown reply tag" "44 07 05 44";
+  reject_reply "unknown result tag" "53 07 05 58";
+  reject_reply "pairs count beyond the payload" "53 07 05 50 05 01 61 01 62";
+  reject_reply "odd pair" "53 07 05 50 01 01 61";
+  reject_reply "trailing byte" "53 07 05 44 44";
+  rejected "unknown control tag" Wire.decode_control "C" "02 11 58 03 0c";
+  rejected "control trailing byte" Wire.decode_control "C" "02 11 4c 03 0c 0c";
+  rejected "control cut short" Wire.decode_control "C" "02 11 57 03 0c";
+  rejected "unknown control reply tag" Wire.decode_control_reply "K"
+    "03 02 11 42";
+  rejected "bad grant byte" Wire.decode_control_reply "K" "03 02 11 47 02";
+  rejected "control reply trailing byte" Wire.decode_control_reply "K"
+    "03 02 11 41 00";
+  rejected "unknown repl tag" Wire.decode_repl "S" "01 09 58 02";
+  rejected "ship count beyond the payload" Wire.decode_repl "S"
+    "01 09 53 02 0c 0a 0c 05 0b 44 02 6b76 01 6b";
+  rejected "repl trailing byte" Wire.decode_repl "S" "01 09 48 02 00";
+  rejected "unknown repl reply tag" Wire.decode_repl_reply "T"
+    "02 01 09 42 0c";
+  rejected "repl reply trailing byte" Wire.decode_repl_reply "T"
+    "02 01 09 41 0c 0c"
+
+(* Every proper prefix of a payload, and the payload with any byte
+   appended, re-sealed into a valid frame, is rejected: a decoder
+   reads exactly the fields the encoder wrote. *)
+let prop_prefix_and_suffix =
+  let payload bytes = String.sub bytes 9 (String.length bytes - 13) in
+  Test.make ~name:"payload prefixes and extensions are rejected" ~count:300
+    (make
+       ~print:(fun (f, c) ->
+         Printf.sprintf "%s + %02x" (print_any f) (Char.code c))
+       Gen.(pair gen_any_frame char))
+    (fun (f, c) ->
+      let bytes = encode_any f in
+      let kind = String.sub bytes 0 1 and p = payload bytes in
+      String.equal (hand_frame ~kind p) bytes
+      && (not (decodes_as f (hand_frame ~kind (p ^ String.make 1 c))))
+      && List.for_all
+           (fun cut ->
+             not (decodes_as f (hand_frame ~kind (String.sub p 0 cut))))
+           (List.init (String.length p) Fun.id))
 
 let suite =
   List.map Helpers.qcheck_test
@@ -614,6 +772,7 @@ let suite =
       prop_tid_roundtrip;
       prop_corrupted_tid_never_misattributes;
       prop_kind_separation;
+      prop_prefix_and_suffix;
     ]
   @ [
       Alcotest.test_case "golden frames re-encode byte for byte" `Quick
@@ -622,4 +781,6 @@ let suite =
         test_noncanonical_int_field;
       Alcotest.test_case "truncated and non-canonical batches are rejected"
         `Quick test_bad_batch_payloads;
+      Alcotest.test_case "unknown tags and trailing bytes are rejected" `Quick
+        test_bad_payloads;
     ]
