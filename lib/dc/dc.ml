@@ -92,6 +92,10 @@ type t = {
   counters : Instrument.t;
   c_requests : int ref; (* "dc.requests", resolved once *)
   c_dup_absorbed : int ref; (* "dc.dup_absorbed", resolved once *)
+  c_meta_bytes_flushed : int ref; (* "dc.meta_bytes_flushed" *)
+  c_smo_splits : int ref; (* "dc.smo_splits" *)
+  c_out_of_order_arrivals : int ref; (* "dc.out_of_order_arrivals" *)
+  c_classical_test_would_lie : int ref; (* "dc.classical_test_would_lie" *)
   disk : Disk.t;
   cache : Cache.t;
   dc_log : Smo_record.t Wal.t;
@@ -230,7 +234,7 @@ let prepare_flush t page =
   let meta = { Page_meta.dlsn = st.dlsn; ablsns = st.ablsns } in
   let encoded = Page_meta.encode meta in
   Page.set_meta page encoded;
-  Instrument.bump_by t.counters "dc.meta_bytes_flushed" (String.length encoded);
+  t.c_meta_bytes_flushed := !(t.c_meta_bytes_flushed) + String.length encoded;
   st.pending <- Tc_id.Map.empty
 
 (* ------------------------------------------------------------------ *)
@@ -287,7 +291,7 @@ let on_split t (ev : Btree.split_event) =
   parent_st.dlsn <- dlsn;
   Fault.hit p_split_mid;
   t.total_splits <- t.total_splits + 1;
-  Instrument.bump t.counters "dc.smo_splits"
+  incr t.c_smo_splits
 
 let on_consolidate t (ev : Btree.consolidate_event) =
   let table = !(t.current_table) in
@@ -360,6 +364,13 @@ let create ?(counters = Instrument.global) cfg =
       counters;
       c_requests = Metrics.counter_cell counters "dc.requests";
       c_dup_absorbed = Metrics.counter_cell counters "dc.dup_absorbed";
+      c_meta_bytes_flushed =
+        Metrics.counter_cell counters "dc.meta_bytes_flushed";
+      c_smo_splits = Metrics.counter_cell counters "dc.smo_splits";
+      c_out_of_order_arrivals =
+        Metrics.counter_cell counters "dc.out_of_order_arrivals";
+      c_classical_test_would_lie =
+        Metrics.counter_cell counters "dc.classical_test_would_lie";
       disk;
       cache;
       dc_log = Wal.create ~counters ~label:"wal.dc" ~size:Smo_record.size ();
@@ -597,8 +608,8 @@ let write_one t tbl (req : Wire.request) key mutate =
        is out of order; the classical [opLSN <= pageLSN] test would have
        wrongly treated it as already applied. *)
     if Lsn.(req.lsn < Ablsn.max_lsn (ablsn_of st req.tc)) then begin
-      Instrument.bump t.counters "dc.out_of_order_arrivals";
-      Instrument.bump t.counters "dc.classical_test_would_lie"
+      incr t.c_out_of_order_arrivals;
+      incr t.c_classical_test_would_lie
     end;
     let prior = record_in leaf key in
     let smo = smo_count tbl.tree in
@@ -1506,6 +1517,8 @@ let disk t = t.disk
 let dc_log_records t = Wal.stable_count t.dc_log + Wal.volatile_count t.dc_log
 
 let dc_log_bytes t = Wal.appended_bytes t.dc_log
+
+let dc_log_forces t = Wal.forces t.dc_log
 
 let splits t = t.total_splits
 

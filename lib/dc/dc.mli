@@ -177,6 +177,8 @@ val dc_log_records : t -> int
 
 val dc_log_bytes : t -> int
 
+val dc_log_forces : t -> int
+
 val splits : t -> int
 
 val consolidations : t -> int

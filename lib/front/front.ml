@@ -2,6 +2,7 @@ module Deploy = Untx_cloud.Deploy
 module Tc = Untx_tc.Tc
 module Lsn = Untx_util.Lsn
 module Instrument = Untx_util.Instrument
+module Metrics = Untx_obs.Metrics
 module Trace = Untx_obs.Trace
 
 type op =
@@ -34,6 +35,8 @@ type t = {
   cfg : config;
   deploy : Deploy.t;
   counters : Instrument.t;
+  c_admitted : int ref; (* "front.admitted", resolved once *)
+  c_batched : int ref; (* "front.batched" *)
   tcs : string array;  (* deployment TCs in name order, assignment ring *)
   mutable rev_sessions : session list;  (* newest first *)
   mutable nsessions : int;
@@ -56,6 +59,8 @@ let create ?(counters = Instrument.create ()) ?(cfg = default_config) deploy =
     cfg;
     deploy;
     counters;
+    c_admitted = Metrics.counter_cell counters "front.admitted";
+    c_batched = Metrics.counter_cell counters "front.batched";
     tcs;
     rev_sessions = [];
     nsessions = 0;
@@ -105,7 +110,7 @@ let submit t s ops =
     t.next_ticket <- ticket + 1;
     Queue.push (ticket, ops) s.q;
     t.queued <- t.queued + 1;
-    Instrument.bump t.counters "front.admitted";
+    incr t.c_admitted;
     Trace.record ~tid:0 ~comp:"front" ~ev:"admitted"
       [ ("session", string_of_int s.sid); ("tc", s.tc_name) ];
     `Ticket ticket
@@ -189,7 +194,7 @@ let pump ?(budget = max_int) t =
           when wrote && Lsn.to_int (Tc.stable_lsn tc) = Lsn.to_int stable_before
           ->
           (* the commit's force was deferred into the open batch *)
-          Instrument.bump t.counters "front.batched";
+          incr t.c_batched;
           Trace.record ~tid:0 ~comp:"front" ~ev:"batched"
             [ ("tc", s.tc_name) ]
         | _ -> ());

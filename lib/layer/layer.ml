@@ -62,6 +62,7 @@ type layer = {
 
 type t = {
   counters : Instrument.t;
+  c_ingest_ops : int ref; (* "layer.ingest_ops", resolved once *)
   writer : Tc_id.t;
   versioned : string -> bool;
   l0_seal_ops : int;
@@ -89,6 +90,7 @@ let create ?(counters = Instrument.global) ?(l0_seal_ops = 128)
     ?(compact_runs = 4) ~writer ~versioned () =
   {
     counters;
+    c_ingest_ops = Metrics.counter_cell counters "layer.ingest_ops";
     writer;
     versioned;
     l0_seal_ops;
@@ -293,7 +295,7 @@ let absorb t ~upto feed =
               Hashtbl.replace t.cur tk st;
               push_entry t { e_tk = tk; e_lsn = lsn; e_rec = st; e_op = op })
             (mutate t ~lsn op);
-          Instrument.bump t.counters "layer.ingest_ops";
+          incr t.c_ingest_ops;
           t.ingested <- lsn
         | exception (Fault.Injected_crash _ | Fault.Io_error _) ->
           (* Transient drop: the cursor stays at the intact prefix and

@@ -44,6 +44,8 @@ module Standby = struct
   type t = {
     dc : Dc.t;
     counters : Instrument.t;
+    c_standby_ops : int ref; (* "repl.standby_ops", resolved once *)
+    c_standby_batches : int ref; (* "repl.standby_batches" *)
     sessions : (int, (Wire.repl, Wire.repl_reply) Session.Receiver.t) Hashtbl.t;
     applied : (int, Lsn.t) Hashtbl.t; (* per-TC cumulative applied LSN *)
   }
@@ -51,7 +53,14 @@ module Standby = struct
   let create ?(counters = Instrument.global) config ~part =
     let dc = Dc.create ~counters config in
     Dc.set_identity dc ~part;
-    { dc; counters; sessions = Hashtbl.create 4; applied = Hashtbl.create 4 }
+    {
+      dc;
+      counters;
+      c_standby_ops = Metrics.counter_cell counters "repl.standby_ops";
+      c_standby_batches = Metrics.counter_cell counters "repl.standby_batches";
+      sessions = Hashtbl.create 4;
+      applied = Hashtbl.create 4;
+    }
 
   let dc t = t.dc
 
@@ -87,11 +96,11 @@ module Standby = struct
         | Wire.Failed msg ->
           failwith (Printf.sprintf "Repl.Standby: shipped op rejected: %s" msg)
         | _ -> ());
-        Instrument.bump t.counters "repl.standby_ops")
+        incr t.c_standby_ops)
       ops;
     if Lsn.(cursor < upto) then
       Hashtbl.replace t.applied (Tc_id.to_int tc) upto;
-    Instrument.bump t.counters "repl.standby_batches"
+    incr t.c_standby_batches
 
   let handle_repl_frame ?expect t frame =
     match Wire.Verified.decode_repl frame with
@@ -221,6 +230,10 @@ module Manager = struct
     cfg : config;
     tc : Tc.t;
     counters : Instrument.t;
+    (* "repl.*" counter cells, resolved once *)
+    c_ships : int ref;
+    c_ship_bytes : int ref;
+    c_acks : int ref;
     replicas : (string, replica) Hashtbl.t; (* keyed by standby name *)
     mutable last_ship : string option;
         (* the primary whose stream was last being shipped — the chaos
@@ -342,8 +355,8 @@ module Manager = struct
           f)
         ~send:r.r_send ()
     in
-    Instrument.bump t.counters "repl.ships";
-    Instrument.bump_by t.counters "repl.ship_bytes" (String.length !frame);
+    incr t.c_ships;
+    t.c_ship_bytes := !(t.c_ship_bytes) + String.length !frame;
     if Trace.enabled () then
       Trace.record ~tid:0 ~comp:"repl" ~ev:"ship"
         [
@@ -436,7 +449,7 @@ module Manager = struct
                     ~seq:m.Wire.q_seq m.Wire.q_reply
                 then begin
                   progressed := true;
-                  Instrument.bump t.counters "repl.acks";
+                  incr t.c_acks;
                   let (Wire.Repl_ack { applied }) = m.Wire.q_reply in
                   if Lsn.(r.r_applied < applied) then r.r_applied <- applied;
                   if Trace.enabled () then
@@ -517,6 +530,9 @@ module Manager = struct
         cfg;
         tc;
         counters;
+        c_ships = Metrics.counter_cell counters "repl.ships";
+        c_ship_bytes = Metrics.counter_cell counters "repl.ship_bytes";
+        c_acks = Metrics.counter_cell counters "repl.acks";
         replicas = Hashtbl.create 4;
         last_ship = None;
         layer = None;

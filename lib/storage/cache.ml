@@ -1,4 +1,5 @@
 module Instrument = Untx_util.Instrument
+module Metrics = Untx_obs.Metrics
 module Fault = Untx_fault.Fault
 
 (* The cache is the DC's buffer manager, hence the dc.* point names:
@@ -19,7 +20,13 @@ type t = {
   disk : Disk.t;
   capacity : int;
   entries : entry Page_id.Tbl.t;
-  counters : Instrument.t;
+  (* "cache.*" counter cells, resolved once *)
+  c_flushes : int ref;
+  c_flush_stalls : int ref;
+  c_evict_scan_steps : int ref;
+  c_evict_skips : int ref;
+  c_evictions : int ref;
+  c_misses : int ref;
   mutable can_flush : Page.t -> bool;
   mutable prepare_flush : Page.t -> unit;
   (* Victim search is a second-chance clock over a dense ring of the
@@ -45,7 +52,12 @@ let create ?(counters = Instrument.global) ~disk ~capacity () =
     disk;
     capacity;
     entries = Page_id.Tbl.create initial_slots;
-    counters;
+    c_flushes = Metrics.counter_cell counters "cache.flushes";
+    c_flush_stalls = Metrics.counter_cell counters "cache.flush_stalls";
+    c_evict_scan_steps = Metrics.counter_cell counters "cache.evict_scan_steps";
+    c_evict_skips = Metrics.counter_cell counters "cache.evict_skips";
+    c_evictions = Metrics.counter_cell counters "cache.evictions";
+    c_misses = Metrics.counter_cell counters "cache.misses";
     can_flush = (fun _ -> true);
     prepare_flush = ignore;
     ring = Array.make initial_slots None;
@@ -92,7 +104,7 @@ let flush_entry t entry =
   if entry.dirty then begin
     if not (t.can_flush entry.page) then begin
       t.flush_stalls <- t.flush_stalls + 1;
-      Instrument.bump t.counters "cache.flush_stalls";
+      incr t.c_flush_stalls;
       false
     end
     else begin
@@ -101,7 +113,7 @@ let flush_entry t entry =
       Disk.write t.disk entry.page;
       Fault.hit p_flush_after;
       entry.dirty <- false;
-      Instrument.bump t.counters "cache.flushes";
+      incr t.c_flushes;
       true
     end
   end
@@ -116,7 +128,7 @@ let flush_entry t entry =
 let rec find_victim t ~scanned ~budget =
   if t.ring_len = 0 || scanned >= budget then None
   else begin
-    Instrument.bump t.counters "cache.evict_scan_steps";
+    incr t.c_evict_scan_steps;
     let entry =
       match t.ring.(t.hand) with Some e -> e | None -> assert false
     in
@@ -126,7 +138,7 @@ let rec find_victim t ~scanned ~budget =
       find_victim t ~scanned:(scanned + 1) ~budget
     end
     else if entry.dirty && not (t.can_flush entry.page) then begin
-      Instrument.bump t.counters "cache.evict_skips";
+      incr t.c_evict_skips;
       find_victim t ~scanned:(scanned + 1) ~budget
     end
     else Some entry
@@ -141,7 +153,7 @@ let maybe_evict t =
         Page_id.Tbl.remove t.entries (Page.id entry.page);
         ring_remove t entry;
         t.evictions <- t.evictions + 1;
-        Instrument.bump t.counters "cache.evictions"
+        incr t.c_evictions
       end
       else raise Exit
   done
@@ -187,7 +199,7 @@ let lookup t id =
     | None -> None
     | Some page ->
       let entry = add_entry t page false in
-      Instrument.bump t.counters "cache.misses";
+      incr t.c_misses;
       Some entry.page)
 
 (* A hit — every level of nearly every descent — allocates nothing. *)

@@ -1,4 +1,5 @@
 module Instrument = Untx_util.Instrument
+module Metrics = Untx_obs.Metrics
 module Fault = Untx_fault.Fault
 
 (* Fault points: transient I/O errors on either side of the platter, and
@@ -18,6 +19,8 @@ type t = {
   mutable next_id : int;
   mutable free_list : Page_id.Set.t;
   counters : Instrument.t;
+  c_page_reads : int ref; (* "disk.page_reads", resolved once *)
+  c_page_writes : int ref; (* "disk.page_writes" *)
   mutable master : string option;
   mutable reads : int;
   mutable writes : int;
@@ -34,6 +37,8 @@ let create ?(counters = Instrument.global) () =
     next_id = 1;
     free_list = Page_id.Set.empty;
     counters;
+    c_page_reads = Metrics.counter_cell counters "disk.page_reads";
+    c_page_writes = Metrics.counter_cell counters "disk.page_writes";
     master = None;
     reads = 0;
     writes = 0;
@@ -96,7 +101,7 @@ let write t page =
   t.free_list <- Page_id.Set.remove (Page.id page) t.free_list;
   t.writes <- t.writes + 1;
   t.bytes_written <- t.bytes_written + Page.used_bytes page + Page.meta_size page;
-  Instrument.bump t.counters "disk.page_writes";
+  incr t.c_page_writes;
   Page_id.Tbl.replace t.pages (Page.id page) (Page.copy page)
 
 let read t id =
@@ -110,7 +115,7 @@ let read t id =
     Instrument.bump t.counters "disk.torn_pages_detected"
   | None -> ());
   t.reads <- t.reads + 1;
-  Instrument.bump t.counters "disk.page_reads";
+  incr t.c_page_reads;
   Option.map Page.copy (Page_id.Tbl.find_opt t.pages id)
 
 let exists t id = Page_id.Tbl.mem t.pages id

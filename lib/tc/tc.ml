@@ -134,12 +134,13 @@ type route =
 type t = {
   cfg : config;
   counters : Instrument.t;
-  (* "tc.requests_sent", "tc.control_sent", "tc.control_unacked" and
-     "tc.commits", resolved once *)
+  (* "tc.requests_sent", "tc.control_sent", "tc.control_unacked",
+     "tc.commits" and "tc.lock_waits", resolved once *)
   c_requests_sent : int ref;
   c_control_sent : int ref;
   c_control_unacked : int ref;
   c_commits : int ref;
+  c_lock_waits : int ref;
   log : Log_record.t Wal.t;
   mutable locks : Lock_mgr.t;
   links : (string, link_state) Hashtbl.t;
@@ -196,6 +197,7 @@ let create ?(counters = Instrument.global) cfg =
     c_control_sent = Metrics.counter_cell counters "tc.control_sent";
     c_control_unacked = Metrics.counter_cell counters "tc.control_unacked";
     c_commits = Metrics.counter_cell counters "tc.commits";
+    c_lock_waits = Metrics.counter_cell counters "tc.lock_waits";
     log = Wal.create ~counters ~label:"wal.tc" ~size:Log_record.size ();
     locks = Lock_mgr.create ();
     links = Hashtbl.create 4;
@@ -707,7 +709,7 @@ let lock t txn rsrc mode =
   match Lock_mgr.acquire t.locks ~owner:txn.t_xid rsrc mode with
   | `Granted -> `Granted
   | `Blocked ->
-    Instrument.bump t.counters "tc.lock_waits";
+    incr t.c_lock_waits;
     `Blocked
 
 (* ------------------------------------------------------------------ *)

@@ -32,4 +32,3 @@ let pp ppf t = Format.fprintf ppf "lsn:%d" t
 let to_string t = string_of_int t
 
 module Set = Set.Make (Int)
-module Map = Map.Make (Int)

@@ -43,5 +43,3 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t
-
-module Map : Map.S with type key = t

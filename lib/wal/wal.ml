@@ -8,12 +8,22 @@ type 'a t = {
   size : 'a -> int;
   counters : Instrument.t;
   c_appends : int ref; (* "wal.appends", resolved once *)
+  c_forces : int ref; (* "wal.forces" *)
   label : string;
   h_append : string; (* label-prefixed histogram names, built once *)
   h_force : string;
   p_force_begin : string;
   p_force_mid : string;
-  mutable stable : 'a Lsn.Map.t;
+  (* The stable log: records [head, len) of [recs], in LSN order, each
+     with its LSN at the same index of [lsns].  Slots below [len] are
+     never written again: growth and compaction copy into fresh arrays.
+     A scan that captured the arrays and [len] therefore visits exactly
+     the records stable when it began, whatever forces and truncations
+     its callback runs. *)
+  mutable lsns : Lsn.t array;
+  mutable recs : 'a array;
+  mutable head : int;
+  mutable len : int;
   mutable volatile : (Lsn.t * 'a) list; (* newest first *)
   mutable next_lsn : Lsn.t;
   mutable stable_lsn : Lsn.t;
@@ -27,12 +37,16 @@ let create ?(counters = Instrument.global) ?(label = "wal") ~size () =
     size;
     counters;
     c_appends = Metrics.counter_cell counters "wal.appends";
+    c_forces = Metrics.counter_cell counters "wal.forces";
     label;
     h_append = label ^ ".append_ns";
     h_force = label ^ ".force_ns";
     p_force_begin = Fault.declare (label ^ ".force.begin");
     p_force_mid = Fault.declare (label ^ ".force.mid");
-    stable = Lsn.Map.empty;
+    lsns = [||];
+    recs = [||];
+    head = 0;
+    len = 0;
     volatile = [];
     next_lsn = Lsn.next Lsn.zero;
     stable_lsn = Lsn.zero;
@@ -57,20 +71,55 @@ let append t record =
 
 let reserve t = fresh_lsn t
 
+(* Move the live records [head, len) into fresh arrays of [cap] slots,
+   the spare ones filled with [fill] (a live record, so no slot keeps a
+   truncated one reachable). *)
+let relocate t ~cap lsn fill =
+  let live = t.len - t.head in
+  let lsns = Array.make cap lsn and recs = Array.make cap fill in
+  Array.blit t.lsns t.head lsns 0 live;
+  Array.blit t.recs t.head recs 0 live;
+  t.lsns <- lsns;
+  t.recs <- recs;
+  t.head <- 0;
+  t.len <- live
+
+(* Amortized O(1): a full store doubles its live records' room, dropping
+   the truncated prefix on the way. *)
+let push t lsn record =
+  if t.len = Array.length t.recs then
+    relocate t ~cap:(max 16 (2 * (t.len - t.head + 1))) lsn record;
+  t.lsns.(t.len) <- lsn;
+  t.recs.(t.len) <- record;
+  t.len <- t.len + 1
+
+(* The first index in [lo, hi) whose LSN is >= [lsn], or [hi]. *)
+let seek lsns lsn lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Lsn.(lsns.(mid) < lsn) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 let force t =
   let t0 = Metrics.start t.counters in
   Fault.hit t.p_force_begin;
   t.forces <- t.forces + 1;
-  Instrument.bump t.counters "wal.forces";
+  incr t.c_forces;
   let batch = List.length t.volatile in
   (* Records stabilize oldest-first, one at a time, with a fault point
      between them: a crash mid-force leaves a stable *prefix* of the
      batch (the torn-log-tail scenario), which the subsequent [crash]
-     preserves because stable state is never rolled back. *)
+     preserves because stable state is never rolled back.  A record at
+     or below [stable_lsn] already stabilized in a force cut short by
+     that fault; forcing again does not append it twice. *)
   List.iter
     (fun (lsn, record) ->
-      t.stable <- Lsn.Map.add lsn record t.stable;
-      if Lsn.(t.stable_lsn < lsn) then t.stable_lsn <- lsn;
+      if Lsn.(t.stable_lsn < lsn) then begin
+        push t lsn record;
+        t.stable_lsn <- lsn
+      end;
       Fault.hit t.p_force_mid)
     (List.rev t.volatile);
   t.volatile <- [];
@@ -98,19 +147,35 @@ let crash t = t.volatile <- []
 (* next_lsn keeps counting: LSNs stay unique across the crash, and the
    restart protocol tells the DC to forget everything above stable_lsn. *)
 
+(* The head moves past the dropped prefix; once dead slots outnumber
+   live ones, the live records move to fresh arrays and the old ones,
+   truncated records with them, become garbage.  A compaction copies
+   fewer records than it drops, so truncation costs amortized O(1) per
+   dropped record on top of the O(log n) seek. *)
 let truncate t lsn =
   if Lsn.(t.trunc < lsn) then t.trunc <- lsn;
-  t.stable <- Lsn.Map.filter (fun l _ -> Lsn.(l >= lsn)) t.stable
+  t.head <- seek t.lsns lsn t.head t.len;
+  let live = t.len - t.head in
+  if t.head > live then
+    if live = 0 then begin
+      t.lsns <- [||];
+      t.recs <- [||];
+      t.head <- 0;
+      t.len <- 0
+    end
+    else relocate t ~cap:(2 * live) t.lsns.(t.head) t.recs.(t.head)
 
 let retained_from t = t.trunc
 
 (* Seek, then walk only the tail: O(log n) to find the start and O(1)
-   amortized per record visited, against the whole-map filtering scan
-   this used to be.  Continuous log shipping reads the suffix past each
-   replica's cursor on every pump, so the full-scan version would make
+   per record visited.  Continuous log shipping reads the suffix past
+   each replica's cursor on every pump, so a full scan would make
    shipping quadratic in log length. *)
 let iter_from t lsn f =
-  Seq.iter (fun (l, record) -> f l record) (Lsn.Map.to_seq_from lsn t.stable)
+  let lsns = t.lsns and recs = t.recs and stop = t.len in
+  for i = seek lsns lsn t.head stop to stop - 1 do
+    f lsns.(i) recs.(i)
+  done
 
 exception Truncated of { wanted : Lsn.t; retained : Lsn.t }
 
@@ -126,14 +191,14 @@ let iter_volatile t f =
   List.iter (fun (lsn, record) -> f lsn record) (List.rev t.volatile)
 
 let find t lsn =
-  match Lsn.Map.find_opt lsn t.stable with
-  | Some r -> Some r
-  | None ->
+  let i = seek t.lsns lsn t.head t.len in
+  if i < t.len && Lsn.equal t.lsns.(i) lsn then Some t.recs.(i)
+  else
     List.find_map
       (fun (l, r) -> if Lsn.equal l lsn then Some r else None)
       t.volatile
 
-let stable_count t = Lsn.Map.cardinal t.stable
+let stable_count t = t.len - t.head
 
 let volatile_count t = List.length t.volatile
 

@@ -9,6 +9,10 @@
     the stable prefix.  A {!crash} loses exactly the unforced tail — the
     partial-failure scenarios of Section 5.3 are driven from here.
 
+    The stable prefix is held in LSN order in a pair of growable arrays
+    (LSNs and records) from a head index on: {!force} appends in
+    amortized O(1), and scans and lookups binary-search their start.
+
     LSNs are assigned at append time, before the operation reaches any
     page: this is precisely what creates the out-of-order arrival problem
     the abstract-LSN machinery solves. *)
@@ -38,7 +42,7 @@ val reserve : 'a t -> Untx_util.Lsn.t
     they need unique, ordered request ids but are never redone. *)
 
 val force : 'a t -> unit
-(** Make the volatile tail stable (an fsync). *)
+(** Make the volatile tail stable (an fsync): amortized O(1) per record. *)
 
 val force_through : 'a t -> Untx_util.Lsn.t -> unit
 (** Force only if the stable LSN is still below the argument. *)
@@ -50,13 +54,21 @@ val last_lsn : 'a t -> Untx_util.Lsn.t
 (** Highest LSN assigned so far (stable or volatile). *)
 
 val crash : 'a t -> unit
-(** Lose the volatile tail.  The LSN counter restarts after the stable
-    prefix, as it would when a real log is reopened. *)
+(** Lose the volatile tail.  The LSN counter keeps counting past every
+    LSN assigned before the crash, lost ones included, so LSNs stay
+    unique; the restart protocol tells the DC to forget everything above
+    {!stable_lsn}. *)
 
 val truncate : 'a t -> Untx_util.Lsn.t -> unit
 (** Discard stable records with LSN < the argument (contract
     termination / checkpoint advancing the redo scan start point).
-    The truncation point is remembered: see {!retained_from}. *)
+    The truncation point is remembered: see {!retained_from}.
+
+    O(log n) to move the head past the discarded records.  They are
+    released once discarded slots outnumber retained ones: the retained
+    records then move to fresh arrays (amortized O(1) per discarded
+    record), and the old arrays, with every discarded record, become
+    garbage. *)
 
 val retained_from : 'a t -> Untx_util.Lsn.t
 (** The lowest LSN the log still guarantees to hold: every record at or
@@ -71,10 +83,14 @@ val retained_from : 'a t -> Untx_util.Lsn.t
 val iter_from :
   'a t -> Untx_util.Lsn.t -> (Untx_util.Lsn.t -> 'a -> unit) -> unit
 (** Visit stable records with LSN >= the argument, in LSN order.
-    Allocation-light: seeks to the start point and walks only the tail
-    (O(log n + visited)), so continuous log shipping can re-read the
-    suffix past a replica's cursor on every pump without copying or
-    rescanning the whole log. *)
+    Binary-searches the start point and walks the array from there
+    (O(log n + visited), no allocation), so continuous log shipping can
+    re-read the suffix past a replica's cursor on every pump without
+    copying or rescanning the whole log.
+
+    A scan is a snapshot: it visits exactly the records stable when it
+    began.  A {!force} or {!truncate} from inside the callback neither
+    adds records to it nor removes any. *)
 
 exception
   Truncated of { wanted : Untx_util.Lsn.t; retained : Untx_util.Lsn.t }
@@ -85,7 +101,8 @@ exception
 
 val iter_retained :
   'a t -> Untx_util.Lsn.t -> (Untx_util.Lsn.t -> 'a -> unit) -> unit
-(** {!iter_from} with the retention check enforced: raises {!Truncated}
+(** {!iter_from} with the retention check enforced (same seek cost and
+    snapshot semantics): raises {!Truncated}
     instead of silently skipping when the start cursor is below
     {!retained_from}.  Scans from any cursor (including [Lsn.zero]) are
     accepted while the log has never been truncated.  Consumers that
@@ -97,7 +114,8 @@ val iter_volatile : 'a t -> (Untx_util.Lsn.t -> 'a -> unit) -> unit
     only; these do not survive a crash). *)
 
 val find : 'a t -> Untx_util.Lsn.t -> 'a option
-(** Look up any record, stable or volatile, by LSN. *)
+(** Look up any record, stable (O(log n)) or volatile (a walk of the
+    tail), by LSN. *)
 
 val stable_count : 'a t -> int
 

@@ -293,6 +293,127 @@ let prop_wal_crash_suffix =
       Wal.iter_from w Lsn.zero (fun _ r -> survived := r :: !survived);
       List.rev !survived = List.filteri (fun i _ -> i < forced) records)
 
+(* The whole log API against a plain-list model: stable and volatile
+   records as ascending (lsn, record) lists, the LSN counter, the stable
+   LSN and the truncation floor.  Scans and lookups start from random
+   cursors, below, inside and past the log; long runs cross the stable
+   store's growth and compaction points. *)
+type wal_cmd =
+  | W_append of string
+  | W_reserve
+  | W_force
+  | W_crash
+  | W_truncate of int
+  | W_find of int
+  | W_iter_from of int
+  | W_iter_retained of int
+
+let show_wal_cmd = function
+  | W_append r -> Printf.sprintf "append %S" r
+  | W_reserve -> "reserve"
+  | W_force -> "force"
+  | W_crash -> "crash"
+  | W_truncate l -> Printf.sprintf "truncate %d" l
+  | W_find l -> Printf.sprintf "find %d" l
+  | W_iter_from l -> Printf.sprintf "iter_from %d" l
+  | W_iter_retained l -> Printf.sprintf "iter_retained %d" l
+
+let wal_cmds_arb =
+  let open QCheck.Gen in
+  let cursor = int_bound 160 in
+  let cmd =
+    frequency
+      [
+        (8, map (fun i -> W_append (string_of_int i)) (int_bound 999));
+        (1, return W_reserve);
+        (3, return W_force);
+        (1, return W_crash);
+        (1, map (fun l -> W_truncate l) cursor);
+        (2, map (fun l -> W_find l) cursor);
+        (2, map (fun l -> W_iter_from l) cursor);
+        (2, map (fun l -> W_iter_retained l) cursor);
+      ]
+  in
+  QCheck.make
+    ~print:(fun cmds -> String.concat "; " (List.map show_wal_cmd cmds))
+    (list_size (int_bound 250) cmd)
+
+type wal_model = {
+  mutable m_next : int;
+  mutable m_stable : (int * string) list;
+  mutable m_volatile : (int * string) list;
+  mutable m_stable_lsn : int;
+  mutable m_trunc : int;
+}
+
+let prop_wal_model =
+  QCheck.Test.make ~name:"wal matches list model" ~count:300 wal_cmds_arb
+    (fun cmds ->
+      let w = Wal.create ~size:String.length () in
+      let m =
+        {
+          m_next = 1;
+          m_stable = [];
+          m_volatile = [];
+          m_stable_lsn = 0;
+          m_trunc = 1;
+        }
+      in
+      let scan iter l =
+        let seen = ref [] in
+        iter w (Lsn.of_int l) (fun lsn r -> seen := (Lsn.to_int lsn, r) :: !seen);
+        List.rev !seen
+      in
+      let from l = List.filter (fun (l', _) -> l' >= l) m.m_stable in
+      let step = function
+        | W_append r ->
+          let lsn = Wal.append w r in
+          m.m_volatile <- m.m_volatile @ [ (m.m_next, r) ];
+          m.m_next <- m.m_next + 1;
+          Lsn.to_int lsn = m.m_next - 1
+        | W_reserve ->
+          let lsn = Wal.reserve w in
+          m.m_next <- m.m_next + 1;
+          Lsn.to_int lsn = m.m_next - 1
+        | W_force ->
+          Wal.force w;
+          m.m_stable <- m.m_stable @ m.m_volatile;
+          m.m_volatile <- [];
+          m.m_stable_lsn <- m.m_next - 1;
+          true
+        | W_crash ->
+          Wal.crash w;
+          m.m_volatile <- [];
+          true
+        | W_truncate l ->
+          Wal.truncate w (Lsn.of_int l);
+          m.m_trunc <- max m.m_trunc l;
+          m.m_stable <- from l;
+          true
+        | W_find l ->
+          Wal.find w (Lsn.of_int l)
+          = List.assoc_opt l (m.m_stable @ m.m_volatile)
+        | W_iter_from l -> scan Wal.iter_from l = from l
+        | W_iter_retained l -> (
+          let expected =
+            if l < m.m_trunc && m.m_trunc > 1 then Error (l, m.m_trunc)
+            else Ok (from l)
+          in
+          match scan Wal.iter_retained l with
+          | seen -> expected = Ok seen
+          | exception Wal.Truncated { wanted; retained } ->
+            expected = Error (Lsn.to_int wanted, Lsn.to_int retained))
+      in
+      List.for_all
+        (fun cmd ->
+          step cmd
+          && Wal.stable_count w = List.length m.m_stable
+          && Wal.volatile_count w = List.length m.m_volatile
+          && Lsn.to_int (Wal.stable_lsn w) = m.m_stable_lsn
+          && Lsn.to_int (Wal.last_lsn w) = m.m_next - 1
+          && Lsn.to_int (Wal.retained_from w) = m.m_trunc)
+        cmds)
+
 let suite =
   List.map test
     [
@@ -306,6 +427,7 @@ let suite =
       prop_btree_model;
       prop_lock_safety;
       prop_wal_crash_suffix;
+      prop_wal_model;
     ]
 
 (* --- cross-protocol scan equivalence ---------------------------------- *)

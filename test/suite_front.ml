@@ -14,6 +14,9 @@ module Op = Untx_msg.Op
 module Tc_id = Untx_util.Tc_id
 module Lsn = Untx_util.Lsn
 module Instrument = Untx_util.Instrument
+module Repl = Untx_repl.Repl
+module Cache = Untx_storage.Cache
+module Disk = Untx_storage.Disk
 module Audit = Untx_audit.Audit
 module Chaos = Untx_audit.Chaos
 
@@ -410,6 +413,134 @@ let test_tc_kill_under_load () =
         [ 3; 8 ])
     (Chaos.plans (Front 2))
 
+(* --- counter cells ------------------------------------------------------ *)
+
+(* The counters bumped per page, per frame or per operation, each a cell
+   its component resolves once at create. *)
+let cell_counters =
+  [
+    "cache.flushes";
+    "cache.flush_stalls";
+    "cache.evict_scan_steps";
+    "cache.evict_skips";
+    "cache.evictions";
+    "cache.misses";
+    "disk.page_reads";
+    "disk.page_writes";
+    "wal.forces";
+    "dc.meta_bytes_flushed";
+    "dc.smo_splits";
+    "dc.out_of_order_arrivals";
+    "dc.classical_test_would_lie";
+    "repl.standby_ops";
+    "repl.standby_batches";
+    "repl.ships";
+    "repl.ship_bytes";
+    "repl.acks";
+    "front.admitted";
+    "front.batched";
+    "layer.ingest_ops";
+    "tc.lock_waits";
+  ]
+
+(* front_ingest in small: two TCs behind a front, two DCs with a standby
+   each under [Quorum 1], layers, 8-page caches. *)
+let ingest_deploy counters =
+  let d =
+    Deploy.create ~counters ~durability:(Repl.Quorum 1) ~layers:true ~seed:5 ()
+  in
+  List.iter
+    (fun (name, id) ->
+      ignore (Deploy.add_tc d ~name (Tc.default_config (Tc_id.of_int id))))
+    [ ("tc1", 1); ("tc2", 2) ];
+  let dcs = [ "dc0"; "dc1" ] in
+  List.iter
+    (fun name ->
+      ignore
+        (Deploy.add_dc d ~name
+           { Dc.default_config with page_capacity = 256; cache_pages = 8 }))
+    dcs;
+  List.iter
+    (fun name ->
+      Deploy.add_partitioned_table d ~replicas:1 ~name ~versioned:false ~dcs ())
+    [ "t1"; "t2" ];
+  (d, Front.create ~counters ~cfg:{ Front.default_config with batch = 4 } d)
+
+(* Each cell lands in the registry its deployment was built with: the
+   counts equal the components' own tallies, and neither an idle
+   deployment's registry nor the process-wide one sees any of them. *)
+let test_counter_cells () =
+  let global_before = List.map (Instrument.get Instrument.global) cell_counters in
+  let counters = Instrument.create () and idle = Instrument.create () in
+  let d, front = ingest_deploy counters in
+  ignore (ingest_deploy idle);
+  let idle_before = Instrument.snapshot idle in
+  let sessions = Array.init 4 (fun _ -> Front.open_session front) in
+  let txns = 600 in
+  for i = 0 to txns - 1 do
+    let s = sessions.(i mod 4) in
+    let table = if Front.session_tc s = "tc1" then "t1" else "t2" in
+    ignore
+      (ticket
+         (Front.submit front s
+            [
+              Front.Insert
+                {
+                  table;
+                  key = Printf.sprintf "k%05d" i;
+                  value = String.make 24 'v';
+                };
+            ]));
+    if i mod 16 = 15 then Front.drain front
+  done;
+  Front.drain front;
+  Deploy.settle_replicas d;
+  let dcs =
+    List.concat_map
+      (fun name ->
+        Deploy.dc d name
+        :: List.map
+             (fun sb -> Repl.Standby.dc (Deploy.standby d sb))
+             (Deploy.replicas d ~dc:name))
+      (Deploy.dc_names d)
+  in
+  let tcs = List.map (Deploy.tc d) (Deploy.tc_names d) in
+  let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let got = Instrument.get counters in
+  List.iter
+    (fun (name, tally) -> Alcotest.(check int) name tally (got name))
+    [
+      ("cache.evictions", sum (fun dc -> Cache.evictions (Dc.cache dc)) dcs);
+      ( "cache.flush_stalls",
+        sum (fun dc -> Cache.flush_stalls (Dc.cache dc)) dcs );
+      ("disk.page_reads", sum (fun dc -> Disk.reads (Dc.disk dc)) dcs);
+      ("disk.page_writes", sum (fun dc -> Disk.writes (Dc.disk dc)) dcs);
+      ("wal.forces", sum Tc.log_forces tcs + sum Dc.dc_log_forces dcs);
+      ("dc.smo_splits", sum Dc.splits dcs);
+      ("front.admitted", txns);
+    ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (got name > 0))
+    [
+      "cache.evictions"; "cache.flushes"; "cache.evict_scan_steps";
+      "cache.misses"; "disk.page_reads"; "disk.page_writes"; "wal.forces";
+      "dc.smo_splits"; "dc.meta_bytes_flushed"; "repl.standby_ops";
+      "repl.standby_batches";
+      "repl.ships"; "repl.ship_bytes"; "repl.acks"; "front.batched";
+      "layer.ingest_ops";
+    ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ ": a cell from create") true
+        (List.mem_assoc name idle_before))
+    cell_counters;
+  Alcotest.(check (list (pair string int))) "the idle registry saw none of it"
+    idle_before (Instrument.snapshot idle);
+  Alcotest.(check (list int)) "the process-wide registry saw none of it"
+    global_before
+    (List.map (Instrument.get Instrument.global) cell_counters)
+
 let suite =
   [
     Alcotest.test_case "dispatch is round-robin" `Quick
@@ -429,4 +560,6 @@ let suite =
       test_read_as_of_multi_tc;
     Alcotest.test_case "TC kill under load stays clean" `Slow
       test_tc_kill_under_load;
+    Alcotest.test_case "counter cells resolve into their registry" `Quick
+      test_counter_cells;
   ]

@@ -3,6 +3,7 @@
 
 module Wal = Untx_wal.Wal
 module Lsn = Untx_util.Lsn
+module Fault = Untx_fault.Fault
 
 let mk () = Wal.create ~size:String.length ()
 
@@ -162,6 +163,81 @@ let test_find_volatile () =
   let a = Wal.append w "tail" in
   Alcotest.(check (option string)) "find in tail" (Some "tail") (Wal.find w a)
 
+(* A scan visits exactly the records stable when it began: a force from
+   inside the callback adds none, and a truncation (even one that drops
+   every record and so compacts the store) drops none. *)
+let test_scan_is_snapshot () =
+  let w = mk () in
+  for i = 1 to 40 do
+    ignore (Wal.append w (string_of_int i))
+  done;
+  Wal.force w;
+  let seen = ref [] in
+  Wal.iter_from w (lsn 30) (fun l r ->
+      seen := (Lsn.to_int l, r) :: !seen;
+      if Lsn.to_int l = 30 then begin
+        for i = 41 to 80 do
+          ignore (Wal.append w (string_of_int i))
+        done;
+        Wal.force w
+      end;
+      if Lsn.to_int l = 35 then Wal.truncate w (lsn 81));
+  Alcotest.(check (list (pair int string)))
+    "visited exactly 30..40"
+    (List.init 11 (fun i -> (30 + i, string_of_int (30 + i))))
+    (List.rev !seen);
+  Alcotest.(check int) "the truncation took effect" 0 (Wal.stable_count w);
+  let n = ref 0 in
+  Wal.iter_retained w (lsn 81) (fun _ _ -> incr n);
+  Alcotest.(check int) "a later scan sees the truncated log" 0 !n
+
+(* Truncated records are released once the stable store compacts, not
+   held for the life of the log.  The record is built out of line, so no
+   stack slot of this function keeps it reachable. *)
+let test_truncated_record_is_released () =
+  let w = mk () in
+  let weak = Weak.create 1 in
+  let append_tracked () =
+    let r = String.make 64 'x' in
+    Weak.set weak 0 (Some r);
+    ignore (Wal.append w r)
+  in
+  (Sys.opaque_identity append_tracked) ();
+  for i = 2 to 10 do
+    ignore (Wal.append w (string_of_int i))
+  done;
+  Wal.force w;
+  Gc.full_major ();
+  Alcotest.(check bool) "held while retained" true (Weak.check weak 0);
+  Wal.truncate w (lsn 8);
+  Gc.full_major ();
+  Alcotest.(check bool) "released after compaction" false (Weak.check weak 0);
+  Alcotest.(check (list string)) "the survivors" [ "8"; "9"; "10" ]
+    (let seen = ref [] in
+     Wal.iter_from w Lsn.zero (fun _ r -> seen := r :: !seen);
+     List.rev !seen)
+
+(* A force cut short by its mid-force fault point leaves a stable prefix
+   with the whole batch still in the tail; forcing again stabilizes the
+   rest without appending the prefix a second time. *)
+let test_force_again_after_cut () =
+  let w = Wal.create ~label:"wal.reforce" ~size:String.length () in
+  List.iter (fun r -> ignore (Wal.append w r)) [ "a"; "b"; "c" ];
+  Fault.arm [ Fault.crash_at "wal.reforce.force.mid" 2 ];
+  (try
+     Wal.force w;
+     Alcotest.fail "expected crash"
+   with Fault.Injected_crash _ -> ());
+  Fault.disarm ();
+  Alcotest.(check int) "stable prefix" 2 (Wal.stable_count w);
+  Wal.force w;
+  let seen = ref [] in
+  Wal.iter_from w Lsn.zero (fun l r -> seen := (Lsn.to_int l, r) :: !seen);
+  Alcotest.(check (list (pair int string)))
+    "each record once"
+    [ (1, "a"); (2, "b"); (3, "c") ]
+    (List.rev !seen)
+
 let test_bytes_accounting () =
   let w = mk () in
   ignore (Wal.append w "12345");
@@ -185,4 +261,9 @@ let suite =
     Alcotest.test_case "force_through" `Quick test_force_through;
     Alcotest.test_case "find in volatile tail" `Quick test_find_volatile;
     Alcotest.test_case "byte accounting" `Quick test_bytes_accounting;
+    Alcotest.test_case "a scan is a snapshot" `Quick test_scan_is_snapshot;
+    Alcotest.test_case "forcing again after a cut force" `Quick
+      test_force_again_after_cut;
+    Alcotest.test_case "truncated records are released" `Quick
+      test_truncated_record_is_released;
   ]
