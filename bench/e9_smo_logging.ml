@@ -1,7 +1,7 @@
 (* E9 — System-transaction logging and reordered replay (Section 5.2.2).
 
    Splits are logged with a logical record for the pre-split page (just
-   the split key) plus a physical image of the new page; page deletes
+   the separator) plus a physical image of the new page; page deletes
    log the consolidated survivor physically with merged abstract LSNs —
    "more costly in log space... but page deletes are rare".
 
@@ -75,7 +75,7 @@ let run () =
     ~header:[ "SMO kind"; "count"; "log bytes"; "bytes/SMO" ]
     [
       [
-        "page split (split key + new-page image)"; string_of_int splits;
+        "page split (separator + new-page image)"; string_of_int splits;
         string_of_int split_bytes; fmt_f (per split_bytes splits);
       ];
       [

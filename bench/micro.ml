@@ -538,6 +538,34 @@ let gate_codec_ns () =
   in
   enc_req && dec_req && enc_rep && dec_rep
 
+(* Index density: the inner pages of a B-tree of 256-byte pages after
+   10k inserts of front_ingest-shaped keys (["u%08x-%08d"], a random
+   30-bit prefix, then a counter) with 21-byte data, the size of a
+   16-byte value's record cell.  The count is deterministic.  Leaf splits
+   that post the shortest distinguishing prefix leave 735 inner pages;
+   posting the whole 18-byte first moved key left 1353.  The ceiling
+   sits between the two. *)
+let gate_index_density () =
+  let disk = Disk.create () in
+  let cache = Cache.create ~disk ~capacity:16_384 () in
+  let tree =
+    Btree.create ~cache ~name:"density" ~page_capacity:256
+      ~hooks:Btree.null_hooks
+  in
+  let rng = Untx_util.Rng.create ~seed:25 in
+  for n = 1 to 10_000 do
+    Btree.set tree
+      ~key:(Printf.sprintf "u%08x-%08d" (Untx_util.Rng.int rng 0x3fffffff) n)
+      ~data:(String.make 21 'v')
+  done;
+  let inner =
+    List.length (Btree.all_pages tree) - List.length (Btree.leaf_pages tree)
+  in
+  let ceiling = 850 in
+  Printf.printf "%-45s %12d  (gate <= %d)\n"
+    "B-tree: inner pages, 10k ingest keys" inner ceiling;
+  inner <= ceiling
+
 let run_gates () =
   Printf.printf "\nMicro gates (ns/op)\n";
   let reconstruct = gate_reconstruct () in
@@ -549,10 +577,11 @@ let run_gates () =
   let hot_alloc = gate_hot_path_alloc () in
   let redo_alloc = gate_redo_alloc () in
   let wal = gate_wal () in
+  let density = gate_index_density () in
   if
     not
       (reconstruct && lwm_flat && dc_apply && tc_dispatch && codec_ns
-     && codec_alloc && hot_alloc && redo_alloc && wal)
+     && codec_alloc && hot_alloc && redo_alloc && wal && density)
   then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
     exit 1

@@ -59,10 +59,9 @@ type log_rec =
   | Smo_split of {
       table : string;
       old_pid : Page_id.t;
-      split_key : string;
+      sep_key : string;
       new_image : page_image;
       parent_pid : Page_id.t;
-      sep_key : string;
       new_root : page_image option;
       root : Page_id.t;
     }
@@ -167,10 +166,9 @@ let on_split t (ev : Btree.split_event) =
       {
         table;
         old_pid = Page.id ev.old_page;
-        split_key = ev.split_key;
+        sep_key = ev.sep_key;
         new_image = image_of t ev.new_page;
         parent_pid = Page.id ev.parent;
-        sep_key = ev.split_key;
         new_root =
           (if ev.new_root then Some (image_of t ev.parent) else None);
         root = Btree.root tbl.tree;
@@ -532,8 +530,8 @@ let redo t lsn record =
       | None -> ignore (Page.remove page key));
       stamp t page lsn
     end
-  | Smo_split { table; old_pid; split_key; new_image; parent_pid; sep_key;
-                new_root; root; _ } -> (
+  | Smo_split { table; old_pid; sep_key; new_image; parent_pid; new_root;
+                root } -> (
     match Hashtbl.find_opt t.tables table with
     | None -> ()
     | Some tbl ->
@@ -545,7 +543,7 @@ let redo t lsn record =
         let doomed =
           List.filter_map
             (fun (k, _) ->
-              if String.compare k split_key >= 0 then Some k else None)
+              if String.compare k sep_key >= 0 then Some k else None)
             (Page.cells old_page)
         in
         List.iter (fun k -> ignore (Page.remove old_page k)) doomed;

@@ -7,7 +7,7 @@ type split_event = {
   level : int;
   old_page : Page.t;
   new_page : Page.t;
-  split_key : string;
+  sep_key : string;
   parent : Page.t;
   new_root : bool;
 }
@@ -111,6 +111,15 @@ let find t key =
 
 let overflows page = Page.used_bytes page > Page.capacity page
 
+(* Suffix truncation (Bayer and Unterauer's prefix B-tree): given
+   [lo < hi], the shortest prefix of [hi] that sorts above [lo] is [hi]
+   cut one byte past the two keys' common prefix.  Any shorter prefix is
+   a prefix of [lo] too, hence <= [lo]. *)
+let separator ~lo ~hi =
+  let n = Int.min (String.length lo) (String.length hi) in
+  let rec common i = if i < n && lo.[i] = hi.[i] then common (i + 1) else i in
+  String.sub hi 0 (common 0 + 1)
+
 (* Split [page] as a system transaction.  [ancestors] is the path from
    the root down to (but excluding) [page]; empty when [page] is the
    root.  Recursively splits ancestors that overflow from the routing
@@ -131,19 +140,29 @@ let rec split t page ancestors ~level =
   let new_page =
     Cache.new_page t.cache ~kind:(Page.kind page) ~page_capacity:t.page_capacity
   in
-  let split_key, moved = Page.split_upper page in
+  let first_moved, moved = Page.split_upper page in
   Page.absorb new_page moved;
-  if Page.kind page = Page.Leaf then begin
-    Page.set_next new_page (Page.next page);
-    Page.set_next page (Some (Page.id new_page))
-  end;
-  Page.set parent ~key:split_key ~data:(child_data (Page.id new_page));
+  (* A leaf posts the shortest separator between its halves.  An inner
+     page must post its first moved key unchanged: the new page's first
+     routing cell acts as minus infinity, so a shorter separator would
+     send keys below [first_moved] to that cell's child instead of to
+     the last child kept on the old page. *)
+  let sep_key =
+    match Page.kind page with
+    | Page.Leaf ->
+      Page.set_next new_page (Page.next page);
+      Page.set_next page (Some (Page.id new_page));
+      let last_kept, _ = Page.nth page (Page.cell_count page - 1) in
+      separator ~lo:last_kept ~hi:first_moved
+    | Page.Inner -> first_moved
+  in
+  Page.set parent ~key:sep_key ~data:(child_data (Page.id new_page));
   Cache.mark_dirty t.cache page;
   Cache.mark_dirty t.cache new_page;
   Cache.mark_dirty t.cache parent;
   t.splits <- t.splits + 1;
   t.hooks.on_split
-    { level; old_page = page; new_page; split_key; parent; new_root };
+    { level; old_page = page; new_page; sep_key; parent; new_root };
   if overflows parent then
     split t parent remaining_ancestors ~level:(level + 1)
 

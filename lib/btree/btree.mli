@@ -30,7 +30,13 @@ type split_event = {
   level : int;  (** 0 for a leaf split *)
   old_page : Untx_storage.Page.t;
   new_page : Untx_storage.Page.t;
-  split_key : string;
+  sep_key : string;
+      (** The routing key posted to [parent], the one boundary between
+          the halves: [old_page] keeps the keys below it and [new_page]
+          covers the keys at or above it.  A leaf split posts the
+          shortest prefix of [new_page]'s first key that sorts above
+          [old_page]'s last key (suffix truncation); an inner split
+          posts [new_page]'s first routing key unchanged. *)
   parent : Untx_storage.Page.t;
   new_root : bool;
 }

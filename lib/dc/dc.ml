@@ -265,11 +265,10 @@ let on_split t (ev : Btree.split_event) =
         table;
         level = ev.level;
         old_pid = Page.id ev.old_page;
-        split_key = ev.split_key;
+        sep_key = ev.sep_key;
         new_image =
           Smo_record.image_of_page ev.new_page ~ablsns:new_st.ablsns;
         parent_pid = Page.id ev.parent;
-        sep_key = ev.split_key;
         new_root =
           (if ev.new_root then
              Some
@@ -897,7 +896,7 @@ let rebuild_page_from_stable t pid ~tc ~stable_lsn =
   in
   let visit dlsn = function
     | Smo_record.Create_table _ -> ()
-    | Smo_record.Split { old_pid; split_key; new_image; new_root; _ } ->
+    | Smo_record.Split { old_pid; sep_key; new_image; new_root; _ } ->
       if Page_id.equal new_image.pid pid then install new_image dlsn;
       (match new_root with
       | Some img when Page_id.equal img.pid pid -> install img dlsn
@@ -908,7 +907,7 @@ let rebuild_page_from_stable t pid ~tc ~stable_lsn =
           let doomed =
             List.filter_map
               (fun (k, _) ->
-                if String.compare k split_key >= 0 then Some k else None)
+                if String.compare k sep_key >= 0 then Some k else None)
               (Page.cells page)
           in
           List.iter (fun k -> ignore (Page.remove page k)) doomed;
@@ -1074,8 +1073,8 @@ let apply_smo t ~fences dlsn record =
     let tbl = Hashtbl.find t.tables table in
     ignore (ensure_page t (Btree.root tbl.tree) ~kind:Page.Leaf)
   | Smo_record.Split
-      { table; level; old_pid; split_key; new_image; parent_pid; sep_key;
-        new_root; root; _ } -> (
+      { table; level; old_pid; sep_key; new_image; parent_pid; new_root;
+        root } -> (
     match Hashtbl.find_opt t.tables table with
     | None -> () (* table dropped; nothing to redo *)
     | Some tbl ->
@@ -1089,16 +1088,19 @@ let apply_smo t ~fences dlsn record =
         if image_tainted fences new_image then
           Some
             ( List.filter
-                (fun (k, _) -> String.compare k split_key >= 0)
+                (fun (k, _) -> String.compare k sep_key >= 0)
                 (Page.cells old_page),
               old_st.ablsns )
         else None
       in
+      (* Prune at the separator, not at the new page's first key: a
+         stale image can still hold a key deleted before the split in
+         between, and routing now sends that key to the new page. *)
       if Lsn.(old_st.dlsn < dlsn) then begin
         let doomed =
           List.filter_map
             (fun (k, _) ->
-              if String.compare k split_key >= 0 then Some k else None)
+              if String.compare k sep_key >= 0 then Some k else None)
             (Page.cells old_page)
         in
         List.iter (fun k -> ignore (Page.remove old_page k)) doomed;

@@ -25,10 +25,9 @@ type t =
       table : string;
       level : int;
       old_pid : Page_id.t;
-      split_key : string;
+      sep_key : string;
       new_image : page_image;
       parent_pid : Page_id.t;
-      sep_key : string;
       new_root : page_image option;
       root : Page_id.t;
     }
@@ -53,11 +52,10 @@ let image_size img =
 
 let size = function
   | Create_table { table; _ } -> 16 + String.length table
-  | Split { table; split_key; new_image; sep_key; new_root; _ } ->
-    (* logical old-page part: split key only; physical new-page part:
+  | Split { table; sep_key; new_image; new_root; _ } ->
+    (* logical old-page part: the separator only; physical new-page part:
        full image *)
-    24 + String.length table + String.length split_key
-    + String.length sep_key + image_size new_image
+    24 + String.length table + String.length sep_key + image_size new_image
     + (match new_root with Some img -> image_size img | None -> 0)
   | Consolidate { table; survivor_image; removed_sep; _ } ->
     24 + String.length table + String.length removed_sep
@@ -69,9 +67,9 @@ let pp ppf = function
     Format.fprintf ppf "create-table %s%s root=%a" table
       (if versioned then " (versioned)" else "")
       Page_id.pp root
-  | Split { table; level; old_pid; split_key; new_image; _ } ->
+  | Split { table; level; old_pid; sep_key; new_image; _ } ->
     Format.fprintf ppf "split %s level=%d %a at %S -> %a" table level
-      Page_id.pp old_pid split_key Page_id.pp new_image.pid
+      Page_id.pp old_pid sep_key Page_id.pp new_image.pid
   | Consolidate { table; survivor_image; freed_pid; _ } ->
     Format.fprintf ppf "consolidate %s %a <- %a" table Page_id.pp
       survivor_image.pid Page_id.pp freed_pid

@@ -3,7 +3,7 @@
 
     Splits are logged the way the paper prescribes: a *physical* image of
     the new page (including its abstract LSNs at split time) plus a
-    *logical* record for the pre-split page — just the split key, since
+    *logical* record for the pre-split page — just the separator, since
     whatever version of that page is on stable storage, its own abLSN
     remains valid for the keys it retains.
 
@@ -37,10 +37,16 @@ type t =
       table : string;
       level : int;
       old_pid : Untx_storage.Page_id.t;
-      split_key : string;  (** the logical part: redo removes keys >= this *)
+      sep_key : string;
+          (** The routing key added to the parent and the logical part:
+              redo removes the old page's keys >= this.  It can sort
+              below the new page's first key (a truncated leaf
+              separator), and a stale image of the old page can hold a
+              key deleted before the split in that gap; routing sends
+              such a key to the new page, so the old page must shed it
+              here or the TC's redo of the delete never reaches it. *)
       new_image : page_image;  (** the physical part *)
       parent_pid : Untx_storage.Page_id.t;
-      sep_key : string;  (** routing cell added to the parent *)
       new_root : page_image option;  (** set when the split grew the tree *)
       root : Untx_storage.Page_id.t;  (** root after this SMO *)
     }

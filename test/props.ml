@@ -191,9 +191,91 @@ let prop_page_split_partition =
 
 (* --- B-tree ----------------------------------------------------------- *)
 
+(* Keys that stress suffix truncation: long shared prefixes (some of
+   them prefixes of each other), short tails over an alphabet with the
+   extreme bytes, so one key is often a prefix of another. *)
+let prefixed_key_gen =
+  QCheck.Gen.(
+    map2 ( ^ )
+      (oneofl [ ""; "user-0000"; "user-0000\x00"; "user-0000\xff\xff"; "u\xff" ])
+      (string_size ~gen:(oneofl [ '\x00'; 'a'; 'b'; '\xff' ]) (int_bound 5)))
+
+let print_key k = Printf.sprintf "%S" k
+
+(* The model ops mix the short dense keys of [page_ops_arb] with
+   shared-prefix keys, and delete as often as they write. *)
+let btree_ops_arb =
+  let key_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, map (fun i -> Printf.sprintf "k%02d" i) (int_bound 29));
+          (3, prefixed_key_gen);
+        ])
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k v -> Set (k, v)) key_gen (string_size (int_bound 10)));
+          (2, map (fun k -> Remove k) key_gen);
+        ])
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Set (k, v) -> Printf.sprintf "set %S=%S" k v
+             | Remove k -> "rm " ^ print_key k)
+           ops))
+    QCheck.Gen.(list_size (int_bound 200) op_gen)
+
+(* Every split posts the boundary the design promises: a leaf the
+   shortest prefix of its first moved key that sorts above its last kept
+   key, an inner page its first moved key unchanged. *)
+let prop_btree_separator =
+  QCheck.Test.make ~name:"split separators are shortest distinguishing prefixes"
+    ~count:100
+    (QCheck.make
+       ~print:(fun ks -> String.concat ";" (List.map print_key ks))
+       QCheck.Gen.(list_size (int_range 20 200) prefixed_key_gen))
+    (fun keys ->
+      let fail = QCheck.Test.fail_reportf in
+      let on_split (ev : Btree.split_event) =
+        let first_moved, _ = Page.nth ev.new_page 0 in
+        let sep = ev.sep_key in
+        if ev.level > 0 then begin
+          if sep <> first_moved then
+            fail "inner split posted %S, first moved key %S" sep first_moved
+        end
+        else
+          let last_kept, _ =
+            Page.nth ev.old_page (Page.cell_count ev.old_page - 1)
+          in
+          if not (String.starts_with ~prefix:sep first_moved) then
+            fail "separator %S is not a prefix of %S" sep first_moved;
+          if String.compare sep last_kept <= 0 then
+            fail "separator %S not above last kept %S" sep last_kept;
+          for n = 0 to String.length sep - 1 do
+            let shorter = String.sub first_moved 0 n in
+            if String.compare shorter last_kept > 0 then
+              fail "%S, shorter than separator %S, is above last kept %S"
+                shorter sep last_kept
+          done
+      in
+      let disk = Disk.create () in
+      let cache = Cache.create ~disk ~capacity:512 () in
+      let tree =
+        Btree.create ~cache ~name:"p" ~page_capacity:96
+          ~hooks:{ Btree.null_hooks with on_split }
+      in
+      List.iter (fun k -> Btree.set tree ~key:k ~data:"v") keys;
+      Btree.check tree = Ok ())
+
 let prop_btree_model =
   QCheck.Test.make ~name:"btree matches map model, stays well-formed"
-    ~count:60 page_ops_arb (fun ops ->
+    ~count:60 btree_ops_arb (fun ops ->
       let disk = Disk.create () in
       let cache = Cache.create ~disk ~capacity:512 () in
       let tree =
@@ -759,3 +841,5 @@ let prop_cell_in_place =
       && abort_in_place cell wlsn = abort_by_record r wlsn)
 
 let suite = suite @ List.map test [ prop_cell_canonical; prop_cell_in_place ]
+
+let suite = suite @ [ test prop_btree_separator ]

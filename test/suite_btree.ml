@@ -95,14 +95,14 @@ let test_split_events () =
           incr count;
           Alcotest.(check bool) "old below split" true
             (match Page.max_key ev.old_page with
-            | Some m -> m < ev.split_key
+            | Some m -> m < ev.sep_key
             | None -> false);
           Alcotest.(check bool) "new at/above split" true
             (match Page.min_key ev.new_page with
-            | Some m -> m >= ev.split_key
+            | Some m -> m >= ev.sep_key
             | None -> false);
           Alcotest.(check bool) "parent routes new page" true
-            (Page.find ev.parent ev.split_key
+            (Page.find ev.parent ev.sep_key
             = Some (Btree.child_data (Page.id ev.new_page))));
       on_consolidate = ignore;
     }

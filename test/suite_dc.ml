@@ -12,6 +12,7 @@ module Lsn = Untx_util.Lsn
 module Tc_id = Untx_util.Tc_id
 module Cache = Untx_storage.Cache
 module Disk = Untx_storage.Disk
+module Fault = Untx_fault.Fault
 
 let tc1 = Tc_id.of_int 1
 
@@ -744,6 +745,65 @@ let test_escalation_holds_other_lwm () =
     Alcotest.(check bool) "the version is committed" true
       (r.Stored_record.before = Stored_record.Absent)
 
+(* A leaf split posts the shortest separator, which can sort below the
+   new page's first key.  Here every gap between the long keys held a
+   one-byte key [X] in the leaf's stable image, deleted before the leaf
+   split: [X] sits between the separator and the first moved key.  The
+   DC crashes with the split records stable and no page flushed since.
+   Replay must prune the stale image at the separator: routing sends [X]
+   to the new page, so the redo of its delete never reaches the old one,
+   and a copy kept there would come back in scans and break the tree. *)
+let test_replay_prunes_at_separator () =
+  let dc = mk () in
+  let long c = Printf.sprintf "%c-xxxxxxxx" c in
+  let longs = List.map long [ 'a'; 'b'; 'c'; 'd' ] in
+  let gaps = [ "b"; "c"; "d" ] in
+  let ops =
+    List.map (fun k -> Op.Insert { table = "t"; key = k; value = "v" })
+      (longs @ gaps)
+    @ List.map (fun k -> Op.Delete { table = "t"; key = k }) gaps
+    @ [ Op.Update { table = "t"; key = long 'b'; value = String.make 200 'w' } ]
+  in
+  let reqs = List.mapi (fun i op -> req (i + 1) op) ops in
+  let stabilized = List.length longs + List.length gaps in
+  List.iteri
+    (fun i r ->
+      if i = stabilized then begin
+        Alcotest.(check int) "one leaf before the deletes" 0 (Dc.splits dc);
+        eosl dc stabilized;
+        Dc.flush_all dc
+      end;
+      ignore (Dc.perform dc r))
+    reqs;
+  Alcotest.(check bool) "the grown record split its leaf" true
+    (Dc.splits dc > 0);
+  eosl dc (List.length reqs);
+  Fault.arm [ Fault.crash_at "dc.flush.before_page_write" 1 ];
+  let crashed =
+    Fun.protect ~finally:Fault.disarm (fun () ->
+        match Dc.flush_all dc with
+        | () -> false
+        | exception Fault.Injected_crash _ -> true)
+  in
+  Alcotest.(check bool) "crashed before the first page write" true crashed;
+  Dc.crash dc;
+  Dc.recover dc;
+  check_ok dc;
+  List.iter (fun r -> ignore (Dc.perform dc r)) reqs;
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string)) ("deleted " ^ k) None
+        (value_of dc (read k)))
+    gaps;
+  let scan = Op.Scan { table = "t"; from_key = ""; limit = 100; mode = Op.Own } in
+  let scanned =
+    match (Dc.perform dc (req 0 scan)).Wire.result with
+    | Wire.Pairs pairs -> List.map fst pairs
+    | _ -> Alcotest.fail "scan failed"
+  in
+  Alcotest.(check (list string)) "scan sees only the live keys" longs scanned;
+  check_ok dc
+
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
 let suite =
@@ -779,4 +839,6 @@ let suite =
         test_record_cell_golden;
       Alcotest.test_case "an escalated reset holds the other TCs' marks" `Quick
         test_escalation_holds_other_lwm;
+      Alcotest.test_case "replay prunes a stale leaf at the separator" `Quick
+        test_replay_prunes_at_separator;
     ]
