@@ -141,32 +141,17 @@ let make_mono ?(cc_protocol = Tc.Key_locks) ?(page_capacity = 512)
   Mono.create_table m ~name:table;
   m
 
-let mono_engine m : (module Engine.S) =
-  (module struct
-    type txn = Mono.txn
-
-    let begin_txn () = Mono.begin_txn m
-
-    let xid = Mono.xid
-
-    let is_active = Mono.is_active
-
-    let read txn ~table ~key = Mono.read m txn ~table ~key
-
-    let insert txn ~table ~key ~value = Mono.insert m txn ~table ~key ~value
-
-    let update txn ~table ~key ~value = Mono.update m txn ~table ~key ~value
-
-    let delete txn ~table ~key = Mono.delete m txn ~table ~key
-
-    let scan txn ~table ~from_key ~limit =
-      Mono.scan m txn ~table ~from_key ~limit
-
-    let commit txn = Mono.commit m txn
-
-    let abort txn ~reason = Mono.abort m txn ~reason
-
-    let wakeups () = Mono.wakeups m
-
-    let resolve_deadlock () = Mono.resolve_deadlock m
-  end)
+(* One committed upsert through any engine: an update, or an insert
+   when the key is absent. *)
+let upsert (module E : Engine.S) ~table ~key ~value =
+  let txn = E.begin_txn () in
+  (match E.update txn ~table ~key ~value with
+  | `Ok () -> ()
+  | `Blocked -> failwith "blocked"
+  | `Fail _ -> (
+    match E.insert txn ~table ~key ~value with
+    | `Ok () -> ()
+    | `Blocked | `Fail _ -> failwith "insert failed"));
+  match E.commit txn with
+  | `Ok () -> ()
+  | `Blocked | `Fail _ -> failwith "commit failed"

@@ -48,18 +48,7 @@ let make_deploy ?counters ?policy ?durability ~replicas () =
   Deploy.add_partitioned_table d ~replicas ~name:table ~versioned:false ~dcs ();
   (d, tc)
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> failwith "blocked"
-  | `Fail _ -> (
-    match Tc.insert tc txn ~table ~key ~value with
-    | `Ok () -> ()
-    | `Blocked | `Fail _ -> failwith "insert failed"));
-  match Tc.commit tc txn with
-  | `Ok () -> ()
-  | `Blocked | `Fail _ -> failwith "commit failed"
+let commit_one tc = Bench_util.upsert (Untx_kernel.Engine.of_tc tc) ~table
 
 let workload tc n =
   for i = 0 to n - 1 do

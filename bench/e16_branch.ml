@@ -39,18 +39,7 @@ let make_deploy ?counters ~parts () =
     ();
   (d, tc)
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> failwith "blocked"
-  | `Fail _ -> (
-    match Tc.insert tc txn ~table ~key ~value with
-    | `Ok () -> ()
-    | `Blocked | `Fail _ -> failwith "insert failed"));
-  match Tc.commit tc txn with
-  | `Ok () -> ()
-  | `Blocked | `Fail _ -> failwith "commit failed"
+let commit_one tc = Bench_util.upsert (Untx_kernel.Engine.of_tc tc) ~table
 
 let fill tc ?(value = "base") n =
   for i = 0 to n - 1 do
@@ -62,18 +51,7 @@ let stamp d tc =
   Tc.force_log tc;
   Tc.stable_lsn tc
 
-let br_commit br ~key ~value =
-  let txn = Branch.begin_txn br in
-  (match Branch.update br txn ~table ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> failwith "branch write blocked"
-  | `Fail _ -> (
-    match Branch.insert br txn ~table ~key ~value with
-    | `Ok () -> ()
-    | `Blocked | `Fail _ -> failwith "branch insert failed"));
-  match Branch.commit br txn with
-  | `Ok () -> ()
-  | `Blocked | `Fail _ -> failwith "branch commit failed"
+let br_commit br = Bench_util.upsert (Branch.engine br) ~table
 
 let br_read br ~key =
   let txn = Branch.begin_txn br in

@@ -19,6 +19,8 @@ module Kernel = Untx_kernel.Kernel
 module Mono = Untx_baseline.Mono
 module Transport = Untx_kernel.Transport
 
+let ms ns = float_of_int ns /. 1e6
+
 let spec =
   {
     Driver.default_spec with
@@ -43,15 +45,15 @@ let run () =
   let ru, tu = time (fun () -> Driver.run eu spec) in
   (* monolithic *)
   let m = make_mono () in
-  let em = mono_engine m in
+  let em = Engine.of_mono m in
   Driver.preload em spec;
   let rm, tm = time (fun () -> Driver.run em spec) in
   let row label (r : Driver.result) t msgs wire_bytes forces locks log_bytes =
     [
       label;
       fmt_f (float_of_int r.Driver.committed /. t);
-      fmt_f2 (Untx_util.Stats.percentile r.Driver.latency 50.);
-      fmt_f2 (Untx_util.Stats.percentile r.Driver.latency 99.);
+      fmt_f2 (ms (Metrics.percentile r.Driver.latency 50.));
+      fmt_f2 (ms (Metrics.percentile r.Driver.latency 99.));
       fmt_f2 (per msgs r.Driver.committed);
       string_of_int (wire_bytes / max 1 r.Driver.committed);
       fmt_f2 (per forces r.Driver.committed);

@@ -45,7 +45,7 @@ let run () =
   in
   let run_mono () =
     let m = make_mono () in
-    let e = mono_engine m in
+    let e = Engine.of_mono m in
     Driver.preload e spec;
     let r, t = time (fun () -> Driver.run e spec) in
     [

@@ -148,8 +148,6 @@ let dc_name t = t.dc_name
 
 let tables t = t.tbls
 
-let parent_label t = t.parent.p_label
-
 let closed t = t.closed
 
 let check_open t =
@@ -290,6 +288,27 @@ let commit t txn =
 let abort t txn ~reason =
   check_open t;
   Tc.abort t.tc txn ~reason
+
+(* The copy-on-write accessors above as an engine; the rest of the
+   surface is the branch TC's. *)
+let engine t : (module Untx_kernel.Engine.S) =
+  let module Ops = struct
+    let begin_txn () = begin_txn t
+    let read = read t
+    let insert = insert t
+    let update = update t
+    let delete = delete t
+    let scan = scan t
+    let commit = commit t
+    let abort = abort t
+  end in
+  (module struct
+    include Untx_kernel.Engine.Of_tc (struct
+      let tc = t.tc
+    end)
+
+    include Ops
+  end)
 
 (* ------------------------------------------------------------------ *)
 (* Point-in-time reads (combined LSN space)                            *)

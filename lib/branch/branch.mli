@@ -101,8 +101,6 @@ val dc_name : t -> string
 val tables : t -> (string * bool) list
 (** The branch's table set, as [(name, versioned)] pairs. *)
 
-val parent_label : t -> string
-
 val durable : t -> Untx_util.Lsn.t
 (** The highest combined LSN the branch answers: fork LSN plus its own
     store's ingest watermark (freshened to end-of-stable-log). *)
@@ -151,6 +149,10 @@ val scan :
 val commit : t -> Untx_tc.Tc.txn -> unit Untx_tc.Tc.outcome
 
 val abort : t -> Untx_tc.Tc.txn -> reason:string -> unit
+
+val engine : t -> (module Untx_kernel.Engine.S)
+(** The branch's transactions above as an {!Untx_kernel.Engine.S}, so
+    a harness drives a branch exactly as it drives a TC. *)
 
 (** {2 Point-in-time reads} *)
 

@@ -340,6 +340,8 @@ let add_replica t ~dc:primary =
   Hashtbl.iter (fun tc_name _ -> attach_replica t ~tc_name ~sb_name:name) t.tcs;
   name
 
+(* Top the primary's replica set up to [n] standbys; returns the names
+   of the ones added. *)
 let add_replicas t ~dc ~n =
   let missing = n - List.length (replicas t ~dc) in
   List.init (max 0 missing) (fun _ -> add_replica t ~dc)
@@ -872,9 +874,8 @@ let take_last_faulted t =
   f
 
 let crash_for_point t ~point ~tc ~dc =
-  let rec go attempts point ~dc =
-    try
-      match Untx_kernel.Kernel.component_of_point point with
+  Untx_fault.Fault.route_crash
+    (function
       | `Tc ->
         ignore (take_last_faulted t);
         crash_tc t tc
@@ -887,11 +888,8 @@ let crash_for_point t ~point ~tc ~dc =
         let target = Option.value (take_last_faulted t) ~default:dc in
         if Hashtbl.mem t.branches target then crash_branch_dc t target
         else if Hashtbl.mem t.standbys target then crash_standby t target
-        else crash_dc t target
-    with Untx_fault.Fault.Injected_crash p when attempts > 0 ->
-      go (attempts - 1) p ~dc
-  in
-  go 8 point ~dc
+        else crash_dc t target)
+    point
 
 (* Deployment-wide checkpoint round: every TC advances its own
    redo-scan start point against every DC, in name order so the round
@@ -905,7 +903,7 @@ let checkpoint_all t =
     (fun acc name -> Tc.checkpoint (tc t name) && acc)
     true (tc_names t)
 
-(* Detach/reattach one standby in every manager at once.  Replica state
+(* Detach one standby in every manager at once.  Replica state
    is per (TC, standby): each manager holds its own retention lease and
    burns one unit only on its own TC's granted checkpoints, so M TCs do
    not multiply "one" detachment's burn rate — but a deployment-level
@@ -915,15 +913,6 @@ let detach_replica t name =
   if not (Hashtbl.mem t.standbys name) then
     invalid_arg ("Deploy.detach_replica: unknown " ^ name);
   Hashtbl.iter (fun _ m -> Repl.Manager.detach m ~name) t.managers
-
-let reattach_replica t name =
-  if not (Hashtbl.mem t.standbys name) then
-    invalid_arg ("Deploy.reattach_replica: unknown " ^ name);
-  Hashtbl.iter
-    (fun _ m ->
-      if Repl.Manager.state_of m ~name <> Repl.Manager.Rebuild_required then
-        Repl.Manager.reattach m ~name)
-    t.managers
 
 let quiesce t =
   Hashtbl.iter (fun _ tc -> Tc.quiesce tc) t.tcs;

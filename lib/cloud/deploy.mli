@@ -122,10 +122,6 @@ val add_replica : t -> dc:string -> string
     every TC, and start shipping.  Returns the standby's name
     (["<dc>~r<i>"]). *)
 
-val add_replicas : t -> dc:string -> n:int -> string list
-(** Top the primary's replica set up to [n] standbys; returns the names
-    of the ones added. *)
-
 val replicas : t -> dc:string -> string list
 (** The standbys currently shadowing a primary, sorted by name. *)
 
@@ -266,12 +262,13 @@ val truncate_history : ?tc:string -> t -> below:Untx_util.Lsn.t -> int
 
 val crash_for_point : t -> point:string -> tc:string -> dc:string -> unit
 (** Kill whichever component owns the fault point (see
-    {!Untx_kernel.Kernel.component_of_point}): a TC-side point crashes
+    {!Untx_fault.Fault.component_of_point}): a TC-side point crashes
     the named TC; a DC-side point crashes the DC whose handler the
     injected fault actually escaped from (falling back to the named
     [dc]) — with N partitions the dying component is whichever DC was
     mid-operation, not whichever a plan named.  Plans that fire again
-    during recovery crash the restarted component in turn (bounded). *)
+    during recovery crash the restarted component in turn
+    ({!Untx_fault.Fault.route_crash}). *)
 
 val checkpoint_all : t -> bool
 (** One deployment-wide checkpoint round: every TC checkpoints (in name
@@ -286,11 +283,6 @@ val detach_replica : t -> string -> unit
     its own TC's granted checkpoints, so a deployment of M TCs gives a
     detached standby M independent leases — consults from different TCs
     never decrement each other's. *)
-
-val reattach_replica : t -> string -> unit
-(** Reattach the named standby in every manager that has not demoted it
-    to rebuild-required (those keep refusing it, as
-    {!Untx_repl.Repl.Manager.reattach} demands). *)
 
 val quiesce : t -> unit
 

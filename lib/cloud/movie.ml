@@ -77,8 +77,6 @@ let create ?policy ?seed ?counters ?(versioned = true) ~n_user_tcs
 
 let deploy t = t.d
 
-let updater_count t = t.n_user_tcs
-
 let updater_for t uid = Deploy.tc t.d (updater_name (uid mod t.n_user_tcs))
 
 let reader t = Deploy.tc t.d reader_name

@@ -61,6 +61,4 @@ val crash_user_tc : t -> int -> unit
 (** Crash+restart one updater TC; other TCs keep running (their data on
     shared DCs is untouched by the selective reset). *)
 
-val updater_count : t -> int
-
 val messages_total : t -> int

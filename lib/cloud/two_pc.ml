@@ -34,6 +34,7 @@ let create ?(counters = Instrument.global) ~partitions config =
 let create_table t ~name =
   Hashtbl.iter (fun _ m -> Mono.create_table m ~name) t.engines
 
+(* Deterministic home partition for a key (by hash). *)
 let partition_of t key =
   t.names.(Hashtbl.hash key mod Array.length t.names)
 

@@ -1,4 +1,5 @@
 module Kernel = Untx_kernel.Kernel
+module Engine = Untx_kernel.Engine
 module Transport = Untx_kernel.Transport
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
@@ -170,44 +171,21 @@ let rec settle handle f attempts =
     handle e;
     settle handle f (attempts - 1)
 
-(* The transactional surface a cycle drives: the plain kernel, a
-   deployment's TC, the index wrappers or a branch. *)
-type side = {
-  begin_txn : unit -> Tc.txn;
-  read : Tc.txn -> key:string -> string option Tc.outcome;
-  insert : Tc.txn -> key:string -> value:string -> unit Tc.outcome;
-  update : Tc.txn -> key:string -> value:string -> unit Tc.outcome;
-  delete : Tc.txn -> key:string -> unit Tc.outcome;
-  commit : Tc.txn -> unit Tc.outcome;
-  abort : Tc.txn -> reason:string -> unit;
-}
-
-let tc_side tc ~table =
-  {
-    begin_txn = (fun () -> Tc.begin_txn tc);
-    read = (fun txn ~key -> Tc.read tc txn ~table ~key);
-    insert = (fun txn ~key ~value -> Tc.insert tc txn ~table ~key ~value);
-    update = (fun txn ~key ~value -> Tc.update tc txn ~table ~key ~value);
-    delete = (fun txn ~key -> Tc.delete tc txn ~table ~key);
-    commit = Tc.commit tc;
-    abort = Tc.abort tc;
-  }
-
 (* Probe a transaction's unique marker key to learn its fate after an
    ambiguously interrupted commit: the marker is the transaction's
    first write, so it is visible iff the transaction committed. *)
-let probe ~handle side marker =
+let probe ~handle (module E : Engine.S) ~table marker =
   let attempt () =
-    let txn = side.begin_txn () in
+    let txn = E.begin_txn () in
     let v =
-      match side.read txn ~key:marker with
+      match E.read txn ~table ~key:marker with
       | `Ok v -> v
       | `Blocked | `Fail _ -> None
     in
-    (match side.commit txn with
+    (match E.commit txn with
     | `Ok () -> ()
     | `Blocked | `Fail _ ->
-      if Tc.is_active txn then side.abort txn ~reason:"chaos probe");
+      if E.is_active txn then E.abort txn ~reason:"chaos probe");
     v
   in
   try attempt ()
@@ -215,9 +193,9 @@ let probe ~handle side marker =
     handle e;
     (try attempt () with Fault.Injected_crash _ | Fault.Io_error _ -> None)
 
-(* Raised by the index side on any non-[`Ok]: the Fail-means-caller-
-   aborts contract, since a refused entry op would otherwise leave the
-   primary write without its maintenance. *)
+(* Raised under [~strict] on any non-[`Ok] write: the index module's
+   Fail-means-caller-aborts contract, since a refused entry op would
+   otherwise leave the primary write without its maintenance. *)
 exception Dead_txn
 
 let plain_value rng = Printf.sprintf "v%06d" (Rng.int rng 1_000_000)
@@ -226,10 +204,12 @@ let plain_value rng = Printf.sprintf "v%06d" (Rng.int rng 1_000_000)
    and give consolidation points a chance to fire. *)
 let late_deletes ~txns i = if 3 * i > 2 * txns then 0.7 else 0.25
 
-(* One generated transaction on [side] — the marker, then 1-4 writes to
-   keys "k00".."k49" — settled into [shadow] by the marker fate
-   protocol. *)
-let run_txn cx ~handle side ~shadow ~marker ~delete_bias ~value =
+(* One generated transaction on [engine] — the marker, then 1-4 writes
+   to keys "k00".."k49" — settled into [shadow] by the marker fate
+   protocol.  [strict] aborts the transaction on the first refused
+   write. *)
+let run_txn cx ~handle ~strict (module E : Engine.S) ~shadow ~marker
+    ~delete_bias ~value =
   let staged : (string, string option) Hashtbl.t = Hashtbl.create 8 in
   let cur = ref None in
   let phase = ref `Body in
@@ -238,16 +218,16 @@ let run_txn cx ~handle side ~shadow ~marker ~delete_bias ~value =
     commit_staged shadow staged
   in
   let resolve_by_marker () =
-    if probe ~handle side marker <> None then committed ()
+    if probe ~handle (module E) ~table marker <> None then committed ()
   in
   let stage key v = function
     | `Ok () -> Hashtbl.replace staged key v
-    | `Blocked | `Fail _ -> ()
+    | `Blocked | `Fail _ -> if strict then raise Dead_txn
   in
   try
-    let txn = side.begin_txn () in
+    let txn = E.begin_txn () in
     cur := Some txn;
-    stage marker (Some "1") (side.insert txn ~key:marker ~value:"1");
+    stage marker (Some "1") (E.insert txn ~table ~key:marker ~value:"1");
     for _ = 1 to 1 + Rng.int cx.rng 4 do
       let key = Printf.sprintf "k%02d" (Rng.int cx.rng 50) in
       let current =
@@ -257,27 +237,27 @@ let run_txn cx ~handle side ~shadow ~marker ~delete_bias ~value =
       match current with
       | None ->
         let value = value cx.rng in
-        stage key (Some value) (side.insert txn ~key ~value)
+        stage key (Some value) (E.insert txn ~table ~key ~value)
       | Some _ ->
         if Rng.chance cx.rng delete_bias then
-          stage key None (side.delete txn ~key)
+          stage key None (E.delete txn ~table ~key)
         else
           let value = value cx.rng in
-          stage key (Some value) (side.update txn ~key ~value)
+          stage key (Some value) (E.update txn ~table ~key ~value)
     done;
     phase := `Commit;
-    match side.commit txn with
+    match E.commit txn with
     | `Ok () -> committed ()
     | `Blocked | `Fail _ -> ()
   with
   | Dead_txn -> (
     match !cur with
-    | Some txn when Tc.is_active txn ->
-      side.abort txn ~reason:"chaos: index op refused"
+    | Some txn when E.is_active txn ->
+      E.abort txn ~reason:"chaos: index op refused"
     | _ -> ())
   | (Fault.Injected_crash p | Fault.Io_error p) as e -> (
     handle e;
-    match (!phase, Kernel.component_of_point p, !cur) with
+    match (!phase, Fault.component_of_point p, !cur) with
     | `Body, `Tc, _ ->
       (* The transaction died with the TC; recovery rolled it back and
          the handle is stale.  The oracle never saw its writes. *)
@@ -287,8 +267,8 @@ let run_txn cx ~handle side ~shadow ~marker ~delete_bias ~value =
       (* The TC survived, so the transaction is a live loser holding
          locks (on every partition it touched): roll it back like
          suite_recovery's open_loser. *)
-      if Tc.is_active txn then
-        side.abort txn ~reason:"chaos: rollback after DC crash"
+      if E.is_active txn then
+        E.abort txn ~reason:"chaos: rollback after DC crash"
     | `Commit, `Tc, _ ->
       (* The Commit record may or may not have reached the stable log
          before the kill; the marker knows. *)
@@ -301,16 +281,16 @@ let run_txn cx ~handle side ~shadow ~marker ~delete_bias ~value =
          holds its locks, so keep retrying — the plan is finite — and
          roll back as a last resort rather than leak the locks. *)
       let rec retry attempts =
-        if not (Tc.is_active txn) then
+        if not (E.is_active txn) then
           (* the commit had already finished (the crash hit the
              post-commit auto-checkpoint); the marker settles it *)
           resolve_by_marker ()
         else if attempts = 0 then (
-          side.abort txn ~reason:"chaos: commit retries exhausted";
+          E.abort txn ~reason:"chaos: commit retries exhausted";
           resolve_by_marker ())
         else
           try
-            match side.commit txn with
+            match E.commit txn with
             | `Ok () -> committed ()
             | `Blocked | `Fail _ -> ()
           with (Fault.Injected_crash _ | Fault.Io_error _) as e ->
@@ -352,17 +332,7 @@ let kernel_rig cx ~counters ~seed ~txns =
   in
   Kernel.create_table k ~name:table ~versioned:(versioned_of seed);
   let handle = handle cx (Kernel.crash_for_point k) in
-  let side =
-    {
-      begin_txn = (fun () -> Kernel.begin_txn k);
-      read = (fun txn ~key -> Kernel.read k txn ~table ~key);
-      insert = (fun txn ~key ~value -> Kernel.insert k txn ~table ~key ~value);
-      update = (fun txn ~key ~value -> Kernel.update k txn ~table ~key ~value);
-      delete = (fun txn ~key -> Kernel.delete k txn ~table ~key);
-      commit = Kernel.commit k;
-      abort = Kernel.abort k;
-    }
-  in
+  let engine = Engine.of_kernel k in
   let quiesce () = Kernel.quiesce k in
   {
     handle;
@@ -372,7 +342,7 @@ let kernel_rig cx ~counters ~seed ~txns =
         checkpoint_at_midpoint ~handle ~txns ~quiesce
           ~checkpoint:(fun () -> Kernel.checkpoint k)
           i;
-        run_txn cx ~handle side ~shadow:cx.oracle
+        run_txn cx ~handle ~strict:false engine ~shadow:cx.oracle
           ~marker:(Printf.sprintf "m%03d" i)
           ~delete_bias:(late_deletes ~txns i) ~value:plain_value);
     audit = (fun () -> Audit.run k ~table ~expected:(oracle_rows cx.oracle));
@@ -480,26 +450,10 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
     | _ -> crash point
   in
   let handle = handle cx route in
-  let side, value =
+  let engine, value =
     match idx with
-    | None -> (tc_side tc ~table, plain_value)
-    | Some idx ->
-      let strict = function
-        | `Ok () -> `Ok ()
-        | `Blocked | `Fail _ -> raise Dead_txn
-      in
-      ( {
-          (tc_side tc ~table) with
-          insert =
-            (fun txn ~key ~value ->
-              strict (Index.insert idx tc txn ~table ~key ~value));
-          update =
-            (fun txn ~key ~value ->
-              strict (Index.update idx tc txn ~table ~key ~value));
-          delete =
-            (fun txn ~key -> strict (Index.delete idx tc txn ~table ~key));
-        },
-        index_value )
+    | None -> (Engine.of_tc tc, plain_value)
+    | Some idx -> (Index.engine idx tc, index_value)
   in
   let quiesce () = Deploy.quiesce d in
   let maintain =
@@ -554,7 +508,7 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
     iteration =
       (fun i ->
         maintain i;
-        run_txn cx ~handle side ~shadow:cx.oracle
+        run_txn cx ~handle ~strict:(idx <> None) engine ~shadow:cx.oracle
           ~marker:(Printf.sprintf "m%03d" i)
           ~delete_bias:(late_deletes ~txns i) ~value);
     audit =
@@ -692,7 +646,7 @@ let front_rig cx ~counters ~seed ~txns ~parts =
         let tcn = if table = "kv1" then "tc1" else "tc2" in
         match Front.poll front ticket with
         | `Done (Front.Committed _)
-          when probe ~handle:raise (tc_side (Deploy.tc d tcn) ~table) marker
+          when probe ~handle:raise (Engine.of_tc (Deploy.tc d tcn)) ~table marker
                <> None ->
           cx.committed <- cx.committed + 1;
           commit_staged (List.assoc tcn oracles) staged
@@ -734,9 +688,10 @@ let front_rig cx ~counters ~seed ~txns ~parts =
    ([Deploy.crash_for_point] consults the fault wrapper), a TC-side
    point that escaped a branch operation crash-recovers the branch's
    own TC.  The audit is the full parent [Audit.run_deploy] plus
-   {!Audit.check_branch} plus two oracle laws: the branch tracks its
-   own shadow map, and the shared prefix at the fork point still reads
-   back exactly as the parent's oracle stood when the fork was cut. *)
+   {!Audit.check_branch} plus the bank's branch-oracle laws
+   ({!Workload.fork_laws}): the branch reads back its own shadow map,
+   and the shared prefix at the fork point reads back, through both
+   sides, exactly as the parent's oracle stood when the fork was cut. *)
 let branch_rig cx ~counters ~seed ~txns ~parts =
   let d, dcs =
     make_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:true
@@ -748,60 +703,47 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
   let tc = Deploy.tc d "tc1" in
   let default_dc = List.hd (Deploy.partitions d ~table) in
   let br_oracle : (string, string option) Hashtbl.t = Hashtbl.create 128 in
-  let fork_state = ref None (* (fork lsn, oracle snapshot at the fork) *) in
-  let br = ref None in
+  let br = ref None (* the fork and its engine *) in
   let in_branch = ref false in
   let route p =
-    match (Kernel.component_of_point p, !br) with
-    | `Tc, Some b when !in_branch ->
+    match (Fault.component_of_point p, !br) with
+    | `Tc, Some (f, _) when !in_branch ->
       (* the point escaped the branch's own TC: recover it, not tc1 *)
-      Tc.crash (Branch.tc b);
-      Tc.recover (Branch.tc b)
+      let btc = Branch.tc f.Workload.f_branch in
+      Tc.crash btc;
+      Tc.recover btc
     | _ -> Deploy.crash_for_point d ~point:p ~tc:"tc1" ~dc:default_dc
   in
   let handle = handle cx route in
-  let parent = tc_side tc ~table in
+  let parent = Engine.of_tc tc in
   let iteration i =
     (* fork at the first stable point past a third of the workload *)
-    if i >= txns / 3 && !br = None then
+    if i >= txns / 3 && Option.is_none !br then
       guard handle (fun () ->
-          Deploy.quiesce d;
-          Tc.force_log tc;
-          let fork = Tc.stable_lsn tc in
-          let b = Deploy.create_branch d ~from_lsn:fork ~name:"b" in
-          fork_state := Some (fork, Hashtbl.copy cx.oracle);
+          let f =
+            Workload.fork d ~tables:[ table ] ~rows:(fun _ ->
+                Hashtbl.fold (fun k v acc -> (k, v) :: acc) cx.oracle []
+                |> List.sort compare)
+          in
           Hashtbl.iter (Hashtbl.replace br_oracle) cx.oracle;
-          br := Some b);
-    if i = 2 * txns / 3 && !br <> None then
+          br := Some (f, Branch.engine f.f_branch));
+    if i = 2 * txns / 3 && Option.is_some !br then
       guard handle (fun () ->
           Deploy.quiesce d;
           Repl.Manager.compact_layers (Deploy.manager d ~tc:"tc1");
           ignore (Deploy.truncate_history d ~below:(Tc.stable_lsn tc));
           Deploy.crash_branch_dc d "b");
-    run_txn cx ~handle parent ~shadow:cx.oracle
+    run_txn cx ~handle ~strict:false parent ~shadow:cx.oracle
       ~marker:(Printf.sprintf "m%03d" i)
       ~delete_bias:0.3 ~value:plain_value;
     match !br with
     | None -> ()
-    | Some b ->
-      let side =
-        {
-          begin_txn = (fun () -> Branch.begin_txn b);
-          read = (fun txn ~key -> Branch.read b txn ~table ~key);
-          insert =
-            (fun txn ~key ~value -> Branch.insert b txn ~table ~key ~value);
-          update =
-            (fun txn ~key ~value -> Branch.update b txn ~table ~key ~value);
-          delete = (fun txn ~key -> Branch.delete b txn ~table ~key);
-          commit = Branch.commit b;
-          abort = Branch.abort b;
-        }
-      in
+    | Some (_, engine) ->
       in_branch := true;
       Fun.protect
         ~finally:(fun () -> in_branch := false)
         (fun () ->
-          run_txn cx ~handle side ~shadow:br_oracle
+          run_txn cx ~handle ~strict:false engine ~shadow:br_oracle
             ~marker:(Printf.sprintf "bm%03d" i)
             ~delete_bias:0.3 ~value:plain_value)
   in
@@ -812,30 +754,12 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
     let branch_violations =
       match !br with
       | None -> [ "branch: fork never succeeded" ]
-      | Some b ->
-        let errs = ref (Audit.check_branch d ~name:"b" ~table) in
-        let show = function Some v -> Printf.sprintf "%S" v | None -> "None" in
-        let check ~law ~holder ~at held =
-          Hashtbl.iter
-            (fun key expected ->
-              let got = Branch.read_as_of b ~table ~key ~at in
-              if got <> expected then
-                errs :=
-                  Printf.sprintf "%s: %s reads %s, %s holds %s" law key
-                    (show got) holder (show expected)
-                  :: !errs)
-            held
-        in
-        (* the branch tracks its own shadow map *)
-        check ~law:"branch oracle" ~holder:"shadow" ~at:(Branch.durable b)
-          br_oracle;
-        (* the shared prefix at the fork point never moved *)
-        Option.iter
-          (fun (fork, at_fork) ->
-            check ~law:"branch fork prefix" ~holder:"fork snapshot" ~at:fork
-              at_fork)
-          !fork_state;
-        !errs
+      | Some (f, _) ->
+        let structural = Audit.check_branch d ~name:"b" ~table in
+        structural
+        @ List.filter_map
+            (fun (holds, msg) -> if holds then None else Some msg)
+            (Workload.fork_laws d f ~own:(fun _ -> oracle_rows br_oracle))
     in
     {
       report with

@@ -14,7 +14,8 @@
     small pages and a tiny cache so splits, evictions and flushes
     happen), the same workload generator and the same fate protocol.
     A shape only adds what really differs: its crash routing, its
-    mid-workload maintenance, its transactional surface and its audit.
+    mid-workload maintenance, the {!Untx_kernel.Engine.S} value it
+    drives and its audit.
 
     Everything — workload, transport policy, fault plan, crash instant —
     is a pure function of the shape, seed, plan and [txns], so any
@@ -46,7 +47,8 @@ type repl = {
 type shape =
   | Kernel
       (** one TC and one DC as a {!Untx_kernel.Kernel}, driven through
-          [Kernel] itself, so commits take its auto-checkpoint path
+          {!Untx_kernel.Engine.of_kernel}, so commits take its
+          auto-checkpoint path
           (every 7 commits on seeds divisible by 4); quiesce and
           checkpoint at the midpoint; audited by {!Audit.run} *)
   | Partitioned of int
@@ -85,8 +87,8 @@ type shape =
           kill.  The audit runs {!Audit.run_deploy} once per TC,
           including the cross-TC watermark check. *)
   | Indexed of int
-      (** {!Partitioned} with every mutation routed through
-          {!Untx_index.Index} on a table carrying two secondary indexes
+      (** {!Partitioned} driven through {!Untx_index.Index.engine}, so
+          every mutation maintains a table's two secondary indexes
           (categories from the value, occasionally NUL-embedded; length
           buckets), under a seed-picked Section 3.1 lock protocol (never
           Optimistic).  A kill can land between a primary write and its
@@ -102,10 +104,8 @@ type shape =
           branch's fork pin — and the branch DC is killed and
           recovered.  TC-side points that escaped a branch operation
           crash-recover the branch's own TC.  The audit adds
-          {!Audit.check_branch} and the two branch oracle laws (the
-          branch tracks its own shadow map; the shared prefix at the
-          fork point still reads back as the parent's oracle stood when
-          the fork was cut). *)
+          {!Audit.check_branch} and the bank's branch-oracle laws
+          ({!Untx_workload.Workload.fork_laws}). *)
 
 type cycle = {
   c_shape : string;

@@ -126,3 +126,25 @@ let hit name =
                 end
               end)
             rules)
+
+(* --- crash routing ---------------------------------------------------- *)
+
+let component_of_point point =
+  if
+    String.starts_with ~prefix:"tc." point
+    || String.starts_with ~prefix:"wal.tc." point
+  then `Tc
+  else `Dc
+(* dc.*, wal.dc.*, disk.*, repl.*, layer.* and transport points all live
+   in the DC process. *)
+
+let route_crash kill point =
+  let rec go attempts point =
+    try kill (component_of_point point)
+    with Injected_crash p when attempts > 0 ->
+      (* The plan fired again *during* recovery (e.g. "tc.recover.mid"):
+         the freshly restarted component dies too.  Nth rules are
+         consumed when they fire, so this terminates. *)
+      go (attempts - 1) p
+  in
+  go 8 point

@@ -8,7 +8,7 @@
     execution passes through them.  A test arms a seeded {e fault plan};
     when a plan rule fires at a point, {!hit} raises and the caller's
     harness translates the exception into a simulated hard kill
-    ([Kernel.crash_for_point]) or a transient I/O failure.
+    ({!route_crash}) or a transient I/O failure.
 
     With no plan armed, {!hit} is a single ref read — cheap enough to
     leave the points compiled into the hot paths that benchmarks
@@ -24,7 +24,7 @@ exception Injected_crash of string
 (** Raised by {!hit} when a [Crash] rule fires; the payload is the crash
     point's name.  Simulates the process dying at that instant: the
     catcher must discard all volatile state of the owning component
-    (e.g. via [Kernel.crash_for_point]) before continuing. *)
+    (e.g. via {!route_crash}) before continuing. *)
 
 exception Io_error of string
 (** Raised by {!hit} when an [Io_fail] rule fires: a transient I/O error
@@ -78,3 +78,19 @@ val fired_points : unit -> string list
 (** Points whose rules fired since the last {!arm}, in firing order.
     Survives {!disarm} so a harness can collect results after tearing
     the plan down. *)
+
+(** {2 Crash routing} *)
+
+val component_of_point : string -> [ `Tc | `Dc ]
+(** Which process a fault point dies with, by name prefix: ["tc."] and
+    ["wal.tc."] points die with the TC; every other point ([dc.],
+    [wal.dc.], [disk.], cache, replication, layer and transport points)
+    dies with the DC. *)
+
+val route_crash : ([ `Tc | `Dc ] -> unit) -> string -> unit
+(** [route_crash kill point] answers an {!Injected_crash} at [point]
+    with [kill (component_of_point point)], a hard kill (crash +
+    recover) of the owning component.  If the armed plan fires again
+    during that recovery, the newly raised point is routed in turn, up
+    to 8 times ([Nth] rules are consumed when they fire, so this
+    terminates). *)

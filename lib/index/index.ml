@@ -244,6 +244,22 @@ let lookup t tc txn ~table ~index ~sec =
             `Ok (pk, value)
           end)
 
+(* The TC surface with every mutation maintaining [t]'s indexes; reads
+   and scans stay the TC's own. *)
+let engine t tc : (module Untx_kernel.Engine.S) =
+  let module Writes = struct
+    let insert = insert t tc
+    let update = update t tc
+    let delete = delete t tc
+  end in
+  (module struct
+    include Untx_kernel.Engine.Of_tc (struct
+      let tc = tc
+    end)
+
+    include Writes
+  end)
+
 (* ------------------------------------------------------------------ *)
 (* Parity                                                              *)
 

@@ -109,6 +109,12 @@ val lookup :
     An entry whose primary record is missing, or whose record no longer
     extracts to [sec], is corruption and fails loudly. *)
 
+val engine : t -> Tc.t -> (module Untx_kernel.Engine.S)
+(** The TC as an {!Untx_kernel.Engine.S} whose inserts, updates and
+    deletes go through {!insert}, {!update} and {!delete}; reads, scans,
+    commit and abort are the TC's own.  The module contract holds: a
+    caller that gets [`Fail] from a mutation must abort. *)
+
 (** {2 Parity (for audits)} *)
 
 val expected_entries :

@@ -36,7 +36,7 @@ type result = {
   deadlocks : int;
   blocked_events : int;
   op_count : int;
-  latency : Untx_util.Stats.t;
+  latency : Untx_obs.Metrics.hsnap;
 }
 
 let key_of spec i = Printf.sprintf "k%08d" (i mod spec.key_space)
@@ -107,7 +107,7 @@ module Make (E : Engine.S) = struct
     let blocked_events = ref 0 in
     let op_count = ref 0 in
     let started = ref 0 in
-    let latency = Untx_util.Stats.create () in
+    let latency = Untx_obs.Metrics.create () in
     let slots =
       Array.init
         (Stdlib.max 1 spec.concurrency)
@@ -174,8 +174,8 @@ module Make (E : Engine.S) = struct
             match E.commit txn with
             | `Ok () ->
               incr committed;
-              Untx_util.Stats.add latency
-                ((Unix.gettimeofday () -. slot.started_at) *. 1000.);
+              Untx_obs.Metrics.observe latency "txn_ns"
+                (int_of_float ((Unix.gettimeofday () -. slot.started_at) *. 1e9));
               retire slot txn
             | `Fail _ ->
               incr aborted;
@@ -236,7 +236,9 @@ module Make (E : Engine.S) = struct
       deadlocks = !deadlocks;
       blocked_events = !blocked_events;
       op_count = !op_count;
-      latency;
+      latency =
+        Option.value ~default:Untx_obs.Metrics.empty_hsnap
+          (Untx_obs.Metrics.hist_snapshot latency "txn_ns");
     }
 end
 

@@ -31,8 +31,10 @@ type result = {
   deadlocks : int;
   blocked_events : int;
   op_count : int;  (** operations successfully executed *)
-  latency : Untx_util.Stats.t;
-      (** wall-clock per committed transaction, begin to commit-return *)
+  latency : Untx_obs.Metrics.hsnap;
+      (** wall-clock ns per committed transaction, begin to
+          commit-return; read percentiles with
+          {!Untx_obs.Metrics.percentile} *)
 }
 
 val preload : (module Engine.S) -> spec -> unit

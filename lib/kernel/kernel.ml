@@ -127,24 +127,7 @@ let crash_both t =
 
 (* --- fault-injection harness glue --------------------------------- *)
 
-let component_of_point point =
-  if
-    String.starts_with ~prefix:"tc." point
-    || String.starts_with ~prefix:"wal.tc." point
-  then `Tc
-  else `Dc
-(* dc.*, wal.dc.*, disk.* and cache points all live in the DC process. *)
-
-let crash_for_point t point =
-  let rec go attempts point =
-    try
-      match component_of_point point with
-      | `Tc -> crash_tc t
-      | `Dc -> crash_dc t
-    with Untx_fault.Fault.Injected_crash p when attempts > 0 ->
-      (* The plan fired again *during* recovery (e.g. "tc.recover.mid"):
-         the freshly restarted component dies too.  Nth rules are
-         consumed when they fire, so this terminates. *)
-      go (attempts - 1) p
-  in
-  go 8 point
+let crash_for_point t =
+  Untx_fault.Fault.route_crash (function
+    | `Tc -> crash_tc t
+    | `Dc -> crash_dc t)

@@ -70,17 +70,10 @@ val crash_tc : t -> unit
 
 val crash_both : t -> unit
 
-val component_of_point : string -> [ `Tc | `Dc ]
-(** Which component a fault point belongs to, by name prefix: ["tc."]
-    and ["wal.tc."] points die with the TC; ["dc."], ["wal.dc."],
-    ["disk."] and cache points die with the DC. *)
-
 val crash_for_point : t -> string -> unit
 (** Translate a {!Untx_fault.Fault.Injected_crash} at the named point
-    into a hard kill of the owning component (crash + recover).  If the
-    armed plan fires again during recovery, the newly restarted
-    component is crashed in turn (bounded, since [Nth] rules are
-    consumed when they fire). *)
+    into a hard kill of the owning component (crash + recover), routed
+    by {!Untx_fault.Fault.route_crash}. *)
 
 val quiesce : t -> unit
 (** Wait for every outstanding acknowledgement, via the TC's

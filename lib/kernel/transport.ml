@@ -134,8 +134,6 @@ let set_policy t policy =
   t.policy <- policy;
   t.control_policy <- policy
 
-let set_control_policy t policy = t.control_policy <- policy
-
 (* Replication frames are contract-governed like control traffic and
    face the same adversary. *)
 let policy_for t = function
@@ -419,7 +417,5 @@ let corrupt_dropped t = t.corrupt_dropped
 let data_bytes_sent t = t.data_bytes
 
 let control_bytes_sent t = t.control_bytes
-
-let repl_bytes_sent t = t.repl_bytes
 
 let bytes_sent t = t.data_bytes + t.control_bytes + t.repl_bytes

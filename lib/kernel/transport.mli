@@ -77,9 +77,6 @@ val create :
 val set_policy : t -> policy -> unit
 (** Set the adversary for both channels. *)
 
-val set_control_policy : t -> policy -> unit
-(** Override the control channel's adversary only. *)
-
 val send : t -> string -> unit
 (** Enqueue an encoded request frame on the data channel. *)
 
@@ -133,9 +130,6 @@ val data_bytes_sent : t -> int
 
 val control_bytes_sent : t -> int
 
-val repl_bytes_sent : t -> int
-(** Measured encoded bytes handed to the replication channel (both
-    directions). *)
-
 val bytes_sent : t -> int
-(** [data_bytes_sent + control_bytes_sent + repl_bytes_sent]. *)
+(** [data_bytes_sent + control_bytes_sent] plus the encoded bytes
+    handed to the replication channel (both directions). *)

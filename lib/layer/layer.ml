@@ -422,6 +422,7 @@ let unpin t ~at =
     invalid_arg
       (Printf.sprintf "Layer.unpin: no pin at %s" (Lsn.to_string at))
 
+(* The lowest live pin, if any. *)
 let pin_floor t =
   Hashtbl.fold
     (fun at _ acc ->

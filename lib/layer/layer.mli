@@ -167,9 +167,6 @@ val unpin : t -> at:Untx_util.Lsn.t -> unit
 (** Release one pin taken at exactly [at].  Raises [Invalid_argument]
     when no pin is held there. *)
 
-val pin_floor : t -> Untx_util.Lsn.t option
-(** The lowest live pin, if any. *)
-
 val pin_count : t -> int
 (** Total live pins (sum of refcounts). *)
 

@@ -25,10 +25,6 @@ module Layer = Untx_layer.Layer
 
 type durability = Primary_only | Quorum of int
 
-let pp_durability ppf = function
-  | Primary_only -> Format.pp_print_string ppf "primary-only"
-  | Quorum k -> Format.fprintf ppf "quorum-%d" k
-
 (* A kill at a shipped-batch boundary is the interesting crash instant:
    the standby holds a strict prefix of the stream and promotion must
    re-drive exactly the rest. *)
@@ -755,16 +751,6 @@ module Manager = struct
 
   let replica_names t ~primary =
     List.map (fun r -> r.r_name) (replicas_of t ~primary)
-
-  let standby_of t ~name =
-    match Hashtbl.find_opt t.replicas name with
-    | Some r -> r.r_standby
-    | None -> invalid_arg ("Repl: unknown replica " ^ name)
-
-  let applied_of t ~name =
-    match Hashtbl.find_opt t.replicas name with
-    | Some r -> r.r_applied
-    | None -> invalid_arg ("Repl: unknown replica " ^ name)
 
   (* Ship everything stable and pump until every attached replica
      confirms it — replication parity, used by quiesce and the

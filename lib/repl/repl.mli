@@ -31,19 +31,10 @@ type durability =
           least [k] standbys of every replicated primary (clamped to how
           many it has) have acknowledged applying the commit's LSN. *)
 
-val pp_durability : Format.formatter -> durability -> unit
-
 val p_ship_batch : string
 (** The ["repl.ship.batch"] fault point, hit once per shipped batch
     before it is posted — the chaos harness kills the primary here to
     exercise promotion at every batch boundary. *)
-
-val p_lease_expire : string
-(** The ["repl.lease.expire"] fault point, hit inside the
-    truncation-floor consult once per detached replica per granted
-    checkpoint.  A plan arming it force-expires that replica's
-    retention lease on the spot — the demotion-and-refusal path without
-    waiting out the lease budget. *)
 
 (** A warm standby: a full DC continuously applying the shipped redo
     stream. *)
@@ -82,13 +73,6 @@ module Standby : sig
       the idempotence path. *)
 
   val recover : t -> unit
-
-  val adopt : t -> tc:Untx_util.Tc_id.t -> upto:Untx_util.Lsn.t -> unit
-  (** Bootstrap adoption: the standby's DC was just populated with a
-      layer store's materialized state at [upto] (outside the wire
-      path).  Claim the whole installed prefix — watermarks at [upto]
-      and the applied cursor set so the next hello resumes shipping at
-      the suffix.  Only correct right after such an install. *)
 end
 
 (** The TC-side shipping engine: one per TC, managing every replica of
@@ -165,7 +149,7 @@ module Manager : sig
   (** Layer-fed standby creation: install the store's materialized
       current state (this TC's records routed to [primary]) directly
       into the standby's DC ({!Untx_dc.Dc.install_record}), then
-      {!Standby.adopt} the store's ingest watermark.  A subsequent
+      claims the store's ingest watermark as applied.  A subsequent
       {!attach} resumes shipping at the post-layer suffix, so a fresh
       replica costs the live state size instead of a full-redo replay
       from LSN 1 — and a {!Rebuild_required} replica becomes recoverable
@@ -251,12 +235,6 @@ module Manager : sig
       replication parity for quiesce and audits. *)
 
   val replica_names : t -> primary:string -> string list
-
-  val standby_of : t -> name:string -> Standby.t
-
-  val applied_of : t -> name:string -> Untx_util.Lsn.t
-  (** The confirmed (acked) applied floor — may trail the standby's
-      exact {!Standby.applied} if acks are in flight. *)
 
   val lag : t -> name:string -> int
   (** End-of-stable-log minus the replica's confirmed applied LSN. *)

@@ -120,8 +120,6 @@ let read t id =
 
 let exists t id = Page_id.Tbl.mem t.pages id
 
-let page_count t = Page_id.Tbl.length t.pages
-
 let iter t f = Page_id.Tbl.iter (fun _ page -> f (Page.copy page)) t.pages
 
 let set_master t blob =

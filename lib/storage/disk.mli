@@ -40,8 +40,6 @@ val read : t -> Page_id.t -> Page.t option
 
 val exists : t -> Page_id.t -> bool
 
-val page_count : t -> int
-
 val iter : t -> (Page.t -> unit) -> unit
 (** Visit a copy of every stored page (order unspecified). *)
 

@@ -5,11 +5,6 @@ type resource =
   | Range of { table : string; slot : int }
   | Table of string
 
-let pp_resource ppf = function
-  | Record { table; key } -> Format.fprintf ppf "rec:%s[%s]" table key
-  | Range { table; slot } -> Format.fprintf ppf "range:%s/%d" table slot
-  | Table table -> Format.fprintf ppf "table:%s" table
-
 (* One resource's lock state, held inline: a lock is contended by a
    handful of owners at most, so short lists beat per-entry tables,
    which a fresh entry would build only to drop them at release.

@@ -18,8 +18,6 @@ type resource =
       (** one cell of a static partition of the key space *)
   | Table of string
 
-val pp_resource : Format.formatter -> resource -> unit
-
 type t
 
 val create : unit -> t

@@ -1736,11 +1736,6 @@ let resends t = t.resend_count
 
 let dc_of_op t op = (route_op t op).ls_link.dc_name
 
-let part_of_dc t ~dc =
-  match Hashtbl.find_opt t.links dc with
-  | Some ls -> ls.ls_link.part
-  | None -> invalid_arg ("Tc.part_of_dc: unknown DC " ^ dc)
-
 let iter_stable_ops t f =
   Wal.iter_from t.log t.rssp (fun lsn record ->
       match record with

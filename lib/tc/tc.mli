@@ -274,8 +274,6 @@ val log_bytes : t -> int
 
 val log_records : t -> int
 
-val active_xids : t -> int list
-
 val lock_acquisitions : t -> int
 
 val messages_sent : t -> int
@@ -308,6 +306,3 @@ val table_versioned : t -> string -> bool
 (** Whether the named table was mapped with [~versioned:true] ([false]
     for unmapped tables).  A layer store replaying this TC's log needs
     it to materialize records under the right mutation semantics. *)
-
-val part_of_dc : t -> dc:string -> int
-(** The partition id the named DC's link was attached with. *)

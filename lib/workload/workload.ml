@@ -9,6 +9,7 @@ module Deploy = Untx_cloud.Deploy
 module Index = Untx_index.Index
 module Branch = Untx_branch.Branch
 module Lsn = Untx_util.Lsn
+module Engine = Untx_kernel.Engine
 
 type crash = Crash_dc | Crash_tc | Crash_branch
 
@@ -245,6 +246,7 @@ type state = {
   d : Deploy.t;
   tc : Tc.t;
   idx : Index.t;
+  engine : (module Engine.S);  (* the parent's; indexed iff the spec is *)
   rng : Rng.t;
   zipf : Zipf.t option;
   oracle : oracle;
@@ -272,47 +274,33 @@ let pp_outcome = function
   | `Blocked -> "`Blocked"
   | `Fail m -> Printf.sprintf "`Fail %S" m
 
-(* Mutators route through the index wrappers iff the spec maintains
-   indexes; reads and scans are plain Tc either way. *)
-let op_insert st txn ~table ~key ~value =
-  if st.spec.w_indexed then
-    Index.insert st.idx st.tc txn ~table ~key ~value
-  else Tc.insert st.tc txn ~table ~key ~value
-
-let op_update st txn ~table ~key ~value =
-  if st.spec.w_indexed then
-    Index.update st.idx st.tc txn ~table ~key ~value
-  else Tc.update st.tc txn ~table ~key ~value
-
-let op_delete st txn ~table ~key =
-  if st.spec.w_indexed then Index.delete st.idx st.tc txn ~table ~key
-  else Tc.delete st.tc txn ~table ~key
-
 exception Txn_over
 
-(* One transaction: a handful of oracle-guided operations, optionally a
-   poison probe, then commit/abort with the outcome the oracle
-   predicts.  Any surprise is recorded and the transaction is rolled
-   back, so one violation cannot corrupt the oracle for the rest of the
-   run. *)
-let run_txn st i =
+(* One transaction on [engine] against [oracle]: a handful of
+   oracle-guided operations, optionally a poison probe, then
+   commit/abort with the outcome the oracle predicts.  Any surprise is
+   recorded and the transaction is rolled back, so one violation cannot
+   corrupt the oracle for the rest of the run.  [who] names the side in
+   messages; the branch side runs with [~poison:false] and draws no
+   probe. *)
+let run_txn st (module E : Engine.S) ~oracle ~who ~poison i =
   let spec = st.spec in
   let table, versioned =
     List.nth spec.w_tables (i mod List.length spec.w_tables)
   in
-  let txn = Tc.begin_txn st.tc in
+  let txn = E.begin_txn () in
   let staged : (string * string, string option) Hashtbl.t =
     Hashtbl.create 8
   in
   let abort_dead () =
-    if Tc.is_active txn then Tc.abort st.tc txn ~reason:"workload: txn over";
+    if E.is_active txn then E.abort txn ~reason:"workload: txn over";
     st.aborted <- st.aborted + 1
   in
   let expect_ok label = function
     | `Ok v -> v
     | (`Blocked | `Fail _) as o ->
       violation st
-        (Printf.sprintf "%s: txn %d %s on %s came back %s" spec.w_name i
+        (Printf.sprintf "%s: %s %d %s on %s came back %s" spec.w_name who i
            label table (pp_outcome o));
       abort_dead ();
       raise Txn_over
@@ -330,32 +318,32 @@ let run_txn st i =
       in
       if not (spec.w_protocol = Tc.Optimistic && Hashtbl.mem staged (table, key))
       then begin
-        match view st.oracle staged table key with
+        match view oracle staged table key with
         | None ->
           let value = gen_value spec st.rng in
-          expect_ok "insert" (op_insert st txn ~table ~key ~value);
+          expect_ok "insert" (E.insert txn ~table ~key ~value);
           Hashtbl.replace staged (table, key) (Some value)
         | Some current ->
           if Rng.chance st.rng spec.w_rmw_prob then begin
             (* read-modify-write: the read is a differential check *)
-            let got = expect_ok "read" (Tc.read st.tc txn ~table ~key) in
+            let got = expect_ok "read" (E.read txn ~table ~key) in
             check st
               (got = Some current)
-              (Printf.sprintf "%s: txn %d read %s/%s saw %s, oracle says %S"
-                 spec.w_name i table key
+              (Printf.sprintf "%s: %s %d read %s/%s saw %s, oracle says %S"
+                 spec.w_name who i table key
                  (match got with Some v -> Printf.sprintf "%S" v | None -> "None")
                  current);
             let value = gen_value spec st.rng in
-            expect_ok "rmw-update" (op_update st txn ~table ~key ~value);
+            expect_ok "rmw-update" (E.update txn ~table ~key ~value);
             Hashtbl.replace staged (table, key) (Some value)
           end
           else if Rng.chance st.rng 0.3 then begin
-            expect_ok "delete" (op_delete st txn ~table ~key);
+            expect_ok "delete" (E.delete txn ~table ~key);
             Hashtbl.replace staged (table, key) None
           end
           else begin
             let value = gen_value spec st.rng in
-            expect_ok "update" (op_update st txn ~table ~key ~value);
+            expect_ok "update" (E.update txn ~table ~key ~value);
             Hashtbl.replace staged (table, key) (Some value)
           end
       end
@@ -365,9 +353,9 @@ let run_txn st i =
        for Index.update's fail-fast read), at commit on versioned
        pipelined ones. *)
     let poison =
-      if Rng.chance st.rng spec.w_poison_prob then begin
+      if poison && Rng.chance st.rng spec.w_poison_prob then begin
         let existing =
-          oracle_rows st.oracle table
+          oracle_rows oracle table
           |> List.filter (fun (k, _) ->
                  not (Hashtbl.mem staged (table, k)))
         in
@@ -377,14 +365,14 @@ let run_txn st i =
         let update_missing () =
           (* a rank just past the keyspace is never inserted *)
           let key = key_of (spec.w_keyspace + Rng.int st.rng 50) in
-          let o = op_update st txn ~table ~key ~value:"poison" in
+          let o = E.update txn ~table ~key ~value:"poison" in
           (* Index.update reads the old row first and fails fast on a
              missing key whatever the table's versioned-ness *)
           Some (key, "update-missing", o, fail_fast || spec.w_indexed)
         in
         match existing with
         | (key, _) :: _ when Rng.bool st.rng ->
-          let o = op_insert st txn ~table ~key ~value:"poison" in
+          let o = E.insert txn ~table ~key ~value:"poison" in
           Some (key, "insert-existing", o, fail_fast)
         | _ -> update_missing ()
       end
@@ -407,7 +395,7 @@ let run_txn st i =
           (Printf.sprintf
              "%s: txn %d poison %s on %s/%s should pipeline as `Ok, got %s"
              spec.w_name i label table key (pp_outcome o));
-        let c = Tc.commit st.tc txn in
+        let c = E.commit txn in
         check st
           (match c with `Fail _ -> true | _ -> false)
           (Printf.sprintf
@@ -417,18 +405,18 @@ let run_txn st i =
       end
     | None ->
       if Rng.chance st.rng spec.w_abort_prob then begin
-        Tc.abort st.tc txn ~reason:"workload: deliberate abort";
+        E.abort txn ~reason:"workload: deliberate abort";
         st.aborted <- st.aborted + 1
       end
       else begin
-        (match Tc.commit st.tc txn with
+        (match E.commit txn with
         | `Ok () ->
           st.committed <- st.committed + 1;
-          commit_staged st.oracle staged
+          commit_staged oracle staged
         | (`Blocked | `Fail _) as o ->
           violation st
-            (Printf.sprintf "%s: txn %d commit on %s came back %s" spec.w_name
-               i table (pp_outcome o));
+            (Printf.sprintf "%s: %s %d commit on %s came back %s" spec.w_name
+               who i table (pp_outcome o));
           st.aborted <- st.aborted + 1)
       end
   with Txn_over -> ()
@@ -450,8 +438,9 @@ let scan_check st =
            && String.equal (Deploy.partition_dc st.d ~table ~key:k) part)
     |> take limit
   in
-  let txn = Tc.begin_txn st.tc in
-  (match Tc.scan st.tc txn ~table ~from_key ~limit with
+  let (module E : Engine.S) = st.engine in
+  let txn = E.begin_txn () in
+  (match E.scan txn ~table ~from_key ~limit with
   | `Ok rows ->
     check st (rows = expected)
       (Printf.sprintf
@@ -462,10 +451,10 @@ let scan_check st =
     violation st
       (Printf.sprintf "%s: scan %s from %S came back %s" spec.w_name table
          from_key (pp_outcome o)));
-  match Tc.commit st.tc txn with
+  match E.commit txn with
   | `Ok () -> ()
   | `Blocked | `Fail _ ->
-    if Tc.is_active txn then Tc.abort st.tc txn ~reason:"workload scan probe"
+    if E.is_active txn then E.abort txn ~reason:"workload scan probe"
 
 (* A differential index lookup: recompute the expected hits from the
    oracle's rows through the same extractor. *)
@@ -536,6 +525,58 @@ let final_parity st =
     st.spec.w_tables
 
 (* ------------------------------------------------------------------ *)
+(* Forks                                                               *)
+
+type fork = {
+  f_branch : Branch.t;
+  f_lsn : Lsn.t;
+  f_rows : (string * (string * string option) list) list;
+}
+
+let fork d ~tables ~rows =
+  Deploy.quiesce d;
+  let tc = Deploy.tc d "tc1" in
+  Tc.force_log tc;
+  let at = Tc.stable_lsn tc in
+  let b = Deploy.create_branch d ~from_lsn:at ~name:"b" in
+  { f_branch = b; f_lsn = at; f_rows = List.map (fun t -> (t, rows t)) tables }
+
+let fork_laws d f ~own =
+  let b = f.f_branch in
+  let durable = Branch.durable b in
+  let whole ~at ~what ~holder table expected =
+    let got = Branch.rows_at b ~table ~at in
+    ( got = expected,
+      Printf.sprintf "%s of %s (%d rows) diverges from %s (%d rows)" what
+        table (List.length got) holder (List.length expected) )
+  in
+  let show = function Some v -> Printf.sprintf "%S" v | None -> "None" in
+  List.concat_map
+    (fun (table, rows) ->
+      let live =
+        List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) rows
+      in
+      whole ~at:durable ~what:"branch state" ~holder:"the branch oracle" table
+        (own table)
+      :: whole ~at:f.f_lsn ~what:"fork prefix" ~holder:"the fork's rows" table
+           live
+      :: List.concat_map
+           (fun (key, v) ->
+             let law side got =
+               ( got = v,
+                 Printf.sprintf
+                   "fork prefix of %s/%s through the %s reads %s, the fork \
+                    held %s"
+                   table key side (show got) (show v) )
+             in
+             [
+               law "branch" (Branch.read_as_of b ~table ~key ~at:f.f_lsn);
+               law "parent" (Deploy.read_as_of d ~table ~key ~at:f.f_lsn);
+             ])
+           rows)
+    f.f_rows
+
+(* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
 let make_deploy spec ~counters ~seed ~idx =
@@ -581,12 +622,15 @@ let run ?(seed = 0xB0B) spec =
   let counters = Instrument.create () in
   let idx = Index.create ~counters () in
   let d = make_deploy spec ~counters ~seed ~idx in
+  let tc = Deploy.tc d "tc1" in
   let st =
     {
       spec;
       d;
-      tc = Deploy.tc d "tc1";
+      tc;
       idx;
+      engine =
+        (if spec.w_indexed then Index.engine idx tc else Engine.of_tc tc);
       rng = Rng.create ~seed;
       zipf =
         (if spec.w_theta > 0. then
@@ -607,99 +651,23 @@ let run ?(seed = 0xB0B) spec =
      so divergence is differential on both sides. *)
   let branch = ref None in
   let br_oracle : oracle = Hashtbl.create 4 in
-  let fork_lsn = ref Lsn.zero in
-  let fork_snapshot = ref [] in
   let fork_at =
     Option.map
       (fun f -> int_of_float (f *. float_of_int spec.w_txns))
       spec.w_branch_at
   in
   let do_fork () =
-    Deploy.quiesce st.d;
-    Tc.force_log st.tc;
-    let fork = Tc.stable_lsn st.tc in
-    let b = Deploy.create_branch st.d ~from_lsn:fork ~name:"b" in
-    fork_lsn := fork;
-    fork_snapshot :=
-      List.map (fun (t, _) -> (t, oracle_rows st.oracle t)) spec.w_tables;
+    let f =
+      fork st.d ~tables:(List.map fst spec.w_tables)
+        ~rows:(fun t ->
+          List.map (fun (k, v) -> (k, Some v)) (oracle_rows st.oracle t))
+    in
     List.iter
       (fun (t, rows) ->
         let bt = oracle_table br_oracle t in
-        List.iter (fun (k, v) -> Hashtbl.replace bt k v) rows)
-      !fork_snapshot;
-    branch := Some b
-  in
-  let run_branch_txn b i =
-    let table, _ = List.hd spec.w_tables in
-    let txn = Branch.begin_txn b in
-    let staged : (string * string, string option) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let abort_dead () =
-      if Tc.is_active txn then
-        Branch.abort b txn ~reason:"workload: branch txn over";
-      st.aborted <- st.aborted + 1
-    in
-    let expect_ok label o =
-      match o with
-      | `Ok v -> v
-      | (`Blocked | `Fail _) as o ->
-        violation st
-          (Printf.sprintf "%s: branch txn %d %s on %s came back %s"
-             spec.w_name i label table (pp_outcome o));
-        abort_dead ();
-        raise Txn_over
-    in
-    try
-      for _ = 1 to 1 + Rng.int st.rng 3 do
-        let key = pick_key st in
-        match view br_oracle staged table key with
-        | None ->
-          let value = gen_value spec st.rng in
-          expect_ok "insert" (Branch.insert b txn ~table ~key ~value);
-          Hashtbl.replace staged (table, key) (Some value)
-        | Some current ->
-          if Rng.chance st.rng spec.w_rmw_prob then begin
-            let got = expect_ok "read" (Branch.read b txn ~table ~key) in
-            check st
-              (got = Some current)
-              (Printf.sprintf
-                 "%s: branch txn %d read %s/%s saw %s, oracle says %S"
-                 spec.w_name i table key
-                 (match got with
-                 | Some v -> Printf.sprintf "%S" v
-                 | None -> "None")
-                 current);
-            let value = gen_value spec st.rng in
-            expect_ok "rmw-update" (Branch.update b txn ~table ~key ~value);
-            Hashtbl.replace staged (table, key) (Some value)
-          end
-          else if Rng.chance st.rng 0.3 then begin
-            expect_ok "delete" (Branch.delete b txn ~table ~key);
-            Hashtbl.replace staged (table, key) None
-          end
-          else begin
-            let value = gen_value spec st.rng in
-            expect_ok "update" (Branch.update b txn ~table ~key ~value);
-            Hashtbl.replace staged (table, key) (Some value)
-          end
-      done;
-      if Rng.chance st.rng spec.w_abort_prob then begin
-        Branch.abort b txn ~reason:"workload: deliberate branch abort";
-        st.aborted <- st.aborted + 1
-      end
-      else begin
-        match Branch.commit b txn with
-        | `Ok () ->
-          st.committed <- st.committed + 1;
-          commit_staged br_oracle staged
-        | (`Blocked | `Fail _) as o ->
-          violation st
-            (Printf.sprintf "%s: branch txn %d commit came back %s"
-               spec.w_name i (pp_outcome o));
-          st.aborted <- st.aborted + 1
-      end
-    with Txn_over -> ()
+        List.iter (fun (k, v) -> Option.iter (Hashtbl.replace bt k) v) rows)
+      f.f_rows;
+    branch := Some (f, Branch.engine f.f_branch)
   in
   (* Scripted kills, spread evenly: crash j lands before transaction
      (j+1) * txns / (n+1), between transactions — unambiguous, so the
@@ -731,49 +699,24 @@ let run ?(seed = 0xB0B) spec =
               Deploy.crash_branch_dc st.d "b"
             | None -> ()))
       crash_plan;
-    run_txn st i;
-    (match !branch with Some b -> run_branch_txn b i | None -> ());
+    run_txn st st.engine ~oracle:st.oracle ~who:"txn" ~poison:true i;
+    (match !branch with
+    | Some (_, engine) ->
+      run_txn st engine ~oracle:br_oracle ~who:"branch txn" ~poison:false i
+    | None -> ());
     if Rng.chance st.rng spec.w_scan_prob then scan_check st;
     if spec.w_indexed && Rng.chance st.rng spec.w_lookup_prob then
       lookup_check st
   done;
   Deploy.quiesce st.d;
   final_parity st;
-  (* Branch parity: the branch landed on its own oracle's exact state,
-     and the shared prefix at the fork point still reads back — through
-     the branch and through the parent — as the parent's oracle stood
-     when the fork was cut. *)
   (match !branch with
   | None -> ()
-  | Some b ->
-    Branch.quiesce b;
-    let durable = Branch.durable b in
+  | Some (f, _) ->
+    Branch.quiesce f.f_branch;
     List.iter
-      (fun (table, _) ->
-        let expected = oracle_rows br_oracle table in
-        let got = Branch.rows_at b ~table ~at:durable in
-        check st (got = expected)
-          (Printf.sprintf
-             "%s: final branch state of %s (%d rows) diverges from the \
-              branch oracle (%d rows)"
-             spec.w_name table (List.length got) (List.length expected)))
-      spec.w_tables;
-    List.iter
-      (fun (table, rows) ->
-        List.iter
-          (fun (key, v) ->
-            check st
-              (Branch.read_as_of b ~table ~key ~at:!fork_lsn = Some v)
-              (Printf.sprintf
-                 "%s: fork prefix of %s/%s through the branch lost %S"
-                 spec.w_name table key v);
-            check st
-              (Deploy.read_as_of st.d ~table ~key ~at:!fork_lsn = Some v)
-              (Printf.sprintf
-                 "%s: fork prefix of %s/%s through the parent lost %S"
-                 spec.w_name table key v))
-          rows)
-      !fork_snapshot);
+      (fun (ok, msg) -> check st ok (spec.w_name ^ ": " ^ msg))
+      (fork_laws st.d f ~own:(oracle_rows br_oracle)));
   ( {
       r_name = spec.w_name;
       r_committed = st.committed;

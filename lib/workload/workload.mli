@@ -63,7 +63,10 @@ type spec = {
           the branch's own oracle (seeded from the parent's state at
           the fork), and the final parity adds branch-vs-branch-oracle
           equality plus shared-prefix-at-fork parity through both
-          sides.  Requires an unversioned single-table spec. *)
+          sides.  A branch transaction follows the parent's rules:
+          the same table rotation and, under [Optimistic], the same
+          re-pick of a key it already wrote; it draws no poison
+          probe.  Requires an unversioned single-table spec. *)
 }
 
 type result = {
@@ -96,3 +99,39 @@ val run : ?seed:int -> spec -> result * env
 (** Execute the spec (default seed [0xB0B]).  The returned deployment
     is quiesced; callers typically chain the auditor over
     [e_expected]. *)
+
+(** {2 Forks}
+
+    The one fork procedure and the branch-oracle laws, shared by {!run}
+    and the chaos branch cycles. *)
+
+type fork = {
+  f_branch : Untx_branch.Branch.t;
+  f_lsn : Untx_util.Lsn.t;  (** the fork point *)
+  f_rows : (string * (string * string option) list) list;
+      (** per table, the parent oracle at the fork: a row's value, or
+          [None] for a key it held deleted *)
+}
+
+val fork :
+  Untx_cloud.Deploy.t ->
+  tables:string list ->
+  rows:(string -> (string * string option) list) ->
+  fork
+(** Quiesce the deployment, force ["tc1"]'s log and fork branch ["b"]
+    at its stable LSN; [rows table] is the parent oracle's committed
+    state at that instant, deleted keys included. *)
+
+val fork_laws :
+  Untx_cloud.Deploy.t ->
+  fork ->
+  own:(string -> (string * string) list) ->
+  (bool * string) list
+(** The branch-oracle laws over a quiesced deployment, one
+    [(holds, message)] per comparison.  Per table: the branch's whole
+    table at its durable LSN equals its own oracle [own table]; its
+    whole table at the fork LSN equals the fork's live rows, so a key
+    deleted before the fork cannot reappear there; and every fork
+    entry, a deleted key included, reads back through the branch and
+    through the parent as the parent's oracle stood at the fork (two
+    per entry). *)

@@ -5,6 +5,7 @@ module Transport = Untx_kernel.Transport
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Tc_id = Untx_util.Tc_id
+module Engine = Untx_kernel.Engine
 
 let ok = function
   | `Ok v -> v
@@ -15,6 +16,16 @@ let expect_fail = function
   | `Ok _ -> Alcotest.fail "expected `Fail, got `Ok"
   | `Blocked -> Alcotest.fail "expected `Fail, got `Blocked"
   | `Fail msg -> msg
+
+(* One committed upsert through any engine: an update, or an insert
+   when the key is absent. *)
+let upsert (module E : Engine.S) ~table ~key ~value =
+  let txn = E.begin_txn () in
+  (match E.update txn ~table ~key ~value with
+  | `Ok () -> ()
+  | `Blocked -> Alcotest.fail "blocked"
+  | `Fail _ -> ok (E.insert txn ~table ~key ~value));
+  ok (E.commit txn)
 
 let kernel_config
     ?(policy = Transport.reliable)

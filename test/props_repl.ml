@@ -40,18 +40,7 @@ let scenario_arb =
            (List.map (fun (k, v) -> Printf.sprintf "k%d=%s" k v) s.ops)))
     scenario_gen
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table:"t" ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> failwith "blocked"
-  | `Fail _ -> (
-    match Tc.insert tc txn ~table:"t" ~key ~value with
-    | `Ok () -> ()
-    | `Blocked | `Fail _ -> failwith "insert failed"));
-  match Tc.commit tc txn with
-  | `Ok () -> ()
-  | `Blocked | `Fail _ -> failwith "commit failed"
+let commit_one tc = Helpers.upsert (Untx_kernel.Engine.of_tc tc) ~table:"t"
 
 let dump_all dc =
   List.map (fun tbl -> (tbl, Dc.dump_table dc tbl)) (Dc.table_names dc)

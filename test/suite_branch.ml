@@ -22,13 +22,7 @@ let layered_deploy ?counters ~parts () =
   Deploy.add_partitioned_table d ~replicas:0 ~name:"t" ~versioned:false ~dcs ();
   (d, tc)
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table:"t" ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail _ -> ok (Tc.insert tc txn ~table:"t" ~key ~value));
-  ok (Tc.commit tc txn)
+let commit_one tc = upsert (Engine.of_tc tc) ~table:"t"
 
 let fill tc ?(prefix = "k") ?(value = "v") n =
   List.iter
@@ -41,13 +35,7 @@ let stamp d tc =
   Tc.stable_lsn tc
 
 (* One committed write through the branch's CoW dispatch path. *)
-let br_commit br ~key ~value =
-  let txn = Branch.begin_txn br in
-  (match Branch.update br txn ~table:"t" ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> Alcotest.fail "branch write blocked"
-  | `Fail _ -> ok (Branch.insert br txn ~table:"t" ~key ~value));
-  ok (Branch.commit br txn)
+let br_commit br = upsert (Branch.engine br) ~table:"t"
 
 let br_delete br ~key =
   let txn = Branch.begin_txn br in

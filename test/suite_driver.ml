@@ -1,42 +1,20 @@
-(* The interleaved workload driver against both engines: completion
-   accounting, determinism, contention handling, and cross-engine result
-   agreement on contention-free workloads. *)
+(* The interleaved workload driver against every engine: completion
+   accounting, determinism, contention handling, cross-engine result
+   agreement on contention-free workloads, and clean audits after it
+   drives an indexed table and a copy-on-write branch. *)
 
 open Helpers
 module Kernel = Untx_kernel.Kernel
 module Driver = Untx_kernel.Driver
 module Engine = Untx_kernel.Engine
 module Mono = Untx_baseline.Mono
-
-let mono_engine m : (module Engine.S) =
-  (module struct
-    type txn = Mono.txn
-
-    let begin_txn () = Mono.begin_txn m
-
-    let xid = Mono.xid
-
-    let is_active = Mono.is_active
-
-    let read txn ~table ~key = Mono.read m txn ~table ~key
-
-    let insert txn ~table ~key ~value = Mono.insert m txn ~table ~key ~value
-
-    let update txn ~table ~key ~value = Mono.update m txn ~table ~key ~value
-
-    let delete txn ~table ~key = Mono.delete m txn ~table ~key
-
-    let scan txn ~table ~from_key ~limit =
-      Mono.scan m txn ~table ~from_key ~limit
-
-    let commit txn = Mono.commit m txn
-
-    let abort txn ~reason = Mono.abort m txn ~reason
-
-    let wakeups () = Mono.wakeups m
-
-    let resolve_deadlock () = Mono.resolve_deadlock m
-  end)
+module Tc = Untx_tc.Tc
+module Dc = Untx_dc.Dc
+module Tc_id = Untx_util.Tc_id
+module Deploy = Untx_cloud.Deploy
+module Index = Untx_index.Index
+module Branch = Untx_branch.Branch
+module Audit = Untx_audit.Audit
 
 let spec =
   {
@@ -65,7 +43,7 @@ let test_driver_on_baseline () =
       { Mono.default_config with page_capacity = 256; debug_checks = true }
   in
   Mono.create_table m ~name:spec.Driver.table;
-  let e = mono_engine m in
+  let e = Engine.of_mono m in
   Driver.preload e spec;
   let r = Driver.run e spec in
   Alcotest.(check int) "all txns completed" spec.Driver.txns
@@ -107,6 +85,50 @@ let test_driver_serial_no_blocking () =
   Alcotest.(check int) "no deadlocks" 0 r.Driver.deadlocks;
   Alcotest.(check int) "all committed" serial.Driver.txns r.Driver.committed
 
+(* One TC over two DCs, table "kv" added by the caller. *)
+let two_dc_deploy ~layers =
+  let d = Deploy.create ~layers () in
+  let tc = Deploy.add_tc d ~name:"tc1" (Tc.default_config (Tc_id.of_int 1)) in
+  List.iter
+    (fun name -> ignore (Deploy.add_dc d ~name Dc.default_config))
+    [ "dc0"; "dc1" ];
+  (d, tc)
+
+let check_completed (r : Driver.result) =
+  Alcotest.(check int) "all txns completed" spec.Driver.txns
+    (r.Driver.committed + r.Driver.aborted);
+  Alcotest.(check bool) "most committed" true
+    (r.Driver.committed > spec.Driver.txns / 2)
+
+let test_driver_on_index () =
+  let d, tc = two_dc_deploy ~layers:false in
+  let idx = Index.create () in
+  Deploy.add_indexed_table d ~idx ~name:"kv" ~versioned:true
+    ~dcs:[ "dc0"; "dc1" ]
+    ~indexes:[ ("by_first", fun ~key:_ ~value -> [ String.sub value 0 1 ]) ]
+    ();
+  let e = Index.engine idx tc in
+  Driver.preload e spec;
+  check_completed (Driver.run e spec);
+  Deploy.quiesce d;
+  Alcotest.(check (list string))
+    "index parity" [] (Audit.check_index d ~idx ~table:"kv")
+
+let test_driver_on_branch () =
+  let d, tc = two_dc_deploy ~layers:true in
+  Deploy.add_partitioned_table d ~replicas:0 ~name:"kv" ~versioned:false
+    ~dcs:[ "dc0"; "dc1" ] ();
+  Driver.preload (Engine.of_tc tc) spec;
+  Deploy.quiesce d;
+  Tc.force_log tc;
+  let b = Deploy.create_branch d ~from_lsn:(Tc.stable_lsn tc) ~name:"b" in
+  check_completed (Driver.run (Branch.engine b) spec);
+  Deploy.quiesce d;
+  Alcotest.(check bool) "the branch materialized keys" true
+    (Branch.materialized_count b > 0);
+  Alcotest.(check (list string))
+    "branch parity" [] (Audit.check_branch d ~name:"b" ~table:"kv")
+
 let suite =
   [
     Alcotest.test_case "driver on unbundled kernel" `Quick
@@ -116,4 +138,7 @@ let suite =
     Alcotest.test_case "driver high contention" `Quick
       test_driver_high_contention;
     Alcotest.test_case "driver serial" `Quick test_driver_serial_no_blocking;
+    Alcotest.test_case "driver on an indexed table" `Quick
+      test_driver_on_index;
+    Alcotest.test_case "driver on a branch" `Quick test_driver_on_branch;
   ]

@@ -122,6 +122,64 @@ let test_wal_partial_force () =
   Alcotest.(check bool) "fresh lsn above the lost tail" true
     Lsn.(Wal.append w "d" > l3)
 
+(* Taken at link time, before any test arms a plan or builds a log:
+   exactly the points the library's modules declare as they
+   initialize. *)
+let points_at_init = Fault.declared ()
+
+(* Every fault point's owner, decided here: a new point fails the test
+   below until someone decides which process it dies with, instead of
+   inheriting an owner from its name prefix. *)
+let owners =
+  [
+    ("dc.checkpoint.mid", `Dc);
+    ("dc.flush.after_page_write", `Dc);
+    ("dc.flush.before_page_write", `Dc);
+    ("dc.redo.batch", `Dc);
+    ("dc.smo.consolidate.before_force", `Dc);
+    ("dc.smo.split.mid", `Dc);
+    ("disk.page_read.io", `Dc);
+    ("disk.page_write.io", `Dc);
+    ("disk.page_write.torn", `Dc);
+    ("layer.compact.mid", `Dc);
+    ("layer.ingest.drop", `Dc);
+    ("repl.lease.expire", `Dc);
+    ("repl.ship.batch", `Dc);
+    ("tc.commit.after_force", `Tc);
+    ("tc.commit.before_force", `Tc);
+    ("tc.recover.mid", `Tc);
+    ("transport.frame.corrupt", `Dc);
+    ("wal.dc.force.begin", `Dc);
+    ("wal.dc.force.mid", `Dc);
+    ("wal.tc.force.begin", `Tc);
+    ("wal.tc.force.mid", `Tc);
+  ]
+
+let test_point_owners () =
+  (* the two logs declare their points when a kernel creates them *)
+  ignore (Helpers.make_kernel ());
+  let logs =
+    List.filter
+      (fun p ->
+        String.starts_with ~prefix:"wal.tc." p
+        || String.starts_with ~prefix:"wal.dc." p)
+      (Fault.declared ())
+  in
+  let show = function `Tc -> "Tc" | `Dc -> "Dc" in
+  List.iter
+    (fun p ->
+      match List.assoc_opt p owners with
+      | None -> Alcotest.failf "fault point %s has no pinned owner" p
+      | Some owner ->
+        Alcotest.(check string)
+          (p ^ " dies with its pinned owner")
+          (show owner)
+          (show (Fault.component_of_point p)))
+    (points_at_init @ logs);
+  Alcotest.(check (list string))
+    "every pinned point is declared" (List.map fst owners)
+    (List.sort_uniq String.compare (points_at_init @ logs))
+
 let suite =
   [
     Alcotest.test_case "Nth rule fires once, deterministically" `Quick
@@ -136,4 +194,6 @@ let suite =
       test_transient_io_retried;
     Alcotest.test_case "mid-force crash leaves a stable prefix" `Quick
       test_wal_partial_force;
+    Alcotest.test_case "every fault point has a pinned owner" `Quick
+      test_point_owners;
   ]

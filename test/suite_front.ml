@@ -20,10 +20,7 @@ module Disk = Untx_storage.Disk
 module Audit = Untx_audit.Audit
 module Chaos = Untx_audit.Chaos
 
-let ok = function
-  | `Ok v -> v
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail m -> Alcotest.fail m
+let ok = Helpers.ok
 
 (* Two TCs over [parts] shared DCs; each TC gets its own table spread
    over every DC (the Section 6 disjoint-updaters rule). *)
@@ -37,13 +34,7 @@ let mtc_deploy ?counters ?(parts = 2) () =
   Deploy.add_partitioned_table d ~name:"t2" ~versioned:false ~dcs ();
   (d, tc1, tc2)
 
-let commit_one tc ~table ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail _ -> ok (Tc.insert tc txn ~table ~key ~value));
-  ok (Tc.commit tc txn)
+let commit_one tc = Helpers.upsert (Untx_kernel.Engine.of_tc tc)
 
 let fill tc ~table ?(prefix = "k") ?(value = "v") n =
   List.iter

@@ -18,10 +18,7 @@ module Audit = Untx_audit.Audit
 
 let lsn i = Lsn.of_int i
 
-let ok = function
-  | `Ok v -> v
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail m -> Alcotest.fail m
+let ok = Helpers.ok
 
 (* ---- direct store tests ---------------------------------------------- *)
 
@@ -171,13 +168,7 @@ let layered_deploy ?counters ~parts ~replicas () =
   Deploy.add_partitioned_table d ~replicas ~name:"t" ~versioned:false ~dcs ();
   (d, tc)
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table:"t" ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail _ -> ok (Tc.insert tc txn ~table:"t" ~key ~value));
-  ok (Tc.commit tc txn)
+let commit_one tc = Helpers.upsert (Untx_kernel.Engine.of_tc tc) ~table:"t"
 
 let fill tc ?(prefix = "k") ?(value = "v") n =
   List.iter

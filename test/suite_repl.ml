@@ -11,10 +11,7 @@ module Instrument = Untx_util.Instrument
 module Metrics = Untx_obs.Metrics
 module Audit = Untx_audit.Audit
 
-let ok = function
-  | `Ok v -> v
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail m -> Alcotest.fail m
+let ok = Helpers.ok
 
 let repl_deploy ?counters ?durability ~parts ~replicas () =
   let d = Deploy.create ?counters ?durability () in
@@ -24,13 +21,7 @@ let repl_deploy ?counters ?durability ~parts ~replicas () =
   Deploy.add_partitioned_table d ~replicas ~name:"t" ~versioned:false ~dcs ();
   (d, tc)
 
-let commit_one tc ~key ~value =
-  let txn = Tc.begin_txn tc in
-  (match Tc.update tc txn ~table:"t" ~key ~value with
-  | `Ok () -> ()
-  | `Blocked -> Alcotest.fail "blocked"
-  | `Fail _ -> ok (Tc.insert tc txn ~table:"t" ~key ~value));
-  ok (Tc.commit tc txn)
+let commit_one tc = Helpers.upsert (Untx_kernel.Engine.of_tc tc) ~table:"t"
 
 let fill tc ?(prefix = "k") ?(value = "v") n =
   List.iter

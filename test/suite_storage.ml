@@ -1,11 +1,10 @@
 (* Unit tests for the storage substrate: slotted pages, the simulated
-   stable store, the buffer pool and its policy hooks, latches. *)
+   stable store, the buffer pool and its policy hooks. *)
 
 module Page = Untx_storage.Page
 module Page_id = Untx_storage.Page_id
 module Disk = Untx_storage.Disk
 module Cache = Untx_storage.Cache
-module Latch = Untx_storage.Latch
 
 let mk_page ?(capacity = 256) id =
   Page.create ~id:(Page_id.of_int id) ~kind:Page.Leaf ~capacity
@@ -244,27 +243,6 @@ let test_cache_drop_page_reverts () =
   Alcotest.(check (option string))
     "reverted to stable" (Some "stable") (Page.find q "k")
 
-(* --- latches ---------------------------------------------------------- *)
-
-let test_latch () =
-  let l = Latch.create ~name:"pg1" in
-  Latch.acquire l;
-  Alcotest.(check bool) "held" true (Latch.held l);
-  (match Latch.acquire l with
-  | exception Latch.Latch_conflict _ -> ()
-  | () -> Alcotest.fail "double acquire allowed");
-  Latch.release l;
-  (match Latch.release l with
-  | exception Latch.Latch_conflict _ -> ()
-  | () -> Alcotest.fail "double release allowed");
-  let v = Latch.with_latch l (fun () -> 42) in
-  Alcotest.(check int) "with_latch" 42 v;
-  Alcotest.(check bool) "released after" false (Latch.held l);
-  (match Latch.with_latch l (fun () -> failwith "boom") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  Alcotest.(check bool) "released after exn" false (Latch.held l)
-
 let suite =
   [
     Alcotest.test_case "page set/find" `Quick test_page_set_find;
@@ -288,5 +266,4 @@ let suite =
     Alcotest.test_case "cache page-sync hook" `Quick
       test_cache_prepare_flush_hook;
     Alcotest.test_case "cache drop reverts" `Quick test_cache_drop_page_reverts;
-    Alcotest.test_case "latch discipline" `Quick test_latch;
   ]

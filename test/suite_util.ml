@@ -1,10 +1,9 @@
-(* Unit tests for the utility layer: LSNs, codec, RNG, Zipf, stats. *)
+(* Unit tests for the utility layer: LSNs, codec, RNG, Zipf. *)
 
 module Lsn = Untx_util.Lsn
 module Codec = Untx_util.Codec
 module Rng = Untx_util.Rng
 module Zipf = Untx_util.Zipf
-module Stats = Untx_util.Stats
 module Instrument = Untx_util.Instrument
 
 let test_lsn_order () =
@@ -114,22 +113,6 @@ let test_zipf_uniform () =
     (fun c -> Alcotest.(check bool) "roughly uniform" true (c > 700 && c < 1300))
     counts
 
-let test_stats () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.; 2.; 3.; 4.; 5. ];
-  Alcotest.(check int) "count" 5 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 3. (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 5. (Stats.max s);
-  Alcotest.(check (float 1e-9)) "p50" 3. (Stats.percentile s 50.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Stats.percentile s 100.);
-  Alcotest.(check (float 0.01)) "stddev" (sqrt 2.) (Stats.stddev s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.)) "mean empty" 0. (Stats.mean s);
-  Alcotest.(check (float 0.)) "p99 empty" 0. (Stats.percentile s 99.)
-
 let test_instrument () =
   let i = Instrument.create () in
   Instrument.bump i "a";
@@ -198,8 +181,6 @@ let suite =
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutes;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform;
-    Alcotest.test_case "stats" `Quick test_stats;
-    Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "instrument counters" `Quick test_instrument;
     Alcotest.test_case "codec varints" `Quick test_codec_varints;
   ]
