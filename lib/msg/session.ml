@@ -3,8 +3,8 @@
    replication channel is not a third hand-rolled copy.
 
    A session pairs a Sender (unique densely-increasing seqs under an
-   epoch, cached frames resent with bounded exponential backoff, acks
-   matched against pendings, awaited replies parked for a caller) with a
+   epoch, cached frames resent on the one Backoff clock, acks matched
+   against pendings, each reply landing in its post's ticket) with a
    Receiver (stale-epoch discard, newer-epoch adoption, strictly
    in-order apply with out-of-order buffering, and a bounded memo of
    replies so duplicates are answered without re-applying).
@@ -13,85 +13,85 @@
    returned outcomes into their own Instrument names ("tc.control_*",
    "dc.control_*", "repl.*"), keeping accounting where it is read. *)
 
+module Backoff = struct
+  type t = {
+    mutable age : int; (* stalled rounds since the last (re)send *)
+    mutable interval : int; (* rounds to wait before the next resend *)
+    mutable retries : int;
+  }
+
+  let create interval = { age = 0; interval; retries = 0 }
+
+  let retries c = c.retries
+
+  let tick c ~backoff_max ~max_retries =
+    c.age <- c.age + 1;
+    if c.age < c.interval then `Wait
+    else if c.retries >= max_retries then `Expired
+    else begin
+      c.age <- 0;
+      c.retries <- c.retries + 1;
+      c.interval <- Stdlib.min (2 * c.interval) backoff_max;
+      `Resend
+    end
+end
+
 module Sender = struct
-  type 'reply pending = {
-    p_seq : int;
-    p_frame : string;
-    mutable p_age : int;
-    mutable p_backoff : int;
-    mutable p_retries : int;
-    p_awaited : bool;
+  type 'reply ticket = {
+    seq : int;
+    frame : string;
+    clock : Backoff.t;
+    mutable reply : 'reply option;
   }
 
   type 'reply t = {
     mutable epoch : int;
     mutable next_seq : int;
-    pending : (int, 'reply pending) Hashtbl.t;
-    replies : (int, 'reply) Hashtbl.t; (* awaited replies parked by ack *)
+    pending : (int, 'reply ticket) Hashtbl.t;
   }
 
-  let create () =
-    { epoch = 1; next_seq = 1; pending = Hashtbl.create 16; replies = Hashtbl.create 8 }
+  let create () = { epoch = 1; next_seq = 1; pending = Hashtbl.create 16 }
 
   let epoch t = t.epoch
 
   let unacked t = Hashtbl.length t.pending
 
   (* Allocate the next seq, cache the encoded frame (every resend puts
-     identical bytes on the wire), send.  Returns the seq the caller can
-     later pass to [take_reply] when [awaited]. *)
-  let post t ?(awaited = false) ~backoff ~encode ~send () =
+     identical bytes on the wire), send.  The ticket is the pending
+     itself: its reply slot fills when the ack arrives. *)
+  let post t ~backoff ~encode ~send =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     let frame = encode ~epoch:t.epoch ~seq in
-    Hashtbl.replace t.pending seq
-      {
-        p_seq = seq;
-        p_frame = frame;
-        p_age = 0;
-        p_backoff = backoff;
-        p_retries = 0;
-        p_awaited = awaited;
-      };
+    let tk = { seq; frame; clock = Backoff.create backoff; reply = None } in
+    Hashtbl.replace t.pending seq tk;
     send frame;
-    seq
+    tk
+
+  let seq tk = tk.seq
+
+  let reply tk = tk.reply
 
   (* Match an acknowledgement against the session: stale epochs and
-     duplicate acks return [false]; a first ack retires the pending and,
-     when awaited, parks the reply. *)
+     duplicate acks return [false]; a first ack retires the pending and
+     fills its ticket. *)
   let ack t ~epoch ~seq reply =
     if epoch <> t.epoch then false
     else
       match Hashtbl.find_opt t.pending seq with
       | None -> false
-      | Some p ->
+      | Some tk ->
         Hashtbl.remove t.pending seq;
-        if p.p_awaited then Hashtbl.replace t.replies seq reply;
+        tk.reply <- Some reply;
         true
 
-  let has_reply t seq = Hashtbl.mem t.replies seq
-
-  let take_reply t seq =
-    match Hashtbl.find_opt t.replies seq with
-    | None -> None
-    | Some r ->
-      Hashtbl.remove t.replies seq;
-      Some r
-
-  (* One backoff tick over every pending: stale ones are resent through
-     [on_resend] with doubled (bounded) backoff; one that exhausts its
-     retry budget goes to [on_timeout], which is expected to raise. *)
   let tick t ~backoff_max ~max_retries ~on_resend ~on_timeout =
     Hashtbl.iter
-      (fun _ p ->
-        p.p_age <- p.p_age + 1;
-        if p.p_age >= p.p_backoff then begin
-          if p.p_retries >= max_retries then on_timeout ~seq:p.p_seq ~retries:p.p_retries;
-          p.p_age <- 0;
-          p.p_retries <- p.p_retries + 1;
-          p.p_backoff <- Stdlib.min (2 * p.p_backoff) backoff_max;
-          on_resend ~seq:p.p_seq p.p_frame
-        end)
+      (fun _ tk ->
+        match Backoff.tick tk.clock ~backoff_max ~max_retries with
+        | `Wait -> ()
+        | `Expired -> on_timeout ~seq:tk.seq ~retries:(Backoff.retries tk.clock)
+        | `Resend -> on_resend ~seq:tk.seq tk.frame)
       t.pending
 
   (* Drop all session state (the pendings died with a crash, or a new
@@ -100,7 +100,6 @@ module Sender = struct
   let clear t =
     let n = Hashtbl.length t.pending in
     Hashtbl.reset t.pending;
-    Hashtbl.reset t.replies;
     n
 
   (* Open a fresh session: frames of the old epoch still in flight

@@ -14,10 +14,36 @@
     closures and translate outcomes into their own metric names, so the
     accounting stays where it is read. *)
 
+module Backoff : sig
+  type t
+  (** The resend clock of one frame awaiting its answer: stalled rounds
+      since the last (re)send, the interval before the next, and the
+      resends so far.  Every resending sender in the system — TC data
+      requests, its redo batch, and each {!Sender} — ages its frames
+      with this one clock. *)
+
+  val create : int -> t
+  (** A clock that first falls due after [interval] ticks. *)
+
+  val retries : t -> int
+  (** Resends so far. *)
+
+  val tick :
+    t -> backoff_max:int -> max_retries:int -> [ `Wait | `Resend | `Expired ]
+  (** Age the clock one round.  [`Resend] when it fell due: the interval
+      doubles (bounded by [backoff_max]) and the retry count grows, so
+      the caller sends the frame again.  [`Expired] when it fell due with
+      [max_retries] resends already spent; the clock is left as it was
+      and the caller is expected to fail. *)
+end
+
 module Sender : sig
   type 'reply t
   (** The sending half of one link's session, parameterized by the
-      reply type parked for awaited messages. *)
+      reply type its acknowledgements carry. *)
+
+  type 'reply ticket
+  (** One posted message: its seq, and the slot its reply lands in. *)
 
   val create : unit -> 'reply t
   (** A fresh session at epoch 1, next seq 1. *)
@@ -29,27 +55,24 @@ module Sender : sig
 
   val post :
     'reply t ->
-    ?awaited:bool ->
     backoff:int ->
     encode:(epoch:int -> seq:int -> string) ->
     send:(string -> unit) ->
-    unit ->
-    int
+    'reply ticket
   (** Allocate the next seq, build the frame with [encode] (cached so
       every resend puts identical bytes on the wire), [send] it, and
-      track it as pending with initial resend [backoff].  Returns the
-      seq; when [awaited] (default false), the matching ack's reply is
-      parked for {!take_reply}. *)
+      track it as pending with initial resend [backoff].  The ticket's
+      {!reply} is filled when the matching ack arrives. *)
+
+  val seq : _ ticket -> int
+
+  val reply : 'reply ticket -> 'reply option
+  (** The acknowledgement's reply, once it has arrived. *)
 
   val ack : 'reply t -> epoch:int -> seq:int -> 'reply -> bool
   (** Match an acknowledgement: [false] for stale epochs and duplicate
-      acks, [true] when a pending was retired (parking the reply if it
-      was awaited). *)
-
-  val has_reply : 'reply t -> int -> bool
-
-  val take_reply : 'reply t -> int -> 'reply option
-  (** Consume the parked reply for an awaited seq, if it has arrived. *)
+      acks, [true] when a pending was retired (its ticket now holds the
+      reply). *)
 
   val tick :
     'reply t ->
@@ -58,15 +81,15 @@ module Sender : sig
     on_resend:(seq:int -> string -> unit) ->
     on_timeout:(seq:int -> retries:int -> unit) ->
     unit
-  (** Age every pending one tick.  A pending whose backoff expires is
-      resent through [on_resend] with doubled backoff (bounded by
-      [backoff_max]); one that has already been resent [max_retries]
-      times goes to [on_timeout] first, which is expected to raise. *)
+  (** Age every pending one {!Backoff.tick}.  A pending that falls due
+      is resent through [on_resend]; one that has already been resent
+      [max_retries] times goes to [on_timeout] instead, which must
+      raise. *)
 
   val clear : 'reply t -> int
-  (** Drop all pendings and parked replies (they died with a crash, or
-      a new epoch voids them).  Returns the number of pendings dropped
-      so the caller can keep its unacked gauge honest. *)
+  (** Drop all pendings (they died with a crash, or a new epoch voids
+      them); their tickets never receive a reply.  Returns the number
+      dropped so the caller can keep its unacked gauge honest. *)
 
   val new_epoch : 'reply t -> int
   (** Advance the epoch, reset seq numbering to 1, and {!clear};

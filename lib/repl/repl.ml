@@ -341,7 +341,7 @@ module Manager = struct
 
   let post t r repl =
     let frame = ref "" in
-    let seq =
+    let tk =
       Session.Sender.post r.r_session ~backoff:t.cfg.resend_after
         ~encode:(fun ~epoch ~seq ->
           let f =
@@ -349,7 +349,7 @@ module Manager = struct
           in
           frame := f;
           f)
-        ~send:r.r_send ()
+        ~send:r.r_send
     in
     incr t.c_ships;
     t.c_ship_bytes := !(t.c_ship_bytes) + String.length !frame;
@@ -357,10 +357,9 @@ module Manager = struct
       Trace.record ~tid:0 ~comp:"repl" ~ev:"ship"
         [
           ("to", r.r_name);
-          ("seq", string_of_int seq);
+          ("seq", string_of_int (Session.Sender.seq tk));
           ("bytes", string_of_int (String.length !frame));
-        ];
-    seq
+        ]
 
   (* Ship the stable suffix past a replica's cursor, in batches of at
      most [batch_ops] records, each batch passing the
@@ -398,10 +397,9 @@ module Manager = struct
       let flush_batch ~upto =
         t.last_ship <- Some r.r_primary;
         Fault.hit p_ship_batch;
-        ignore
-          (post t r
-             (Wire.Repl_ship
-                { tc = tc_id; eosl; lwm; upto; ops = List.rev !batch }));
+        post t r
+          (Wire.Repl_ship
+             { tc = tc_id; eosl; lwm; upto; ops = List.rev !batch });
         shipped := !shipped + !batch_n;
         batch := [];
         batch_n := 0;
@@ -588,8 +586,8 @@ module Manager = struct
      rebuild.  [r_applied] alone would not do: it is only a floor (acks
      may have been lost). *)
   let hello t r =
-    let seq =
-      Session.Sender.post r.r_session ~awaited:true ~backoff:t.cfg.resend_after
+    let tk =
+      Session.Sender.post r.r_session ~backoff:t.cfg.resend_after
         ~encode:(fun ~epoch ~seq ->
           Wire.encode_repl
             {
@@ -597,10 +595,10 @@ module Manager = struct
               p_seq = seq;
               p_repl = Wire.Repl_hello { tc = Tc.id t.tc };
             })
-        ~send:r.r_send ()
+        ~send:r.r_send
     in
-    await t (fun () -> Session.Sender.has_reply r.r_session seq);
-    match Session.Sender.take_reply r.r_session seq with
+    await t (fun () -> Option.is_some (Session.Sender.reply tk));
+    match Session.Sender.reply tk with
     | Some (Wire.Repl_ack { applied }) ->
       r.r_applied <- applied;
       r.r_cursor <- Lsn.next applied

@@ -64,11 +64,6 @@ type dc_link = {
 type link_state = {
   ls_link : dc_link;
   ls_ctl : Wire.control_reply Session.Sender.t;
-  mutable ls_outstanding : Lsn.Set.t;
-      (* requests in flight *to this DC*.  The per-link low-water mark
-         derives from this set alone: an operation outstanding at a
-         sibling partition never touches this DC's pages, so it must not
-         hold this DC's flush eligibility hostage. *)
   mutable ls_sent_watermarks : (Lsn.t * Lsn.t) option;
       (* last (eosl, lwm) posted this epoch; unchanged values are not
          re-posted (each would cost a control round trip per link) *)
@@ -83,7 +78,7 @@ type txn = {
   mutable undo_stack : Op.t list; (* inverse ops, newest first *)
   mutable vwrites : (string * string) list; (* versioned (table, key) *)
   mutable failed : string option;
-  mutable outstanding : Lsn.Set.t;
+  mutable outstanding : int; (* its pendings still in flight *)
   (* optimistic mode: execution collects observations and buffers
      writes; commit validates then applies *)
   mutable read_set : (string * string * string option) list;
@@ -92,26 +87,22 @@ type txn = {
   mutable occ_applying : bool; (* commit is materializing buffered writes *)
 }
 
-(* The resend clock of a frame awaiting its reply. *)
-type backoff = {
-  mutable age : int; (* stalled pump rounds since last (re)send *)
-  mutable interval : int; (* rounds to wait before the next resend *)
-  mutable retries : int;
-}
-
+(* A request in flight, from dispatch until its reply settles it: the
+   TC's one record of it.  The low-water marks derive from the table of
+   these, and the caller awaiting the reply reads it from [p_result]. *)
 type pending = {
   p_req : Wire.request;
   p_frame : string; (* the encoded frame; resends repeat it verbatim *)
   p_link : link_state;
-  p_backoff : backoff;
-  p_xid : int option;
-  p_wants_reply : bool;
+  p_clock : Session.Backoff.t;
+  p_txn : txn option;
   p_tid : int; (* trace id stamped into p_frame; 0 when untraced *)
   p_sent : float; (* Metrics.start at first send, for the rtt histogram *)
   mutable p_fenced : bool;
       (* the target DC restarted and the redo scan owns this request: it
          must not resend (or count as an in-flight conflict) until the
          scan re-dispatches it at its place in LSN order *)
+  mutable p_result : Wire.result option; (* set when settled *)
 }
 
 (* A redo batch in flight: one frame carrying a run of logged operations
@@ -121,7 +112,7 @@ type batch = {
   b_ops : (Lsn.t * Op.t) list; (* the frame's run, in LSN order *)
   b_frame : string;
   b_link : link_state;
-  b_backoff : backoff;
+  b_clock : Session.Backoff.t;
   b_tid : int;
 }
 
@@ -147,18 +138,18 @@ type t = {
   routes : (string, route) Hashtbl.t;
   txns : (int, txn) Hashtbl.t;
   pendings : (int, pending) Hashtbl.t; (* keyed by LSN *)
-  completed : (int, Wire.reply) Hashtbl.t;
   wakeups : int Queue.t;
-  mutable outstanding : Lsn.Set.t;
   mutable rssp : Lsn.t;
   mutable in_flight_batch : batch option; (* see [batch] *)
   mutable lwm_cap : Lsn.t option;
       (* During restart redo the low-water mark may only cover operations
          already re-acknowledged: resent history is "outstanding" even
          before it is dispatched.  The cap tracks the redo cursor. *)
-  mutable undispatched : Lsn.Set.t;
-      (* Logged but not yet sent (commit logs every partition's version
-         cleanup before the single force, then dispatches).  A watermark
+  mutable undispatched : (Lsn.t * Op.t) list;
+      (* Version cleanups logged but not yet sent, oldest first (commit
+         logs every partition's cleanup before the single force, then
+         dispatches them one by one; a commit whose durability gate
+         raised leaves its cleanups here, in front).  A watermark
          pumped in that window — an ack from a *sibling* partition can
          trigger one — must not claim these: the target DC would advance
          its abstract-LSN cover past them and absorb the real operation
@@ -204,13 +195,11 @@ let create ?(counters = Instrument.global) cfg =
     routes = Hashtbl.create 16;
     txns = Hashtbl.create 64;
     pendings = Hashtbl.create 64;
-    completed = Hashtbl.create 64;
     wakeups = Queue.create ();
-    outstanding = Lsn.Set.empty;
     rssp = Lsn.next Lsn.zero;
     in_flight_batch = None;
     lwm_cap = None;
-    undispatched = Lsn.Set.empty;
+    undispatched = [];
     acked_since_lwm = 0;
     next_xid = 1;
     msgs = 0;
@@ -241,7 +230,6 @@ let attach_dc t link =
     {
       ls_link = link;
       ls_ctl = Session.Sender.create ();
-      ls_outstanding = Lsn.Set.empty;
       ls_sent_watermarks = None;
     }
 
@@ -300,18 +288,18 @@ let is_active txn = txn.state = Active
    id, encode, track the pending until an acknowledgement arrives
    through the pump loop, send.  Control traffic is asynchronous and
    contract-governed — nothing returns synchronously; callers that need
-   the reply (checkpoint grants, restart barriers) pass [~awaited:true]
-   and collect it with [await_control_reply]. *)
-let post_control ?(awaited = false) t ls ctl =
-  let seq =
-    Session.Sender.post ls.ls_ctl ~awaited ~backoff:t.cfg.resend_after
+   the reply (checkpoint grants, restart barriers) keep the ticket and
+   collect it with [await_control_reply]. *)
+let post_control t ls ctl =
+  let tk =
+    Session.Sender.post ls.ls_ctl ~backoff:t.cfg.resend_after
       ~encode:(fun ~epoch ~seq ->
         Wire.encode_control { Wire.c_epoch = epoch; c_seq = seq; c_ctl = ctl })
-      ~send:ls.ls_link.send_control ()
+      ~send:ls.ls_link.send_control
   in
   incr t.c_control_sent;
   incr t.c_control_unacked;
-  seq
+  tk
 
 let broadcast_control t ctl =
   Hashtbl.iter (fun _ ls -> ignore (post_control t ls ctl)) t.links
@@ -347,30 +335,38 @@ let new_epoch t ls =
 let cap_lwm t base =
   let base = Lsn.min base (Wal.stable_lsn t.log) in
   let base =
-    match Lsn.Set.min_elt_opt t.undispatched with
-    | Some l -> Lsn.min base (Lsn.prev l)
-    | None -> base
+    match t.undispatched with
+    | (l, _) :: _ -> Lsn.min base (Lsn.prev l)
+    | [] -> base
   in
   match t.lwm_cap with Some cap -> Lsn.min base cap | None -> base
+
+(* Everything logged or reserved below the oldest pending that [counts]
+   admits has been acknowledged.  Pendings are the only record of what
+   is in flight, so the marks are a fold over them, taken once per
+   [lwm_every] acks and per checkpoint; every pending LSN is at most
+   [last_lsn], whose successor seeds the fold. *)
+let lwm_of_pendings t counts =
+  let oldest =
+    Hashtbl.fold
+      (fun _ p acc -> if counts p then Lsn.min p.p_req.Wire.lsn acc else acc)
+      t.pendings
+      (Lsn.next (Wal.last_lsn t.log))
+  in
+  cap_lwm t (Lsn.prev oldest)
 
 (* The link-local low-water mark: everything below it that could ever
    reach *this* DC has been acknowledged.  Operations outstanding at
    sibling partitions don't appear — the partition map is static, so
    they can never arrive here, and making DC flush eligibility wait on
-   another DC's in-flight traffic would couple the partitions' I/O. *)
-let current_lwm_for t ls =
-  cap_lwm t
-    (match Lsn.Set.min_elt_opt ls.ls_outstanding with
-    | Some l -> Lsn.prev l
-    | None -> Wal.last_lsn t.log)
+   another DC's in-flight traffic would couple the partitions' I/O.  A
+   pending counts for the link record it was dispatched on: a failover
+   re-attaches the DC under a fresh record, which starts with none. *)
+let current_lwm_for t ls = lwm_of_pendings t (fun p -> p.p_link == ls)
 
 (* The deployment-wide low-water mark (checkpoint target): every
    operation below it is acknowledged by its owning DC. *)
-let current_lwm t =
-  cap_lwm t
-    (match Lsn.Set.min_elt_opt t.outstanding with
-    | Some l -> Lsn.prev l
-    | None -> Wal.last_lsn t.log)
+let current_lwm t = lwm_of_pendings t (fun _ -> true)
 
 (* Push watermarks to one link, skipping values the DC already has (the
    memo is per control session; [clear_ctl] voids it). *)
@@ -398,7 +394,9 @@ let send_lwm t =
   t.acked_since_lwm <- 0;
   Hashtbl.iter (fun _ ls -> post_watermarks t ls) t.links
 
-let dispatch t link ~lsn ~op ~xid ~wants_reply =
+(* Send a request and record it as pending; the caller awaiting its
+   reply keeps the pending returned. *)
+let dispatch t link ~lsn ~op ~txn =
   let req =
     { Wire.tc = t.cfg.id; lsn; part = link.ls_link.part; op }
   in
@@ -410,51 +408,38 @@ let dispatch t link ~lsn ~op ~xid ~wants_reply =
         ("lsn", Lsn.to_string lsn);
         ("part", string_of_int link.ls_link.part);
       ];
-  Hashtbl.replace t.pendings (Lsn.to_int lsn)
+  let p =
     { p_req = req; p_frame = frame; p_link = link;
-      p_backoff = { age = 0; interval = t.cfg.resend_after; retries = 0 };
-      p_xid = xid;
-      p_wants_reply = wants_reply; p_tid = tid;
-      p_sent = Metrics.start t.counters; p_fenced = false };
-  t.outstanding <- Lsn.Set.add lsn t.outstanding;
-  link.ls_outstanding <- Lsn.Set.add lsn link.ls_outstanding;
-  (match xid with
-  | Some x -> (
-    match Hashtbl.find_opt t.txns x with
-    | Some txn -> txn.outstanding <- Lsn.Set.add lsn txn.outstanding
-    | None -> ())
-  | None -> ());
+      p_clock = Session.Backoff.create t.cfg.resend_after; p_txn = txn;
+      p_tid = tid; p_sent = Metrics.start t.counters; p_fenced = false;
+      p_result = None }
+  in
+  Hashtbl.replace t.pendings (Lsn.to_int lsn) p;
+  Option.iter (fun txn -> txn.outstanding <- txn.outstanding + 1) txn;
   t.msgs <- t.msgs + 1;
   incr t.c_requests_sent;
-  link.ls_link.send frame
+  link.ls_link.send frame;
+  p
 
-let retire_pending t (p : pending) =
-  t.outstanding <- Lsn.Set.remove p.p_req.Wire.lsn t.outstanding;
-  p.p_link.ls_outstanding <-
-    Lsn.Set.remove p.p_req.Wire.lsn p.p_link.ls_outstanding
-
-(* An operation's completion: retire its pending and settle the
-   transaction it belongs to — its outstanding set, and [failed] on a
-   [Failed] result. *)
+(* An operation's completion: retire its pending, hand its result to
+   whoever awaits it, and settle the transaction it belongs to — its
+   outstanding count, and [failed] on a [Failed] result. *)
 let settle t (p : pending) (result : Wire.result) =
   let lsn = p.p_req.Wire.lsn in
   Hashtbl.remove t.pendings (Lsn.to_int lsn);
-  retire_pending t p;
+  p.p_result <- Some result;
   (* Round trip measured from the *first* send: resends lengthen the
      observed rtt rather than resetting it, which is the latency the
      operation's caller actually saw. *)
   Metrics.stop t.counters "tc.data_rtt_ns" p.p_sent;
   if p.p_tid <> 0 then
     Trace.record ~tid:p.p_tid ~comp:"tc" ~ev:"ack" [ ("lsn", Lsn.to_string lsn) ];
-  match p.p_xid with
-  | Some x -> (
-    match Hashtbl.find_opt t.txns x with
-    | Some txn -> (
-      txn.outstanding <- Lsn.Set.remove lsn txn.outstanding;
-      match result with
-      | Wire.Failed msg when txn.failed = None -> txn.failed <- Some msg
-      | _ -> ())
-    | None -> ())
+  match p.p_txn with
+  | Some txn -> (
+    txn.outstanding <- txn.outstanding - 1;
+    match result with
+    | Wire.Failed msg when txn.failed = None -> txn.failed <- Some msg
+    | _ -> ())
   | None -> ()
 
 let count_acks t n =
@@ -477,7 +462,6 @@ let handle_reply t (r : Wire.reply) =
     | None -> () (* stale duplicate reply *)
     | Some p ->
       settle t p r.result;
-      if p.p_wants_reply then Hashtbl.replace t.completed (Lsn.to_int r.lsn) r;
       count_acks t 1
 
 let rec same_lsns ops outcomes =
@@ -514,8 +498,7 @@ let handle_batch_reply t tc outcomes =
 
 (* A control acknowledgement matched against the link's session: stale
    epochs and duplicate acks are ignored; a first ack retires the
-   pending and, when a caller awaits it, parks the reply for
-   [await_control_reply]. *)
+   pending and fills its ticket for [await_control_reply]. *)
 let handle_control_reply t ls (m : Wire.control_reply_msg) =
   if not (Tc_id.equal m.Wire.r_tc t.cfg.id) then begin
     (* Acks are keyed (tc, epoch, seq), not bare (epoch, seq): every
@@ -569,38 +552,37 @@ let pump t =
    the same process), so it fails loudly rather than hanging in
    [await]. *)
 let resend_stale t =
-  let resend_if_due b ~tid ~lsn link frame =
-    b.age <- b.age + 1;
-    if b.age >= b.interval then begin
-      if b.retries >= t.cfg.resend_max_retries then begin
-        Instrument.bump t.counters "tc.request_timeouts";
-        failwith
-          (Printf.sprintf "Tc: request %d timed out after %d resends"
-             (Lsn.to_int lsn) b.retries)
-      end;
-      b.age <- 0;
-      b.retries <- b.retries + 1;
-      b.interval <- Stdlib.min (2 * b.interval) t.cfg.resend_backoff_max;
+  let resend_if_due clock ~tid ~lsn link frame =
+    match
+      Session.Backoff.tick clock ~backoff_max:t.cfg.resend_backoff_max
+        ~max_retries:t.cfg.resend_max_retries
+    with
+    | `Wait -> ()
+    | `Expired ->
+      Instrument.bump t.counters "tc.request_timeouts";
+      failwith
+        (Printf.sprintf "Tc: request %d timed out after %d resends"
+           (Lsn.to_int lsn) (Session.Backoff.retries clock))
+    | `Resend ->
       t.resend_count <- t.resend_count + 1;
       Instrument.bump t.counters "tc.resends";
       if tid <> 0 && Trace.enabled () then
         Trace.record ~tid ~comp:"tc" ~ev:"resend"
           [
             ("lsn", Lsn.to_string lsn);
-            ("retry", string_of_int b.retries);
+            ("retry", string_of_int (Session.Backoff.retries clock));
           ];
       link.ls_link.send frame
-    end
   in
   Hashtbl.iter
     (fun _ p ->
       if not p.p_fenced then
-        resend_if_due p.p_backoff ~tid:p.p_tid ~lsn:p.p_req.Wire.lsn p.p_link
+        resend_if_due p.p_clock ~tid:p.p_tid ~lsn:p.p_req.Wire.lsn p.p_link
           p.p_frame)
     t.pendings;
   (match t.in_flight_batch with
   | Some ({ b_ops = (lsn, _) :: _; _ } as b) ->
-    resend_if_due b.b_backoff ~tid:b.b_tid ~lsn b.b_link b.b_frame
+    resend_if_due b.b_clock ~tid:b.b_tid ~lsn b.b_link b.b_frame
   | _ -> ());
   (* Unacked control messages age and resend under the same backoff
      discipline: the DC's control-idempotence table absorbs the
@@ -631,19 +613,15 @@ let await t pred =
     end
   done
 
-let await_reply t lsn =
-  let key = Lsn.to_int lsn in
-  await t (fun () -> Hashtbl.mem t.completed key);
-  let r = Hashtbl.find t.completed key in
-  Hashtbl.remove t.completed key;
-  r
+let await_reply t p =
+  await t (fun () -> Option.is_some p.p_result);
+  Option.get p.p_result
 
-(* Collect the reply of an awaited control message previously posted
-   with [post_control ~awaited:true]: the grant/ack arrives through the
-   pump loop like any other frame. *)
-let await_control_reply t ls seq =
-  await t (fun () -> Session.Sender.has_reply ls.ls_ctl seq);
-  Option.get (Session.Sender.take_reply ls.ls_ctl seq)
+(* Collect the reply of a control message posted with [post_control]:
+   the grant/ack arrives through the pump loop like any other frame. *)
+let await_control_reply t tk =
+  await t (fun () -> Option.is_some (Session.Sender.reply tk));
+  Option.get (Session.Sender.reply tk)
 
 (* A control barrier: post to every link, then pump until every DC has
    acknowledged.  Posting everywhere before awaiting keeps the round
@@ -652,11 +630,9 @@ let await_control_reply t ls seq =
    traffic arrives). *)
 let broadcast_sync t ctl =
   let waits =
-    Hashtbl.fold
-      (fun _ ls acc -> (ls, post_control ~awaited:true t ls ctl) :: acc)
-      t.links []
+    Hashtbl.fold (fun _ ls acc -> post_control t ls ctl :: acc) t.links []
   in
-  List.iter (fun (ls, seq) -> ignore (await_control_reply t ls seq)) waits
+  List.iter (fun tk -> ignore (await_control_reply t tk)) waits
 
 (* The TC's obligation: never two conflicting operations in flight.
    Fenced pendings don't count: their messages died with the DC, and the
@@ -677,8 +653,7 @@ let await_conflicts t op =
 let request_unlogged t link op =
   await_conflicts t op;
   let lsn = Wal.reserve t.log in
-  dispatch t link ~lsn ~op ~xid:None ~wants_reply:true;
-  await_reply t lsn
+  await_reply t (dispatch t link ~lsn ~op ~txn:None)
 
 (* ------------------------------------------------------------------ *)
 (* Locking                                                             *)
@@ -726,7 +701,7 @@ let begin_txn t =
       undo_stack = [];
       vwrites = [];
       failed = None;
-      outstanding = Lsn.Set.empty;
+      outstanding = 0;
       read_set = [];
       scan_set = [];
       write_buf = [];
@@ -778,7 +753,7 @@ let read t txn ~table ~key =
     | None ->
       let op = Op.Read { table; key; mode = Op.Own } in
       let link = route_op t op in
-      match value_of_result (request_unlogged t link op).Wire.result with
+      match value_of_result (request_unlogged t link op) with
       | `Ok v ->
         txn.read_set <- (table, key, v) :: txn.read_set;
         `Ok v
@@ -789,13 +764,13 @@ let read t txn ~table ~key =
     | `Blocked -> `Blocked
     | `Granted ->
       let op = Op.Read { table; key; mode = Op.Own } in
-      value_of_result (request_unlogged t link op).Wire.result
+      value_of_result (request_unlogged t link op)
 
 (* Lock-free sharing reads (Section 6.2): no transaction, no locks. *)
 let sharing_read t ~table ~key mode =
   let op = Op.Read { table; key; mode } in
   let link = route_op t op in
-  match (request_unlogged t link op).Wire.result with
+  match request_unlogged t link op with
   | Wire.Value v -> v
   | _ -> None
 
@@ -806,7 +781,7 @@ let read_dirty t ~table ~key = sharing_read t ~table ~key Op.Dirty
 let sharing_scan t ~table ~from_key ~limit mode =
   let op = Op.Scan { table; from_key; limit; mode } in
   let link = route_op t op in
-  match (request_unlogged t link op).Wire.result with
+  match request_unlogged t link op with
   | Wire.Pairs ps -> ps
   | _ -> []
 
@@ -833,7 +808,7 @@ let inverse op prior =
    logged, because a TC crash may lose any information learned later. *)
 let pre_read t link ~table ~key =
   let op = Op.Read { table; key; mode = Op.Own } in
-  match (request_unlogged t link op).Wire.result with
+  match request_unlogged t link op with
   | Wire.Value v -> v
   | _ -> None
 
@@ -864,16 +839,15 @@ let write t txn op =
           Wal.append t.log (Log_record.Op_log { xid = txn.t_xid; op; undo = None })
         in
         txn.vwrites <- (table, key) :: txn.vwrites;
-        let wants_reply = not t.cfg.pipeline_writes in
-        dispatch t link ~lsn ~op ~xid:(Some txn.t_xid) ~wants_reply;
-        if wants_reply then
-          match (await_reply t lsn).Wire.result with
+        let p = dispatch t link ~lsn ~op ~txn:(Some txn) in
+        if t.cfg.pipeline_writes then `Ok ()
+        else
+          match await_reply t p with
           | Wire.Done -> `Ok ()
           | Wire.Failed m ->
             txn.failed <- Some m;
             `Fail m
           | _ -> `Fail "unexpected result shape"
-        else `Ok ()
       end
       else begin
         let prior = pre_read t link ~table ~key in
@@ -889,11 +863,10 @@ let write t txn op =
           (match undo with
           | Some inv -> txn.undo_stack <- inv :: txn.undo_stack
           | None -> ());
-          dispatch t link ~lsn ~op ~xid:(Some txn.t_xid) ~wants_reply:true;
-          (match (await_reply t lsn).Wire.result with
+          match await_reply t (dispatch t link ~lsn ~op ~txn:(Some txn)) with
           | Wire.Done -> `Ok ()
           | Wire.Failed m -> `Fail m
-          | _ -> `Fail "unexpected result shape")
+          | _ -> `Fail "unexpected result shape"
       end
 
 let insert t txn ~table ~key ~value =
@@ -908,17 +881,13 @@ let delete t txn ~table ~key = write t txn (Op.Delete { table; key })
 (* Scans (Section 3.1: the two range protocols)                        *)
 
 let probe t link ~table ~from_key ~limit =
-  match
-    (request_unlogged t link (Op.Probe { table; from_key; limit })).Wire.result
-  with
+  match request_unlogged t link (Op.Probe { table; from_key; limit }) with
   | Wire.Next_keys ks -> ks
   | _ -> []
 
 let scan_rows t link ~table ~from_key ~limit =
   match
-    (request_unlogged t link
-       (Op.Scan { table; from_key; limit; mode = Op.Own }))
-      .Wire.result
+    request_unlogged t link (Op.Scan { table; from_key; limit; mode = Op.Own })
   with
   | Wire.Pairs ps -> ps
   | _ -> []
@@ -1087,8 +1056,7 @@ let send_compensation t txn op =
   let lsn =
     Wal.append t.log (Log_record.Compensation { xid = txn.t_xid; op })
   in
-  dispatch t link ~lsn ~op ~xid:(Some txn.t_xid) ~wants_reply:true;
-  ignore (await_reply t lsn)
+  ignore (await_reply t (dispatch t link ~lsn ~op ~txn:(Some txn)))
 
 let rollback_work t txn =
   (* Inverse operations, newest first, for unversioned tables; a single
@@ -1105,7 +1073,7 @@ let abort t txn ~reason =
     ignore reason;
     Lock_mgr.cancel_waits t.locks ~owner:txn.t_xid;
     ignore (Wal.append t.log (Log_record.Abort { xid = txn.t_xid }));
-    await t (fun () -> Lsn.Set.is_empty txn.outstanding);
+    await t (fun () -> txn.outstanding = 0);
     rollback_work t txn;
     ignore (Wal.append t.log (Log_record.Finished { xid = txn.t_xid }));
     release_locks t txn;
@@ -1125,7 +1093,7 @@ let occ_validate t txn =
     (fun (table, key, seen) ->
       let op = Op.Read { table; key; mode = Op.Own } in
       let link = route_op t op in
-      match (request_unlogged t link op).Wire.result with
+      match request_unlogged t link op with
       | Wire.Value now -> now = seen
       | _ -> false)
     txn.read_set
@@ -1133,7 +1101,7 @@ let occ_validate t txn =
        (fun (table, from_key, limit, seen) ->
          let op = Op.Scan { table; from_key; limit; mode = Op.Own } in
          let link = route_op t op in
-         match (request_unlogged t link op).Wire.result with
+         match request_unlogged t link op with
          | Wire.Pairs now -> now = seen
          | _ -> false)
        txn.scan_set
@@ -1170,7 +1138,7 @@ let rec commit t txn =
     end
   end
   else begin
-    await t (fun () -> Lsn.Set.is_empty txn.outstanding);
+    await t (fun () -> txn.outstanding = 0);
     match txn.failed with
     | Some msg ->
       abort t txn ~reason:msg;
@@ -1190,13 +1158,13 @@ let rec commit t txn =
               Wal.append t.log
                 (Log_record.Compensation { xid = txn.t_xid; op })
             in
-            (* logged-not-sent: the dispatch loop below pumps while later
-               cleanups are still only in the log, and a watermark sent
-               then must not cover them *)
-            t.undispatched <- Lsn.Set.add lsn t.undispatched;
             (lsn, op))
           (versioned_write_sets t txn)
       in
+      (* logged-not-sent: the force, the durability gate and the dispatch
+         loop below all pump while cleanups are still only in the log,
+         and a watermark sent then must not cover them *)
+      t.undispatched <- t.undispatched @ cleanups;
       (* Group commit: batch several commits under one force.  Commits
          in between are not yet durable — the classic latency/IO trade;
          default group size 1 forces every commit. *)
@@ -1215,14 +1183,16 @@ let rec commit t txn =
         | Some gate -> gate (Wal.stable_lsn t.log)
         | None -> ()
       end;
+      let sent c =
+        t.undispatched <- List.filter (fun c' -> c' != c) t.undispatched
+      in
       (try
          List.iter
-           (fun (lsn, op) ->
+           (fun ((lsn, op) as c) ->
              let link = route_op t op in
              await_conflicts t op;
-             t.undispatched <- Lsn.Set.remove lsn t.undispatched;
-             dispatch t link ~lsn ~op ~xid:(Some txn.t_xid) ~wants_reply:true;
-             ignore (await_reply t lsn))
+             sent c;
+             ignore (await_reply t (dispatch t link ~lsn ~op ~txn:(Some txn))))
            cleanups
        with e ->
          (* A crash unwound the dispatch loop.  Drop the never-sent
@@ -1230,10 +1200,7 @@ let rec commit t txn =
             (a commit retry logs fresh records for the same keys, and
             recovery redo resends these under the lwm cap) — or the
             low-water mark would be wedged below them forever. *)
-         List.iter
-           (fun (lsn, _) ->
-             t.undispatched <- Lsn.Set.remove lsn t.undispatched)
-           cleanups;
+         List.iter sent cleanups;
          raise e);
       ignore (Wal.append t.log (Log_record.Finished { xid = txn.t_xid }));
       release_locks t txn;
@@ -1244,7 +1211,7 @@ let rec commit t txn =
   end
 
 let quiesce t =
-  await t (fun () -> Lsn.Set.is_empty t.outstanding);
+  await t (fun () -> Hashtbl.length t.pendings = 0);
   send_lwm t;
   (* Control messages are asynchronous now; a quiesced TC must also have
      every watermark it pushed acknowledged (and therefore applied), or
@@ -1282,16 +1249,15 @@ let checkpoint t =
     let waits =
       Hashtbl.fold
         (fun _ ls acc ->
-          ( ls,
-            post_control ~awaited:true t ls
-              (Wire.Checkpoint { tc = t.cfg.id; new_rssp = target }) )
+          post_control t ls
+            (Wire.Checkpoint { tc = t.cfg.id; new_rssp = target })
           :: acc)
         t.links []
     in
     let granted =
       List.fold_left
-        (fun acc (ls, seq) ->
-          match await_control_reply t ls seq with
+        (fun acc tk ->
+          match await_control_reply t tk with
           | Wire.Checkpoint_done { granted } -> acc && granted
           | Wire.Ack -> false)
         true waits
@@ -1343,21 +1309,15 @@ let crash t =
     t.txns;
   Hashtbl.reset t.txns;
   Hashtbl.reset t.pendings;
-  Hashtbl.reset t.completed;
   t.in_flight_batch <- None;
   Queue.clear t.wakeups;
-  t.outstanding <- Lsn.Set.empty;
-  t.undispatched <- Lsn.Set.empty;
+  t.undispatched <- [];
   t.locks <- Lock_mgr.create ();
   t.acked_since_lwm <- 0;
   (* Unacked control messages are volatile too (their frames and any
      replies in flight died with the process); the epoch counters
      survive so recovery can open strictly newer sessions. *)
-  Hashtbl.iter
-    (fun _ ls ->
-      ls.ls_outstanding <- Lsn.Set.empty;
-      clear_ctl t ls)
-    t.links
+  Hashtbl.iter (fun _ ls -> clear_ctl t ls) t.links
 
 type analysis = {
   mutable a_committed : bool;
@@ -1392,7 +1352,7 @@ let send_batch t ls ops n =
         b_ops = ops;
         b_frame = frame;
         b_link = ls;
-        b_backoff = { age = 0; interval = t.cfg.resend_after; retries = 0 };
+        b_clock = Session.Backoff.create t.cfg.resend_after;
         b_tid = tid;
       };
   t.msgs <- t.msgs + 1;
@@ -1495,7 +1455,7 @@ let recover t =
             undo_stack = [];
             vwrites = [];
             failed = None;
-            outstanding = Lsn.Set.empty;
+            outstanding = 0;
             read_set = [];
             scan_set = [];
             write_buf = [];
@@ -1643,8 +1603,8 @@ let on_dc_restart ?(from = Lsn.zero) t ~dc =
   (* Both fences are barriers: the begin must be applied before any redo
      frame, the end before fresh traffic resumes. *)
   ignore
-    (await_control_reply t ls
-       (post_control ~awaited:true t ls (Wire.Redo_fence_begin { tc = t.cfg.id })));
+    (await_control_reply t
+       (post_control t ls (Wire.Redo_fence_begin { tc = t.cfg.id })));
   (* Fenced pendings below the scan start were already applied by the
      promoted standby (they are stable, hence shipped).  Their replies
      died with the primary, so re-dispatch each in LSN order first: the
@@ -1676,8 +1636,8 @@ let on_dc_restart ?(from = Lsn.zero) t ~dc =
       Wal.iter_retained t.log start (logged resend);
       Wal.iter_volatile t.log (logged resend));
   ignore
-    (await_control_reply t ls
-       (post_control ~awaited:true t ls (Wire.Redo_fence_end { tc = t.cfg.id })));
+    (await_control_reply t
+       (post_control t ls (Wire.Redo_fence_end { tc = t.cfg.id })));
   t.lwm_cap <- None;
   (* The rebuilt DC's end-of-stable-log slot died with it, and the next
      force may be arbitrarily far away (every later transaction could
@@ -1688,23 +1648,14 @@ let on_dc_restart ?(from = Lsn.zero) t ~dc =
   (* Any pending still fenced was never logged: a synchronous read whose
      awaiting caller unwound with the crash.  Nothing will ever consume
      its reply; retire it. *)
-  let dead =
-    Hashtbl.fold
-      (fun key p acc -> if p.p_fenced then (key, p) :: acc else acc)
-      t.pendings []
-  in
-  List.iter
-    (fun (key, p) ->
-      Hashtbl.remove t.pendings key;
-      retire_pending t p;
-      match p.p_xid with
-      | Some x -> (
-        match Hashtbl.find_opt t.txns x with
-        | Some txn ->
-          txn.outstanding <- Lsn.Set.remove p.p_req.Wire.lsn txn.outstanding
-        | None -> ())
-      | None -> ())
-    dead
+  Hashtbl.filter_map_inplace
+    (fun _ p ->
+      if not p.p_fenced then Some p
+      else begin
+        Option.iter (fun txn -> txn.outstanding <- txn.outstanding - 1) p.p_txn;
+        None
+      end)
+    t.pendings
 
 (* Failover: the link's DC is now a promoted standby that applied the
    shipped stream through [from - 1].  Same fence/cap protocol, redo

@@ -9,11 +9,10 @@ module Session = Untx_msg.Session
 let mk_sender () =
   let wire = ref [] in
   let s : string Session.Sender.t = Session.Sender.create () in
-  let post ?awaited msg =
-    Session.Sender.post s ?awaited ~backoff:2
+  let post msg =
+    Session.Sender.post s ~backoff:2
       ~encode:(fun ~epoch ~seq -> Printf.sprintf "%d/%d/%s" epoch seq msg)
       ~send:(fun f -> wire := f :: !wire)
-      ()
   in
   (s, wire, post)
 
@@ -22,7 +21,9 @@ let parse frame = Scanf.sscanf frame "%d/%d/%s" (fun e q m -> (e, q, m))
 let test_in_order_round_trip () =
   let s, wire, post = mk_sender () in
   let r : (string, string) Session.Receiver.t = Session.Receiver.create () in
-  let seqs = List.map (fun m -> post m) [ "a"; "b"; "c" ] in
+  let seqs =
+    List.map (fun m -> Session.Sender.seq (post m)) [ "a"; "b"; "c" ]
+  in
   Alcotest.(check (list int)) "dense seqs" [ 1; 2; 3 ] seqs;
   Alcotest.(check int) "unacked" 3 (Session.Sender.unacked s);
   List.iter
@@ -125,7 +126,7 @@ let test_new_epoch_resets_both_ends () =
   Alcotest.(check int) "pendings dropped with the epoch" 2 dropped;
   Alcotest.(check int) "epoch advanced" 2 (Session.Sender.epoch s);
   wire := [];
-  let seq = post "fresh" in
+  let seq = Session.Sender.seq (post "fresh") in
   Alcotest.(check int) "seq restarts at 1" 1 seq;
   (match deliver (List.hd !wire) with
   | Session.Receiver.Applied "r1:fresh" -> ()
@@ -163,11 +164,14 @@ let test_timeout_after_max_retries () =
    with Failure _ -> ());
   Alcotest.(check bool) "on_timeout fired" true !timed_out
 
+(* The reply lands in the ticket [post] returned; a later duplicate ack
+   neither retires anything nor overwrites it. *)
 let test_awaited_reply_parked () =
   let s, wire, post = mk_sender () in
   let r : (string, string) Session.Receiver.t = Session.Receiver.create () in
-  let seq = post ~awaited:true "q" in
-  Alcotest.(check bool) "no reply yet" false (Session.Sender.has_reply s seq);
+  let tk = post "q" in
+  Alcotest.(check (option string)) "no reply yet" None
+    (Session.Sender.reply tk);
   let epoch, sq, msg = parse (List.hd !wire) in
   (match
      Session.Receiver.handle r ~epoch ~seq:sq msg
@@ -177,11 +181,12 @@ let test_awaited_reply_parked () =
   | Session.Receiver.Applied reply ->
     ignore (Session.Sender.ack s ~epoch ~seq:sq reply)
   | _ -> Alcotest.fail "expected Applied");
-  Alcotest.(check bool) "reply parked" true (Session.Sender.has_reply s seq);
-  Alcotest.(check (option string)) "reply value" (Some "ans:q")
-    (Session.Sender.take_reply s seq);
-  Alcotest.(check (option string)) "consumed" None
-    (Session.Sender.take_reply s seq)
+  Alcotest.(check (option string)) "reply in the ticket" (Some "ans:q")
+    (Session.Sender.reply tk);
+  Alcotest.(check bool) "duplicate ack" false
+    (Session.Sender.ack s ~epoch ~seq:sq "late");
+  Alcotest.(check (option string)) "reply kept" (Some "ans:q")
+    (Session.Sender.reply tk)
 
 let test_stale_and_duplicate_acks_rejected () =
   let s, wire, post = mk_sender () in
