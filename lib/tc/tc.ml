@@ -146,10 +146,10 @@ type t = {
          already re-acknowledged: resent history is "outstanding" even
          before it is dispatched.  The cap tracks the redo cursor. *)
   mutable undispatched : (Lsn.t * Op.t) list;
-      (* Version cleanups logged but not yet sent, oldest first (commit
-         logs every partition's cleanup before the single force, then
-         dispatches them one by one; a commit whose durability gate
-         raised leaves its cleanups here, in front).  A watermark
+      (* The committing transaction's version cleanups logged but not
+         yet sent, oldest first: commit logs every partition's cleanup
+         before the single force, then dispatches them one by one, and
+         only one commit does so at a time.  A watermark
          pumped in that window — an ack from a *sibling* partition can
          trigger one — must not claim these: the target DC would advance
          its abstract-LSN cover past them and absorb the real operation
@@ -1164,43 +1164,45 @@ let rec commit t txn =
       (* logged-not-sent: the force, the durability gate and the dispatch
          loop below all pump while cleanups are still only in the log,
          and a watermark sent then must not cover them *)
-      t.undispatched <- t.undispatched @ cleanups;
-      (* Group commit: batch several commits under one force.  Commits
-         in between are not yet durable — the classic latency/IO trade;
-         default group size 1 forces every commit. *)
-      t.unforced_commits <- t.unforced_commits + 1;
-      if t.unforced_commits >= Stdlib.max 1 t.group_commit then begin
-        t.unforced_commits <- 0;
-        Fault.hit p_commit_before_force;
-        Wal.force t.log;
-        Fault.hit p_commit_after_force;
-        send_eosl t;
-        (* Replicated durability: the gate ships the freshly-stable
-           suffix and blocks until the policy's quorum of standby acks
-           covers it, so the `Ok below means what the deployment's
-           durability policy promises. *)
-        match t.durability_gate with
-        | Some gate -> gate (Wal.stable_lsn t.log)
-        | None -> ()
-      end;
-      let sent c =
-        t.undispatched <- List.filter (fun c' -> c' != c) t.undispatched
+      t.undispatched <- cleanups;
+      let rec send_cleanups () =
+        match t.undispatched with
+        | [] -> ()
+        | (lsn, op) :: rest ->
+          let link = route_op t op in
+          await_conflicts t op;
+          t.undispatched <- rest;
+          ignore (await_reply t (dispatch t link ~lsn ~op ~txn:(Some txn)));
+          send_cleanups ()
       in
       (try
-         List.iter
-           (fun ((lsn, op) as c) ->
-             let link = route_op t op in
-             await_conflicts t op;
-             sent c;
-             ignore (await_reply t (dispatch t link ~lsn ~op ~txn:(Some txn))))
-           cleanups
+         (* Group commit: batch several commits under one force.  Commits
+            in between are not yet durable — the classic latency/IO
+            trade; default group size 1 forces every commit. *)
+         t.unforced_commits <- t.unforced_commits + 1;
+         if t.unforced_commits >= Stdlib.max 1 t.group_commit then begin
+           t.unforced_commits <- 0;
+           Fault.hit p_commit_before_force;
+           Wal.force t.log;
+           Fault.hit p_commit_after_force;
+           send_eosl t;
+           (* Replicated durability: the gate ships the freshly-stable
+              suffix and blocks until the policy's quorum of standby acks
+              covers it, so the `Ok below means what the deployment's
+              durability policy promises. *)
+           match t.durability_gate with
+           | Some gate -> gate (Wal.stable_lsn t.log)
+           | None -> ()
+         end;
+         send_cleanups ()
        with e ->
-         (* A crash unwound the dispatch loop.  Drop the never-sent
-            husks from the floor — their cleanup is re-delivered anyway
-            (a commit retry logs fresh records for the same keys, and
-            recovery redo resends these under the lwm cap) — or the
-            low-water mark would be wedged below them forever. *)
-         List.iter sent cleanups;
+         (* A crash, or a promotion raised out of the durability gate,
+            unwound the commit.  Drop the never-sent husks from the floor
+            — their cleanup is re-delivered anyway (a commit retry logs
+            fresh records for the same keys, and recovery redo resends
+            these under the lwm cap) — or the low-water mark would be
+            wedged below them forever. *)
+         t.undispatched <- [];
          raise e);
       ignore (Wal.append t.log (Log_record.Finished { xid = txn.t_xid }));
       release_locks t txn;

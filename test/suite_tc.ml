@@ -209,6 +209,34 @@ let test_finished_txns_released () =
     true
     (float_of_int at_5000 <= 1.5 *. float_of_int at_1000)
 
+(* A commit unwound after logging its version cleanup (here by a
+   durability gate that raises once, as a promotion does) never sends
+   that cleanup; the retry logs and sends a fresh one.  The unsent
+   husk must not hold the low-water mark below it afterwards. *)
+let test_unwound_commit_leaves_no_floor () =
+  let k = make_kernel () in
+  let tc = Kernel.tc k in
+  let fail_once = ref true in
+  Tc.set_durability_gate tc (fun _ ->
+      if !fail_once then begin
+        fail_once := false;
+        raise Exit
+      end);
+  let txn = Kernel.begin_txn k in
+  ok (Kernel.insert k txn ~table ~key:"a" ~value:"1");
+  (match Kernel.commit k txn with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "the gate should have raised");
+  let husk = Tc.last_lsn tc in
+  ok (Kernel.commit k txn);
+  Kernel.quiesce k;
+  let lwm = Dc.lwm_of (Kernel.dc k) (Tc.id tc) in
+  Alcotest.(check bool)
+    (Printf.sprintf "lwm %d passes the husk %d" (Lsn.to_int lwm)
+       (Lsn.to_int husk))
+    true
+    Lsn.(husk < lwm)
+
 let suite =
   [
     Alcotest.test_case "scan protocols agree" `Quick test_scan_protocols_agree;
@@ -229,4 +257,6 @@ let suite =
     Alcotest.test_case "wakeups and deadlock" `Quick test_wakeups_and_deadlock;
     Alcotest.test_case "finished transactions are released" `Quick
       test_finished_txns_released;
+    Alcotest.test_case "an unwound commit leaves no floor" `Quick
+      test_unwound_commit_leaves_no_floor;
   ]
