@@ -1010,20 +1010,10 @@ let scan t txn ~table ~from_key ~limit =
 (* ------------------------------------------------------------------ *)
 (* Commit / abort                                                      *)
 
-(* Several groups leave in the order the per-commit [Hashtbl] that
-   used to collect them listed them: by bucket of [(table, dc)], highest
-   first, then first seen.  Each group's Commit_versions thus keeps its
-   LSN, and its frame its bytes. *)
-let in_bucket_order groups =
-  let n = List.length groups in
-  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
-  let mask = buckets 16 - 1 in
-  let bucket (table, dc, _) = Hashtbl.hash (table, dc) land mask in
-  List.stable_sort (fun g h -> Int.compare (bucket h) (bucket g)) groups
-
 (* Group a transaction's versioned writes by (table, DC): version
-   housekeeping operations must each target a single DC.  Within a
-   group, keys are newest first, each once. *)
+   housekeeping operations must each target a single DC.  The walk goes
+   over the writes newest first; groups leave in the order it meets
+   them, each listing its keys once. *)
 let versioned_write_sets t txn =
   let groups = ref [] (* newest first *) in
   List.iter
@@ -1043,12 +1033,7 @@ let versioned_write_sets t txn =
       in
       if not (List.mem key !keys) then keys := key :: !keys)
     txn.vwrites;
-  let groups =
-    match !groups with
-    | ([] | [ _ ]) as one -> one
-    | several -> in_bucket_order (List.rev several)
-  in
-  List.map (fun (table, _, keys) -> (table, !keys)) groups
+  List.rev_map (fun (table, _, keys) -> (table, !keys)) !groups
 
 let send_compensation t txn op =
   let link = route_op t op in
