@@ -269,6 +269,27 @@ let test_plan_sweep_covers_required_points () =
     [ "disk.page_write.torn"; "dc.smo.split.mid"; "wal.tc.force.mid";
       "tc.recover.mid" ]
 
+let test_indexed_restart_caps_lwm () =
+  (* Pins the low-water cap [Tc.on_dc_restart] installs before its redo
+     fence, under index traffic.  With that cap dropped, these two
+     cycles report violations (the rebuilt partition absorbs redo as
+     duplicates of a mark claimed past it), while the rest of the test
+     suite still passes. *)
+  List.iter
+    (fun (label, seed) ->
+      let plan = List.assoc label (Chaos.plans (Indexed 2)) in
+      let c =
+        Chaos.run_cycle ~shape:(Indexed 2) ~label ~plan ~seed ~txns:24 ()
+      in
+      check_clean c;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed=%d: the planned rule fired" label seed)
+        true (c.c_fired <> []))
+    [
+      ("dc.flush.before_page_write@1", 768);
+      ("transport.frame.corrupt~5%+dc.smo.split.mid@1", 1440);
+    ]
+
 let suite =
   [
     Alcotest.test_case "small fixed-seed soak is violation-free" `Quick
@@ -293,4 +314,6 @@ let suite =
       test_redo_window_watermark_race;
     Alcotest.test_case "an escalated TC reset holds the survivors' marks"
       `Quick test_escalated_reset_holds_marks;
+    Alcotest.test_case "an indexed DC restart caps the low-water mark"
+      `Quick test_indexed_restart_caps_lwm;
   ]

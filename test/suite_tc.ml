@@ -237,6 +237,76 @@ let test_unwound_commit_leaves_no_floor () =
     true
     Lsn.(husk < lwm)
 
+(* A request in flight at one partition holds that partition's
+   low-water mark only.  One TC over two DCs: dc1's data replies are
+   held back in its link's [drain] while a second transaction commits on
+   dc0 with a mark pushed after every ack.  dc0's mark moves past the
+   LSN still in flight at dc1, and dc1's stays below it until the held
+   replies arrive. *)
+let test_sibling_lwm_advances () =
+  let tc =
+    Tc.create { (Tc.default_config (Tc_id.of_int 1)) with lwm_every = 1 }
+  in
+  let hold = ref true and held = ref [] in
+  let attach name part =
+    let dc = Dc.create (kernel_config ()).Kernel.dc in
+    Dc.set_identity dc ~part;
+    Dc.create_table dc ~name:table ~versioned:true;
+    let transport =
+      Transport.create ~seed:part ~data:(Dc.handle_request_frame dc)
+        ~control:(Dc.handle_control_frame dc) ()
+    in
+    let drain () =
+      let replies, ctl = Transport.drain transport in
+      if part = 0 then (replies, ctl)
+      else if !hold then begin
+        held := !held @ replies;
+        ([], ctl)
+      end
+      else begin
+        let replies = !held @ replies in
+        held := [];
+        (replies, ctl)
+      end
+    in
+    Tc.attach_dc tc
+      {
+        Tc.dc_name = name;
+        part;
+        send = Transport.send transport;
+        send_control = Transport.send_control transport;
+        drain;
+      };
+    dc
+  in
+  let dc0 = attach "dc0" 0 and dc1 = attach "dc1" 1 in
+  Tc.map_table_partitioned tc ~table ~versioned:true ~partition:(fun key ->
+      if key.[0] = 'a' then "dc0" else "dc1");
+  let lwm dc = Dc.lwm_of dc (Tc.id tc) in
+  let slow = Tc.begin_txn tc in
+  ok (Tc.insert tc slow ~table ~key:"b1" ~value:"held");
+  let in_flight = Tc.last_lsn tc in
+  let fast = Tc.begin_txn tc in
+  ok (Tc.insert tc fast ~table ~key:"a1" ~value:"v");
+  ok (Tc.commit tc fast);
+  (* one more round trip on dc0 delivers the marks the commit pushed *)
+  ignore (Tc.read_committed tc ~table ~key:"a1");
+  Alcotest.(check bool)
+    (Printf.sprintf "dc0's mark %d passes %d, in flight at dc1"
+       (Lsn.to_int (lwm dc0)) (Lsn.to_int in_flight))
+    true
+    Lsn.(in_flight < lwm dc0);
+  Alcotest.(check bool)
+    (Printf.sprintf "dc1's mark %d stays below %d" (Lsn.to_int (lwm dc1))
+       (Lsn.to_int in_flight))
+    true
+    Lsn.(lwm dc1 < in_flight);
+  hold := false;
+  ok (Tc.commit tc slow);
+  Tc.quiesce tc;
+  Alcotest.(check bool) "dc1's mark passes it once acknowledged" true
+    Lsn.(in_flight < lwm dc1)
+
 let suite =
   [
     Alcotest.test_case "scan protocols agree" `Quick test_scan_protocols_agree;
@@ -259,4 +329,6 @@ let suite =
       test_finished_txns_released;
     Alcotest.test_case "an unwound commit leaves no floor" `Quick
       test_unwound_commit_leaves_no_floor;
+    Alcotest.test_case "a sibling partition's mark passes a held request"
+      `Quick test_sibling_lwm_advances;
   ]
