@@ -57,11 +57,39 @@ let counter (s : Chaos.summary) name =
 
 let fired (s : Chaos.summary) point = List.mem_assoc point s.s_fires_by_point
 
+(* One MD5 over every cycle's identity and outcome — shape, plan, seed,
+   fired points, kills, commits, audit redeliveries, violations and the
+   whole counter snapshot — so a [cmp] of two runs' output catches a
+   counter that moved in one cycle while every summed table stayed put. *)
+let cycle_digest cycles =
+  let b = Buffer.create 4096 in
+  let add_list f l =
+    Printf.bprintf b "%d[" (List.length l);
+    List.iter f l;
+    Buffer.add_char b ']'
+  in
+  let add_string s = Printf.bprintf b "%d:%s;" (String.length s) s in
+  List.iter
+    (fun (c : Chaos.cycle) ->
+      add_string c.c_shape;
+      add_string c.c_label;
+      Printf.bprintf b "%d;%d;%d;%d;" c.c_seed c.c_crashes c.c_committed
+        c.c_redelivered;
+      add_list add_string c.c_fired;
+      add_list add_string c.c_violations;
+      add_list
+        (fun (name, v) ->
+          add_string name;
+          Printf.bprintf b "%d;" v)
+        c.c_counters)
+    cycles;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* One soak's report: the fires-per-point table when [fires] titles one,
    the summary rows (then "auditor violations"), the summed [counters]
-   when any are named, the violating cycles, and the gates — the first
-   one being that no cycle violated.  The run stops at the first soak
-   that fails a gate. *)
+   when any are named, the per-cycle digest line, the violating cycles,
+   and the gates — the first one being that no cycle violated.  The run
+   stops at the first soak that fails a gate. *)
 let report ~fires ~summary ~rows ~counters ~violations ~gates ~ok
     (cycles, (s : Chaos.summary)) =
   Option.iter
@@ -81,6 +109,8 @@ let report ~fires ~summary ~rows ~counters ~violations ~gates ~ok
            List.assoc_opt name s.s_counters
            |> Option.map (fun v -> [ name; string_of_int v ]))
          counters);
+  Printf.printf "%s: per-cycle digest %s over %d cycles\n" summary
+    (cycle_digest cycles) (List.length cycles);
   print_cycle_failures cycles;
   let problems =
     List.filter_map
