@@ -31,8 +31,9 @@ let spec =
     seed = 111;
   }
 
-let run_kernel ?(spec = spec) ?counters cfg =
+let run_kernel ?(spec = spec) ?counters ?group_commit cfg =
   let k = Kernel.create ?counters cfg in
+  Option.iter (Tc.set_group_commit (Kernel.tc k)) group_commit;
   Kernel.create_table k ~name:spec.Driver.table ~versioned:true;
   let e = Engine.of_kernel k in
   Driver.preload e spec;
@@ -110,11 +111,7 @@ let a3_watermark_combining () =
 
 let a4_group_commit () =
   let row group =
-    let cfg = kernel_config () in
-    let cfg =
-      { cfg with Kernel.tc = { cfg.Kernel.tc with group_commit = group } }
-    in
-    let k, r, t = run_kernel cfg in
+    let k, r, t = run_kernel ~group_commit:group (kernel_config ()) in
     [
       string_of_int group;
       fmt_f (float_of_int r.Driver.committed /. t);

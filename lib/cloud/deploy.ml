@@ -255,8 +255,7 @@ let manager_for t tc_name =
   | Some m -> m
   | None ->
     let m =
-      Repl.Manager.create ~counters:t.counters
-        ~cfg:{ Repl.Manager.default_config with durability = t.durability }
+      Repl.Manager.create ~counters:t.counters ~durability:t.durability
         (Hashtbl.find t.tcs tc_name)
     in
     if t.layers then Repl.Manager.enable_layers m;

@@ -71,8 +71,7 @@ let cells_for counters label =
 let add cell n = cell := !cell + n
 
 type t = {
-  mutable policy : policy;
-  mutable control_policy : policy;
+  mutable policy : policy; (* every channel's adversary *)
   rng : Rng.t;
   data_handler : string -> string option;
   control_handler : string -> string option;
@@ -100,11 +99,10 @@ type t = {
   mutable repl_bytes : int;
 }
 
-let create ?(counters = Instrument.global) ?(policy = reliable) ?control_policy
-    ?label ?(repl = fun _ -> None) ~seed ~data ~control () =
+let create ?(counters = Instrument.global) ?(policy = reliable) ?label
+    ?(repl = fun _ -> None) ~seed ~data ~control () =
   {
     policy;
-    control_policy = Option.value control_policy ~default:policy;
     rng = Rng.create ~seed;
     data_handler = data;
     control_handler = control;
@@ -130,16 +128,6 @@ let create ?(counters = Instrument.global) ?(policy = reliable) ?control_policy
     repl_bytes = 0;
   }
 
-let set_policy t policy =
-  t.policy <- policy;
-  t.control_policy <- policy
-
-(* Replication frames are contract-governed like control traffic and
-   face the same adversary. *)
-let policy_for t = function
-  | Data -> t.policy
-  | Control | Repl -> t.control_policy
-
 (* Span attributes identifying where on the plane an event happened:
    channel, direction, and (in a deployment) the link's label. *)
 let trace_attrs t ch dir =
@@ -160,7 +148,7 @@ let trace_event t ch dir ev frame =
     if tid <> 0 then Trace.record ~tid ~comp:"transport" ~ev (trace_attrs t ch dir)
 
 let schedule t ch dir queue frame =
-  let p = policy_for t ch in
+  let p = t.policy in
   (* The sender pays for every frame handed to the plane, in measured
      encoded bytes — including ones the adversary then loses. *)
   let len = String.length frame in
@@ -213,11 +201,11 @@ let send_repl t frame = t.dc_repl <- schedule t Repl `Req t.dc_repl frame
 
 (* Split a queue into due and not-yet-due; due messages come back in
    delivery order (FIFO by seq, or shuffled when reordering). *)
-let split_due t ch queue =
+let split_due t queue =
   let due, rest = List.partition (fun item -> item.due <= t.now) queue in
   let due = List.sort (fun (a : item) b -> Int.compare a.seq b.seq) due in
   let due =
-    if (policy_for t ch).reorder && List.length due > 1 then begin
+    if t.policy.reorder && List.length due > 1 then begin
       let arr = Array.of_list due in
       Rng.shuffle t.rng arr;
       Array.to_list arr
@@ -229,15 +217,15 @@ let split_due t ch queue =
 (* A queue is newest first (sends prepend, and the split keeps order),
    so when everything is due and nothing reorders — always, under a
    policy without delays — delivery order is the queue reversed. *)
-let take_due t ch queue =
+let take_due t queue =
   match queue with
   | [] -> ([], [])
   | _ ->
     if
-      (not (policy_for t ch).reorder)
+      (not t.policy.reorder)
       && List.for_all (fun item -> item.due <= t.now) queue
     then (List.rev queue, [])
-    else split_due t ch queue
+    else split_due t queue
 
 (* The receiving edge of either channel: maybe corrupt (fault point),
    then verify the checksum.  A frame that fails verification is
@@ -272,9 +260,9 @@ let count_batch t n =
   end
 
 let deliver_requests t =
-  let due_d, rest_d = take_due t Data t.dc_data in
+  let due_d, rest_d = take_due t t.dc_data in
   t.dc_data <- rest_d;
-  let due_c, rest_c = take_due t Control t.dc_ctl in
+  let due_c, rest_c = take_due t t.dc_ctl in
   t.dc_ctl <- rest_c;
   count_batch t (List.length due_d + List.length due_c);
   List.iter
@@ -301,7 +289,7 @@ let deliver_requests t =
         | None -> ()
         | Some reply -> t.tc_ctl <- schedule t Control `Rep t.tc_ctl reply))
     due_c;
-  let due_r, rest_r = take_due t Repl t.dc_repl in
+  let due_r, rest_r = take_due t t.dc_repl in
   t.dc_repl <- rest_r;
   count_batch t (List.length due_r);
   List.iter
@@ -317,9 +305,9 @@ let deliver_requests t =
     due_r
 
 let take_replies t =
-  let due_d, rest_d = take_due t Data t.tc_data in
+  let due_d, rest_d = take_due t t.tc_data in
   t.tc_data <- rest_d;
-  let due_c, rest_c = take_due t Control t.tc_ctl in
+  let due_c, rest_c = take_due t t.tc_ctl in
   t.tc_ctl <- rest_c;
   count_batch t (List.length due_d + List.length due_c);
   let keep ch items =
@@ -335,7 +323,7 @@ let take_replies t =
   (keep Data due_d, keep Control due_c)
 
 let take_repl_replies t =
-  let due_r, rest_r = take_due t Repl t.tc_repl in
+  let due_r, rest_r = take_due t t.tc_repl in
   t.tc_repl <- rest_r;
   count_batch t (List.length due_r);
   List.filter_map
@@ -361,9 +349,8 @@ let drain_repl t =
   take_repl_replies t
 
 let flush t =
-  let saved_data = t.policy and saved_ctl = t.control_policy in
+  let saved = t.policy in
   t.policy <- reliable;
-  t.control_policy <- reliable;
   let out_d = ref [] and out_c = ref [] (* newest first; reversed on return *) in
   let n = ref 0 in
   while
@@ -386,8 +373,7 @@ let flush t =
       ctl_replies;
     List.iter (fun _ -> incr n) repl_replies
   done;
-  t.policy <- saved_data;
-  t.control_policy <- saved_ctl;
+  t.policy <- saved;
   t.force_delivered <- t.force_delivered + !n;
   Instrument.bump_by t.counters "transport.flush_delivered" !n;
   (List.rev !out_d, List.rev !out_c)

@@ -49,7 +49,6 @@ type t
 val create :
   ?counters:Untx_util.Instrument.t ->
   ?policy:policy ->
-  ?control_policy:policy ->
   ?label:string ->
   ?repl:(string -> string option) ->
   seed:int ->
@@ -58,9 +57,9 @@ val create :
   unit ->
   t
 (** [data] and [control] are the DC-side endpoints: each takes a
-    received frame and returns an optional reply frame.  [control_policy]
-    defaults to [policy] — both channels face the same adversary unless
-    a test separates them.  Delivery, drop, duplication, batching, byte
+    received frame and returns an optional reply frame.  [policy]
+    (default {!reliable}) is the adversary every channel — data,
+    control and replication — faces.  Delivery, drop, duplication, batching, byte
     and corruption events are mirrored into [counters]
     (["transport.delivered"], ["transport.control_delivered"],
     ["transport.dropped"], ["transport.duplicated"],
@@ -73,9 +72,6 @@ val create :
     ["transport.<label>.data_bytes"], ["transport.<label>.control_bytes"]
     and ["transport.<label>.delivered"], so a multi-DC deployment can
     read traffic per partition. *)
-
-val set_policy : t -> policy -> unit
-(** Set the adversary for both channels. *)
 
 val send : t -> string -> unit
 (** Enqueue an encoded request frame on the data channel. *)

@@ -14,27 +14,35 @@
    "dc.control_*", "repl.*"), keeping accounting where it is read. *)
 
 module Backoff = struct
+  let first = 4
+
+  let cap = 64
+
+  let max_retries = 32
+
   type t = {
     mutable age : int; (* stalled rounds since the last (re)send *)
     mutable interval : int; (* rounds to wait before the next resend *)
     mutable retries : int;
   }
 
-  let create interval = { age = 0; interval; retries = 0 }
+  let create () = { age = 0; interval = first; retries = 0 }
 
   let retries c = c.retries
 
-  let tick c ~backoff_max ~max_retries =
+  let tick c =
     c.age <- c.age + 1;
     if c.age < c.interval then `Wait
     else if c.retries >= max_retries then `Expired
     else begin
       c.age <- 0;
       c.retries <- c.retries + 1;
-      c.interval <- Stdlib.min (2 * c.interval) backoff_max;
+      c.interval <- Stdlib.min (2 * c.interval) cap;
       `Resend
     end
 end
+
+let max_stalls = 100_000
 
 module Sender = struct
   type 'reply ticket = {
@@ -59,11 +67,11 @@ module Sender = struct
   (* Allocate the next seq, cache the encoded frame (every resend puts
      identical bytes on the wire), send.  The ticket is the pending
      itself: its reply slot fills when the ack arrives. *)
-  let post t ~backoff ~encode ~send =
+  let post t ~encode ~send =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     let frame = encode ~epoch:t.epoch ~seq in
-    let tk = { seq; frame; clock = Backoff.create backoff; reply = None } in
+    let tk = { seq; frame; clock = Backoff.create (); reply = None } in
     Hashtbl.replace t.pending seq tk;
     send frame;
     tk
@@ -85,10 +93,10 @@ module Sender = struct
         tk.reply <- Some reply;
         true
 
-  let tick t ~backoff_max ~max_retries ~on_resend ~on_timeout =
+  let tick t ~on_resend ~on_timeout =
     Hashtbl.iter
       (fun _ tk ->
-        match Backoff.tick tk.clock ~backoff_max ~max_retries with
+        match Backoff.tick tk.clock with
         | `Wait -> ()
         | `Expired -> on_timeout ~seq:tk.seq ~retries:(Backoff.retries tk.clock)
         | `Resend -> on_resend ~seq:tk.seq tk.frame)
@@ -117,20 +125,20 @@ module Receiver = struct
     mutable applied : int; (* highest seq applied, contiguous *)
     replies : (int, 'reply) Hashtbl.t; (* seq -> memoized reply *)
     buffer : (int, 'msg) Hashtbl.t; (* out-of-order arrivals *)
-    memo_window : int;
   }
 
   (* Keep memoized replies for a window of recent seqs: a duplicate can
      only be a recently-resent frame, and the sender stops resending a
      seq once any reply for it arrives. *)
-  let create ?(memo_window = 1024) () =
+  let memo_window = 1024
+
+  let create () =
     {
       epoch = 0;
       (* so the sender's first real epoch (1+) is adopted on contact *)
       applied = 0;
       replies = Hashtbl.create 32;
       buffer = Hashtbl.create 8;
-      memo_window;
     }
 
   let epoch t = t.epoch
@@ -177,7 +185,7 @@ module Receiver = struct
              lands on live state. *)
           t.applied <- seq;
           Hashtbl.replace t.replies seq r;
-          Hashtbl.remove t.replies (seq - t.memo_window);
+          Hashtbl.remove t.replies (seq - memo_window);
           r
         in
         let first = run seq msg in

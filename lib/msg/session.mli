@@ -20,22 +20,40 @@ module Backoff : sig
       since the last (re)send, the interval before the next, and the
       resends so far.  Every resending sender in the system — TC data
       requests, its redo batch, and each {!Sender} — ages its frames
-      with this one clock. *)
+      with this one clock, so the resend policy below is the system's
+      only one. *)
 
-  val create : int -> t
-  (** A clock that first falls due after [interval] ticks. *)
+  val first : int
+  (** Stalled rounds before the first resend: 4. *)
+
+  val cap : int
+  (** The interval doubles after every resend up to this many stalled
+      rounds: 64.  Resends therefore fall at stalled rounds 4, 12, 28,
+      60, 124, 188, ... *)
+
+  val max_retries : int
+  (** Resends before the clock expires: 32.  With an in-process peer a
+      frame can only be lost, not the peer, so expiry is a bug guard. *)
+
+  val create : unit -> t
+  (** A clock that first falls due after {!first} ticks. *)
 
   val retries : t -> int
   (** Resends so far. *)
 
-  val tick :
-    t -> backoff_max:int -> max_retries:int -> [ `Wait | `Resend | `Expired ]
+  val tick : t -> [ `Wait | `Resend | `Expired ]
   (** Age the clock one round.  [`Resend] when it fell due: the interval
-      doubles (bounded by [backoff_max]) and the retry count grows, so
-      the caller sends the frame again.  [`Expired] when it fell due with
-      [max_retries] resends already spent; the clock is left as it was
+      doubles (bounded by {!cap}) and the retry count grows, so the
+      caller sends the frame again.  [`Expired] when it fell due with
+      {!max_retries} resends already spent; the clock is left as it was
       and the caller is expected to fail. *)
 end
+
+val max_stalls : int
+(** Consecutive pump rounds without progress after which a resending
+    await loop ([Tc]'s, the replication manager's) gives up: 100 000.
+    Far beyond the last resend {!Backoff} allows, so reaching it means a
+    message was lost with nothing left to resend it. *)
 
 module Sender : sig
   type 'reply t
@@ -55,13 +73,12 @@ module Sender : sig
 
   val post :
     'reply t ->
-    backoff:int ->
     encode:(epoch:int -> seq:int -> string) ->
     send:(string -> unit) ->
     'reply ticket
   (** Allocate the next seq, build the frame with [encode] (cached so
       every resend puts identical bytes on the wire), [send] it, and
-      track it as pending with initial resend [backoff].  The ticket's
+      track it as pending on a fresh {!Backoff} clock.  The ticket's
       {!reply} is filled when the matching ack arrives. *)
 
   val seq : _ ticket -> int
@@ -76,15 +93,13 @@ module Sender : sig
 
   val tick :
     'reply t ->
-    backoff_max:int ->
-    max_retries:int ->
     on_resend:(seq:int -> string -> unit) ->
     on_timeout:(seq:int -> retries:int -> unit) ->
     unit
   (** Age every pending one {!Backoff.tick}.  A pending that falls due
       is resent through [on_resend]; one that has already been resent
-      [max_retries] times goes to [on_timeout] instead, which must
-      raise. *)
+      {!Backoff.max_retries} times goes to [on_timeout] instead, which
+      must raise. *)
 
   val clear : 'reply t -> int
   (** Drop all pendings (they died with a crash, or a new epoch voids
@@ -100,10 +115,12 @@ module Receiver : sig
   type ('msg, 'reply) t
   (** The receiving half: per-sender idempotence/ordering state. *)
 
-  val create : ?memo_window:int -> unit -> ('msg, 'reply) t
+  val memo_window : int
+  (** How many recent replies are kept for duplicate replay: 1024. *)
+
+  val create : unit -> ('msg, 'reply) t
   (** Epoch 0, so the sender's first real epoch (1 or later) is always
-      adopted as new on first contact.  [memo_window] (default 1024)
-      bounds how many recent replies are kept for duplicate replay. *)
+      adopted as new on first contact. *)
 
   val epoch : _ t -> int
   (** The adopted epoch — replies must travel stamped with it. *)

@@ -201,29 +201,12 @@ module Manager = struct
 
   let attached r = r.r_state = Attached
 
-  type config = {
-    durability : durability;
-    batch_ops : int; (* max records per Repl_ship frame *)
-    resend_after : int;
-    resend_backoff_max : int;
-    resend_max_retries : int;
-    max_pump_rounds : int;
-    lease_checkpoints : int; (* retention-lease budget of a detached replica *)
-  }
+  let batch_ops = 32 (* max records per Repl_ship frame *)
 
-  let default_config =
-    {
-      durability = Primary_only;
-      batch_ops = 32;
-      resend_after = 4;
-      resend_backoff_max = 64;
-      resend_max_retries = 32;
-      max_pump_rounds = 100_000;
-      lease_checkpoints = 4;
-    }
+  let lease_checkpoints = 4 (* retention-lease budget of a detached replica *)
 
   type t = {
-    cfg : config;
+    durability : durability;
     tc : Tc.t;
     counters : Instrument.t;
     (* "repl.*" counter cells, resolved once *)
@@ -342,7 +325,7 @@ module Manager = struct
   let post t r repl =
     let frame = ref "" in
     let tk =
-      Session.Sender.post r.r_session ~backoff:t.cfg.resend_after
+      Session.Sender.post r.r_session
         ~encode:(fun ~epoch ~seq ->
           let f =
             Wire.encode_repl { Wire.p_epoch = epoch; p_seq = seq; p_repl = repl }
@@ -409,7 +392,7 @@ module Manager = struct
           if String.equal (Tc.dc_of_op t.tc op) r.r_primary then begin
             batch := (lsn, op) :: !batch;
             incr batch_n;
-            if !batch_n >= t.cfg.batch_ops then flush_batch ~upto:lsn
+            if !batch_n >= batch_ops then flush_batch ~upto:lsn
           end);
       (* the final (possibly empty) batch carries the cursor to the end
          of the stable log *)
@@ -461,9 +444,7 @@ module Manager = struct
     Hashtbl.iter
       (fun _ r ->
         if attached r then
-          Session.Sender.tick r.r_session ~backoff_max:t.cfg.resend_backoff_max
-            ~max_retries:t.cfg.resend_max_retries
-            ~on_resend:(fun ~seq:_ frame ->
+          Session.Sender.tick r.r_session ~on_resend:(fun ~seq:_ frame ->
               Instrument.bump t.counters "repl.resends";
               r.r_send frame)
             ~on_timeout:(fun ~seq ~retries ->
@@ -480,7 +461,7 @@ module Manager = struct
       else begin
         incr stalls;
         tick_resend t;
-        if !stalls > t.cfg.max_pump_rounds then
+        if !stalls > Session.max_stalls then
           failwith "Repl.await: no progress (lost ship without resend?)"
       end
     done
@@ -496,7 +477,7 @@ module Manager = struct
     sync_layers t;
     ship t;
     ignore (pump t);
-    match t.cfg.durability with
+    match t.durability with
     | Primary_only -> ()
     | Quorum k ->
       let satisfied () =
@@ -518,10 +499,10 @@ module Manager = struct
       in
       await t satisfied
 
-  let create ?(counters = Instrument.global) ?(cfg = default_config) tc =
+  let create ?(counters = Instrument.global) ?(durability = Primary_only) tc =
     let t =
       {
-        cfg;
+        durability;
         tc;
         counters;
         c_ships = Metrics.counter_cell counters "repl.ships";
@@ -542,12 +523,12 @@ module Manager = struct
      store is registered before any truncation it would need to survive;
      enabling on an already-truncated log is legal but only covers
      history from the current retained head. *)
-  let enable_layers ?l0_seal_ops ?compact_runs t =
+  let enable_layers t =
     match t.layer with
     | Some _ -> ()
     | None ->
       let store =
-        Layer.create ?l0_seal_ops ?compact_runs ~counters:t.counters
+        Layer.create ~counters:t.counters
           ~writer:(Tc.id t.tc)
           ~versioned:(fun table -> Tc.table_versioned t.tc table)
           ()
@@ -576,7 +557,7 @@ module Manager = struct
       sync_layers t;
       Layer.compact ~all:true store
 
-  let durability t = t.cfg.durability
+  let durability t = t.durability
 
   let last_ship_primary t = t.last_ship
 
@@ -587,7 +568,7 @@ module Manager = struct
      may have been lost). *)
   let hello t r =
     let tk =
-      Session.Sender.post r.r_session ~backoff:t.cfg.resend_after
+      Session.Sender.post r.r_session
         ~encode:(fun ~epoch ~seq ->
           Wire.encode_repl
             {
@@ -631,7 +612,7 @@ module Manager = struct
     match Hashtbl.find_opt t.replicas name with
     | Some r ->
       (match r.r_state with
-      | Attached -> r.r_state <- Detached { lease = t.cfg.lease_checkpoints }
+      | Attached -> r.r_state <- Detached { lease = lease_checkpoints }
       | Detached _ | Rebuild_required -> ());
       ignore (Session.Sender.clear r.r_session)
     | None -> ()
@@ -676,7 +657,7 @@ module Manager = struct
            resume mid-stream without it.  The replica is still fully
            recoverable (layer-sourced redo on promotion, or a layer
            bootstrap), so park it detached instead of demoting. *)
-        r.r_state <- Detached { lease = t.cfg.lease_checkpoints };
+        r.r_state <- Detached { lease = lease_checkpoints };
         Instrument.bump t.counters "repl.reattach_deferred"
       end
       else rebuild_required t r ~why:"reattach cursor below retained log"

@@ -94,33 +94,25 @@ module Manager : sig
             for promotion, refuses {!reattach}.  Terminal — recovering
             such a replica needs a state copy, not the log. *)
 
-  type config = {
-    durability : durability;
-    batch_ops : int;  (** max records per shipped frame *)
-    resend_after : int;
-    resend_backoff_max : int;
-    resend_max_retries : int;
-    max_pump_rounds : int;
-    lease_checkpoints : int;
-        (** how many granted checkpoints a detached replica's retention
-            lease holds the log-truncation floor for *)
-  }
-
-  val default_config : config
-  (** [Primary_only], 32-op batches, resend pacing mirroring the TC's
-      control channel, 4-checkpoint retention leases. *)
-
   val create :
-    ?counters:Untx_util.Instrument.t -> ?cfg:config -> Untx_tc.Tc.t -> t
+    ?counters:Untx_util.Instrument.t ->
+    ?durability:durability ->
+    Untx_tc.Tc.t ->
+    t
   (** Create the manager and install its hooks on the TC: the
       durability gate (ship + optional quorum wait after every
       group-commit force) and the truncate floor (checkpoint log
       truncation never passes the catch-up cursor of any attached
-      replica, nor of any detached replica whose lease still holds). *)
+      replica, nor of any detached replica whose lease still holds).
+      [durability] defaults to [Primary_only].  Shipped frames carry at
+      most 32 records; a detached replica's retention lease lasts 4
+      granted checkpoints; unacknowledged frames resend on
+      {!Untx_msg.Session.Backoff}'s clock, and a wait with
+      {!Untx_msg.Session.max_stalls} rounds without progress fails. *)
 
   val durability : t -> durability
 
-  val enable_layers : ?l0_seal_ops:int -> ?compact_runs:int -> t -> unit
+  val enable_layers : t -> unit
   (** Switch this manager's TC onto an {!Untx_layer} store: the stable
       redo stream is absorbed into L0 at every durability-gate force and
       floor consult, checkpoint truncation is re-floored at the store's
@@ -174,7 +166,7 @@ module Manager : sig
   val detach : t -> name:string -> unit
   (** Stop shipping without forgetting the replica: its applied LSN
       keeps holding the truncation floor — under a retention lease of
-      [lease_checkpoints] granted checkpoints — so {!reattach} stays
+      4 granted checkpoints — so {!reattach} stays
       cheap while the lease lasts.  Each checkpoint that consults the
       floor burns one lease unit; at zero the replica is demoted to
       {!Rebuild_required} and stops constraining truncation.

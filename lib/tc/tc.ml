@@ -15,13 +15,8 @@ type config = {
   id : Tc_id.t;
   cc_protocol : cc_protocol;
   lwm_every : int;
-  resend_after : int;
-  resend_backoff_max : int;
-  resend_max_retries : int;
-  max_pump_rounds : int;
   pipeline_writes : bool;
   combine_watermarks : bool;
-  group_commit : int;
   debug_checks : bool;
 }
 
@@ -30,13 +25,8 @@ let default_config id =
     id;
     cc_protocol = Key_locks;
     lwm_every = 16;
-    resend_after = 4;
-    resend_backoff_max = 64;
-    resend_max_retries = 32;
-    max_pump_rounds = 100_000;
     pipeline_writes = true;
     combine_watermarks = false;
-    group_commit = 1;
     debug_checks = false;
   }
 
@@ -160,9 +150,9 @@ type t = {
   mutable resend_count : int;
   mutable unforced_commits : int; (* group commit: commits awaiting a force *)
   mutable group_commit : int;
-      (* live group-commit batch size, initially [cfg.group_commit].  A
-         session front end retunes it at run time to batch commits from
-         many client sessions under one force. *)
+      (* live group-commit batch size, initially 1.  A session front end
+         retunes it at run time to batch commits from many client
+         sessions under one force. *)
   mutable durability_gate : (Lsn.t -> unit) option;
       (* invoked after every group-commit force with the new stable LSN;
          a replication manager blocks here until its durability policy
@@ -205,7 +195,7 @@ let create ?(counters = Instrument.global) cfg =
     msgs = 0;
     resend_count = 0;
     unforced_commits = 0;
-    group_commit = cfg.group_commit;
+    group_commit = 1;
     durability_gate = None;
     truncate_floor = None;
     history_replay = None;
@@ -292,7 +282,7 @@ let is_active txn = txn.state = Active
    collect it with [await_control_reply]. *)
 let post_control t ls ctl =
   let tk =
-    Session.Sender.post ls.ls_ctl ~backoff:t.cfg.resend_after
+    Session.Sender.post ls.ls_ctl
       ~encode:(fun ~epoch ~seq ->
         Wire.encode_control { Wire.c_epoch = epoch; c_seq = seq; c_ctl = ctl })
       ~send:ls.ls_link.send_control
@@ -410,7 +400,7 @@ let dispatch t link ~lsn ~op ~txn =
       ];
   let p =
     { p_req = req; p_frame = frame; p_link = link;
-      p_clock = Session.Backoff.create t.cfg.resend_after; p_txn = txn;
+      p_clock = Session.Backoff.create (); p_txn = txn;
       p_tid = tid; p_sent = Metrics.start t.counters; p_fenced = false;
       p_result = None }
   in
@@ -553,10 +543,7 @@ let pump t =
    [await]. *)
 let resend_stale t =
   let resend_if_due clock ~tid ~lsn link frame =
-    match
-      Session.Backoff.tick clock ~backoff_max:t.cfg.resend_backoff_max
-        ~max_retries:t.cfg.resend_max_retries
-    with
+    match Session.Backoff.tick clock with
     | `Wait -> ()
     | `Expired ->
       Instrument.bump t.counters "tc.request_timeouts";
@@ -589,9 +576,7 @@ let resend_stale t =
      duplicates this creates. *)
   Hashtbl.iter
     (fun _ ls ->
-      Session.Sender.tick ls.ls_ctl ~backoff_max:t.cfg.resend_backoff_max
-        ~max_retries:t.cfg.resend_max_retries
-        ~on_resend:(fun ~seq:_ frame ->
+      Session.Sender.tick ls.ls_ctl ~on_resend:(fun ~seq:_ frame ->
           Instrument.bump t.counters "tc.control_resends";
           ls.ls_link.send_control frame)
         ~on_timeout:(fun ~seq ~retries ->
@@ -608,7 +593,7 @@ let await t pred =
     else begin
       incr stalls;
       resend_stale t;
-      if !stalls > t.cfg.max_pump_rounds then
+      if !stalls > Session.max_stalls then
         failwith "Tc.await: no progress (lost message without resend?)"
     end
   done
@@ -1165,7 +1150,7 @@ let rec commit t txn =
             in between are not yet durable — the classic latency/IO
             trade; default group size 1 forces every commit. *)
          t.unforced_commits <- t.unforced_commits + 1;
-         if t.unforced_commits >= Stdlib.max 1 t.group_commit then begin
+         if t.unforced_commits >= t.group_commit then begin
            t.unforced_commits <- 0;
            Fault.hit p_commit_before_force;
            Wal.force t.log;
@@ -1339,7 +1324,7 @@ let send_batch t ls ops n =
         b_ops = ops;
         b_frame = frame;
         b_link = ls;
-        b_clock = Session.Backoff.create t.cfg.resend_after;
+        b_clock = Session.Backoff.create ();
         b_tid = tid;
       };
   t.msgs <- t.msgs + 1;

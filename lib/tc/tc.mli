@@ -38,26 +38,21 @@ type config = {
   id : Untx_util.Tc_id.t;
   cc_protocol : cc_protocol;
   lwm_every : int;  (** send a low-water mark every n acknowledged ops *)
-  resend_after : int;  (** pump rounds without progress before resending *)
-  resend_backoff_max : int;
-      (** the resend interval doubles after every resend of a request
-          (exponential backoff), capped at this many stalled rounds *)
-  resend_max_retries : int;
-      (** per-request resend budget; exhausting it raises (bug guard —
-          with an in-process DC a request can only be lost, not the DC
-          itself), counted as ["tc.request_timeouts"] *)
-  max_pump_rounds : int;  (** give up (bug guard) after this many stalls *)
   pipeline_writes : bool;
       (** dispatch versioned-table writes without awaiting each ack *)
   combine_watermarks : bool;
       (** send the combined [Watermarks] control instead of separate
           EOSL/LWM messages (the Section 4.2.1 simplification) *)
-  group_commit : int;
-      (** force the log every n commits (1 = every commit).  Batched
-          commits are not durable until the group force — an explicit
-          latency/IO trade for the E-ablation benchmarks. *)
   debug_checks : bool;
 }
+(** Requests and control messages the DC does not answer are resent on
+    {!Untx_msg.Session.Backoff}'s clock (first after 4 stalled pump
+    rounds, the interval doubling to at most 64, at most 32 resends).  A
+    request that exhausts its resends fails its operation with "timed
+    out after 32 resends" and counts ["tc.request_timeouts"]; a wait
+    that sees {!Untx_msg.Session.max_stalls} rounds without progress
+    fails too.  Both are bug guards: with an in-process DC a message
+    can only be lost, not the DC. *)
 
 val default_config : Untx_util.Tc_id.t -> config
 
@@ -92,11 +87,12 @@ val create : ?counters:Untx_util.Instrument.t -> config -> t
 val id : t -> Untx_util.Tc_id.t
 
 val set_group_commit : t -> int -> unit
-(** Retune the live group-commit batch size (initially
-    [config.group_commit]).  A session front end raises it so commits
-    from many client sessions share one force; commits already waiting
-    ride the next force ({!force_log} closes a partial batch).  Raises
-    [Invalid_argument] for sizes below 1. *)
+(** Retune the live group-commit batch size: force the log every n
+    commits (initially 1, every commit).  Batched commits are not
+    durable until the group force.  A session front end raises it so
+    commits from many client sessions share one force; commits already
+    waiting ride the next force ({!force_log} closes a partial batch).
+    Raises [Invalid_argument] for sizes below 1. *)
 
 val group_commit : t -> int
 (** The live group-commit batch size. *)

@@ -71,9 +71,8 @@ let test_combined_watermarks_equivalent () =
 let test_group_commit_durability () =
   (* With group size 4, only commits covered by a group force survive a
      TC crash — an explicit trade, and exactly-once still holds. *)
-  let cfg = kernel_config () in
-  let cfg = { cfg with Kernel.tc = { cfg.Kernel.tc with group_commit = 4 } } in
-  let k = Kernel.create cfg in
+  let k = Kernel.create (kernel_config ()) in
+  Tc.set_group_commit (Kernel.tc k) 4;
   Kernel.create_table k ~name:table ~versioned:true;
   for i = 0 to 9 do
     committed k

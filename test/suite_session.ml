@@ -10,7 +10,7 @@ let mk_sender () =
   let wire = ref [] in
   let s : string Session.Sender.t = Session.Sender.create () in
   let post msg =
-    Session.Sender.post s ~backoff:2
+    Session.Sender.post s
       ~encode:(fun ~epoch ~seq -> Printf.sprintf "%d/%d/%s" epoch seq msg)
       ~send:(fun f -> wire := f :: !wire)
   in
@@ -138,31 +138,40 @@ let test_resend_backoff_doubles () =
   ignore (post "a");
   wire := [];
   let resends = ref [] in
-  for tick = 1 to 20 do
-    Session.Sender.tick s ~backoff_max:64 ~max_retries:10
+  for tick = 1 to 250 do
+    Session.Sender.tick s
       ~on_resend:(fun ~seq:_ _frame -> resends := tick :: !resends)
       ~on_timeout:(fun ~seq:_ ~retries:_ -> Alcotest.fail "premature timeout")
   done;
-  (* initial backoff 2, doubling: resends at ticks 2, 6 (2+4), 14 (6+8) *)
-  Alcotest.(check (list int)) "exponential schedule" [ 2; 6; 14 ]
-    (List.rev !resends)
+  (* first resend after 4 stalled rounds, the interval doubling to the
+     cap of 64: 4, 12 (4+8), 28, 60, 124, then every 64 *)
+  Alcotest.(check (list int)) "exponential schedule"
+    [ 4; 12; 28; 60; 124; 188 ]
+    (List.rev !resends);
+  Alcotest.(check (pair int int)) "first interval, cap" (4, 64)
+    (Session.Backoff.first, Session.Backoff.cap)
 
 let test_timeout_after_max_retries () =
   let s, _, post = mk_sender () in
   ignore (post "a");
-  let timed_out = ref false in
+  let resends = ref 0 and timed_out_at = ref 0 in
   (try
-     for _ = 1 to 100 do
-       Session.Sender.tick s ~backoff_max:1 ~max_retries:3
-         ~on_resend:(fun ~seq:_ _ -> ())
+     for tick = 1 to 5000 do
+       Session.Sender.tick s
+         ~on_resend:(fun ~seq:_ _ -> incr resends)
          ~on_timeout:(fun ~seq ~retries ->
-           timed_out := true;
+           timed_out_at := tick;
            Alcotest.(check int) "seq" 1 seq;
-           Alcotest.(check int) "budget spent" 3 retries;
+           Alcotest.(check int) "budget spent" 32 retries;
            failwith "timeout")
      done
    with Failure _ -> ());
-  Alcotest.(check bool) "on_timeout fired" true !timed_out
+  Alcotest.(check int) "resends before expiry" Session.Backoff.max_retries
+    !resends;
+  (* the 32nd resend falls at round 124 + 27 * 64 = 1852; the clock
+     expires when the next one would have *)
+  Alcotest.(check int) "expired one capped interval later" (1852 + 64)
+    !timed_out_at
 
 (* The reply lands in the ticket [post] returned; a later duplicate ack
    neither retires anything nor overwrites it. *)
@@ -199,10 +208,10 @@ let test_stale_and_duplicate_acks_rejected () =
     (Session.Sender.ack s ~epoch ~seq "r")
 
 let test_fallback_beyond_memo_window () =
-  let r : (string, string) Session.Receiver.t =
-    Session.Receiver.create ~memo_window:2 ()
-  in
-  for seq = 1 to 5 do
+  let r : (string, string) Session.Receiver.t = Session.Receiver.create () in
+  let last = Session.Receiver.memo_window + 6 in
+  Alcotest.(check int) "memo window" 1024 Session.Receiver.memo_window;
+  for seq = 1 to last do
     match
       Session.Receiver.handle r ~epoch:1 ~seq
         (Printf.sprintf "m%d" seq)
@@ -212,22 +221,23 @@ let test_fallback_beyond_memo_window () =
     | Session.Receiver.Applied _ -> ()
     | _ -> Alcotest.fail "in-turn apply"
   done;
-  (* seq 1 is far below the memo window: the fallback answers it *)
-  (match
-     Session.Receiver.handle r ~epoch:1 ~seq:1 "m1"
-       ~apply:(fun _ _ -> Alcotest.fail "must not re-apply")
-       ~fallback:"settled"
-   with
-  | Session.Receiver.Replayed "settled" -> ()
-  | _ -> Alcotest.fail "ancient duplicate answered by fallback");
-  (* seq 5 is still inside the window: the real memoized reply *)
-  match
-    Session.Receiver.handle r ~epoch:1 ~seq:5 "m5"
-      ~apply:(fun _ _ -> Alcotest.fail "must not re-apply")
-      ~fallback:"settled"
-  with
-  | Session.Receiver.Replayed "r5:m5" -> ()
-  | _ -> Alcotest.fail "recent duplicate answered from memo"
+  let replay seq =
+    match
+      Session.Receiver.handle r ~epoch:1 ~seq
+        (Printf.sprintf "m%d" seq)
+        ~apply:(fun _ _ -> Alcotest.fail "must not re-apply")
+        ~fallback:"settled"
+    with
+    | Session.Receiver.Replayed reply -> reply
+    | _ -> Alcotest.fail "a duplicate is replayed"
+  in
+  (* the 1024 latest seqs keep their memoized replies; the one just
+     below slid out of the window and gets the fallback *)
+  Alcotest.(check string) "1024 back: memoized" "r7:m7" (replay (last - 1023));
+  Alcotest.(check string) "1025 back: fallback" "settled" (replay (last - 1024));
+  Alcotest.(check string) "latest: memoized"
+    (Printf.sprintf "r%d:m%d" last last)
+    (replay last)
 
 let suite =
   [

@@ -43,8 +43,8 @@ let echo_control frame =
        { Wire.r_tc = Wire.control_tc m.Wire.c_ctl; r_epoch = m.Wire.c_epoch;
          r_seq = m.Wire.c_seq; r_reply = Wire.Ack })
 
-let make ?counters ?policy ?control_policy ~seed () =
-  Transport.create ?counters ?policy ?control_policy ~seed ~data:echo_data
+let make ?counters ?policy ~seed () =
+  Transport.create ?counters ?policy ~seed ~data:echo_data
     ~control:echo_control ()
 
 let drain_ids t =
@@ -96,20 +96,33 @@ let test_control_channel () =
   in
   Alcotest.(check (list int)) "acks in order, with seqs" [ 1; 2 ] seqs
 
-let test_channels_have_separate_policies () =
+(* The one policy delays both channels alike; [flush] delivers through
+   it and leaves it in place for later sends. *)
+let test_one_policy_for_every_channel () =
   let blocked =
     { Transport.delay_min = 50; delay_max = 50; reorder = false; dup_prob = 0.;
       drop_prob = 0. }
   in
-  let t = make ~seed:5 ~control_policy:blocked () in
-  Transport.send t (req 1);
-  Transport.send_control t
-    (Wire.encode_control
-       { Wire.c_epoch = 1; c_seq = 1; c_ctl = Wire.Restart_end { tc = Tc_id.of_int 1 } });
+  let t = make ~seed:5 ~policy:blocked () in
+  let send_both () =
+    Transport.send t (req 1);
+    Transport.send_control t
+      (Wire.encode_control
+         { Wire.c_epoch = 1; c_seq = 1;
+           c_ctl = Wire.Restart_end { tc = Tc_id.of_int 1 } })
+  in
+  send_both ();
   let replies, ctl_replies = Transport.drain t in
-  Alcotest.(check int) "data round-tripped" 1 (List.length replies);
-  Alcotest.(check int) "control still in flight" 0 (List.length ctl_replies);
-  Alcotest.(check int) "one frame pending" 1 (Transport.in_flight t)
+  Alcotest.(check (pair int int)) "both channels held" (0, 0)
+    (List.length replies, List.length ctl_replies);
+  Alcotest.(check int) "two frames pending" 2 (Transport.in_flight t);
+  let replies, ctl_replies = Transport.flush t in
+  Alcotest.(check (pair int int)) "flush delivers both" (1, 1)
+    (List.length replies, List.length ctl_replies);
+  send_both ();
+  let replies, ctl_replies = Transport.drain t in
+  Alcotest.(check (pair int int)) "policy back after flush" (0, 0)
+    (List.length replies, List.length ctl_replies)
 
 let test_byte_accounting () =
   let counters = Instrument.create () in
@@ -298,8 +311,8 @@ let suite =
     Alcotest.test_case "reliable is FIFO" `Quick test_reliable_fifo;
     Alcotest.test_case "delay semantics" `Quick test_delay;
     Alcotest.test_case "control channel round trip" `Quick test_control_channel;
-    Alcotest.test_case "per-channel policies" `Quick
-      test_channels_have_separate_policies;
+    Alcotest.test_case "one policy for every channel" `Quick
+      test_one_policy_for_every_channel;
     Alcotest.test_case "byte accounting is measured" `Quick test_byte_accounting;
     Alcotest.test_case "batching counters" `Quick test_batching_counters;
     Alcotest.test_case "corrupt frames are dropped" `Quick
