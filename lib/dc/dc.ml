@@ -495,73 +495,6 @@ let memoized t (req : Wire.request) =
   in
   { Wire.tc = req.tc; lsn = req.lsn; result }
 
-(* Mutations.  Each writes into [leaf], the leaf covering [key], and
-   returns the operation result; structure modifications (splits,
-   consolidations) happen inside the B-tree call under the installed
-   hooks. *)
-
-let do_insert tbl ~tc ~lsn ~key ~value leaf prior =
-  if tbl.sealed then Wire.Failed "table is sealed read-only"
-  else
-  match prior with
-  | Some r when Stored_record.current r <> None ->
-    Wire.Failed "duplicate key"
-  | _ ->
-    let record =
-      if tbl.versioned then
-        let before =
-          match prior with
-          | Some r -> r.Stored_record.before (* insert over a tombstone *)
-          | None -> Stored_record.Null_before
-        in
-        { Stored_record.value; deleted = false; before; writer = tc;
-          wlsn = lsn }
-      else Stored_record.plain ~writer:tc ~wlsn:lsn value
-    in
-    Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record);
-    Wire.Done
-
-let do_update tbl ~tc ~lsn ~key ~value leaf prior =
-  if tbl.sealed then Wire.Failed "table is sealed read-only"
-  else
-  match prior with
-  | Some r when Stored_record.current r <> None ->
-    let record =
-      if tbl.versioned then
-        let before =
-          match r.Stored_record.before with
-          | Stored_record.Absent -> Stored_record.Value_before r.value
-          | kept -> kept
-        in
-        { Stored_record.value; deleted = false; before; writer = tc;
-          wlsn = lsn }
-      else Stored_record.plain ~writer:tc ~wlsn:lsn value
-    in
-    Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record);
-    Wire.Done
-  | _ -> Wire.Failed "no such key"
-
-let do_delete tbl ~tc ~lsn ~key leaf prior =
-  if tbl.sealed then Wire.Failed "table is sealed read-only"
-  else
-  match prior with
-  | Some r when Stored_record.current r <> None ->
-    if tbl.versioned then begin
-      let before =
-        match r.Stored_record.before with
-        | Stored_record.Absent -> Stored_record.Value_before r.value
-        | kept -> kept
-      in
-      let record =
-        { Stored_record.value = r.value; deleted = true; before; writer = tc;
-          wlsn = lsn }
-      in
-      Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode record)
-    end
-    else ignore (Btree.remove_in tbl.tree leaf key);
-    Wire.Done
-  | _ -> Wire.Done (* deleting an absent record is a no-op *)
-
 (* Commit and abort read the cell's flags byte and rewrite the cell
    from its own header and value bytes, without decoding the record. *)
 let commit_version tbl ~lsn leaf key =
@@ -597,8 +530,11 @@ let absorbed t (req : Wire.request) st =
    the covering leaf's abstract LSN, the prior record read from that
    leaf, the write into it, then marking the operation applied on the
    page that finally holds the key — the same leaf, unless a split or
-   consolidation moved the key. *)
-let write_one t tbl (req : Wire.request) key mutate =
+   consolidation moved the key.  The record written is
+   {!Stored_record.write}'s; structure modifications (splits,
+   consolidations) happen inside the B-tree call under the installed
+   hooks. *)
+let write_one t tbl (req : Wire.request) key w =
   let leaf = Btree.find_leaf tbl.tree key in
   let st = state_of t leaf in
   if absorbed t req st then memoized t req
@@ -612,7 +548,22 @@ let write_one t tbl (req : Wire.request) key mutate =
     end;
     let prior = record_in leaf key in
     let smo = smo_count tbl.tree in
-    let result = mutate leaf prior in
+    let result =
+      if tbl.sealed then Wire.Failed "table is sealed read-only"
+      else
+        match
+          Stored_record.write ~versioned:tbl.versioned ~writer:req.tc
+            ~wlsn:req.lsn prior w
+        with
+        | Stored_record.Set r ->
+          Btree.set_in tbl.tree leaf ~key ~data:(Stored_record.encode r);
+          Wire.Done
+        | Stored_record.Remove ->
+          ignore (Btree.remove_in tbl.tree leaf key);
+          Wire.Done
+        | Stored_record.Unchanged -> Wire.Done
+        | Stored_record.Fail msg -> Wire.Failed msg
+    in
     let leaf =
       if smo_count tbl.tree = smo then leaf else Btree.find_leaf tbl.tree key
     in
@@ -728,11 +679,10 @@ let perform_unlatched t (req : Wire.request) =
       { Wire.tc = req.tc; lsn = req.lsn;
         result = do_probe tbl ~from_key ~limit }
     | Op.Insert { key; value; _ } ->
-      write_one t tbl req key (do_insert tbl ~tc:req.tc ~lsn:req.lsn ~key ~value)
+      write_one t tbl req key (Stored_record.Insert value)
     | Op.Update { key; value; _ } ->
-      write_one t tbl req key (do_update tbl ~tc:req.tc ~lsn:req.lsn ~key ~value)
-    | Op.Delete { key; _ } ->
-      write_one t tbl req key (do_delete tbl ~tc:req.tc ~lsn:req.lsn ~key)
+      write_one t tbl req key (Stored_record.Update value)
+    | Op.Delete { key; _ } -> write_one t tbl req key Stored_record.Delete
     | Op.Commit_versions { keys; _ } ->
       write_many t tbl req keys (commit_version tbl ~lsn:req.lsn)
     | Op.Abort_versions { keys; _ } ->

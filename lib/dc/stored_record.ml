@@ -23,6 +23,37 @@ let committed t =
   | Null_before -> None
   | Value_before v -> Some v
 
+type write = Insert of string | Update of string | Delete
+
+type outcome = Set of t | Remove | Unchanged | Fail of string
+
+(* The before-version a versioned update or delete leaves: the first
+   uncommitted write saves the committed value, later ones keep it. *)
+let before_of r = match r.before with Absent -> Value_before r.value | kept -> kept
+
+let write ~versioned ~writer ~wlsn prior w =
+  match (w, prior) with
+  | Insert _, Some { deleted = false; _ } -> Fail "duplicate key"
+  | Insert value, _ ->
+    if versioned then
+      let before =
+        match prior with
+        | Some r -> r.before (* insert over a tombstone *)
+        | None -> Null_before
+      in
+      Set { value; deleted = false; before; writer; wlsn }
+    else Set (plain ~writer ~wlsn value)
+  | Update _, (None | Some { deleted = true; _ }) -> Fail "no such key"
+  | Update value, Some r ->
+    if versioned then
+      Set { value; deleted = false; before = before_of r; writer; wlsn }
+    else Set (plain ~writer ~wlsn value)
+  | Delete, (None | Some { deleted = true; _ }) -> Unchanged
+  | Delete, Some r ->
+    if versioned then
+      Set { r with deleted = true; before = before_of r; writer; wlsn }
+    else Remove
+
 (* The cell: a flags byte (bit 0 deleted, bits 1-2 the before-kind),
    then writer, wlsn and the value's length as varints, the value, and
    the before-value to the end of the cell. *)

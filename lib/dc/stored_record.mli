@@ -39,6 +39,38 @@ val committed : t -> string option
 (** What a read-committed reader from another TC sees: the before
     version when one exists, the current value otherwise. *)
 
+(** {2 Point writes}
+
+    The one statement of what an insert, update or delete does to the
+    record at its key.  The DC applies it to its pages, and
+    [Untx_layer.Layer] replays shipped redo through it, so a layer's
+    materialized records match the primary's byte for byte. *)
+
+type write = Insert of string | Update of string | Delete
+
+type outcome =
+  | Set of t  (** store this record at the key *)
+  | Remove  (** remove the key (an unversioned delete) *)
+  | Unchanged  (** nothing to do (deleting an absent key) *)
+  | Fail of string  (** the operation fails with this message *)
+
+val write :
+  versioned:bool ->
+  writer:Untx_util.Tc_id.t ->
+  wlsn:Untx_util.Lsn.t ->
+  t option ->
+  write ->
+  outcome
+(** [write ~versioned ~writer ~wlsn prior w]: the record [w] leaves at
+    a key whose record was [prior] ([None] when absent; a tombstone
+    counts as absent).  An insert over a live record fails with
+    ["duplicate key"], an update of an absent one with ["no such key"];
+    deleting an absent record is {!Unchanged}.  Unversioned writes store
+    a {!plain} record or {!Remove} the key.  Versioned writes keep the
+    committed before-version: an insert gets {!Null_before} (or, over a
+    tombstone, the tombstone's), the first update or delete saves the
+    prior value as {!Value_before}, and a delete leaves a tombstone. *)
+
 (** {2 The cell}
 
     A record is stored as one binary cell:

@@ -124,65 +124,28 @@ let l1_entries t =
 let state_of t tk =
   match Hashtbl.find_opt t.cur tk with Some s -> s | None -> None
 
-(* Mirror of the DC's mutation semantics (Dc.do_insert / do_update /
-   do_delete / commit_version / abort_version), minus the pages: the
+(* Replay one operation through the DC's record semantics, minus the
+   pages: point writes through {!Stored_record.write}, commit and abort
+   as {!Stored_record.commit_cell} and [abort_cell] rewrite a cell.  The
    materialized states must match what the primary's records hold, or
    bootstrap-installed replicas would fail the parity audit.  Returns
    the (key, new state) pairs the operation changed — failed or no-op
    operations change nothing and produce no entry. *)
 let mutate t ~lsn op =
-  let versioned table = t.versioned table in
-  let one table key st = [ ((table, key), st) ] in
+  let point table key w =
+    match
+      Stored_record.write ~versioned:(t.versioned table) ~writer:t.writer
+        ~wlsn:lsn (state_of t (table, key)) w
+    with
+    | Stored_record.Set r -> [ ((table, key), Some r) ]
+    | Stored_record.Remove -> [ ((table, key), None) ]
+    | Stored_record.Unchanged | Stored_record.Fail _ -> []
+  in
   match op with
   | Op.Read _ | Op.Scan _ | Op.Probe _ -> []
-  | Op.Insert { table; key; value } -> (
-    let prior = state_of t (table, key) in
-    match prior with
-    | Some r when Stored_record.current r <> None -> [] (* duplicate key *)
-    | _ ->
-      let record =
-        if versioned table then
-          let before =
-            match prior with
-            | Some r -> r.Stored_record.before (* insert over a tombstone *)
-            | None -> Stored_record.Null_before
-          in
-          { Stored_record.value; deleted = false; before; writer = t.writer;
-            wlsn = lsn }
-        else Stored_record.plain ~writer:t.writer ~wlsn:lsn value
-      in
-      one table key (Some record))
-  | Op.Update { table; key; value } -> (
-    match state_of t (table, key) with
-    | Some r when Stored_record.current r <> None ->
-      let record =
-        if versioned table then
-          let before =
-            match r.Stored_record.before with
-            | Stored_record.Absent -> Stored_record.Value_before r.value
-            | kept -> kept
-          in
-          { Stored_record.value; deleted = false; before; writer = t.writer;
-            wlsn = lsn }
-        else Stored_record.plain ~writer:t.writer ~wlsn:lsn value
-      in
-      one table key (Some record)
-    | _ -> [] (* no such key *))
-  | Op.Delete { table; key } -> (
-    match state_of t (table, key) with
-    | Some r when Stored_record.current r <> None ->
-      if versioned table then
-        let before =
-          match r.Stored_record.before with
-          | Stored_record.Absent -> Stored_record.Value_before r.value
-          | kept -> kept
-        in
-        one table key
-          (Some
-             { Stored_record.value = r.value; deleted = true; before;
-               writer = t.writer; wlsn = lsn })
-      else one table key None
-    | _ -> [] (* deleting an absent record is a no-op *))
+  | Op.Insert { table; key; value } -> point table key (Stored_record.Insert value)
+  | Op.Update { table; key; value } -> point table key (Stored_record.Update value)
+  | Op.Delete { table; key } -> point table key Stored_record.Delete
   | Op.Commit_versions { table; keys } ->
     List.filter_map
       (fun key ->
