@@ -125,14 +125,16 @@ let set_timed t b = t.timed <- b
 
 let timed t = t.timed
 
-(* [start] returns a negative sentinel when timing is off; [stop] then
-   does one float compare and returns.  Nanosecond integers ride on
-   gettimeofday, so the effective resolution is ~1µs. *)
-let start t = if t.timed then Unix.gettimeofday () else -1.0
+(* [start] returns the sentinel -1 when timing is off; [stop] then does
+   one int compare and returns.  An int timestamp is immediate, so a
+   caller that keeps one (an inlined [start], a record field) boxes
+   nothing.  Nanosecond integers ride on gettimeofday, so the effective
+   resolution is ~1µs. *)
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let stop t name t0 =
-  if t0 >= 0.0 then
-    observe t name (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+let start t = if t.timed then now_ns () else -1
+
+let stop t name t0 = if t0 >= 0 then observe t name (now_ns () - t0)
 
 let hist_snapshot t name =
   match Hashtbl.find_opt t.hists name with

@@ -55,11 +55,11 @@ val set_timed : t -> bool -> unit
 
 val timed : t -> bool
 
-val start : t -> float
-(** A timestamp to pass to [stop], or a negative sentinel when timing
-    is disabled. *)
+val start : t -> int
+(** A timestamp in nanoseconds to pass to [stop], or the sentinel [-1]
+    when timing is disabled. *)
 
-val stop : t -> string -> float -> unit
+val stop : t -> string -> int -> unit
 (** Record the elapsed nanoseconds since [start]'s timestamp into the
     named histogram; a no-op on the disabled sentinel. *)
 

@@ -87,7 +87,7 @@ type pending = {
   p_clock : Session.Backoff.t;
   p_txn : txn option;
   p_tid : int; (* trace id stamped into p_frame; 0 when untraced *)
-  p_sent : float; (* Metrics.start at first send, for the rtt histogram *)
+  p_sent : int; (* Metrics.start at first send, for the rtt histogram *)
   mutable p_fenced : bool;
       (* the target DC restarted and the redo scan owns this request: it
          must not resend (or count as an in-flight conflict) until the
