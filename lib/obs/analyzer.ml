@@ -22,12 +22,8 @@ type report = {
   r_orphans : int;
   r_hops : (string * Metrics.hsnap) list;
   r_parts : (int * Metrics.hsnap) list; (* per-partition round trips *)
-  r_repl : (string * int) list; (* replication events by kind (ship/ack/…) *)
-  r_layer : (string * int) list; (* layer-store events by kind (compact/…) *)
-  r_front : (string * int) list;
-      (* session front-end events by kind (admitted/shed/batched) *)
-  r_branch : (string * int) list;
-      (* copy-on-write branch events by kind (create/delete/dc_crash) *)
+  r_counts : (string * (string * int) list) list;
+      (* per component without per-operation spans, its events by kind *)
 }
 
 (* ---- JSONL parsing ---------------------------------------------------- *)
@@ -241,29 +237,30 @@ let analyze events =
       parts []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
-  (* Replication traffic is untraced (tid 0 — no operation owns a ship),
-     so it is counted by event kind rather than joined into timelines. *)
-  let count_component comp =
-    let counts = Hashtbl.create 4 in
-    List.iter
-      (fun (e : Trace.event) ->
-        if e.Trace.e_comp = comp then
-          Hashtbl.replace counts e.Trace.e_ev
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.Trace.e_ev)))
-      events;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* Replication, layer-store, front-end and branch events have no
+     per-operation span — no transaction owns a ship, a compaction, a
+     shed admission or a fork — so they are counted by kind instead of
+     joined into timelines. *)
+  let r_counts =
+    List.filter_map
+      (fun comp ->
+        let counts = Hashtbl.create 4 in
+        List.iter
+          (fun (e : Trace.event) ->
+            if e.Trace.e_comp = comp then
+              Hashtbl.replace counts e.Trace.e_ev
+                (1
+                + Option.value ~default:0 (Hashtbl.find_opt counts e.Trace.e_ev)
+                ))
+          events;
+        match
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        with
+        | [] -> None
+        | kinds -> Some (comp, kinds))
+      [ "repl"; "layer"; "front"; "branch" ]
   in
-  let r_repl = count_component "repl" in
-  (* Layer-store traffic (compactions, bootstraps) is likewise untraced
-     per-operation; count it by kind. *)
-  let r_layer = count_component "layer" in
-  (* Front-end admission traffic has no per-operation span either — a
-     shed transaction never reaches a TC; count it by kind. *)
-  let r_front = count_component "front" in
-  (* Branch forks/deletes/DC-crashes are control operations with no
-     per-transaction span; count them by kind too. *)
-  let r_branch = count_component "branch" in
   {
     r_timelines = timelines;
     r_orphans =
@@ -274,10 +271,7 @@ let analyze events =
           Option.map (fun s -> (name, s)) (Metrics.hist_snapshot hops name))
         (Metrics.hist_names hops);
     r_parts;
-    r_repl;
-    r_layer;
-    r_front;
-    r_branch;
+    r_counts;
   }
 
 let pp_summary ppf r =
@@ -298,24 +292,10 @@ let pp_summary ppf r =
     (fun (p, s) ->
       Format.fprintf ppf "partition %d rtt: %a@," p Metrics.pp_hsnap s)
     r.r_parts;
-  if r.r_repl <> [] then begin
-    Format.fprintf ppf "repl:";
-    List.iter (fun (ev, n) -> Format.fprintf ppf " %s=%d" ev n) r.r_repl;
-    Format.fprintf ppf "@,"
-  end;
-  if r.r_layer <> [] then begin
-    Format.fprintf ppf "layer:";
-    List.iter (fun (ev, n) -> Format.fprintf ppf " %s=%d" ev n) r.r_layer;
-    Format.fprintf ppf "@,"
-  end;
-  if r.r_front <> [] then begin
-    Format.fprintf ppf "front:";
-    List.iter (fun (ev, n) -> Format.fprintf ppf " %s=%d" ev n) r.r_front;
-    Format.fprintf ppf "@,"
-  end;
-  if r.r_branch <> [] then begin
-    Format.fprintf ppf "branch:";
-    List.iter (fun (ev, n) -> Format.fprintf ppf " %s=%d" ev n) r.r_branch;
-    Format.fprintf ppf "@,"
-  end;
+  List.iter
+    (fun (comp, kinds) ->
+      Format.fprintf ppf "%s:" comp;
+      List.iter (fun (ev, n) -> Format.fprintf ppf " %s=%d" ev n) kinds;
+      Format.fprintf ppf "@,")
+    r.r_counts;
   Format.fprintf ppf "@]"

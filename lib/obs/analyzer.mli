@@ -25,21 +25,16 @@ type report = {
   r_parts : (int * Metrics.hsnap) list;
       (** completed round trips grouped by partition — skew shows as
           diverging counts/percentiles *)
-  r_repl : (string * int) list;
-      (** replication events counted by kind (["ship"], ["ack"],
-          ["promote"]); repl traffic is untraced (tid 0) so it appears
-          here rather than in timelines *)
-  r_layer : (string * int) list;
-      (** layer-store events counted by kind (["compact"],
-          ["bootstrap"]), untraced like repl traffic *)
-  r_front : (string * int) list;
-      (** session front-end events counted by kind (["admitted"],
-          ["shed"], ["batched"]); a shed transaction never reaches a
-          TC, so admission traffic has no per-operation span *)
-  r_branch : (string * int) list;
-      (** copy-on-write branch events counted by kind (["create"],
-          ["delete"], ["dc_crash"]); forks and deletes are control
-          operations with no per-transaction span *)
+  r_counts : (string * (string * int) list) list;
+      (** events of the components that have no per-operation span,
+          counted by kind: replication (["ship"], ["ack"], ["promote"];
+          repl traffic is untraced, tid 0), the layer store
+          (["compact"], ["bootstrap"]), the session front end
+          (["admitted"], ["shed"], ["batched"]; a shed transaction
+          never reaches a TC) and copy-on-write branches (["create"],
+          ["delete"], ["dc_crash"]).  Keyed ["repl"], ["layer"],
+          ["front"], ["branch"] in that order; a component with no
+          events is left out. *)
 }
 
 val of_jsonl : string -> Trace.event list
