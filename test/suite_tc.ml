@@ -307,6 +307,42 @@ let test_sibling_lwm_advances () =
   Alcotest.(check bool) "dc1's mark passes it once acknowledged" true
     Lsn.(in_flight < lwm dc1)
 
+(* A data request the DC never answers is resent on the session's
+   backoff clock until its 32 resends are spent; the commit waiting on
+   it then fails loudly instead of hanging. *)
+let test_unanswered_request_times_out () =
+  let counters = Untx_util.Instrument.create () in
+  let tc = Tc.create ~counters (Tc.default_config (Tc_id.of_int 1)) in
+  let dc = Dc.create (kernel_config ()).Kernel.dc in
+  Dc.create_table dc ~name:table ~versioned:true;
+  let transport =
+    Transport.create ~seed:1 ~data:(Dc.handle_request_frame dc)
+      ~control:(Dc.handle_control_frame dc) ()
+  in
+  let sent = ref 0 in
+  Tc.attach_dc tc
+    {
+      Tc.dc_name = "dc0";
+      part = 0;
+      send = (fun _ -> incr sent) (* every data frame is lost *);
+      send_control = Transport.send_control transport;
+      drain = (fun () -> Transport.drain transport);
+    };
+  Tc.map_table tc ~table ~dc:"dc0" ~versioned:true;
+  let txn = Tc.begin_txn tc in
+  ok (Tc.insert tc txn ~table ~key:"k" ~value:"v");
+  (match Tc.commit tc txn with
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the spent budget" msg)
+      true
+      (String.ends_with ~suffix:"timed out after 32 resends" msg)
+  | _ -> Alcotest.fail "the commit outlived an unanswered request");
+  let count name = Untx_util.Instrument.get counters name in
+  Alcotest.(check int) "tc.request_timeouts" 1 (count "tc.request_timeouts");
+  Alcotest.(check int) "tc.resends" 32 (count "tc.resends");
+  Alcotest.(check int) "first send and 32 resends" 33 !sent
+
 let suite =
   [
     Alcotest.test_case "scan protocols agree" `Quick test_scan_protocols_agree;
@@ -331,4 +367,6 @@ let suite =
       test_unwound_commit_leaves_no_floor;
     Alcotest.test_case "a sibling partition's mark passes a held request"
       `Quick test_sibling_lwm_advances;
+    Alcotest.test_case "an unanswered request times out" `Quick
+      test_unanswered_request_times_out;
   ]
