@@ -806,6 +806,54 @@ let test_replay_prunes_at_separator () =
 
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
+(* The point-write rules the DC and the layer store share: the outcome
+   of each write on an absent key, a live record and a tombstone, in
+   both table kinds. *)
+let test_point_write_rules () =
+  let tc2 = Tc_id.of_int 2 in
+  let write ?(versioned = true) prior w =
+    Stored_record.write ~versioned ~writer:tc2 ~wlsn:(lsn 9) prior w
+  in
+  let live = Stored_record.plain ~writer:tc1 ~wlsn:(lsn 3) "old" in
+  let set = function
+    | Stored_record.Set r -> r
+    | _ -> Alcotest.fail "expected a record to set"
+  in
+  let fails msg = function
+    | Stored_record.Fail m -> Alcotest.(check string) "failure" msg m
+    | _ -> Alcotest.fail ("expected " ^ msg)
+  in
+  fails "duplicate key" (write (Some live) (Stored_record.Insert "v"));
+  fails "no such key" (write None (Stored_record.Update "v"));
+  Alcotest.(check bool) "delete of an absent key" true
+    (write None Stored_record.Delete = Stored_record.Unchanged);
+  Alcotest.(check bool) "unversioned delete removes" true
+    (write ~versioned:false (Some live) Stored_record.Delete
+    = Stored_record.Remove);
+  Alcotest.(check bool) "unversioned update is plain" true
+    (set (write ~versioned:false (Some live) (Stored_record.Update "new"))
+    = Stored_record.plain ~writer:tc2 ~wlsn:(lsn 9) "new");
+  let inserted = set (write None (Stored_record.Insert "v")) in
+  Alcotest.(check bool) "versioned insert has a null before" true
+    (inserted.before = Stored_record.Null_before
+    && inserted.writer = tc2 && inserted.wlsn = lsn 9);
+  let updated = set (write (Some live) (Stored_record.Update "new")) in
+  Alcotest.(check bool) "first update saves the committed value" true
+    (updated.before = Stored_record.Value_before "old");
+  let again = set (write (Some updated) (Stored_record.Update "newer")) in
+  Alcotest.(check bool) "second update keeps it" true
+    (again.before = Stored_record.Value_before "old" && again.value = "newer");
+  let tomb = set (write (Some updated) Stored_record.Delete) in
+  Alcotest.(check bool) "versioned delete leaves a tombstone" true
+    (tomb.deleted && tomb.value = "new"
+    && tomb.before = Stored_record.Value_before "old");
+  fails "no such key" (write (Some tomb) (Stored_record.Update "v"));
+  Alcotest.(check bool) "delete of a tombstone" true
+    (write (Some tomb) Stored_record.Delete = Stored_record.Unchanged);
+  let back = set (write (Some tomb) (Stored_record.Insert "back")) in
+  Alcotest.(check bool) "insert over a tombstone keeps its before" true
+    ((not back.deleted) && back.before = Stored_record.Value_before "old")
+
 let suite =
   suite
   @ [
@@ -841,4 +889,6 @@ let suite =
         test_escalation_holds_other_lwm;
       Alcotest.test_case "replay prunes a stale leaf at the separator" `Quick
         test_replay_prunes_at_separator;
+      Alcotest.test_case "point-write record rules" `Quick
+        test_point_write_rules;
     ]
