@@ -59,8 +59,8 @@ val create :
 (** [data] and [control] are the DC-side endpoints: each takes a
     received frame and returns an optional reply frame.  [policy]
     (default {!reliable}) is the adversary every channel — data,
-    control and replication — faces.  Delivery, drop, duplication, batching, byte
-    and corruption events are mirrored into [counters]
+    control and replication — faces.  Delivery, drop, duplication,
+    batching, byte and corruption events are mirrored into [counters]
     (["transport.delivered"], ["transport.control_delivered"],
     ["transport.dropped"], ["transport.duplicated"],
     ["transport.batches"], ["transport.batched_frames"],

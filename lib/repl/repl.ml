@@ -444,7 +444,8 @@ module Manager = struct
     Hashtbl.iter
       (fun _ r ->
         if attached r then
-          Session.Sender.tick r.r_session ~on_resend:(fun ~seq:_ frame ->
+          Session.Sender.tick r.r_session
+            ~on_resend:(fun ~seq:_ frame ->
               Instrument.bump t.counters "repl.resends";
               r.r_send frame)
             ~on_timeout:(fun ~seq ~retries ->

@@ -165,9 +165,9 @@ module Manager : sig
 
   val detach : t -> name:string -> unit
   (** Stop shipping without forgetting the replica: its applied LSN
-      keeps holding the truncation floor — under a retention lease of
-      4 granted checkpoints — so {!reattach} stays
-      cheap while the lease lasts.  Each checkpoint that consults the
+      keeps holding the truncation floor — under a retention lease of 4
+      granted checkpoints — so {!reattach} stays cheap while the lease
+      lasts.  Each checkpoint that consults the
       floor burns one lease unit; at zero the replica is demoted to
       {!Rebuild_required} and stops constraining truncation.
       Idempotent: detaching an already-detached replica does not

@@ -576,7 +576,8 @@ let resend_stale t =
      duplicates this creates. *)
   Hashtbl.iter
     (fun _ ls ->
-      Session.Sender.tick ls.ls_ctl ~on_resend:(fun ~seq:_ frame ->
+      Session.Sender.tick ls.ls_ctl
+        ~on_resend:(fun ~seq:_ frame ->
           Instrument.bump t.counters "tc.control_resends";
           ls.ls_link.send_control frame)
         ~on_timeout:(fun ~seq ~retries ->

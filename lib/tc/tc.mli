@@ -45,14 +45,16 @@ type config = {
           EOSL/LWM messages (the Section 4.2.1 simplification) *)
   debug_checks : bool;
 }
-(** Requests and control messages the DC does not answer are resent on
+(** The resend policy is not configured here.  Requests and control
+    messages the DC does not answer are resent on
     {!Untx_msg.Session.Backoff}'s clock (first after 4 stalled pump
-    rounds, the interval doubling to at most 64, at most 32 resends).  A
-    request that exhausts its resends fails its operation with "timed
-    out after 32 resends" and counts ["tc.request_timeouts"]; a wait
-    that sees {!Untx_msg.Session.max_stalls} rounds without progress
-    fails too.  Both are bug guards: with an in-process DC a message
-    can only be lost, not the DC. *)
+    rounds, the interval doubling to at most 64, at most 32 resends).
+    The call waiting on a request that exhausts its resends raises
+    [Failure] ending in "timed out after 32 resends" and counts
+    ["tc.request_timeouts"]; a wait that sees
+    {!Untx_msg.Session.max_stalls} rounds without progress raises too.
+    Both are bug guards: with an in-process DC a message can only be
+    lost, not the DC. *)
 
 val default_config : Untx_util.Tc_id.t -> config
 
