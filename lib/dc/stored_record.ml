@@ -29,7 +29,8 @@ type outcome = Set of t | Remove | Unchanged | Fail of string
 
 (* The before-version a versioned update or delete leaves: the first
    uncommitted write saves the committed value, later ones keep it. *)
-let before_of r = match r.before with Absent -> Value_before r.value | kept -> kept
+let before_of r =
+  match r.before with Absent -> Value_before r.value | kept -> kept
 
 let write ~versioned ~writer ~wlsn prior w =
   match (w, prior) with

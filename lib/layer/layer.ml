@@ -143,8 +143,10 @@ let mutate t ~lsn op =
   in
   match op with
   | Op.Read _ | Op.Scan _ | Op.Probe _ -> []
-  | Op.Insert { table; key; value } -> point table key (Stored_record.Insert value)
-  | Op.Update { table; key; value } -> point table key (Stored_record.Update value)
+  | Op.Insert { table; key; value } ->
+    point table key (Stored_record.Insert value)
+  | Op.Update { table; key; value } ->
+    point table key (Stored_record.Update value)
   | Op.Delete { table; key } -> point table key Stored_record.Delete
   | Op.Commit_versions { table; keys } ->
     List.filter_map

@@ -804,8 +804,6 @@ let test_replay_prunes_at_separator () =
   Alcotest.(check (list string)) "scan sees only the live keys" longs scanned;
   check_ok dc
 
-(* New cases go at the end: Alcotest numbers cases by position, and
-   inserting earlier renumbers the ones after. *)
 (* The point-write rules the DC and the layer store share: the outcome
    of each write on an absent key, a live record and a tombstone, in
    both table kinds. *)
@@ -854,6 +852,8 @@ let test_point_write_rules () =
   Alcotest.(check bool) "insert over a tombstone keeps its before" true
     ((not back.deleted) && back.before = Stored_record.Value_before "old")
 
+(* New cases go at the end: Alcotest numbers cases by position, and
+   inserting earlier renumbers the ones after. *)
 let suite =
   suite
   @ [

@@ -234,7 +234,8 @@ let test_fallback_beyond_memo_window () =
   (* the 1024 latest seqs keep their memoized replies; the one just
      below slid out of the window and gets the fallback *)
   Alcotest.(check string) "1024 back: memoized" "r7:m7" (replay (last - 1023));
-  Alcotest.(check string) "1025 back: fallback" "settled" (replay (last - 1024));
+  Alcotest.(check string) "1025 back: fallback" "settled"
+    (replay (last - 1024));
   Alcotest.(check string) "latest: memoized"
     (Printf.sprintf "r%d:m%d" last last)
     (replay last)
