@@ -543,10 +543,11 @@ let gate_codec_ns () =
    10k inserts of front_ingest-shaped keys (["u%08x-%08d"], a random
    30-bit prefix, then a counter) with 21-byte data, the size of a
    16-byte value's record cell.  The count is deterministic.  Leaf splits
-   that post the shortest distinguishing prefix leave 735 inner pages;
-   posting the whole 18-byte first moved key left 1353.  The ceiling
-   sits between the two. *)
-let gate_index_density () =
+   that post the shortest distinguishing prefix leave 657 inner pages
+   with one-varint child ids, 735 with decimal-text ones; posting the
+   whole 18-byte first moved key left 1353.  The ceiling sits above the
+   text ids' count. *)
+let density_tree () =
   let disk = Disk.create () in
   let cache = Cache.create ~disk ~capacity:16_384 () in
   let tree =
@@ -554,11 +555,14 @@ let gate_index_density () =
       ~hooks:Btree.null_hooks
   in
   let rng = Untx_util.Rng.create ~seed:25 in
-  for n = 1 to 10_000 do
-    Btree.set tree
-      ~key:(Printf.sprintf "u%08x-%08d" (Untx_util.Rng.int rng 0x3fffffff) n)
-      ~data:(String.make 21 'v')
-  done;
+  let keys =
+    Array.init 10_000 (fun n ->
+        Printf.sprintf "u%08x-%08d" (Untx_util.Rng.int rng 0x3fffffff) (n + 1))
+  in
+  Array.iter (fun key -> Btree.set tree ~key ~data:(String.make 21 'v')) keys;
+  (tree, keys)
+
+let gate_index_density tree =
   let inner =
     List.length (Btree.all_pages tree) - List.length (Btree.leaf_pages tree)
   in
@@ -566,6 +570,19 @@ let gate_index_density () =
   Printf.printf "%-45s %12d  (gate <= %d)\n"
     "B-tree: inner pages, 10k ingest keys" inner ceiling;
   inner <= ceiling
+
+(* One point descent ([Btree.find_leaf], the lookup every DC write and
+   read starts with) over that tree, its keys taken in turn: it reads a
+   child id at each inner level and allocates nothing, with decimal-text
+   ids as with varint ones.  Reading each id through a [Codec.reader]
+   took 16 words here (4 a level) and put the DC-apply and redo word
+   lines at 176.2 and 177.7, under their 200-word ceilings. *)
+let gate_descent_alloc tree keys =
+  let i = ref 0 in
+  alloc_line "B-tree: find_leaf, 10k ingest keys, words" ~ceiling:0.
+    (fun () ->
+      i := (!i + 1) mod Array.length keys;
+      Btree.find_leaf tree (Array.unsafe_get keys !i))
 
 let run_gates () =
   Printf.printf "\nMicro gates (ns/op)\n";
@@ -578,11 +595,13 @@ let run_gates () =
   let hot_alloc = gate_hot_path_alloc () in
   let redo_alloc = gate_redo_alloc () in
   let wal = gate_wal () in
-  let density = gate_index_density () in
+  let tree, keys = density_tree () in
+  let density = gate_index_density tree in
+  let descent = gate_descent_alloc tree keys in
   if
     not
       (reconstruct && lwm_flat && dc_apply && tc_dispatch && codec_ns
-     && codec_alloc && hot_alloc && redo_alloc && wal && density)
+     && codec_alloc && hot_alloc && redo_alloc && wal && density && descent)
   then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
     exit 1

@@ -96,7 +96,7 @@ let rec_size = function
   | Smo_consolidate { survivor_image; _ } -> 32 + image_size survivor_image
   | Ckpt _ -> 16
 
-type table = { t_name : string; mutable tree : Btree.t }
+type table = { t_name : string; tree : Btree.t }
 
 type txn_state = Active | Committed | Aborted
 
@@ -137,7 +137,7 @@ let plsn_of_page t page =
     let l =
       match Page.meta page with
       | "" -> Lsn.zero
-      | m -> Lsn.of_int (Codec.decode_int m)
+      | m -> Lsn.of_int (Codec.of_varint m)
     in
     Page_id.Tbl.replace t.plsns (Page.id page) l;
     l
@@ -233,28 +233,55 @@ let create ?(counters = Instrument.global) cfg =
   Cache.set_policy cache
     ~can_flush:(fun page -> Lsn.(plsn_of_page t page <= Wal.stable_lsn t.log))
     ~prepare_flush:(fun page ->
-      Page.set_meta page (Codec.encode_int (Lsn.to_int (plsn_of_page t page))));
+      Page.set_meta page (Codec.varint (Lsn.to_int (plsn_of_page t page))));
   t
 
-let write_master t =
-  let fields =
-    Hashtbl.fold
-      (fun _ tbl acc ->
-        tbl.t_name
-        :: string_of_int (Page_id.to_int (Btree.root tbl.tree))
-        :: acc)
-      t.tables []
+(* The table count, then per table its name and its root page id (the
+   layout in mono.mli). *)
+let encode_master tables =
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun acc (name, root) ->
+           acc + Codec.string_length name
+           + Codec.varint_length (Page_id.to_int root))
+         (Codec.varint_length (List.length tables))
+         tables)
   in
-  Disk.set_master t.disk (Codec.encode fields)
+  let pos = Codec.write_varint (List.length tables) b 0 in
+  ignore
+    (List.fold_left
+       (fun pos (name, root) ->
+         Codec.write_varint (Page_id.to_int root) b
+           (Codec.write_string name b pos))
+       pos tables);
+  Bytes.unsafe_to_string b
+
+let decode_master blob =
+  let r = Codec.reader_sub blob ~pos:0 ~len:(String.length blob) in
+  let tables =
+    List.init (Codec.next_varint r) (fun _ ->
+        let name = Codec.next_string r in
+        (name, Page_id.of_int (Codec.next_varint r)))
+  in
+  if not (Codec.at_end r) then invalid_arg "Mono: corrupt master record";
+  tables
+
+let write_master t =
+  Disk.set_master t.disk
+    (encode_master
+       (Hashtbl.fold
+          (fun _ tbl acc -> (tbl.t_name, Btree.root tbl.tree) :: acc)
+          t.tables []))
 
 let create_table t ~name =
   if not (Hashtbl.mem t.tables name) then begin
-    let tbl = { t_name = name; tree = Obj.magic () } in
-    Hashtbl.add t.tables name tbl;
     t.current_table := name;
-    tbl.tree <-
+    let tree =
       Btree.create ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
-        ~hooks:(hooks_for t);
+        ~hooks:(hooks_for t)
+    in
+    Hashtbl.add t.tables name { t_name = name; tree };
     Wal.force t.log;
     write_master t
   end
@@ -482,16 +509,7 @@ let crash t =
   Queue.clear t.wakeups
 
 let read_master t =
-  match Disk.master t.disk with
-  | None -> []
-  | Some blob ->
-    let rec pairs acc = function
-      | [] -> List.rev acc
-      | name :: root :: rest ->
-        pairs ((name, Page_id.of_int (Codec.decode_int root)) :: acc) rest
-      | _ -> invalid_arg "Mono: corrupt master record"
-    in
-    pairs [] (Codec.decode blob)
+  match Disk.master t.disk with None -> [] | Some blob -> decode_master blob
 
 let ensure_page t pid ~kind =
   match Cache.lookup t.cache pid with
@@ -589,11 +607,11 @@ let recover t =
   Hashtbl.reset t.tables;
   List.iter
     (fun (name, root) ->
-      let tbl = { t_name = name; tree = Obj.magic () } in
-      Hashtbl.add t.tables name tbl;
-      tbl.tree <-
+      let tree =
         Btree.attach ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
-          ~hooks:(hooks_for t) ~root)
+          ~hooks:(hooks_for t) ~root
+      in
+      Hashtbl.add t.tables name { t_name = name; tree })
     (read_master t);
   Hashtbl.iter
     (fun _ tbl -> ignore (ensure_page t (Btree.root tbl.tree) ~kind:Page.Leaf))

@@ -76,6 +76,21 @@ val crash : t -> unit
 
 val recover : t -> unit
 
+(** {2 Persisted formats}
+
+    A page's metadata is its page LSN as one unsigned LEB128 varint
+    ({!Untx_util.Codec.varint}); a page never flushed has none. *)
+
+val encode_master : (string * Untx_storage.Page_id.t) list -> string
+(** The master record: the number of tables, then per table its name
+    (a varint length, then its bytes) and its root page id (a varint).
+    Tables [a] at page 3 and [kv] at page 300 are
+    [\x02 \x01a \x03 \x02kv \xac\x02]. *)
+
+val decode_master : string -> (string * Untx_storage.Page_id.t) list
+(** The inverse of {!encode_master}, canonical: a truncated field or
+    trailing bytes raise [Invalid_argument]. *)
+
 (** {2 Introspection} *)
 
 val check : t -> (unit, string) result

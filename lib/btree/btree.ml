@@ -27,9 +27,9 @@ type hooks = {
 
 let null_hooks = { on_split = ignore; on_consolidate = ignore }
 
-let child_data pid = Codec.encode_int (Page_id.to_int pid)
+let child_data pid = Codec.varint (Page_id.to_int pid)
 
-let child_of_data data = Page_id.of_int (Codec.decode_int data)
+let child_of_data data = Page_id.of_int (Codec.of_varint data)
 
 type t = {
   cache : Cache.t;

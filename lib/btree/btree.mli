@@ -63,8 +63,10 @@ val null_hooks : hooks
 (** Hooks that do nothing — for tests of pure structure behaviour. *)
 
 val child_data : Untx_storage.Page_id.t -> string
-(** The cell-data encoding of a child pointer in inner pages; exposed so
-    a recovery manager can redo routing-cell insertions. *)
+(** The cell-data encoding of a child pointer in inner pages: the page
+    id as one unsigned LEB128 varint and nothing else
+    ({!Untx_util.Codec.varint}; page 300 is [\xac\x02]).  Exposed so a
+    recovery manager can redo routing-cell insertions. *)
 
 val create :
   cache:Untx_storage.Cache.t ->

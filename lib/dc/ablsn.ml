@@ -56,26 +56,44 @@ let max_lsn t =
 
 let equal a b = Lsn.equal a.lw b.lw && Lsn.Set.equal a.ins b.ins
 
+(* [lw], the member count, then the members in ascending order, all
+   varints (the layout in ablsn.mli). *)
+let encoded_size t =
+  Lsn.Set.fold
+    (fun l acc -> acc + Codec.varint_length (Lsn.to_int l))
+    t.ins
+    (Codec.varint_length (Lsn.to_int t.lw)
+    + Codec.varint_length (Lsn.Set.cardinal t.ins))
+
+let write t b pos =
+  let pos = Codec.write_varint (Lsn.to_int t.lw) b pos in
+  let pos = Codec.write_varint (Lsn.Set.cardinal t.ins) b pos in
+  Lsn.Set.fold (fun l pos -> Codec.write_varint (Lsn.to_int l) b pos) t.ins pos
+
+(* Each member must rise above the one before it, the first above [lw]:
+   the one order [write] produces, and the invariant on [t]. *)
+let read r =
+  let lw = Codec.next_varint r in
+  let rec members prev k acc =
+    if k = 0 then acc
+    else
+      let l = Codec.next_varint r in
+      if l <= prev then invalid_arg "Ablsn.read: members out of order";
+      members l (k - 1) (Lsn.Set.add (Lsn.of_int l) acc)
+  in
+  let ins = members lw (Codec.next_varint r) Lsn.Set.empty in
+  { lw = Lsn.of_int lw; ins }
+
 let encode t =
-  Codec.encode
-    (Codec.encode_int (Lsn.to_int t.lw)
-    :: List.map
-         (fun l -> Codec.encode_int (Lsn.to_int l))
-         (Lsn.Set.elements t.ins))
+  let b = Bytes.create (encoded_size t) in
+  ignore (write t b 0);
+  Bytes.unsafe_to_string b
 
 let decode s =
-  match Codec.decode s with
-  | [] -> invalid_arg "Ablsn.decode: empty"
-  | lw :: ins ->
-    {
-      lw = Lsn.of_int (Codec.decode_int lw);
-      ins =
-        List.fold_left
-          (fun acc l -> Lsn.Set.add (Lsn.of_int (Codec.decode_int l)) acc)
-          Lsn.Set.empty ins;
-    }
-
-let encoded_size t = String.length (encode t)
+  let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
+  let t = read r in
+  if not (Codec.at_end r) then invalid_arg "Ablsn.decode: trailing bytes";
+  t
 
 let pp ppf t =
   Format.fprintf ppf "<lw=%a,{%a}>" Lsn.pp t.lw

@@ -54,11 +54,29 @@ val max_lsn : t -> Untx_util.Lsn.t
 
 val equal : t -> t -> bool
 
+(** {2 Byte layout}
+
+    [lw], the number of members of {LSNin}, then the members in
+    ascending order, each an unsigned LEB128 varint ({!Untx_util.Codec}).
+    The empty abstract LSN takes 2 bytes; [<lw=300,{301,305}>] takes
+    [\xac\x02 \x02 \xad\x02 \xb1\x02], 7.  Decoding is canonical: a
+    member at or below [lw], a member not above the one before it, or
+    a truncated field raises [Invalid_argument]. *)
+
+val encoded_size : t -> int
+(** The bytes {!write} and {!encode} write. *)
+
+val write : t -> Bytes.t -> int -> int
+(** [write t b pos] writes [t] at [pos] and returns the position after
+    it; [b] must have [encoded_size t] bytes free there. *)
+
+val read : Untx_util.Codec.reader -> t
+(** Reads one abstract LSN from the reader's position, leaving it just
+    after. *)
+
 val encode : t -> string
 
 val decode : string -> t
-(** Raises [Invalid_argument] on garbage. *)
-
-val encoded_size : t -> int
+(** {!read} over the whole string; trailing bytes raise too. *)
 
 val pp : Format.formatter -> t -> unit

@@ -62,7 +62,7 @@ type table = {
   t_name : string;
   versioned : bool;
   mutable sealed : bool; (* read-only sharing, Section 6.2.1 *)
-  mutable tree : Btree.t;
+  tree : Btree.t;
 }
 
 (* The control channel's idempotence state, one session per TC: control
@@ -399,47 +399,62 @@ let create ?(counters = Instrument.global) cfg =
     ~prepare_flush:(fun page -> prepare_flush t page);
   t
 
-let write_master t =
-  let fields =
-    Hashtbl.fold
-      (fun _ tbl acc ->
-        tbl.t_name
-        :: (if tbl.versioned then "1" else "0")
-        :: (if tbl.sealed then "1" else "0")
-        :: Codec.encode_int (Page_id.to_int (Btree.root tbl.tree))
-        :: acc)
-      t.tables []
+(* The table count, then per table its name, a flags byte and its root
+   page id (the layout in dc.mli). *)
+let encode_master tables =
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun acc (name, _, _, root) ->
+           acc + Codec.string_length name + 1
+           + Codec.varint_length (Page_id.to_int root))
+         (Codec.varint_length (List.length tables))
+         tables)
   in
-  Disk.set_master t.disk (Codec.encode fields)
+  let pos = Codec.write_varint (List.length tables) b 0 in
+  ignore
+    (List.fold_left
+       (fun pos (name, versioned, sealed, root) ->
+         let pos = Codec.write_string name b pos in
+         Bytes.set b pos
+           (Char.chr
+              ((if versioned then 1 else 0) lor if sealed then 2 else 0));
+         Codec.write_varint (Page_id.to_int root) b (pos + 1))
+       pos tables);
+  Bytes.unsafe_to_string b
+
+let decode_master blob =
+  let r = Codec.reader_sub blob ~pos:0 ~len:(String.length blob) in
+  let tables =
+    List.init (Codec.next_varint r) (fun _ ->
+        let name = Codec.next_string r in
+        let flags = Char.code (Codec.next_byte r) in
+        if flags > 3 then invalid_arg "Dc: corrupt master record";
+        (name, flags land 1 <> 0, flags land 2 <> 0,
+         Page_id.of_int (Codec.next_varint r)))
+  in
+  if not (Codec.at_end r) then invalid_arg "Dc: corrupt master record";
+  tables
+
+let write_master t =
+  Disk.set_master t.disk
+    (encode_master
+       (Hashtbl.fold
+          (fun _ tbl acc ->
+            (tbl.t_name, tbl.versioned, tbl.sealed, Btree.root tbl.tree) :: acc)
+          t.tables []))
 
 let read_master t =
-  match Disk.master t.disk with
-  | None -> []
-  | Some blob ->
-    let rec entries acc = function
-      | [] -> List.rev acc
-      | name :: versioned :: sealed :: root :: rest ->
-        entries
-          (( name,
-             String.equal versioned "1",
-             String.equal sealed "1",
-             Page_id.of_int (Codec.decode_int root) )
-          :: acc)
-          rest
-      | _ -> invalid_arg "Dc: corrupt master record"
-    in
-    entries [] (Codec.decode blob)
+  match Disk.master t.disk with None -> [] | Some blob -> decode_master blob
 
 let create_table t ~name ~versioned =
   if not (Hashtbl.mem t.tables name) then begin
-    let tbl = { t_name = name; versioned; sealed = false; tree = Obj.magic () } in
-    Hashtbl.add t.tables name tbl;
     t.current_table := name;
     let tree =
       Btree.create ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
         ~hooks:(hooks_for t)
     in
-    tbl.tree <- tree;
+    Hashtbl.add t.tables name { t_name = name; versioned; sealed = false; tree };
     ignore
       (Wal.append t.dc_log
          (Smo_record.Create_table { table = name; versioned;
@@ -1012,13 +1027,12 @@ let apply_smo t ~fences dlsn record =
   | Smo_record.Tc_restart _ -> ()
   | Smo_record.Create_table { table; versioned; root } ->
     if not (Hashtbl.mem t.tables table) then begin
-      let tbl =
-        { t_name = table; versioned; sealed = false; tree = Obj.magic () }
-      in
-      Hashtbl.add t.tables table tbl;
-      tbl.tree <-
+      let tree =
         Btree.attach ~cache:t.cache ~name:table
           ~page_capacity:t.cfg.page_capacity ~hooks:(hooks_for t) ~root
+      in
+      Hashtbl.add t.tables table
+        { t_name = table; versioned; sealed = false; tree }
     end;
     let tbl = Hashtbl.find t.tables table in
     ignore (ensure_page t (Btree.root tbl.tree) ~kind:Page.Leaf)
@@ -1138,11 +1152,11 @@ let recover_unlatched t =
   Hashtbl.reset t.tables;
   List.iter
     (fun (name, versioned, sealed, root) ->
-      let tbl = { t_name = name; versioned; sealed; tree = Obj.magic () } in
-      Hashtbl.add t.tables name tbl;
-      tbl.tree <-
+      let tree =
         Btree.attach ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
-          ~hooks:(hooks_for t) ~root)
+          ~hooks:(hooks_for t) ~root
+      in
+      Hashtbl.add t.tables name { t_name = name; versioned; sealed; tree })
     (read_master t);
   (* 2. Replay the DC-log: system transactions re-execute before any TC
      redo, out of their original order relative to TC operations.  The

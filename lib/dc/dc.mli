@@ -157,6 +157,19 @@ val self_checkpoint : t -> bool
     the master catalog and truncate the DC-log.  [false] if some page
     could not be flushed yet. *)
 
+val encode_master :
+  (string * bool * bool * Untx_storage.Page_id.t) list -> string
+(** The master record over [(name, versioned, sealed, root)] per table:
+    the number of tables, then per table its name (a varint length,
+    then its bytes), one flags byte (bit 0 versioned, bit 1 sealed) and
+    its root page id (a varint).  A versioned table [kv] at page 300 is
+    [\x01 \x02kv \x01 \xac\x02]. *)
+
+val decode_master :
+  string -> (string * bool * bool * Untx_storage.Page_id.t) list
+(** The inverse of {!encode_master}, canonical: unknown flag bits, a
+    truncated field or trailing bytes raise [Invalid_argument]. *)
+
 (** {2 Introspection (tests, benches, experiment harness)} *)
 
 val check : t -> (unit, string) result

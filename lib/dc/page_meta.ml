@@ -11,35 +11,39 @@ let ablsn t tc =
   | Some ab -> ab
   | None -> Ablsn.empty
 
+(* [dlsn], the TC count, then per TC in ascending id order its id and
+   its abstract LSN, written in place (the layout in page_meta.mli). *)
+let encoded_size t =
+  Tc_id.Map.fold
+    (fun tc ab acc ->
+      acc + Codec.varint_length (Tc_id.to_int tc) + Ablsn.encoded_size ab)
+    t.ablsns
+    (Codec.varint_length (Lsn.to_int t.dlsn)
+    + Codec.varint_length (Tc_id.Map.cardinal t.ablsns))
+
 let encode t =
-  let fields =
-    Codec.encode_int (Lsn.to_int t.dlsn)
-    :: Tc_id.Map.fold
-         (fun tc ab acc ->
-           Codec.encode_int (Tc_id.to_int tc) :: Ablsn.encode ab :: acc)
-         t.ablsns []
-  in
-  Codec.encode fields
+  let b = Bytes.create (encoded_size t) in
+  let pos = Codec.write_varint (Lsn.to_int t.dlsn) b 0 in
+  let pos = Codec.write_varint (Tc_id.Map.cardinal t.ablsns) b pos in
+  ignore
+    (Tc_id.Map.fold
+       (fun tc ab pos ->
+         Ablsn.write ab b (Codec.write_varint (Tc_id.to_int tc) b pos))
+       t.ablsns pos);
+  Bytes.unsafe_to_string b
 
 let decode s =
   if String.equal s "" then empty
   else
-    match Codec.decode s with
-    | [] -> invalid_arg "Page_meta.decode: empty"
-    | dlsn :: rest ->
-      let rec pairs acc = function
-        | [] -> acc
-        | tc :: ab :: rest ->
-          pairs
-            (Tc_id.Map.add
-               (Tc_id.of_int (Codec.decode_int tc))
-               (Ablsn.decode ab) acc)
-            rest
-        | [ _ ] -> invalid_arg "Page_meta.decode: odd field count"
-      in
-      {
-        dlsn = Lsn.of_int (Codec.decode_int dlsn);
-        ablsns = pairs Tc_id.Map.empty rest;
-      }
-
-let encoded_size t = String.length (encode t)
+    let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
+    let dlsn = Lsn.of_int (Codec.next_varint r) in
+    let rec tcs prev k acc =
+      if k = 0 then acc
+      else
+        let tc = Codec.next_varint r in
+        if tc <= prev then invalid_arg "Page_meta.decode: TCs out of order";
+        tcs tc (k - 1) (Tc_id.Map.add (Tc_id.of_int tc) (Ablsn.read r) acc)
+    in
+    let ablsns = tcs (-1) (Codec.next_varint r) Tc_id.Map.empty in
+    if not (Codec.at_end r) then invalid_arg "Page_meta.decode: trailing bytes";
+    { dlsn; ablsns }

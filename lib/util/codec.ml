@@ -1,153 +1,3 @@
-(* Every integer this codec turns into text — length prefixes and
-   integer fields alike — goes through one non-positive digit writer:
-   negating a non-negative int never overflows, while negating
-   [min_int] would, so the digits are peeled off the negated value. *)
-
-(* Decimal digits of [n <= 0]. *)
-let rec ndigits n = if n > -10 then 1 else 1 + ndigits (n / 10)
-
-(* Writes the [d] decimal digits of [-n] (with [n <= 0]) ending just
-   before [stop]. *)
-let rec write_digits b stop d n =
-  if d > 0 then begin
-    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 - (n mod 10)));
-    write_digits b (stop - 1) (d - 1) (n / 10)
-  end
-
-(* The encoded length of an [l]-byte field.  Most fields are shorter
-   than ten bytes, so a one-digit length prefix takes a fast path here,
-   in [write_prefix] and in [next]. *)
-let field_length l = (if l < 10 then 2 else ndigits (-l) + 1) + l
-
-let encoded_length fields =
-  List.fold_left (fun acc f -> acc + field_length (String.length f)) 0 fields
-
-(* Writes the length prefix of an [l]-byte field at [pos]; returns
-   where the field's bytes start. *)
-let write_prefix b pos l =
-  if l < 10 then begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr (48 + l));
-    Bytes.unsafe_set b (pos + 1) ':';
-    pos + 2
-  end
-  else
-    let d = ndigits (-l) in
-    write_digits b (pos + d) d (-l);
-    Bytes.unsafe_set b (pos + d) ':';
-    pos + d + 1
-
-let rec write fields b pos =
-  match fields with
-  | [] -> pos
-  | f :: rest ->
-    let l = String.length f in
-    let start = write_prefix b pos l in
-    Bytes.unsafe_blit_string f 0 b start l;
-    write rest b (start + l)
-
-let encode fields =
-  let b = Bytes.create (encoded_length fields) in
-  ignore (write fields b 0);
-  Bytes.unsafe_to_string b
-
-(* [i]'s text: its length, and the writer of its [l] bytes at [pos]. *)
-let int_text_length i = if i >= 0 then ndigits (-i) else 1 + ndigits i
-
-let write_int_text b pos l i =
-  if i < 0 then begin
-    Bytes.unsafe_set b pos '-';
-    write_digits b (pos + l) (l - 1) i
-  end
-  else write_digits b (pos + l) l (-i)
-
-let encode_int i =
-  let l = int_text_length i in
-  let b = Bytes.create l in
-  write_int_text b 0 l i;
-  Bytes.unsafe_to_string b
-
-(* Parses the digits [s.[lo .. hi-1]] as exactly what [write_digits]
-   writes — at least one digit, no leading zero unless the number is
-   0 — and returns the negated value, which cannot overflow until
-   beyond [min_int]. *)
-let neg_digits s lo hi what =
-  if hi <= lo || (String.unsafe_get s lo = '0' && hi - lo > 1) then
-    invalid_arg what;
-  let acc = ref 0 in
-  for i = lo to hi - 1 do
-    let c = Char.code (String.unsafe_get s i) - 48 in
-    if c < 0 || c > 9 || !acc < (min_int + c) / 10 then invalid_arg what;
-    acc := (!acc * 10) - c
-  done;
-  !acc
-
-let rec digits_end s i stop =
-  if i < stop && String.unsafe_get s i >= '0' && String.unsafe_get s i <= '9'
-  then digits_end s (i + 1) stop
-  else i
-
-(* A cursor over a byte range: the text field lists below read through
-   it, and so do the wire's binary fields at the end of this file. *)
-type reader = { src : string; mutable pos : int; stop : int }
-
-let reader_sub s ~pos ~len =
-  let stop = pos + len in
-  if pos < 0 || len < 0 || stop > String.length s then
-    invalid_arg "Codec.reader_sub";
-  { src = s; pos; stop }
-
-let at_end r = r.pos = r.stop
-
-(* Steps over the next field, returning where its bytes start; they
-   end at the new [r.pos]. *)
-let next r =
-  let pos = r.pos in
-  if
-    pos + 1 < r.stop
-    && String.unsafe_get r.src (pos + 1) = ':'
-    && String.unsafe_get r.src pos >= '0'
-    && String.unsafe_get r.src pos <= '9'
-  then begin
-    let l = Char.code (String.unsafe_get r.src pos) - 48 in
-    if l > r.stop - pos - 2 then invalid_arg "Codec.decode: truncated field";
-    r.pos <- pos + 2 + l;
-    pos + 2
-  end
-  else
-  let colon = digits_end r.src r.pos r.stop in
-  if colon = r.stop || String.unsafe_get r.src colon <> ':' then
-    invalid_arg "Codec.decode: missing length delimiter";
-  let l = neg_digits r.src r.pos colon "Codec.decode: bad length" in
-  if l = min_int || -l > r.stop - colon - 1 then
-    invalid_arg "Codec.decode: truncated field";
-  r.pos <- colon + 1 - l;
-  colon + 1
-
-(* [decode_int] of [s.[lo .. hi-1]]. *)
-let int_sub s lo hi =
-  if hi > lo && String.unsafe_get s lo = '-' then begin
-    let v = neg_digits s (lo + 1) hi "Codec.decode_int" in
-    if v = 0 then invalid_arg "Codec.decode_int";
-    v
-  end
-  else
-    let v = neg_digits s lo hi "Codec.decode_int" in
-    if v = min_int then invalid_arg "Codec.decode_int";
-    -v
-
-let decode s =
-  let r = reader_sub s ~pos:0 ~len:(String.length s) in
-  let[@tail_mod_cons] rec go () =
-    if at_end r then []
-    else
-      let start = next r in
-      let f = String.sub r.src start (r.pos - start) in
-      f :: go ()
-  in
-  go ()
-
-let decode_int s = int_sub s 0 (String.length s)
-
 (* Unsigned LEB128: seven bits a byte, least significant first, the
    high bit set on every byte but the last.  Most varints the wire and
    the record cells carry are one byte, so each entry point below
@@ -196,7 +46,33 @@ let read_varint s pos =
   if pos < 0 then invalid_arg "Codec.read_varint: truncated";
   varint_from s (String.length s) pos 0 0
 
+(* A string that is one varint and nothing else: inner-page child ids
+   and page LSNs.  Decoding allocates nothing, as a B-tree descent reads
+   one at every level. *)
+let varint n =
+  let b = Bytes.create (varint_length n) in
+  ignore (write_varint n b 0);
+  Bytes.unsafe_to_string b
+
+let of_varint s =
+  let n = read_varint s 0 in
+  if varint_length n <> String.length s then
+    invalid_arg "Codec.of_varint: trailing bytes";
+  n
+
 (* ---- binary fields ---- *)
+
+(* A cursor over a byte range: the binary fields at the end of this
+   file read through it. *)
+type reader = { src : string; mutable pos : int; stop : int }
+
+let reader_sub s ~pos ~len =
+  let stop = pos + len in
+  if pos < 0 || len < 0 || stop > String.length s then
+    invalid_arg "Codec.reader_sub";
+  { src = s; pos; stop }
+
+let at_end r = r.pos = r.stop
 
 let[@inline] string_length s =
   let l = String.length s in

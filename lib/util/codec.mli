@@ -1,31 +1,11 @@
-(** Length-prefixed field encoding, the one integer text path, and the
-    binary fields the wire is made of.
+(** The binary fields every persisted and wire format is built from.
 
-    The text field list is a tiny, binary-safe serialization used for
-    page metadata blobs, the master record and B-tree child pointers.
-    Fields are arbitrary byte strings, each written as its decimal
-    length, [':'], then its bytes; [decode (encode fs) = fs] for every
-    field list.
-
-    Decoding is canonical: every decoder here accepts exactly the text
-    its encoder writes (ASCII digits, no leading zero except ["0"]
-    itself, no overflow, and a [-] sign only on a negative integer), so
-    a string that decodes re-encodes to itself. *)
-
-val encode : string list -> string
-
-val encoded_length : string list -> int
-(** [String.length (encode fs)], without building it. *)
-
-val decode : string -> string list
-(** Raises [Invalid_argument] on malformed input. *)
-
-val encode_int : int -> string
-(** Plain decimal, as [Printf.sprintf "%d"] writes it. *)
-
-val decode_int : string -> int
-(** The inverse of {!encode_int}; raises [Invalid_argument] on anything
-    it would not have written. *)
+    Wire frames, record cells, page metadata, abstract LSNs, the master
+    records and inner-page child ids all write their integers as
+    varints, their strings as a varint length then the bytes, and their
+    tags and flags as single bytes, through this module.  Every decoder
+    here is canonical: it accepts exactly the bytes its encoder writes,
+    so a string that decodes re-encodes to itself. *)
 
 (** {2 Varints}
 
@@ -48,9 +28,16 @@ val read_varint : string -> int -> int
 (** The varint starting at [pos].  It ends [varint_length] of the
     result bytes later. *)
 
+val varint : int -> string
+(** [n]'s varint bytes as a string of their own. *)
+
+val of_varint : string -> int
+(** The inverse of {!varint}: the whole string must be one canonical
+    varint, or it raises [Invalid_argument].  Allocates nothing. *)
+
 (** {2 Binary fields}
 
-    What the wire's frame payloads are made of: varints, single bytes,
+    What every format is made of: varints, single bytes,
     and strings written as their varint length then their bytes.  A
     {!reader} reads them in place from a byte range, bounded by its end:
     nothing is read past it, so a field cut short by the end of the

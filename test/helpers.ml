@@ -5,6 +5,7 @@ module Transport = Untx_kernel.Transport
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Tc_id = Untx_util.Tc_id
+module Codec = Untx_util.Codec
 module Engine = Untx_kernel.Engine
 
 let ok = function
@@ -131,3 +132,23 @@ let qcheck_test prop =
            %!"
           name qcheck_seed qcheck_seed;
         raise e )
+
+(* A field list as the binary formats write one: a varint count, then
+   each field as a varint length and its bytes. *)
+let encode_fields fields =
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun acc f -> acc + Codec.string_length f)
+         (Codec.varint_length (List.length fields))
+         fields)
+  in
+  let pos = Codec.write_varint (List.length fields) b 0 in
+  ignore (List.fold_left (fun pos f -> Codec.write_string f b pos) pos fields);
+  Bytes.to_string b
+
+let decode_fields s =
+  let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
+  let fields = List.init (Codec.next_varint r) (fun _ -> Codec.next_string r) in
+  if not (Codec.at_end r) then invalid_arg "trailing bytes";
+  fields

@@ -3,6 +3,7 @@
    lock-manager safety, WAL crash semantics. *)
 
 module Ablsn = Untx_dc.Ablsn
+module Page_meta = Untx_dc.Page_meta
 module Stored_record = Untx_dc.Stored_record
 module Codec = Untx_util.Codec
 module Lsn = Untx_util.Lsn
@@ -93,7 +94,8 @@ let prop_ablsn_codec =
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"field codec roundtrip" ~count:300
     QCheck.(list (string_gen QCheck.Gen.char))
-    (fun fields -> Codec.decode (Codec.encode fields) = fields)
+    (fun fields ->
+      Helpers.decode_fields (Helpers.encode_fields fields) = fields)
 
 let record_arb =
   let open QCheck in
@@ -560,80 +562,29 @@ let prop_scan_protocol_equivalence =
 
 let suite = suite @ [ test prop_scan_protocol_equivalence ]
 
-(* --- codec byte identity ---------------------------------------------- *)
+(* --- canonical binary fields ------------------------------------------ *)
 
-(* The encoder [Codec.encode] replaced, kept as the reference model: the
-   stored and wire formats are whatever it wrote. *)
-let reference_encode fields =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf (string_of_int (String.length f));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf f)
-    fields;
-  Buffer.contents buf
-
-(* Field lengths cluster at the digit-count boundaries of the length
-   prefix, and empty fields are common. *)
-let field_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        string_size ~gen:char
-          (oneofl [ 0; 1; 9; 10; 11; 99; 100; 101; 999; 1000; 1001 ]);
-        string_size ~gen:(oneofl [ '0'; '9'; ':'; '-'; 'x' ]) (int_bound 12);
-        string_size ~gen:char (int_bound 1100);
-      ])
-
-let fields_arb =
-  QCheck.make
-    ~print:(fun fs ->
-      String.concat ";"
-        (List.map (fun f -> Printf.sprintf "<%d bytes>" (String.length f)) fs))
-    QCheck.Gen.(list_size (int_bound 8) field_gen)
-
-let prop_codec_reference =
-  QCheck.Test.make ~name:"codec encode matches the reference encoder"
-    ~count:300 fields_arb (fun fs ->
-      String.equal (Codec.encode fs) (reference_encode fs)
-      && Codec.encoded_length fs = String.length (reference_encode fs)
-      && Codec.decode (Codec.encode fs) = fs)
-
-let int_arb =
-  QCheck.make ~print:string_of_int
-    QCheck.Gen.(
-      oneof
-        [
-          oneofl [ 0; 1; -1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ];
-          int;
-          small_signed_int;
-        ])
-
-let prop_int_reference =
-  QCheck.Test.make ~name:"encode_int matches string_of_int" ~count:500
-    int_arb (fun i ->
-      String.equal (Codec.encode_int i) (string_of_int i)
-      && Codec.decode_int (Codec.encode_int i) = i)
-
-(* Strings over the codec's own alphabet, so that a fair share of them
+(* Strings over the bytes field lists are made of — short counts and
+   lengths, continuation bytes, overlong zeros — so a fair share of them
    decode: any that does must be exactly what the encoder writes. *)
-let codec_text_arb =
+let codec_bytes_arb =
   QCheck.make ~print:(Printf.sprintf "%S")
     QCheck.Gen.(
-      string_size
-        ~gen:(oneofl [ '0'; '1'; '2'; '3'; '9'; ':'; '-'; '+'; 'x'; '_'; ' ' ])
-        (int_bound 24))
+      map (String.concat "")
+        (list_size (int_bound 10)
+           (oneofl
+              [ "\x00"; "\x01"; "\x02"; "\x03"; "\x7f"; "\x80"; "\x81";
+                "\xff"; "a"; "ab" ])))
 
 let prop_decode_canonical =
   QCheck.Test.make ~name:"whatever decodes re-encodes to itself" ~count:2000
-    codec_text_arb (fun s ->
-      (match Codec.decode s with
-      | fs -> String.equal (Codec.encode fs) s
+    codec_bytes_arb (fun s ->
+      (match Helpers.decode_fields s with
+      | fs -> String.equal (Helpers.encode_fields fs) s
       | exception Invalid_argument _ -> true)
       &&
-      match Codec.decode_int s with
-      | i -> String.equal (Codec.encode_int i) s
+      match Codec.of_varint s with
+      | n -> String.equal (Codec.varint n) s
       | exception Invalid_argument _ -> true)
 
 (* A data frame built by hand around [payload], with a valid length and
@@ -733,8 +684,7 @@ let prop_conflicts_reference =
 let suite =
   suite
   @ List.map test
-      [ prop_codec_reference; prop_int_reference; prop_decode_canonical;
-        prop_batch_canonical; prop_conflicts_reference ]
+      [ prop_decode_canonical; prop_batch_canonical; prop_conflicts_reference ]
 
 (* --- the binary record cell ------------------------------------------- *)
 
@@ -770,28 +720,30 @@ let wide_record_gen =
 
 let show_record (r : Stored_record.t) = Printf.sprintf "%S" (Stored_record.encode r)
 
-(* An encoded cell, then one of: overwrite byte [pos] with [c], or cut
-   the cell to its first [pos] bytes. *)
-let cell_mutation_arb =
+(* A value of [gen], then one of: overwrite byte [pos] of its encoding
+   with [c] (append [c] at the end), or cut the encoding to its first
+   [pos] bytes. *)
+let mutation_arb show gen =
   QCheck.make
-    ~print:(fun (r, cut, pos, c) ->
-      Printf.sprintf "%s %s %d %C" (show_record r)
-        (if cut then "cut" else "set") pos c)
+    ~print:(fun (v, cut, pos, c) ->
+      Printf.sprintf "%s %s %d %C" (show v) (if cut then "cut" else "set") pos c)
     QCheck.Gen.(
-      quad wide_record_gen bool (int_bound 200)
+      quad gen bool (int_bound 200)
         (oneof [ char; oneofl [ '\x00'; '\x7f'; '\x80'; '\xff' ] ]))
+
+let mutate s (cut, pos, c) =
+  let pos = pos mod (String.length s + 1) in
+  if cut then String.sub s 0 pos
+  else if pos = String.length s then s ^ String.make 1 c
+  else String.mapi (fun i x -> if i = pos then c else x) s
 
 let prop_cell_canonical =
   QCheck.Test.make
     ~name:"a mutated or cut record cell raises or re-encodes to itself"
-    ~count:3000 cell_mutation_arb (fun (r, cut, pos, c) ->
+    ~count:3000 (mutation_arb show_record wide_record_gen)
+    (fun (r, cut, pos, c) ->
       let cell = Stored_record.encode r in
-      let pos = pos mod (String.length cell + 1) in
-      let s =
-        if cut then String.sub cell 0 pos
-        else if pos = String.length cell then cell ^ String.make 1 c
-        else String.mapi (fun i x -> if i = pos then c else x) cell
-      in
+      let s = mutate cell (cut, pos, c) in
       Stored_record.decode cell = r
       && Stored_record.encoded_size r = String.length cell
       &&
@@ -843,3 +795,109 @@ let prop_cell_in_place =
 let suite = suite @ List.map test [ prop_cell_canonical; prop_cell_in_place ]
 
 let suite = suite @ [ test prop_btree_separator ]
+
+(* --- page metadata and master records ---------------------------------- *)
+
+(* Abstract LSNs whose marks and members span every varint length:
+   members rise above [lw] by gaps that cross the 1- and 2-byte
+   boundaries. *)
+let wide_ablsn_gen =
+  QCheck.Gen.(
+    map2
+      (fun lw gaps ->
+        snd
+          (List.fold_left
+             (fun (prev, ab) gap ->
+               let l = prev + 1 + gap in
+               (l, Ablsn.add (Lsn.of_int l) ab))
+             (lw, Ablsn.of_lw (Lsn.of_int lw))
+             gaps))
+      (oneof [ int_bound 300; map (fun i -> i land (max_int lsr 2)) int ])
+      (list_size (int_bound 6)
+         (oneof [ int_bound 3; oneofl [ 126; 127; 16383 ] ])))
+
+let wide_meta_gen =
+  QCheck.Gen.(
+    map2
+      (fun dlsn tcs ->
+        {
+          Page_meta.dlsn = Lsn.of_int dlsn;
+          ablsns =
+            List.fold_left
+              (fun m (tc, ab) -> Tc_id.Map.add (Tc_id.of_int tc) ab m)
+              Tc_id.Map.empty tcs;
+        })
+      wide_int_gen
+      (list_size (int_bound 3)
+         (pair (oneof [ int_bound 4; oneofl [ 127; 128; 300 ] ]) wide_ablsn_gen)))
+
+let master_gen =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (quad (string_size ~gen:char (int_bound 140)) bool bool wide_int_gen))
+
+let show_bytes s = Printf.sprintf "%S" s
+
+(* One canonicity law for each format: the value roundtrips, its size
+   is its length, and a mutated or cut encoding either raises or
+   re-encodes to exactly itself. *)
+let canonical ~name ~encode ~decode ~same ?size gen =
+  QCheck.Test.make ~name ~count:2000
+    (mutation_arb (fun v -> show_bytes (encode v)) gen)
+    (fun (v, cut, pos, c) ->
+      let e = encode v in
+      let s = mutate e (cut, pos, c) in
+      same (decode e) v
+      && Option.fold ~none:true ~some:(fun f -> f v = String.length e) size
+      &&
+      match decode s with
+      | v' -> String.equal (encode v') s
+      | exception Invalid_argument _ -> true)
+
+let prop_ablsn_canonical =
+  canonical ~name:"a mutated or cut abLSN raises or re-encodes to itself"
+    ~encode:Ablsn.encode ~decode:Ablsn.decode ~same:Ablsn.equal
+    ~size:Ablsn.encoded_size wide_ablsn_gen
+
+(* [""] is the metadata of a page never synced: it decodes to [empty],
+   which encodes as its two varints. *)
+let prop_meta_canonical =
+  canonical ~name:"a mutated or cut page meta raises or re-encodes to itself"
+    ~encode:Page_meta.encode
+    ~decode:(fun s ->
+      if String.equal s "" then invalid_arg "unsynced" else Page_meta.decode s)
+    ~same:(fun a (b : Page_meta.t) ->
+      Lsn.equal a.Page_meta.dlsn b.dlsn
+      && Tc_id.Map.equal Ablsn.equal a.ablsns b.ablsns)
+    ~size:Page_meta.encoded_size wide_meta_gen
+
+let prop_dc_master_canonical =
+  canonical
+    ~name:"a mutated or cut DC master record raises or re-encodes to itself"
+    ~encode:(fun ts ->
+      Untx_dc.Dc.encode_master
+        (List.map (fun (n, v, s, r) -> (n, v, s, Page_id.of_int r)) ts))
+    ~decode:(fun s ->
+      List.map
+        (fun (n, v, s, r) -> (n, v, s, Page_id.to_int r))
+        (Untx_dc.Dc.decode_master s))
+    ~same:( = ) master_gen
+
+let prop_mono_master_canonical =
+  canonical
+    ~name:"a mutated or cut Mono master record raises or re-encodes to itself"
+    ~encode:(fun ts ->
+      Untx_baseline.Mono.encode_master
+        (List.map (fun (n, r) -> (n, Page_id.of_int r)) ts))
+    ~decode:(fun s ->
+      List.map
+        (fun (n, r) -> (n, Page_id.to_int r))
+        (Untx_baseline.Mono.decode_master s))
+    ~same:( = )
+    (QCheck.Gen.map (List.map (fun (n, _, _, r) -> (n, r))) master_gen)
+
+let suite =
+  suite
+  @ List.map test
+      [ prop_ablsn_canonical; prop_meta_canonical; prop_dc_master_canonical;
+        prop_mono_master_canonical ]

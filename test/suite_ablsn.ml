@@ -123,6 +123,44 @@ let test_encoded_size_grows_with_ins () =
   Alcotest.(check bool) "bigger set, bigger encoding" true
     (Ablsn.encoded_size !big > Ablsn.encoded_size small + 32)
 
+(* A two-TC page's metadata written out field by field from the
+   layouts in page_meta.mli and ablsn.mli. *)
+let test_page_meta_golden () =
+  let meta =
+    {
+      Page_meta.dlsn = lsn 9;
+      ablsns =
+        Tc_id.Map.empty
+        |> Tc_id.Map.add (Tc_id.of_int 2)
+             (Ablsn.add (lsn 301) (Ablsn.of_lw (lsn 300)))
+        |> Tc_id.Map.add (Tc_id.of_int 1) (Ablsn.add (lsn 4) Ablsn.empty);
+    }
+  in
+  let bytes =
+    "\x09\x02" (* dlsn 9, two TCs *)
+    ^ "\x01\x00\x01\x04" (* TC 1: <lw=0,{4}> *)
+    ^ "\x02\xac\x02\x01\xad\x02" (* TC 2: <lw=300,{301}> *)
+  in
+  Alcotest.(check string) "encoded" bytes (Page_meta.encode meta);
+  Alcotest.(check int) "size" (String.length bytes) (Page_meta.encoded_size meta);
+  let back = Page_meta.decode bytes in
+  Alcotest.(check bool) "decoded" true
+    (Lsn.equal back.dlsn meta.dlsn
+    && Tc_id.Map.equal Ablsn.equal back.ablsns meta.ablsns);
+  Alcotest.(check string) "empty" "\x00\x00" (Page_meta.encode Page_meta.empty);
+  List.iter
+    (fun (what, s) ->
+      match Page_meta.decode s with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted %s" what)
+    [
+      ("TCs out of order", "\x09\x02\x02\x00\x00\x01\x00\x00");
+      ("a member at lw", "\x09\x01\x01\x04\x01\x04");
+      ("members out of order", "\x09\x01\x01\x00\x02\x05\x05");
+      ("a cut abLSN", "\x09\x01\x01\x00\x01");
+      ("trailing bytes", "\x09\x00\x00");
+    ]
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -137,4 +175,5 @@ let suite =
     Alcotest.test_case "page meta roundtrip" `Quick test_page_meta_roundtrip;
     Alcotest.test_case "encoding size vs ins" `Quick
       test_encoded_size_grows_with_ins;
+    Alcotest.test_case "page meta byte for byte" `Quick test_page_meta_golden;
   ]

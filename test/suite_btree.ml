@@ -193,6 +193,27 @@ let test_oversized_record_rejected () =
     (Invalid_argument "Btree.set: record larger than a page") (fun () ->
       Btree.set t ~key:"k" ~data:(String.make 100 'x'))
 
+(* An inner page's child pointer is the page id as one varint: page 300
+   takes two bytes, and a routing cell whose data is not exactly one
+   canonical varint fails the descent rather than naming another page. *)
+let test_child_id_golden () =
+  let pid = Untx_storage.Page_id.of_int 300 in
+  Alcotest.(check string) "page 300" "\xac\x02" (Btree.child_data pid);
+  Alcotest.(check string) "page 5" "\x05"
+    (Btree.child_data (Untx_storage.Page_id.of_int 5));
+  let t, cache = mk ~page_capacity:64 () in
+  for i = 0 to 39 do
+    Btree.set t ~key:(Printf.sprintf "k%03d" i) ~data:"v"
+  done;
+  check_ok t;
+  let root = Cache.get cache (Btree.root t) in
+  Alcotest.(check bool) "grew an inner root" true (Page.kind root = Page.Inner);
+  let key, _ = Page.nth root 0 in
+  Page.set root ~key ~data:"\x05\x00";
+  match Btree.find t "k000" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a child id with a trailing byte was followed"
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -208,4 +229,5 @@ let suite =
     Alcotest.test_case "random ops vs model" `Quick test_random_model_check;
     Alcotest.test_case "oversized record rejected" `Quick
       test_oversized_record_rejected;
+    Alcotest.test_case "child ids byte for byte" `Quick test_child_id_golden;
   ]

@@ -854,6 +854,44 @@ let test_point_write_rules () =
 
 (* New cases go at the end: Alcotest numbers cases by position, and
    inserting earlier renumbers the ones after. *)
+(* The master record written out field by field from the layout in
+   dc.mli, and the master a DC writes as it creates its tables. *)
+let test_master_golden () =
+  let pid = Untx_storage.Page_id.of_int in
+  let tables = [ ("kv", true, false, pid 300); ("idx", false, true, pid 2) ] in
+  let blob = "\x02\x02kv\x01\xac\x02\x03idx\x02\x02" in
+  Alcotest.(check string) "encoded" blob (Dc.encode_master tables);
+  Alcotest.(check bool) "decoded" true (Dc.decode_master blob = tables);
+  Alcotest.(check string) "no tables" "\x00" (Dc.encode_master []);
+  List.iter
+    (fun (what, blob) ->
+      match Dc.decode_master blob with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted %s" what)
+    [
+      ("an unknown flag bit", "\x01\x02kv\x05\x03");
+      ("a cut root", "\x01\x02kv\x01\xac");
+      ("a missing table", "\x02\x02kv\x01\x03");
+      ("trailing bytes", "\x01\x02kv\x01\x03\x00");
+      ("an empty record", "");
+    ];
+  let dc = mk () in
+  match Disk.master (Dc.disk dc) with
+  | None -> Alcotest.fail "no master record after create_table"
+  | Some blob ->
+    Alcotest.(check (list (pair string bool)))
+      "the DC's tables"
+      [ ("t", false); ("vt", true) ]
+      (List.sort compare
+         (List.map
+            (fun (name, versioned, sealed, root) ->
+              Alcotest.(check bool) (name ^ " unsealed") false sealed;
+              Alcotest.(check int) (name ^ " root")
+                (Untx_storage.Page_id.to_int (Dc.table_root dc name))
+                (Untx_storage.Page_id.to_int root);
+              (name, versioned))
+            (Dc.decode_master blob)))
+
 let suite =
   suite
   @ [
@@ -891,4 +929,6 @@ let suite =
         test_replay_prunes_at_separator;
       Alcotest.test_case "point-write record rules" `Quick
         test_point_write_rules;
+      Alcotest.test_case "master record byte for byte" `Quick
+        test_master_golden;
     ]

@@ -28,7 +28,7 @@ let test_codec_roundtrip () =
       [ "" ];
       [ "a" ];
       [ "hello"; "world" ];
-      [ "with:colon"; "with\x00null"; "123:456" ];
+      [ "with:colon"; "with\x00null"; "\x80\xff" ];
       [ String.make 1000 'x'; "" ; "y" ];
     ]
   in
@@ -36,34 +36,42 @@ let test_codec_roundtrip () =
     (fun fields ->
       Alcotest.(check (list string))
         "roundtrip" fields
-        (Codec.decode (Codec.encode fields)))
-    cases
+        (Helpers.decode_fields (Helpers.encode_fields fields)))
+    cases;
+  Alcotest.(check string) "bytes" "\x02\x05hello\x00"
+    (Helpers.encode_fields [ "hello"; "" ]);
+  Alcotest.(check int) "a 128-byte field's prefix is 2 bytes" 130
+    (Codec.string_length (String.make 128 'x'));
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "of_varint (varint %d)" n) n
+        (Codec.of_varint (Codec.varint n)))
+    [ 0; 127; 128; 300; max_int ]
 
+(* Fields cut short, by the end of the string or of a reader's range,
+   and whole-string varints that are not exactly one varint. *)
 let test_codec_malformed () =
   List.iter
     (fun s ->
-      match Codec.decode s with
+      match Helpers.decode_fields s with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "accepted malformed %S" s)
-    [
-      "nocolon"; "5:abc"; "-1:"; "abc:x";
-      (* lengths the encoder never writes: each would re-encode as 3:abc *)
-      "03:abc"; "+3:abc"; "0x3:abc"; "0_3:abc"; " 3:abc"; "-0:"; ":";
-      "1:a:"; "99999999999999999999:x"; "9223372036854775808:x";
-    ];
+    [ ""; "\x01"; "\x01\x03ab"; "\x02\x01a"; "\x01\x80"; "\x01\x01a!";
+      "\x80\x00"; "\x01\x81\x00a" ];
+  let r = Codec.reader_sub "\x03abcdef" ~pos:0 ~len:3 in
+  (match Codec.next_string r with
+  | exception Invalid_argument _ -> ()
+  | f -> Alcotest.failf "read %S past the end of its range" f);
+  let r = Codec.reader_sub "x\x05" ~pos:1 ~len:0 in
+  (match Codec.next_byte r with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "read a byte from an empty range");
   List.iter
     (fun s ->
-      match Codec.decode_int s with
+      match Codec.of_varint s with
       | exception Invalid_argument _ -> ()
-      | i -> Alcotest.failf "decode_int accepted %S as %d" s i)
-    [
-      ""; "-"; "+7"; "0x7"; "007"; "-0"; "-07"; "1_0"; " 7"; "7 "; "--7";
-      "9223372036854775808"; "-9223372036854775809"; "99999999999999999999";
-    ];
-  List.iter
-    (fun i ->
-      Alcotest.(check int) "decode_int" i (Codec.decode_int (Codec.encode_int i)))
-    [ 0; 7; -7; 10; max_int; min_int ]
+      | n -> Alcotest.failf "of_varint accepted %S as %d" s n)
+    [ ""; "\x01\x00"; "\x80"; "\x80\x00"; "\xff"; "12" ]
 
 let test_rng_determinism () =
   let a = Rng.create ~seed:123 and b = Rng.create ~seed:123 in
