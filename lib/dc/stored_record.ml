@@ -55,6 +55,19 @@ let write ~versioned ~writer ~wlsn prior w =
       Set { r with deleted = true; before = before_of r; writer; wlsn }
     else Remove
 
+let commit r ~wlsn =
+  match r.before with
+  | _ when r.deleted -> Remove
+  | Absent -> Unchanged
+  | Null_before | Value_before _ -> Set { r with before = Absent; wlsn }
+
+let abort r ~wlsn =
+  match r.before with
+  | Absent -> Unchanged
+  | Null_before -> Remove
+  | Value_before value ->
+    Set { r with value; deleted = false; before = Absent; wlsn }
+
 (* The cell: a flags byte (bit 0 deleted, bits 1-2 the before-kind),
    then writer, wlsn and the value's length as varints, the value, and
    the before-value to the end of the cell. *)

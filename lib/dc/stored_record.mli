@@ -71,6 +71,17 @@ val write :
     tombstone, the tombstone's), the first update or delete saves the
     prior value as {!Value_before}, and a delete leaves a tombstone. *)
 
+val commit : t -> wlsn:Untx_util.Lsn.t -> outcome
+(** Commit of the versioned write that left [t]: a tombstone is
+    {!Remove}d, a record with a before-version drops it and takes
+    [wlsn], and one without is {!Unchanged}. *)
+
+val abort : t -> wlsn:Untx_util.Lsn.t -> outcome
+(** Abort of the versioned write that left [t]: a {!Null_before}
+    record is {!Remove}d, a {!Value_before} [v] one becomes a live [v]
+    with no before-version and [wlsn], and one without is
+    {!Unchanged}. *)
+
 (** {2 The cell}
 
     A record is stored as one binary cell:
@@ -109,10 +120,8 @@ val cell_before : string -> [ `Absent | `Null | `Value ]
 (** The cell's before-kind. *)
 
 val commit_cell : string -> wlsn:Untx_util.Lsn.t -> string
-(** For a cell that is not deleted:
-    [encode { (decode s) with before = Absent; wlsn }]. *)
+(** For a cell that is not deleted and has a before-version: the cell
+    of {!commit}'s {!Set}. *)
 
 val abort_cell : string -> wlsn:Untx_util.Lsn.t -> string
-(** For a {!Value_before} [v] cell:
-    [encode { (decode s) with value = v; deleted = false;
-    before = Absent; wlsn }]. *)
+(** For a {!Value_before} cell: the cell of {!abort}'s {!Set}. *)

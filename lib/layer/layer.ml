@@ -126,20 +126,30 @@ let state_of t tk =
 
 (* Replay one operation through the DC's record semantics, minus the
    pages: point writes through {!Stored_record.write}, commit and abort
-   as {!Stored_record.commit_cell} and [abort_cell] rewrite a cell.  The
-   materialized states must match what the primary's records hold, or
-   bootstrap-installed replicas would fail the parity audit.  Returns
-   the (key, new state) pairs the operation changed — failed or no-op
-   operations change nothing and produce no entry. *)
+   through {!Stored_record.commit} and [abort], which the DC's in-place
+   cell rewrites match.  The materialized states must match what the
+   primary's records hold, or bootstrap-installed replicas would fail
+   the parity audit.  Returns the (key, new state) pairs the operation
+   changed — failed or no-op operations change nothing and produce no
+   entry. *)
 let mutate t ~lsn op =
+  let change tk = function
+    | Stored_record.Set r -> Some (tk, Some r)
+    | Stored_record.Remove -> Some (tk, None)
+    | Stored_record.Unchanged | Stored_record.Fail _ -> None
+  in
   let point table key w =
-    match
-      Stored_record.write ~versioned:(t.versioned table) ~writer:t.writer
-        ~wlsn:lsn (state_of t (table, key)) w
-    with
-    | Stored_record.Set r -> [ ((table, key), Some r) ]
-    | Stored_record.Remove -> [ ((table, key), None) ]
-    | Stored_record.Unchanged | Stored_record.Fail _ -> []
+    Option.to_list
+      (change (table, key)
+         (Stored_record.write ~versioned:(t.versioned table) ~writer:t.writer
+            ~wlsn:lsn (state_of t (table, key)) w))
+  in
+  let versions table keys f =
+    List.filter_map
+      (fun key ->
+        Option.bind (state_of t (table, key)) (fun r ->
+            change (table, key) (f r ~wlsn:lsn)))
+      keys
   in
   match op with
   | Op.Read _ | Op.Scan _ | Op.Probe _ -> []
@@ -149,39 +159,8 @@ let mutate t ~lsn op =
     point table key (Stored_record.Update value)
   | Op.Delete { table; key } -> point table key Stored_record.Delete
   | Op.Commit_versions { table; keys } ->
-    List.filter_map
-      (fun key ->
-        match state_of t (table, key) with
-        | None -> None
-        | Some r ->
-          if r.Stored_record.deleted then Some ((table, key), None)
-          else if r.before <> Stored_record.Absent then
-            Some
-              ( (table, key),
-                Some { r with before = Stored_record.Absent; wlsn = lsn } )
-          else None)
-      keys
-  | Op.Abort_versions { table; keys } ->
-    List.filter_map
-      (fun key ->
-        match state_of t (table, key) with
-        | None -> None
-        | Some r -> (
-          match r.Stored_record.before with
-          | Stored_record.Absent -> None
-          | Stored_record.Null_before -> Some ((table, key), None)
-          | Stored_record.Value_before v ->
-            Some
-              ( (table, key),
-                Some
-                  {
-                    Stored_record.value = v;
-                    deleted = false;
-                    before = Stored_record.Absent;
-                    writer = r.writer;
-                    wlsn = lsn;
-                  } )))
-      keys
+    versions table keys Stored_record.commit
+  | Op.Abort_versions { table; keys } -> versions table keys Stored_record.abort
 
 let seal t =
   if t.active.u_count > 0 then begin

@@ -751,22 +751,12 @@ let prop_cell_canonical =
       | r' -> String.equal (Stored_record.encode r') s
       | exception Invalid_argument _ -> true)
 
-(* What commit and abort did to a record before they worked on the cell:
-   decode, edit, encode.  [None] removes the record. *)
-let commit_by_record (r : Stored_record.t) wlsn =
-  if r.deleted then None
-  else if r.before = Stored_record.Absent then Some (Stored_record.encode r)
-  else
-    Some (Stored_record.encode { r with before = Stored_record.Absent; wlsn })
-
-let abort_by_record (r : Stored_record.t) wlsn =
-  match r.before with
-  | Stored_record.Absent -> Some (Stored_record.encode r)
-  | Stored_record.Null_before -> None
-  | Stored_record.Value_before v ->
-    Some
-      (Stored_record.encode
-         { r with value = v; deleted = false; before = Absent; wlsn })
+(* The cell a record-level commit or abort leaves.  [None] removes the
+   record. *)
+let cell_after cell = function
+  | Stored_record.Set r -> Some (Stored_record.encode r)
+  | Stored_record.Remove -> None
+  | Stored_record.Unchanged | Stored_record.Fail _ -> Some cell
 
 (* The same decisions taken the way the DC takes them: from the cell's
    flags byte, rewriting the cell in place. *)
@@ -789,8 +779,8 @@ let prop_cell_in_place =
        QCheck.Gen.(pair wide_record_gen wide_int_gen))
     (fun (r, l) ->
       let cell = Stored_record.encode r and wlsn = Lsn.of_int l in
-      commit_in_place cell wlsn = commit_by_record r wlsn
-      && abort_in_place cell wlsn = abort_by_record r wlsn)
+      commit_in_place cell wlsn = cell_after cell (Stored_record.commit r ~wlsn)
+      && abort_in_place cell wlsn = cell_after cell (Stored_record.abort r ~wlsn))
 
 let suite = suite @ List.map test [ prop_cell_canonical; prop_cell_in_place ]
 
