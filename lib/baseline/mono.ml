@@ -257,15 +257,11 @@ let encode_master tables =
        pos tables);
   Bytes.unsafe_to_string b
 
-let decode_master blob =
-  let r = Codec.reader_sub blob ~pos:0 ~len:(String.length blob) in
-  let tables =
-    List.init (Codec.next_varint r) (fun _ ->
-        let name = Codec.next_string r in
-        (name, Page_id.of_int (Codec.next_varint r)))
-  in
-  if not (Codec.at_end r) then invalid_arg "Mono: corrupt master record";
-  tables
+let decode_master =
+  Codec.read_all (fun r ->
+      List.init (Codec.next_varint r) (fun _ ->
+          let name = Codec.next_string r in
+          (name, Page_id.of_int (Codec.next_varint r))))
 
 let write_master t =
   Disk.set_master t.disk

@@ -89,11 +89,7 @@ let encode t =
   ignore (write t b 0);
   Bytes.unsafe_to_string b
 
-let decode s =
-  let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
-  let t = read r in
-  if not (Codec.at_end r) then invalid_arg "Ablsn.decode: trailing bytes";
-  t
+let decode = Codec.read_all read
 
 let pp ppf t =
   Format.fprintf ppf "<lw=%a,{%a}>" Lsn.pp t.lw

@@ -423,18 +423,14 @@ let encode_master tables =
        pos tables);
   Bytes.unsafe_to_string b
 
-let decode_master blob =
-  let r = Codec.reader_sub blob ~pos:0 ~len:(String.length blob) in
-  let tables =
-    List.init (Codec.next_varint r) (fun _ ->
-        let name = Codec.next_string r in
-        let flags = Char.code (Codec.next_byte r) in
-        if flags > 3 then invalid_arg "Dc: corrupt master record";
-        (name, flags land 1 <> 0, flags land 2 <> 0,
-         Page_id.of_int (Codec.next_varint r)))
-  in
-  if not (Codec.at_end r) then invalid_arg "Dc: corrupt master record";
-  tables
+let decode_master =
+  Codec.read_all (fun r ->
+      List.init (Codec.next_varint r) (fun _ ->
+          let name = Codec.next_string r in
+          let flags = Char.code (Codec.next_byte r) in
+          if flags > 3 then invalid_arg "Dc: corrupt master record";
+          (name, flags land 1 <> 0, flags land 2 <> 0,
+           Page_id.of_int (Codec.next_varint r))))
 
 let write_master t =
   Disk.set_master t.disk

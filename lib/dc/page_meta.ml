@@ -32,18 +32,15 @@ let encode t =
        t.ablsns pos);
   Bytes.unsafe_to_string b
 
-let decode s =
-  if String.equal s "" then empty
-  else
-    let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
-    let dlsn = Lsn.of_int (Codec.next_varint r) in
-    let rec tcs prev k acc =
-      if k = 0 then acc
-      else
-        let tc = Codec.next_varint r in
-        if tc <= prev then invalid_arg "Page_meta.decode: TCs out of order";
-        tcs tc (k - 1) (Tc_id.Map.add (Tc_id.of_int tc) (Ablsn.read r) acc)
-    in
-    let ablsns = tcs (-1) (Codec.next_varint r) Tc_id.Map.empty in
-    if not (Codec.at_end r) then invalid_arg "Page_meta.decode: trailing bytes";
-    { dlsn; ablsns }
+let read r =
+  let dlsn = Lsn.of_int (Codec.next_varint r) in
+  let rec tcs prev k acc =
+    if k = 0 then acc
+    else
+      let tc = Codec.next_varint r in
+      if tc <= prev then invalid_arg "Page_meta.decode: TCs out of order";
+      tcs tc (k - 1) (Tc_id.Map.add (Tc_id.of_int tc) (Ablsn.read r) acc)
+  in
+  { dlsn; ablsns = tcs (-1) (Codec.next_varint r) Tc_id.Map.empty }
+
+let decode s = if String.equal s "" then empty else Codec.read_all read s

@@ -74,6 +74,12 @@ let reader_sub s ~pos ~len =
 
 let at_end r = r.pos = r.stop
 
+let read_all f s =
+  let r = reader_sub s ~pos:0 ~len:(String.length s) in
+  let v = f r in
+  if not (at_end r) then invalid_arg "Codec.read_all: trailing bytes";
+  v
+
 let[@inline] string_length s =
   let l = String.length s in
   (if l < 0x80 then 1 else varint_bytes l) + l

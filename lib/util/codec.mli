@@ -60,6 +60,11 @@ val reader_sub : string -> pos:int -> len:int -> reader
 val at_end : reader -> bool
 (** Whether the whole range has been read. *)
 
+val read_all : (reader -> 'a) -> string -> 'a
+(** [f] over a reader on the whole of [s]; raises [Invalid_argument] if
+    bytes remain after it, so a decoder built on it is canonical when
+    [f] is. *)
+
 val remaining : reader -> int
 (** The bytes left in the range. *)
 

@@ -147,8 +147,6 @@ let encode_fields fields =
   ignore (List.fold_left (fun pos f -> Codec.write_string f b pos) pos fields);
   Bytes.to_string b
 
-let decode_fields s =
-  let r = Codec.reader_sub s ~pos:0 ~len:(String.length s) in
-  let fields = List.init (Codec.next_varint r) (fun _ -> Codec.next_string r) in
-  if not (Codec.at_end r) then invalid_arg "trailing bytes";
-  fields
+let decode_fields =
+  Codec.read_all (fun r ->
+      List.init (Codec.next_varint r) (fun _ -> Codec.next_string r))
