@@ -43,7 +43,6 @@ let interesting_counters =
     "transport.duplicated";
     "transport.frames_corrupted";
     "transport.corrupt_dropped";
-    "transport.flush_delivered";
     "dc.dup_absorbed";
     "dc.control_dups_absorbed";
     "disk.io_retries";

@@ -24,6 +24,7 @@ module Tc_id = Untx_util.Tc_id
 module Stored_record = Untx_dc.Stored_record
 module Lock_mgr = Untx_tc.Lock_mgr
 module Wal = Untx_wal.Wal
+module Transport = Untx_kernel.Transport
 
 let ok = function
   | `Ok v -> v
@@ -508,6 +509,38 @@ let gate_codec_alloc () =
   in
   req && rep && req_dec && batch && rcd && rcd_dec
 
+(* One data round trip through a reliable [Transport]: a request frame
+   sent, then one drain that delivers it to a DC stand-in and surfaces
+   the reply.  The stand-ins are the transport suite's echo handlers:
+   the data one decodes the request and answers [Done] under its LSN,
+   the control one acks.  The words include that decode and reply
+   encode; the rest is the plane's own queue handling. *)
+let echo_data frame =
+  match Wire.decode_request frame with
+  | Wire.Request r ->
+    Some
+      (Wire.encode_reply
+         (Wire.Reply { Wire.tc = r.Wire.tc; lsn = r.Wire.lsn; result = Wire.Done }))
+  | Wire.Redo_batch _ -> None
+
+let echo_control frame =
+  let m = Wire.decode_control frame in
+  Some
+    (Wire.encode_control_reply
+       { Wire.r_tc = Wire.control_tc m.Wire.c_ctl; r_epoch = m.Wire.c_epoch;
+         r_seq = m.Wire.c_seq; r_reply = Wire.Ack })
+
+let gate_transport_alloc () =
+  let t =
+    Transport.create ~counters:(Untx_util.Instrument.create ()) ~seed:1
+      ~data:echo_data ~control:echo_control ()
+  in
+  let frame = Wire.encode_request update_req in
+  alloc_line "Transport: send + drain one data round trip (reliable), words"
+    ~ceiling:122. (fun () ->
+      Transport.send t frame;
+      Transport.drain t)
+
 (* Frame encode and decode.  As for DC apply, each ceiling is ~5x the
    cost measured on a 2-core x86 container: 0.11-0.24 us for the update
    request either way, 0.60-1.05 us to encode the scan reply and
@@ -595,13 +628,15 @@ let run_gates () =
   let hot_alloc = gate_hot_path_alloc () in
   let redo_alloc = gate_redo_alloc () in
   let wal = gate_wal () in
+  let transport = gate_transport_alloc () in
   let tree, keys = density_tree () in
   let density = gate_index_density tree in
   let descent = gate_descent_alloc tree keys in
   if
     not
       (reconstruct && lwm_flat && dc_apply && tc_dispatch && codec_ns
-     && codec_alloc && hot_alloc && redo_alloc && wal && density && descent)
+     && codec_alloc && hot_alloc && redo_alloc && wal && transport && density
+     && descent)
   then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
     exit 1

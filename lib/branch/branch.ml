@@ -4,6 +4,7 @@ module Tc_id = Untx_util.Tc_id
 module Metrics = Untx_obs.Metrics
 module Trace = Untx_obs.Trace
 module Transport = Untx_kernel.Transport
+module Kernel = Untx_kernel.Kernel
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Repl = Untx_repl.Repl
@@ -75,9 +76,8 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(counters = Instrument.global) ?(policy = Transport.reliable)
-    ?(seed = 42) ?(wrap = fun f frame -> f frame) ~name ~fork_lsn ~parent
-    ~tc_id ~dc_config ~part ~tables () =
+let create ?(counters = Instrument.global) ?policy ?(seed = 42) ?wrap ~name
+    ~fork_lsn ~parent ~tc_id ~dc_config ~part ~tables () =
   let high = parent.p_high () in
   if Lsn.(high < fork_lsn) then
     raise (Out_of_range { wanted = fork_lsn; durable = high });
@@ -90,21 +90,10 @@ let create ?(counters = Instrument.global) ?(policy = Transport.reliable)
   let dc = Dc.create ~counters dc_config in
   Dc.set_identity dc ~part;
   let dc_name = name ^ ".dc" in
-  let expect = Tc.id tc in
   let transport =
-    Transport.create ~counters ~policy ~label:(name ^ ":" ^ dc_name) ~seed
-      ~data:(wrap (Dc.handle_request_frame ~expect dc))
-      ~control:(wrap (Dc.handle_control_frame ~expect dc))
-      ()
+    Kernel.link ~counters ?policy ~label:(name ^ ":" ^ dc_name) ?wrap ~seed tc
+      ~dc_name dc
   in
-  Tc.attach_dc tc
-    {
-      Tc.dc_name;
-      part;
-      send = Transport.send transport;
-      send_control = Transport.send_control transport;
-      drain = (fun () -> Transport.drain transport);
-    };
   List.iter
     (fun (tname, versioned) ->
       Dc.create_table dc ~name:tname ~versioned;

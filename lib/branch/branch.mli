@@ -78,7 +78,8 @@ val create :
 (** Fork [parent] at [fork_lsn]: pin the parent there, then stand up
     the branch's own TC ([tc_id] must be fresh in the deployment — the
     M-TC identity plumbing rejects misattributed frames), DC ([part]
-    likewise), two-channel transport under [policy]/[seed], and a
+    likewise), a {!Untx_kernel.Kernel.link} transport under
+    [policy]/[seed], and a
     layered shipping manager (so the branch supports [read_as_of],
     layer-sourced redo and history truncation of its own).  [tables]
     are created on both sides and routed.  [wrap] (default identity)

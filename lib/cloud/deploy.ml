@@ -3,6 +3,7 @@ module Lsn = Untx_util.Lsn
 module Metrics = Untx_obs.Metrics
 module Trace = Untx_obs.Trace
 module Transport = Untx_kernel.Transport
+module Kernel = Untx_kernel.Kernel
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Repl = Untx_repl.Repl
@@ -137,37 +138,23 @@ let link t ~tc_name ~dc_name =
   if not (Hashtbl.mem t.transports (tc_name, dc_name)) then begin
     let dc = Hashtbl.find t.dcs dc_name in
     let tc = Hashtbl.find t.tcs tc_name in
-    (* Each (TC, DC) pair gets its own two-channel byte plane; control
-       traffic rides the same adversary as data.  Handlers are wrapped
-       so an injected fault escaping the DC is attributed to it — a
+    (* Each (TC, DC) pair gets its own byte plane; control traffic
+       rides the same adversary as data.  Handlers are wrapped so an
+       injected fault escaping the DC is attributed to it — a
        deployment must crash the component that actually died, not
-       whichever DC a plan happened to name.  The link declares its
-       owning TC to the DC: a frame stamped with another TC's id is a
-       wiring bug and is rejected there instead of applied under the
-       wrong idempotence state. *)
+       whichever DC a plan happened to name. *)
     let attribute f frame =
       try f frame
       with e ->
         t.last_faulted <- Some dc_name;
         raise e
     in
-    let expect = Tc.id tc in
     let transport =
-      Transport.create ~counters:t.counters ~policy:t.policy
-        ~label:(tc_name ^ ":" ^ dc_name) ~seed:(fresh_seed t)
-        ~data:(attribute (Dc.handle_request_frame ~expect dc))
-        ~control:(attribute (Dc.handle_control_frame ~expect dc))
-        ()
+      Kernel.link ~counters:t.counters ~policy:t.policy
+        ~label:(tc_name ^ ":" ^ dc_name) ~wrap:attribute ~seed:(fresh_seed t)
+        tc ~dc_name dc
     in
-    Hashtbl.add t.transports (tc_name, dc_name) transport;
-    Tc.attach_dc tc
-      {
-        Tc.dc_name;
-        part = Dc.part dc;
-        send = Transport.send transport;
-        send_control = Transport.send_control transport;
-        drain = (fun () -> Transport.drain transport);
-      }
+    Hashtbl.add t.transports (tc_name, dc_name) transport
   end
 
 exception Out_of_range of { wanted : Lsn.t; durable : Lsn.t }

@@ -31,25 +31,37 @@ type t = {
 
 let dc_name = "dc1"
 
-let create ?(counters = Instrument.global) config =
-  let dc = Dc.create ~counters config.dc in
-  (* One serialized message plane: both channels carry encoded frames
-     under the same adversarial policy, and the DC sees only bytes. *)
+(* The one TC<->DC link constructor: a transport whose endpoints are the
+   DC's frame handlers, declared to the DC as owned by [tc] (a frame
+   stamped with another TC's id is a wiring bug, refused there rather
+   than applied under the wrong idempotence state), and attached to the
+   TC under [dc_name].  [wrap] wraps both handlers, e.g. to attribute an
+   injected fault to the DC it escaped from. *)
+let link ?counters ?policy ?label ?(wrap = fun f frame -> f frame) ~seed tc
+    ~dc_name dc =
+  let expect = Tc.id tc in
   let transport =
-    Transport.create ~counters ~policy:config.policy ~seed:config.seed
-      ~data:(Dc.handle_request_frame dc)
-      ~control:(Dc.handle_control_frame dc)
+    Transport.create ?counters ?policy ?label ~seed
+      ~data:(wrap (Dc.handle_request_frame ~expect dc))
+      ~control:(wrap (Dc.handle_control_frame ~expect dc))
       ()
   in
-  let tc = Tc.create ~counters config.tc in
   Tc.attach_dc tc
     {
       Tc.dc_name;
-      part = 0;
+      part = Dc.part dc;
       send = Transport.send transport;
       send_control = Transport.send_control transport;
       drain = (fun () -> Transport.drain transport);
     };
+  transport
+
+let create ?(counters = Instrument.global) config =
+  let dc = Dc.create ~counters config.dc in
+  let tc = Tc.create ~counters config.tc in
+  let transport =
+    link ~counters ~policy:config.policy ~seed:config.seed tc ~dc_name dc
+  in
   {
     k_tc = tc;
     k_dc = dc;
@@ -100,10 +112,10 @@ let abort t txn ~reason = Tc.abort t.k_tc txn ~reason
 
 let checkpoint t = Tc.checkpoint t.k_tc
 
-(* Quiescing goes through the TC's await/resend loop, not
-   [Transport.flush]: outstanding requests complete because the contracts
-   (unique ids, resend with backoff, idempotence) work, not because the
-   harness cheats the network. *)
+(* Quiescing goes through the TC's await/resend loop: outstanding
+   requests complete because the contracts (unique ids, resend with
+   backoff, idempotence) work, not because the harness cheats the
+   network. *)
 let quiesce t = Tc.quiesce t.k_tc
 
 let crash_dc t =

@@ -20,6 +20,24 @@ val default_config : config
 
 type t
 
+val link :
+  ?counters:Untx_util.Instrument.t ->
+  ?policy:Transport.policy ->
+  ?label:string ->
+  ?wrap:((string -> string option) -> string -> string option) ->
+  seed:int ->
+  Untx_tc.Tc.t ->
+  dc_name:string ->
+  Untx_dc.Dc.t ->
+  Transport.t
+(** Join a TC to a DC: build a {!Transport} whose data and control
+    endpoints are the DC's frame handlers, declared as owned by the TC
+    (a frame stamped with another TC's id is refused), and attach it to
+    the TC as [dc_name] on the DC's partition.  [wrap] (default
+    identity) wraps both handlers; [counters], [policy] and [label] go
+    to {!Transport.create}.  Every TC<->DC link — this kernel's, a
+    deployment's, a branch's — is built here. *)
+
 val create : ?counters:Untx_util.Instrument.t -> config -> t
 
 val tc : t -> Untx_tc.Tc.t

@@ -25,153 +25,121 @@ let chaotic =
    other lost message. *)
 let p_frame_corrupt = Fault.declare "transport.frame.corrupt"
 
-type channel = Data | Control | Repl
-
 type item = { due : int; seq : int; frame : string }
 
-(* The counters every frame bumps, resolved once at creation.  A link
+(* One channel of the plane: its DC-side endpoint, the frames in flight
+   each way (newest first) and its byte and delivery accounting.  The
+   counters every frame bumps are resolved once at creation; a link
    without a label mirrors into private cells nobody reads. *)
-type cells = {
-  c_data_bytes : int ref;
-  c_control_bytes : int ref;
-  c_repl_bytes : int ref;
+type lane = {
+  ch : string; (* span attribute *)
+  handler : string -> string option;
+  mutable to_dc : item list;
+  mutable to_tc : item list;
+  mutable bytes : int;
+  mutable delivered : int;
+  c_bytes : int ref;
   c_delivered : int ref;
-  c_control_delivered : int ref;
-  c_repl_delivered : int ref;
-  c_batches : int ref;
-  c_batched_frames : int ref;
-  l_data_bytes : int ref;
-  l_control_bytes : int ref;
-  l_repl_bytes : int ref;
+  l_bytes : int ref;
   l_delivered : int ref;
 }
 
-let cells_for counters label =
+let lane counters label ~ch ~bytes ~delivered ~per_link_delivered handler =
   let cell name = Metrics.counter_cell counters ("transport." ^ name) in
-  let labeled suffix =
-    match label with
-    | None -> ref 0
-    | Some l -> cell (l ^ "." ^ suffix)
+  let labeled name =
+    match label with None -> ref 0 | Some l -> cell (l ^ "." ^ name)
   in
   {
-    c_data_bytes = cell "data_bytes";
-    c_control_bytes = cell "control_bytes";
-    c_repl_bytes = cell "repl_bytes";
-    c_delivered = cell "delivered";
-    c_control_delivered = cell "control_delivered";
-    c_repl_delivered = cell "repl_delivered";
-    c_batches = cell "batches";
-    c_batched_frames = cell "batched_frames";
-    l_data_bytes = labeled "data_bytes";
-    l_control_bytes = labeled "control_bytes";
-    l_repl_bytes = labeled "repl_bytes";
-    l_delivered = labeled "delivered";
+    ch;
+    handler;
+    to_dc = [];
+    to_tc = [];
+    bytes = 0;
+    delivered = 0;
+    c_bytes = cell bytes;
+    c_delivered = cell delivered;
+    l_bytes = labeled bytes;
+    l_delivered = (if per_link_delivered then labeled delivered else ref 0);
   }
 
 let add cell n = cell := !cell + n
 
 type t = {
-  mutable policy : policy; (* every channel's adversary *)
+  policy : policy; (* every lane's adversary *)
   rng : Rng.t;
-  data_handler : string -> string option;
-  control_handler : string -> string option;
-  repl_handler : string -> string option;
+  data : lane; (* operation requests and replies *)
+  control : lane; (* watermarks, checkpoints, restart protocol *)
+  repl : lane; (* TC -> standby replication frames and acks *)
   counters : Instrument.t;
-  cells : cells;
+  c_batches : int ref;
+  c_batched_frames : int ref;
   label : string option;
       (* per-link counter prefix: a deployment names each (TC, DC) link
          so byte/delivery accounting can be read out per partition *)
   mutable now : int;
   mutable seq : int;
-  mutable dc_data : item list; (* TC -> DC request frames *)
-  mutable dc_ctl : item list; (* TC -> DC control frames *)
-  mutable dc_repl : item list; (* TC -> standby replication frames *)
-  mutable tc_data : item list; (* DC -> TC reply frames *)
-  mutable tc_ctl : item list; (* DC -> TC control-reply frames *)
-  mutable tc_repl : item list; (* standby -> TC replication acks *)
-  mutable delivered : int;
   mutable dropped : int;
   mutable duplicated : int;
-  mutable force_delivered : int;
   mutable corrupt_dropped : int;
-  mutable data_bytes : int;
-  mutable control_bytes : int;
-  mutable repl_bytes : int;
 }
 
 let create ?(counters = Instrument.global) ?(policy = reliable) ?label
     ?(repl = fun _ -> None) ~seed ~data ~control () =
+  let lane = lane counters label in
   {
     policy;
     rng = Rng.create ~seed;
-    data_handler = data;
-    control_handler = control;
-    repl_handler = repl;
+    data =
+      lane ~ch:"data" ~bytes:"data_bytes" ~delivered:"delivered"
+        ~per_link_delivered:true data;
+    control =
+      lane ~ch:"ctl" ~bytes:"control_bytes" ~delivered:"control_delivered"
+        ~per_link_delivered:false control;
+    repl =
+      lane ~ch:"repl" ~bytes:"repl_bytes" ~delivered:"repl_delivered"
+        ~per_link_delivered:false repl;
     counters;
-    cells = cells_for counters label;
+    c_batches = Metrics.counter_cell counters "transport.batches";
+    c_batched_frames = Metrics.counter_cell counters "transport.batched_frames";
     label;
     now = 0;
     seq = 0;
-    dc_data = [];
-    dc_ctl = [];
-    dc_repl = [];
-    tc_data = [];
-    tc_ctl = [];
-    tc_repl = [];
-    delivered = 0;
     dropped = 0;
     duplicated = 0;
-    force_delivered = 0;
     corrupt_dropped = 0;
-    data_bytes = 0;
-    control_bytes = 0;
-    repl_bytes = 0;
   }
 
 (* Span attributes identifying where on the plane an event happened:
-   channel, direction, and (in a deployment) the link's label. *)
-let trace_attrs t ch dir =
+   lane, direction, and (in a deployment) the link's label. *)
+let trace_attrs t l dir =
   let base =
-    [
-      ("ch", (match ch with Data -> "data" | Control -> "ctl" | Repl -> "repl"));
-      ("dir", (match dir with `Req -> "req" | `Rep -> "rep"));
-    ]
+    [ ("ch", l.ch); ("dir", (match dir with `Req -> "req" | `Rep -> "rep")) ]
   in
-  match t.label with None -> base | Some l -> ("link", l) :: base
+  match t.label with None -> base | Some link -> ("link", link) :: base
 
 (* Every frame traced here is either the sender's own or one the
    receiving edge has verified, so the id is read without a checksum
    pass. *)
-let trace_event t ch dir ev frame =
+let trace_event t l dir ev frame =
   if Trace.enabled () then
     let tid = Wire.Verified.tid frame in
-    if tid <> 0 then Trace.record ~tid ~comp:"transport" ~ev (trace_attrs t ch dir)
+    if tid <> 0 then Trace.record ~tid ~comp:"transport" ~ev (trace_attrs t l dir)
 
-let schedule t ch dir queue frame =
+let schedule t l dir frame =
   let p = t.policy in
   (* The sender pays for every frame handed to the plane, in measured
      encoded bytes — including ones the adversary then loses. *)
   let len = String.length frame in
-  (match ch with
-  | Data ->
-    t.data_bytes <- t.data_bytes + len;
-    add t.cells.c_data_bytes len;
-    add t.cells.l_data_bytes len
-  | Control ->
-    t.control_bytes <- t.control_bytes + len;
-    add t.cells.c_control_bytes len;
-    add t.cells.l_control_bytes len
-  | Repl ->
-    t.repl_bytes <- t.repl_bytes + len;
-    add t.cells.c_repl_bytes len;
-    add t.cells.l_repl_bytes len);
+  l.bytes <- l.bytes + len;
+  add l.c_bytes len;
+  add l.l_bytes len;
   if Metrics.timed t.counters then
     Metrics.observe t.counters "transport.frame_bytes" len;
   let copies =
     if Rng.chance t.rng p.drop_prob then begin
       t.dropped <- t.dropped + 1;
       Instrument.bump t.counters "transport.dropped";
-      trace_event t ch dir "drop" frame;
+      trace_event t l dir "drop" frame;
       0
     end
     else if Rng.chance t.rng p.dup_prob then begin
@@ -181,23 +149,25 @@ let schedule t ch dir queue frame =
     end
     else 1
   in
-  if copies > 0 then trace_event t ch dir "xmit" frame;
-  let rec add queue n =
+  if copies > 0 then trace_event t l dir "xmit" frame;
+  let rec push queue n =
     if n = 0 then queue
     else begin
       let span = p.delay_max - p.delay_min in
       let delay = p.delay_min + if span > 0 then Rng.int t.rng (span + 1) else 0 in
       t.seq <- t.seq + 1;
-      add ({ due = t.now + delay; seq = t.seq; frame } :: queue) (n - 1)
+      push ({ due = t.now + delay; seq = t.seq; frame } :: queue) (n - 1)
     end
   in
-  add queue copies
+  match dir with
+  | `Req -> l.to_dc <- push l.to_dc copies
+  | `Rep -> l.to_tc <- push l.to_tc copies
 
-let send t frame = t.dc_data <- schedule t Data `Req t.dc_data frame
+let send t frame = schedule t t.data `Req frame
 
-let send_control t frame = t.dc_ctl <- schedule t Control `Req t.dc_ctl frame
+let send_control t frame = schedule t t.control `Req frame
 
-let send_repl t frame = t.dc_repl <- schedule t Repl `Req t.dc_repl frame
+let send_repl t frame = schedule t t.repl `Req frame
 
 (* Split a queue into due and not-yet-due; due messages come back in
    delivery order (FIFO by seq, or shuffled when reordering). *)
@@ -227,9 +197,20 @@ let take_due t queue =
     then (List.rev queue, [])
     else split_due t queue
 
-(* The receiving edge of either channel: maybe corrupt (fault point),
-   then verify the checksum.  A frame that fails verification is
-   dropped; only frames that pass are handed to the endpoint. *)
+let take t l dir =
+  match dir with
+  | `Req ->
+    let due, rest = take_due t l.to_dc in
+    l.to_dc <- rest;
+    due
+  | `Rep ->
+    let due, rest = take_due t l.to_tc in
+    l.to_tc <- rest;
+    due
+
+(* The receiving edge of every lane: maybe corrupt (fault point), then
+   verify the checksum.  A frame that fails verification is dropped;
+   only frames that pass are handed on. *)
 let receive t frame =
   let frame =
     match Fault.hit p_frame_corrupt with
@@ -255,153 +236,96 @@ let receive t frame =
    actually allows. *)
 let count_batch t n =
   if n > 0 then begin
-    incr t.cells.c_batches;
-    add t.cells.c_batched_frames n
+    incr t.c_batches;
+    add t.c_batched_frames n
   end
 
-let deliver_requests t =
-  let due_d, rest_d = take_due t t.dc_data in
-  t.dc_data <- rest_d;
-  let due_c, rest_c = take_due t t.dc_ctl in
-  t.dc_ctl <- rest_c;
-  count_batch t (List.length due_d + List.length due_c);
+(* Hand due request frames to the lane's endpoint and queue its replies
+   back toward the TC. *)
+let deliver t l due =
   List.iter
     (fun item ->
       match receive t item.frame with
       | None -> ()
       | Some frame -> (
-        t.delivered <- t.delivered + 1;
-        incr t.cells.c_delivered;
-        incr t.cells.l_delivered;
-        trace_event t Data `Req "recv" frame;
-        match t.data_handler frame with
+        l.delivered <- l.delivered + 1;
+        incr l.c_delivered;
+        incr l.l_delivered;
+        trace_event t l `Req "recv" frame;
+        match l.handler frame with
         | None -> ()
-        | Some reply -> t.tc_data <- schedule t Data `Rep t.tc_data reply))
-    due_d;
-  List.iter
-    (fun item ->
-      match receive t item.frame with
-      | None -> ()
-      | Some frame -> (
-        incr t.cells.c_control_delivered;
-        trace_event t Control `Req "recv" frame;
-        match t.control_handler frame with
-        | None -> ()
-        | Some reply -> t.tc_ctl <- schedule t Control `Rep t.tc_ctl reply))
-    due_c;
-  let due_r, rest_r = take_due t t.dc_repl in
-  t.dc_repl <- rest_r;
-  count_batch t (List.length due_r);
-  List.iter
-    (fun item ->
-      match receive t item.frame with
-      | None -> ()
-      | Some frame -> (
-        incr t.cells.c_repl_delivered;
-        trace_event t Repl `Req "recv" frame;
-        match t.repl_handler frame with
-        | None -> ()
-        | Some reply -> t.tc_repl <- schedule t Repl `Rep t.tc_repl reply))
-    due_r
+        | Some reply -> schedule t l `Rep reply))
+    due
 
-let take_replies t =
-  let due_d, rest_d = take_due t t.tc_data in
-  t.tc_data <- rest_d;
-  let due_c, rest_c = take_due t t.tc_ctl in
-  t.tc_ctl <- rest_c;
-  count_batch t (List.length due_d + List.length due_c);
-  let keep ch items =
-    List.filter_map
-      (fun item ->
-        match receive t item.frame with
-        | None -> None
-        | Some frame ->
-          trace_event t ch `Rep "recv" frame;
-          Some frame)
-      items
-  in
-  (keep Data due_d, keep Control due_c)
-
-let take_repl_replies t =
-  let due_r, rest_r = take_due t t.tc_repl in
-  t.tc_repl <- rest_r;
-  count_batch t (List.length due_r);
+(* Due reply frames that pass the receiving edge, in delivery order. *)
+let surface t l due =
   List.filter_map
     (fun item ->
       match receive t item.frame with
       | None -> None
       | Some frame ->
-        trace_event t Repl `Rep "recv" frame;
+        trace_event t l `Rep "recv" frame;
         Some frame)
-    due_r
+    due
+
+(* Data and control requests due this tick form one batch and are both
+   taken before either is delivered; replication frames follow as a
+   batch of their own.  The order fixes the sequence of adversary
+   draws, hence every seeded run's schedule. *)
+let deliver_requests t =
+  let due_d = take t t.data `Req in
+  let due_c = take t t.control `Req in
+  count_batch t (List.length due_d + List.length due_c);
+  deliver t t.data due_d;
+  deliver t t.control due_c;
+  let due_r = take t t.repl `Req in
+  count_batch t (List.length due_r);
+  deliver t t.repl due_r
 
 let drain t =
   t.now <- t.now + 1;
   deliver_requests t;
-  take_replies t
+  let due_d = take t t.data `Rep in
+  let due_c = take t t.control `Rep in
+  count_batch t (List.length due_d + List.length due_c);
+  (* One pair expression: OCaml evaluates it right to left, so control
+     replies meet the corruption draw first, as seeded runs expect. *)
+  (surface t t.data due_d, surface t t.control due_c)
 
-(* The replication channel drains on its own clock: a repl-only link
-   (TC -> standby) never carries data or control frames, so the shared
-   [drain] keeps its two-channel signature. *)
+(* The replication lane drains on its own clock: a repl-only link
+   (TC -> standby) never carries data or control frames, so [drain]
+   keeps its (replies, control replies) signature. *)
 let drain_repl t =
   t.now <- t.now + 1;
   deliver_requests t;
-  take_repl_replies t
+  let due = take t t.repl `Rep in
+  count_batch t (List.length due);
+  surface t t.repl due
 
-let flush t =
-  let saved = t.policy in
-  t.policy <- reliable;
-  let out_d = ref [] and out_c = ref [] (* newest first; reversed on return *) in
-  let n = ref 0 in
-  while
-    t.dc_data <> [] || t.dc_ctl <> [] || t.dc_repl <> [] || t.tc_data <> []
-    || t.tc_ctl <> [] || t.tc_repl <> []
-  do
-    t.now <- t.now + 1000;
-    deliver_requests t;
-    let replies, ctl_replies = take_replies t in
-    let repl_replies = take_repl_replies t in
-    List.iter
-      (fun f ->
-        incr n;
-        out_d := f :: !out_d)
-      replies;
-    List.iter
-      (fun f ->
-        incr n;
-        out_c := f :: !out_c)
-      ctl_replies;
-    List.iter (fun _ -> incr n) repl_replies
-  done;
-  t.policy <- saved;
-  t.force_delivered <- t.force_delivered + !n;
-  Instrument.bump_by t.counters "transport.flush_delivered" !n;
-  (List.rev !out_d, List.rev !out_c)
+let lanes t = [ t.data; t.control; t.repl ]
 
 let drop_in_flight t =
-  t.dc_data <- [];
-  t.dc_ctl <- [];
-  t.dc_repl <- [];
-  t.tc_data <- [];
-  t.tc_ctl <- [];
-  t.tc_repl <- []
+  List.iter
+    (fun l ->
+      l.to_dc <- [];
+      l.to_tc <- [])
+    (lanes t)
 
 let in_flight t =
-  List.length t.dc_data + List.length t.dc_ctl + List.length t.dc_repl
-  + List.length t.tc_data + List.length t.tc_ctl + List.length t.tc_repl
+  List.fold_left
+    (fun n l -> n + List.length l.to_dc + List.length l.to_tc)
+    0 (lanes t)
 
-let requests_delivered t = t.delivered
+let requests_delivered t = t.data.delivered
 
 let dropped t = t.dropped
 
 let duplicated t = t.duplicated
 
-let force_delivered t = t.force_delivered
-
 let corrupt_dropped t = t.corrupt_dropped
 
-let data_bytes_sent t = t.data_bytes
+let data_bytes_sent t = t.data.bytes
 
-let control_bytes_sent t = t.control_bytes
+let control_bytes_sent t = t.control.bytes
 
-let bytes_sent t = t.data_bytes + t.control_bytes + t.repl_bytes
+let bytes_sent t = t.data.bytes + t.control.bytes + t.repl.bytes

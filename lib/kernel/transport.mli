@@ -7,11 +7,12 @@
     injectable and deterministic.
 
     The plane carries encoded {!Untx_msg.Wire} frames — real bytes, not
-    shared heap values — on two logical channels: {e data} (operation
-    requests and replies) and {e control} (watermarks, checkpoints,
-    restart protocol).  Each channel has its own adversarial policy;
-    every frame is charged to per-channel byte counters at send time, so
-    experiments report measured encoded bytes, not estimates.
+    shared heap values — on three lanes: {e data} (operation requests
+    and replies), {e control} (watermarks, checkpoints, restart
+    protocol) and {e repl} (replication frames to a standby and its
+    acks).  One adversarial policy governs every lane; every frame is
+    charged to its lane's byte counters at send time, so experiments
+    report measured encoded bytes, not estimates.
 
     Time is logical: each {!drain} call advances one tick, delivers due
     frames to the DC-side handlers (collecting their reply frames into
@@ -56,35 +57,38 @@ val create :
   control:(string -> string option) ->
   unit ->
   t
-(** [data] and [control] are the DC-side endpoints: each takes a
-    received frame and returns an optional reply frame.  [policy]
-    (default {!reliable}) is the adversary every channel — data,
-    control and replication — faces.  Delivery, drop, duplication,
-    batching, byte and corruption events are mirrored into [counters]
-    (["transport.delivered"], ["transport.control_delivered"],
+(** [data] and [control] are the DC-side endpoints, and [repl] (default:
+    answers nothing) the standby-side one: each takes a received frame
+    and returns an optional reply frame.  [policy] (default {!reliable})
+    is the adversary every lane — data, control and replication — faces.
+    Delivery, drop, duplication, batching, byte and corruption events
+    are mirrored into [counters] (["transport.delivered"],
+    ["transport.control_delivered"], ["transport.repl_delivered"],
     ["transport.dropped"], ["transport.duplicated"],
     ["transport.batches"], ["transport.batched_frames"],
     ["transport.data_bytes"], ["transport.control_bytes"],
-    ["transport.frames_corrupted"], ["transport.corrupt_dropped"],
-    ["transport.flush_delivered"]) so experiments report them uniformly
-    with everything else.  [label] names the link: when set, byte and
+    ["transport.repl_bytes"], ["transport.frames_corrupted"],
+    ["transport.corrupt_dropped"]) so experiments report them uniformly
+    with everything else.  The delivery, batch and byte cells exist from
+    [create] on, at 0.  [label] names the link: when set, byte and
     delivery accounting is additionally mirrored into
-    ["transport.<label>.data_bytes"], ["transport.<label>.control_bytes"]
-    and ["transport.<label>.delivered"], so a multi-DC deployment can
-    read traffic per partition. *)
+    ["transport.<label>.data_bytes"], ["transport.<label>.control_bytes"],
+    ["transport.<label>.repl_bytes"] and ["transport.<label>.delivered"]
+    (data requests), so a multi-DC deployment can read traffic per
+    partition. *)
 
 val send : t -> string -> unit
-(** Enqueue an encoded request frame on the data channel. *)
+(** Enqueue an encoded request frame on the data lane. *)
 
 val send_control : t -> string -> unit
-(** Enqueue an encoded control frame on the control channel. *)
+(** Enqueue an encoded control frame on the control lane. *)
 
 val send_repl : t -> string -> unit
-(** Enqueue an encoded replication frame on the repl channel.  The
+(** Enqueue an encoded replication frame on the repl lane.  The
     receiving endpoint is the [repl] handler given to {!create}
     (a standby's frame entry point); its replies surface through
-    {!drain_repl}.  Repl frames face the control channel's adversary
-    and are charged to ["transport.repl_bytes"] /
+    {!drain_repl}.  Repl frames face the same adversary as every other
+    lane and are charged to ["transport.repl_bytes"] /
     ["transport.<label>.repl_bytes"]. *)
 
 val drain : t -> string list * string list
@@ -92,40 +96,32 @@ val drain : t -> string list * string list
     frames). *)
 
 val drain_repl : t -> string list
-(** Advance one tick, deliver due frames (all channels) and surface due
+(** Advance one tick, deliver due frames (all lanes) and surface due
     replication acks.  Replication links carry only repl traffic, so
-    {!drain}'s two-channel signature is untouched. *)
-
-val flush : t -> string list * string list
-(** Deliver everything in flight (reliably).  A test-only escape hatch:
-    the kernel quiesces through the TC's resend path instead, which
-    exercises the paper's contracts. *)
+    {!drain} keeps its (replies, control replies) signature. *)
 
 val drop_in_flight : t -> unit
-(** Lose every frame currently in transit, both channels (component
+(** Lose every frame currently in transit, on every lane (component
     crash). *)
 
 val in_flight : t -> int
 
 val requests_delivered : t -> int
-(** Data-channel request frames delivered to the DC endpoint. *)
+(** Data-lane request frames delivered to the DC endpoint. *)
 
 val dropped : t -> int
 
 val duplicated : t -> int
 
-val force_delivered : t -> int
-(** Total frames surfaced by {!flush} calls. *)
-
 val corrupt_dropped : t -> int
 (** Frames rejected by the receiving edge's checksum check. *)
 
 val data_bytes_sent : t -> int
-(** Measured encoded bytes handed to the data channel (both
+(** Measured encoded bytes handed to the data lane (both
     directions). *)
 
 val control_bytes_sent : t -> int
 
 val bytes_sent : t -> int
 (** [data_bytes_sent + control_bytes_sent] plus the encoded bytes
-    handed to the replication channel (both directions). *)
+    handed to the replication lane (both directions). *)

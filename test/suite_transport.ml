@@ -1,5 +1,5 @@
 (* The serialized message plane: determinism, delivery semantics for
-   both channels, byte accounting, batching, flush, crash-time drops,
+   every lane, byte accounting, batching, crash-time drops,
    checksum-gated corruption — plus a property-level exactly-once check
    over random policies at the kernel level. *)
 
@@ -43,17 +43,19 @@ let echo_control frame =
        { Wire.r_tc = Wire.control_tc m.Wire.c_ctl; r_epoch = m.Wire.c_epoch;
          r_seq = m.Wire.c_seq; r_reply = Wire.Ack })
 
-let make ?counters ?policy ~seed () =
-  Transport.create ?counters ?policy ~seed ~data:echo_data
+let make ?counters ?policy ?label ?repl ~seed () =
+  Transport.create ?counters ?policy ?label ?repl ~seed ~data:echo_data
     ~control:echo_control ()
 
-let drain_ids t =
+let reply_ids frames =
   List.map
     (fun frame ->
       match Wire.decode_reply frame with
       | Wire.Reply r -> Lsn.to_int r.Wire.lsn
-      | Wire.Redo_batch_reply _ -> invalid_arg "drain_ids: a batch reply")
-    (fst (Transport.drain t))
+      | Wire.Redo_batch_reply _ -> invalid_arg "reply_ids: a batch reply")
+    frames
+
+let drain_ids t = reply_ids (fst (Transport.drain t))
 
 let test_reliable_fifo () =
   let t = make ~seed:1 () in
@@ -96,53 +98,119 @@ let test_control_channel () =
   in
   Alcotest.(check (list int)) "acks in order, with seqs" [ 1; 2 ] seqs
 
-(* The one policy delays both channels alike; [flush] delivers through
-   it and leaves it in place for later sends. *)
+(* The one policy delays both channels alike: nothing surfaces until the
+   request's delay and then its reply's have passed, and then both
+   channels' replies do. *)
 let test_one_policy_for_every_channel () =
   let blocked =
     { Transport.delay_min = 50; delay_max = 50; reorder = false; dup_prob = 0.;
       drop_prob = 0. }
   in
   let t = make ~seed:5 ~policy:blocked () in
-  let send_both () =
-    Transport.send t (req 1);
-    Transport.send_control t
-      (Wire.encode_control
-         { Wire.c_epoch = 1; c_seq = 1;
-           c_ctl = Wire.Restart_end { tc = Tc_id.of_int 1 } })
+  Transport.send t (req 1);
+  Transport.send_control t
+    (Wire.encode_control
+       { Wire.c_epoch = 1; c_seq = 1;
+         c_ctl = Wire.Restart_end { tc = Tc_id.of_int 1 } });
+  let drain_ticks n =
+    let got = ref (0, 0) in
+    for _ = 1 to n do
+      let replies, ctl_replies = Transport.drain t in
+      got :=
+        (fst !got + List.length replies, snd !got + List.length ctl_replies)
+    done;
+    !got
   in
-  send_both ();
-  let replies, ctl_replies = Transport.drain t in
-  Alcotest.(check (pair int int)) "both channels held" (0, 0)
-    (List.length replies, List.length ctl_replies);
+  Alcotest.(check (pair int int)) "both channels held" (0, 0) (drain_ticks 1);
   Alcotest.(check int) "two frames pending" 2 (Transport.in_flight t);
-  let replies, ctl_replies = Transport.flush t in
-  Alcotest.(check (pair int int)) "flush delivers both" (1, 1)
-    (List.length replies, List.length ctl_replies);
-  send_both ();
-  let replies, ctl_replies = Transport.drain t in
-  Alcotest.(check (pair int int)) "policy back after flush" (0, 0)
-    (List.length replies, List.length ctl_replies)
+  Alcotest.(check (pair int int)) "held past the request delay" (0, 0)
+    (drain_ticks 98);
+  Alcotest.(check int) "two replies pending" 2 (Transport.in_flight t);
+  Alcotest.(check (pair int int)) "both surface after both delays" (1, 1)
+    (drain_ticks 1);
+  Alcotest.(check int) "nothing left" 0 (Transport.in_flight t)
+
+(* Every counter cell a transport registers at [create], on a labeled
+   link: a lane that drops or renames one fails here. *)
+let registered_cells =
+  [ "transport.batched_frames"; "transport.batches";
+    "transport.control_bytes"; "transport.control_delivered";
+    "transport.data_bytes"; "transport.delivered"; "transport.l.control_bytes";
+    "transport.l.data_bytes"; "transport.l.delivered"; "transport.l.repl_bytes";
+    "transport.repl_bytes"; "transport.repl_delivered" ]
 
 let test_byte_accounting () =
   let counters = Instrument.create () in
-  let t = make ~counters ~seed:2 () in
+  let t = make ~counters ~label:"l" ~seed:2 () in
+  Alcotest.(check (list (pair string int))) "cells registered at create, at 0"
+    (List.map (fun name -> (name, 0)) registered_cells)
+    (Instrument.snapshot counters);
   let frame = req 7 in
   Transport.send t frame;
   let replies, _ = Transport.drain t in
   let reply_frame = List.hd replies in
   (* The sender pays measured encoded bytes for both directions. *)
-  Alcotest.(check int) "data bytes = request + reply"
-    (String.length frame + String.length reply_frame)
+  let bytes = String.length frame + String.length reply_frame in
+  Alcotest.(check int) "data bytes = request + reply" bytes
     (Transport.data_bytes_sent t);
-  Alcotest.(check int) "mirrored into counters"
-    (Transport.data_bytes_sent t)
-    (Instrument.get counters "transport.data_bytes");
+  Alcotest.(check (list (pair string int))) "mirrored into counters"
+    [ ("transport.batched_frames", 2); ("transport.batches", 2);
+      ("transport.control_bytes", 0); ("transport.control_delivered", 0);
+      ("transport.data_bytes", bytes); ("transport.delivered", 1);
+      ("transport.l.control_bytes", 0); ("transport.l.data_bytes", bytes);
+      ("transport.l.delivered", 1); ("transport.l.repl_bytes", 0);
+      ("transport.repl_bytes", 0); ("transport.repl_delivered", 0) ]
+    (List.map
+       (fun name -> (name, Instrument.get counters name))
+       registered_cells);
   Alcotest.(check int) "control channel unused" 0
     (Transport.control_bytes_sent t);
   Alcotest.(check int) "total is the sum"
     (Transport.data_bytes_sent t)
     (Transport.bytes_sent t)
+
+(* The replication lane on a labeled link: its frames reach only the
+   [repl] endpoint, [drain_repl] surfaces their replies while [drain]
+   surfaces none, and only the repl counters move. *)
+let test_repl_lane () =
+  let counters = Instrument.create () in
+  let reached = ref [] in
+  let endpoint name f frame =
+    reached := name :: !reached;
+    f frame
+  in
+  let t =
+    Transport.create ~counters ~label:"tc:sb" ~seed:4
+      ~data:(endpoint "data" echo_data)
+      ~control:(endpoint "control" echo_control)
+      ~repl:(endpoint "repl" echo_data) ()
+  in
+  let frames = [ req 1; req 2 ] in
+  List.iter (Transport.send_repl t) frames;
+  let replies, ctl_replies = Transport.drain t in
+  Alcotest.(check (pair int int)) "drain surfaces no repl reply" (0, 0)
+    (List.length replies, List.length ctl_replies);
+  Alcotest.(check (list string)) "only the repl endpoint reached"
+    [ "repl"; "repl" ] !reached;
+  let acks = Transport.drain_repl t in
+  Alcotest.(check (list int)) "drain_repl surfaces the acks" [ 1; 2 ]
+    (reply_ids acks);
+  let bytes =
+    List.fold_left (fun n f -> n + String.length f) 0 (frames @ acks)
+  in
+  Alcotest.(check (list int)) "repl counters count them"
+    [ bytes; 2; bytes; bytes ]
+    [ Instrument.get counters "transport.repl_bytes";
+      Instrument.get counters "transport.repl_delivered";
+      Instrument.get counters "transport.tc:sb.repl_bytes";
+      Transport.bytes_sent t ];
+  Alcotest.(check (list int)) "data and control counters stay 0"
+    [ 0; 0; 0; 0; 0; 0; 0; 0 ]
+    (Transport.data_bytes_sent t :: Transport.control_bytes_sent t
+    :: List.map (Instrument.get counters)
+         [ "transport.data_bytes"; "transport.control_bytes";
+           "transport.delivered"; "transport.control_delivered";
+           "transport.tc:sb.data_bytes"; "transport.tc:sb.delivered" ])
 
 let test_batching_counters () =
   let counters = Instrument.create () in
@@ -215,17 +283,6 @@ let test_determinism () =
   Alcotest.(check (list int)) "same seed, same counters"
     [ del_a; drop_a; dup_a ] [ del_b; drop_b; dup_b ];
   Alcotest.(check bool) "the adversary actually dropped" true (drop_a > 0)
-
-let test_flush_delivers_everything () =
-  let t = make ~policy:Transport.chaotic ~seed:3 () in
-  for i = 1 to 40 do
-    Transport.send t (req i)
-  done;
-  let flushed, _ = Transport.flush t in
-  Alcotest.(check int) "empty after flush" 0 (Transport.in_flight t);
-  Alcotest.(check int) "flush reports what it force-delivered"
-    (Transport.force_delivered t) (List.length flushed);
-  Alcotest.(check bool) "something was in flight" true (flushed <> [])
 
 let test_drop_in_flight () =
   let policy =
@@ -314,13 +371,12 @@ let suite =
     Alcotest.test_case "one policy for every channel" `Quick
       test_one_policy_for_every_channel;
     Alcotest.test_case "byte accounting is measured" `Quick test_byte_accounting;
+    Alcotest.test_case "repl lane round trip" `Quick test_repl_lane;
     Alcotest.test_case "batching counters" `Quick test_batching_counters;
     Alcotest.test_case "corrupt frames are dropped" `Quick
       test_corruption_dropped;
     Alcotest.test_case "drop/dup accounting" `Quick test_drop_and_dup_counted;
     Alcotest.test_case "seeded determinism" `Quick test_determinism;
-    Alcotest.test_case "flush delivers all" `Quick
-      test_flush_delivers_everything;
     Alcotest.test_case "drop in flight" `Quick test_drop_in_flight;
     Alcotest.test_case "drop in flight preserves counters" `Quick
       test_drop_in_flight_preserves_counters;
