@@ -6,7 +6,8 @@
    "more costly in log space... but page deletes are rare".
 
    We drive a split-heavy phase then a delete-heavy phase, report
-   per-SMO log bytes for each kind, and verify that DC recovery (which
+   per-SMO modeled log bytes for each kind ([Smo_record.size]: the
+   DC-log holds values, not encoded records), and verify that DC recovery (which
    replays these records before any TC redo, out of their original
    order relative to TC operations) rebuilds well-formed trees. *)
 
@@ -72,7 +73,7 @@ let run () =
          "E9  System-transaction log volume (%d inserts then %d deletes, \
           384B pages)"
          n (n * 7 / 8))
-    ~header:[ "SMO kind"; "count"; "log bytes"; "bytes/SMO" ]
+    ~header:[ "SMO kind"; "count"; "modeled log bytes"; "bytes/SMO" ]
     [
       [
         "page split (separator + new-page image)"; string_of_int splits;

@@ -73,6 +73,9 @@ type t =
           again, long after the restart itself is forgotten. *)
 
 val size : t -> int
-(** Encoded size in bytes — E9's logical-vs-physical log volume metric. *)
+(** Modeled size in bytes: fixed header allowances plus the record's
+    keys, cell data and abLSN encodings.  The DC-log holds OCaml values
+    and encodes no record, so this is a model of a record's log volume,
+    not bytes written — E9's logical-vs-physical comparison. *)
 
 val pp : Format.formatter -> t -> unit

@@ -42,4 +42,6 @@ val conflicts : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val size : t -> int
-(** Encoded size in bytes, for log-volume accounting. *)
+(** Modeled size in bytes (a 16-byte header allowance plus the
+    operation's strings), for log-volume accounting.  No log encodes
+    operations, so this is a model, not bytes written. *)
