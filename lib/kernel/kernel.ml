@@ -31,12 +31,9 @@ type t = {
 
 let dc_name = "dc1"
 
-(* The one TC<->DC link constructor: a transport whose endpoints are the
-   DC's frame handlers, declared to the DC as owned by [tc] (a frame
-   stamped with another TC's id is a wiring bug, refused there rather
-   than applied under the wrong idempotence state), and attached to the
-   TC under [dc_name].  [wrap] wraps both handlers, e.g. to attribute an
-   injected fault to the DC it escaped from. *)
+(* [expect] declares the link's owner to the DC: a frame stamped with
+   another TC's id is a wiring bug, refused there rather than applied
+   under the wrong idempotence state. *)
 let link ?counters ?policy ?label ?(wrap = fun f frame -> f frame) ~seed tc
     ~dc_name dc =
   let expect = Tc.id tc in
