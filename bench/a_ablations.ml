@@ -5,8 +5,8 @@
        dispatched without awaiting each ack (versioned tables).
    A2  low-water-mark cadence: frequent LWMs shrink {LSNin} sets (small
        page-sync metadata) at the cost of control messages.
-   A3  combined vs separate watermark messages (Section 4.2.1's
-       "simplicity of coding" suggestion).
+   (A3 compared separate and combined watermark messages; there is
+   one watermark message now, so it has nothing left to compare.)
    A4  group commit: batching log forces across commits.
    A5  lock granularity on a plain point-op mix (table locks at one
        extreme; E7 covers the scan-heavy case). *)
@@ -89,26 +89,6 @@ let a2_lwm_cadence () =
     "ablation: rare LWMs leave fat {LSNin} sets that bloat page-sync \
      metadata — the knob behind\nE4's policy trade-off.\n"
 
-let a3_watermark_combining () =
-  let row label combine =
-    let cfg = kernel_config ~lwm_every:8 () in
-    let cfg =
-      { cfg with
-        Kernel.tc = { cfg.Kernel.tc with combine_watermarks = combine } }
-    in
-    let k, r, t = run_kernel cfg in
-    ignore k;
-    [ label; fmt_f (float_of_int r.Driver.committed /. t) ]
-  in
-  print_table
-    ~title:"A3  Separate vs combined watermark control messages"
-    ~header:[ "protocol"; "txns/s" ]
-    [ row "separate EOSL + LWM" false; row "combined Watermarks" true ];
-  Printf.printf
-    "ablation: one message instead of two per watermark push — the \
-     Section 4.2.1 simplification;\nsemantically equivalent (verified by \
-     the test suite).\n"
-
 let a4_group_commit () =
   let row group =
     let k, r, t = run_kernel ~group_commit:group (kernel_config ()) in
@@ -190,7 +170,6 @@ aborts replace 2PL's blocking and deadlock      victims — the classic crossove
 let run () =
   a1_pipelining ();
   a2_lwm_cadence ();
-  a3_watermark_combining ();
   a4_group_commit ();
   a5_lock_granularity ();
   a6_occ_vs_2pl ()

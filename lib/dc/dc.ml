@@ -105,7 +105,7 @@ type t = {
   ctl_sessions : (int, ctl_session) Hashtbl.t; (* keyed by Tc_id.to_int *)
   mutable eosl : Lsn.t Tc_id.Map.t;
   mutable lwm : Lsn.t Tc_id.Map.t;
-  mutable lwm_gen : int; (* bumped by every LWM message and withdrawal *)
+  mutable lwm_gen : int; (* bumped by every rising LWM and withdrawal *)
   mutable lwm_held : Tc_id.Set.t;
       (* TCs whose low-water marks are ignored until their redo begins:
          the other TCs of an escalated TC reset *)
@@ -1178,15 +1178,25 @@ let recover t = Cache.with_operation_latch t.cache (fun () -> recover_unlatched 
 (* ------------------------------------------------------------------ *)
 (* Control interface                                                   *)
 
+(* Marks only grow, so a mark at or below the one held claims nothing
+   and leaves its map alone: the zero lwm of every end-of-stable-log
+   push costs the page states no re-sync.  A TC's first mark enters its
+   map even at zero, as before the two pushes were one message, since
+   the maps' keys feed [complete_restart]'s held set. *)
+let rises marks tc l =
+  match Tc_id.Map.find tc marks with
+  | m -> Lsn.(l > m)
+  | exception Not_found -> true
+
 let apply_eosl t tc eosl =
-  t.eosl <- Tc_id.Map.add tc (Lsn.max eosl (eosl_of t tc)) t.eosl
+  if rises t.eosl tc eosl then t.eosl <- Tc_id.Map.add tc eosl t.eosl
 
 (* O(1): page states catch up with the new generation when next read
    ({!state_of}).  The map only grows here, so a late catch-up folds in
    exactly what applying the mark to every state now would. *)
 let apply_lwm t tc lwm =
-  if not (Tc_id.Set.mem tc t.lwm_held) then begin
-    t.lwm <- Tc_id.Map.add tc (Lsn.max lwm (lwm_of t tc)) t.lwm;
+  if (not (Tc_id.Set.mem tc t.lwm_held)) && rises t.lwm tc lwm then begin
+    t.lwm <- Tc_id.Map.add tc lwm t.lwm;
     t.lwm_gen <- t.lwm_gen + 1
   end
 
@@ -1195,19 +1205,9 @@ let control t (ctl : Wire.control) =
   | Wire.Watermarks { tc; eosl; lwm } ->
     apply_eosl t tc eosl;
     apply_lwm t tc lwm;
-    Wal.force t.dc_log;
-    Cache.enforce_capacity t.cache;
-    Wire.Ack
-  | Wire.End_of_stable_log { tc; eosl } ->
-    apply_eosl t tc eosl;
     (* pages pinned by causality may have become flushable; forcing the
        DC-log first releases pages whose structure modifications were
        still volatile *)
-    Wal.force t.dc_log;
-    Cache.enforce_capacity t.cache;
-    Wire.Ack
-  | Wire.Low_water_mark { tc; lwm } ->
-    apply_lwm t tc lwm;
     Wal.force t.dc_log;
     Cache.enforce_capacity t.cache;
     Wire.Ack
@@ -1241,6 +1241,7 @@ let control t (ctl : Wire.control) =
     enter_fence t;
     Wire.Ack
   | Wire.Redo_fence_end _ ->
+    (* closes a redo's fence, and a restart's *)
     exit_fence t;
     Wire.Ack
   | Wire.Restart_begin { tc; stable_lsn } ->
@@ -1307,9 +1308,6 @@ let control t (ctl : Wire.control) =
         Instrument.bump t.counters "dc.reset_escalations";
         complete_restart ())
     | Complete -> complete_restart ());
-    Wire.Ack
-  | Wire.Restart_end _ ->
-    exit_fence t;
     Wire.Ack
 
 (* ------------------------------------------------------------------ *)

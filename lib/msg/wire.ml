@@ -31,12 +31,9 @@ type reply_msg =
   | Redo_batch_reply of { tc : Tc_id.t; outcomes : (Lsn.t * result) list }
 
 type control =
-  | End_of_stable_log of { tc : Tc_id.t; eosl : Lsn.t }
-  | Low_water_mark of { tc : Tc_id.t; lwm : Lsn.t }
   | Watermarks of { tc : Tc_id.t; eosl : Lsn.t; lwm : Lsn.t }
   | Checkpoint of { tc : Tc_id.t; new_rssp : Lsn.t }
   | Restart_begin of { tc : Tc_id.t; stable_lsn : Lsn.t }
-  | Restart_end of { tc : Tc_id.t }
   | Redo_fence_begin of { tc : Tc_id.t }
   | Redo_fence_end of { tc : Tc_id.t }
 
@@ -82,12 +79,9 @@ type repl_reply_msg = {
 let repl_tc = function Repl_hello { tc } | Repl_ship { tc; _ } -> tc
 
 let control_tc = function
-  | End_of_stable_log { tc; _ }
-  | Low_water_mark { tc; _ }
   | Watermarks { tc; _ }
   | Checkpoint { tc; _ }
   | Restart_begin { tc; _ }
-  | Restart_end { tc }
   | Redo_fence_begin { tc }
   | Redo_fence_end { tc } -> tc
 
@@ -506,27 +500,30 @@ let decode_reply_from ~verify s =
 
 (* ---- control ---- *)
 
-(* A control message is its tag, its tc, then its LSNs. *)
+(* A control message is its tag, its tc, then its LSNs.  Watermarks
+   write only their non-zero marks (a zero mark claims nothing): 'E'
+   eosl when the lwm is zero, 'L' lwm when the eosl is zero, 'W' both
+   otherwise. *)
 let control_length ctl =
   1
   + tc_length (control_tc ctl)
   +
   match ctl with
-  | End_of_stable_log { eosl = l; _ }
-  | Low_water_mark { lwm = l; _ }
-  | Checkpoint { new_rssp = l; _ }
-  | Restart_begin { stable_lsn = l; _ } -> lsn_length l
+  | Watermarks { eosl; lwm; _ } when Lsn.equal lwm Lsn.zero -> lsn_length eosl
+  | Watermarks { eosl; lwm; _ } when Lsn.equal eosl Lsn.zero -> lsn_length lwm
   | Watermarks { eosl; lwm; _ } -> lsn_length eosl + lsn_length lwm
-  | Restart_end _ | Redo_fence_begin _ | Redo_fence_end _ -> 0
+  | Checkpoint { new_rssp = l; _ } | Restart_begin { stable_lsn = l; _ } ->
+    lsn_length l
+  | Redo_fence_begin _ | Redo_fence_end _ -> 0
 
 let write_control_head tag tc b pos =
   write_tc tc b (write_tag tag b pos)
 
 let write_control ctl b pos =
   match ctl with
-  | End_of_stable_log { tc; eosl } ->
+  | Watermarks { tc; eosl; lwm } when Lsn.equal lwm Lsn.zero ->
     write_lsn eosl b (write_control_head 'E' tc b pos)
-  | Low_water_mark { tc; lwm } ->
+  | Watermarks { tc; eosl; lwm } when Lsn.equal eosl Lsn.zero ->
     write_lsn lwm b (write_control_head 'L' tc b pos)
   | Watermarks { tc; eosl; lwm } ->
     write_lsn lwm b (write_lsn eosl b (write_control_head 'W' tc b pos))
@@ -534,7 +531,6 @@ let write_control ctl b pos =
     write_lsn new_rssp b (write_control_head 'C' tc b pos)
   | Restart_begin { tc; stable_lsn } ->
     write_lsn stable_lsn b (write_control_head 'R' tc b pos)
-  | Restart_end { tc } -> write_control_head 'r' tc b pos
   | Redo_fence_begin { tc } -> write_control_head 'F' tc b pos
   | Redo_fence_end { tc } -> write_control_head 'f' tc b pos
 
@@ -548,14 +544,18 @@ let read_control r =
   match Codec.next_byte r with
   | 'E' ->
     let tc = read_tc r in
-    End_of_stable_log { tc; eosl = read_lsn r }
+    Watermarks { tc; eosl = read_lsn r; lwm = Lsn.zero }
   | 'L' ->
     let tc = read_tc r in
-    Low_water_mark { tc; lwm = read_lsn r }
+    let lwm = read_lsn r in
+    if Lsn.equal lwm Lsn.zero then fail "zero lwm";
+    Watermarks { tc; eosl = Lsn.zero; lwm }
   | 'W' ->
     let tc = read_tc r in
     let eosl = read_lsn r in
     let lwm = read_lsn r in
+    if Lsn.equal eosl Lsn.zero || Lsn.equal lwm Lsn.zero then
+      fail "zero watermark";
     Watermarks { tc; eosl; lwm }
   | 'C' ->
     let tc = read_tc r in
@@ -563,7 +563,6 @@ let read_control r =
   | 'R' ->
     let tc = read_tc r in
     Restart_begin { tc; stable_lsn = read_lsn r }
-  | 'r' -> Restart_end { tc = read_tc r }
   | 'F' -> Redo_fence_begin { tc = read_tc r }
   | 'f' -> Redo_fence_end { tc = read_tc r }
   | _ -> fail "bad control"
@@ -711,10 +710,6 @@ end
 let request_size r = header_len + request_length r + trailer_len
 
 let pp_control ppf = function
-  | End_of_stable_log { tc; eosl } ->
-    Format.fprintf ppf "eosl %a %a" Tc_id.pp tc Lsn.pp eosl
-  | Low_water_mark { tc; lwm } ->
-    Format.fprintf ppf "lwm %a %a" Tc_id.pp tc Lsn.pp lwm
   | Watermarks { tc; eosl; lwm } ->
     Format.fprintf ppf "watermarks %a eosl=%a lwm=%a" Tc_id.pp tc Lsn.pp eosl
       Lsn.pp lwm
@@ -723,7 +718,6 @@ let pp_control ppf = function
   | Restart_begin { tc; stable_lsn } ->
     Format.fprintf ppf "restart-begin %a stable=%a" Tc_id.pp tc Lsn.pp
       stable_lsn
-  | Restart_end { tc } -> Format.fprintf ppf "restart-end %a" Tc_id.pp tc
   | Redo_fence_begin { tc } ->
     Format.fprintf ppf "redo-fence-begin %a" Tc_id.pp tc
   | Redo_fence_end { tc } -> Format.fprintf ppf "redo-fence-end %a" Tc_id.pp tc

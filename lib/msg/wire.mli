@@ -5,8 +5,8 @@
     frames ({!encode_request} and friends), so the boundary carries
     [bytes], never shared heap values.  Operation requests carry the
     unique request id (the TC-log LSN) that makes resend + idempotence
-    work.  Control traffic ([end_of_stable_log], [low_water_mark],
-    [checkpoint], [restart]) is governed by the same contracts: each
+    work.  Control traffic (watermarks, checkpoint, restart and redo
+    fences) is governed by the same contracts: each
     control message is wrapped in a {!control_msg} envelope carrying a
     per-(TC, DC)-link session epoch and a unique control-sequence id;
     the TC resends unacknowledged control frames with backoff and the DC
@@ -68,16 +68,18 @@ type reply_msg =
     }
 
 type control =
-  | End_of_stable_log of { tc : Untx_util.Tc_id.t; eosl : Untx_util.Lsn.t }
-  | Low_water_mark of { tc : Untx_util.Tc_id.t; lwm : Untx_util.Lsn.t }
   | Watermarks of {
       tc : Untx_util.Tc_id.t;
       eosl : Untx_util.Lsn.t;
       lwm : Untx_util.Lsn.t;
     }
-      (** the combined form Section 4.2.1 suggests: "one might trade some
-          flexibility in DC for simplicity of coding, by combining
-          end_of_stable_log and low_water_mark into one function" *)
+      (** Section 4.2.1's end_of_stable_log and low_water_mark as one
+          function, the combined form it suggests "for simplicity of
+          coding".  A zero mark claims nothing: marks only grow, so the
+          DC applies [max 0 m = m].  An end-of-stable-log push is
+          [Watermarks { tc; eosl; lwm = Lsn.zero }], a low-water push
+          [Watermarks { tc; eosl = Lsn.zero; lwm }]; the frame layout
+          below writes only the non-zero marks. *)
   | Checkpoint of { tc : Untx_util.Tc_id.t; new_rssp : Untx_util.Lsn.t }
   | Restart_begin of {
       tc : Untx_util.Tc_id.t;
@@ -85,12 +87,13 @@ type control =
           (** the largest LSN on the TC's stable log; the DC must discard
               any effect of this TC's operations beyond it *)
     }
-  | Restart_end of { tc : Untx_util.Tc_id.t }
   | Redo_fence_begin of { tc : Untx_util.Tc_id.t }
       (** A TC is about to replay history (e.g. after this DC's own
           crash): the DC defers page-delete system transactions, whose
           abstract-LSN merges assume globally valid low-water claims. *)
   | Redo_fence_end of { tc : Untx_util.Tc_id.t }
+      (** Closes the fence a [Redo_fence_begin] or a [Restart_begin]
+          opened: the end of a redo, and of a TC's restart. *)
 
 type control_reply =
   | Ack
@@ -200,9 +203,12 @@ result        'D'                        done
               'N' (n × key)              probe keys
               'F' message                failed
 control msg   epoch seq control
-control       'E' tc eosl | 'L' tc lwm | 'W' tc eosl lwm | 'C' tc new_rssp
-              'R' tc stable_lsn | 'r' tc          restart begin | end
-              'F' tc | 'f' tc                     redo fence begin | end
+control       'E' tc eosl                watermarks, lwm = 0
+              'L' tc lwm                 watermarks, eosl = 0, lwm > 0
+              'W' tc eosl lwm            watermarks, both > 0
+              'C' tc new_rssp            checkpoint
+              'R' tc stable_lsn          restart begin
+              'F' tc | 'f' tc            redo fence begin | end
 control reply tc epoch seq ('A' | 'G' granted)    ack | checkpoint done
 repl msg      epoch seq ('H' tc | 'S' tc eosl lwm upto (n × lsn op))
 repl reply    tc epoch seq 'A' applied
@@ -212,7 +218,7 @@ repl reply    tc epoch seq 'A' applied
     kind, bad length, checksum mismatch, an unknown tag, a field cut
     short, a count beyond the bytes left, a byte after the last field,
     a varint in any form {!Untx_util.Codec.write_varint} would not
-    write — and never return a silently wrong value.  Decoding is
+    write, a zero mark in ['L'] or ['W'] — and never return a silently wrong value.  Decoding is
     canonical: a frame that decodes re-encodes to its own bytes. *)
 
 val encode_request : ?tid:int -> request_msg -> string

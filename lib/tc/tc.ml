@@ -16,7 +16,6 @@ type config = {
   cc_protocol : cc_protocol;
   lwm_every : int;
   pipeline_writes : bool;
-  combine_watermarks : bool;
   debug_checks : bool;
 }
 
@@ -26,7 +25,6 @@ let default_config id =
     cc_protocol = Key_locks;
     lwm_every = 16;
     pipeline_writes = true;
-    combine_watermarks = false;
     debug_checks = false;
   }
 
@@ -358,8 +356,10 @@ let current_lwm_for t ls = lwm_of_pendings t (fun p -> p.p_link == ls)
    operation below it is acknowledged by its owning DC. *)
 let current_lwm t = lwm_of_pendings t (fun _ -> true)
 
-(* Push watermarks to one link, skipping values the DC already has (the
-   memo is per control session; [clear_ctl] voids it). *)
+(* Push the low-water mark to one link, unless neither mark moved since
+   the last push (the memo is per control session; [clear_ctl] voids
+   it).  The end-of-stable-log travels in [send_eosl]'s broadcasts, so
+   this push leaves its eosl zero: it claims nothing there. *)
 let post_watermarks t ls =
   let eosl = Wal.stable_lsn t.log in
   let lwm = current_lwm_for t ls in
@@ -370,15 +370,15 @@ let post_watermarks t ls =
   in
   if not unchanged then begin
     ls.ls_sent_watermarks <- Some (eosl, lwm);
-    if t.cfg.combine_watermarks then
-      ignore (post_control t ls (Wire.Watermarks { tc = t.cfg.id; eosl; lwm }))
-    else
-      ignore (post_control t ls (Wire.Low_water_mark { tc = t.cfg.id; lwm }))
+    ignore
+      (post_control t ls
+         (Wire.Watermarks { tc = t.cfg.id; eosl = Lsn.zero; lwm }))
   end
 
 let send_eosl t =
   broadcast_control t
-    (Wire.End_of_stable_log { tc = t.cfg.id; eosl = Wal.stable_lsn t.log })
+    (Wire.Watermarks
+       { tc = t.cfg.id; eosl = Wal.stable_lsn t.log; lwm = Lsn.zero })
 
 let send_lwm t =
   t.acked_since_lwm <- 0;
@@ -1473,7 +1473,7 @@ let recover t =
      (page-delete system transactions re-enabled) before this function
      returns — callers may crash a DC next, and an open fence would
      leak into its rebuilt state. *)
-  broadcast_sync t (Wire.Restart_end { tc = t.cfg.id });
+  broadcast_sync t (Wire.Redo_fence_end { tc = t.cfg.id });
   Instrument.bump t.counters "tc.recoveries"
 
 let on_dc_restart ?(from = Lsn.zero) t ~dc =

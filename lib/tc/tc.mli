@@ -40,9 +40,6 @@ type config = {
   lwm_every : int;  (** send a low-water mark every n acknowledged ops *)
   pipeline_writes : bool;
       (** dispatch versioned-table writes without awaiting each ack *)
-  combine_watermarks : bool;
-      (** send the combined [Watermarks] control instead of separate
-          EOSL/LWM messages (the Section 4.2.1 simplification) *)
   debug_checks : bool;
 }
 (** The resend policy is not configured here.  Requests and control

@@ -5,7 +5,7 @@
    one DC through random interleavings of two TCs' writes on shared
    pages (fresh ones, and resends below and above the marks), watermark
    messages, evictions, flushes, checkpoints, TC restarts
-   (Restart_begin, redo, Restart_end) and DC crashes (crash, recover,
+   (Restart_begin, redo, Redo_fence_end) and DC crashes (crash, recover,
    redo), beside a reference model that applies every mark to every
    page the moment it arrives.
    After each step, every page's [Dc.page_meta_of] must equal the
@@ -40,9 +40,8 @@ let tcs = [| Tc_id.of_int 1; Tc_id.of_int 2 |]
 type step =
   | Fresh of int * int (* key, kind: insert 0|3, update 1|2, delete *)
   | Resend of int (* pick among issued LSNs *)
-  | Eosl of int * int
-  | Lwm of int * int
-  | Marks of int * int * int (* Watermarks: tc, eosl pick, lwm pick *)
+  | Marks of int * int option * int option
+      (* Watermarks: tc, eosl pick, lwm pick; [None] sends a zero mark *)
   | Evict
   | Flush
   | Checkpoint of int * int
@@ -52,9 +51,9 @@ type step =
 let print_step = function
   | Fresh (k, kind) -> Printf.sprintf "fresh(k%d,%d)" k kind
   | Resend p -> Printf.sprintf "resend(%d)" p
-  | Eosl (tc, p) -> Printf.sprintf "eosl(tc%d,%d)" tc p
-  | Lwm (tc, p) -> Printf.sprintf "lwm(tc%d,%d)" tc p
-  | Marks (tc, e, l) -> Printf.sprintf "marks(tc%d,%d,%d)" tc e l
+  | Marks (tc, e, l) ->
+    let pick = function Some p -> string_of_int p | None -> "-" in
+    Printf.sprintf "marks(tc%d,%s,%s)" tc (pick e) (pick l)
   | Evict -> "evict"
   | Flush -> "flush"
   | Checkpoint (tc, p) -> Printf.sprintf "checkpoint(tc%d,%d)" tc p
@@ -68,9 +67,7 @@ let step_gen =
     [
       (8, map2 (fun k kind -> Fresh (k, kind)) (int_bound 39) (int_bound 3));
       (5, map (fun p -> Resend p) pick);
-      (3, map2 (fun t p -> Eosl (t, p)) tc pick);
-      (4, map2 (fun t p -> Lwm (t, p)) tc pick);
-      (2, map3 (fun t e l -> Marks (t, e, l)) tc pick pick);
+      (9, map3 (fun t e l -> Marks (t, e, l)) tc (opt pick) (opt pick));
       (2, return Evict);
       (1, return Flush);
       (1, map2 (fun t p -> Checkpoint (t, p)) tc pick);
@@ -168,7 +165,8 @@ let run_script script =
   let lwms = ref Tc_id.Map.empty in
   (* A TC reset that escalates to a complete DC restart holds the marks
      of every other TC the DC knew — it had the TC's end-of-stable-log
-     or low-water mark — or still held, until that TC's redo fence. *)
+     or low-water mark, a TC's first mark counting even at zero — or
+     still held, until that TC's redo fence. *)
   let n = Array.length tcs in
   let has_eosl = Array.make n false
   and has_lwm = Array.make n false
@@ -187,16 +185,21 @@ let run_script script =
       expect := List.map (fun (pid, m) -> (pid, advance !lwms m)) !expect
     end
   in
-  let pick_eosl i p =
-    let s = tcs_st.(i) in
-    has_eosl.(i) <- true;
-    s.eosl <- in_range s.eosl s.issued p;
-    s.eosl
+  (* A step's pick moves the TC's mark up within the protocol's
+     ordering; no pick sends zero, which claims nothing. *)
+  let pick_eosl i = function
+    | None -> 0
+    | Some p ->
+      let s = tcs_st.(i) in
+      s.eosl <- in_range s.eosl s.issued p;
+      s.eosl
   in
-  let pick_lwm i p =
-    let s = tcs_st.(i) in
-    s.lwm <- in_range s.lwm s.eosl p;
-    s.lwm
+  let pick_lwm i = function
+    | None -> 0
+    | Some p ->
+      let s = tcs_st.(i) in
+      s.lwm <- in_range s.lwm s.eosl p;
+      s.lwm
   in
   let write i lsn (key, op) =
     let tc = tcs.(i) in
@@ -270,18 +273,10 @@ let run_script script =
       if s.issued > 0 then
         let lsn = in_range 1 s.issued p in
         write i lsn (Hashtbl.find s.log lsn)
-    | Eosl (i, p) ->
-      let eosl = pick_eosl i p in
-      control (Wire.End_of_stable_log { tc = tcs.(i); eosl = Lsn.of_int eosl });
-      compare_pages ~what:"eosl" !expect (observe dc)
-    | Lwm (i, p) ->
-      let lwm = pick_lwm i p in
-      control (Wire.Low_water_mark { tc = tcs.(i); lwm = Lsn.of_int lwm });
-      raise_lwm i lwm;
-      compare_pages ~what:"lwm" !expect (observe dc)
     | Marks (i, pe, pl) ->
       let eosl = pick_eosl i pe in
       let lwm = pick_lwm i pl in
+      has_eosl.(i) <- true;
       control
         (Wire.Watermarks
            { tc = tcs.(i); eosl = Lsn.of_int eosl; lwm = Lsn.of_int lwm });
@@ -347,7 +342,7 @@ let run_script script =
       end;
       expect := observed;
       redo i ~upto:s.issued;
-      control (Wire.Restart_end { tc });
+      control (Wire.Redo_fence_end { tc });
       compare_pages ~what:"restart_end" !expect (observe dc)
     | Crash ->
       Dc.crash dc;

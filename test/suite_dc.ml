@@ -47,9 +47,13 @@ let read ?tc ?(table = "t") key =
 let value_of dc r =
   match (Dc.perform dc r).Wire.result with Wire.Value v -> v | _ -> None
 
-let eosl dc l = ignore (Dc.control dc (Wire.End_of_stable_log { tc = tc1; eosl = lsn l }))
+(* The TC's two watermark pushes: each leaves the other mark zero. *)
+let marks dc eosl lwm =
+  ignore (Dc.control dc (Wire.Watermarks { tc = tc1; eosl; lwm }))
 
-let lwm dc l = ignore (Dc.control dc (Wire.Low_water_mark { tc = tc1; lwm = lsn l }))
+let eosl dc l = marks dc (lsn l) Lsn.zero
+
+let lwm dc l = marks dc Lsn.zero (lsn l)
 
 let test_duplicate_absorbed () =
   let dc = mk () in
@@ -414,7 +418,7 @@ let test_restart_keeps_lwm_coverage () =
   ignore (Dc.perform dc (insert 4 "c" "resend"));
   Alcotest.(check int) "absorbed" 1 (Dc.dup_absorbed dc);
   Alcotest.(check (option string)) "not applied" None (value_of dc (read "c"));
-  ignore (Dc.control dc (Wire.Restart_end { tc = tc1 }))
+  ignore (Dc.control dc (Wire.Redo_fence_end { tc = tc1 }))
 
 let test_flush_carries_lazy_advance () =
   let dc = mk () in
@@ -431,6 +435,49 @@ let test_flush_carries_lazy_advance () =
     Alcotest.(check int) "flushed lw is the mark" 4 (Lsn.to_int (Ablsn.lw ab));
     Alcotest.(check (list int)) "flushed ins above the mark" [ 5 ]
       (List.map Lsn.to_int (Lsn.Set.elements (Ablsn.ins ab)))
+
+(* A zero mark claims nothing.  Pushes with both marks zero, or with
+   one mark zero beside a mark already held, leave the DC's marks, every
+   page's metadata and the abLSN test of every later write as they are
+   on a DC that never saw them. *)
+let test_zero_mark_claims_nothing () =
+  let setup () =
+    let dc = mk ~page_capacity:128 () in
+    for i = 1 to 40 do
+      ignore (Dc.perform dc (insert i (Printf.sprintf "k%02d" i) "v"))
+    done;
+    eosl dc 30;
+    lwm dc 20;
+    dc
+  in
+  let plain = setup () and pushed = setup () in
+  marks pushed Lsn.zero Lsn.zero;
+  eosl pushed 0;
+  marks pushed (lsn 30) Lsn.zero;
+  marks pushed Lsn.zero (lsn 20);
+  let view dc =
+    ( Lsn.to_int (Dc.eosl_of dc tc1),
+      Lsn.to_int (Dc.lwm_of dc tc1),
+      List.map
+        (fun pid -> Page_meta.encode (Dc.page_meta_of dc pid))
+        (Dc.table_pages dc "t") )
+  in
+  Alcotest.(check bool) "the pages split" true
+    (List.length (Dc.table_pages plain "t") > 1);
+  Alcotest.(check (triple int int (list string)))
+    "marks and page metadata" (view plain) (view pushed);
+  (* resends below, at and above the marks, then fresh writes *)
+  for i = 1 to 45 do
+    let r = insert i (Printf.sprintf "k%02d" i) "w" in
+    Alcotest.(check bool)
+      (Printf.sprintf "LSN %d answered alike" i)
+      true
+      ((Dc.perform plain r).Wire.result = (Dc.perform pushed r).Wire.result)
+  done;
+  Alcotest.(check int) "duplicates absorbed alike" (Dc.dup_absorbed plain)
+    (Dc.dup_absorbed pushed);
+  Alcotest.(check (triple int int (list string)))
+    "after the writes" (view plain) (view pushed)
 
 (* --- one descent per write ------------------------------------------- *)
 
@@ -731,8 +778,8 @@ let test_escalation_holds_other_lwm () =
   ctl (Wire.Watermarks { tc = tc2; eosl = lsn 5; lwm = lsn 1 });
   ctl (Wire.Restart_begin { tc = tc1; stable_lsn = lsn 0 });
   Alcotest.(check bool) "the reset escalated" true (Dc.take_escalation dc);
-  ctl (Wire.Restart_end { tc = tc1 });
-  ctl (Wire.Low_water_mark { tc = tc2; lwm = lsn 5 });
+  ctl (Wire.Redo_fence_end { tc = tc1 });
+  ctl (Wire.Watermarks { tc = tc2; eosl = Lsn.zero; lwm = lsn 5 });
   let dups = Dc.dup_absorbed dc in
   ctl (Wire.Redo_fence_begin { tc = tc2 });
   ignore (Dc.perform dc (insert_k ()));
@@ -931,4 +978,6 @@ let suite =
         test_point_write_rules;
       Alcotest.test_case "master record byte for byte" `Quick
         test_master_golden;
+      Alcotest.test_case "a zero mark claims nothing" `Quick
+        test_zero_mark_claims_nothing;
     ]

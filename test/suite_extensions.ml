@@ -1,5 +1,5 @@
-(* Paper-fidelity extensions: table locks, the combined watermark
-   message, group commit, proactive RSSP suggestion. *)
+(* Paper-fidelity extensions: table locks, group commit, proactive RSSP
+   suggestion. *)
 
 open Helpers
 module Kernel = Untx_kernel.Kernel
@@ -51,22 +51,6 @@ let test_table_locks_block_everything () =
     "t2 proceeds after release" (Some "v0009")
     (ok (Kernel.read k t2 ~table ~key:"k0009"));
   ok (Kernel.commit k t2)
-
-let test_combined_watermarks_equivalent () =
-  let run combine =
-    let cfg = kernel_config () in
-    let cfg =
-      { cfg with Kernel.tc = { cfg.Kernel.tc with combine_watermarks = combine } }
-    in
-    let k = Kernel.create cfg in
-    Kernel.create_table k ~name:table ~versioned:true;
-    seed_rows k 150;
-    Kernel.quiesce k;
-    Kernel.crash_both k;
-    scan_all k
-  in
-  Alcotest.(check (list (pair string string)))
-    "same state either protocol" (run false) (run true)
 
 let test_group_commit_durability () =
   (* With group size 4, only commits covered by a group force survive a
@@ -124,8 +108,6 @@ let suite =
     Alcotest.test_case "table locks agree" `Quick test_table_locks_agree;
     Alcotest.test_case "table locks block everything" `Quick
       test_table_locks_block_everything;
-    Alcotest.test_case "combined watermarks equivalent" `Quick
-      test_combined_watermarks_equivalent;
     Alcotest.test_case "group commit durability trade" `Quick
       test_group_commit_durability;
     Alcotest.test_case "group commit default is per-commit" `Quick

@@ -234,7 +234,8 @@ let test_misattributed_frames_rejected () =
       {
         Wire.c_epoch = 1;
         c_seq = 1;
-        c_ctl = Wire.Low_water_mark { tc = wrong; lwm = Lsn.of_int 5 };
+        c_ctl =
+          Wire.Watermarks { tc = wrong; eosl = Lsn.zero; lwm = Lsn.of_int 5 };
       }
   in
   (match Dc.handle_control_frame ~expect dc ctl with

@@ -91,13 +91,12 @@ let test_pp_smoke () =
     (fun c ->
       Alcotest.(check bool) "nonempty" true (to_s Wire.pp_control c <> ""))
     [
-      Wire.End_of_stable_log { tc = Tc_id.of_int 1; eosl = Lsn.of_int 3 };
-      Wire.Low_water_mark { tc = Tc_id.of_int 1; lwm = Lsn.of_int 3 };
+      Wire.Watermarks
+        { tc = Tc_id.of_int 1; eosl = Lsn.of_int 3; lwm = Lsn.zero };
       Wire.Watermarks
         { tc = Tc_id.of_int 1; eosl = Lsn.of_int 3; lwm = Lsn.of_int 2 };
       Wire.Checkpoint { tc = Tc_id.of_int 1; new_rssp = Lsn.of_int 9 };
       Wire.Restart_begin { tc = Tc_id.of_int 1; stable_lsn = Lsn.of_int 7 };
-      Wire.Restart_end { tc = Tc_id.of_int 1 };
       Wire.Redo_fence_begin { tc = Tc_id.of_int 1 };
       Wire.Redo_fence_end { tc = Tc_id.of_int 1 };
     ]

@@ -86,7 +86,9 @@ let test_control_channel () =
       {
         Wire.c_epoch = 1;
         c_seq = seq;
-        c_ctl = Wire.Low_water_mark { tc = Tc_id.of_int 1; lwm = Lsn.of_int 9 };
+        c_ctl =
+          Wire.Watermarks
+            { tc = Tc_id.of_int 1; eosl = Lsn.zero; lwm = Lsn.of_int 9 };
       }
   in
   Transport.send_control t (ctl 1);
@@ -111,7 +113,7 @@ let test_one_policy_for_every_channel () =
   Transport.send_control t
     (Wire.encode_control
        { Wire.c_epoch = 1; c_seq = 1;
-         c_ctl = Wire.Restart_end { tc = Tc_id.of_int 1 } });
+         c_ctl = Wire.Redo_fence_end { tc = Tc_id.of_int 1 } });
   let drain_ticks n =
     let got = ref (0, 0) in
     for _ = 1 to n do

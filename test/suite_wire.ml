@@ -121,12 +121,11 @@ let gen_control =
     gen_lsn >>= fun b ->
     oneofl
       [
-        Wire.End_of_stable_log { tc; eosl = a };
-        Wire.Low_water_mark { tc; lwm = a };
+        Wire.Watermarks { tc; eosl = a; lwm = Lsn.zero };
+        Wire.Watermarks { tc; eosl = Lsn.zero; lwm = a };
         Wire.Watermarks { tc; eosl = a; lwm = b };
         Wire.Checkpoint { tc; new_rssp = a };
         Wire.Restart_begin { tc; stable_lsn = a };
-        Wire.Restart_end { tc };
         Wire.Redo_fence_begin { tc };
         Wire.Redo_fence_end { tc };
       ])
@@ -738,6 +737,34 @@ let test_bad_payloads () =
   rejected "repl reply trailing byte" Wire.decode_repl_reply "T"
     "02 01 09 41 0c 0c"
 
+(* The three watermark layouts each decode to [Watermarks], and each
+   is the one the encoder writes for its marks; a layout that spells out
+   a zero mark is not, and is rejected. *)
+let test_watermark_layouts () =
+  let watermarks eosl lwm =
+    Wire.Watermarks { tc = tc 3; eosl = lsn eosl; lwm = lsn lwm }
+  in
+  List.iter
+    (fun (what, payload_hex, ctl) ->
+      let frame = hand_frame ~kind:"C" (of_hex ("02 11 " ^ payload_hex)) in
+      Alcotest.(check bool) (what ^ ": decodes") true
+        (Wire.decode_control frame
+        = { Wire.c_epoch = 2; c_seq = 17; c_ctl = ctl });
+      Alcotest.(check string) (what ^ ": encodes") frame
+        (Wire.encode_control { Wire.c_epoch = 2; c_seq = 17; c_ctl = ctl }))
+    [
+      ("'E', eosl 12", "45 03 0c", watermarks 12 0);
+      ("'E', both marks zero", "45 03 00", watermarks 0 0);
+      ("'L', lwm 10", "4c 03 0a", watermarks 0 10);
+      ("'W', eosl 12, lwm 10", "57 03 0c 0a", watermarks 12 10);
+    ];
+  let reject what = rejected what Wire.decode_control "C" in
+  reject "'L' with a zero lwm" "02 11 4c 03 00";
+  reject "'W' with a zero eosl" "02 11 57 03 00 0a";
+  reject "'W' with a zero lwm" "02 11 57 03 0c 00";
+  reject "'W' with both marks zero" "02 11 57 03 00 00";
+  reject "the retired restart-end tag 'r'" "02 11 72 03"
+
 (* Every proper prefix of a payload, and the payload with any byte
    appended, re-sealed into a valid frame, is rejected: a decoder
    reads exactly the fields the encoder wrote. *)
@@ -783,4 +810,6 @@ let suite =
         `Quick test_bad_batch_payloads;
       Alcotest.test_case "unknown tags and trailing bytes are rejected" `Quick
         test_bad_payloads;
+      Alcotest.test_case "watermark layouts are canonical" `Quick
+        test_watermark_layouts;
     ]
