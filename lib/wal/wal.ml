@@ -102,40 +102,45 @@ let seek lsns lsn lo hi =
   done;
   !lo
 
+(* Records stabilize oldest-first, one at a time, with a fault point
+   between them: a crash mid-force leaves a stable *prefix* of the batch
+   (the torn-log-tail scenario), which the subsequent [crash] preserves
+   because stable state is never rolled back.  A record at or below
+   [stable_lsn] already stabilized in a force cut short by that fault;
+   forcing again does not append it twice.  Every assigned LSN below
+   [next_lsn] ends up covered by stable state, even when the highest
+   ones were [reserve]d (no payload).  With nothing volatile that is all
+   a force does: it writes nothing, so it counts no force, takes no
+   [force_ns] sample and records no span. *)
 let force t =
-  let t0 = Metrics.start t.counters in
   Fault.hit t.p_force_begin;
-  t.forces <- t.forces + 1;
-  incr t.c_forces;
-  let batch = List.length t.volatile in
-  (* Records stabilize oldest-first, one at a time, with a fault point
-     between them: a crash mid-force leaves a stable *prefix* of the
-     batch (the torn-log-tail scenario), which the subsequent [crash]
-     preserves because stable state is never rolled back.  A record at
-     or below [stable_lsn] already stabilized in a force cut short by
-     that fault; forcing again does not append it twice. *)
-  List.iter
-    (fun (lsn, record) ->
-      if Lsn.(t.stable_lsn < lsn) then begin
-        push t lsn record;
-        t.stable_lsn <- lsn
-      end;
-      Fault.hit t.p_force_mid)
-    (List.rev t.volatile);
-  t.volatile <- [];
-  (* Even when the highest records were [reserve]d (no payload), every
-     assigned LSN below [next_lsn] is now covered by stable state. *)
-  t.stable_lsn <- Lsn.prev t.next_lsn;
-  Metrics.stop t.counters t.h_force t0;
-  (* Forces are not per-operation work, so the span carries the
-     reserved untraced id; it still lands in the cycle's timeline dump. *)
-  if Trace.enabled () then
-    Trace.record ~tid:0 ~comp:"wal" ~ev:"force"
-      [
-        ("wal", t.label);
-        ("batch", string_of_int batch);
-        ("stable", Lsn.to_string t.stable_lsn);
-      ]
+  match t.volatile with
+  | [] -> t.stable_lsn <- Lsn.prev t.next_lsn
+  | volatile ->
+    let t0 = Metrics.start t.counters in
+    t.forces <- t.forces + 1;
+    incr t.c_forces;
+    List.iter
+      (fun (lsn, record) ->
+        if Lsn.(t.stable_lsn < lsn) then begin
+          push t lsn record;
+          t.stable_lsn <- lsn
+        end;
+        Fault.hit t.p_force_mid)
+      (List.rev volatile);
+    t.volatile <- [];
+    t.stable_lsn <- Lsn.prev t.next_lsn;
+    Metrics.stop t.counters t.h_force t0;
+    (* Forces are not per-operation work, so the span carries the
+       reserved untraced id; it still lands in the cycle's timeline
+       dump. *)
+    if Trace.enabled () then
+      Trace.record ~tid:0 ~comp:"wal" ~ev:"force"
+        [
+          ("wal", t.label);
+          ("batch", string_of_int (List.length volatile));
+          ("stable", Lsn.to_string t.stable_lsn);
+        ]
 
 let force_through t lsn = if Lsn.(t.stable_lsn < lsn) then force t
 

@@ -25,8 +25,11 @@ val create :
   size:('a -> int) ->
   unit ->
   'a t
-(** [size] measures a record's encoded size in bytes, for log-volume
-    accounting (E9 compares logical vs physical SMO logging by bytes).
+(** [size] models a record's size in bytes, for log-volume accounting
+    (E9 compares logical vs physical SMO logging by bytes).  The log
+    holds OCaml values and encodes no record, so {!appended_bytes} sums
+    that model ([Log_record.size], [Smo_record.size]), not bytes
+    written.
 
     [label] (default ["wal"]) names this log's fault points:
     [<label>.force.begin] fires before any record stabilizes and
@@ -42,7 +45,12 @@ val reserve : 'a t -> Untx_util.Lsn.t
     they need unique, ordered request ids but are never redone. *)
 
 val force : 'a t -> unit
-(** Make the volatile tail stable (an fsync): amortized O(1) per record. *)
+(** Make the volatile tail stable (an fsync): amortized O(1) per record.
+    Reserved LSNs below the next one become stable too.  A force with
+    no volatile record writes nothing: it still fires
+    [<label>.force.begin] and moves {!stable_lsn}, but adds nothing to
+    {!forces} or the ["wal.forces"] counter and takes no
+    [<label>.force_ns] sample. *)
 
 val force_through : 'a t -> Untx_util.Lsn.t -> unit
 (** Force only if the stable LSN is still below the argument. *)

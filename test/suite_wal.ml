@@ -244,6 +244,34 @@ let test_bytes_accounting () =
   ignore (Wal.append w "123");
   Alcotest.(check int) "bytes" 8 (Wal.appended_bytes w)
 
+(* A force with nothing volatile writes nothing: it counts no force and
+   takes no timing sample, but still fires its begin fault point and
+   makes reserved LSNs stable. *)
+let test_empty_force_counts_nothing () =
+  let counters = Untx_obs.Metrics.create () in
+  Untx_obs.Metrics.set_timed counters true;
+  let w = Wal.create ~counters ~label:"wal.empty" ~size:String.length () in
+  let samples () =
+    match Untx_obs.Metrics.hist_snapshot counters "wal.empty.force_ns" with
+    | Some h -> h.Untx_obs.Metrics.s_count
+    | None -> 0
+  in
+  Fault.arm [];
+  ignore (Wal.append w "a");
+  Wal.force w;
+  let r = Wal.reserve w in
+  Wal.force w;
+  Wal.force w;
+  let begins = Fault.hits "wal.empty.force.begin" in
+  Fault.disarm ();
+  Alcotest.(check int) "one force counted" 1 (Wal.forces w);
+  Alcotest.(check int) "one wal.forces" 1
+    (Untx_obs.Metrics.get_counter counters "wal.forces");
+  Alcotest.(check int) "one force_ns sample" 1 (samples ());
+  Alcotest.(check int) "every force fires force.begin" 3 begins;
+  Alcotest.(check int) "the reserved LSN is stable" (Lsn.to_int r)
+    (Lsn.to_int (Wal.stable_lsn w))
+
 let suite =
   [
     Alcotest.test_case "append assigns LSNs" `Quick test_append_assigns_lsns;
@@ -266,4 +294,6 @@ let suite =
       test_force_again_after_cut;
     Alcotest.test_case "truncated records are released" `Quick
       test_truncated_record_is_released;
+    Alcotest.test_case "a force with nothing volatile counts nothing" `Quick
+      test_empty_force_counts_nothing;
   ]
