@@ -1180,9 +1180,9 @@ let recover t = Cache.with_operation_latch t.cache (fun () -> recover_unlatched 
 
 (* Marks only grow, so a mark at or below the one held claims nothing
    and leaves its map alone: the zero lwm of every end-of-stable-log
-   push costs the page states no re-sync.  A TC's first mark enters its
-   map even at zero, as before the two pushes were one message, since
-   the maps' keys feed [complete_restart]'s held set. *)
+   push costs the page states no re-sync.  A TC's first mark enters the
+   map even at zero, so the maps' keys name every TC that pushed a mark;
+   [complete_restart] holds those TCs' marks. *)
 let rises marks tc l =
   match Tc_id.Map.find tc marks with
   | m -> Lsn.(l > m)

@@ -5,13 +5,13 @@
     frames ({!encode_request} and friends), so the boundary carries
     [bytes], never shared heap values.  Operation requests carry the
     unique request id (the TC-log LSN) that makes resend + idempotence
-    work.  Control traffic (watermarks, checkpoint, restart and redo
-    fences) is governed by the same contracts: each
-    control message is wrapped in a {!control_msg} envelope carrying a
-    per-(TC, DC)-link session epoch and a unique control-sequence id;
-    the TC resends unacknowledged control frames with backoff and the DC
-    absorbs duplicates and reorderings through a per-TC control
-    idempotence table, exactly as it does for data operations. *)
+    work.  Control traffic (watermarks, checkpoints, restarts and redo
+    fences) is governed by the same contracts: each control message is
+    wrapped in a {!control_msg} envelope carrying a per-(TC, DC)-link
+    session epoch and a unique control-sequence id; the TC resends
+    unacknowledged control frames with backoff and the DC absorbs
+    duplicates and reorderings through a per-TC control idempotence
+    table, exactly as it does for data operations. *)
 
 type request = {
   tc : Untx_util.Tc_id.t;
@@ -218,8 +218,9 @@ repl reply    tc epoch seq 'A' applied
     kind, bad length, checksum mismatch, an unknown tag, a field cut
     short, a count beyond the bytes left, a byte after the last field,
     a varint in any form {!Untx_util.Codec.write_varint} would not
-    write, a zero mark in ['L'] or ['W'] — and never return a silently wrong value.  Decoding is
-    canonical: a frame that decodes re-encodes to its own bytes. *)
+    write, a zero mark in ['L'] or ['W'] — and never return a silently
+    wrong value.  Decoding is canonical: a frame that decodes re-encodes
+    to its own bytes. *)
 
 val encode_request : ?tid:int -> request_msg -> string
 
