@@ -63,11 +63,15 @@ let print_step = function
 let step_gen =
   let open QCheck.Gen in
   let tc = int_bound 1 and pick = int_bound 1000 in
+  let marks e l = map3 (fun t e l -> Marks (t, e, l)) tc e l in
   frequency
     [
       (8, map2 (fun k kind -> Fresh (k, kind)) (int_bound 39) (int_bound 3));
       (5, map (fun p -> Resend p) pick);
-      (9, map3 (fun t e l -> Marks (t, e, l)) tc (opt pick) (opt pick));
+      (* the TC's end-of-stable-log and low-water pushes, and any mix *)
+      (3, marks (map Option.some pick) (return None));
+      (4, marks (return None) (map Option.some pick));
+      (2, marks (opt pick) (opt pick));
       (2, return Evict);
       (1, return Flush);
       (1, map2 (fun t p -> Checkpoint (t, p)) tc pick);

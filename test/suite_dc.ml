@@ -47,10 +47,10 @@ let read ?tc ?(table = "t") key =
 let value_of dc r =
   match (Dc.perform dc r).Wire.result with Wire.Value v -> v | _ -> None
 
-(* The TC's two watermark pushes: each leaves the other mark zero. *)
 let marks dc eosl lwm =
   ignore (Dc.control dc (Wire.Watermarks { tc = tc1; eosl; lwm }))
 
+(* The TC's two watermark pushes: each leaves the other mark zero. *)
 let eosl dc l = marks dc (lsn l) Lsn.zero
 
 let lwm dc l = marks dc Lsn.zero (lsn l)
@@ -451,10 +451,11 @@ let test_zero_mark_claims_nothing () =
     dc
   in
   let plain = setup () and pushed = setup () in
-  marks pushed Lsn.zero Lsn.zero;
-  eosl pushed 0;
+  (* the held marks again, each beside a zero one, then both zero *)
   marks pushed (lsn 30) Lsn.zero;
   marks pushed Lsn.zero (lsn 20);
+  eosl pushed 0;
+  marks pushed Lsn.zero Lsn.zero;
   let view dc =
     ( Lsn.to_int (Dc.eosl_of dc tc1),
       Lsn.to_int (Dc.lwm_of dc tc1),
