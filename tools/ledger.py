@@ -195,7 +195,7 @@ def verdict(parent, change, higher_better, bound):
         mark = "ok"
     gain = (wins >= 0.9 * len(parent) and better(mc, mp) and abs(mc - mp) > iqr)
     return {
-        "parent_median": mp, "parent_q1": q1, "parent_q3": q3,
+        "parent_median": mp, "parent_q": (q1, q3),
         "change_median": mc, "change_q": quartiles(change),
         "change_rel": change_rel, "wins": wins,
         "parent_iqr_rel": iqr / abs(mp) if mp else 0.0,
@@ -217,8 +217,8 @@ def compare(args, bench):
     metrics = bench[kind]
     bounded = [m["name"] for m in metrics if "bound" in m]
     print("parent %s, change %s; %d pairs of %d s, seed %d, trace %d; trees in %s"
-          % (base_rev[:12], head_rev[:13], args.pairs, args.seconds, args.seed,
-             args.trace, scratch))
+          % (base_rev[:12], head_rev[:12] + head_rev[40:], args.pairs,
+             args.seconds, args.seed, args.trace, scratch))
     for w in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -243,7 +243,7 @@ def compare(args, bench):
             v = verdict(p, c, m["better"] == "higher", m.get("bound"))
             rows.append((
                 name, m["unit"],
-                "%.5g [%.4g, %.4g]" % (v["parent_median"], v["parent_q1"], v["parent_q3"]),
+                "%.5g [%.4g, %.4g]" % ((v["parent_median"],) + v["parent_q"]),
                 "%.5g [%.4g, %.4g]" % ((v["change_median"],) + v["change_q"]),
                 "%+.1f%%" % (100 * v["change_rel"]),
                 "%d/%d" % (v["wins"], args.pairs),
