@@ -88,23 +88,25 @@ let control_tc = function
 (* ------------------------------------------------------------------ *)
 (* Frames.
 
-   Layout: 1 kind byte, 4-byte big-endian trace id, 4-byte big-endian
-   payload length, payload, 4-byte big-endian FNV-1a checksum over
-   everything before it.  Trace id 0 means "untraced".  Any mutation —
-   including one that lands on the trace id — is caught by the
-   structure checks or the checksum and surfaces as [Invalid_argument].
+   Layout: 1 kind byte, the trace id as a varint (below 2^32; 0 means
+   "untraced", one byte), the payload length as a varint, the payload,
+   then a 4-byte big-endian FNV-1a checksum over everything before it.
+   Any mutation — including one that lands on the trace id — is caught
+   by the structure checks or the checksum and surfaces as
+   [Invalid_argument].
 
    The payload is binary (wire.mli lists every layout): integers are
    {!Codec} varints, strings a varint length then their bytes, lists a
-   varint count then their elements, and each constructor one tag byte.
-   Every encoder sizes its payload first and writes it straight into
-   the frame; every decoder reads the fields where they sit and accepts
-   exactly what the encoder writes, so a frame that decodes re-encodes
-   to its own bytes. *)
-
-let header_len = 9
+   varint count then their elements, key lists front-coded against the
+   key before, and each constructor one tag byte.  Every encoder sizes
+   its payload first and writes it straight into the frame; every
+   decoder reads the fields where they sit and accepts exactly what the
+   encoder writes, so a frame that decodes re-encodes to its own
+   bytes. *)
 
 let trailer_len = 4
+
+let max_tid = 0xFFFFFFFF
 
 (* Over bytes, so a frame under construction is hashed where it sits; a
    received string is read through [Bytes.unsafe_of_string], never
@@ -148,59 +150,83 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-(* [open_frame] makes a frame with its header, the caller writes the
-   [len]-byte payload from [header_len], and [seal] checks that it ended
-   at [pos] — where the payload's sizing said it would — and adds the
-   checksum. *)
-let open_frame ?(tid = 0) kind len =
-  let b = Bytes.create (header_len + len + trailer_len) in
-  Bytes.unsafe_set b 0 kind;
-  put_u32 b 1 (tid land 0xFFFFFFFF);
-  put_u32 b 5 len;
-  b
+(* A frame of a [len]-byte payload: [frame_bytes] makes it, and
+   [open_frame] writes its header and returns the payload's offset; the
+   caller writes the payload from there, and [seal] checks that it
+   ended at [pos] — where the payload's sizing said it would — and adds
+   the checksum.  Trace ids are taken modulo 2^32. *)
+let header_length tid len =
+  1 + Codec.varint_length (tid land max_tid) + Codec.varint_length len
 
-let seal b len pos =
-  assert (pos = header_len + len);
+let frame_bytes tid len =
+  Bytes.create (header_length tid len + len + trailer_len)
+
+let open_frame b tid kind len =
+  Bytes.unsafe_set b 0 kind;
+  Codec.write_varint len b (Codec.write_varint (tid land max_tid) b 1)
+
+let seal b pos =
+  assert (pos + trailer_len = Bytes.length b);
   put_u32 b pos (fnv32 b 0 pos);
   Bytes.unsafe_to_string b
 
-(* The payload length of [s] if its shape holds and its kind is [kind]
+(* The canonical varint at [i], ending before [stop], or -1: the header
+   is parsed without raising, as [frame_ok] answers for any string. *)
+let rec header_varint s stop i shift acc =
+  if i >= stop then -1
+  else
+    let c = Char.code (String.unsafe_get s i) in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then
+      if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then -1 else acc
+    else if shift = 56 then -1
+    else header_varint s stop (i + 1) (shift + 7) acc
+
+(* The trace id of [s]'s header, or -1. *)
+let header_tid s =
+  let tid = header_varint s (String.length s - trailer_len) 1 0 0 in
+  if tid > max_tid then -1 else tid
+
+(* The payload offset of [s] if its header holds and its kind is [kind]
    — and, with [verify], its checksum too; [-1] otherwise.  Only a frame
    that already passed [frame_ok] may skip the checksum. *)
-let checked_len ~verify kind s =
+let checked_payload ~verify kind s =
   let n = String.length s in
-  if n < header_len + trailer_len then -1
+  let stop = n - trailer_len in
+  let tid = header_tid s in
+  if tid < 0 || String.unsafe_get s 0 <> kind then -1
   else
-    let len = get_u32 s 5 in
-    if n <> header_len + len + trailer_len || String.unsafe_get s 0 <> kind
-    then -1
-    else if
-      verify
-      && get_u32 s (header_len + len)
-         <> fnv32 (Bytes.unsafe_of_string s) 0 (header_len + len)
-    then -1
-    else len
+    let i = 1 + Codec.varint_length tid in
+    let len = header_varint s stop i 0 0 in
+    if len < 0 then -1
+    else
+      let off = i + Codec.varint_length len in
+      if len <> stop - off then -1
+      else if
+        verify && get_u32 s stop <> fnv32 (Bytes.unsafe_of_string s) 0 stop
+      then -1
+      else off
 
 let frame_ok s =
   String.length s > 0
   &&
   match s.[0] with
   | ('Q' | 'R' | 'C' | 'K' | 'S' | 'T') as kind ->
-    checked_len ~verify:true kind s >= 0
+    checked_payload ~verify:true kind s >= 0
   | _ -> false
 
 (* Validates the whole frame first: a corrupted trace id fails the
    checksum and reads as 0 ("untraced") rather than as some other
    operation's id. *)
-let frame_tid s = if frame_ok s then get_u32 s 1 else 0
+let frame_tid s = if frame_ok s then header_tid s else 0
 
 let fail what = invalid_arg ("Wire: " ^ what)
 
 (* A reader over the payload of a frame of [kind]. *)
 let payload ~verify kind s =
-  let len = checked_len ~verify kind s in
-  if len < 0 then fail "bad frame";
-  Codec.reader_sub s ~pos:header_len ~len
+  let off = checked_payload ~verify kind s in
+  if off < 0 then fail "bad frame";
+  Codec.reader_sub s ~pos:off ~len:(String.length s - off - trailer_len)
 
 (* Every byte of the payload belongs to some field. *)
 let finish r v = if Codec.at_end r then v else fail "trailing bytes"
@@ -231,17 +257,44 @@ let write_tag c b pos =
   Bytes.unsafe_set b pos c;
   pos + 1
 
-let rec strs_length acc = function
+(* Keys are front-coded: each is the length of the prefix it shares
+   with the key before it (the first with ""), the length of the rest,
+   then the rest.  Keys in a list are mostly neighbours in key order, so
+   most of each is shared. *)
+let rec common_prefix a b n i =
+  if i < n && String.unsafe_get a i = String.unsafe_get b i then
+    common_prefix a b n (i + 1)
+  else i
+
+let shared_length prev k =
+  let lp = String.length prev and lk = String.length k in
+  common_prefix prev k (if lp < lk then lp else lk) 0
+
+let key_length prev k =
+  let shared = shared_length prev k in
+  let rest = String.length k - shared in
+  nat_length shared + nat_length rest + rest
+
+let write_key prev k b pos =
+  let shared = shared_length prev k in
+  let rest = String.length k - shared in
+  let pos = write_nat rest b (write_nat shared b pos) in
+  Bytes.unsafe_blit_string k shared b pos rest;
+  pos + rest
+
+let rec keys_length prev acc = function
   | [] -> acc
-  | s :: tl -> strs_length (acc + str_length s) tl
+  | k :: tl -> keys_length k (acc + key_length prev k) tl
 
-(* A string list: its count, then each string. *)
-let list_length ks = strs_length (nat_length (List.length ks)) ks
+(* A key list: its count, then each key. *)
+let list_length ks = keys_length "" (nat_length (List.length ks)) ks
 
-let rec write_strs ks b pos =
-  match ks with [] -> pos | k :: tl -> write_strs tl b (write_str k b pos)
+let rec write_keys prev ks b pos =
+  match ks with
+  | [] -> pos
+  | k :: tl -> write_keys k tl b (write_key prev k b pos)
 
-let write_list ks b pos = write_strs ks b (write_nat (List.length ks) b pos)
+let write_list ks b pos = write_keys "" ks b (write_nat (List.length ks) b pos)
 
 let mode_tag = function Op.Own -> 'o' | Op.Committed -> 'c' | Op.Dirty -> 'd'
 
@@ -282,20 +335,21 @@ let write_op op b pos =
   | Op.Abort_versions { table; keys } ->
     write_list keys b (write_str table b (write_tag 'A' b pos))
 
-let rec pairs_length acc = function
+(* Scan pairs: each a front-coded key, then its value. *)
+let rec pairs_length prev acc = function
   | [] -> acc
-  | (k, v) :: tl -> pairs_length (acc + str_length k + str_length v) tl
+  | (k, v) :: tl -> pairs_length k (acc + key_length prev k + str_length v) tl
 
-let rec write_pairs ps b pos =
+let rec write_pairs prev ps b pos =
   match ps with
   | [] -> pos
-  | (k, v) :: tl -> write_pairs tl b (write_str v b (write_str k b pos))
+  | (k, v) :: tl -> write_pairs k tl b (write_str v b (write_key prev k b pos))
 
 let result_length = function
   | Done -> 1
   | Value None -> 2
   | Value (Some v) -> 2 + str_length v
-  | Pairs ps -> 1 + pairs_length (nat_length (List.length ps)) ps
+  | Pairs ps -> 1 + pairs_length "" (nat_length (List.length ps)) ps
   | Next_keys ks -> 1 + list_length ks
   | Failed m -> 1 + str_length m
 
@@ -305,7 +359,7 @@ let write_result result b pos =
   | Value None -> write_tag '\000' b (write_tag 'V' b pos)
   | Value (Some v) -> write_str v b (write_tag '\001' b (write_tag 'V' b pos))
   | Pairs ps ->
-    write_pairs ps b (write_nat (List.length ps) b (write_tag 'P' b pos))
+    write_pairs "" ps b (write_nat (List.length ps) b (write_tag 'P' b pos))
   | Next_keys ks -> write_list ks b (write_tag 'N' b pos)
   | Failed m -> write_str m b (write_tag 'F' b pos)
 
@@ -346,13 +400,28 @@ let read_count r =
   if n > Codec.remaining r then fail "count beyond the payload";
   n
 
-let[@tail_mod_cons] rec read_strs r n =
+(* A front-coded key after [prev], accepted only in the form
+   [write_key] writes: its shared length is at most [prev]'s and
+   maximal, so the rest does not open with [prev]'s next byte. *)
+let read_key r prev =
+  let shared = read_nat r in
+  if shared > String.length prev then
+    fail "shared prefix beyond the key before";
+  let k = Codec.next_extension r prev shared in
+  if
+    shared < String.length prev
+    && shared < String.length k
+    && String.unsafe_get k shared = String.unsafe_get prev shared
+  then fail "shared prefix not maximal";
+  k
+
+let[@tail_mod_cons] rec read_keys r prev n =
   if n = 0 then []
   else
-    let s = read_str r in
-    s :: read_strs r (n - 1)
+    let k = read_key r prev in
+    k :: read_keys r k (n - 1)
 
-let read_list r = read_strs r (read_count r)
+let read_list r = read_keys r "" (read_count r)
 
 let read_mode r =
   match Codec.next_byte r with
@@ -401,12 +470,12 @@ let read_op r =
     Op.Abort_versions { table; keys = read_list r }
   | _ -> fail "bad operation"
 
-let[@tail_mod_cons] rec read_pairs r n =
+let[@tail_mod_cons] rec read_pairs r prev n =
   if n = 0 then []
   else
-    let k = read_str r in
+    let k = read_key r prev in
     let v = read_str r in
-    (k, v) :: read_pairs r (n - 1)
+    (k, v) :: read_pairs r k (n - 1)
 
 let read_result r =
   match Codec.next_byte r with
@@ -416,7 +485,7 @@ let read_result r =
     | '\000' -> Value None
     | '\001' -> Value (Some (read_str r))
     | _ -> fail "bad option")
-  | 'P' -> Pairs (read_pairs r (read_count r))
+  | 'P' -> Pairs (read_pairs r "" (read_count r))
   | 'N' -> Next_keys (read_list r)
   | 'F' -> Failed (read_str r)
   | _ -> fail "bad result"
@@ -438,22 +507,22 @@ let read_batch read r = read_entries read r (read_count r)
 let request_length { tc; lsn; part; op } =
   1 + tc_length tc + lsn_length lsn + nat_length part + op_length op
 
-let encode_request ?tid = function
+let encode_request ?(tid = 0) = function
   | Request ({ tc; lsn; part; op } as req) ->
     let len = request_length req in
-    let b = open_frame ?tid 'Q' len in
-    let pos = write_tag 'S' b header_len in
+    let b = frame_bytes tid len in
+    let pos = write_tag 'S' b (open_frame b tid 'Q' len) in
     let pos = write_tc tc b pos in
     let pos = write_nat part b (write_lsn lsn b pos) in
-    seal b len (write_op op b pos)
+    seal b (write_op op b pos)
   | Redo_batch { tc; part; ops } ->
     let len =
       1 + tc_length tc + nat_length part + batch_length op_length ops
     in
-    let b = open_frame ?tid 'Q' len in
-    let pos = write_tag 'B' b header_len in
+    let b = frame_bytes tid len in
+    let pos = write_tag 'B' b (open_frame b tid 'Q' len) in
     let pos = write_nat part b (write_tc tc b pos) in
-    seal b len (write_batch write_op ops b pos)
+    seal b (write_batch write_op ops b pos)
 
 let decode_request_from ~verify s =
   let r = payload ~verify 'Q' s in
@@ -471,18 +540,18 @@ let decode_request_from ~verify s =
     finish r (Redo_batch { tc; part; ops })
   | _ -> fail "bad request"
 
-let encode_reply ?tid = function
+let encode_reply ?(tid = 0) = function
   | Reply { tc; lsn; result } ->
     let len = 1 + tc_length tc + lsn_length lsn + result_length result in
-    let b = open_frame ?tid 'R' len in
-    let pos = write_tag 'S' b header_len in
+    let b = frame_bytes tid len in
+    let pos = write_tag 'S' b (open_frame b tid 'R' len) in
     let pos = write_lsn lsn b (write_tc tc b pos) in
-    seal b len (write_result result b pos)
+    seal b (write_result result b pos)
   | Redo_batch_reply { tc; outcomes } ->
     let len = 1 + tc_length tc + batch_length result_length outcomes in
-    let b = open_frame ?tid 'R' len in
-    let pos = write_tc tc b (write_tag 'B' b header_len) in
-    seal b len (write_batch write_result outcomes b pos)
+    let b = frame_bytes tid len in
+    let pos = write_tc tc b (write_tag 'B' b (open_frame b tid 'R' len)) in
+    seal b (write_batch write_result outcomes b pos)
 
 let decode_reply_from ~verify s =
   let r = payload ~verify 'R' s in
@@ -534,11 +603,12 @@ let write_control ctl b pos =
   | Redo_fence_begin { tc } -> write_control_head 'F' tc b pos
   | Redo_fence_end { tc } -> write_control_head 'f' tc b pos
 
-let encode_control ?tid { c_epoch; c_seq; c_ctl } =
+let encode_control ?(tid = 0) { c_epoch; c_seq; c_ctl } =
   let len = nat_length c_epoch + nat_length c_seq + control_length c_ctl in
-  let b = open_frame ?tid 'C' len in
-  let pos = write_nat c_seq b (write_nat c_epoch b header_len) in
-  seal b len (write_control c_ctl b pos)
+  let b = frame_bytes tid len in
+  let pos = open_frame b tid 'C' len in
+  let pos = write_nat c_seq b (write_nat c_epoch b pos) in
+  seal b (write_control c_ctl b pos)
 
 let read_control r =
   match Codec.next_byte r with
@@ -583,14 +653,14 @@ let write_ack tc epoch seq b pos =
   let pos = write_tc tc b pos in
   write_nat seq b (write_nat epoch b pos)
 
-let encode_control_reply ?tid { r_tc; r_epoch; r_seq; r_reply } =
+let encode_control_reply ?(tid = 0) { r_tc; r_epoch; r_seq; r_reply } =
   let len =
     ack_length r_tc r_epoch r_seq
     + match r_reply with Ack -> 1 | Checkpoint_done _ -> 2
   in
-  let b = open_frame ?tid 'K' len in
-  let pos = write_ack r_tc r_epoch r_seq b header_len in
-  seal b len
+  let b = frame_bytes tid len in
+  let pos = write_ack r_tc r_epoch r_seq b (open_frame b tid 'K' len) in
+  seal b
     (match r_reply with
     | Ack -> write_tag 'A' b pos
     | Checkpoint_done { granted } ->
@@ -616,28 +686,29 @@ let decode_control_reply_from ~verify s =
 (* ---- replication ---- *)
 
 (* A repl message opens with its epoch, seq, tag and tc. *)
-let write_repl_head epoch seq tag tc b =
-  let pos = write_nat seq b (write_nat epoch b header_len) in
+let write_repl_head epoch seq tag tc b pos =
+  let pos = write_nat seq b (write_nat epoch b pos) in
   write_tc tc b (write_tag tag b pos)
 
-let encode_repl ?tid { p_epoch; p_seq; p_repl } =
+let encode_repl ?(tid = 0) { p_epoch; p_seq; p_repl } =
   let head =
     nat_length p_epoch + nat_length p_seq + 1 + tc_length (repl_tc p_repl)
   in
   match p_repl with
   | Repl_hello { tc } ->
-    let b = open_frame ?tid 'S' head in
-    seal b head (write_repl_head p_epoch p_seq 'H' tc b)
+    let b = frame_bytes tid head in
+    seal b (write_repl_head p_epoch p_seq 'H' tc b (open_frame b tid 'S' head))
   | Repl_ship { tc; eosl; lwm; upto; ops } ->
     let len =
       head + lsn_length eosl + lsn_length lwm + lsn_length upto
       + batch_length op_length ops
     in
-    let b = open_frame ?tid 'S' len in
-    let pos = write_repl_head p_epoch p_seq 'S' tc b in
+    let b = frame_bytes tid len in
+    let pos = open_frame b tid 'S' len in
+    let pos = write_repl_head p_epoch p_seq 'S' tc b pos in
     let pos = write_lsn lwm b (write_lsn eosl b pos) in
     let pos = write_lsn upto b pos in
-    seal b len (write_batch write_op ops b pos)
+    seal b (write_batch write_op ops b pos)
 
 let decode_repl_from ~verify s =
   let r = payload ~verify 'S' s in
@@ -657,12 +728,13 @@ let decode_repl_from ~verify s =
   in
   finish r { p_epoch; p_seq; p_repl }
 
-let encode_repl_reply ?tid
+let encode_repl_reply ?(tid = 0)
     { q_tc; q_epoch; q_seq; q_reply = Repl_ack { applied } } =
   let len = ack_length q_tc q_epoch q_seq + 1 + lsn_length applied in
-  let b = open_frame ?tid 'T' len in
-  let pos = write_tag 'A' b (write_ack q_tc q_epoch q_seq b header_len) in
-  seal b len (write_lsn applied b pos)
+  let b = frame_bytes tid len in
+  let pos = open_frame b tid 'T' len in
+  let pos = write_tag 'A' b (write_ack q_tc q_epoch q_seq b pos) in
+  seal b (write_lsn applied b pos)
 
 let decode_repl_reply_from ~verify s =
   let r = payload ~verify 'T' s in
@@ -702,12 +774,14 @@ module Verified = struct
 
   let decode_repl_reply = decode_repl_reply_from ~verify:false
 
-  let tid s = if String.length s >= header_len then get_u32 s 1 else 0
+  let tid s = Int.max 0 (header_tid s)
 end
 
-(* The real size of a request on the wire — what the transport's byte
-   accounting charges, not an estimate. *)
-let request_size r = header_len + request_length r + trailer_len
+(* The real size of an untraced request on the wire — what the
+   transport's byte accounting charges, not an estimate. *)
+let request_size r =
+  let len = request_length r in
+  header_length 0 len + len + trailer_len
 
 let pp_control ppf = function
   | Watermarks { tc; eosl; lwm } ->

@@ -117,3 +117,17 @@ let next_string r =
   let s = String.sub r.src r.pos l in
   r.pos <- r.pos + l;
   s
+
+(* The string whose first [shared] bytes are [prev]'s and whose rest is
+   a varint length, then that many bytes: a front-coded key, built in
+   one allocation. *)
+let next_extension r prev shared =
+  if shared < 0 || shared > String.length prev then
+    invalid_arg "Codec.next_extension: shared prefix beyond the string";
+  let l = next_varint r in
+  if l > r.stop - r.pos then invalid_arg "Codec.next_extension: truncated";
+  let b = Bytes.create (shared + l) in
+  Bytes.unsafe_blit_string prev 0 b 0 shared;
+  Bytes.unsafe_blit_string r.src r.pos b shared l;
+  r.pos <- r.pos + l;
+  Bytes.unsafe_to_string b

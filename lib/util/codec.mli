@@ -75,3 +75,9 @@ val next_varint : reader -> int
 
 val next_string : reader -> string
 (** A varint length, then that many bytes, copied out. *)
+
+val next_extension : reader -> string -> int -> string
+(** [next_extension r prev shared]: the first [shared] bytes of [prev],
+    then a string read as {!next_string} reads one, as one new string
+    (one allocation).  Raises [Invalid_argument] if [shared] is negative
+    or beyond [prev]'s length. *)

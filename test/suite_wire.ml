@@ -354,7 +354,7 @@ let prop_tid_roundtrip =
 
 let prop_corrupted_tid_never_misattributes =
   (* The id sits inside the checksummed region: flip any single bit of
-     its four bytes and the whole frame must fail validation, with
+     its varint's bytes and the whole frame must fail validation, with
      frame_tid reporting the reserved untraced id — a corrupted frame
      can be dropped but never attributed to another operation's span. *)
   Test.make ~name:"corrupted trace id fails the checksum, never misattributes"
@@ -364,11 +364,11 @@ let prop_corrupted_tid_never_misattributes =
          Printf.sprintf "%s tid=%d byte=%d bit=%d" (print_any f) tid byte bit)
        Gen.(
          pair gen_any_frame
-           (triple (int_range 1 0xFFFFFFFF) (int_bound 3) (int_bound 7))))
+           (triple (int_range 1 0xFFFFFFFF) (int_bound 4) (int_bound 7))))
     (fun (f, (tid, byte, bit)) ->
       let bytes = encode_any_tid tid f in
       let b = Bytes.of_string bytes in
-      let i = 1 + byte in
+      let i = 1 + (byte mod Untx_util.Codec.varint_length tid) in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
       let mutant = Bytes.unsafe_to_string b in
       (not (Wire.frame_ok mutant))
@@ -390,13 +390,18 @@ let prop_kind_separation =
 
 (* --- golden frames ------------------------------------------------- *)
 
-(* One frame of each kind, plus a scan request and the redo batch and
-   its reply, written out byte by byte from the layout in wire.mli:
-   header (kind, trace id, payload length), payload fields, FNV-1a
-   checksum.  They cross the varint boundaries 127/128 and
-   16383/16384, carry an empty field and a 100-byte value, and use two
-   trace ids.  The binary layout replaced a decimal-text field list;
-   from here on the wire format must not move by a byte. *)
+(* One frame of each kind, plus a scan request, a probe reply and the
+   redo batch and its reply, written out byte by byte from the layout in
+   wire.mli: header (kind, trace id varint, payload length varint),
+   payload fields, FNV-1a checksum.  They cross the varint boundaries
+   127/128 and 16383/16384, carry an empty field, a 120-byte value and
+   a two-byte payload length, use four trace ids (a four-byte one among
+   them), and front-code keys with nothing shared, a key that extends
+   the one before it and a key that is a prefix of it.  The binary
+   layout replaced a decimal-text field list; varint headers and
+   front-coded key lists then replaced the fixed 4-byte trace id and
+   length and whole keys, on purpose.  A layout change is the only
+   reason these bytes may move. *)
 
 (* Hex, with spaces between fields for the reader. *)
 let of_hex h =
@@ -412,12 +417,12 @@ let golden =
   [
     ( "request",
       [
-        "51 01020304 0000001c";  (* 'Q', trace id, 28-byte payload *)
+        "51 84868808 1c";  (* 'Q', trace id 0x01020304, 28-byte payload *)
         "53 03 7f 02";  (* 'S', tc 3, lsn 127, part 2 *)
         "55 02 6b76";  (* 'U', table "kv" *)
         "09 6b3030303030303432";  (* key "k00000042" *)
         "09 763a31323334353637";  (* value "v:1234567" *)
-        "f3e53ca6";
+        "5df65f68";
       ],
       Wire.encode_request ~tid:0x01020304
         (Wire.Request
@@ -431,11 +436,11 @@ let golden =
       fun s -> Wire.encode_request ~tid:0x01020304 (Wire.decode_request s) );
     ( "scan request",
       [
-        "51 00000000 0000000e";
+        "51 00 0e";  (* 'Q', untraced, 14-byte payload *)
         "53 03 8001 00";  (* 'S', tc 3, lsn 128, part 0 *)
         "53 02 6b76 00";  (* 'S' scan, table "kv", from_key "" *)
         "808001 63";  (* limit 16384, mode 'c' committed *)
-        "05faeb9b";
+        "78a3f93b";
       ],
       Wire.encode_request
         (Wire.Request
@@ -455,14 +460,14 @@ let golden =
       fun s -> Wire.encode_request (Wire.decode_request s) );
     ( "reply with pairs",
       [
-        "52 0000004d 00000074";  (* 'R', trace id 77, 116-byte payload *)
+        "52 4d 8b01";  (* 'R', trace id 77, 139-byte payload *)
         "53 03 8001";  (* 'S', tc 3, lsn 128 *)
         "50 03";  (* 'P', 3 pairs *)
-        "01 61 01 31";  (* "a" -> "1" *)
-        "02 6262 00";  (* "bb" -> "" *)
-        "00 64" ^ String.concat "" (List.init 100 (fun _ -> "78"));
-        (* "" -> 100 'x' *)
-        "18e93be8";
+        "00 01 61 01 31";  (* key: shares 0, "a"; value "1" *)
+        "00 02 6262 00";  (* key: shares 0, "bb"; value "" *)
+        "00 00 78" ^ String.concat "" (List.init 120 (fun _ -> "78"));
+        (* key: shares 0, "" (a prefix of "bb"); value 120 'x' *)
+        "771f0e06";
       ],
       Wire.encode_reply ~tid:77
         (Wire.Reply
@@ -470,18 +475,19 @@ let golden =
              Wire.tc = tc 3;
              lsn = lsn 128;
              result =
-               Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 100 'x') ];
+               Wire.Pairs [ ("a", "1"); ("bb", ""); ("", String.make 120 'x') ];
            }),
       fun s -> Wire.encode_reply ~tid:77 (Wire.decode_reply s) );
     ( "redo batch",
       [
-        "51 00000009 00000020";
+        "51 09 21";  (* 'Q', trace id 9, 33-byte payload *)
         "42 03 01 02";  (* 'B', tc 3, part 1, 2 operations *)
         "ff7f 55 02 6b76 02 6b37 04 763a3431";
         (* lsn 16383: 'U' "kv" "k7" "v:41" *)
-        "808001 56 02 6b76 02 02 6b37 02 6b38";
-        (* lsn 16384: 'V' "kv", keys ["k7"; "k8"] *)
-        "28b42b99";
+        "808001 56 02 6b76 02";  (* lsn 16384: 'V' "kv", 2 keys *)
+        "00 02 6b37";  (* shares 0, "k7" *)
+        "01 01 38";  (* shares 1, "8": "k8" *)
+        "ecac2849";
       ],
       Wire.encode_request ~tid:9
         (Wire.Redo_batch
@@ -499,13 +505,13 @@ let golden =
       fun s -> Wire.encode_request ~tid:9 (Wire.decode_request s) );
     ( "redo batch reply",
       [
-        "52 00000009 0000001b";
+        "52 09 1b";  (* 'R', trace id 9, 27-byte payload *)
         "42 03 04";  (* 'B', tc 3, 4 outcomes *)
         "29 44";  (* lsn 41: 'D' done *)
         "2a 46 0b 6e6f2073756368206b6579";  (* lsn 42: 'F' "no such key" *)
         "2b 56 00";  (* lsn 43: 'V', absent *)
         "2c 56 01 01 76";  (* lsn 44: 'V', present, "v" *)
-        "f45130fc";
+        "44091d46";
       ],
       Wire.encode_reply ~tid:9
         (Wire.Redo_batch_reply
@@ -520,12 +526,31 @@ let golden =
                ];
            }),
       fun s -> Wire.encode_reply ~tid:9 (Wire.decode_reply s) );
+    ( "probe reply",
+      [
+        "52 00 12";  (* 'R', untraced, 18-byte payload *)
+        "53 03 c801";  (* 'S', tc 3, lsn 200 *)
+        "4e 04";  (* 'N', 4 keys *)
+        "00 02 6162";  (* shares 0, "ab" *)
+        "02 01 63";  (* shares 2, "c": "abc" extends "ab" *)
+        "01 00";  (* shares 1, "": "a" is a prefix of "abc" *)
+        "00 01 62";  (* shares 0, "b" *)
+        "3d1bc71f";
+      ],
+      Wire.encode_reply
+        (Wire.Reply
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 200;
+             result = Wire.Next_keys [ "ab"; "abc"; "a"; "b" ];
+           }),
+      fun s -> Wire.encode_reply (Wire.decode_reply s) );
     ( "control",
       [
-        "43 00000000 00000008";
+        "43 00 08";  (* 'C', untraced, 8-byte payload *)
         "02 11";  (* epoch 2, seq 17 *)
         "57 03 e807 e607";  (* 'W', tc 3, eosl 1000, lwm 998 *)
-        "1e17cf8f";
+        "7c60271f";
       ],
       Wire.encode_control
         {
@@ -536,10 +561,10 @@ let golden =
       fun s -> Wire.encode_control (Wire.decode_control s) );
     ( "control reply",
       [
-        "4b 00000000 00000005";
+        "4b 00 05";  (* 'K', untraced, 5-byte payload *)
         "03 02 11";  (* tc 3, epoch 2, seq 17 *)
         "47 01";  (* 'G', granted *)
-        "2c87f5a3";
+        "e2220df3";
       ],
       Wire.encode_control_reply
         {
@@ -551,13 +576,13 @@ let golden =
       fun s -> Wire.encode_control_reply (Wire.decode_control_reply s) );
     ( "repl ship",
       [
-        "53 00000005 0000001a";
+        "53 05 1a";  (* 'S', trace id 5, 26-byte payload *)
         "01 09";  (* epoch 1, seq 9 *)
         "53 02 0c 0a 0c";  (* 'S', tc 2, eosl 12, lwm 10, upto 12 *)
         "02";  (* 2 records *)
         "0b 49 02 6b76 02 6b31 01 76";  (* lsn 11: 'I' "kv" "k1" "v" *)
         "0c 44 02 6b76 02 6b30";  (* lsn 12: 'D' "kv" "k0" *)
-        "d38f0808";
+        "5a34dc4a";
       ],
       Wire.encode_repl ~tid:5
         {
@@ -580,10 +605,10 @@ let golden =
       fun s -> Wire.encode_repl ~tid:5 (Wire.decode_repl s) );
     ( "repl ack",
       [
-        "54 00000000 00000005";
+        "54 00 05";  (* 'T', untraced, 5-byte payload *)
         "02 01 09";  (* tc 2, epoch 1, seq 9 *)
         "41 0c";  (* 'A', applied 12 *)
-        "69f91895";
+        "f31baf1d";
       ],
       Wire.encode_repl_reply
         {
@@ -606,18 +631,27 @@ let test_golden_frames () =
 
 (* --- malformed payloads ------------------------------------------------ *)
 
-(* A frame of [kind] built by hand around [payload], with a valid length
-   and checksum, so only the payload can be at fault. *)
-let hand_frame ?(kind = "Q") payload =
-  let u32 v =
-    String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  in
-  let body = kind ^ u32 0 ^ u32 (String.length payload) ^ payload in
+(* [body] with its FNV-1a checksum appended, so only the body can be at
+   fault. *)
+let sealed body =
   let h = ref 0x811c9dc5 in
   String.iter
     (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
     body;
-  body ^ u32 !h
+  body ^ String.init 4 (fun i -> Char.chr ((!h lsr (8 * (3 - i))) land 0xff))
+
+(* A frame of [kind] built by hand around [payload]: untraced, with a
+   valid length and checksum, so only the payload can be at fault. *)
+let hand_frame ?(kind = "Q") payload =
+  sealed
+    (kind ^ "\000" ^ Untx_util.Codec.varint (String.length payload) ^ payload)
+
+(* The payload of a valid frame, past its varint header. *)
+let payload_of bytes =
+  let tid = Untx_util.Codec.read_varint bytes 1 in
+  let at = 1 + Untx_util.Codec.varint_length tid in
+  let len = Untx_util.Codec.read_varint bytes at in
+  String.sub bytes (at + Untx_util.Codec.varint_length len) len
 
 (* The payload, in hex, of a frame that passes the checksum but must
    not decode. *)
@@ -662,6 +696,78 @@ let test_noncanonical_int_field () =
      the checksum follow it in the frame. *)
   rejected "truncated varint" Wire.decode_repl_reply "T" "02 01 09 41 8c";
   rejected "truncated varint" Wire.decode_control "C" "02 91"
+
+(* Headers in a form the encoder never writes, each sealed with a valid
+   checksum: an overlong trace id or length varint, a trace id of 2^32
+   or more, and a length that disagrees with the frame. *)
+let test_noncanonical_headers () =
+  (* 'S', tc 7, lsn 5, 'D': a reply of 4 bytes *)
+  let payload = "53 07 05 44" in
+  let frame header = sealed (of_hex (header ^ " " ^ payload)) in
+  let accepted header =
+    Wire.frame_ok (frame header)
+    && Wire.decode_reply (frame header)
+       = Wire.Reply { Wire.tc = tc 7; lsn = lsn 5; result = Wire.Done }
+  in
+  Alcotest.(check bool) "the canonical header decodes" true
+    (accepted "52 00 04");
+  Alcotest.(check bool) "the largest trace id decodes" true
+    (accepted "52 ffffffff0f 04"
+    && Wire.frame_tid (frame "52 ffffffff0f 04") = 0xFFFFFFFF);
+  List.iter
+    (fun (what, header) ->
+      let f = frame header in
+      Alcotest.(check bool) (what ^ ": frame_ok") false (Wire.frame_ok f);
+      Alcotest.(check int) (what ^ ": no trace id") 0 (Wire.frame_tid f);
+      match Wire.decode_reply f with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("overlong trace id", "52 8000 04");
+      ("overlong trace id 5", "52 8500 04");
+      ("overlong length", "52 00 8400");
+      ("trace id 2^32", "52 8080808010 04");
+      ("trace id past 2^32", "52 ffffffff1f 04");
+      ("length one short", "52 00 03");
+      ("length one long", "52 00 05");
+      ("length in the checksum", "52 00 84");
+    ]
+
+(* Key lists in a form the encoder never writes: a shared length
+   beyond the key before (the first key's is ""), and a shared prefix
+   that is not the longest, its rest opening with the byte the key
+   before has there. *)
+let test_noncanonical_key_lists () =
+  (* 'S', tc 7, lsn 5, then a result *)
+  let reply result_hex = "53 07 05 " ^ result_hex in
+  let next_keys keys = reply ("4e " ^ keys) in
+  Alcotest.(check bool) "canonical keys decode" true
+    (Wire.decode_reply
+       (hand_frame ~kind:"R"
+          (of_hex (next_keys "04 00 02 6162 01 01 63 02 00 00 00")))
+    = Wire.Reply
+        {
+          Wire.tc = tc 7;
+          lsn = lsn 5;
+          result = Wire.Next_keys [ "ab"; "ac"; "ac"; "" ];
+        });
+  reject_reply "first key shares a byte" (next_keys "01 01 00");
+  reject_reply "shared beyond the key before" (next_keys "02 00 02 6162 03 00");
+  reject_reply "shares 0 of \"ab\", rest \"ac\""
+    (next_keys "02 00 02 6162 00 02 6163");
+  reject_reply "shares 1 of \"ab\", rest \"bc\""
+    (next_keys "02 00 02 6162 01 02 6263");
+  reject_reply "shares 1 of \"ab\", rest \"b\""
+    (next_keys "02 00 02 6162 01 01 62");
+  reject_reply "rest beyond the payload" (next_keys "01 00 05 6162");
+  reject_reply "pair key shares 0 of \"a\", rest \"ab\""
+    (reply "50 02 00 01 61 00 00 02 6162 00");
+  reject_reply "pair key shared beyond the key before"
+    (reply "50 02 00 01 61 00 02 00 00");
+  reject_request "commit keys share 0 of \"k7\", rest \"k8\""
+    "53 07 05 00 56 02 6b76 02 00 02 6b37 00 02 6b38";
+  reject_request "abort keys shared beyond the key before"
+    "53 07 05 00 41 02 6b76 02 00 02 6b37 03 00"
 
 (* Batch payloads that pass the checksum but are cut short, miscounted
    or carry bytes past their last entry. *)
@@ -769,7 +875,6 @@ let test_watermark_layouts () =
    appended, re-sealed into a valid frame, is rejected: a decoder
    reads exactly the fields the encoder wrote. *)
 let prop_prefix_and_suffix =
-  let payload bytes = String.sub bytes 9 (String.length bytes - 13) in
   Test.make ~name:"payload prefixes and extensions are rejected" ~count:300
     (make
        ~print:(fun (f, c) ->
@@ -777,7 +882,7 @@ let prop_prefix_and_suffix =
        Gen.(pair gen_any_frame char))
     (fun (f, c) ->
       let bytes = encode_any f in
-      let kind = String.sub bytes 0 1 and p = payload bytes in
+      let kind = String.sub bytes 0 1 and p = payload_of bytes in
       String.equal (hand_frame ~kind p) bytes
       && (not (decodes_as f (hand_frame ~kind (p ^ String.make 1 c))))
       && List.for_all
@@ -806,6 +911,10 @@ let suite =
         test_golden_frames;
       Alcotest.test_case "non-canonical int fields are rejected" `Quick
         test_noncanonical_int_field;
+      Alcotest.test_case "non-canonical headers are rejected" `Quick
+        test_noncanonical_headers;
+      Alcotest.test_case "non-canonical key lists are rejected" `Quick
+        test_noncanonical_key_lists;
       Alcotest.test_case "truncated and non-canonical batches are rejected"
         `Quick test_bad_batch_payloads;
       Alcotest.test_case "unknown tags and trailing bytes are rejected" `Quick
