@@ -104,19 +104,25 @@ let write t page =
   incr t.c_page_writes;
   Page_id.Tbl.replace t.pages (Page.id page) (Page.copy page)
 
+(* A read that finds neither an image nor a torn one transfers nothing
+   and counts no read: DC-log replay asks for every page an SMO record
+   names, most of them never written. *)
 let read t id =
   with_io_retries t p_read_io;
-  (match Page_id.Tbl.find_opt t.torn id with
-  | Some _ ->
+  let torn = Page_id.Tbl.mem t.torn id in
+  if torn then begin
     (* Checksum mismatch: discard the torn image, return the previous
        good one (or [None] if the page had never been fully written). *)
     Page_id.Tbl.remove t.torn id;
     t.torn_detected <- t.torn_detected + 1;
     Instrument.bump t.counters "disk.torn_pages_detected"
-  | None -> ());
-  t.reads <- t.reads + 1;
-  incr t.c_page_reads;
-  Option.map Page.copy (Page_id.Tbl.find_opt t.pages id)
+  end;
+  let image = Page_id.Tbl.find_opt t.pages id in
+  if torn || Option.is_some image then begin
+    t.reads <- t.reads + 1;
+    incr t.c_page_reads
+  end;
+  Option.map Page.copy image
 
 let exists t id = Page_id.Tbl.mem t.pages id
 

@@ -36,7 +36,8 @@ val write : t -> Page.t -> unit
 (** Atomically replace the stable image of the page (a flush). *)
 
 val read : t -> Page_id.t -> Page.t option
-(** A deep copy of the stable image, or [None] if never written/freed. *)
+(** A deep copy of the stable image, or [None] if never written/freed.
+    Counted in {!reads} only when it finds an image or a torn one. *)
 
 val exists : t -> Page_id.t -> bool
 

@@ -140,6 +140,42 @@ let test_disk_alloc_free () =
   let c = Disk.alloc d in
   Alcotest.(check bool) "freed id reused" true (Page_id.equal a c)
 
+(* A read counts only when it finds an image, or a torn one to detect:
+   a page never written, or freed, transfers nothing. *)
+let test_disk_unwritten_read_counts_nothing () =
+  let counters = Untx_util.Instrument.create () in
+  let d = Disk.create ~counters () in
+  let reads () =
+    (Disk.reads d, Untx_util.Instrument.get counters "disk.page_reads")
+  in
+  let never = Disk.alloc d in
+  Alcotest.(check bool) "nothing read" true (Disk.read d never = None);
+  Alcotest.(check (pair int int)) "a never-written page" (0, 0) (reads ());
+  let written = Disk.alloc d in
+  let page v =
+    let p = mk_page (Page_id.to_int written) in
+    Page.set p ~key:"k" ~data:v;
+    p
+  in
+  Disk.write d (page "v");
+  ignore (Disk.read d written);
+  Alcotest.(check (pair int int)) "a written page" (1, 1) (reads ());
+  Disk.free d written;
+  ignore (Disk.read d written);
+  Alcotest.(check (pair int int)) "a freed page" (1, 1) (reads ());
+  (* a torn first image: nothing good to return, but the read detects it *)
+  let torn = Disk.alloc d in
+  Untx_fault.Fault.arm ~seed:1
+    [ Untx_fault.Fault.crash_at "disk.page_write.torn" 1 ];
+  (try
+     Disk.write d (mk_page (Page_id.to_int torn));
+     Alcotest.fail "expected crash"
+   with Untx_fault.Fault.Injected_crash _ -> ());
+  Untx_fault.Fault.disarm ();
+  Alcotest.(check bool) "no good image" true (Disk.read d torn = None);
+  Alcotest.(check int) "torn image detected" 1 (Disk.torn_detected d);
+  Alcotest.(check (pair int int)) "a torn page" (2, 2) (reads ())
+
 let test_disk_master () =
   let d = Disk.create () in
   Alcotest.(check (option string)) "initially none" None (Disk.master d);
@@ -257,6 +293,8 @@ let suite =
     Alcotest.test_case "disk roundtrip isolation" `Quick test_disk_roundtrip;
     Alcotest.test_case "disk alloc/free" `Quick test_disk_alloc_free;
     Alcotest.test_case "disk master record" `Quick test_disk_master;
+    Alcotest.test_case "a read of a never-written page counts nothing" `Quick
+      test_disk_unwritten_read_counts_nothing;
     Alcotest.test_case "cache fault & flush" `Quick test_cache_fault_and_flush;
     Alcotest.test_case "cache policy blocks flush" `Quick
       test_cache_policy_blocks_flush;
