@@ -1002,25 +1002,30 @@ let scan t txn ~table ~from_key ~limit =
 (* Group a transaction's versioned writes by (table, DC): version
    housekeeping operations must each target a single DC.  The walk goes
    over the writes newest first; groups leave in the order it meets
-   them, each listing its keys once. *)
+   them, each listing its keys once.  A key's DC is fixed by its table
+   and key, so a write seen before is skipped through one hash set. *)
 let versioned_write_sets t txn =
   let groups = ref [] (* newest first *) in
+  let seen = Hashtbl.create (List.length txn.vwrites) in
   List.iter
-    (fun (table, key) ->
-      let dc = dc_of_key t table key in
-      let keys =
-        match
-          List.find_opt
-            (fun (tb, d, _) -> String.equal tb table && String.equal d dc)
-            !groups
-        with
-        | Some (_, _, keys) -> keys
-        | None ->
-          let keys = ref [] in
-          groups := (table, dc, keys) :: !groups;
-          keys
-      in
-      if not (List.mem key !keys) then keys := key :: !keys)
+    (fun ((table, key) as write) ->
+      if not (Hashtbl.mem seen write) then begin
+        Hashtbl.replace seen write ();
+        let dc = dc_of_key t table key in
+        let keys =
+          match
+            List.find_opt
+              (fun (tb, d, _) -> String.equal tb table && String.equal d dc)
+              !groups
+          with
+          | Some (_, _, keys) -> keys
+          | None ->
+            let keys = ref [] in
+            groups := (table, dc, keys) :: !groups;
+            keys
+        in
+        keys := key :: !keys
+      end)
     txn.vwrites;
   List.rev_map (fun (table, _, keys) -> (table, !keys)) !groups
 
