@@ -324,6 +324,19 @@ let scan_reply =
                (key_of (100 + i), Printf.sprintf "value-%04d" i)));
     }
 
+(* The update request's [Done] reply, and the reply to a 10-key
+   fetch-ahead probe over consecutive keys. *)
+let done_reply =
+  Wire.Reply { Wire.tc = tc1; lsn = Lsn.of_int 123_456; result = Wire.Done }
+
+let probe_reply =
+  Wire.Reply
+    {
+      Wire.tc = tc1;
+      lsn = Lsn.of_int 123_458;
+      result = Wire.Next_keys (List.init 10 (fun i -> key_of (100 + i)));
+    }
+
 (* A redo batch of [Tc.redo_batch_cap] logged writes, as a restarted DC
    receives them. *)
 let redo_batch =
@@ -350,11 +363,12 @@ let record =
 
 (* Minor-heap words one call allocates: exact and independent of
    machine speed.  The wire's binary frames encode the update request in
-   7 words (the frame itself) and the scan reply in 30, and decode the
-   request in 23; a 64-op redo batch's encode and decode take 1252.  The
-   decimal-text field lists they replaced took 36, 108, 63 and 3163, and
-   the Buffer and string_of_int encoder before those took 86 and 436 to
-   encode.  The record's ceilings sit below what its text cell cost, 29
+   6 words (the frame itself) and the scan reply in 22, and decode the
+   request in 23; a 64-op redo batch's encode and decode take 1251.
+   With fixed 4-byte frame headers and whole keys they took 7, 30, 23
+   and 1252; the decimal-text field lists before those took 36, 108, 63
+   and 3163, and the Buffer and string_of_int encoder before those took
+   86 and 436 to encode.  The record's ceilings sit below what its text cell cost, 29
    words to encode and 22 to decode, against one 26-byte binary cell
    now. *)
 let words_per_op f =
@@ -513,6 +527,31 @@ let gate_codec_alloc () =
   in
   req && rep && req_dec && batch && rcd && rcd_dec
 
+(* Frame bytes, exact: each gate sits at the size the layout in
+   wire.mli gives, so a change that grows a frame fails it.  With fixed
+   4-byte trace ids and lengths and whole keys the update request and
+   its reply took 44 + 19 bytes, the probe reply 120 and the scan reply
+   230. *)
+let gate_codec_bytes () =
+  let line name bytes ~ceiling =
+    Printf.printf "%-45s %12d  (gate <= %d bytes)\n" name bytes ceiling;
+    bytes <= ceiling
+  in
+  let size = String.length in
+  let update =
+    line "Wire: update request + Done reply, bytes" ~ceiling:51
+      (size (Wire.encode_request update_req) + size (Wire.encode_reply done_reply))
+  in
+  let probe =
+    line "Wire: 10-key probe reply, bytes" ~ceiling:52
+      (size (Wire.encode_reply probe_reply))
+  in
+  let scan =
+    line "Wire: 10-pair scan reply, bytes" ~ceiling:163
+      (size (Wire.encode_reply scan_reply))
+  in
+  update && probe && scan
+
 (* One data round trip through a reliable [Transport]: a request frame
    sent, then one drain that delivers it to a DC stand-in and surfaces
    the reply.  The stand-ins are the transport suite's echo handlers:
@@ -629,6 +668,7 @@ let run_gates () =
   let tc_dispatch = gate_tc_dispatch () in
   let codec_ns = gate_codec_ns () in
   let codec_alloc = gate_codec_alloc () in
+  let codec_bytes = gate_codec_bytes () in
   let hot_alloc = gate_hot_path_alloc () in
   let redo_alloc = gate_redo_alloc () in
   let wal = gate_wal () in
@@ -639,7 +679,7 @@ let run_gates () =
   if
     not
       (reconstruct && lwm_flat && dc_apply && tc_dispatch && codec_ns
-     && codec_alloc && hot_alloc && redo_alloc && wal && transport && density
+     && codec_alloc && codec_bytes && hot_alloc && redo_alloc && wal && transport && density
      && descent)
   then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
