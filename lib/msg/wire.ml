@@ -170,26 +170,36 @@ let seal b pos =
   put_u32 b pos (fnv32 b 0 pos);
   Bytes.unsafe_to_string b
 
-(* The trace id of [s]'s header, or -1 unless it is a canonical varint
-   below 2^32.  A header is parsed without raising, as [frame_ok]
-   answers for any string. *)
+(* The canonical varint at [i], ending before [stop], or -1: the header
+   is parsed without raising, as [frame_ok] answers for any string. *)
+let rec header_varint s stop i shift acc =
+  if i >= stop then -1
+  else
+    let c = Char.code (String.unsafe_get s i) in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then
+      if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then -1 else acc
+    else if shift = 56 then -1
+    else header_varint s stop (i + 1) (shift + 7) acc
+
+(* The trace id of [s]'s header, or -1. *)
 let header_tid s =
-  match Codec.read_varint s 1 with
-  | tid when tid <= max_tid -> tid
-  | _ | (exception Invalid_argument _) -> -1
+  let tid = header_varint s (String.length s - trailer_len) 1 0 0 in
+  if tid > max_tid then -1 else tid
 
 (* The payload offset of [s] if its header holds and its kind is [kind]
    — and, with [verify], its checksum too; [-1] otherwise.  Only a frame
    that already passed [frame_ok] may skip the checksum. *)
 let checked_payload ~verify kind s =
-  let stop = String.length s - trailer_len in
+  let n = String.length s in
+  let stop = n - trailer_len in
   let tid = header_tid s in
   if tid < 0 || String.unsafe_get s 0 <> kind then -1
   else
     let i = 1 + Codec.varint_length tid in
-    match Codec.read_varint s i with
-    | exception Invalid_argument _ -> -1
-    | len ->
+    let len = header_varint s stop i 0 0 in
+    if len < 0 then -1
+    else
       let off = i + Codec.varint_length len in
       if len <> stop - off then -1
       else if
