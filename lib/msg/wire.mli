@@ -169,20 +169,27 @@ val repl_tc : repl -> Untx_util.Tc_id.t
 
 (** {2 Frames}
 
-    [encode_*] produce self-contained binary frames: a kind byte, a
-    4-byte big-endian trace id ([?tid], default 0 = untraced), a 4-byte
-    big-endian payload length, the payload, and a 4-byte big-endian
-    FNV-1a checksum of everything before it.  The kind bytes are ['Q']
-    request, ['R'] reply, ['C'] control, ['K'] control reply, ['S'] repl
-    and ['T'] repl reply.
+    [encode_*] produce self-contained binary frames: a kind byte, the
+    trace id as a {!Untx_util.Codec} varint ([?tid], default 0 =
+    untraced, taken modulo 2{^32}; an untraced frame's id is one byte),
+    the payload length as a varint, the payload, and a 4-byte
+    big-endian FNV-1a checksum of everything before it.  The kind bytes
+    are ['Q'] request, ['R'] reply, ['C'] control, ['K'] control reply,
+    ['S'] repl and ['T'] repl reply.
 
     The payload is binary.  An integer (tc, LSN, partition, epoch, seq,
-    limit, count) is a {!Untx_util.Codec} varint; a string is its length
-    as a varint, then its bytes; a list is its count as a varint, then
-    its elements; a boolean or an option's presence is one byte, [0x00]
-    or [0x01]; each constructor is one tag byte, an ASCII letter.  In
-    the layouts below, [tag] names that byte, [str] a string, and
-    [n × x] a count followed by [n] elements [x]:
+    limit, count) is a varint; a string is its length as a varint, then
+    its bytes; a list is its count as a varint, then its elements; a
+    boolean or an option's presence is one byte, [0x00] or [0x01]; each
+    constructor is one tag byte, an ASCII letter.  A key in a list
+    (probe keys, scan pairs, commit and abort version keys) is an
+    [fkey], front-coded against the key before it, the first against
+    [""]: the length of the prefix the two share as a varint, the
+    length of the rest as a varint, then the rest.  The shared length
+    is the longest common prefix's, so the rest never opens with the
+    byte the key before has there.  In the layouts below, [tag] names
+    that byte, [n × x] a count followed by [n] elements [x], and every
+    other field is a varint or a string as above:
 
     {v
 request       'S' tc lsn part op
@@ -195,12 +202,12 @@ op            'I' table key value        insert
               'R' table key mode         read; mode 'o' own, 'c' committed, 'd' dirty
               'S' table from_key limit mode   scan
               'P' table from_key limit   probe
-              'V' table (n × key)        commit versions
-              'A' table (n × key)        abort versions
+              'V' table (n × fkey)       commit versions
+              'A' table (n × fkey)       abort versions
 result        'D'                        done
               'V' 0x00 | 'V' 0x01 value  point read, absent | present
-              'P' (n × key value)        scan pairs
-              'N' (n × key)              probe keys
+              'P' (n × fkey value)       scan pairs
+              'N' (n × fkey)             probe keys
               'F' message                failed
 control msg   epoch seq control
 control       'E' tc eosl                watermarks, lwm = 0
@@ -218,9 +225,10 @@ repl reply    tc epoch seq 'A' applied
     kind, bad length, checksum mismatch, an unknown tag, a field cut
     short, a count beyond the bytes left, a byte after the last field,
     a varint in any form {!Untx_util.Codec.write_varint} would not
-    write, a zero mark in ['L'] or ['W'] — and never return a silently
-    wrong value.  Decoding is canonical: a frame that decodes re-encodes
-    to its own bytes. *)
+    write, a trace id of 2{^32} or more, a shared length beyond the key
+    before or short of the longest shared prefix, a zero mark in ['L']
+    or ['W'] — and never return a silently wrong value.  Decoding is
+    canonical: a frame that decodes re-encodes to its own bytes. *)
 
 val encode_request : ?tid:int -> request_msg -> string
 
@@ -281,7 +289,7 @@ module Verified : sig
 end
 
 val request_size : request -> int
-(** The exact encoded frame length of the request — sized by the
-    encoder's own sizing pass, not estimated. *)
+(** The exact encoded frame length of the untraced request — sized by
+    the encoder's own sizing pass, not estimated. *)
 
 val pp_control : Format.formatter -> control -> unit
