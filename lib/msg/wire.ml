@@ -137,7 +137,7 @@ let fnv32 b lo hi =
   done;
   Int64.to_int !h land 0xFFFFFFFF
 
-(* Only ever at offsets inside the frame [open_frame] sized. *)
+(* Only ever at offsets inside the frame [frame_bytes] sized. *)
 let put_u32 b off v =
   Bytes.unsafe_set b off (Char.unsafe_chr ((v lsr 24) land 0xff));
   Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
