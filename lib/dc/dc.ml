@@ -1275,17 +1275,10 @@ let control t (ctl : Wire.control) =
       in
       let others =
         let add other _ held = Tc_id.Set.add other held in
-        let held =
-          Tc_id.Map.fold add t.lwm (Tc_id.Map.fold add t.eosl t.lwm_held)
-        in
-        let held =
-          Page_id.Tbl.fold
-            (fun _ st held -> Tc_id.Map.fold add st.ablsns held)
-            t.states held
-        in
         List.fold_left
           (fun held (k, _) -> Tc_id.Set.add (Tc_id.of_int k) held)
-          held sessions
+          (Tc_id.Map.fold add t.lwm (Tc_id.Map.fold add t.eosl t.lwm_held))
+          sessions
         |> Tc_id.Set.remove tc
       in
       crash t;
@@ -1298,10 +1291,7 @@ let control t (ctl : Wire.control) =
          TC's abstract LSN at that mark on its first redone write, and
          absorbs the rest of the redo as duplicates.  Hold the marks of
          every TC this DC knew, or still holds, until that TC's
-         [Redo_fence_begin]: every TC that pushed a mark or opened a
-         control session, and every TC with an abstract LSN on a page.
-         A TC pushes no zero low-water mark, so one whose work here is
-         all cached may have sent this DC nothing else. *)
+         [Redo_fence_begin]. *)
       t.lwm_held <- others;
       ignore (Wal.append t.dc_log (Smo_record.Tc_restart { tc; stable_lsn }));
       Wal.force t.dc_log;

@@ -358,11 +358,8 @@ let current_lwm t = lwm_of_pendings t (fun _ -> true)
 
 (* Push the low-water mark to one link, unless neither mark moved since
    the last push (the memo is per control session; [clear_ctl] voids
-   it) or the mark is zero.  A zero mark claims nothing (the DC keeps
-   the larger of two marks), so the push would buy a control round trip
-   and no coverage; the memo stays unset and the first non-zero mark
-   travels.  The end-of-stable-log travels in [send_eosl]'s broadcasts,
-   so this push leaves its eosl zero: it claims nothing there. *)
+   it).  The end-of-stable-log travels in [send_eosl]'s broadcasts, so
+   this push leaves its eosl zero: it claims nothing there. *)
 let post_watermarks t ls =
   let eosl = Wal.stable_lsn t.log in
   let lwm = current_lwm_for t ls in
@@ -371,7 +368,7 @@ let post_watermarks t ls =
     | Some (e, l) -> Lsn.equal e eosl && Lsn.equal l lwm
     | None -> false
   in
-  if not (unchanged || Lsn.equal lwm Lsn.zero) then begin
+  if not unchanged then begin
     ls.ls_sent_watermarks <- Some (eosl, lwm);
     ignore
       (post_control t ls

@@ -169,9 +169,8 @@ let run_script script =
   let lwms = ref Tc_id.Map.empty in
   (* A TC reset that escalates to a complete DC restart holds the marks
      of every other TC the DC knew — it had the TC's end-of-stable-log
-     or low-water mark, a TC's first mark counting even at zero, or an
-     abstract LSN of the TC on a page — or still held, until that TC's
-     redo fence. *)
+     or low-water mark, a TC's first mark counting even at zero — or
+     still held, until that TC's redo fence. *)
   let n = Array.length tcs in
   let has_eosl = Array.make n false
   and has_lwm = Array.make n false
@@ -324,14 +323,6 @@ let run_script script =
             else None)
           !expect
       in
-      let on_a_page =
-        Array.map
-          (fun tc ->
-            List.exists
-              (fun (_, m) -> Tc_id.Map.mem tc m.Page_meta.ablsns)
-              !expect)
-          tcs
-      in
       control (Wire.Restart_begin { tc; stable_lsn = stable });
       s.issued <- s.eosl;
       s.lwm <- 0;
@@ -343,9 +334,7 @@ let run_script script =
         lwms := Tc_id.Map.empty;
         Array.iteri
           (fun j _ ->
-            if j <> i then
-              held.(j) <-
-                held.(j) || has_eosl.(j) || has_lwm.(j) || on_a_page.(j))
+            if j <> i then held.(j) <- held.(j) || has_eosl.(j) || has_lwm.(j))
           tcs;
         forget ()
       end

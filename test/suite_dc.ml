@@ -755,10 +755,8 @@ let test_record_cell_golden () =
    low-water mark one of them pushes in between claims operations the
    DC lost: held until that TC's redo fence, it cannot make the redo of
    an insert start the page's abstract LSN at the mark and absorb the
-   version commit that follows it.  The DC knows the other TC by its
-   marks, or, when it pushed none (a TC sends no zero low-water mark),
-   by its abstract LSN on the page. *)
-let escalation_holds_other_lwm ~pushed =
+   version commit that follows it. *)
+let test_escalation_holds_other_lwm () =
   let dc =
     Dc.create
       {
@@ -778,8 +776,7 @@ let escalation_holds_other_lwm ~pushed =
   in
   ignore (Dc.perform dc (insert_k ()));
   ignore (Dc.perform dc (commit_k ()));
-  if pushed then
-    ctl (Wire.Watermarks { tc = tc2; eosl = lsn 5; lwm = lsn 1 });
+  ctl (Wire.Watermarks { tc = tc2; eosl = lsn 5; lwm = lsn 1 });
   ctl (Wire.Restart_begin { tc = tc1; stable_lsn = lsn 0 });
   Alcotest.(check bool) "the reset escalated" true (Dc.take_escalation dc);
   ctl (Wire.Redo_fence_end { tc = tc1 });
@@ -795,10 +792,6 @@ let escalation_holds_other_lwm ~pushed =
   | Some r ->
     Alcotest.(check bool) "the version is committed" true
       (r.Stored_record.before = Stored_record.Absent)
-
-let test_escalation_holds_other_lwm () =
-  escalation_holds_other_lwm ~pushed:true;
-  escalation_holds_other_lwm ~pushed:false
 
 (* A leaf split posts the shortest separator, which can sort below the
    new page's first key.  Here every gap between the long keys held a

@@ -307,55 +307,6 @@ let test_sibling_lwm_advances () =
   Alcotest.(check bool) "dc1's mark passes it once acknowledged" true
     Lsn.(in_flight < lwm dc1)
 
-(* A low-water push whose mark is zero claims nothing, so it is not
-   sent.  With a push after every ack, the first insert is acknowledged
-   before any commit has forced the log, so its mark is zero and no
-   push leaves; the commit's force then lets a real mark travel, and
-   the DC learns of the TC through its end-of-stable-log first. *)
-let test_zero_lwm_not_pushed () =
-  let tc =
-    Tc.create { (Tc.default_config (Tc_id.of_int 1)) with lwm_every = 1 }
-  in
-  let dc = Dc.create (kernel_config ()).Kernel.dc in
-  Dc.create_table dc ~name:table ~versioned:true;
-  let transport =
-    Transport.create ~seed:1 ~data:(Dc.handle_request_frame dc)
-      ~control:(Dc.handle_control_frame dc) ()
-  in
-  let sent = ref [] in
-  Tc.attach_dc tc
-    {
-      Tc.dc_name = "dc0";
-      part = 0;
-      send = Transport.send transport;
-      send_control =
-        (fun frame ->
-          sent := (Untx_msg.Wire.decode_control frame).c_ctl :: !sent;
-          Transport.send_control transport frame);
-      drain = (fun () -> Transport.drain transport);
-    };
-  Tc.map_table tc ~table ~dc:"dc0" ~versioned:true;
-  let lwm_pushes () =
-    List.filter_map
-      (function
-        | Untx_msg.Wire.Watermarks { eosl; lwm; _ }
-          when Lsn.equal eosl Lsn.zero -> Some lwm
-        | _ -> None)
-      !sent
-  in
-  let txn = Tc.begin_txn tc in
-  ok (Tc.insert tc txn ~table ~key:"k" ~value:"v");
-  Alcotest.(check int) "the insert's ack pushes no zero mark" 0
-    (List.length (lwm_pushes ()));
-  ok (Tc.commit tc txn);
-  ignore (Tc.read_committed tc ~table ~key:"k");
-  Tc.quiesce tc;
-  Alcotest.(check bool) "no push carries a zero mark" true
-    (List.for_all (fun l -> Lsn.(Lsn.zero < l)) (lwm_pushes ()));
-  Alcotest.(check bool) "a non-zero mark was pushed" true (lwm_pushes () <> []);
-  Alcotest.(check bool) "the DC holds it" true
-    Lsn.(Lsn.zero < Dc.lwm_of dc (Tc.id tc))
-
 (* A data request the DC never answers is resent on the session's
    backoff clock until its 32 resends are spent; the commit waiting on
    it then fails loudly instead of hanging. *)
@@ -416,8 +367,6 @@ let suite =
       test_unwound_commit_leaves_no_floor;
     Alcotest.test_case "a sibling partition's mark passes a held request"
       `Quick test_sibling_lwm_advances;
-    Alcotest.test_case "a zero low-water mark is not pushed" `Quick
-      test_zero_lwm_not_pushed;
     Alcotest.test_case "an unanswered request times out" `Quick
       test_unanswered_request_times_out;
   ]
