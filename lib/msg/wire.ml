@@ -170,21 +170,10 @@ let seal b pos =
   put_u32 b pos (fnv32 b 0 pos);
   Bytes.unsafe_to_string b
 
-(* The canonical varint at [i], ending before [stop], or -1: the header
-   is parsed without raising, as [frame_ok] answers for any string. *)
-let rec header_varint s stop i shift acc =
-  if i >= stop then -1
-  else
-    let c = Char.code (String.unsafe_get s i) in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c < 0x80 then
-      if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then -1 else acc
-    else if shift = 56 then -1
-    else header_varint s stop (i + 1) (shift + 7) acc
-
-(* The trace id of [s]'s header, or -1. *)
+(* The trace id of [s]'s header, or -1: the header is parsed without
+   raising, as [frame_ok] answers for any string. *)
 let header_tid s =
-  let tid = header_varint s (String.length s - trailer_len) 1 0 0 in
+  let tid = Codec.varint_before s ~stop:(String.length s - trailer_len) 1 in
   if tid > max_tid then -1 else tid
 
 (* The payload offset of [s] if its header holds and its kind is [kind]
@@ -197,7 +186,7 @@ let checked_payload ~verify kind s =
   if tid < 0 || String.unsafe_get s 0 <> kind then -1
   else
     let i = 1 + Codec.varint_length tid in
-    let len = header_varint s stop i 0 0 in
+    let len = Codec.varint_before s ~stop i in
     if len < 0 then -1
     else
       let off = i + Codec.varint_length len in
@@ -405,8 +394,6 @@ let read_count r =
    maximal, so the rest does not open with [prev]'s next byte. *)
 let read_key r prev =
   let shared = read_nat r in
-  if shared > String.length prev then
-    fail "shared prefix beyond the key before";
   let k = Codec.next_extension r prev shared in
   if
     shared < String.length prev

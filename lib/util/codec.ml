@@ -29,22 +29,30 @@ let[@inline] write_varint n b pos =
 (* Accepts exactly what [write_varint] writes: no zero last byte after
    the first (overlong), and at most nine bytes whose bits fit a
    non-negative [int] — the ninth byte carries bits 56..61 only.  The
-   varint must end before [stop]. *)
-let rec varint_from s stop i shift acc =
-  if i >= stop then invalid_arg "Codec.read_varint: truncated";
-  let c = Char.code (String.unsafe_get s i) in
-  let acc = acc lor ((c land 0x7f) lsl shift) in
-  if c < 0x80 then begin
-    if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then
-      invalid_arg "Codec.read_varint: not canonical";
-    acc
-  end
-  else if shift = 56 then invalid_arg "Codec.read_varint: too long"
-  else varint_from s stop (i + 1) (shift + 7) acc
+   varint must end before [stop].  Anything else reads as -1, so a
+   caller that must answer for any string (a frame header) parses
+   without raising. *)
+let rec varint_within s stop i shift acc =
+  if i >= stop then -1
+  else
+    let c = Char.code (String.unsafe_get s i) in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then
+      if (c = 0 && shift > 0) || (shift = 56 && c >= 0x40) then -1 else acc
+    else if shift = 56 then -1
+    else varint_within s stop (i + 1) (shift + 7) acc
+
+let varint_before s ~stop pos =
+  if pos < 0 || stop > String.length s then -1 else varint_within s stop pos 0 0
+
+let varint_from s stop pos =
+  let n = varint_within s stop pos 0 0 in
+  if n < 0 then invalid_arg "Codec.read_varint: truncated or not canonical";
+  n
 
 let read_varint s pos =
   if pos < 0 then invalid_arg "Codec.read_varint: truncated";
-  varint_from s (String.length s) pos 0 0
+  varint_from s (String.length s) pos
 
 (* A string that is one varint and nothing else: inner-page child ids
    and page LSNs.  Decoding allocates nothing, as a B-tree descent reads
@@ -107,16 +115,9 @@ let[@inline] next_varint r =
     Char.code (String.unsafe_get r.src pos)
   end
   else
-    let n = varint_from r.src r.stop pos 0 0 in
+    let n = varint_from r.src r.stop pos in
     r.pos <- pos + varint_bytes n;
     n
-
-let next_string r =
-  let l = next_varint r in
-  if l > r.stop - r.pos then invalid_arg "Codec.next_string: truncated";
-  let s = String.sub r.src r.pos l in
-  r.pos <- r.pos + l;
-  s
 
 (* The string whose first [shared] bytes are [prev]'s and whose rest is
    a varint length, then that many bytes: a front-coded key, built in
@@ -131,3 +132,5 @@ let next_extension r prev shared =
   Bytes.unsafe_blit_string r.src r.pos b shared l;
   r.pos <- r.pos + l;
   Bytes.unsafe_to_string b
+
+let next_string r = next_extension r "" 0

@@ -28,6 +28,11 @@ val read_varint : string -> int -> int
 (** The varint starting at [pos].  It ends [varint_length] of the
     result bytes later. *)
 
+val varint_before : string -> stop:int -> int -> int
+(** [varint_before s ~stop pos]: the varint at [pos], which must end
+    before [stop], or [-1] where {!read_varint} would raise — for a
+    parser that answers for any string without raising. *)
+
 val varint : int -> string
 (** [n]'s varint bytes as a string of their own. *)
 
