@@ -122,9 +122,11 @@ let separator ~lo ~hi =
 
 (* Split [page] as a system transaction.  [ancestors] is the path from
    the root down to (but excluding) [page]; empty when [page] is the
-   root.  Recursively splits ancestors that overflow from the routing
-   insert. *)
-let rec split t page ancestors ~level =
+   root.  [incoming] is the leaf cell whose write did not fit: the cut
+   balances the halves with it counted.  An inner split gets none, its
+   routing cell being on the page already.  Recursively splits
+   ancestors that overflow from the routing insert. *)
+let rec split ?incoming t page ancestors ~level =
   let parent, remaining_ancestors, new_root =
     match List.rev ancestors with
     | (parent, _) :: rest -> (parent, List.rev rest, false)
@@ -140,10 +142,13 @@ let rec split t page ancestors ~level =
   let new_page =
     Cache.new_page t.cache ~kind:(Page.kind page) ~page_capacity:t.page_capacity
   in
-  let first_moved, moved = Page.split_upper page in
+  let first_moved, moved = Page.split_upper ?incoming page in
   Page.absorb new_page moved;
-  (* A leaf posts the shortest separator between its halves.  An inner
-     page must post its first moved key unchanged: the new page's first
+  (* A leaf posts the shortest separator between its halves, the
+     incoming cell counted on the side the cut gave it: [first_moved]
+     is the incoming key when that side is the right one, and an
+     incoming key below it stands last on the left.  An inner page
+     must post its first moved key unchanged: the new page's first
      routing cell acts as minus infinity, so a shorter separator would
      send keys below [first_moved] to that cell's child instead of to
      the last child kept on the old page. *)
@@ -153,7 +158,15 @@ let rec split t page ancestors ~level =
       Page.set_next new_page (Page.next page);
       Page.set_next page (Some (Page.id new_page));
       let last_kept, _ = Page.nth page (Page.cell_count page - 1) in
-      separator ~lo:last_kept ~hi:first_moved
+      let lo =
+        match incoming with
+        | Some (key, _)
+          when String.compare key last_kept > 0
+               && String.compare key first_moved < 0 ->
+          key
+        | _ -> last_kept
+      in
+      separator ~lo ~hi:first_moved
     | Page.Inner -> first_moved
   in
   Page.set parent ~key:sep_key ~data:(child_data (Page.id new_page));
@@ -174,7 +187,7 @@ let write_cell t leaf ~key ~data =
 let rec split_and_set t ~key ~data =
   let leaf, path = descend t key in
   if Page.would_overflow leaf ~key ~data then begin
-    split t leaf path ~level:0;
+    split ~incoming:(key, data) t leaf path ~level:0;
     split_and_set t ~key ~data
   end
   else write_cell t leaf ~key ~data

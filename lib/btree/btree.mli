@@ -34,9 +34,13 @@ type split_event = {
       (** The routing key posted to [parent], the one boundary between
           the halves: [old_page] keeps the keys below it and [new_page]
           covers the keys at or above it.  A leaf split posts the
-          shortest prefix of [new_page]'s first key that sorts above
-          [old_page]'s last key (suffix truncation); an inner split
-          posts [new_page]'s first routing key unchanged. *)
+          shortest prefix of the right half's first key that sorts
+          above the left half's last key (suffix truncation), the key
+          being written counted in the half the balanced cut gave it
+          ({!Untx_storage.Page.split_upper}): it is set after the
+          event, so it can stand first on the right or last on the
+          left.  An inner split posts [new_page]'s first routing key
+          unchanged. *)
   parent : Untx_storage.Page.t;
   new_root : bool;
 }

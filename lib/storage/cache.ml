@@ -13,7 +13,17 @@ type entry = {
   page : Page.t;
   mutable dirty : bool;
   mutable referenced : bool; (* clock reference bit: one second chance *)
-  mutable slot : int; (* index in the clock ring; -1 when detached *)
+  mutable slot : int; (* index in its kind's clock ring; -1 when detached *)
+}
+
+(* A second-chance clock over a dense ring of resident entries (removal
+   swaps the last slot in), so one eviction inspects each resident page
+   at most twice — not the O(pool) fold per candidate the old
+   LRU-ticket scan paid. *)
+type ring = {
+  mutable slots : entry option array;
+  mutable len : int;
+  mutable hand : int;
 }
 
 type t = {
@@ -29,22 +39,23 @@ type t = {
   c_misses : int ref;
   mutable can_flush : Page.t -> bool;
   mutable prepare_flush : Page.t -> unit;
-  (* Victim search is a second-chance clock over a dense ring of the
-     resident entries (removal swaps the last slot in), so one eviction
-     inspects each resident page at most twice — not the O(pool) fold
-     per candidate the old LRU-ticket scan paid. *)
-  mutable ring : entry option array;
-  mutable ring_len : int;
-  mutable hand : int;
+  (* One ring per page kind, leaves first: every access to a leaf
+     passes through its ancestors, so an inner page is never colder
+     than the leaves below it, and the inner ring gives up a victim
+     only when the leaf ring has none. *)
+  leaves : ring;
+  inners : ring;
   mutable evictions : int;
   mutable flush_stalls : int;
   mutable latch_depth : int; (* operation latches: eviction deferred *)
 }
 
-(* The index and the ring start small and grow with the pages resident:
-   sizing them by [capacity] would reserve major heap for pages a run
-   may never hold. *)
+(* The index and the rings start small and grow with the pages
+   resident: sizing them by [capacity] would reserve major heap for
+   pages a run may never hold. *)
 let initial_slots = 16
+
+let new_ring () = { slots = Array.make initial_slots None; len = 0; hand = 0 }
 
 let create ?(counters = Instrument.global) ~disk ~capacity () =
   if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
@@ -60,9 +71,8 @@ let create ?(counters = Instrument.global) ~disk ~capacity () =
     c_misses = Metrics.counter_cell counters "cache.misses";
     can_flush = (fun _ -> true);
     prepare_flush = ignore;
-    ring = Array.make initial_slots None;
-    ring_len = 0;
-    hand = 0;
+    leaves = new_ring ();
+    inners = new_ring ();
     evictions = 0;
     flush_stalls = 0;
     latch_depth = 0;
@@ -76,101 +86,126 @@ let disk t = t.disk
 
 let touch _t entry = entry.referenced <- true
 
-let ring_add t entry =
-  if t.ring_len = Array.length t.ring then begin
-    let bigger = Array.make (2 * Array.length t.ring) None in
-    Array.blit t.ring 0 bigger 0 t.ring_len;
-    t.ring <- bigger
-  end;
-  t.ring.(t.ring_len) <- Some entry;
-  entry.slot <- t.ring_len;
-  t.ring_len <- t.ring_len + 1
+let ring_of t entry =
+  match Page.kind entry.page with Page.Leaf -> t.leaves | Page.Inner -> t.inners
 
-let ring_remove t entry =
+let ring_add ring entry =
+  if ring.len = Array.length ring.slots then begin
+    let bigger = Array.make (2 * Array.length ring.slots) None in
+    Array.blit ring.slots 0 bigger 0 ring.len;
+    ring.slots <- bigger
+  end;
+  ring.slots.(ring.len) <- Some entry;
+  entry.slot <- ring.len;
+  ring.len <- ring.len + 1
+
+let ring_remove ring entry =
   if entry.slot >= 0 then begin
-    let last = t.ring_len - 1 in
-    (match t.ring.(last) with
+    let last = ring.len - 1 in
+    (match ring.slots.(last) with
     | Some moved when entry.slot <> last ->
-      t.ring.(entry.slot) <- Some moved;
+      ring.slots.(entry.slot) <- Some moved;
       moved.slot <- entry.slot
     | _ -> ());
-    t.ring.(last) <- None;
-    t.ring_len <- last;
+    ring.slots.(last) <- None;
+    ring.len <- last;
     entry.slot <- -1;
-    if t.hand >= t.ring_len then t.hand <- 0
+    if ring.hand >= ring.len then ring.hand <- 0
   end
+
+(* The stable write itself; the caller has settled that policy allows
+   it. *)
+let write_out t entry =
+  t.prepare_flush entry.page;
+  Fault.hit p_flush_before;
+  Disk.write t.disk entry.page;
+  Fault.hit p_flush_after;
+  entry.dirty <- false;
+  incr t.c_flushes
 
 let flush_entry t entry =
-  if entry.dirty then begin
-    if not (t.can_flush entry.page) then begin
-      t.flush_stalls <- t.flush_stalls + 1;
-      incr t.c_flush_stalls;
-      false
-    end
+  if entry.dirty then
+    if t.can_flush entry.page then write_out t entry
     else begin
-      t.prepare_flush entry.page;
-      Fault.hit p_flush_before;
-      Disk.write t.disk entry.page;
-      Fault.hit p_flush_after;
-      entry.dirty <- false;
-      incr t.c_flushes;
-      true
+      t.flush_stalls <- t.flush_stalls + 1;
+      incr t.c_flush_stalls
     end
-  end
-  else true
 
-(* One clock sweep: strip reference bits, skip unflushable dirty pages,
-   stop at the first evictable entry.  The budget of two full turns
-   guarantees termination when every resident page is pinned down by
-   the causality rule (all referenced on turn one, all skipped on turn
-   two) — the pool then simply stays over capacity rather than spin or
-   violate write-ahead ordering. *)
-let rec find_victim t ~scanned ~budget =
-  if t.ring_len = 0 || scanned >= budget then None
+(* One clock sweep of [ring]: strip reference bits, skip unflushable
+   dirty pages, stop at the first evictable entry — whose flushability
+   this has just asked, so the eviction does not ask again.  The budget
+   of two full turns guarantees termination when every page in the
+   ring is pinned down by the causality rule (all referenced on turn
+   one, all skipped on turn two) — the pool then simply stays over
+   capacity rather than spin or violate write-ahead ordering. *)
+let rec find_victim t ring ~scanned ~budget =
+  if ring.len = 0 || scanned >= budget then None
   else begin
     incr t.c_evict_scan_steps;
     let entry =
-      match t.ring.(t.hand) with Some e -> e | None -> assert false
+      match ring.slots.(ring.hand) with Some e -> e | None -> assert false
     in
-    t.hand <- (t.hand + 1) mod t.ring_len;
+    ring.hand <- (ring.hand + 1) mod ring.len;
     if entry.referenced then begin
       entry.referenced <- false;
-      find_victim t ~scanned:(scanned + 1) ~budget
+      find_victim t ring ~scanned:(scanned + 1) ~budget
     end
     else if entry.dirty && not (t.can_flush entry.page) then begin
       incr t.c_evict_skips;
-      find_victim t ~scanned:(scanned + 1) ~budget
+      find_victim t ring ~scanned:(scanned + 1) ~budget
     end
     else Some entry
   end
 
-let maybe_evict t =
-  while t.latch_depth = 0 && Page_id.Tbl.length t.entries > t.capacity do
-    match find_victim t ~scanned:0 ~budget:(2 * t.ring_len) with
+let sweep t ring = find_victim t ring ~scanned:0 ~budget:(2 * ring.len)
+
+(* Once two sweeps of the leaf ring have found every leaf pinned, the
+   next victims of the same call come from the inner ring straight
+   away: writing an inner page out unpins no leaf, and a failed sweep
+   ends where it began with every bit clear, so another would end the
+   same way, only repeating each [can_flush] refusal. *)
+let evict_down t ~limit =
+  let leaves_pinned = ref false in
+  while t.latch_depth = 0 && Page_id.Tbl.length t.entries > limit do
+    let victim =
+      if !leaves_pinned then sweep t t.inners
+      else
+        match sweep t t.leaves with
+        | Some _ as v -> v
+        | None ->
+          leaves_pinned := true;
+          sweep t t.inners
+    in
+    match victim with
     | None -> raise Exit
     | Some entry ->
-      if flush_entry t entry then begin
-        Page_id.Tbl.remove t.entries (Page.id entry.page);
-        ring_remove t entry;
-        t.evictions <- t.evictions + 1;
-        incr t.c_evictions
-      end
-      else raise Exit
+      if entry.dirty then write_out t entry;
+      Page_id.Tbl.remove t.entries (Page.id entry.page);
+      ring_remove (ring_of t entry) entry;
+      t.evictions <- t.evictions + 1;
+      incr t.c_evictions
   done
 
-let maybe_evict t = try maybe_evict t with Exit -> ()
+let evict_down t ~limit = try evict_down t ~limit with Exit -> ()
 
+let maybe_evict t = evict_down t ~limit:t.capacity
+
+(* [install] may overwrite a resident page under the same id: the old
+   entry leaves the index and its ring first, or its stale slot would
+   shadow the new one.  Room is made before the page enters, so a page
+   coming in, about to be used, is never its own victim: a lone leaf
+   in its ring would otherwise be evicted by its own fault (one sweep
+   clears its bit, the second takes it) and faulted in again. *)
 let add_entry t page dirty =
-  (* [install] may overwrite a resident page under the same id: the old
-     entry must leave the ring, or its stale slot would shadow the new
-     one. *)
   (match Page_id.Tbl.find_opt t.entries (Page.id page) with
-  | Some old -> ring_remove t old
+  | Some old ->
+    Page_id.Tbl.remove t.entries (Page.id page);
+    ring_remove (ring_of t old) old
   | None -> ());
+  evict_down t ~limit:(t.capacity - 1);
   let entry = { page; dirty; referenced = true; slot = -1 } in
   Page_id.Tbl.replace t.entries (Page.id page) entry;
-  ring_add t entry;
-  maybe_evict t;
+  ring_add (ring_of t entry) entry;
   entry
 
 let new_page t ~kind ~page_capacity =
@@ -228,7 +263,7 @@ let detach t id =
   match Page_id.Tbl.find_opt t.entries id with
   | Some entry ->
     Page_id.Tbl.remove t.entries id;
-    ring_remove t entry
+    ring_remove (ring_of t entry) entry
   | None -> ()
 
 let free_page t id =
@@ -236,15 +271,19 @@ let free_page t id =
   Disk.free t.disk id
 
 let flush_all t =
-  Page_id.Tbl.iter (fun _ entry -> ignore (flush_entry t entry)) t.entries
+  Page_id.Tbl.iter (fun _ entry -> flush_entry t entry) t.entries
 
 let drop_page t id = detach t id
 
+let empty_ring ring =
+  ring.slots <- Array.make initial_slots None;
+  ring.len <- 0;
+  ring.hand <- 0
+
 let crash t =
   Page_id.Tbl.reset t.entries;
-  t.ring <- Array.make initial_slots None;
-  t.ring_len <- 0;
-  t.hand <- 0
+  empty_ring t.leaves;
+  empty_ring t.inners
 
 let enforce_capacity t = maybe_evict t
 

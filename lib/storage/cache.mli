@@ -17,6 +17,21 @@
 
 type t
 
+(** {2 Eviction}
+
+    Victims are chosen by a second-chance clock, one ring per page
+    kind, leaves first: the inner ring gives up a victim only when two
+    sweeps of the leaf ring find no evictable leaf (every leaf
+    referenced, then every dirty one refused by [can_flush]).  Every
+    access to a leaf passes through its ancestors, so an inner page is
+    never colder than the leaves below it, and a B-tree's upper levels
+    — which every descent reads — stay resident while the pool holds
+    cold leaves.  Room is made before a page enters, so a page just
+    faulted in is never its own victim.  A sweep's [can_flush] answer
+    for its victim stands: the eviction writes it without asking
+    again; and once the leaf ring has failed, the rest of the same
+    eviction pass takes inner pages without sweeping it again. *)
+
 val create :
   ?counters:Untx_util.Instrument.t -> disk:Disk.t -> capacity:int -> unit -> t
 (** [capacity] is the maximum number of resident pages; the pool evicts

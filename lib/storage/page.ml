@@ -126,22 +126,60 @@ let nth t i =
   if i < 0 || i >= Array.length t.cells then invalid_arg "Page.nth";
   t.cells.(i)
 
-let split_upper t =
+(* The cut is chosen over the page's cells plus [incoming], the cell
+   whose write overflowed the page, at its place: a new key adds a
+   cell, a present one resizes its cell.  Each cut [r] keeping cells
+   [0 .. r-1] (at least one page cell on each side) is scored by how
+   far its left side lies from half the bytes; a new key sorting right
+   at the cut may fall on either side of it, so both are scored.  Cell
+   sizes are positive, so two candidates never leave the same bytes on
+   the left: the score [2|d|], plus one when the left is the lighter
+   side, orders them strictly and breaks a balance tie toward the
+   heavier left, so a right-edge append leaves the old page the larger
+   half. *)
+let split_upper ?incoming t =
   let n = Array.length t.cells in
   if n < 2 then invalid_arg "Page.split_upper: needs at least two cells";
-  (* Find the smallest index whose prefix exceeds half the used bytes, while
-     keeping at least one cell on each side. *)
-  let half = t.used / 2 in
-  let rec find_cut i acc =
-    if i >= n - 1 then n - 1
-    else
-      let k, d = t.cells.(i) in
-      let acc = acc + cell_size ~key:k ~data:d in
-      if acc > half then i + 1 else find_cut (i + 1) acc
+  (* [at]: the incoming cell's index among the page's cells (its
+     insertion point when [fresh]); [extra]: the bytes it adds. *)
+  let at, fresh, extra =
+    match incoming with
+    | None -> (n, false, 0)
+    | Some (key, data) ->
+      let i = search t key in
+      if i >= 0 then
+        let _, old = t.cells.(i) in
+        (i, false, String.length data - String.length old)
+      else (-i - 1, true, cell_size ~key ~data)
   in
-  let cut = Stdlib.max 1 (Stdlib.min (n - 1) (find_cut 0 0)) in
+  let total = t.used + extra in
+  let score left =
+    let d = (2 * left) - total in
+    if d >= 0 then 2 * d else 1 - (2 * d)
+  in
+  let cut = ref 1 and incoming_left = ref false and best = ref max_int in
+  let consider r left on_left =
+    let s = score left in
+    if s < !best then begin
+      best := s;
+      cut := r;
+      incoming_left := on_left
+    end
+  in
+  let left = ref 0 in
+  for r = 1 to n - 1 do
+    let k, d = t.cells.(r - 1) in
+    left := !left + cell_size ~key:k ~data:d + if at = r - 1 then extra else 0;
+    consider r !left false;
+    if fresh && at = r then consider r (!left + extra) true
+  done;
+  let cut = !cut in
   let moved = Array.sub t.cells cut (n - cut) in
-  let split_key, _ = moved.(0) in
+  let split_key =
+    match incoming with
+    | Some (key, _) when fresh && at = cut && not !incoming_left -> key
+    | _ -> fst moved.(0)
+  in
   let moved_bytes =
     Array.fold_left
       (fun acc (k, d) -> acc + cell_size ~key:k ~data:d)

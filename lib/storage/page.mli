@@ -68,10 +68,21 @@ val nth : t -> int -> string * string
 (** Cell at position [i] in key order; raises [Invalid_argument] if out of
     range. *)
 
-val split_upper : t -> string * (string * string) list
-(** [split_upper t] removes the upper half of the cells (by bytes) from
-    [t] and returns [(split_key, moved_cells)]: every moved cell has
-    key >= split_key.  Requires at least two cells. *)
+val split_upper :
+  ?incoming:string * string -> t -> string * (string * string) list
+(** [split_upper ?incoming t] moves the upper cells of [t] out and
+    returns [(split_key, moved_cells)]: every kept cell has key <
+    split_key, every moved one key >= split_key.  The cut balances the
+    bytes of the two sides, [incoming] counted at its place: the
+    [(key, data)] cell whose write did not fit, which the caller sets
+    after the split (a present key's cell counted at its new size).  A
+    new key sorting between the two sides is counted on the side that
+    balances better, and sorts below [split_key] exactly when that is
+    the left one ([split_key] is then the first moved key, else the
+    incoming key).  The sides differ by at most one cell's bytes,
+    unless keeping a page cell on each side forbids it, and a tie goes
+    to the left: four equal cells and an appended fifth split 3/2, ten
+    equal cells 5/5.  Requires at least two cells. *)
 
 val absorb : t -> (string * string) list -> unit
 (** Add the given cells (used by consolidation and split redo). *)

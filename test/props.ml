@@ -191,6 +191,67 @@ let prop_page_split_partition =
       && List.for_all (fun (k, _) -> k < split_key) kept
       && moved <> [] && kept <> [])
 
+(* A balanced split, with or without the cell whose write overflowed
+   the page: counting that cell on the side its key sorts to against
+   the split key, the two sides differ by at most one cell's bytes and
+   each keeps a page cell.  The one exception is forced by that rule:
+   an incoming cell heavier than all the page cells on the far side
+   would balance best alone, so it stands with one page cell. *)
+let prop_page_split_balance =
+  let incoming_gen =
+    QCheck.Gen.(
+      opt ~ratio:0.75
+        (pair
+           (map (fun i -> Printf.sprintf "k%02d" i) (int_bound 29))
+           (string_size (int_bound 60))))
+  in
+  QCheck.Test.make ~name:"split_upper balances the incoming cell" ~count:500
+    (QCheck.pair page_ops_arb
+       (QCheck.make
+          ~print:(function
+            | None -> "-" | Some (k, d) -> Printf.sprintf "incoming %s=%S" k d)
+          incoming_gen))
+    (fun (ops, incoming) ->
+      let page =
+        Page.create ~id:(Page_id.of_int 1) ~kind:Page.Leaf ~capacity:100_000
+      in
+      List.iter
+        (function
+          | Set (k, v) -> Page.set page ~key:k ~data:v
+          | Remove k -> ignore (Page.remove page k))
+        ops;
+      QCheck.assume (Page.cell_count page >= 2);
+      let before = Page.cells page in
+      let split_key, moved = Page.split_upper ?incoming page in
+      let kept = Page.cells page in
+      let with_incoming cells ~left =
+        match incoming with
+        | None -> cells
+        | Some (key, data) ->
+          let others = List.filter (fun (k, _) -> k <> key) cells in
+          if (String.compare key split_key < 0) = left then
+            List.merge compare [ (key, data) ] others
+          else others
+      in
+      let left = with_incoming kept ~left:true
+      and right = with_incoming moved ~left:false in
+      let size (k, d) = Page.cell_size ~key:k ~data:d in
+      let bytes = List.fold_left (fun acc c -> acc + size c) 0 in
+      let largest = List.fold_left (fun acc c -> max acc (size c)) 0 in
+      let alone_heavier side other =
+        match incoming with
+        | Some cell ->
+          List.length side = 2 && List.mem cell side
+          && size cell > bytes other
+        | None -> false
+      in
+      kept @ moved = before
+      && kept <> [] && moved <> []
+      && List.for_all (fun (k, _) -> k >= split_key) moved
+      && List.for_all (fun (k, _) -> k < split_key) kept
+      && (abs (bytes left - bytes right) <= largest (left @ right)
+         || alone_heavier left right || alone_heavier right left))
+
 (* --- B-tree ----------------------------------------------------------- *)
 
 (* Keys that stress suffix truncation: long shared prefixes (some of
@@ -234,8 +295,10 @@ let btree_ops_arb =
     QCheck.Gen.(list_size (int_bound 200) op_gen)
 
 (* Every split posts the boundary the design promises: a leaf the
-   shortest prefix of its first moved key that sorts above its last kept
-   key, an inner page its first moved key unchanged. *)
+   shortest prefix of its right half's first key that sorts above its
+   left half's last key, an inner page its first moved key unchanged.
+   A leaf's halves count the key being written, which is set after the
+   split: it joins the half its key routes to. *)
 let prop_btree_separator =
   QCheck.Test.make ~name:"split separators are shortest distinguishing prefixes"
     ~count:100
@@ -244,6 +307,7 @@ let prop_btree_separator =
        QCheck.Gen.(list_size (int_range 20 200) prefixed_key_gen))
     (fun keys ->
       let fail = QCheck.Test.fail_reportf in
+      let writing = ref "" in
       let on_split (ev : Btree.split_event) =
         let first_moved, _ = Page.nth ev.new_page 0 in
         let sep = ev.sep_key in
@@ -255,15 +319,21 @@ let prop_btree_separator =
           let last_kept, _ =
             Page.nth ev.old_page (Page.cell_count ev.old_page - 1)
           in
-          if not (String.starts_with ~prefix:sep first_moved) then
-            fail "separator %S is not a prefix of %S" sep first_moved;
-          if String.compare sep last_kept <= 0 then
-            fail "separator %S not above last kept %S" sep last_kept;
+          let key = !writing in
+          let lo, hi =
+            if String.compare key sep < 0 then
+              (Stdlib.max key last_kept, first_moved)
+            else (last_kept, Stdlib.min key first_moved)
+          in
+          if not (String.starts_with ~prefix:sep hi) then
+            fail "separator %S is not a prefix of %S" sep hi;
+          if String.compare sep lo <= 0 then
+            fail "separator %S not above last kept %S" sep lo;
           for n = 0 to String.length sep - 1 do
-            let shorter = String.sub first_moved 0 n in
-            if String.compare shorter last_kept > 0 then
+            let shorter = String.sub hi 0 n in
+            if String.compare shorter lo > 0 then
               fail "%S, shorter than separator %S, is above last kept %S"
-                shorter sep last_kept
+                shorter sep lo
           done
       in
       let disk = Disk.create () in
@@ -272,7 +342,11 @@ let prop_btree_separator =
         Btree.create ~cache ~name:"p" ~page_capacity:96
           ~hooks:{ Btree.null_hooks with on_split }
       in
-      List.iter (fun k -> Btree.set tree ~key:k ~data:"v") keys;
+      List.iter
+        (fun k ->
+          writing := k;
+          Btree.set tree ~key:k ~data:"v")
+        keys;
       Btree.check tree = Ok ())
 
 let prop_btree_model =
@@ -508,6 +582,7 @@ let suite =
       prop_record_roundtrip;
       prop_page_model;
       prop_page_split_partition;
+      prop_page_split_balance;
       prop_btree_model;
       prop_lock_safety;
       prop_wal_crash_suffix;

@@ -94,6 +94,48 @@ let test_page_split_upper () =
   Alcotest.(check int) "bytes conserved" used_before
     (Page.used_bytes p + moved_bytes)
 
+(* Page.split_upper balances the bytes: ten equal cells split 5/5 (a
+   cut strictly past half took six), and a full page of four equal cells
+   whose fifth did not fit splits 3/2 wherever the fifth sorts — never
+   4/1, as cutting the four alone did.  An append at the right edge
+   leaves the old page the heavier half. *)
+let test_page_split_balance () =
+  let halves ?incoming p =
+    let split_key, moved = Page.split_upper ?incoming p in
+    let count_in ~left n =
+      match incoming with
+      | Some (key, _) when (key < split_key) = left -> n + 1
+      | _ -> n
+    in
+    ( count_in ~left:true (Page.cell_count p),
+      count_in ~left:false (List.length moved) )
+  in
+  let ten = mk_page 1 in
+  for i = 0 to 9 do
+    Page.set ten ~key:(Printf.sprintf "k%02d" i) ~data:"vvvv"
+  done;
+  Alcotest.(check (pair int int)) "ten equal cells" (5, 5) (halves ten);
+  let full () =
+    let p = mk_page 1 in
+    List.iter
+      (fun k -> Page.set p ~key:k ~data:(String.make 50 'v'))
+      [ "k1"; "k3"; "k5"; "k7" ];
+    Alcotest.(check bool) "the page is full" true
+      (Page.would_overflow p ~key:"k0" ~data:(String.make 50 'v'));
+    p
+  in
+  List.iter
+    (fun key ->
+      let l, r = halves ~incoming:(key, String.make 50 'v') (full ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "incoming %s: %d/%d is 3/2 or 2/3" key l r)
+        true
+        ((l, r) = (3, 2) || (l, r) = (2, 3)))
+    [ "k0"; "k2"; "k4"; "k6"; "k8" ];
+  Alcotest.(check (pair int int)) "a right-edge append keeps the heavier half"
+    (3, 2)
+    (halves ~incoming:("k8", String.make 50 'v') (full ()))
+
 let test_page_iter_from () =
   let p = mk_page 1 in
   List.iter (fun k -> Page.set p ~key:k ~data:k) [ "a"; "c"; "e" ];
@@ -251,6 +293,91 @@ let test_cache_eviction_stall_terminates () =
   Alcotest.(check bool) "drains when unpinned" true (Cache.resident c <= 2);
   Alcotest.(check bool) "evictions resumed" true (Cache.evictions c > 0)
 
+(* Leaves-first eviction: the clock takes a leaf while one can go; an
+   inner page goes only when every resident leaf is pinned. *)
+let new_pages c kinds =
+  List.map (fun kind -> Cache.new_page c ~kind ~page_capacity:64) kinds
+
+let resident c p = Cache.cached c (Page.id p) <> None
+
+let test_cache_leaf_before_inner () =
+  let c = Cache.create ~disk:(Disk.create ()) ~capacity:2 () in
+  match new_pages c [ Page.Inner; Page.Leaf; Page.Leaf ] with
+  | [ inner; leaf; newest ] ->
+    Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
+    Alcotest.(check bool) "the leaf went" false (resident c leaf);
+    Alcotest.(check bool) "the inner page stayed" true (resident c inner);
+    Alcotest.(check bool) "the new leaf stayed" true (resident c newest)
+  | _ -> assert false
+
+let pin_leaves c =
+  Cache.set_policy c
+    ~can_flush:(fun p -> Page.kind p = Page.Inner)
+    ~prepare_flush:ignore
+
+let test_cache_inner_when_leaves_pinned () =
+  let d = Disk.create () in
+  let c = Cache.create ~disk:d ~capacity:2 () in
+  pin_leaves c;
+  match new_pages c [ Page.Inner; Page.Leaf; Page.Leaf ] with
+  | [ inner; leaf; newest ] ->
+    Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
+    Alcotest.(check bool) "the inner page went" false (resident c inner);
+    Alcotest.(check bool) "flushed as it went" true (Disk.exists d (Page.id inner));
+    Alcotest.(check bool) "the pinned leaves stayed" true
+      (resident c leaf && resident c newest)
+  | _ -> assert false
+
+(* One eviction pass that finds every leaf pinned sweeps the leaf ring
+   once (two turns: clear four bits, refuse four leaves) and takes both
+   inner pages from the inner ring: 8 + 3 + 1 steps.  Sweeping the leaf
+   ring again for the second victim would take 8 more steps and 4 more
+   refusals. *)
+let test_cache_pinned_leaves_swept_once () =
+  let counters = Untx_util.Instrument.create () in
+  let c = Cache.create ~counters ~disk:(Disk.create ()) ~capacity:4 () in
+  pin_leaves c;
+  ignore (new_pages c [ Page.Inner; Page.Inner; Page.Leaf; Page.Leaf ]);
+  Cache.with_operation_latch c (fun () ->
+      ignore (new_pages c [ Page.Leaf; Page.Leaf ]));
+  let get = Untx_util.Instrument.get counters in
+  Alcotest.(check int) "two evictions" 2 (Cache.evictions c);
+  Alcotest.(check int) "scan steps" 12 (get "cache.evict_scan_steps");
+  Alcotest.(check int) "refusals" 4 (get "cache.evict_skips");
+  Alcotest.(check int) "four leaves resident" 4 (Cache.resident c)
+
+(* After a crash neither ring holds a page of the lost pool: the next
+   pinned-leaves eviction takes the one inner page there is, once. *)
+let test_cache_crash_empties_rings () =
+  let c = Cache.create ~disk:(Disk.create ()) ~capacity:2 () in
+  ignore (new_pages c [ Page.Inner; Page.Leaf ]);
+  Cache.crash c;
+  Alcotest.(check int) "nothing resident" 0 (Cache.resident c);
+  pin_leaves c;
+  match new_pages c [ Page.Inner; Page.Leaf; Page.Leaf ] with
+  | [ inner; _; _ ] ->
+    Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
+    Alcotest.(check bool) "the inner page went" false (resident c inner);
+    Alcotest.(check int) "two resident" 2 (Cache.resident c)
+  | _ -> assert false
+
+(* [install] under the id of a resident page of the other kind moves
+   the id from one ring to the other: the leaves churning afterwards
+   never take the installed inner page by its old leaf slot. *)
+let test_cache_install_other_kind () =
+  let c = Cache.create ~disk:(Disk.create ()) ~capacity:2 () in
+  let leaf = Cache.new_page c ~kind:Page.Leaf ~page_capacity:64 in
+  let inner = Page.create ~id:(Page.id leaf) ~kind:Page.Inner ~capacity:64 in
+  Cache.install c inner;
+  Alcotest.(check int) "one resident" 1 (Cache.resident c);
+  ignore (new_pages c [ Page.Leaf; Page.Leaf; Page.Leaf ]);
+  Alcotest.(check int) "two evictions" 2 (Cache.evictions c);
+  Alcotest.(check bool) "the installed inner page stayed" true
+    (match Cache.cached c (Page.id inner) with
+    | Some p -> p == inner
+    | None -> false);
+  Alcotest.(check int) "at capacity" 2 (Cache.resident c)
+
 let test_cache_prepare_flush_hook () =
   let d = Disk.create () in
   let c = Cache.create ~disk:d ~capacity:4 () in
@@ -288,6 +415,8 @@ let suite =
     Alcotest.test_case "page overflow check" `Quick test_page_overflow_check;
     Alcotest.test_case "page find_le" `Quick test_page_find_le;
     Alcotest.test_case "page split_upper" `Quick test_page_split_upper;
+    Alcotest.test_case "page split balances the bytes" `Quick
+      test_page_split_balance;
     Alcotest.test_case "page iter_from" `Quick test_page_iter_from;
     Alcotest.test_case "page copy isolation" `Quick test_page_copy_isolated;
     Alcotest.test_case "disk roundtrip isolation" `Quick test_disk_roundtrip;
@@ -301,6 +430,16 @@ let suite =
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction_lru;
     Alcotest.test_case "cache stall terminates" `Quick
       test_cache_eviction_stall_terminates;
+    Alcotest.test_case "cache evicts a leaf before an inner page" `Quick
+      test_cache_leaf_before_inner;
+    Alcotest.test_case "cache evicts an inner page when leaves are pinned"
+      `Quick test_cache_inner_when_leaves_pinned;
+    Alcotest.test_case "cache sweeps pinned leaves once per pass" `Quick
+      test_cache_pinned_leaves_swept_once;
+    Alcotest.test_case "cache crash empties both rings" `Quick
+      test_cache_crash_empties_rings;
+    Alcotest.test_case "cache install over the other kind" `Quick
+      test_cache_install_other_kind;
     Alcotest.test_case "cache page-sync hook" `Quick
       test_cache_prepare_flush_hook;
     Alcotest.test_case "cache drop reverts" `Quick test_cache_drop_page_reverts;
