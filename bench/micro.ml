@@ -337,6 +337,23 @@ let probe_reply =
       result = Wire.Next_keys (List.init 10 (fun i -> key_of (100 + i)));
     }
 
+(* The reply to the fetch that follows that probe once its keys are
+   locked: the window's 10 rows, every one visible, so no hidden key. *)
+let window_reply =
+  Wire.Reply
+    {
+      Wire.tc = tc1;
+      lsn = Lsn.of_int 123_459;
+      result =
+        Wire.Window
+          {
+            rows =
+              List.init 10 (fun i ->
+                  (key_of (100 + i), Printf.sprintf "value-%04d" i));
+            hidden = [];
+          };
+    }
+
 (* A redo batch of [Tc.redo_batch_cap] logged writes, as a restarted DC
    receives them. *)
 let redo_batch =
@@ -531,7 +548,8 @@ let gate_codec_alloc () =
    wire.mli gives, so a change that grows a frame fails it.  With fixed
    4-byte trace ids and lengths and whole keys the update request and
    its reply took 44 + 19 bytes, the probe reply 120 and the scan reply
-   230. *)
+   230.  A fetch window with every row visible costs the scan reply's
+   bytes plus its empty hidden-key list's count. *)
 let gate_codec_bytes () =
   let line name bytes ~ceiling =
     Printf.printf "%-45s %12d  (gate <= %d bytes)\n" name bytes ceiling;
@@ -550,7 +568,11 @@ let gate_codec_bytes () =
     line "Wire: 10-pair scan reply, bytes" ~ceiling:163
       (size (Wire.encode_reply scan_reply))
   in
-  update && probe && scan
+  let window =
+    line "Wire: 10-row fetch window, all visible, bytes" ~ceiling:164
+      (size (Wire.encode_reply window_reply))
+  in
+  update && probe && scan && window
 
 (* One data round trip through a reliable [Transport]: a request frame
    sent, then one drain that delivers it to a DC stand-in and surfaces
@@ -653,6 +675,26 @@ let gate_index_density tree =
   count_line "B-tree: inner pages, 10k ingest keys" inner ~ceiling:502
   && leaf_gate
 
+(* The data requests one key-locked scan of 10 rows sends through a
+   reliable 1x1 [Kernel]: fetch-ahead's probe, then one fetch of the
+   locked keys' window.  With a second probe to verify the first before
+   a visible-rows scan it sent 3. *)
+let gate_scan_requests () =
+  let k = Bench_util.make_kernel () in
+  let tc = Kernel.tc k in
+  let txn = Kernel.begin_txn k in
+  for j = 0 to 19 do
+    ok (Kernel.insert k txn ~table:"kv" ~key:(key_of j) ~value:"v")
+  done;
+  ok (Kernel.commit k txn);
+  let txn = Kernel.begin_txn k in
+  let before = Untx_tc.Tc.messages_sent tc in
+  let rows = ok (Kernel.scan k txn ~table:"kv" ~from_key:"" ~limit:10) in
+  let sent = Untx_tc.Tc.messages_sent tc - before in
+  ok (Kernel.commit k txn);
+  if List.length rows <> 10 then failwith "the scan missed rows";
+  count_line "fetch-ahead 10-key scan, requests" sent ~ceiling:2
+
 (* The same inserts through a 64-page cache, a front_ingest DC's size,
    with no operation latch: every miss is a page read.  Leaves-first
    eviction keeps the inner pages every descent needs resident, and
@@ -698,11 +740,12 @@ let run_gates () =
   let density = gate_index_density tree in
   let descent = gate_descent_alloc tree keys in
   let misses = gate_ingest_misses keys in
+  let scan_requests = gate_scan_requests () in
   if
     not
       (reconstruct && lwm_flat && dc_apply && tc_dispatch && codec_ns
      && codec_alloc && codec_bytes && hot_alloc && redo_alloc && wal && transport && density
-     && descent && misses)
+     && descent && misses && scan_requests)
   then begin
     Printf.printf "MICRO FAILED: a gate above is over its bound\n";
     exit 1

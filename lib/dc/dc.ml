@@ -647,17 +647,32 @@ let do_scan tbl ~from_key ~limit ~mode =
         | None -> `Continue);
   Wire.Pairs (List.rev !acc)
 
-let do_probe tbl ~from_key ~limit =
-  let acc = ref [] in
+(* The fetch-ahead window: [f] sees the first [limit] records from
+   [from_key], visible or not. *)
+let iter_window tbl ~from_key ~limit f =
   let count = ref 0 in
-  Btree.scan tbl.tree ~from:from_key (fun k _ ->
+  Btree.scan tbl.tree ~from:from_key (fun k data ->
       if !count >= limit then `Stop
       else begin
-        acc := k :: !acc;
+        f k data;
         incr count;
         `Continue
-      end);
+      end)
+
+let do_probe tbl ~from_key ~limit =
+  let acc = ref [] in
+  iter_window tbl ~from_key ~limit (fun k _ -> acc := k :: !acc);
   Wire.Next_keys (List.rev !acc)
+
+(* The probe's window read: the rows the TC sees, and the keys it does
+   not. *)
+let do_fetch tbl ~from_key ~limit =
+  let rows = ref [] and hidden = ref [] in
+  iter_window tbl ~from_key ~limit (fun k data ->
+      match visible Op.Own (decode_cell data) with
+      | Some v -> rows := (k, v) :: !rows
+      | None -> hidden := k :: !hidden);
+  Wire.Window { rows = List.rev !rows; hidden = List.rev !hidden }
 
 let perform_unlatched t (req : Wire.request) =
   incr t.c_requests;
@@ -689,6 +704,9 @@ let perform_unlatched t (req : Wire.request) =
     | Op.Probe { from_key; limit; _ } ->
       { Wire.tc = req.tc; lsn = req.lsn;
         result = do_probe tbl ~from_key ~limit }
+    | Op.Fetch { from_key; limit; _ } ->
+      { Wire.tc = req.tc; lsn = req.lsn;
+        result = do_fetch tbl ~from_key ~limit }
     | Op.Insert { key; value; _ } ->
       write_one t tbl req key (Stored_record.Insert value)
     | Op.Update { key; value; _ } ->

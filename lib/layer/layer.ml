@@ -152,7 +152,7 @@ let mutate t ~lsn op =
       keys
   in
   match op with
-  | Op.Read _ | Op.Scan _ | Op.Probe _ -> []
+  | Op.Read _ | Op.Scan _ | Op.Probe _ | Op.Fetch _ -> []
   | Op.Insert { table; key; value } ->
     point table key (Stored_record.Insert value)
   | Op.Update { table; key; value } ->

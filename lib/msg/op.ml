@@ -11,11 +11,12 @@ type t =
   | Read of { table : string; key : key; mode : read_mode }
   | Scan of { table : string; from_key : key; limit : int; mode : read_mode }
   | Probe of { table : string; from_key : key; limit : int }
+  | Fetch of { table : string; from_key : key; limit : int }
   | Commit_versions of { table : string; keys : key list }
   | Abort_versions of { table : string; keys : key list }
 
 let is_read = function
-  | Read _ | Scan _ | Probe _ -> true
+  | Read _ | Scan _ | Probe _ | Fetch _ -> true
   | Insert _ | Update _ | Delete _ | Commit_versions _ | Abort_versions _ ->
     false
 
@@ -26,6 +27,7 @@ let table = function
   | Read { table; _ }
   | Scan { table; _ }
   | Probe { table; _ }
+  | Fetch { table; _ }
   | Commit_versions { table; _ }
   | Abort_versions { table; _ } -> table
 
@@ -34,7 +36,8 @@ let table = function
 let footprint = function
   | Insert { key; _ } | Update { key; _ } | Delete { key; _ }
   | Read { key; _ } -> `Points [ key ]
-  | Scan { from_key; _ } | Probe { from_key; _ } -> `Range from_key
+  | Scan { from_key; _ } | Probe { from_key; _ } | Fetch { from_key; _ } ->
+    `Range from_key
   | Commit_versions { keys; _ } | Abort_versions { keys; _ } -> `Points keys
 
 let overlap a b =
@@ -68,6 +71,8 @@ let pp ppf = function
       from_key limit
   | Probe { table; from_key; limit } ->
     Format.fprintf ppf "probe %s from %s limit %d" table from_key limit
+  | Fetch { table; from_key; limit } ->
+    Format.fprintf ppf "fetch %s from %s limit %d" table from_key limit
   | Commit_versions { table; keys } ->
     Format.fprintf ppf "commit-versions %s (%d keys)" table (List.length keys)
   | Abort_versions { table; keys } ->
@@ -80,7 +85,9 @@ let size op =
     base + String.length table + String.length key + String.length value
   | Delete { table; key } -> base + String.length table + String.length key
   | Read { table; key; _ } -> base + String.length table + String.length key
-  | Scan { table; from_key; _ } | Probe { table; from_key; _ } ->
+  | Scan { table; from_key; _ }
+  | Probe { table; from_key; _ }
+  | Fetch { table; from_key; _ } ->
     base + String.length table + String.length from_key
   | Commit_versions { table; keys } | Abort_versions { table; keys } ->
     base + String.length table

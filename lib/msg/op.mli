@@ -26,11 +26,18 @@ type t =
   | Probe of { table : string; from_key : key; limit : int }
       (** Fetch-ahead protocol, Section 3.1: return the next keys in
           order so the TC can lock them before reading. *)
+  | Fetch of { table : string; from_key : key; limit : int }
+      (** The fetch-ahead read: the rows of the window a probe from
+          [from_key] with this [limit] names — every key counts toward
+          [limit], visible or not — with their [Own] values, and the
+          keys of the window's rows the reader cannot see.  The TC sends
+          it once it holds the probed keys' locks and compares the
+          window's keys with them. *)
   | Commit_versions of { table : string; keys : key list }
   | Abort_versions of { table : string; keys : key list }
 
 val is_read : t -> bool
-(** Reads and probes: never logged, never redone. *)
+(** Reads, probes and fetches: never logged, never redone. *)
 
 val table : t -> string
 

@@ -9,6 +9,7 @@ type result =
   | Value of Op.value option
   | Pairs of (Op.key * Op.value) list
   | Next_keys of Op.key list
+  | Window of { rows : (Op.key * Op.value) list; hidden : Op.key list }
   | Failed of string
 
 (* Replies are stamped with the TC id of the request they answer, for
@@ -294,7 +295,8 @@ let op_length = function
   | Op.Read { table; key; _ } -> 2 + str_length table + str_length key
   | Op.Scan { table; from_key; limit; _ } ->
     2 + str_length table + str_length from_key + nat_length limit
-  | Op.Probe { table; from_key; limit } ->
+  | Op.Probe { table; from_key; limit } | Op.Fetch { table; from_key; limit }
+    ->
     1 + str_length table + str_length from_key + nat_length limit
   | Op.Commit_versions { table; keys } | Op.Abort_versions { table; keys } ->
     1 + str_length table + list_length keys
@@ -319,6 +321,9 @@ let write_op op b pos =
   | Op.Probe { table; from_key; limit } ->
     let pos = write_str table b (write_tag 'P' b pos) in
     write_nat limit b (write_str from_key b pos)
+  | Op.Fetch { table; from_key; limit } ->
+    let pos = write_str table b (write_tag 'F' b pos) in
+    write_nat limit b (write_str from_key b pos)
   | Op.Commit_versions { table; keys } ->
     write_list keys b (write_str table b (write_tag 'V' b pos))
   | Op.Abort_versions { table; keys } ->
@@ -340,6 +345,10 @@ let result_length = function
   | Value (Some v) -> 2 + str_length v
   | Pairs ps -> 1 + pairs_length "" (nat_length (List.length ps)) ps
   | Next_keys ks -> 1 + list_length ks
+  | Window { rows; hidden } ->
+    1
+    + pairs_length "" (nat_length (List.length rows)) rows
+    + list_length hidden
   | Failed m -> 1 + str_length m
 
 let write_result result b pos =
@@ -350,6 +359,9 @@ let write_result result b pos =
   | Pairs ps ->
     write_pairs "" ps b (write_nat (List.length ps) b (write_tag 'P' b pos))
   | Next_keys ks -> write_list ks b (write_tag 'N' b pos)
+  | Window { rows; hidden } ->
+    let pos = write_nat (List.length rows) b (write_tag 'W' b pos) in
+    write_list hidden b (write_pairs "" rows b pos)
   | Failed m -> write_str m b (write_tag 'F' b pos)
 
 (* Batch entries — a redo batch's operations, its reply's outcomes, a
@@ -449,6 +461,11 @@ let read_op r =
     let from_key = read_str r in
     let limit = read_nat r in
     Op.Probe { table; from_key; limit }
+  | 'F' ->
+    let table = read_str r in
+    let from_key = read_str r in
+    let limit = read_nat r in
+    Op.Fetch { table; from_key; limit }
   | 'V' ->
     let table = read_str r in
     Op.Commit_versions { table; keys = read_list r }
@@ -464,6 +481,29 @@ let[@tail_mod_cons] rec read_pairs r prev n =
     let v = read_str r in
     (k, v) :: read_pairs r k (n - 1)
 
+(* A window holds each of its keys once, in key order: its rows' keys
+   and its hidden keys each ascend strictly, and no hidden key is also a
+   row's, so a window has one encoding. *)
+let rec ascending key = function
+  | a :: (b :: _ as tl) ->
+    String.compare (key a) (key b) < 0 && ascending key tl
+  | [] | [ _ ] -> true
+
+let rec disjoint rows hidden =
+  match (rows, hidden) with
+  | [], _ | _, [] -> true
+  | (k, _) :: rs, h :: hs ->
+    let c = String.compare k h in
+    c <> 0 && if c < 0 then disjoint rs hidden else disjoint rows hs
+
+let read_window r =
+  let rows = read_pairs r "" (read_count r) in
+  let hidden = read_list r in
+  if not (ascending fst rows && ascending Fun.id hidden) then
+    fail "window keys out of order";
+  if not (disjoint rows hidden) then fail "hidden key is a row";
+  Window { rows; hidden }
+
 let read_result r =
   match Codec.next_byte r with
   | 'D' -> Done
@@ -474,6 +514,7 @@ let read_result r =
     | _ -> fail "bad option")
   | 'P' -> Pairs (read_pairs r "" (read_count r))
   | 'N' -> Next_keys (read_list r)
+  | 'W' -> read_window r
   | 'F' -> Failed (read_str r)
   | _ -> fail "bad result"
 

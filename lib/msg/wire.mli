@@ -29,6 +29,10 @@ type result =
   | Value of Op.value option  (** point read *)
   | Pairs of (Op.key * Op.value) list  (** scan *)
   | Next_keys of Op.key list  (** fetch-ahead probe *)
+  | Window of { rows : (Op.key * Op.value) list; hidden : Op.key list }
+      (** fetch-ahead read ({!Op.Fetch}): the window's visible rows and
+          the keys of its rows the reader cannot see (an uncommitted
+          delete's tombstone), each list in key order, no key in both *)
   | Failed of string  (** semantic error (e.g. duplicate insert) *)
 
 type reply = {
@@ -182,12 +186,16 @@ val repl_tc : repl -> Untx_util.Tc_id.t
     its bytes; a list is its count as a varint, then its elements; a
     boolean or an option's presence is one byte, [0x00] or [0x01]; each
     constructor is one tag byte, an ASCII letter.  A key in a list
-    (probe keys, scan pairs, commit and abort version keys) is an
-    [fkey], front-coded against the key before it, the first against
-    [""]: the length of the prefix the two share as a varint, the
-    length of the rest as a varint, then the rest.  The shared length
-    is the longest common prefix's, so the rest never opens with the
-    byte the key before has there.  In the layouts below, [tag] names
+    (probe keys, scan pairs, window rows and hidden keys, commit and
+    abort version keys) is an [fkey], front-coded against the key
+    before it in its list, the first against [""]: the length of the
+    prefix the two share as a varint, the length of the rest as a
+    varint, then the rest.  The shared length is the longest common
+    prefix's, so the rest never opens with the byte the key before has
+    there.  A window's rows and hidden keys each ascend strictly and
+    share no key, so a window's keys are each written once, and a
+    window with every row visible costs its [Pairs] bytes plus one, the
+    empty hidden list's count.  In the layouts below, [tag] names
     that byte, [n × x] a count followed by [n] elements [x], and every
     other field is a varint or a string as above:
 
@@ -202,12 +210,14 @@ op            'I' table key value        insert
               'R' table key mode         read; mode 'o' own, 'c' committed, 'd' dirty
               'S' table from_key limit mode   scan
               'P' table from_key limit   probe
+              'F' table from_key limit   fetch
               'V' table (n × fkey)       commit versions
               'A' table (n × fkey)       abort versions
 result        'D'                        done
               'V' 0x00 | 'V' 0x01 value  point read, absent | present
               'P' (n × fkey value)       scan pairs
               'N' (n × fkey)             probe keys
+              'W' (n × fkey value) (m × fkey)   fetch window: rows, hidden keys
               'F' message                failed
 control msg   epoch seq control
 control       'E' tc eosl                watermarks, lwm = 0
@@ -226,9 +236,11 @@ repl reply    tc epoch seq 'A' applied
     short, a count beyond the bytes left, a byte after the last field,
     a varint in any form {!Untx_util.Codec.write_varint} would not
     write, a trace id of 2{^32} or more, a shared length beyond the key
-    before or short of the longest shared prefix, a zero mark in ['L']
-    or ['W'] — and never return a silently wrong value.  Decoding is
-    canonical: a frame that decodes re-encodes to its own bytes. *)
+    before or short of the longest shared prefix, window rows or hidden
+    keys out of strictly ascending order, a hidden key that is also a
+    row's, a zero mark in ['L'] or ['W'] — and never return a silently
+    wrong value.  Decoding is canonical: a frame that decodes re-encodes
+    to its own bytes. *)
 
 val encode_request : ?tid:int -> request_msg -> string
 

@@ -246,8 +246,9 @@ let route_op t (op : Op.t) =
     match op with
     | Op.Insert { key; _ } | Op.Update { key; _ } | Op.Delete { key; _ }
     | Op.Read { key; _ } -> dc_of_key t table key
-    | Op.Scan { from_key; _ } | Op.Probe { from_key; _ } ->
-      dc_of_key t table from_key
+    | Op.Scan { from_key; _ }
+    | Op.Probe { from_key; _ }
+    | Op.Fetch { from_key; _ } -> dc_of_key t table from_key
     | Op.Commit_versions { keys; _ } | Op.Abort_versions { keys; _ } -> (
       match keys with
       | key :: _ -> dc_of_key t table key
@@ -878,54 +879,64 @@ let scan_rows t link ~table ~from_key ~limit =
   | Wire.Pairs ps -> ps
   | _ -> []
 
+let fetch t link ~table ~from_key ~limit =
+  match request_unlogged t link (Op.Fetch { table; from_key; limit }) with
+  | Wire.Window { rows; hidden } -> (rows, hidden)
+  | _ -> ([], [])
+
+(* The keys of a fetched window, in key order: its rows' and its hidden
+   keys', each list already in key order. *)
+let rec window_keys rows hidden =
+  match (rows, hidden) with
+  | [], hs -> hs
+  | rs, [] -> List.map fst rs
+  | (r, _) :: rs, h :: hs ->
+    if String.compare r h < 0 then r :: window_keys rs hidden
+    else h :: window_keys rows hs
+
 let next_key k = k ^ "\x00"
 
-(* Fetch-ahead: speculative probe for the next keys, lock them, then
-   verify the probe before reading; a mismatch turns the read request
-   back into a speculative probe. *)
+(* Fetch-ahead, two round trips a batch: a speculative probe names the
+   window's keys, the TC S-locks them, then one fetch reads the window
+   — its visible rows and the keys of the rows it cannot see.  The fetch
+   runs after the locks are held, so when the window's keys are the
+   locked keys every row it returns is locked and the rows are taken.
+   When they differ, a key entered or left the window since the probe:
+   the window's keys become the next speculation, locked and read again
+   with no new probe — a mismatch turns the read back into a probe.
+   Every key counts toward the fetch's limit, so the window never runs
+   past the locked keys. *)
 let scan_fetch_ahead t txn link ~table ~from_key ~limit =
   let results = ref [] in
   let taken = ref 0 in
+  let rec lock_keys = function
+    | [] -> `Granted
+    | k :: rest -> (
+      match lock t txn (Lock_mgr.Record { table; key = k }) Lock_mgr.S with
+      | `Granted -> lock_keys rest
+      | `Blocked -> `Blocked)
+  in
   let rec loop cursor =
     if !taken >= limit then `Ok (List.rev !results)
     else
       let batch = Stdlib.min (limit - !taken) 16 in
-      let keys = probe t link ~table ~from_key:cursor ~limit:batch in
-      if keys = [] then `Ok (List.rev !results)
-      else
-        let rec lock_keys = function
-          | [] -> `Granted
-          | k :: rest -> (
-            match lock t txn (Lock_mgr.Record { table; key = k }) Lock_mgr.S with
-            | `Granted -> lock_keys rest
-            | `Blocked -> `Blocked)
-        in
-        match lock_keys keys with
-        | `Blocked -> `Blocked
-        | `Granted ->
-          let verify = probe t link ~table ~from_key:cursor ~limit:batch in
-          if not (List.equal String.equal verify keys) then
-            loop cursor (* speculate again *)
-          else begin
-            (* The DC counts only visible rows toward the limit, so the
-               reply can run past the probed (and locked) window when it
-               skips invisible records; keep only rows we hold locks for
-               — the tail is re-fetched by the next batch. *)
-            let last = List.nth keys (List.length keys - 1) in
-            let pairs =
-              scan_rows t link ~table ~from_key:cursor ~limit:(List.length keys)
-              |> List.filter (fun (k, _) -> String.compare k last <= 0)
-            in
-            List.iter
-              (fun (k, v) ->
-                if !taken < limit then begin
-                  results := (k, v) :: !results;
-                  incr taken
-                end)
-              pairs;
-            if List.length keys < batch then `Ok (List.rev !results)
-            else loop (next_key (List.nth keys (List.length keys - 1)))
-          end
+      speculate cursor batch (probe t link ~table ~from_key:cursor ~limit:batch)
+  and speculate cursor batch keys =
+    if keys = [] then `Ok (List.rev !results)
+    else
+      match lock_keys keys with
+      | `Blocked -> `Blocked
+      | `Granted ->
+        let rows, hidden = fetch t link ~table ~from_key:cursor ~limit:batch in
+        let window = window_keys rows hidden in
+        if not (List.equal String.equal window keys) then
+          speculate cursor batch window (* speculate again *)
+        else begin
+          results := List.rev_append rows !results;
+          taken := !taken + List.length rows;
+          if List.length keys < batch then `Ok (List.rev !results)
+          else loop (next_key (List.nth keys (List.length keys - 1)))
+        end
   in
   loop from_key
 

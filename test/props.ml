@@ -662,23 +662,21 @@ let prop_decode_canonical =
       | n -> String.equal (Codec.varint n) s
       | exception Invalid_argument _ -> true)
 
-(* A data frame built by hand around [payload], with a valid length and
-   checksum, so only the payload decides whether it decodes. *)
+(* A data frame built by hand around [payload]: untraced, with a valid
+   varint length and checksum, so only the payload decides whether it
+   decodes. *)
 let data_frame kind payload =
-  let u32 v =
-    String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-  in
-  let body = kind ^ u32 0 ^ u32 (String.length payload) ^ payload in
+  let body = kind ^ "\000" ^ Codec.varint (String.length payload) ^ payload in
   let h = ref 0x811c9dc5 in
   String.iter
     (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
     body;
-  body ^ u32 !h
+  body ^ String.init 4 (fun i -> Char.chr ((!h lsr (8 * (3 - i))) land 0xff))
 
 (* Redo-batch payloads over the bytes a batch is made of — counts and
    LSNs, operation and result tags, presence bytes, string bytes — and
    a few the encoder never writes (a continuation bit, an overlong
-   zero), so a fair share decode and the rest must be refused. *)
+   zero): about one in 200 decodes, and the rest must be refused. *)
 let batch_payload_arb =
   QCheck.make
     ~print:(fun (kind, p) -> Printf.sprintf "%s %S" kind p)
@@ -689,7 +687,8 @@ let batch_payload_arb =
            (list_size (int_bound 14)
               (oneofl
                  [ "\000"; "\001"; "\002"; "\003"; "\004"; "\007"; "\x80";
-                   "\x81\000"; "D"; "U"; "V"; "F"; "P"; "N"; "k"; "kv" ]))))
+                   "\x81\000"; "D"; "U"; "V"; "F"; "P"; "N"; "W"; "k";
+                   "kv" ]))))
 
 let prop_batch_canonical =
   QCheck.Test.make ~name:"a redo batch that decodes re-encodes to itself"
@@ -713,7 +712,9 @@ let reference_conflicts (a : Op.t) (b : Op.t) =
   let footprint = function
     | Op.Insert { key; _ } | Op.Update { key; _ } | Op.Delete { key; _ }
     | Op.Read { key; _ } -> `Points [ key ]
-    | Op.Scan { from_key; _ } | Op.Probe { from_key; _ } -> `Range from_key
+    | Op.Scan { from_key; _ }
+    | Op.Probe { from_key; _ }
+    | Op.Fetch { from_key; _ } -> `Range from_key
     | Op.Commit_versions { keys; _ } | Op.Abort_versions { keys; _ } ->
       `Points keys
   in
@@ -744,6 +745,7 @@ let op_gen =
         Op.Read { table; key = k; mode };
         Op.Scan { table; from_key = k; limit = 3; mode };
         Op.Probe { table; from_key = k; limit = 3 };
+        Op.Fetch { table; from_key = k; limit = 3 };
         Op.Commit_versions { table; keys };
         Op.Abort_versions { table; keys };
       ])

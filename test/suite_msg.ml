@@ -18,6 +18,8 @@ let scan from = Op.Scan { table = "t"; from_key = from; limit = 10; mode = Op.Ow
 
 let probe from = Op.Probe { table = "t"; from_key = from; limit = 10 }
 
+let fetch from = Op.Fetch { table = "t"; from_key = from; limit = 10 }
+
 let cv keys = Op.Commit_versions { table = "t"; keys }
 
 let test_point_conflicts () =
@@ -44,7 +46,17 @@ let test_range_conflicts () =
     (Op.conflicts (scan "a") (scan "b"));
   Alcotest.(check bool) "probe is a read" true (Op.is_read (probe "a"));
   Alcotest.(check bool) "probe vs write in range" true
-    (Op.conflicts (probe "k10") (del "k99"))
+    (Op.conflicts (probe "k10") (del "k99"));
+  Alcotest.(check bool) "fetch is a read" true (Op.is_read (fetch "a"));
+  Alcotest.(check bool) "fetch vs write in range" true
+    (Op.conflicts (fetch "k10") (ins "k11"));
+  Alcotest.(check bool) "fetch vs write below range" false
+    (Op.conflicts (fetch "k10") (upd "k05"));
+  Alcotest.(check bool) "fetch vs version op in range" true
+    (Op.conflicts (fetch "k10") (cv [ "k05"; "k12" ]));
+  Alcotest.(check bool) "fetch vs probe and scan: reads" false
+    (Op.conflicts (fetch "a") (probe "a")
+    || Op.conflicts (fetch "a") (scan "a"))
 
 let test_multi_key_conflicts () =
   Alcotest.(check bool) "version op vs member key" true
@@ -56,7 +68,10 @@ let test_multi_key_conflicts () =
 
 let test_conflicts_symmetric () =
   let ops =
-    [ ins "a"; upd "b"; del "a"; rd "b"; scan "a"; probe "b"; cv [ "a"; "c" ] ]
+    [
+      ins "a"; upd "b"; del "a"; rd "b"; scan "a"; probe "b"; fetch "a";
+      cv [ "a"; "c" ];
+    ]
   in
   List.iter
     (fun x ->
@@ -70,7 +85,9 @@ let test_conflicts_symmetric () =
 let test_sizes_positive () =
   List.iter
     (fun op -> Alcotest.(check bool) "positive size" true (Op.size op > 0))
-    [ ins "a"; upd "b"; del "a"; rd "b"; scan "a"; probe "b"; cv [] ];
+    [
+      ins "a"; upd "b"; del "a"; rd "b"; scan "a"; probe "b"; fetch "a"; cv [];
+    ];
   let req = { Wire.tc = Tc_id.of_int 1; lsn = Lsn.of_int 5; part = 0; op = ins "a" } in
   (* request_size is no longer an estimate: it is the length of the
      actual encoded frame. *)

@@ -8,6 +8,9 @@ module Transport = Untx_kernel.Transport
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Lsn = Untx_util.Lsn
+module Op = Untx_msg.Op
+module Wire = Untx_msg.Wire
+module Stored_record = Untx_dc.Stored_record
 
 let table = "kv"
 
@@ -343,6 +346,145 @@ let test_unanswered_request_times_out () =
   Alcotest.(check int) "tc.resends" 32 (count "tc.resends");
   Alcotest.(check int) "first send and 32 resends" 33 !sent
 
+(* A TC and a DC joined by [Kernel.link ~wrap], over 12 committed rows:
+   [on_reply op result] sees each data request's operation and its
+   result once the DC has answered, before the reply travels back.  The
+   returned hook runs once, after the next probe's answer — a concurrent
+   transaction's write landing between a probe and the read after it. *)
+let watched_pair on_reply =
+  let after_probe = ref ignore in
+  let tc = Tc.create (Tc.default_config (Tc_id.of_int 1)) in
+  let dc = Dc.create (kernel_config ()).Kernel.dc in
+  Dc.create_table dc ~name:table ~versioned:true;
+  let wrap handler frame =
+    let reply = handler frame in
+    (match (frame.[0], reply) with
+    | 'Q', Some r -> (
+      match (Wire.decode_request frame, Wire.decode_reply r) with
+      | Wire.Request { op; _ }, Wire.Reply { result; _ } -> (
+        on_reply op result;
+        match op with
+        | Op.Probe _ ->
+          let f = !after_probe in
+          after_probe := ignore;
+          f ()
+        | _ -> ())
+      | _ -> ())
+    | _ -> ());
+    reply
+  in
+  ignore (Kernel.link ~wrap ~seed:1 tc ~dc_name:"dc0" dc);
+  Tc.map_table tc ~table ~dc:"dc0" ~versioned:true;
+  let txn = Tc.begin_txn tc in
+  for j = 0 to 11 do
+    ok
+      (Tc.insert tc txn ~table
+         ~key:(Printf.sprintf "k%04d" j)
+         ~value:(Printf.sprintf "v%04d" j))
+  done;
+  ok (Tc.commit tc txn);
+  (tc, dc, after_probe)
+
+let op_name = function
+  | Op.Probe _ -> "probe"
+  | Op.Fetch _ -> "fetch"
+  | op -> Format.asprintf "%a" Op.pp op
+
+let keys_of rows = List.map fst rows
+
+let seeded from upto =
+  List.init (upto - from + 1) (fun i -> Printf.sprintf "k%04d" (from + i))
+
+(* Fetch-ahead takes two requests a batch: a probe, then a fetch of the
+   locked keys' window.  A row that enters the window between the two
+   makes the fetch's keys differ from the locked keys: the scan locks
+   the window's keys and fetches again, with no new probe, and returns
+   the new row under its lock. *)
+let test_fetch_ahead_respeculates () =
+  let sent = ref [] in
+  let tc, dc, after_probe =
+    watched_pair (fun op _ -> sent := op_name op :: !sent)
+  in
+  let scan txn =
+    sent := [];
+    let rows = ok (Tc.scan tc txn ~table ~from_key:"" ~limit:10) in
+    (rows, List.rev !sent)
+  in
+  let quiet = Tc.begin_txn tc in
+  let rows, requests = scan quiet in
+  ok (Tc.commit tc quiet);
+  Alcotest.(check (list string)) "nothing moving: two requests"
+    [ "probe"; "fetch" ] requests;
+  Alcotest.(check (list string)) "the first ten rows" (seeded 0 9)
+    (keys_of rows);
+  after_probe :=
+    (fun () ->
+      Dc.install_record dc ~table ~key:"k0004a"
+        (Stored_record.plain ~writer:(Tc.id tc) ~wlsn:Lsn.zero "new"));
+  let s = Tc.begin_txn tc in
+  let rows, requests = scan s in
+  Alcotest.(check (list string)) "a mismatch fetches again, no new probe"
+    [ "probe"; "fetch"; "fetch" ] requests;
+  Alcotest.(check (list string)) "the entered row is returned"
+    (seeded 0 4 @ [ "k0004a" ] @ seeded 5 8)
+    (keys_of rows);
+  let w = Tc.begin_txn tc in
+  (match Tc.update tc w ~table ~key:"k0004a" ~value:"w" with
+  | `Blocked -> ()
+  | _ -> Alcotest.fail "the scan should hold k0004a's lock");
+  ok (Tc.commit tc s);
+  Tc.abort tc w ~reason:"test"
+
+(* A window's rows the reader cannot see travel as bare keys: the scan
+   locks them with the rest and never returns them.  Here the deleter
+   holds k0004a's X lock, and its tombstone — an insert and delete of
+   its own — lands after the scanner's probe, so the fetch's window
+   names a key the probe did not: the scanner must lock it, and blocks
+   on the deleter. *)
+let test_fetch_ahead_hidden_keys () =
+  let windows = ref [] in
+  let tc, dc, after_probe =
+    watched_pair (fun _ -> function
+      | Wire.Window { rows; hidden } ->
+        windows := (keys_of rows, hidden) :: !windows
+      | _ -> ())
+  in
+  let d = Tc.begin_txn tc in
+  ok (Tc.delete tc d ~table ~key:"k0004a");
+  let tombstone =
+    { Stored_record.value = "gone"; deleted = true;
+      before = Stored_record.Null_before; writer = Tc.id tc;
+      wlsn = Tc.last_lsn tc }
+  in
+  after_probe :=
+    (fun () -> Dc.install_record dc ~table ~key:"k0004a" tombstone);
+  let s = Tc.begin_txn tc in
+  (match Tc.scan tc s ~table ~from_key:"" ~limit:10 with
+  | `Blocked -> ()
+  | `Ok rows ->
+    Alcotest.failf "the scan returned %s without locking k0004a"
+      (String.concat "," (keys_of rows))
+  | `Fail m -> Alcotest.fail m);
+  Alcotest.(check (list (pair (list string) (list string))))
+    "the fetch lists the tombstone bare"
+    [ (seeded 0 4 @ seeded 5 8, [ "k0004a" ]) ]
+    !windows;
+  (* the deleter reads its own window: the tombstone stays a bare key *)
+  windows := [];
+  let own = ok (Tc.scan tc d ~table ~from_key:"" ~limit:10) in
+  Alcotest.(check (list string)) "the deleter skips it" (seeded 0 9)
+    (keys_of own);
+  Alcotest.(check (list (list string))) "hidden in the deleter's reads"
+    [ [ "k0004a" ]; [] ]
+    (List.rev_map snd !windows);
+  ok (Tc.commit tc d);
+  Alcotest.(check bool) "the scanner is granted k0004a" true
+    (List.mem (Tc.xid s) (Tc.wakeups tc));
+  let rows = ok (Tc.scan tc s ~table ~from_key:"" ~limit:10) in
+  ok (Tc.commit tc s);
+  Alcotest.(check (list string)) "after the commit, the rows without it"
+    (seeded 0 9) (keys_of rows)
+
 let suite =
   [
     Alcotest.test_case "scan protocols agree" `Quick test_scan_protocols_agree;
@@ -367,6 +509,10 @@ let suite =
       test_unwound_commit_leaves_no_floor;
     Alcotest.test_case "a sibling partition's mark passes a held request"
       `Quick test_sibling_lwm_advances;
+    Alcotest.test_case "fetch-ahead speculates again on a mismatch" `Quick
+      test_fetch_ahead_respeculates;
+    Alcotest.test_case "fetch-ahead locks hidden keys" `Quick
+      test_fetch_ahead_hidden_keys;
     Alcotest.test_case "an unanswered request times out" `Quick
       test_unanswered_request_times_out;
   ]

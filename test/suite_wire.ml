@@ -54,6 +54,7 @@ let gen_op =
         Op.Read { table; key; mode };
         Op.Scan { table; from_key = key; limit; mode };
         Op.Probe { table; from_key = key; limit };
+        Op.Fetch { table; from_key = key; limit };
         Op.Commit_versions { table; keys };
         Op.Abort_versions { table; keys };
       ])
@@ -87,15 +88,36 @@ let gen_batch = Gen.(gen_batch_size >>= gen_batch_of)
 let gen_request_msg =
   Gen.oneof [ Gen.map (fun r -> Wire.Request r) gen_request; gen_batch ]
 
+(* A fetch window: distinct keys in key order, each a row with its value
+   or a hidden key. *)
+let gen_window =
+  Gen.(
+    list_size (int_bound 6) gen_str >>= fun keys ->
+    let keys = List.sort_uniq String.compare keys in
+    list_repeat (List.length keys) (opt gen_str) >>= fun values ->
+    let window = List.combine keys values in
+    return
+      (Wire.Window
+         {
+           rows =
+             List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+               window;
+           hidden =
+             List.filter_map
+               (fun (k, v) -> if Option.is_none v then Some k else None)
+               window;
+         }))
+
 let gen_result =
   Gen.(
     gen_str >>= fun s ->
     opt gen_str >>= fun v ->
     list_size (int_bound 4) (pair gen_str gen_str) >>= fun pairs ->
     list_size (int_bound 4) gen_str >>= fun keys ->
+    gen_window >>= fun window ->
     oneofl
       [ Wire.Done; Wire.Value v; Wire.Pairs pairs; Wire.Next_keys keys;
-        Wire.Failed s ])
+        window; Wire.Failed s ])
 
 let gen_reply =
   Gen.(
@@ -545,6 +567,48 @@ let golden =
              result = Wire.Next_keys [ "ab"; "abc"; "a"; "b" ];
            }),
       fun s -> Wire.encode_reply (Wire.decode_reply s) );
+    ( "fetch request",
+      [
+        "51 00 0d";  (* 'Q', untraced, 13-byte payload *)
+        "53 03 c901 00";  (* 'S', tc 3, lsn 201, part 0 *)
+        "46 02 6b76";  (* 'F' fetch, table "kv" *)
+        "02 6b30 0a";  (* from_key "k0", limit 10 *)
+        "db38c6b1";
+      ],
+      Wire.encode_request
+        (Wire.Request
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 201;
+             part = 0;
+             op = Op.Fetch { table = "kv"; from_key = "k0"; limit = 10 };
+           }),
+      fun s -> Wire.encode_request (Wire.decode_request s) );
+    ( "window reply",
+      [
+        "52 00 18";  (* 'R', untraced, 24-byte payload *)
+        "53 03 c901";  (* 'S', tc 3, lsn 201 *)
+        "57 02";  (* 'W', 2 rows *)
+        "00 02 6b30 01 61";  (* key: shares 0, "k0"; value "a" *)
+        "01 01 32 00";  (* key: shares 1, "2": "k2"; value "" *)
+        "02";  (* 2 hidden keys *)
+        "00 02 6b31";  (* shares 0, "k1": front-coded afresh *)
+        "01 01 33";  (* shares 1, "3": "k3" *)
+        "608783c8";
+      ],
+      Wire.encode_reply
+        (Wire.Reply
+           {
+             Wire.tc = tc 3;
+             lsn = lsn 201;
+             result =
+               Wire.Window
+                 {
+                   rows = [ ("k0", "a"); ("k2", "") ];
+                   hidden = [ "k1"; "k3" ];
+                 };
+           }),
+      fun s -> Wire.encode_reply (Wire.decode_reply s) );
     ( "control",
       [
         "43 00 08";  (* 'C', untraced, 8-byte payload *)
@@ -769,6 +833,30 @@ let test_noncanonical_key_lists () =
   reject_request "abort keys shared beyond the key before"
     "53 07 05 00 41 02 6b76 02 00 02 6b37 03 00"
 
+(* A window holds each key once, in key order, so it has one encoding:
+   rows or hidden keys out of order, a key twice, or a hidden key that
+   is also a row's are rejected. *)
+let test_noncanonical_windows () =
+  (* 'S', tc 7, lsn 5, then 'W' *)
+  let window hex = "53 07 05 57 " ^ hex in
+  Alcotest.(check bool) "a canonical window decodes" true
+    (Wire.decode_reply
+       (hand_frame ~kind:"R" (of_hex (window "01 00 01 61 00 01 00 01 62")))
+    = Wire.Reply
+        {
+          Wire.tc = tc 7;
+          lsn = lsn 5;
+          result = Wire.Window { rows = [ ("a", "") ]; hidden = [ "b" ] };
+        });
+  reject_reply "a hidden key that is a row's"
+    (window "01 00 01 61 00 01 00 01 61");
+  reject_reply "rows out of order" (window "02 00 01 62 00 00 01 61 00 00");
+  reject_reply "a row twice" (window "02 00 01 61 00 01 00 00 00");
+  reject_reply "hidden keys out of order" (window "00 02 00 01 62 00 01 61");
+  reject_reply "a hidden key twice" (window "00 02 00 01 61 01 00");
+  reject_reply "no hidden key list" (window "01 00 01 61 00");
+  reject_reply "trailing byte" (window "00 00 00")
+
 (* Batch payloads that pass the checksum but are cut short, miscounted
    or carry bytes past their last entry. *)
 let test_bad_batch_payloads () =
@@ -907,6 +995,8 @@ let suite =
       prop_prefix_and_suffix;
     ]
   @ [
+      Alcotest.test_case "windows are canonical" `Quick
+        test_noncanonical_windows;
       Alcotest.test_case "golden frames re-encode byte for byte" `Quick
         test_golden_frames;
       Alcotest.test_case "non-canonical int fields are rejected" `Quick
