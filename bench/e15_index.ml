@@ -28,6 +28,7 @@ module Deploy = Untx_cloud.Deploy
 module Index = Untx_index.Index
 module Workload = Untx_workload.Workload
 module Audit = Untx_audit.Audit
+module Chaos = Untx_audit.Chaos
 module Instrument = Untx_util.Instrument
 module Engine = Untx_kernel.Engine
 
@@ -197,19 +198,26 @@ let run_skew_sweep () =
             w_txns = 150;
           }
         in
-        let (r, _env), t = time (fun () -> Workload.run ~seed:0xE15 spec) in
+        let (c : Chaos.cycle), t =
+          time (fun () ->
+              Chaos.run_cycle ~shape:(Bank spec) ~label:("bank:" ^ spec.w_name)
+                ~plan:[] ~seed:0xE15 ~txns:spec.w_txns ())
+        in
+        let counter name =
+          string_of_int (Option.value ~default:0 (List.assoc_opt name c.c_counters))
+        in
         let row =
           [
             fmt_f2 theta;
-            string_of_int r.Workload.r_committed;
-            string_of_int r.Workload.r_aborted;
-            string_of_int r.Workload.r_crashes;
-            string_of_int r.Workload.r_checks;
-            fmt_f (float_of_int r.Workload.r_committed /. t);
-            string_of_int (List.length r.Workload.r_violations);
+            string_of_int c.c_committed;
+            counter "workload.aborted";
+            string_of_int c.c_crashes;
+            counter "workload.checks";
+            fmt_f (float_of_int c.c_committed /. t);
+            string_of_int (List.length c.c_violations);
           ]
         in
-        (rows @ [ row ], violations @ r.Workload.r_violations))
+        (rows @ [ row ], violations @ c.c_violations))
       ([], []) sweep
   in
   print_table

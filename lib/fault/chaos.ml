@@ -5,7 +5,9 @@ module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Tc_id = Untx_util.Tc_id
 module Rng = Untx_util.Rng
+module Zipf = Untx_util.Zipf
 module Instrument = Untx_util.Instrument
+module Metrics = Untx_obs.Metrics
 module Trace = Untx_obs.Trace
 module Fault = Untx_fault.Fault
 module Deploy = Untx_cloud.Deploy
@@ -30,6 +32,7 @@ type shape =
   | Front of int
   | Indexed of int
   | Branch of int
+  | Bank of Workload.spec
 
 let show_shape shape =
   let repl r =
@@ -48,6 +51,7 @@ let show_shape shape =
   | Front n -> Printf.sprintf "Front %d" n
   | Indexed n -> Printf.sprintf "Indexed %d" n
   | Branch n -> Printf.sprintf "Branch %d" n
+  | Bank _ -> "bank"
 
 type cycle = {
   c_shape : string;
@@ -109,20 +113,19 @@ let dc_config ~seed ~sync_policy =
     debug_checks = true;
   }
 
-(* Every shape but [Kernel]: the named TCs over [parts] DCs "dc0".. with
-   the seed's transport, sync policy and reset mode; tables are the
-   caller's. *)
-let make_deploy ~counters ~seed ~durability ~layers ~tcs ~sync_policy ~parts =
-  let d =
-    Deploy.create ~counters ~policy:(policy_of seed) ~durability ~layers ~seed
-      ()
-  in
+(* Every shape but [Kernel]: the named TCs over [parts] DCs "dc0".. of
+   one config; transport, tables and configs are the caller's. *)
+let make_deploy ~counters ~seed ~policy ~durability ~layers ~tcs ~dc ~parts =
+  let d = Deploy.create ~counters ~policy ~durability ~layers ~seed () in
   List.iter (fun (name, cfg) -> ignore (Deploy.add_tc d ~name cfg)) tcs;
   let dcs = List.init parts (Printf.sprintf "dc%d") in
-  List.iter
-    (fun name -> ignore (Deploy.add_dc d ~name (dc_config ~seed ~sync_policy)))
-    dcs;
+  List.iter (fun name -> ignore (Deploy.add_dc d ~name dc)) dcs;
   (d, dcs)
+
+(* The seed's transport, sync policy and reset mode. *)
+let seeded_deploy ~counters ~seed ~durability ~layers ~tcs ~sync_policy ~parts =
+  make_deploy ~counters ~seed ~policy:(policy_of seed) ~durability ~layers ~tcs
+    ~dc:(dc_config ~seed ~sync_policy) ~parts
 
 (* --- the engine --------------------------------------------------------- *)
 
@@ -131,19 +134,10 @@ let make_deploy ~counters ~seed ~durability ~layers ~tcs ~sync_policy ~parts =
    counts. *)
 type cx = {
   rng : Rng.t;
-  oracle : (string, string option) Hashtbl.t;
+  oracle : Workload.oracle;
   mutable crashes : int;
   mutable committed : int;
 }
-
-let commit_staged oracle staged =
-  Hashtbl.iter (fun key v -> Hashtbl.replace oracle key v) staged
-
-let oracle_rows oracle =
-  Hashtbl.fold
-    (fun key v acc -> match v with Some v -> (key, v) :: acc | None -> acc)
-    oracle []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* An injected fault is a hard kill of the component it escaped from;
    [route] kills and recovers it. *)
@@ -215,7 +209,7 @@ let run_txn cx ~handle ~strict (module E : Engine.S) ~shadow ~marker
   let phase = ref `Body in
   let committed () =
     cx.committed <- cx.committed + 1;
-    commit_staged shadow staged
+    Workload.commit shadow ~table staged
   in
   let resolve_by_marker () =
     if probe ~handle (module E) ~table marker <> None then committed ()
@@ -232,7 +226,7 @@ let run_txn cx ~handle ~strict (module E : Engine.S) ~shadow ~marker
       let key = Printf.sprintf "k%02d" (Rng.int cx.rng 50) in
       let current =
         if Hashtbl.mem staged key then Hashtbl.find staged key
-        else Option.join (Hashtbl.find_opt shadow key)
+        else Workload.view shadow ~table key
       in
       match current with
       | None ->
@@ -309,6 +303,17 @@ type rig = {
   audit : unit -> Audit.report;
 }
 
+(* One report from several audits of the same survivor. *)
+let merge reports =
+  {
+    Audit.violations = List.concat_map (fun r -> r.Audit.violations) reports;
+    redelivered = List.fold_left (fun a r -> a + r.Audit.redelivered) 0 reports;
+  }
+
+(* The laws that failed, as violations. *)
+let broken laws =
+  List.filter_map (fun (holds, msg) -> if holds then None else Some msg) laws
+
 (* The midpoint maintenance of most shapes: quiesce then checkpoint, so
    the checkpoint fault points sit on a realistic RSSP advance. *)
 let checkpoint_at_midpoint ~handle ~txns ~quiesce ~checkpoint i =
@@ -345,7 +350,7 @@ let kernel_rig cx ~counters ~seed ~txns =
         run_txn cx ~handle ~strict:false engine ~shadow:cx.oracle
           ~marker:(Printf.sprintf "m%03d" i)
           ~delete_bias:(late_deletes ~txns i) ~value:plain_value);
-    audit = (fun () -> Audit.run k ~table ~expected:(oracle_rows cx.oracle));
+    audit = (fun () -> Audit.run k ~table ~expected:(Workload.rows cx.oracle table));
   }
 
 (* The same extract shapes the workload bank uses: categories are the
@@ -398,7 +403,7 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
       in
       (r.parts, r.replicas, Option.value r.durability ~default:by_seed)
     | Partitioned n | Indexed n -> (n, 0, Repl.Primary_only)
-    | Kernel | Front _ | Branch _ -> invalid_arg "Chaos.one_tc_rig"
+    | Kernel | Front _ | Branch _ | Bank _ -> invalid_arg "Chaos.one_tc_rig"
   in
   let tc_cfg =
     match idx with
@@ -411,7 +416,7 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
     | None -> tc_config 1
   in
   let d, dcs =
-    make_deploy ~counters ~seed ~durability ~layers:false
+    seeded_deploy ~counters ~seed ~durability ~layers:false
       ~tcs:[ ("tc1", tc_cfg) ]
       ~sync_policy:(sync_of seed) ~parts
   in
@@ -514,7 +519,8 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
     audit =
       (fun () ->
         let report =
-          Audit.run_deploy d ~tc:"tc1" ~table ~expected:(oracle_rows cx.oracle)
+          Audit.run_deploy d ~tc:"tc1" ~table
+            ~expected:(Workload.rows cx.oracle table)
         in
         match idx with
         | None -> report
@@ -549,7 +555,7 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
 let front_rig cx ~counters ~seed ~txns ~parts =
   let tc_names = [ "tc1"; "tc2" ] in
   let d, dcs =
-    make_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:false
+    seeded_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:false
       ~tcs:(List.mapi (fun i name -> (name, tc_config (i + 1))) tc_names)
       ~sync_policy:Dc.Full_ablsn ~parts
   in
@@ -640,7 +646,6 @@ let front_rig cx ~counters ~seed ~txns ~parts =
   let audit () =
     (* Fate settlement: a commit the front acknowledged may have ridden
        an unforced batch into the kill.  Its unique marker decides. *)
-    let oracles = List.map (fun tcn -> (tcn, Hashtbl.create 64)) tc_names in
     List.iter
       (fun (ticket, table, marker, staged) ->
         let tcn = if table = "kv1" then "tc1" else "tc2" in
@@ -649,21 +654,16 @@ let front_rig cx ~counters ~seed ~txns ~parts =
           when probe ~handle:raise (Engine.of_tc (Deploy.tc d tcn)) ~table marker
                <> None ->
           cx.committed <- cx.committed + 1;
-          commit_staged (List.assoc tcn oracles) staged
+          Workload.commit cx.oracle ~table staged
         | `Done _ | `Pending -> ())
       (List.rev !submitted);
-    let reports =
-      List.map
-        (fun (tcn, oracle) ->
-          Audit.run_deploy d ~tc:tcn ~table:(table_of_tc tcn)
-            ~expected:(oracle_rows oracle))
-        oracles
-    in
-    {
-      Audit.violations = List.concat_map (fun r -> r.Audit.violations) reports;
-      redelivered =
-        List.fold_left (fun a r -> a + r.Audit.redelivered) 0 reports;
-    }
+    merge
+      (List.map
+         (fun tcn ->
+           let table = table_of_tc tcn in
+           Audit.run_deploy d ~tc:tcn ~table
+             ~expected:(Workload.rows cx.oracle table))
+         tc_names)
   in
   {
     handle = raise;
@@ -694,7 +694,7 @@ let front_rig cx ~counters ~seed ~txns ~parts =
    sides, exactly as the parent's oracle stood when the fork was cut. *)
 let branch_rig cx ~counters ~seed ~txns ~parts =
   let d, dcs =
-    make_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:true
+    seeded_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:true
       ~tcs:[ ("tc1", tc_config 1) ]
       ~sync_policy:(sync_of seed) ~parts
   in
@@ -702,7 +702,6 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
     ();
   let tc = Deploy.tc d "tc1" in
   let default_dc = List.hd (Deploy.partitions d ~table) in
-  let br_oracle : (string, string option) Hashtbl.t = Hashtbl.create 128 in
   let br = ref None (* the fork and its engine *) in
   let in_branch = ref false in
   let route p =
@@ -720,12 +719,7 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
     (* fork at the first stable point past a third of the workload *)
     if i >= txns / 3 && Option.is_none !br then
       guard handle (fun () ->
-          let f =
-            Workload.fork d ~tables:[ table ] ~rows:(fun _ ->
-                Hashtbl.fold (fun k v acc -> (k, v) :: acc) cx.oracle []
-                |> List.sort compare)
-          in
-          Hashtbl.iter (Hashtbl.replace br_oracle) cx.oracle;
+          let f = Workload.fork d cx.oracle ~tables:[ table ] in
           br := Some (f, Branch.engine f.f_branch));
     if i = 2 * txns / 3 && Option.is_some !br then
       guard handle (fun () ->
@@ -738,28 +732,25 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
       ~delete_bias:0.3 ~value:plain_value;
     match !br with
     | None -> ()
-    | Some (_, engine) ->
+    | Some (f, engine) ->
       in_branch := true;
       Fun.protect
         ~finally:(fun () -> in_branch := false)
         (fun () ->
-          run_txn cx ~handle ~strict:false engine ~shadow:br_oracle
+          run_txn cx ~handle ~strict:false engine ~shadow:f.Workload.f_oracle
             ~marker:(Printf.sprintf "bm%03d" i)
             ~delete_bias:0.3 ~value:plain_value)
   in
   let audit () =
     let report =
-      Audit.run_deploy d ~tc:"tc1" ~table ~expected:(oracle_rows cx.oracle)
+      Audit.run_deploy d ~tc:"tc1" ~table
+        ~expected:(Workload.rows cx.oracle table)
     in
     let branch_violations =
       match !br with
       | None -> [ "branch: fork never succeeded" ]
       | Some (f, _) ->
-        let structural = Audit.check_branch d ~name:"b" ~table in
-        structural
-        @ List.filter_map
-            (fun (holds, msg) -> if holds then None else Some msg)
-            (Workload.fork_laws d f ~own:(fun _ -> oracle_rows br_oracle))
+        Audit.check_branch d ~name:"b" ~table @ broken (Workload.fork_laws d f)
     in
     {
       report with
@@ -767,6 +758,367 @@ let branch_rig cx ~counters ~seed ~txns ~parts =
     }
   in
   { handle; quiesce = (fun () -> Deploy.quiesce d); iteration; audit }
+
+(* --- the workload bank ---------------------------------------------------- *)
+
+(* A bank cycle runs one {!Workload.spec} against [cx.oracle] with every
+   read, scan and lookup checked the moment it returns.  [checks] and
+   [aborted] are the cycle's "workload.checks" and "workload.aborted"
+   counter cells; [violations] collects the differential failures,
+   newest first. *)
+type bank = {
+  spec : Workload.spec;
+  d : Deploy.t;
+  tc : Tc.t;
+  idx : Index.t;
+  zipf : Zipf.t option;
+  checks : int ref;
+  aborted : int ref;
+  mutable violations : string list;
+}
+
+let violation b msg = b.violations <- msg :: b.violations
+
+let check b cond msg =
+  incr b.checks;
+  if not cond then violation b msg
+
+let pick_key cx b =
+  Workload.key_of
+    (match b.zipf with
+    | Some z -> Zipf.sample z cx.rng
+    | None -> Rng.int cx.rng b.spec.w_keyspace)
+
+let pp_outcome = function
+  | `Ok _ -> "`Ok"
+  | `Blocked -> "`Blocked"
+  | `Fail m -> Printf.sprintf "`Fail %S" m
+
+exception Txn_over
+
+(* One bank transaction on [engine] against [oracle]: a handful of
+   oracle-guided operations, optionally a poison probe, then
+   commit/abort with the outcome the oracle predicts.  Any surprise is
+   recorded and the transaction is rolled back, so one violation cannot
+   corrupt the oracle for the rest of the run.  [who] names the side in
+   messages; the branch side runs with [~poison:false] and draws no
+   probe. *)
+let bank_txn cx b (module E : Engine.S) ~oracle ~who ~poison i =
+  let spec = b.spec in
+  let table, versioned =
+    List.nth spec.w_tables (i mod List.length spec.w_tables)
+  in
+  let txn = E.begin_txn () in
+  let staged : (string, string option) Hashtbl.t = Hashtbl.create 8 in
+  let view key =
+    match Hashtbl.find_opt staged key with
+    | Some v -> v
+    | None -> Workload.view oracle ~table key
+  in
+  let abort_dead () =
+    if E.is_active txn then E.abort txn ~reason:"workload: txn over";
+    incr b.aborted
+  in
+  let expect_ok label = function
+    | `Ok v -> v
+    | (`Blocked | `Fail _) as o ->
+      violation b
+        (Printf.sprintf "%s: %s %d %s on %s came back %s" spec.w_name who i
+           label table (pp_outcome o));
+      abort_dead ();
+      raise Txn_over
+  in
+  (* under OCC a transaction must not revisit its own buffered writes
+     (reads and index maintenance would not see them) *)
+  let revisit key = spec.w_protocol = Tc.Optimistic && Hashtbl.mem staged key in
+  try
+    for _ = 1 to 1 + Rng.int cx.rng 3 do
+      let key =
+        let k = pick_key cx b in
+        if revisit k then pick_key cx b else k
+      in
+      if not (revisit key) then begin
+        match view key with
+        | None ->
+          let value = Workload.gen_value spec cx.rng in
+          expect_ok "insert" (E.insert txn ~table ~key ~value);
+          Hashtbl.replace staged key (Some value)
+        | Some current ->
+          if Rng.chance cx.rng spec.w_rmw_prob then begin
+            (* read-modify-write: the read is a differential check *)
+            let got = expect_ok "read" (E.read txn ~table ~key) in
+            check b
+              (got = Some current)
+              (Printf.sprintf "%s: %s %d read %s/%s saw %s, oracle says %S"
+                 spec.w_name who i table key
+                 (match got with Some v -> Printf.sprintf "%S" v | None -> "None")
+                 current);
+            let value = Workload.gen_value spec cx.rng in
+            expect_ok "rmw-update" (E.update txn ~table ~key ~value);
+            Hashtbl.replace staged key (Some value)
+          end
+          else if Rng.chance cx.rng 0.3 then begin
+            expect_ok "delete" (E.delete txn ~table ~key);
+            Hashtbl.replace staged key None
+          end
+          else begin
+            let value = Workload.gen_value spec cx.rng in
+            expect_ok "update" (E.update txn ~table ~key ~value);
+            Hashtbl.replace staged key (Some value)
+          end
+      end
+    done;
+    (* Poison probe: a deliberately invalid operation must fail exactly
+       where the contract says — immediately on unversioned tables (and
+       for Index.update's fail-fast read), at commit on versioned
+       pipelined ones. *)
+    let poison =
+      if poison && Rng.chance cx.rng spec.w_poison_prob then begin
+        let existing =
+          Workload.rows oracle table
+          |> List.filter (fun (k, _) -> not (Hashtbl.mem staged k))
+        in
+        (* Optimistic buffers every write, so even fail-fast tables
+           surface the refusal at commit, not at the call. *)
+        let fail_fast = (not versioned) && spec.w_protocol <> Tc.Optimistic in
+        let update_missing () =
+          (* a rank just past the keyspace is never inserted *)
+          let key = Workload.key_of (spec.w_keyspace + Rng.int cx.rng 50) in
+          let o = E.update txn ~table ~key ~value:"poison" in
+          (* Index.update reads the old row first and fails fast on a
+             missing key whatever the table's versioned-ness *)
+          Some (key, "update-missing", o, fail_fast || spec.w_indexed)
+        in
+        match existing with
+        | (key, _) :: _ when Rng.bool cx.rng ->
+          let o = E.insert txn ~table ~key ~value:"poison" in
+          Some (key, "insert-existing", o, fail_fast)
+        | _ -> update_missing ()
+      end
+      else None
+    in
+    match poison with
+    | Some (key, label, o, immediate) ->
+      let says what ok got =
+        check b ok
+          (Printf.sprintf "%s: txn %d poison %s on %s/%s should %s, got %s"
+             spec.w_name i label table key what (pp_outcome got))
+      in
+      if immediate then
+        says "fail fast" (match o with `Fail _ -> true | _ -> false) o
+      else begin
+        (* pipelined: the op is accepted, the commit must refuse *)
+        says "pipeline as `Ok" (match o with `Ok () -> true | _ -> false) o;
+        let c = E.commit txn in
+        says "fail the commit" (match c with `Fail _ -> true | _ -> false) c
+      end;
+      abort_dead ()
+    | None ->
+      if Rng.chance cx.rng spec.w_abort_prob then begin
+        E.abort txn ~reason:"workload: deliberate abort";
+        incr b.aborted
+      end
+      else begin
+        match E.commit txn with
+        | `Ok () ->
+          cx.committed <- cx.committed + 1;
+          Workload.commit oracle ~table staged
+        | (`Blocked | `Fail _) as o ->
+          violation b
+            (Printf.sprintf "%s: %s %d commit on %s came back %s" spec.w_name
+               who i table (pp_outcome o));
+          incr b.aborted
+      end
+  with Txn_over -> ()
+
+(* A differential range scan in its own read-only transaction: the
+   expected rows are the oracle's, filtered to the cursor's owning
+   partition (partitioned scans stay inside one partition by design)
+   and truncated at the limit. *)
+let scan_check cx b (module E : Engine.S) =
+  let spec = b.spec in
+  let table, _ =
+    List.nth spec.w_tables (Rng.int cx.rng (List.length spec.w_tables))
+  in
+  let from_key = Workload.key_of (Rng.int cx.rng spec.w_keyspace) in
+  let limit = 1 + Rng.int cx.rng 16 in
+  let part = Deploy.partition_dc b.d ~table ~key:from_key in
+  let expected =
+    Workload.rows cx.oracle table
+    |> List.filter (fun (k, _) ->
+           String.compare k from_key >= 0
+           && String.equal (Deploy.partition_dc b.d ~table ~key:k) part)
+    |> List.filteri (fun n _ -> n < limit)
+  in
+  let txn = E.begin_txn () in
+  (match E.scan txn ~table ~from_key ~limit with
+  | `Ok rows ->
+    check b (rows = expected)
+      (Printf.sprintf
+         "%s: scan %s from %S limit %d saw %d row(s), oracle expects %d"
+         spec.w_name table from_key limit (List.length rows)
+         (List.length expected))
+  | (`Blocked | `Fail _) as o ->
+    violation b
+      (Printf.sprintf "%s: scan %s from %S came back %s" spec.w_name table
+         from_key (pp_outcome o)));
+  match E.commit txn with
+  | `Ok () -> ()
+  | `Blocked | `Fail _ ->
+    if E.is_active txn then E.abort txn ~reason:"workload scan probe"
+
+(* A differential index lookup: recompute the expected hits from the
+   oracle's rows through the same extractor. *)
+let lookup_check cx b =
+  let spec = b.spec in
+  let table, _ = List.hd spec.w_tables in
+  let index, sec =
+    if Rng.bool cx.rng then ("by_cat", Workload.gen_cat cx.rng)
+    else
+      let _, hi = spec.w_value_len in
+      ("by_len", Printf.sprintf "L%d" (Rng.int cx.rng (1 + (hi / 16))))
+  in
+  let extract = List.assoc index Workload.indexes in
+  let expected =
+    Workload.rows cx.oracle table
+    |> List.filter (fun (key, value) -> List.mem sec (extract ~key ~value))
+  in
+  let txn = Tc.begin_txn b.tc in
+  (match Index.lookup b.idx b.tc txn ~table ~index ~sec with
+  | `Ok rows ->
+    check b (rows = expected)
+      (Printf.sprintf "%s: lookup %s/%s=%S saw %d row(s), oracle expects %d"
+         spec.w_name table index sec (List.length rows) (List.length expected))
+  | (`Blocked | `Fail _) as o ->
+    violation b
+      (Printf.sprintf "%s: lookup %s/%s=%S came back %s" spec.w_name table
+         index sec (pp_outcome o)));
+  match Tc.commit b.tc txn with
+  | `Ok () -> ()
+  | `Blocked | `Fail _ ->
+    if Tc.is_active txn then Tc.abort b.tc txn ~reason:"workload lookup probe"
+
+(* The bank's deployment: one TC under the spec's protocol over
+   [w_parts] DCs on a reliable transport, pages sized so a version chain
+   of a few max-size values fits one cell while small-value specs keep
+   tiny pages and frequent splits.  Iteration [i] forks at [w_branch_at]
+   of the run, fires the scripted kills due before it (spread evenly,
+   between transactions, so the oracle carries straight through
+   recovery), runs one parent transaction — and one branch transaction
+   once forked — then maybe a scan and a lookup check.  No planned
+   fault is routed.  The audit is {!Audit.run_deploy} per table,
+   {!Audit.check_index} for an indexed spec and {!Workload.fork_laws}
+   once forked, after the differential violations. *)
+let bank_rig cx ~counters ~seed ~txns (spec : Workload.spec) =
+  let idx = Index.create ~counters () in
+  let d, dcs =
+    make_deploy ~counters ~seed ~policy:Transport.reliable
+      ~durability:Repl.Primary_only ~layers:(spec.w_branch_at <> None)
+      ~tcs:[ ("tc1", { (tc_config 1) with cc_protocol = spec.w_protocol }) ]
+      ~dc:
+        {
+          Dc.page_capacity = max 192 (5 * (snd spec.w_value_len + 64));
+          cache_pages = 8;
+          sync_policy = Dc.Full_ablsn;
+          tc_reset_mode = Dc.Selective;
+          debug_checks = true;
+        }
+      ~parts:spec.w_parts
+  in
+  List.iter
+    (fun (name, versioned) ->
+      let replicas = spec.w_replicas in
+      if spec.w_indexed then
+        Deploy.add_indexed_table d ~replicas ~idx ~name ~versioned ~dcs
+          ~indexes:Workload.indexes ()
+      else Deploy.add_partitioned_table d ~replicas ~name ~versioned ~dcs ())
+    spec.w_tables;
+  let tc = Deploy.tc d "tc1" in
+  let b =
+    {
+      spec;
+      d;
+      tc;
+      idx;
+      zipf =
+        (if spec.w_theta > 0. then
+           Some (Zipf.create ~n:spec.w_keyspace ~theta:spec.w_theta)
+         else None);
+      checks = Metrics.counter_cell counters "workload.checks";
+      aborted = Metrics.counter_cell counters "workload.aborted";
+      violations = [];
+    }
+  in
+  let engine = if spec.w_indexed then Index.engine idx tc else Engine.of_tc tc in
+  let br = ref None (* the fork and its engine *) in
+  let fork_at =
+    Option.map (fun f -> int_of_float (f *. float_of_int txns)) spec.w_branch_at
+  in
+  let kills = List.length spec.w_crashes in
+  let kill j = function
+    | Workload.Crash_dc ->
+      cx.crashes <- cx.crashes + 1;
+      Deploy.crash_dc d (Printf.sprintf "dc%d" (j mod spec.w_parts))
+    | Crash_tc ->
+      cx.crashes <- cx.crashes + 1;
+      Deploy.crash_tc d "tc1"
+    | Crash_branch ->
+      if Option.is_some !br then begin
+        cx.crashes <- cx.crashes + 1;
+        Deploy.crash_branch_dc d "b"
+      end
+  in
+  let iteration i =
+    if fork_at = Some i then begin
+      let f = Workload.fork d cx.oracle ~tables:(List.map fst spec.w_tables) in
+      br := Some (f, Branch.engine f.f_branch)
+    end;
+    List.iteri
+      (fun j kind -> if (j + 1) * txns / (kills + 1) = i then kill j kind)
+      spec.w_crashes;
+    bank_txn cx b engine ~oracle:cx.oracle ~who:"txn" ~poison:true i;
+    Option.iter
+      (fun (f, engine) ->
+        bank_txn cx b engine ~oracle:f.Workload.f_oracle ~who:"branch txn"
+          ~poison:false i)
+      !br;
+    if Rng.chance cx.rng spec.w_scan_prob then scan_check cx b engine;
+    if spec.w_indexed && Rng.chance cx.rng spec.w_lookup_prob then
+      lookup_check cx b
+  in
+  let audit () =
+    let tables = List.map fst spec.w_tables in
+    let report =
+      merge
+        (List.map
+           (fun table ->
+             Audit.run_deploy d ~tc:"tc1" ~table
+               ~expected:(Workload.rows cx.oracle table))
+           tables)
+    in
+    {
+      report with
+      Audit.violations =
+        List.rev b.violations
+        @ report.Audit.violations
+        @ (if spec.w_indexed then
+             List.concat_map (fun table -> Audit.check_index d ~idx ~table) tables
+           else [])
+        @
+        match !br with
+        | Some (f, _) -> broken (Workload.fork_laws d f)
+        | None -> [];
+    }
+  in
+  {
+    handle = raise;
+    quiesce =
+      (fun () ->
+        Deploy.quiesce d;
+        Option.iter (fun (f, _) -> Branch.quiesce f.Workload.f_branch) !br);
+    iteration;
+    audit;
+  }
 
 (* Every cycle runs traced: the ring is cleared and re-enabled at the
    start so trace ids are deterministic per cycle, and a violating
@@ -782,7 +1134,7 @@ let run_cycle ?(keep_trace = false) ~shape ~label ~plan ~seed ~txns () =
   let cx =
     {
       rng = Rng.create ~seed;
-      oracle = Hashtbl.create 128;
+      oracle = Hashtbl.create 4;
       crashes = 0;
       committed = 0;
     }
@@ -792,6 +1144,7 @@ let run_cycle ?(keep_trace = false) ~shape ~label ~plan ~seed ~txns () =
     | Kernel -> kernel_rig cx ~counters ~seed ~txns
     | Front parts -> front_rig cx ~counters ~seed ~txns ~parts
     | Branch parts -> branch_rig cx ~counters ~seed ~txns ~parts
+    | Bank spec -> bank_rig cx ~counters ~seed ~txns spec
     | Partitioned _ | Replicated _ | Detach _ | Indexed _ ->
       one_tc_rig cx ~counters ~seed ~txns shape
   in
@@ -989,6 +1342,9 @@ let plans = function
         ("transport.frame.corrupt~5%", [ corrupt 5 ]);
         pair "dc.flush.before_page_write" 2 "tc.commit.after_force" 2;
       ]
+  | Bank spec ->
+    (* the spec's scripted kills are the whole plan *)
+    [ ("bank:" ^ spec.w_name, []) ]
 
 (* --- soaks -------------------------------------------------------------- *)
 
@@ -1048,51 +1404,15 @@ let soak ~shape ~seeds_per_plan =
     | Front _ -> 0xF207
     | Indexed _ -> 0x1D8
     | Branch _ -> 0xB4A7
+    | Bank _ -> 0xB0B
   in
   sweep ~base_seed ~per:seeds_per_plan (plans shape) (fun (label, plan) ~seed ->
       run_cycle ~shape ~label ~plan ~seed ~txns:24 ())
 
-(* --- workload-bank chaos ------------------------------------------------ *)
-
-(* The scripted-crash half of the bank is the workload's own
-   ([Workload.run] kills a DC or the TC between transactions); this
-   wrapper turns each bank spec into a chaos cycle by following the run
-   with the full deployment audit — oracle parity from [e_expected],
-   index parity from {!Audit.check_index} when the spec maintains
-   indexes. *)
-let run_cycle_workload ~spec ~seed () =
-  let r, env = Workload.run ~seed spec in
-  let d = env.Workload.e_deploy in
-  let reports =
-    List.map
-      (fun (tbl, expected) -> Audit.run_deploy d ~tc:"tc1" ~table:tbl ~expected)
-      env.Workload.e_expected
-  in
-  let index_violations =
-    if spec.Workload.w_indexed then
-      List.concat_map
-        (fun (tbl, _) -> Audit.check_index d ~idx:env.Workload.e_idx ~table:tbl)
-        spec.Workload.w_tables
-    else []
-  in
-  {
-    c_shape = "bank";
-    c_txns = spec.Workload.w_txns;
-    c_label = "bank:" ^ spec.Workload.w_name;
-    c_seed = seed;
-    c_fired = [];
-    c_crashes = r.Workload.r_crashes;
-    c_committed = r.Workload.r_committed;
-    c_redelivered =
-      List.fold_left (fun a r -> a + r.Audit.redelivered) 0 reports;
-    c_violations =
-      r.Workload.r_violations
-      @ List.concat_map (fun r -> r.Audit.violations) reports
-      @ index_violations;
-    c_counters = [];
-    c_trace = "";
-  }
-
+(* Every bank spec as one [Bank] cycle per seed, from the bank's
+   canonical base seed. *)
 let soak_workloads ~seeds_per_spec =
   sweep ~base_seed:0xB0B ~per:seeds_per_spec (Workload.bank ())
-    (fun spec ~seed -> run_cycle_workload ~spec ~seed ())
+    (fun spec ~seed ->
+      run_cycle ~shape:(Bank spec) ~label:("bank:" ^ spec.w_name) ~plan:[]
+        ~seed ~txns:spec.w_txns ())

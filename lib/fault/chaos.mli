@@ -23,7 +23,9 @@
     arguments.  A violating cycle's [c_shape], [c_label], [c_seed] and
     [c_txns] are exactly those arguments:
     [run_cycle ~shape ~label ~plan:(List.assoc label (plans shape))
-    ~seed ~txns ()].
+    ~seed ~txns ()].  A bank cycle's [c_shape] is ["bank"] and its
+    label ["bank:<name>"]; its shape is
+    [Bank (Untx_workload.Workload.find name)].
 
     A commit interrupted by a crash is ambiguous (the Commit record may
     or may not have reached the stable log).  Every transaction's first
@@ -106,11 +108,25 @@ type shape =
           crash-recover the branch's own TC.  The audit adds
           {!Audit.check_branch} and the bank's branch-oracle laws
           ({!Untx_workload.Workload.fork_laws}). *)
+  | Bank of Untx_workload.Workload.spec
+      (** one workload-bank spec, run differentially: every read, range
+          scan and index lookup is checked against the oracle the moment
+          it returns, poison probes must fail where the TC contract
+          says, and the spec's scripted DC/TC/branch kills land between
+          transactions; its [w_branch_at] forks a copy-on-write branch
+          driven against its own oracle.  The deployment is the spec's
+          (protocol, partitions, tables, indexes) on a reliable
+          transport; no planned fault is routed.  The audit is
+          {!Audit.run_deploy} per table, {!Audit.check_index} for an
+          indexed spec and the fork laws once forked, after the
+          differential violations.  Differential checks and aborted
+          transactions count in ["workload.checks"] and
+          ["workload.aborted"]. *)
 
 type cycle = {
   c_shape : string;
       (** the shape in OCaml syntax (["Partitioned 3"]), or ["bank"]
-          for a {!run_cycle_workload} cycle *)
+          for a {!Bank} cycle *)
   c_txns : int;
   c_label : string;  (** human-readable plan description *)
   c_seed : int;
@@ -164,17 +180,9 @@ val plans : shape -> (string * Untx_fault.Fault.rule list) list
     - [Branch]: a fault-free control, flush / WAL-force / commit-edge
       kills (landing on either side by attribution), a kill inside the
       parent's compaction while the branch pins its history, 5%
-      corruption, and a flush+commit double. *)
-
-val run_cycle_workload :
-  spec:Untx_workload.Workload.spec -> seed:int -> unit -> cycle
-(** One workload-bank spec as a chaos cycle: {!Untx_workload.Workload.run}
-    executes the spec differentially against its oracle (scripted
-    DC/TC kills included), then the surviving deployment takes the full
-    {!Audit.run_deploy} per table against the oracle's rows and — for
-    index-maintaining specs — {!Audit.check_index}.  [c_violations]
-    merges the run's differential violations with the audit's;
-    [c_redelivered] sums the per-table audits. *)
+      corruption, and a flush+commit double;
+    - [Bank spec]: one empty plan, ["bank:<name>"] — the spec's
+      scripted kills are the whole plan. *)
 
 type summary = {
   s_cycles : int;
@@ -192,5 +200,5 @@ val soak : shape:shape -> seeds_per_plan:int -> cycle list * summary
 
 val soak_workloads : seeds_per_spec:int -> cycle list * summary
 (** Run every workload-bank spec ({!Untx_workload.Workload.bank}) as a
-    {!run_cycle_workload} across [seeds_per_spec] seeds, from the
-    bank's canonical base seed 0xB0B. *)
+    {!Bank} cycle of [w_txns] transactions across [seeds_per_spec]
+    seeds, spec [p]'s seeds being [0xB0B + 131 p + 17 s]. *)

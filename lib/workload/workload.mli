@@ -1,31 +1,22 @@
-(** Seeded deterministic workload bank, run differentially against a
-    sequential in-memory oracle.
+(** The workload bank: seeded adversarial workload specs, their
+    generators, the shadow oracle every chaos cycle keeps, and the fork.
 
     Each {!spec} describes one adversarial workload shape over a
     partitioned deployment — Zipfian hot keys, range scans under either
     Section 3.1 lock protocol, read-modify-write, large values, mixed
-    versioned/unversioned tables, index-maintaining transactions — and
-    {!run} executes it transaction by transaction while a shadow oracle
-    predicts every outcome:
-
-    - every read and range scan is compared against the oracle's view
-      the moment it returns (scans against the owning partition's
-      expected fragment, index lookups against a recomputation over the
-      oracle's rows);
-    - deliberately invalid operations ({e poison probes}: duplicate
-      inserts, updates of absent keys) must fail exactly where the
-      TC contract says they fail — immediately on unversioned tables,
-      at commit on versioned ones;
-    - scripted crash cycles kill a DC or the TC between transactions
-      ({!Untx_cloud.Deploy.crash_dc}/[crash_tc]); recovery must land on
-      the oracle's exact state;
-    - after the final quiesce, every partition fragment is merged and
-      held to byte equality with the oracle, and every index-entry
-      table to {!Untx_index.Index.expected_entries} parity.
+    versioned/unversioned tables, index-maintaining transactions, a
+    copy-on-write fork.  {!Untx_audit.Chaos.run_cycle} runs a spec as the
+    [Bank spec] shape: transaction by transaction against the {!oracle},
+    with every read, range scan and index lookup compared against the
+    oracle the moment it returns, poison probes (duplicate inserts,
+    updates of absent keys) that must fail exactly where the TC contract
+    says, and scripted DC/TC kills between transactions; the quiesced
+    survivor then takes the chaos audit.
 
     Everything is a pure function of [(spec, seed)], so any violation
-    replays exactly.  The bank is the scenario-diversity half of
-    ROADMAP item 5: each spec is also a chaos and experiment target. *)
+    replays exactly:
+    [Chaos.run_cycle ~shape:(Bank (Workload.find name)) ~label:("bank:" ^ name)
+    ~plan:[] ~seed ~txns:(Workload.find name).w_txns ()]. *)
 
 module Tc := Untx_tc.Tc
 
@@ -61,29 +52,10 @@ type spec = {
           at the stable LSN this fraction into the run; from then on
           every iteration also drives one branch transaction against
           the branch's own oracle (seeded from the parent's state at
-          the fork), and the final parity adds branch-vs-branch-oracle
-          equality plus shared-prefix-at-fork parity through both
-          sides.  A branch transaction follows the parent's rules:
+          the fork), and the audit adds {!fork_laws}.  A branch transaction follows the parent's rules:
           the same table rotation and, under [Optimistic], the same
           re-pick of a key it already wrote; it draws no poison
           probe.  Requires an unversioned single-table spec. *)
-}
-
-type result = {
-  r_name : string;
-  r_committed : int;
-  r_aborted : int;  (** deliberate aborts + expected poison failures *)
-  r_crashes : int;
-  r_checks : int;  (** differential comparisons performed *)
-  r_violations : string list;  (** empty iff the oracle always agreed *)
-}
-
-type env = {
-  e_deploy : Untx_cloud.Deploy.t;
-  e_idx : Untx_index.Index.t;
-  e_expected : (string * (string * string) list) list;
-      (** per table, the oracle's committed rows in key order — feed to
-          {!Untx_audit.Audit.run_deploy} for the full post-run audit *)
 }
 
 val bank : unit -> spec list
@@ -95,43 +67,71 @@ val bank : unit -> spec list
 val find : string -> spec
 (** Look a bank spec up by name.  Raises [Not_found]. *)
 
-val run : ?seed:int -> spec -> result * env
-(** Execute the spec (default seed [0xB0B]).  The returned deployment
-    is quiesced; callers typically chain the auditor over
-    [e_expected]. *)
+(** {2 Generators} *)
+
+val key_of : int -> string
+(** The key of a rank: ["k0042"]. *)
+
+val gen_cat : Untx_util.Rng.t -> string
+(** A category, occasionally with an embedded NUL so the
+    order-preserving entry escaping is on the differential path. *)
+
+val gen_value : spec -> Untx_util.Rng.t -> string
+(** A value in the spec's length range, ["<cat>:<payload>"] when the
+    spec is indexed. *)
+
+val indexes : (string * Untx_index.Index.extract) list
+(** The bank's two secondary indexes: ["by_cat"] (the value's prefix up
+    to its first [':']) and ["by_len"] (["L<length / 16>"]). *)
+
+(** {2 The oracle} *)
+
+type oracle = (string, (string, string option) Hashtbl.t) Hashtbl.t
+(** Committed state only: table → key → value, [None] for a key whose
+    delete committed.  A transaction stages its effects and {!commit}s
+    them exactly when the system under test reports the commit. *)
+
+val oracle_table : oracle -> string -> (string, string option) Hashtbl.t
+(** One table's entries, created empty on first use. *)
+
+val view : oracle -> table:string -> string -> string option
+(** A key's committed value. *)
+
+val entries : oracle -> string -> (string * string option) list
+(** A table's entries in key order, deleted keys included. *)
+
+val rows : oracle -> string -> (string * string) list
+(** A table's live rows in key order — the [expected] the auditor
+    takes. *)
+
+val commit : oracle -> table:string -> (string, string option) Hashtbl.t -> unit
+(** Land one transaction's staged effects on [table]. *)
+
 
 (** {2 Forks}
 
-    The one fork procedure and the branch-oracle laws, shared by {!run}
-    and the chaos branch cycles. *)
+    The one fork procedure and the branch-oracle laws, shared by the
+    [Bank] and [Branch] chaos shapes. *)
 
 type fork = {
   f_branch : Untx_branch.Branch.t;
   f_lsn : Untx_util.Lsn.t;  (** the fork point *)
   f_rows : (string * (string * string option) list) list;
-      (** per table, the parent oracle at the fork: a row's value, or
-          [None] for a key it held deleted *)
+      (** per table, the parent oracle's {!entries} at the fork *)
+  f_oracle : oracle;
+      (** the branch's own oracle, a copy of the parent's at the fork *)
 }
 
-val fork :
-  Untx_cloud.Deploy.t ->
-  tables:string list ->
-  rows:(string -> (string * string option) list) ->
-  fork
+val fork : Untx_cloud.Deploy.t -> oracle -> tables:string list -> fork
 (** Quiesce the deployment, force ["tc1"]'s log and fork branch ["b"]
-    at its stable LSN; [rows table] is the parent oracle's committed
-    state at that instant, deleted keys included. *)
+    at its stable LSN; the oracle is the parent's committed state at
+    that instant. *)
 
-val fork_laws :
-  Untx_cloud.Deploy.t ->
-  fork ->
-  own:(string -> (string * string) list) ->
-  (bool * string) list
+val fork_laws : Untx_cloud.Deploy.t -> fork -> (bool * string) list
 (** The branch-oracle laws over a quiesced deployment, one
     [(holds, message)] per comparison.  Per table: the branch's whole
-    table at its durable LSN equals its own oracle [own table]; its
-    whole table at the fork LSN equals the fork's live rows, so a key
-    deleted before the fork cannot reappear there; and every fork
-    entry, a deleted key included, reads back through the branch and
-    through the parent as the parent's oracle stood at the fork (two
-    per entry). *)
+    table at its durable LSN equals [f_oracle]'s rows; its whole table
+    at the fork LSN equals the fork's live rows, so a key deleted before
+    the fork cannot reappear there; and every fork entry, a deleted key
+    included, reads back through the branch and through the parent as
+    the parent's oracle stood at the fork (two per entry). *)

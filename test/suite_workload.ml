@@ -1,47 +1,41 @@
 (* The differential workload bank as tier-1 acceptance: every bank spec
-   runs against its sequential oracle (scripted DC/TC crash cycles
-   included) and must report zero violations; the surviving deployment
-   then takes the full audit — per-table oracle parity over the merged
-   fragments, and index parity for the index-maintaining specs.  A
-   determinism check pins the whole pipeline to its seed. *)
+   runs as a [Bank] chaos cycle against its sequential oracle (scripted
+   DC/TC crash cycles included) and must report zero violations, the
+   cycle's audit (per-table oracle parity over the merged fragments,
+   index parity for the index-maintaining specs, the fork laws for the
+   branched one) included.  A determinism check pins the whole cycle to
+   its seed. *)
 
 module Workload = Untx_workload.Workload
-module Audit = Untx_audit.Audit
 module Chaos = Untx_audit.Chaos
 
 let strings = Alcotest.(list string)
 
-let run_spec_test spec () =
-  let r, env = Workload.run spec in
-  Alcotest.check strings
-    (spec.Workload.w_name ^ ": differential violations")
-    [] r.Workload.r_violations;
+let bank_cycle ?(seed = 0xB0B) (spec : Workload.spec) =
+  Chaos.run_cycle ~shape:(Bank spec) ~label:("bank:" ^ spec.w_name) ~plan:[]
+    ~seed ~txns:spec.w_txns ()
+
+let counter (c : Chaos.cycle) name =
+  Option.value ~default:0 (List.assoc_opt name c.c_counters)
+
+let run_spec_test (spec : Workload.spec) () =
+  let c = bank_cycle spec in
+  let name = spec.w_name in
+  Alcotest.check strings (name ^ ": violations") [] c.c_violations;
   Alcotest.(check bool)
-    (spec.Workload.w_name ^ ": at least one crash-recovery cycle")
+    (name ^ ": at least one crash-recovery cycle")
+    true (c.c_crashes >= 1);
+  Alcotest.(check bool) (name ^ ": committed transactions") true
+    (c.c_committed > 0);
+  Alcotest.(check bool)
+    (name ^ ": differential checks ran")
     true
-    (r.Workload.r_crashes >= 1);
+    (counter c "workload.checks" > 0);
+  (* the cycle's counter snapshot covers the run's own traffic *)
   Alcotest.(check bool)
-    (spec.Workload.w_name ^ ": committed transactions")
-    true (r.Workload.r_committed > 0);
-  Alcotest.(check bool)
-    (spec.Workload.w_name ^ ": differential checks ran")
-    true (r.Workload.r_checks > 0);
-  let d = env.Workload.e_deploy in
-  List.iter
-    (fun (table, expected) ->
-      let report = Audit.run_deploy d ~tc:"tc1" ~table ~expected in
-      Alcotest.check strings
-        (spec.Workload.w_name ^ ": audit of " ^ table)
-        [] report.Audit.violations)
-    env.Workload.e_expected;
-  if spec.Workload.w_indexed then
-    List.iter
-      (fun (table, _) ->
-        Alcotest.check strings
-          (spec.Workload.w_name ^ ": index parity of " ^ table)
-          []
-          (Audit.check_index d ~idx:env.Workload.e_idx ~table))
-      spec.Workload.w_tables
+    (name ^ ": transport deliveries counted")
+    true
+    (counter c "transport.delivered" > 0)
 
 let test_bank_shape () =
   let bank = Workload.bank () in
@@ -70,34 +64,27 @@ let test_bank_shape () =
 
 let test_determinism () =
   let spec = Workload.find "indexed_zipf" in
-  let r1, env1 = Workload.run ~seed:99 spec in
-  let r2, env2 = Workload.run ~seed:99 spec in
-  Alcotest.(check int) "committed" r1.Workload.r_committed r2.Workload.r_committed;
-  Alcotest.(check int) "aborted" r1.Workload.r_aborted r2.Workload.r_aborted;
-  Alcotest.(check int) "checks" r1.Workload.r_checks r2.Workload.r_checks;
-  Alcotest.check strings "violations" r1.Workload.r_violations
-    r2.Workload.r_violations;
-  List.iter2
-    (fun (t1, rows1) (t2, rows2) ->
-      Alcotest.(check string) "table" t1 t2;
-      Alcotest.(check (list (pair string string))) "rows" rows1 rows2)
-    env1.Workload.e_expected env2.Workload.e_expected
-
-let test_chaos_wrapper () =
-  let c =
-    Chaos.run_cycle_workload ~spec:(Workload.find "mixed_tables") ~seed:5 ()
-  in
-  Alcotest.check strings "cycle clean" [] c.Chaos.c_violations;
-  Alcotest.(check bool) "crashes" true (c.Chaos.c_crashes >= 1)
+  let c1 = bank_cycle ~seed:99 spec in
+  let c2 = bank_cycle ~seed:99 spec in
+  Alcotest.(check string) "shape" c1.c_shape c2.c_shape;
+  Alcotest.(check string) "label" c1.c_label c2.c_label;
+  Alcotest.(check int) "seed" c1.c_seed c2.c_seed;
+  Alcotest.(check int) "txns" c1.c_txns c2.c_txns;
+  Alcotest.check strings "fired" c1.c_fired c2.c_fired;
+  Alcotest.(check int) "crashes" c1.c_crashes c2.c_crashes;
+  Alcotest.(check int) "committed" c1.c_committed c2.c_committed;
+  Alcotest.(check int) "redelivered" c1.c_redelivered c2.c_redelivered;
+  Alcotest.check strings "violations" c1.c_violations c2.c_violations;
+  Alcotest.(check (list (pair string int)))
+    "counters" c1.c_counters c2.c_counters;
+  Alcotest.(check string) "trace" c1.c_trace c2.c_trace
 
 let suite =
   List.map
-    (fun spec ->
-      Alcotest.test_case ("bank: " ^ spec.Workload.w_name) `Quick
-        (run_spec_test spec))
+    (fun (spec : Workload.spec) ->
+      Alcotest.test_case ("bank: " ^ spec.w_name) `Quick (run_spec_test spec))
     (Workload.bank ())
   @ [
       Alcotest.test_case "bank shape" `Quick test_bank_shape;
       Alcotest.test_case "seeded determinism" `Quick test_determinism;
-      Alcotest.test_case "chaos wrapper cycle" `Quick test_chaos_wrapper;
     ]
