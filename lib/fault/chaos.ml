@@ -353,16 +353,6 @@ let kernel_rig cx ~counters ~seed ~txns =
     audit = (fun () -> Audit.run k ~table ~expected:(Workload.rows cx.oracle table));
   }
 
-(* The same extract shapes the workload bank uses: categories are the
-   value's prefix up to the first ':' (absent on marker rows, which
-   therefore carry no [by_cat] entry), lengths bucket everything. *)
-let extract_cat ~key:_ ~value =
-  match String.index_opt value ':' with
-  | Some i -> [ String.sub value 0 i ]
-  | None -> []
-
-let extract_len ~key:_ ~value = [ Printf.sprintf "L%d" (String.length value / 16) ]
-
 let index_value rng =
   let cat =
     (if Rng.chance rng 0.15 then "c\x00" else "c")
@@ -424,8 +414,7 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
   (match idx with
   | Some idx ->
     Deploy.add_indexed_table d ~idx ~name:table ~versioned ~dcs
-      ~indexes:[ ("by_cat", extract_cat); ("by_len", extract_len) ]
-      ()
+      ~indexes:Workload.indexes ()
   | None ->
     Deploy.add_partitioned_table d ~name:table ~versioned ~replicas ~dcs ());
   let tc = Deploy.tc d "tc1" in

@@ -157,10 +157,12 @@ let gen_cat rng =
   (if Rng.chance rng 0.15 then "c\x00" else "c")
   ^ string_of_int (Rng.int rng 6)
 
+(* A value with no ':' (a chaos marker row, a poison value) has no
+   category. *)
 let extract_cat ~key:_ ~value =
   match String.index_opt value ':' with
   | Some i -> [ String.sub value 0 i ]
-  | None -> [ value ]
+  | None -> []
 
 let extract_len ~key:_ ~value =
   [ Printf.sprintf "L%d" (String.length value / 16) ]

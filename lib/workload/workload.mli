@@ -81,8 +81,9 @@ val gen_value : spec -> Untx_util.Rng.t -> string
     spec is indexed. *)
 
 val indexes : (string * Untx_index.Index.extract) list
-(** The bank's two secondary indexes: ["by_cat"] (the value's prefix up
-    to its first [':']) and ["by_len"] (["L<length / 16>"]). *)
+(** The two secondary indexes of the bank and of the [Indexed] chaos
+    shape: ["by_cat"] (the value's prefix up to its first [':']; a value
+    without one has no category) and ["by_len"] (["L<length / 16>"]). *)
 
 (** {2 The oracle} *)
 
