@@ -677,18 +677,46 @@ let data_frame kind payload =
    LSNs, operation and result tags, presence bytes, string bytes — and
    a few the encoder never writes (a continuation bit, an overlong
    zero): about one in 200 decodes, and the rest must be refused. *)
+let batch_soup_gen =
+  QCheck.Gen.(
+    pair (oneofl [ "Q"; "R" ])
+      (map
+         (fun bs -> "B\003" ^ String.concat "" bs)
+         (list_size (int_bound 14)
+            (oneofl
+               [ "\000"; "\001"; "\002"; "\003"; "\004"; "\007"; "\x80";
+                 "\x81\000"; "D"; "U"; "V"; "F"; "P"; "N"; "W"; "k";
+                 "kv" ]))))
+
+(* The payload of a generated batch or batch reply with one byte flipped
+   or cut short there: near misses of real batches, a fair share of
+   which still decode. *)
+let batch_mutant_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun m -> ("Q", Wire.encode_request m)) Suite_wire.gen_batch;
+        map (fun m -> ("R", Wire.encode_reply m)) Suite_wire.gen_batch_reply;
+      ]
+    >>= fun (kind, frame) ->
+    (* an untraced frame: kind byte, one-byte trace id, varint length *)
+    let len = Codec.read_varint frame 2 in
+    let payload = String.sub frame (2 + Codec.varint_length len) len in
+    int_bound (len - 1) >>= fun at ->
+    int_range 1 255 >>= fun x ->
+    oneofl
+      [
+        String.mapi
+          (fun i c -> if i = at then Char.chr (Char.code c lxor x) else c)
+          payload;
+        String.sub payload 0 at;
+      ]
+    >|= fun payload -> (kind, payload))
+
 let batch_payload_arb =
   QCheck.make
     ~print:(fun (kind, p) -> Printf.sprintf "%s %S" kind p)
-    QCheck.Gen.(
-      pair (oneofl [ "Q"; "R" ])
-        (map
-           (fun bs -> "B\003" ^ String.concat "" bs)
-           (list_size (int_bound 14)
-              (oneofl
-                 [ "\000"; "\001"; "\002"; "\003"; "\004"; "\007"; "\x80";
-                   "\x81\000"; "D"; "U"; "V"; "F"; "P"; "N"; "W"; "k";
-                   "kv" ]))))
+    (QCheck.Gen.oneof [ batch_soup_gen; batch_mutant_gen ])
 
 let prop_batch_canonical =
   QCheck.Test.make ~name:"a redo batch that decodes re-encodes to itself"
