@@ -122,11 +122,6 @@ let make_deploy ~counters ~seed ~policy ~durability ~layers ~tcs ~dc ~parts =
   List.iter (fun name -> ignore (Deploy.add_dc d ~name dc)) dcs;
   (d, dcs)
 
-(* The seed's transport, sync policy and reset mode. *)
-let seeded_deploy ~counters ~seed ~durability ~layers ~tcs ~sync_policy ~parts =
-  make_deploy ~counters ~seed ~policy:(policy_of seed) ~durability ~layers ~tcs
-    ~dc:(dc_config ~seed ~sync_policy) ~parts
-
 (* --- the engine --------------------------------------------------------- *)
 
 (* What every shape's workload shares: the seed's generator, the
@@ -350,7 +345,8 @@ let kernel_rig cx ~counters ~seed ~txns =
         run_txn cx ~handle ~strict:false engine ~shadow:cx.oracle
           ~marker:(Printf.sprintf "m%03d" i)
           ~delete_bias:(late_deletes ~txns i) ~value:plain_value);
-    audit = (fun () -> Audit.run k ~table ~expected:(Workload.rows cx.oracle table));
+    audit =
+      (fun () -> Audit.run k ~table ~expected:(Workload.rows cx.oracle table));
   }
 
 let index_value rng =
@@ -406,9 +402,9 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
     | None -> tc_config 1
   in
   let d, dcs =
-    seeded_deploy ~counters ~seed ~durability ~layers:false
-      ~tcs:[ ("tc1", tc_cfg) ]
-      ~sync_policy:(sync_of seed) ~parts
+    make_deploy ~counters ~seed ~policy:(policy_of seed) ~durability
+      ~layers:false ~tcs:[ ("tc1", tc_cfg) ]
+      ~dc:(dc_config ~seed ~sync_policy:(sync_of seed)) ~parts
   in
   let versioned = versioned_of seed in
   (match idx with
@@ -544,9 +540,10 @@ let one_tc_rig cx ~counters ~seed ~txns shape =
 let front_rig cx ~counters ~seed ~txns ~parts =
   let tc_names = [ "tc1"; "tc2" ] in
   let d, dcs =
-    seeded_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:false
+    make_deploy ~counters ~seed ~policy:(policy_of seed)
+      ~durability:Repl.Primary_only ~layers:false
       ~tcs:(List.mapi (fun i name -> (name, tc_config (i + 1))) tc_names)
-      ~sync_policy:Dc.Full_ablsn ~parts
+      ~dc:(dc_config ~seed ~sync_policy:Dc.Full_ablsn) ~parts
   in
   (* Disjoint updaters: tc1 owns kv1, tc2 owns kv2 — both spread over
      every DC, so the kill exercises per-TC reset on shared partitions. *)
@@ -683,9 +680,10 @@ let front_rig cx ~counters ~seed ~txns ~parts =
    sides, exactly as the parent's oracle stood when the fork was cut. *)
 let branch_rig cx ~counters ~seed ~txns ~parts =
   let d, dcs =
-    seeded_deploy ~counters ~seed ~durability:Repl.Primary_only ~layers:true
+    make_deploy ~counters ~seed ~policy:(policy_of seed)
+      ~durability:Repl.Primary_only ~layers:true
       ~tcs:[ ("tc1", tc_config 1) ]
-      ~sync_policy:(sync_of seed) ~parts
+      ~dc:(dc_config ~seed ~sync_policy:(sync_of seed)) ~parts
   in
   Deploy.add_partitioned_table d ~name:table ~versioned:false ~replicas:0 ~dcs
     ();
@@ -1022,6 +1020,7 @@ let bank_rig cx ~counters ~seed ~txns (spec : Workload.spec) =
           ~indexes:Workload.indexes ()
       else Deploy.add_partitioned_table d ~replicas ~name ~versioned ~dcs ())
     spec.w_tables;
+  let tables = List.map fst spec.w_tables in
   let tc = Deploy.tc d "tc1" in
   let b =
     {
@@ -1059,7 +1058,7 @@ let bank_rig cx ~counters ~seed ~txns (spec : Workload.spec) =
   in
   let iteration i =
     if fork_at = Some i then begin
-      let f = Workload.fork d cx.oracle ~tables:(List.map fst spec.w_tables) in
+      let f = Workload.fork d cx.oracle ~tables in
       br := Some (f, Branch.engine f.f_branch)
     end;
     List.iteri
@@ -1076,7 +1075,6 @@ let bank_rig cx ~counters ~seed ~txns (spec : Workload.spec) =
       lookup_check cx b
   in
   let audit () =
-    let tables = List.map fst spec.w_tables in
     let report =
       merge
         (List.map
@@ -1085,18 +1083,20 @@ let bank_rig cx ~counters ~seed ~txns (spec : Workload.spec) =
                ~expected:(Workload.rows cx.oracle table))
            tables)
     in
+    let index =
+      if spec.w_indexed then
+        List.concat_map (fun table -> Audit.check_index d ~idx ~table) tables
+      else []
+    in
+    let fork =
+      match !br with
+      | Some (f, _) -> broken (Workload.fork_laws d f)
+      | None -> []
+    in
     {
       report with
       Audit.violations =
-        List.rev b.violations
-        @ report.Audit.violations
-        @ (if spec.w_indexed then
-             List.concat_map (fun table -> Audit.check_index d ~idx ~table) tables
-           else [])
-        @
-        match !br with
-        | Some (f, _) -> broken (Workload.fork_laws d f)
-        | None -> [];
+        List.rev b.violations @ report.Audit.violations @ index @ fork;
     }
   in
   {

@@ -15,7 +15,9 @@
     happen), the same workload generator and the same fate protocol.
     A shape only adds what really differs: its crash routing, its
     mid-workload maintenance, the {!Untx_kernel.Engine.S} value it
-    drives and its audit.
+    drives and its audit.  The one exception is {!Bank}, which runs a
+    workload-bank spec's own deployment, transactions and scripted
+    kills through the same cycle, oracle type, counters and audit.
 
     Everything — workload, transport policy, fault plan, crash instant —
     is a pure function of the shape, seed, plan and [txns], so any
