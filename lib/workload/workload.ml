@@ -192,18 +192,19 @@ let oracle_table (o : oracle) table =
     Hashtbl.add o table t;
     t
 
-let view o ~table key = Option.join (Hashtbl.find_opt (oracle_table o table) key)
-
-let by_key l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+let view o ~table key =
+  Option.join (Hashtbl.find_opt (oracle_table o table) key)
 
 let entries o table =
-  by_key (Hashtbl.fold (fun k v acc -> (k, v) :: acc) (oracle_table o table) [])
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (oracle_table o table) []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let live l = List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) l
 
 let rows o table = live (entries o table)
 
-let commit o ~table staged = Hashtbl.iter (Hashtbl.replace (oracle_table o table)) staged
+let commit o ~table staged =
+  Hashtbl.iter (Hashtbl.replace (oracle_table o table)) staged
 
 (* ------------------------------------------------------------------ *)
 (* Forks                                                               *)

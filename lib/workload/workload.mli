@@ -92,14 +92,8 @@ type oracle = (string, (string, string option) Hashtbl.t) Hashtbl.t
     delete committed.  A transaction stages its effects and {!commit}s
     them exactly when the system under test reports the commit. *)
 
-val oracle_table : oracle -> string -> (string, string option) Hashtbl.t
-(** One table's entries, created empty on first use. *)
-
 val view : oracle -> table:string -> string -> string option
 (** A key's committed value. *)
-
-val entries : oracle -> string -> (string * string option) list
-(** A table's entries in key order, deleted keys included. *)
 
 val rows : oracle -> string -> (string * string) list
 (** A table's live rows in key order — the [expected] the auditor
@@ -118,7 +112,8 @@ type fork = {
   f_branch : Untx_branch.Branch.t;
   f_lsn : Untx_util.Lsn.t;  (** the fork point *)
   f_rows : (string * (string * string option) list) list;
-      (** per table, the parent oracle's {!entries} at the fork *)
+      (** per table, the parent oracle's entries at the fork in key
+          order, deleted keys included *)
   f_oracle : oracle;
       (** the branch's own oracle, a copy of the parent's at the fork *)
 }
