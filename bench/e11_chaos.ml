@@ -5,7 +5,9 @@
    kills the owning component at the planned instant (torn page writes,
    mid-SMO splits, partial log forces, crashes during recovery, ...),
    recovers, quiesces through the resend path, and audits the survivor
-   (structure, oracle, version hygiene, abLSN idempotence).
+   (structure, oracle, version hygiene, abLSN idempotence).  [e11] and
+   [chaos] (the @chaos alias, which @ci includes) run the same table of
+   soaks, at two columns of seeds per plan.
 
    The whole run is a pure function of the printed base seed. *)
 
@@ -32,29 +34,20 @@ let print_cycle_failures cycles =
     cycles
 
 let interesting_counters =
-  [
-    "tc.resends";
-    "tc.request_timeouts";
-    "tc.recoveries";
-    "tc.control_resends";
-    "transport.delivered";
-    "transport.control_delivered";
-    "transport.dropped";
-    "transport.duplicated";
-    "transport.frames_corrupted";
-    "transport.corrupt_dropped";
-    "dc.dup_absorbed";
-    "dc.control_dups_absorbed";
-    "disk.io_retries";
-    "disk.torn_writes";
-    "disk.torn_pages_detected";
-  ]
-
+  [ "tc.resends"; "tc.request_timeouts"; "tc.recoveries"; "tc.control_resends";
+    "transport.delivered"; "transport.control_delivered"; "transport.dropped";
+    "transport.duplicated"; "transport.frames_corrupted";
+    "transport.corrupt_dropped"; "dc.dup_absorbed"; "dc.control_dups_absorbed";
+    "disk.io_retries"; "disk.torn_writes"; "disk.torn_pages_detected" ]
 
 let counter (s : Chaos.summary) name =
   Option.value ~default:0 (List.assoc_opt name s.s_counters)
 
-let fired (s : Chaos.summary) point = List.mem_assoc point s.s_fires_by_point
+let no_violations (s : Chaos.summary) = s.s_violating = []
+let fired point (s : Chaos.summary) = List.mem_assoc point s.s_fires_by_point
+let counted name s = counter s name >= 1
+let killed_every_cycle (s : Chaos.summary) = s.s_crashes >= s.s_cycles
+let killed_once (s : Chaos.summary) = s.s_crashes >= 1
 
 (* One MD5 over every cycle's identity and outcome — shape, plan, seed,
    fired points, kills, commits, audit redeliveries, violations and the
@@ -84,349 +77,207 @@ let cycle_digest cycles =
     cycles;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* One soak's report: the fires-per-point table when [fires] titles one,
-   the summary rows (then "auditor violations"), the summed [counters]
-   when any are named, the per-cycle digest line, the violating cycles,
-   and the gates — the first one being that no cycle violated.  The run
-   stops at the first soak that fails a gate. *)
-let report ~fires ~summary ~rows ~counters ~violations ~gates ~ok
-    (cycles, (s : Chaos.summary)) =
+(* One soak of the table: its shapes, its seeds per plan in [e11] and
+   in [chaos], the titles of its fires-per-point table (if it prints
+   one) and summary table, the Instrument counters whose sums it
+   prints, its summary rows beyond the common ones as (label, counter),
+   and its gates as (predicate, message). *)
+type soak = {
+  name : string;
+  shapes : Chaos.shape list;
+  seeds : int * int;
+  fires : string option;
+  summary : string;
+  counters : string list;
+  rows : (string * string) list;
+  gates : ((Chaos.summary -> bool) * string) list;
+}
+
+let soaks =
+  [
+    { name = "kernel"; shapes = [ Kernel ]; seeds = (7, 1);
+      fires = Some "E11: fires per fault point";
+      summary = "E11: soak summary"; counters = interesting_counters;
+      rows = [];
+      gates =
+        [ (no_violations, "auditor violations");
+          (* off below 5 seeds per plan: [s_cycles] is seeds x plans *)
+          ( (fun s ->
+              s.s_fired >= 200
+              || s.s_cycles < 5 * List.length (Chaos.plans Kernel)),
+            "fewer than 200 fired cycles" );
+          ( (fun s -> List.length s.s_fires_by_point >= 8),
+            "fewer than 8 distinct points fired" );
+          (fired "disk.page_write.torn", "no torn page write fired");
+          (fired "dc.smo.split.mid", "no mid-SMO crash fired") ] };
+    (* One TC fronting three hash-partitioned DCs: a killed partition
+       recovers alone while its siblings keep serving, and the
+       deployment auditor checks every partition plus the merged
+       oracle. *)
+    { name = "partitioned"; shapes = [ Partitioned 3 ]; seeds = (7, 4);
+      fires = Some "E11: partitioned soak (1 TC x 3 DCs), fires per point";
+      summary = "E11: partitioned soak summary"; counters = []; rows = [];
+      gates =
+        [ (no_violations, "partitioned auditor violations");
+          ((fun s -> s.s_cycles >= 50), "fewer than 50 partitioned cycles");
+          (fired "dc.smo.split.mid", "no mid-SMO partition kill fired");
+          (fired "dc.checkpoint.mid", "no mid-checkpoint-grant kill fired") ] };
+    (* Warm standbys on both partitions, Quorum 1 / Primary_only
+       alternating by seed: a shipped-batch kill is answered by standby
+       promotion, and every surviving standby is held to parity with
+       its primary. *)
+    { name = "replicated";
+      shapes = [ Replicated { parts = 2; replicas = 2; durability = None } ];
+      seeds = (5, 3);
+      fires =
+        Some
+          "E11: replicated soak (1 TC x 2 DCs x 2 standbys), fires per point";
+      summary = "E11: replicated soak summary"; counters = [];
+      rows =
+        [ ("standby promotions", "repl.promotions");
+          ("batches shipped", "repl.ships") ];
+      gates =
+        [ (no_violations, "replicated auditor violations");
+          (fired "repl.ship.batch", "no shipped-batch kill fired");
+          (counted "repl.promotions", "no standby was ever promoted") ] };
+    (* dc0's standby detaches, a checkpoint passes its frozen cursor and
+       it is promoted: the promotion catches it up from the retained log
+       or, once its lease expired, refuses and cold-restarts. *)
+    { name = "detach";
+      shapes = [ Detach { parts = 2; replicas = 1; durability = None } ];
+      seeds = (4, 2);
+      fires =
+        Some
+          "E11: detach/checkpoint/promote soak (1 TC x 2 DCs x 1 standby), \
+           fires per point";
+      summary = "E11: detach soak summary"; counters = [];
+      rows =
+        [ ("laggard promotions", "repl.promotions");
+          ( "promotions refused (cold restart instead)",
+            "repl.promote_refusals" );
+          ("catch-up ops re-shipped at promotion", "repl.catchup_ops");
+          ("retention leases expired", "repl.lease_expirations") ];
+      gates =
+        [ (no_violations, "detach-soak auditor violations");
+          (counted "repl.promotions", "no laggard was ever promoted");
+          ( counted "repl.catchup_ops",
+            "promotion never had to catch a laggard up" );
+          (fired "repl.lease.expire", "no forced lease expiry fired");
+          ( counted "repl.promote_refusals",
+            "forced lease expiry never produced a refusal" );
+          (counted "repl.lease_expirations", "no retention lease ever expired")
+        ] };
+    (* Two TCs behind the session front end, one hard-killed mid-run with
+       queued transactions; the audit runs per TC, with the cross-TC
+       watermark check. *)
+    { name = "multi-TC"; shapes = [ Front 2 ]; seeds = (6, 2); fires = None;
+      summary = "E11: multi-TC front-end soak (2 TCs x 2 DCs) summary";
+      counters = [];
+      rows =
+        [ ("transactions admitted", "front.admitted");
+          ("admissions shed", "front.shed");
+          ("commits that rode a batch", "front.batched");
+          ("misattributed frames", "dc.misattributed") ];
+      gates =
+        [ (no_violations, "multi-TC auditor violations");
+          (killed_every_cycle, "a cycle never killed its TC");
+          (counted "front.admitted", "the front never admitted work");
+          (counted "front.batched", "group commit never batched") ] };
+    (* Every mutation maintains two secondary indexes; the audit holds
+       each entry table to exact parity with the surviving rows. *)
+    { name = "indexed"; shapes = [ Indexed 2 ]; seeds = (6, 2);
+      fires =
+        Some
+          "E11: indexed soak (1 TC x 2 DCs, 2 secondary indexes), fires per \
+           point";
+      summary = "E11: indexed soak summary"; counters = []; rows = [];
+      gates =
+        [ (no_violations, "indexed auditor violations");
+          (fired "dc.smo.split.mid", "no mid-SMO kill fired on an entry table");
+          (killed_once, "no cycle ever killed a component") ] };
+    (* A copy-on-write branch forked under load, the parent compacted and
+       truncated past it, the branch DC killed; the audit adds branch
+       parity at the fork point. *)
+    { name = "branch"; shapes = [ Branch 2 ]; seeds = (4, 1);
+      fires =
+        Some "E11: branch soak (1 TC x 2 DCs + CoW branch), fires per point";
+      summary = "E11: branch soak summary"; counters = []; rows = [];
+      gates =
+        [ (no_violations, "branch auditor violations");
+          (killed_once, "no cycle ever killed a component") ] };
+    (* Every workload-bank spec, differentially against its sequential
+       oracle with its scripted kills, then the full deployment audit. *)
+    { name = "workload bank";
+      shapes =
+        List.map (fun s -> Chaos.Bank s) (Untx_workload.Workload.bank ());
+      seeds = (4, 1); fires = None; summary = "E11: workload-bank soak summary";
+      counters = []; rows = [];
+      gates =
+        [ (no_violations, "workload-bank violations");
+          (killed_every_cycle, "a workload cycle never killed a component") ] };
+  ]
+
+(* One soak's report: the fires-per-point table if the soak has one, the
+   common summary rows with the soak's own, the summed counters it
+   names, the per-cycle digest line, the violating cycles, and its
+   gates.  The run stops at the first soak that fails a gate. *)
+let report soak (cycles, (s : Chaos.summary)) =
+  let points = List.length s.s_fires_by_point in
+  let table ~title header rows =
+    Bench_util.print_table ~title ~header
+      (List.map (fun (k, v) -> [ k; string_of_int v ]) rows)
+  in
   Option.iter
-    (fun title ->
-      Bench_util.print_table ~title ~header:[ "fault point"; "fires" ]
-        (List.map (fun (p, n) -> [ p; string_of_int n ]) s.s_fires_by_point))
-    fires;
-  Bench_util.print_table ~title:summary ~header:[ "metric"; "value" ]
-    (List.map
-       (fun (metric, v) -> [ metric; string_of_int v ])
-       (rows @ [ ("auditor violations", List.length s.s_violating) ]));
-  if counters <> [] then
-    Bench_util.print_table ~title:"E11: summed Instrument counters"
-      ~header:[ "counter"; "total" ]
+    (fun title -> table ~title [ "fault point"; "fires" ] s.s_fires_by_point)
+    soak.fires;
+  table ~title:soak.summary [ "metric"; "value" ]
+    ([ ("shapes", List.length soak.shapes);
+       ("cycles", s.s_cycles);
+       ("cycles with a fire", s.s_fired);
+       ("distinct points fired", points);
+       ("injected hard kills", s.s_crashes);
+       ( "stable ops re-delivered by audits",
+         List.fold_left
+           (fun n (c : Chaos.cycle) -> n + c.c_redelivered)
+           0 cycles ) ]
+    @ List.map (fun (label, name) -> (label, counter s name)) soak.rows
+    @ [ ("auditor violations", List.length s.s_violating) ]);
+  if soak.counters <> [] then
+    table ~title:"E11: summed Instrument counters" [ "counter"; "total" ]
       (List.filter_map
          (fun name ->
-           List.assoc_opt name s.s_counters
-           |> Option.map (fun v -> [ name; string_of_int v ]))
-         counters);
-  Printf.printf "%s: per-cycle digest %s over %d cycles\n" summary
+           Option.map (fun v -> (name, v)) (List.assoc_opt name s.s_counters))
+         soak.counters);
+  Printf.printf "%s: per-cycle digest %s over %d cycles\n" soak.summary
     (cycle_digest cycles) (List.length cycles);
   print_cycle_failures cycles;
   let problems =
     List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      ((s.s_violating = [], violations) :: gates)
+      (fun (ok, msg) -> if ok s then None else Some msg)
+      soak.gates
   in
   if problems <> [] then begin
     List.iter (fun m -> Printf.printf "E11 FAILED: %s\n" m) problems;
     exit 1
   end;
-  print_endline ok
-
-let run_soak ~seeds_per_plan () =
-  let ((cycles, s) as soak) = Chaos.soak ~shape:Kernel ~seeds_per_plan in
   Printf.printf
-    "base seed: 0x%X   (rerun: every cycle is a pure function of it)\n"
-    (List.hd cycles).Chaos.c_seed;
-  let points = List.length s.s_fires_by_point in
-  report soak ~fires:(Some "E11: fires per fault point")
-    ~summary:"E11: soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("cycles with a fire", s.s_fired);
-        ("distinct points fired", points);
-        ("injected hard kills", s.s_crashes);
-        ( "stable ops re-delivered by audits",
-          List.fold_left
-            (fun acc (c : Chaos.cycle) -> acc + c.c_redelivered)
-            0 cycles );
-      ]
-    ~counters:interesting_counters ~violations:"auditor violations"
-    ~gates:
-      [
-        (s.s_fired >= 200 || seeds_per_plan < 5, "fewer than 200 fired cycles");
-        (points >= 8, "fewer than 8 distinct points fired");
-        (fired s "disk.page_write.torn", "no torn page write fired");
-        (fired s "dc.smo.split.mid", "no mid-SMO crash fired");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 ok: %d cycles, %d fired, %d distinct points, 0 violations"
-         s.s_cycles s.s_fired points)
+    "E11 %s ok: %d cycles, %d fired, %d distinct points, %d kills, 0 \
+     violations\n"
+    soak.name s.s_cycles s.s_fired points s.s_crashes
 
-(* The partitioned soak: every cycle is one TC fronting [parts]
-   hash-partitioned DCs.  Fault plans kill a single partition mid-SMO,
-   mid-checkpoint-grant, mid-flush and mid-WAL-force (plus double-kill
-   and corrupting-wire plans); the crashed partition recovers alone
-   while its siblings keep serving, and the deployment auditor checks
-   every partition plus the merged oracle. *)
-let run_soak_partitioned ~seeds_per_plan () =
-  let parts = 3 in
-  let ((_, s) as soak) =
-    Chaos.soak ~shape:(Partitioned parts) ~seeds_per_plan
-  in
-  report soak
-    ~fires:
-      (Some
-         (Printf.sprintf
-            "E11: partitioned soak (1 TC x %d DCs), fires per point" parts))
-    ~summary:"E11: partitioned soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("cycles with a fire", s.s_fired);
-        ("injected hard kills", s.s_crashes);
-      ]
-    ~counters:[] ~violations:"partitioned auditor violations"
-    ~gates:
-      [
-        (s.s_cycles >= 50, "fewer than 50 partitioned cycles");
-        (fired s "dc.smo.split.mid", "no mid-SMO partition kill fired");
-        (fired s "dc.checkpoint.mid", "no mid-checkpoint-grant kill fired");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 partitioned ok: %d cycles over %d partitions, %d kills, 0 \
-          violations"
-         s.s_cycles parts s.s_crashes)
+(* Every soak of the table in order, at one column's seeds per plan. *)
+let run_column column () =
+  List.iteri
+    (fun i soak ->
+      let ((cycles, _) as result) =
+        Chaos.soak ~shapes:soak.shapes ~seeds_per_plan:(column soak.seeds)
+      in
+      if i = 0 then
+        Printf.printf
+          "base seed: 0x%X   (rerun: every cycle is a pure function of it)\n"
+          (List.hd cycles).Chaos.c_seed;
+      report soak result)
+    soaks
 
-(* The replicated soak: every cycle gives both partitions warm standbys
-   and alternates Quorum 1 / Primary_only durability by seed.  Kills at
-   the shipped-batch boundary are answered by standby promotion instead
-   of a cold restart; standby-side kills crash and rejoin the standby.
-   The auditor additionally holds every surviving standby to logical
-   parity with its primary. *)
-let run_soak_replicated ~seeds_per_plan () =
-  let parts = 2 and replicas = 2 in
-  let ((_, s) as soak) =
-    Chaos.soak
-      ~shape:(Replicated { parts; replicas; durability = None })
-      ~seeds_per_plan
-  in
-  let promotions = counter s "repl.promotions" in
-  report soak
-    ~fires:
-      (Some
-         (Printf.sprintf
-            "E11: replicated soak (1 TC x %d DCs x %d standbys), fires per \
-             point"
-            parts replicas))
-    ~summary:"E11: replicated soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("cycles with a fire", s.s_fired);
-        ("injected hard kills", s.s_crashes);
-        ("standby promotions", promotions);
-        ("batches shipped", counter s "repl.ships");
-      ]
-    ~counters:[] ~violations:"replicated auditor violations"
-    ~gates:
-      [
-        (fired s "repl.ship.batch", "no shipped-batch kill fired");
-        (promotions >= 1, "no standby was ever promoted");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 replicated ok: %d cycles, %d kills, %d promotions, 0 violations"
-         s.s_cycles s.s_crashes promotions)
-
-(* The detach soak: every cycle detaches dc0's sole standby a quarter
-   in, lands a granted checkpoint past its frozen cursor mid-workload
-   (burning its retention lease), and promotes it at the three-quarter
-   mark.  The promotion must catch the laggard up from the retained log
-   — or, under the forced-lease-expiry plan, refuse and cold-restart.
-   Either way the auditor must find every acked commit. *)
-let run_soak_detach ~seeds_per_plan () =
-  let parts = 2 and replicas = 1 in
-  let ((_, s) as soak) =
-    Chaos.soak
-      ~shape:(Detach { parts; replicas; durability = None })
-      ~seeds_per_plan
-  in
-  let promotions = counter s "repl.promotions"
-  and refusals = counter s "repl.promote_refusals"
-  and catchup_ops = counter s "repl.catchup_ops"
-  and expirations = counter s "repl.lease_expirations" in
-  report soak
-    ~fires:
-      (Some
-         (Printf.sprintf
-            "E11: detach/checkpoint/promote soak (1 TC x %d DCs x %d standby), \
-             fires per point"
-            parts replicas))
-    ~summary:"E11: detach soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("injected hard kills", s.s_crashes);
-        ("laggard promotions", promotions);
-        ("promotions refused (cold restart instead)", refusals);
-        ("catch-up ops re-shipped at promotion", catchup_ops);
-        ("retention leases expired", expirations);
-      ]
-    ~counters:[] ~violations:"detach-soak auditor violations"
-    ~gates:
-      [
-        (promotions >= 1, "no laggard was ever promoted");
-        (catchup_ops >= 1, "promotion never had to catch a laggard up");
-        (fired s "repl.lease.expire", "no forced lease expiry fired");
-        (refusals >= 1, "forced lease expiry never produced a refusal");
-        (expirations >= 1, "no retention lease ever expired");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 detach ok: %d cycles, %d promotions (%d catch-up ops), %d \
-          refusals, 0 violations"
-         s.s_cycles promotions catchup_ops refusals)
-
-(* The multi-TC soak: two TCs behind the session front end, one
-   hard-killed at the midpoint with queued transactions on its
-   sessions.  The auditor runs per TC and includes the cross-TC
-   watermark check, so the victim's crash leaking into the survivor's
-   watermark slots — or a checkpoint truncating the other TC's redo
-   window — is a reported violation. *)
-let run_soak_mtc ~seeds_per_plan () =
-  let parts = 2 in
-  let ((_, s) as soak) = Chaos.soak ~shape:(Front parts) ~seeds_per_plan in
-  report soak ~fires:None
-    ~summary:
-      (Printf.sprintf "E11: multi-TC front-end soak (2 TCs x %d DCs) summary"
-         parts)
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("injected TC kills", s.s_crashes);
-        ("transactions admitted", counter s "front.admitted");
-        ("admissions shed", counter s "front.shed");
-        ("commits that rode a batch", counter s "front.batched");
-        ("misattributed frames", counter s "dc.misattributed");
-      ]
-    ~counters:[] ~violations:"multi-TC auditor violations"
-    ~gates:
-      [
-        (s.s_crashes >= s.s_cycles, "a cycle never killed its TC");
-        (counter s "front.admitted" > 0, "the front never admitted work");
-        (counter s "front.batched" > 0, "group commit never batched");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 multi-TC ok: %d cycles, %d TC kills under load, 0 violations"
-         s.s_cycles s.s_crashes)
-
-(* The indexed soak: every cycle routes all mutations through the
-   Index wrappers on a table carrying two secondary indexes, under a
-   seed-picked Section 3.1 lock protocol.  Fault plans kill
-   mid-entry-table-SMO, mid-flush, mid-WAL-force and at both
-   commit-force edges; the audit holds every merged entry table to
-   exact parity with the image of the surviving primary rows. *)
-let run_soak_indexed ~seeds_per_plan () =
-  let parts = 2 in
-  let ((_, s) as soak) = Chaos.soak ~shape:(Indexed parts) ~seeds_per_plan in
-  report soak
-    ~fires:
-      (Some
-         (Printf.sprintf
-            "E11: indexed soak (1 TC x %d DCs, 2 secondary indexes), fires per \
-             point"
-            parts))
-    ~summary:"E11: indexed soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("cycles with a fire", s.s_fired);
-        ("injected hard kills", s.s_crashes);
-      ]
-    ~counters:[] ~violations:"indexed auditor violations"
-    ~gates:
-      [
-        (fired s "dc.smo.split.mid", "no mid-SMO kill fired on an entry table");
-        (s.s_crashes >= 1, "no cycle ever killed a component");
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 indexed ok: %d cycles, %d kills, index parity clean, 0 violations"
-         s.s_cycles s.s_crashes)
-
-(* The branch soak: every cycle forks a copy-on-write branch at the
-   stable LSN a third into the workload, drives parent and branch over
-   the same key space, compacts + truncates the parent (the cut must
-   clamp at the live fork pin) and kills the branch DC at the two-thirds
-   mark.  The audit adds branch-parity to the full deployment audit:
-   the branch tracks its own shadow map and the shared prefix at the
-   fork point stays bit-identical. *)
-let run_soak_branch ~seeds_per_plan () =
-  let parts = 2 in
-  let ((_, s) as soak) = Chaos.soak ~shape:(Branch parts) ~seeds_per_plan in
-  report soak
-    ~fires:
-      (Some
-         (Printf.sprintf
-            "E11: branch soak (1 TC x %d DCs + CoW branch), fires per point"
-            parts))
-    ~summary:"E11: branch soak summary"
-    ~rows:
-      [
-        ("cycles", s.s_cycles);
-        ("cycles with a fire", s.s_fired);
-        ("injected hard kills", s.s_crashes);
-      ]
-    ~counters:[] ~violations:"branch auditor violations"
-    ~gates:[ (s.s_crashes >= 1, "no cycle ever killed a component") ]
-    ~ok:
-      (Printf.sprintf
-         "E11 branch ok: %d cycles, %d kills, branch parity clean, 0 violations"
-         s.s_cycles s.s_crashes)
-
-(* The workload-bank soak: every bank spec runs differentially against
-   its sequential oracle (scripted DC/TC kills included) across several
-   seeds, then takes the full deployment audit — per-table oracle
-   parity plus index parity for the index-maintaining specs. *)
-let run_soak_workloads ~seeds_per_spec () =
-  let ((_, s) as soak) = Chaos.soak_workloads ~seeds_per_spec in
-  let specs = List.length (Untx_workload.Workload.bank ()) in
-  report soak ~fires:None ~summary:"E11: workload-bank soak summary"
-    ~rows:
-      [
-        ("bank specs", specs);
-        ("cycles", s.s_cycles);
-        ("injected DC/TC kills", s.s_crashes);
-      ]
-    ~counters:[] ~violations:"workload-bank violations"
-    ~gates:
-      [
-        ( s.s_crashes >= s.s_cycles,
-          "a workload cycle never killed a component" );
-      ]
-    ~ok:
-      (Printf.sprintf
-         "E11 workload bank ok: %d cycles over %d specs, %d kills, 0 violations"
-         s.s_cycles specs s.s_crashes)
-
-let run () =
-  run_soak ~seeds_per_plan:7 ();
-  run_soak_partitioned ~seeds_per_plan:7 ();
-  run_soak_replicated ~seeds_per_plan:5 ();
-  run_soak_detach ~seeds_per_plan:4 ();
-  run_soak_mtc ~seeds_per_plan:6 ();
-  run_soak_indexed ~seeds_per_plan:6 ();
-  run_soak_branch ~seeds_per_plan:4 ();
-  run_soak_workloads ~seeds_per_spec:4 ()
-
-(* Short fixed-seed soak for the @chaos dune alias (which @ci includes):
-   single-kernel plans at one seed each, plus the multi-DC soak at four
-   seeds per plan — at least 50 partitioned cycles on every CI run —
-   plus primary-kill + promotion cycles over the replicated plans,
-   detach/checkpoint/promote cycles over the lease plans,
-   TC-kill-under-load cycles over the front-end plans,
-   kill-mid-index-maintenance cycles over the indexed plans, and one
-   seed of every differential workload-bank spec. *)
-let run_short () =
-  run_soak ~seeds_per_plan:1 ();
-  run_soak_partitioned ~seeds_per_plan:4 ();
-  run_soak_replicated ~seeds_per_plan:3 ();
-  run_soak_detach ~seeds_per_plan:2 ();
-  run_soak_mtc ~seeds_per_plan:2 ();
-  run_soak_indexed ~seeds_per_plan:2 ();
-  run_soak_branch ~seeds_per_plan:1 ();
-  run_soak_workloads ~seeds_per_spec:1 ()
+let run = run_column fst
+let run_short = run_column snd

@@ -1371,37 +1371,32 @@ let summarize cycles =
     s_counters = sorted counters;
   }
 
-(* Item [pi]'s seeds are [base_seed + 131 pi + 17 si], [si] < [per]. *)
-let sweep ~base_seed ~per items run =
+(* Plans are numbered across the shapes, in order: plan [p]'s seeds are
+   [base + 131 p + 17 s], [s] < [seeds_per_plan], from the first
+   shape's fixed base. *)
+let soak ~shapes ~seeds_per_plan =
+  let base =
+    match shapes with
+    | [] -> invalid_arg "Chaos.soak: no shapes"
+    | Kernel :: _ -> 0xC1D9
+    | Partitioned _ :: _ -> 0x5A4D
+    | Replicated _ :: _ -> 0x9E97
+    | Detach _ :: _ -> 0xD7AC
+    | Front _ :: _ -> 0xF207
+    | Indexed _ :: _ -> 0x1D8
+    | Branch _ :: _ -> 0xB4A7
+    | Bank _ :: _ -> 0xB0B
+  in
+  let txns = function Bank spec -> spec.Workload.w_txns | _ -> 24 in
   let cycles =
-    List.concat
-      (List.mapi
-         (fun pi item ->
-           List.init per (fun si ->
-               run item ~seed:(base_seed + (131 * pi) + (17 * si))))
-         items)
+    List.concat_map
+      (fun shape -> List.map (fun plan -> (shape, plan)) (plans shape))
+      shapes
+    |> List.mapi (fun p (shape, (label, plan)) ->
+           List.init seeds_per_plan (fun s ->
+               run_cycle ~shape ~label ~plan
+                 ~seed:(base + (131 * p) + (17 * s))
+                 ~txns:(txns shape) ()))
+    |> List.concat
   in
   (cycles, summarize cycles)
-
-let soak ~shape ~seeds_per_plan =
-  let base_seed =
-    match shape with
-    | Kernel -> 0xC1D9
-    | Partitioned _ -> 0x5A4D
-    | Replicated _ -> 0x9E97
-    | Detach _ -> 0xD7AC
-    | Front _ -> 0xF207
-    | Indexed _ -> 0x1D8
-    | Branch _ -> 0xB4A7
-    | Bank _ -> 0xB0B
-  in
-  sweep ~base_seed ~per:seeds_per_plan (plans shape) (fun (label, plan) ~seed ->
-      run_cycle ~shape ~label ~plan ~seed ~txns:24 ())
-
-(* Every bank spec as one [Bank] cycle per seed, from the bank's
-   canonical base seed. *)
-let soak_workloads ~seeds_per_spec =
-  sweep ~base_seed:0xB0B ~per:seeds_per_spec (Workload.bank ())
-    (fun spec ~seed ->
-      run_cycle ~shape:(Bank spec) ~label:("bank:" ^ spec.w_name) ~plan:[]
-        ~seed ~txns:spec.w_txns ())

@@ -195,12 +195,12 @@ type summary = {
   s_counters : (string * int) list;  (** summed across cycles *)
 }
 
-val soak : shape:shape -> seeds_per_plan:int -> cycle list * summary
-(** Sweep every plan of [plans shape] across [seeds_per_plan] seeds, 24
-    transactions per cycle.  Plan [p]'s seeds are
-    [base + 131 p + 17 s], with a fixed [base] per shape. *)
-
-val soak_workloads : seeds_per_spec:int -> cycle list * summary
-(** Run every workload-bank spec ({!Untx_workload.Workload.bank}) as a
-    {!Bank} cycle of [w_txns] transactions across [seeds_per_spec]
-    seeds, spec [p]'s seeds being [0xB0B + 131 p + 17 s]. *)
+val soak : shapes:shape list -> seeds_per_plan:int -> cycle list * summary
+(** One soak: every plan of every shape in [shapes] (one shape, or every
+    workload-bank spec as a {!Bank} shape), each across
+    [seeds_per_plan] seeds, in order.  Plans are numbered across the
+    shapes, so plan [p] — the bank's spec [p], whose one plan is its
+    own — runs seeds [base + 131 p + 17 s], with a fixed [base] per
+    constructor, taken from the first shape.  A {!Bank} cycle runs its
+    spec's [w_txns] transactions, every other cycle 24.  Raises
+    [Invalid_argument] when [shapes] is empty. *)
