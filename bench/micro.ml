@@ -95,7 +95,7 @@ let btree_test () =
   let disk = Disk.create () in
   let cache = Cache.create ~disk ~capacity:4096 () in
   let tree =
-    Btree.create ~cache ~name:"b" ~page_capacity:512 ~hooks:Btree.null_hooks
+    Btree.create ~cache ~page_capacity:512 ~hooks:Btree.null_hooks
   in
   let i = ref 0 in
   Test.make ~name:"B-tree: set (with splits)"
@@ -656,7 +656,7 @@ let ingest ?counters ~cache_pages keys =
   let disk = Disk.create () in
   let cache = Cache.create ?counters ~disk ~capacity:cache_pages () in
   let tree =
-    Btree.create ~cache ~name:"density" ~page_capacity:256
+    Btree.create ~cache ~page_capacity:256
       ~hooks:Btree.null_hooks
   in
   Array.iter (fun key -> Btree.set tree ~key ~data:(String.make 21 'v')) keys;

@@ -274,7 +274,7 @@ let create_table t ~name =
   if not (Hashtbl.mem t.tables name) then begin
     t.current_table := name;
     let tree =
-      Btree.create ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
+      Btree.create ~cache:t.cache ~page_capacity:t.cfg.page_capacity
         ~hooks:(hooks_for t)
     in
     Hashtbl.add t.tables name { t_name = name; tree };
@@ -604,7 +604,7 @@ let recover t =
   List.iter
     (fun (name, root) ->
       let tree =
-        Btree.attach ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
+        Btree.attach ~cache:t.cache ~page_capacity:t.cfg.page_capacity
           ~hooks:(hooks_for t) ~root
       in
       Hashtbl.add t.tables name { t_name = name; tree })
@@ -678,6 +678,3 @@ let log_bytes t = Wal.appended_bytes t.log
 let log_forces t = Wal.forces t.log
 
 let lock_acquisitions t = Lock_mgr.total_acquisitions t.locks
-
-let splits t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Btree.splits tbl.tree) t.tables 0

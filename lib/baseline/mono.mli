@@ -102,5 +102,3 @@ val log_bytes : t -> int
 val log_forces : t -> int
 
 val lock_acquisitions : t -> int
-
-val splits : t -> int

@@ -33,7 +33,6 @@ let child_of_data data = Page_id.of_int (Codec.of_varint data)
 
 type t = {
   cache : Cache.t;
-  name : string;
   page_capacity : int;
   hooks : hooks;
   mutable root : Page_id.t;
@@ -42,11 +41,10 @@ type t = {
   mutable consolidation_enabled : bool;
 }
 
-let create ~cache ~name ~page_capacity ~hooks =
+let create ~cache ~page_capacity ~hooks =
   let root = Cache.new_page cache ~kind:Page.Leaf ~page_capacity in
   {
     cache;
-    name;
     page_capacity;
     hooks;
     root = Page.id root;
@@ -55,11 +53,10 @@ let create ~cache ~name ~page_capacity ~hooks =
     consolidation_enabled = true;
   }
 
-let attach ~cache ~name ~page_capacity ~hooks ~root =
-  { cache; name; page_capacity; hooks; root; splits = 0; consolidations = 0;
+let attach ~cache ~page_capacity ~hooks ~root =
+  { cache; page_capacity; hooks; root; splits = 0; consolidations = 0;
     consolidation_enabled = true }
 
-let name t = t.name
 
 let root t = t.root
 

@@ -74,7 +74,6 @@ val child_data : Untx_storage.Page_id.t -> string
 
 val create :
   cache:Untx_storage.Cache.t ->
-  name:string ->
   page_capacity:int ->
   hooks:hooks ->
   t
@@ -82,14 +81,11 @@ val create :
 
 val attach :
   cache:Untx_storage.Cache.t ->
-  name:string ->
   page_capacity:int ->
   hooks:hooks ->
   root:Untx_storage.Page_id.t ->
   t
 (** Re-open an existing tree at a known root (recovery path). *)
-
-val name : t -> string
 
 val root : t -> Untx_storage.Page_id.t
 

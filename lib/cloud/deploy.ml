@@ -7,7 +7,6 @@ module Kernel = Untx_kernel.Kernel
 module Tc = Untx_tc.Tc
 module Dc = Untx_dc.Dc
 module Repl = Untx_repl.Repl
-module Op = Untx_msg.Op
 module Layer = Untx_layer.Layer
 module Index = Untx_index.Index
 module Branch = Untx_branch.Branch
@@ -167,62 +166,6 @@ let () =
            (Lsn.to_string wanted) (Lsn.to_string durable))
     | _ -> None)
 
-(* Point-in-time reads are answered by the layered managers (looked up
-   at call time — managers may not exist yet when the DC is wired).
-   Stores are per-TC, and LSNs are per-TC sequences, so [at] is only
-   meaningful against the store of the key's updating TC.  Deployments
-   keep updaters on disjoint key sets (Section 6): every store is
-   probed, and the one that knows the key answers.  Two stores both
-   holding history for one key means the disjointness rule was broken —
-   refused loudly, because "the" value at [at] is then ill-defined.
-   An [at] no store has absorbed is a typed {!Out_of_range}, never a
-   silent [None]: absent-at-[at] and unanswerable-at-[at] must not be
-   confusable. *)
-let wire_history_read t ~dc_name =
-  let dc = Hashtbl.find t.dcs dc_name in
-  Dc.set_history_read dc (fun ~table ~key ~at ->
-      let stores =
-        Hashtbl.fold
-          (fun tc_name m acc ->
-            match Repl.Manager.layer_store m with
-            | Some s -> (tc_name, s) :: acc
-            | None -> acc)
-          t.managers []
-      in
-      if stores = [] then
-        invalid_arg "Deploy.read_as_of: no layered manager yet";
-      let answerable =
-        List.filter (fun (_, s) -> Lsn.(at <= Layer.ingested_lsn s)) stores
-      in
-      if answerable = [] then
-        raise
-          (Out_of_range
-             {
-               wanted = at;
-               durable =
-                 List.fold_left
-                   (fun acc (_, s) -> Lsn.max acc (Layer.ingested_lsn s))
-                   Lsn.zero stores;
-             });
-      let hits =
-        List.filter_map
-          (fun (tc_name, store) ->
-            Option.map
-              (fun v -> (tc_name, v))
-              (Layer.reconstruct store ~table ~key ~at))
-          (List.sort (fun (a, _) (b, _) -> String.compare a b) answerable)
-      in
-      match hits with
-      | [] -> None
-      | [ (_, v) ] -> Some v
-      | claimants ->
-        invalid_arg
-          (Printf.sprintf
-             "Deploy.read_as_of: key %S has history under several TCs (%s) — \
-              updaters must stay disjoint"
-             key
-             (String.concat ", " (List.map fst claimants))))
-
 let add_dc t ~name config =
   if Hashtbl.mem t.dcs name then invalid_arg ("Deploy.add_dc: dup " ^ name);
   let dc = Dc.create ~counters:t.counters config in
@@ -230,7 +173,6 @@ let add_dc t ~name config =
   t.next_part <- t.next_part + 1;
   Hashtbl.add t.dcs name dc;
   Hashtbl.add t.dc_configs name config;
-  if t.layers then wire_history_read t ~dc_name:name;
   Hashtbl.iter (fun tc_name _ -> link t ~tc_name ~dc_name:name) t.tcs;
   dc
 
@@ -616,8 +558,6 @@ let fail_over ?(catch_up = true) t ~dc:dc_name =
     (fun tc_name _ -> Hashtbl.remove t.transports (tc_name, dc_name))
     t.tcs;
   Hashtbl.iter (fun tc_name _ -> link t ~tc_name ~dc_name) t.tcs;
-  (* the promoted DC answers point-in-time reads like the old primary *)
-  if t.layers then wire_history_read t ~dc_name;
   (* each TC re-drives only the gap past the standby's applied LSN *)
   Hashtbl.iter
     (fun _ tc ->
@@ -674,27 +614,62 @@ let rebuild_replica t name =
   Instrument.bump t.counters "deploy.replica_rebuilds";
   installed
 
-(* The user-visible point-in-time read: route the key to its owning DC
-   (partition map for partitioned tables, the TC's routing otherwise)
-   and answer through the DC's history hook, after freshening every
-   store to end-of-stable-log so any [at <= stable] is answerable. *)
-let read_as_of ?tc:tc_sel t ~table ~key ~at =
+(* The user-visible point-in-time read, answered by the layered
+   managers' stores after freshening each to end-of-stable-log, so any
+   [at <= stable] is answerable.  Stores are per-TC, and LSNs are per-TC
+   sequences, so [at] is only meaningful against the store of the key's
+   updating TC.  Deployments keep updaters on disjoint key sets
+   (Section 6): every store is probed, and the one that knows the key
+   answers — no DC is involved, since a DC keeps only the newest record
+   version.  Two stores both holding history for one key means the
+   disjointness rule was broken — refused loudly, because "the" value
+   at [at] is then ill-defined.  An [at] no store has absorbed is a
+   typed {!Out_of_range}, never a silent [None]: absent-at-[at] and
+   unanswerable-at-[at] must not be confusable. *)
+let read_as_of t ~table ~key ~at =
   Hashtbl.iter (fun _ m -> Repl.Manager.sync_layers m) t.managers;
-  let dc_name =
-    if Hashtbl.mem t.ptables table then partition_dc t ~table ~key
-    else begin
-      let tc_name =
-        match tc_sel with
-        | Some n -> n
-        | None -> (
-          match tc_names t with
-          | [ n ] -> n
-          | _ -> invalid_arg "Deploy.read_as_of: several TCs; pass ~tc")
-      in
-      Tc.dc_of_op (tc t tc_name) (Op.Read { table; key; mode = Op.Own })
-    end
+  Instrument.bump t.counters "deploy.history_reads";
+  let stores =
+    Hashtbl.fold
+      (fun tc_name m acc ->
+        match Repl.Manager.layer_store m with
+        | Some s -> (tc_name, s) :: acc
+        | None -> acc)
+      t.managers []
   in
-  Dc.read_as_of (dc t dc_name) ~table ~key ~at
+  if stores = [] then
+    invalid_arg "Deploy.read_as_of: no layer store (layers off, or no TC)";
+  let answerable =
+    List.filter (fun (_, s) -> Lsn.(at <= Layer.ingested_lsn s)) stores
+  in
+  if answerable = [] then
+    raise
+      (Out_of_range
+         {
+           wanted = at;
+           durable =
+             List.fold_left
+               (fun acc (_, s) -> Lsn.max acc (Layer.ingested_lsn s))
+               Lsn.zero stores;
+         });
+  let hits =
+    List.filter_map
+      (fun (tc_name, store) ->
+        Option.map
+          (fun v -> (tc_name, v))
+          (Layer.reconstruct store ~table ~key ~at))
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) answerable)
+  in
+  match hits with
+  | [] -> None
+  | [ (_, v) ] -> Some v
+  | claimants ->
+    invalid_arg
+      (Printf.sprintf
+         "Deploy.read_as_of: key %S has history under several TCs (%s) — \
+          updaters must stay disjoint"
+         key
+         (String.concat ", " (List.map fst claimants)))
 
 (* ------------------------------------------------------------------ *)
 (* Copy-on-write branches                                              *)

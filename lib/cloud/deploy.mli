@@ -189,18 +189,14 @@ exception Out_of_range of { wanted : Untx_util.Lsn.t; durable : Untx_util.Lsn.t 
     tell unanswerable-at-[at] from a legitimate absent-at-[at] [None]. *)
 
 val read_as_of :
-  ?tc:string ->
-  t ->
-  table:string ->
-  key:string ->
-  at:Untx_util.Lsn.t ->
-  string option
+  t -> table:string -> key:string -> at:Untx_util.Lsn.t -> string option
 (** Point-in-time read: the key's visible value after every logged
     operation at or below [at] — [None] if absent or deleted there.
-    Routed to the owning DC (partition map, or [~tc]'s routing for
-    unpartitioned tables; [~tc] may be omitted with a single TC) and
-    answered through its history hook ({!Untx_dc.Dc.read_as_of}) backed
-    by the layer store's [reconstruct].  Every store is synced to
+    Answered by the layer store's [reconstruct], probing every TC's
+    store (updaters are disjoint, so at most one holds the key's
+    history; two raise [Invalid_argument]); no DC is asked, since a DC
+    keeps only the newest record version.  Counted as
+    ["deploy.history_reads"].  Every store is synced to
     end-of-stable-log first, so any [at <= stable_lsn] is answerable.
     Raises {!Out_of_range} when [at] is beyond every store's ingest
     watermark — never a silent [None] — and

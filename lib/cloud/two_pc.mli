@@ -21,8 +21,6 @@ val create :
 val create_table : t -> name:string -> unit
 (** Create the table on every partition. *)
 
-val engine : t -> string -> Untx_baseline.Mono.t
-
 (** A distributed transaction touching one or more partitions. *)
 type dtxn
 

@@ -124,11 +124,6 @@ type t = {
          partition are rejected instead of applied *)
   mutable h_apply_part : string;
       (* per-partition apply histogram name, rebuilt on set_identity *)
-  mutable history_read :
-    (table:string -> key:string -> at:Lsn.t -> string option) option;
-      (* versioned-read hook: a layer store answers point-in-time
-         lookups below the current state; the DC itself keeps only the
-         newest record version *)
 }
 
 let config t = t.cfg
@@ -391,7 +386,6 @@ let create ?(counters = Instrument.global) cfg =
       escalated = false;
       part = 0;
       h_apply_part = "dc.apply_ns.p0";
-      history_read = None;
     }
   in
   Cache.set_policy cache
@@ -447,7 +441,7 @@ let create_table t ~name ~versioned =
   if not (Hashtbl.mem t.tables name) then begin
     t.current_table := name;
     let tree =
-      Btree.create ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
+      Btree.create ~cache:t.cache ~page_capacity:t.cfg.page_capacity
         ~hooks:(hooks_for t)
     in
     Hashtbl.add t.tables name { t_name = name; versioned; sealed = false; tree };
@@ -771,16 +765,6 @@ let install_record t ~table ~key record =
     Cache.mark_dirty t.cache leaf;
     Instrument.bump t.counters "dc.installed_records"
 
-let set_history_read t f = t.history_read <- Some f
-
-let read_as_of t ~table ~key ~at =
-  match t.history_read with
-  | None ->
-    invalid_arg "Dc.read_as_of: no history-read hook installed (layers off?)"
-  | Some h ->
-    Instrument.bump t.counters "dc.history_reads";
-    h ~table ~key ~at
-
 (* ------------------------------------------------------------------ *)
 (* TC failure: cache reset (Section 5.3.2 / 6.1.2)                     *)
 
@@ -1042,8 +1026,8 @@ let apply_smo t ~fences dlsn record =
   | Smo_record.Create_table { table; versioned; root } ->
     if not (Hashtbl.mem t.tables table) then begin
       let tree =
-        Btree.attach ~cache:t.cache ~name:table
-          ~page_capacity:t.cfg.page_capacity ~hooks:(hooks_for t) ~root
+        Btree.attach ~cache:t.cache ~page_capacity:t.cfg.page_capacity
+          ~hooks:(hooks_for t) ~root
       in
       Hashtbl.add t.tables table
         { t_name = table; versioned; sealed = false; tree }
@@ -1167,7 +1151,7 @@ let recover_unlatched t =
   List.iter
     (fun (name, versioned, sealed, root) ->
       let tree =
-        Btree.attach ~cache:t.cache ~name ~page_capacity:t.cfg.page_capacity
+        Btree.attach ~cache:t.cache ~page_capacity:t.cfg.page_capacity
           ~hooks:(hooks_for t) ~root
       in
       Hashtbl.add t.tables name { t_name = name; versioned; sealed; tree })

@@ -80,18 +80,6 @@ val install_record :
     subsequent watermark adoption claims the whole installed prefix as
     covered.  Raises [Invalid_argument] for unknown tables. *)
 
-val set_history_read :
-  t -> (table:string -> key:string -> at:Untx_util.Lsn.t -> string option) -> unit
-(** Install the versioned-read hook: the DC keeps only the newest record
-    version, so point-in-time reads are answered by whoever retains
-    history (a layer store's [reconstruct]). *)
-
-val read_as_of :
-  t -> table:string -> key:string -> at:Untx_util.Lsn.t -> string option
-(** The record's visible value as of the given LSN, answered through the
-    {!set_history_read} hook (counted as ["dc.history_reads"]).  Raises
-    [Invalid_argument] when no hook is installed. *)
-
 val perform : t -> Untx_msg.Wire.request -> Untx_msg.Wire.reply
 (** Execute one logical operation, idempotently: a resent request whose
     effect the target pages already contain is absorbed and answered

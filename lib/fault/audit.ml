@@ -406,11 +406,7 @@ let check_branch d ~name ~table =
             name table key (show via_branch) v
           :: !errs;
       if rooted then begin
-        let via_root =
-          Deploy.read_as_of d
-            ~tc:(Deploy.branch_root_tc d name)
-            ~table ~key ~at:fork
-        in
+        let via_root = Deploy.read_as_of d ~table ~key ~at:fork in
         if via_root <> Some v then
           errs :=
             Printf.sprintf

@@ -81,8 +81,6 @@ let disarm () =
   | None -> ());
   state := None
 
-let armed () = !state <> None
-
 let fired_points () =
   match !state with
   | Some plan -> List.rev plan.fired

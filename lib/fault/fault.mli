@@ -65,8 +65,6 @@ val disarm : unit -> unit
 (** Remove the plan.  {!fired_points} still reports the last plan's
     fires until the next {!arm}. *)
 
-val armed : unit -> bool
-
 val hit : string -> unit
 (** Pass through a crash point.  No-op unless a plan is armed; raises
     {!Injected_crash} or {!Io_error} when a rule fires. *)

@@ -186,9 +186,6 @@ let percentile s p =
     !result
   end
 
-let mean s =
-  if s.s_count = 0 then 0. else float_of_int s.s_sum /. float_of_int s.s_count
-
 let fmt_ns ns =
   if ns < 1_000 then Printf.sprintf "%dns" ns
   else if ns < 1_000_000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)

@@ -77,8 +77,6 @@ val percentile : hsnap -> float -> int
 (** [percentile s p] for [p] in [0..100]: the upper bound of the bucket
     holding the p-th ordered sample, clamped to the true maximum. *)
 
-val mean : hsnap -> float
-
 val fmt_ns : int -> string
 (** Render nanoseconds with a human unit (ns/us/ms/s). *)
 

@@ -55,8 +55,6 @@ let set_capacity cap =
   g.slots <- (if g.enabled then Array.make cap dummy else [||]);
   clear ()
 
-let capacity () = g.cap
-
 (* Trace ids are frame-header fields (4 bytes on the wire), so they wrap
    at 32 bits; 0 is reserved for "untraced". *)
 let fresh_tid () =

@@ -31,8 +31,6 @@ val clear : unit -> unit
 val set_capacity : int -> unit
 (** Resize (and clear) the ring.  Default 65536 events. *)
 
-val capacity : unit -> int
-
 val fresh_tid : unit -> int
 (** A new non-zero trace id, or 0 while tracing is disabled.  Wraps at
     32 bits — the id's width in the frame header. *)

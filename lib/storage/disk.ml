@@ -126,8 +126,6 @@ let read t id =
 
 let exists t id = Page_id.Tbl.mem t.pages id
 
-let iter t f = Page_id.Tbl.iter (fun _ page -> f (Page.copy page)) t.pages
-
 let set_master t blob =
   t.bytes_written <- t.bytes_written + String.length blob;
   Instrument.bump t.counters "disk.master_writes";

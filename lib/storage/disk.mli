@@ -41,9 +41,6 @@ val read : t -> Page_id.t -> Page.t option
 
 val exists : t -> Page_id.t -> bool
 
-val iter : t -> (Page.t -> unit) -> unit
-(** Visit a copy of every stored page (order unspecified). *)
-
 val set_master : t -> string -> unit
 (** Atomically replace the master record — the well-known boot block
     where a component keeps its catalog (table roots etc.).  Stable. *)

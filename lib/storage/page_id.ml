@@ -12,8 +12,6 @@ let pp ppf t = Format.fprintf ppf "pg%d" t
 
 let to_string t = "pg" ^ string_of_int t
 
-let invalid = -1
-
 module Map = Map.Make (Int)
 module Set = Set.Make (Int)
 

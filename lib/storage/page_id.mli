@@ -17,9 +17,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val invalid : t
-(** A sentinel that never names a real page. *)
-
 module Map : Map.S with type key = t
 
 module Set : Set.S with type elt = t

@@ -2,10 +2,6 @@ type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5deece66d |]
 
-let split t =
-  let seed = Random.State.bits t in
-  Random.State.make [| seed; Random.State.bits t |]
-
 let int t bound = Random.State.int t bound
 
 let float t bound = Random.State.float t bound

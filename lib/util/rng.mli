@@ -8,10 +8,6 @@ type t
 
 val create : seed:int -> t
 
-val split : t -> t
-(** [split t] derives an independent generator; [t] advances.  Used to give
-    each component its own stream from one experiment seed. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0]. *)
 

@@ -339,7 +339,7 @@ let prop_btree_separator =
       let disk = Disk.create () in
       let cache = Cache.create ~disk ~capacity:512 () in
       let tree =
-        Btree.create ~cache ~name:"p" ~page_capacity:96
+        Btree.create ~cache ~page_capacity:96
           ~hooks:{ Btree.null_hooks with on_split }
       in
       List.iter
@@ -355,7 +355,7 @@ let prop_btree_model =
       let disk = Disk.create () in
       let cache = Cache.create ~disk ~capacity:512 () in
       let tree =
-        Btree.create ~cache ~name:"p" ~page_capacity:96 ~hooks:Btree.null_hooks
+        Btree.create ~cache ~page_capacity:96 ~hooks:Btree.null_hooks
       in
       let model = Hashtbl.create 16 in
       List.iter

@@ -208,7 +208,7 @@ let run_script script =
   let write i lsn (key, op) =
     let tc = tcs.(i) in
     let tree =
-      Btree.attach ~cache:(Dc.cache dc) ~name:"t" ~page_capacity
+      Btree.attach ~cache:(Dc.cache dc) ~page_capacity
         ~hooks:Btree.null_hooks ~root:(Dc.table_root dc "t")
     in
     let leaf = Page_id.to_int (Page.id (Btree.find_leaf tree key)) in

@@ -10,7 +10,7 @@ module Rng = Untx_util.Rng
 let mk ?(page_capacity = 128) ?(hooks = Btree.null_hooks) () =
   let disk = Disk.create () in
   let cache = Cache.create ~disk ~capacity:1024 () in
-  (Btree.create ~cache ~name:"t" ~page_capacity ~hooks, cache)
+  (Btree.create ~cache ~page_capacity ~hooks, cache)
 
 let check_ok t =
   match Btree.check t with

@@ -374,11 +374,30 @@ let test_read_as_of_multi_tc () =
   (* both TCs' histories hang off the SAME DC; the probe must find each
      key's history in its own writer's store — at per-TC LSNs *)
   Alcotest.(check (option string)) "tc1's key at tc1's LSN" (Some "old1")
-    (Deploy.read_as_of ~tc:"tc1" d ~table:"t1" ~key:"a" ~at:at1);
+    (Deploy.read_as_of d ~table:"t1" ~key:"a" ~at:at1);
   Alcotest.(check (option string)) "tc2's key at tc2's LSN" (Some "old2")
-    (Deploy.read_as_of ~tc:"tc2" d ~table:"t2" ~key:"b" ~at:at2);
+    (Deploy.read_as_of d ~table:"t2" ~key:"b" ~at:at2);
   Alcotest.(check (option string)) "a key the other TC never wrote" None
-    (Deploy.read_as_of ~tc:"tc1" d ~table:"t2" ~key:"a" ~at:at2)
+    (Deploy.read_as_of d ~table:"t2" ~key:"a" ~at:at2)
+
+(* An unpartitioned table on one DC of a two-TC deployment: the read
+   probes the layer stores, so it needs no TC to route by. *)
+let test_read_as_of_plain_table () =
+  let d = Deploy.create ~layers:true () in
+  let tc1 = Deploy.add_tc d ~name:"tc1" (Tc.default_config (Tc_id.of_int 1)) in
+  ignore (Deploy.add_tc d ~name:"tc2" (Tc.default_config (Tc_id.of_int 2)));
+  ignore (Deploy.add_dc d ~name:"dc0" Dc.default_config);
+  ignore (Deploy.add_dc d ~name:"dc1" Dc.default_config);
+  Deploy.create_table d ~dc:"dc1" ~name:"plain" ~versioned:false;
+  Tc.map_table tc1 ~table:"plain" ~dc:"dc1" ~versioned:false;
+  commit_one tc1 ~table:"plain" ~key:"a" ~value:"old";
+  Deploy.quiesce d;
+  Tc.force_log tc1;
+  let at = Tc.stable_lsn tc1 in
+  commit_one tc1 ~table:"plain" ~key:"a" ~value:"new";
+  Deploy.quiesce d;
+  Alcotest.(check (option string)) "the value at the stamp" (Some "old")
+    (Deploy.read_as_of d ~table:"plain" ~key:"a" ~at)
 
 (* --- TC-kill-under-load chaos acceptance ------------------------------- *)
 
@@ -550,6 +569,8 @@ let suite =
       test_read_committed_across_tcs;
     Alcotest.test_case "read_as_of probes per-TC histories" `Quick
       test_read_as_of_multi_tc;
+    Alcotest.test_case "read_as_of needs no TC for a one-DC table" `Quick
+      test_read_as_of_plain_table;
     Alcotest.test_case "TC kill under load stays clean" `Slow
       test_tc_kill_under_load;
     Alcotest.test_case "counter cells resolve into their registry" `Quick

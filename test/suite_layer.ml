@@ -213,7 +213,7 @@ let test_read_as_of () =
     (Tc.read_committed tc ~table:"t" ~key:"city")
     (rd at_gone);
   Alcotest.(check int) "history reads counted" 5
-    (Instrument.get counters "dc.history_reads")
+    (Instrument.get counters "deploy.history_reads")
 
 let test_truncation_passes_detached_laggard () =
   let counters = Instrument.create () in
