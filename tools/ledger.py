@@ -10,9 +10,9 @@ runs perfbench/run.py once untraced and once traced for each workload
 BENCH_<workload>.json at the root: every metric with its unit, the
 seed, the run length, the git rev, run.slowness and the operation
 counts.  An entry for the same rev, seed and run length is replaced.
-Without --rev it measures the checkout as it stands (the rev then ends
-in "+dirty" if tracked files differ from HEAD); with --rev it measures
-an export of REV.
+Without --rev it measures the checkout at HEAD, and refuses when
+tracked files differ from HEAD: an entry must name a commit that
+--compare can find, so commit first, or record an export with --rev.
 
 Compare:
 
@@ -129,6 +129,9 @@ def record(args, bench):
         export_rev(rev, tree)
     else:
         rev, tree = checkout_rev(), "."
+        if rev.endswith("+dirty"):
+            fail("the checkout has uncommitted changes, and an entry must "
+                 "name a commit: commit them, then record it with --rev REV")
     for w in args.workload:
         untraced = perfbench(tree, w, args.seed, args.seconds, 0)
         traced = perfbench(tree, w, args.seed, args.seconds, 1)
