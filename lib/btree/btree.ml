@@ -57,7 +57,6 @@ let attach ~cache ~page_capacity ~hooks ~root =
   { cache; page_capacity; hooks; root; splits = 0; consolidations = 0;
     consolidation_enabled = true }
 
-
 let root t = t.root
 
 let set_root t root = t.root <- root
