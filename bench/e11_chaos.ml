@@ -34,11 +34,11 @@ let print_cycle_failures cycles =
     cycles
 
 let interesting_counters =
-  [ "tc.resends"; "tc.request_timeouts"; "tc.recoveries"; "tc.control_resends";
-    "transport.delivered"; "transport.control_delivered"; "transport.dropped";
-    "transport.duplicated"; "transport.frames_corrupted";
-    "transport.corrupt_dropped"; "dc.dup_absorbed"; "dc.control_dups_absorbed";
-    "disk.io_retries"; "disk.torn_writes"; "disk.torn_pages_detected" ]
+  [ "tc.resends"; "tc.recoveries"; "tc.control_resends"; "transport.delivered";
+    "transport.control_delivered"; "transport.dropped"; "transport.duplicated";
+    "transport.frames_corrupted"; "transport.corrupt_dropped";
+    "dc.dup_absorbed"; "dc.control_dups_absorbed"; "disk.io_retries";
+    "disk.torn_writes"; "disk.torn_pages_detected" ]
 
 let counter (s : Chaos.summary) name =
   Option.value ~default:0 (List.assoc_opt name s.s_counters)

@@ -10,16 +10,6 @@ module Dc = Untx_dc.Dc
 module Repl = Untx_repl.Repl
 module Layer = Untx_layer.Layer
 
-exception Out_of_range of { wanted : Lsn.t; durable : Lsn.t }
-
-let () =
-  Printexc.register_printer (function
-    | Out_of_range { wanted; durable } ->
-      Some
-        (Printf.sprintf "Branch.Out_of_range { wanted = %s; durable = %s }"
-           (Lsn.to_string wanted) (Lsn.to_string durable))
-    | _ -> None)
-
 type parent = {
   p_label : string;
   p_high : unit -> Lsn.t;
@@ -80,7 +70,7 @@ let create ?(counters = Instrument.global) ?policy ?(seed = 42) ?wrap ~name
     ~fork_lsn ~parent ~tc_id ~dc_config ~part ~tables () =
   let high = parent.p_high () in
   if Lsn.(high < fork_lsn) then
-    raise (Out_of_range { wanted = fork_lsn; durable = high });
+    raise (Layer.Beyond_ingested { wanted = fork_lsn; ingested = high });
   let t0 = Metrics.start counters in
   (* The pin is the whole fork: the parent's compaction/truncation may
      never drop a layer the branch still resolves through.  Nothing is
@@ -125,19 +115,13 @@ let create ?(counters = Instrument.global) ?policy ?(seed = 42) ?wrap ~name
       ("fork", Lsn.to_string fork_lsn) ];
   t
 
-let name t = t.name
-
 let fork_lsn t = t.fork_lsn
 
 let tc t = t.tc
 
 let dc t = t.dc
 
-let dc_name t = t.dc_name
-
 let tables t = t.tbls
-
-let closed t = t.closed
 
 let check_open t =
   if t.closed then invalid_arg ("Branch: " ^ t.name ^ " is deleted")
@@ -311,8 +295,8 @@ let lookup_at t ~table ~key ~at =
     let local = local_of t at in
     if Lsn.(Layer.ingested_lsn st < local) then
       raise
-        (Out_of_range
-           { wanted = at; durable = combined t (Layer.ingested_lsn st) });
+        (Layer.Beyond_ingested
+           { wanted = at; ingested = combined t (Layer.ingested_lsn st) });
     match Layer.lookup st ~table ~key ~at:local with
     | (`Visible _ | `Gone) as v ->
       (* the branch logged this key at or below [local]: its own tier
@@ -340,8 +324,8 @@ let iter_merged t ~at f =
     let local = local_of t at in
     if Lsn.(Layer.ingested_lsn st < local) then
       raise
-        (Out_of_range
-           { wanted = at; durable = combined t (Layer.ingested_lsn st) });
+        (Layer.Beyond_ingested
+           { wanted = at; ingested = combined t (Layer.ingested_lsn st) });
     let rows : (string * string, string) Hashtbl.t = Hashtbl.create 64 in
     t.parent.p_iter_at ~at:t.fork_lsn (fun ~table ~key value ->
         Hashtbl.replace rows (table, key) value);

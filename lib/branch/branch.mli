@@ -29,11 +29,6 @@
     layer store ({!of_manager}) or from another branch
     ({!as_parent}), nesting arbitrarily. *)
 
-exception Out_of_range of { wanted : Untx_util.Lsn.t; durable : Untx_util.Lsn.t }
-(** A fork or point-in-time read beyond what the addressed tier has
-    absorbed: [wanted] exceeds [durable], the highest answerable
-    combined LSN.  Mirrors [Wal.Truncated {wanted; retained}]. *)
-
 (** What a branch needs from whatever it forked: a 3-way point-in-time
     lookup, a fork-point scan, retention pins, and the high watermark.
     All LSNs are in the parent's own (combined, if it is itself a
@@ -86,10 +81,9 @@ val create :
     wraps the DC's frame handlers — deployments use it to attribute
     injected faults to the branch.  No data is copied: fork cost is
     O(metadata), timed as ["branch.fork_ns"] and counted as
-    ["branch.creates"].  Raises {!Out_of_range} when [fork_lsn]
-    exceeds the parent's high watermark. *)
-
-val name : t -> string
+    ["branch.creates"].  Raises {!Untx_layer.Layer.Beyond_ingested}
+    when [fork_lsn] exceeds the parent's high watermark ([ingested] is
+    that watermark, in the parent's LSN space). *)
 
 val fork_lsn : t -> Untx_util.Lsn.t
 
@@ -97,17 +91,12 @@ val tc : t -> Untx_tc.Tc.t
 
 val dc : t -> Untx_dc.Dc.t
 
-val dc_name : t -> string
-
 val tables : t -> (string * bool) list
 (** The branch's table set, as [(name, versioned)] pairs. *)
 
 val durable : t -> Untx_util.Lsn.t
 (** The highest combined LSN the branch answers: fork LSN plus its own
     store's ingest watermark (freshened to end-of-stable-log). *)
-
-val store : t -> Untx_layer.Layer.t
-(** The branch's own layer store (post-fork history). *)
 
 val materialized_count : t -> int
 (** Keys whose fork-point base state has been faulted in so far. *)
@@ -166,7 +155,9 @@ val lookup_at :
 (** The 3-way state at combined LSN [at]: at or below the fork, the
     parent's shared layers answer; above it, the branch's own tier,
     with [`Unwritten] falling through to the parent at the fork point.
-    Raises {!Out_of_range} past {!durable}. *)
+    Past {!durable} it raises {!Untx_layer.Layer.Beyond_ingested}, the
+    store's own refusal checked in combined coordinates: [wanted] is
+    [at] and [ingested] is {!durable}. *)
 
 val read_as_of :
   t -> table:string -> key:string -> at:Untx_util.Lsn.t -> string option
@@ -206,5 +197,3 @@ val close : t -> unit
     subsequent operation raises [Invalid_argument].  Counted as
     ["branch.deletes"].  The caller (deployment) is responsible for
     refusing to close a branch that still has live children. *)
-
-val closed : t -> bool

@@ -61,8 +61,6 @@ let root t = t.root
 
 let set_root t root = t.root <- root
 
-let page_capacity t = t.page_capacity
-
 (* Routing: the child covering [key] is named by the rightmost separator
    <= key; the leftmost separator acts as minus infinity.  Returns the
    routing cell's index. *)

@@ -92,8 +92,6 @@ val root : t -> Untx_storage.Page_id.t
 val set_root : t -> Untx_storage.Page_id.t -> unit
 (** Recovery override (replaying a root-changing system transaction). *)
 
-val page_capacity : t -> int
-
 val find_leaf : t -> string -> Untx_storage.Page.t
 (** The leaf page whose key range covers the given key.  The page is
     resident on return; the caller is responsible for latching. *)

@@ -33,7 +33,6 @@ type branch_entry = {
   be_parent : string option;
       (* the parent branch's name; [None] for a branch forked straight
          off a root TC's layer store *)
-  be_tc : string; (* the root TC whose (combined) LSN space it addresses *)
 }
 
 type t = {
@@ -49,8 +48,6 @@ type t = {
   tcs : (string, Tc.t) Hashtbl.t;
   transports : (string * string, Transport.t) Hashtbl.t; (* (tc, dc) *)
   ptables : (string, ptable) Hashtbl.t; (* partitioned table registry *)
-  dc_configs : (string, Dc.config) Hashtbl.t;
-      (* for minting standbys that match their primary *)
   dc_tables : (string, (string * bool) list ref) Hashtbl.t;
       (* tables created per DC, replayed onto new standbys *)
   standbys : (string, standby_entry) Hashtbl.t; (* keyed by standby name *)
@@ -76,7 +73,6 @@ let create ?(counters = Instrument.global) ?(policy = Transport.reliable)
     tcs = Hashtbl.create 4;
     transports = Hashtbl.create 8;
     ptables = Hashtbl.create 4;
-    dc_configs = Hashtbl.create 4;
     dc_tables = Hashtbl.create 4;
     standbys = Hashtbl.create 4;
     managers = Hashtbl.create 4;
@@ -89,6 +85,16 @@ let create ?(counters = Instrument.global) ?(policy = Transport.reliable)
 let fresh_seed t =
   t.seed <- t.seed + 7919;
   t.seed
+
+(* Run [f x], blaming component [name] for any exception that escapes:
+   a deployment must crash the component that actually died, not
+   whichever DC a plan happened to name.  Frame handlers get it applied
+   partially once, at link time. *)
+let attribute t name f x =
+  try f x
+  with e ->
+    t.last_faulted <- Some name;
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Partition map                                                       *)
@@ -138,33 +144,15 @@ let link t ~tc_name ~dc_name =
     let dc = Hashtbl.find t.dcs dc_name in
     let tc = Hashtbl.find t.tcs tc_name in
     (* Each (TC, DC) pair gets its own byte plane; control traffic
-       rides the same adversary as data.  Handlers are wrapped so an
-       injected fault escaping the DC is attributed to it — a
-       deployment must crash the component that actually died, not
-       whichever DC a plan happened to name. *)
-    let attribute f frame =
-      try f frame
-      with e ->
-        t.last_faulted <- Some dc_name;
-        raise e
-    in
+       rides the same adversary as data.  A fault escaping the DC's
+       handlers is attributed to it. *)
     let transport =
       Kernel.link ~counters:t.counters ~policy:t.policy
-        ~label:(tc_name ^ ":" ^ dc_name) ~wrap:attribute ~seed:(fresh_seed t)
-        tc ~dc_name dc
+        ~label:(tc_name ^ ":" ^ dc_name) ~wrap:(attribute t dc_name)
+        ~seed:(fresh_seed t) tc ~dc_name dc
     in
     Hashtbl.add t.transports (tc_name, dc_name) transport
   end
-
-exception Out_of_range of { wanted : Lsn.t; durable : Lsn.t }
-
-let () =
-  Printexc.register_printer (function
-    | Out_of_range { wanted; durable } ->
-      Some
-        (Printf.sprintf "Deploy.Out_of_range { wanted = %s; durable = %s }"
-           (Lsn.to_string wanted) (Lsn.to_string durable))
-    | _ -> None)
 
 let add_dc t ~name config =
   if Hashtbl.mem t.dcs name then invalid_arg ("Deploy.add_dc: dup " ^ name);
@@ -172,7 +160,6 @@ let add_dc t ~name config =
   Dc.set_identity dc ~part:t.next_part;
   t.next_part <- t.next_part + 1;
   Hashtbl.add t.dcs name dc;
-  Hashtbl.add t.dc_configs name config;
   Hashtbl.iter (fun tc_name _ -> link t ~tc_name ~dc_name:name) t.tcs;
   dc
 
@@ -198,12 +185,6 @@ let manager_for t tc_name =
 let attach_replica t ~tc_name ~sb_name =
   if not (Hashtbl.mem t.repl_transports (tc_name, sb_name)) then begin
     let e = Hashtbl.find t.standbys sb_name in
-    let attribute f frame =
-      try f frame
-      with ex ->
-        t.last_faulted <- Some sb_name;
-        raise ex
-    in
     let expect = Tc.id (Hashtbl.find t.tcs tc_name) in
     let tr =
       Transport.create ~counters:t.counters ~policy:t.policy
@@ -211,7 +192,8 @@ let attach_replica t ~tc_name ~sb_name =
         ~data:(fun _ -> None)
         ~control:(fun _ -> None)
         ~repl:
-          (attribute (Repl.Standby.handle_repl_frame ~expect e.sb_standby))
+          (attribute t sb_name
+             (Repl.Standby.handle_repl_frame ~expect e.sb_standby))
         ()
     in
     Hashtbl.add t.repl_transports (tc_name, sb_name) tr;
@@ -227,27 +209,18 @@ let replicas t ~dc =
     t.standbys []
   |> List.sort String.compare
 
-let add_replica t ~dc:primary =
-  let dc_obj =
-    match Hashtbl.find_opt t.dcs primary with
-    | Some d -> d
-    | None -> invalid_arg ("Deploy.add_replica: unknown DC " ^ primary)
-  in
-  let name =
-    let taken = replicas t ~dc:primary in
-    let rec fresh i =
-      let n = Printf.sprintf "%s~r%d" primary i in
-      if List.mem n taken then fresh (i + 1) else n
-    in
-    fresh 0
-  in
+(* Mint standby [name] for [primary] with the primary's config and
+   partition id, and attach it to every TC.  Its schema mirrors
+   everything ever created on the primary, in creation order; later
+   [create_table]s propagate as they happen.  With layers on it is born
+   from every store's materialized state and only the post-layer suffix
+   ships — also the only correct start when truncation already passed
+   LSN 1.  Returns the number of records installed. *)
+let build_standby t ~name ~primary =
+  let dc = Hashtbl.find t.dcs primary in
   let sb =
-    Repl.Standby.create ~counters:t.counters
-      (Hashtbl.find t.dc_configs primary)
-      ~part:(Dc.part dc_obj)
+    Repl.Standby.create ~counters:t.counters (Dc.config dc) ~part:(Dc.part dc)
   in
-  (* the standby's schema mirrors everything ever created on its
-     primary; later [create_table]s propagate as they happen *)
   (match Hashtbl.find_opt t.dc_tables primary with
   | Some tabs ->
     List.iter
@@ -255,17 +228,30 @@ let add_replica t ~dc:primary =
         Dc.create_table (Repl.Standby.dc sb) ~name:tname ~versioned)
       (List.rev !tabs)
   | None -> ());
-  (* With layers on, a fresh standby is born from the store's
-     materialized state and only the post-layer suffix ships — also the
-     only correct start when truncation already passed LSN 1. *)
-  if t.layers then
-    Hashtbl.iter
-      (fun _ m ->
-        if Option.is_some (Repl.Manager.layer_store m) then
-          ignore (Repl.Manager.bootstrap_standby m ~standby:sb ~primary))
-      t.managers;
-  Hashtbl.add t.standbys name { sb_standby = sb; sb_primary = primary };
+  let installed =
+    if not t.layers then 0
+    else
+      Hashtbl.fold
+        (fun _ m acc ->
+          if Option.is_some (Repl.Manager.layer_store m) then
+            acc + Repl.Manager.bootstrap_standby m ~standby:sb ~primary
+          else acc)
+        t.managers 0
+  in
+  Hashtbl.replace t.standbys name { sb_standby = sb; sb_primary = primary };
   Hashtbl.iter (fun tc_name _ -> attach_replica t ~tc_name ~sb_name:name) t.tcs;
+  installed
+
+let add_replica t ~dc:primary =
+  if not (Hashtbl.mem t.dcs primary) then
+    invalid_arg ("Deploy.add_replica: unknown DC " ^ primary);
+  let taken = replicas t ~dc:primary in
+  let rec fresh i =
+    let n = Printf.sprintf "%s~r%d" primary i in
+    if List.mem n taken then fresh (i + 1) else n
+  in
+  let name = fresh 0 in
+  ignore (build_standby t ~name ~primary);
   name
 
 (* Top the primary's replica set up to [n] standbys; returns the names
@@ -274,10 +260,12 @@ let add_replicas t ~dc ~n =
   let missing = n - List.length (replicas t ~dc) in
   List.init (max 0 missing) (fun _ -> add_replica t ~dc)
 
-let standby t name =
+let standby_entry t ~fn name =
   match Hashtbl.find_opt t.standbys name with
-  | Some e -> e.sb_standby
-  | None -> invalid_arg ("Deploy.standby: unknown " ^ name)
+  | Some e -> e
+  | None -> invalid_arg (fn ^ ": unknown " ^ name)
+
+let standby t name = (standby_entry t ~fn:"Deploy.standby" name).sb_standby
 
 let manager t ~tc = manager_for t tc
 
@@ -391,13 +379,12 @@ let drop_in_flight_for t ~dc_name =
 let crash_dc t name =
   let dc = dc t name in
   drop_in_flight_for t ~dc_name:name;
-  (try
-     Dc.crash dc;
-     Dc.recover dc
-   with e ->
-     (* the fault plan struck again inside this DC's own recovery *)
-     t.last_faulted <- Some name;
-     raise e);
+  (* the fault plan may strike again inside this DC's own recovery *)
+  attribute t name
+    (fun () ->
+      Dc.crash dc;
+      Dc.recover dc)
+    ();
   (* Prompt every TC: each resends its own history (the DC's per-TC
      abstract LSNs absorb what survived on stable pages).  Sibling
      partitions are untouched — single-partition restart is the point
@@ -444,21 +431,16 @@ let crash_tc t name =
    the replica set (an already rebuild-required replica skips the
    rejoin entirely). *)
 let crash_standby t name =
-  let e =
-    match Hashtbl.find_opt t.standbys name with
-    | Some e -> e
-    | None -> invalid_arg ("Deploy.crash_standby: unknown " ^ name)
-  in
+  let e = standby_entry t ~fn:"Deploy.crash_standby" name in
   Hashtbl.iter
     (fun (_, sb) tr ->
       if String.equal sb name then Transport.drop_in_flight tr)
     t.repl_transports;
-  (try
-     Repl.Standby.crash e.sb_standby;
-     Repl.Standby.recover e.sb_standby
-   with ex ->
-     t.last_faulted <- Some name;
-     raise ex);
+  attribute t name
+    (fun () ->
+      Repl.Standby.crash e.sb_standby;
+      Repl.Standby.recover e.sb_standby)
+    ();
   Hashtbl.iter
     (fun _ m ->
       if
@@ -576,41 +558,14 @@ let fail_over ?(catch_up = true) t ~dc:dc_name =
    entirely (manager entries, repl links); the rebuilt one keeps its
    name.  Returns the number of records installed. *)
 let rebuild_replica t name =
-  let e =
-    match Hashtbl.find_opt t.standbys name with
-    | Some e -> e
-    | None -> invalid_arg ("Deploy.rebuild_replica: unknown " ^ name)
-  in
+  let e = standby_entry t ~fn:"Deploy.rebuild_replica" name in
   if not t.layers then
     invalid_arg "Deploy.rebuild_replica: deployment has no layer stores";
-  let primary = e.sb_primary in
   Hashtbl.iter (fun _ m -> Repl.Manager.remove m ~name) t.managers;
   Hashtbl.iter
     (fun tc_name _ -> Hashtbl.remove t.repl_transports (tc_name, name))
     t.tcs;
-  let dc_obj = Hashtbl.find t.dcs primary in
-  let sb =
-    Repl.Standby.create ~counters:t.counters
-      (Hashtbl.find t.dc_configs primary)
-      ~part:(Dc.part dc_obj)
-  in
-  (match Hashtbl.find_opt t.dc_tables primary with
-  | Some tabs ->
-    List.iter
-      (fun (tname, versioned) ->
-        Dc.create_table (Repl.Standby.dc sb) ~name:tname ~versioned)
-      (List.rev !tabs)
-  | None -> ());
-  let installed =
-    Hashtbl.fold
-      (fun _ m acc ->
-        if Option.is_some (Repl.Manager.layer_store m) then
-          acc + Repl.Manager.bootstrap_standby m ~standby:sb ~primary
-        else acc)
-      t.managers 0
-  in
-  Hashtbl.replace t.standbys name { sb_standby = sb; sb_primary = primary };
-  Hashtbl.iter (fun tc_name _ -> attach_replica t ~tc_name ~sb_name:name) t.tcs;
+  let installed = build_standby t ~name ~primary:e.sb_primary in
   Instrument.bump t.counters "deploy.replica_rebuilds";
   installed
 
@@ -624,8 +579,8 @@ let rebuild_replica t name =
    version.  Two stores both holding history for one key means the
    disjointness rule was broken — refused loudly, because "the" value
    at [at] is then ill-defined.  An [at] no store has absorbed is a
-   typed {!Out_of_range}, never a silent [None]: absent-at-[at] and
-   unanswerable-at-[at] must not be confusable. *)
+   typed [Layer.Beyond_ingested], never a silent [None]: absent-at-[at]
+   and unanswerable-at-[at] must not be confusable. *)
 let read_as_of t ~table ~key ~at =
   Hashtbl.iter (fun _ m -> Repl.Manager.sync_layers m) t.managers;
   Instrument.bump t.counters "deploy.history_reads";
@@ -644,10 +599,10 @@ let read_as_of t ~table ~key ~at =
   in
   if answerable = [] then
     raise
-      (Out_of_range
+      (Layer.Beyond_ingested
          {
            wanted = at;
-           durable =
+           ingested =
              List.fold_left
                (fun acc (_, s) -> Lsn.max acc (Layer.ingested_lsn s))
                Lsn.zero stores;
@@ -712,10 +667,12 @@ let all_tables t =
     t.dc_tables;
   Hashtbl.fold (fun n v acc -> (n, v) :: acc) seen [] |> List.sort compare
 
-let branch t name =
+let branch_entry t ~fn name =
   match Hashtbl.find_opt t.branches name with
-  | Some e -> e.be_branch
-  | None -> invalid_arg ("Deploy.branch: unknown branch " ^ name)
+  | Some e -> e
+  | None -> invalid_arg (fn ^ ": unknown branch " ^ name)
+
+let branch t name = (branch_entry t ~fn:"Deploy.branch" name).be_branch
 
 let branch_names t =
   Hashtbl.fold (fun n _ acc -> n :: acc) t.branches []
@@ -727,81 +684,50 @@ let branch_children t name =
     t.branches []
   |> List.sort String.compare
 
-let branch_root_tc t name =
-  match Hashtbl.find_opt t.branches name with
-  | Some e -> e.be_tc
-  | None -> invalid_arg ("Deploy.branch_root_tc: unknown branch " ^ name)
+(* The named TC, or the deployment's only one when [~tc] is omitted. *)
+let resolve_tc t ~fn = function
+  | Some n ->
+    if not (Hashtbl.mem t.tcs n) then invalid_arg (fn ^ ": unknown TC " ^ n);
+    n
+  | None -> (
+    match tc_names t with
+    | [ n ] -> n
+    | _ -> invalid_arg (fn ^ ": several TCs; pass ~tc"))
 
-let create_branch ?tc:tc_sel ?from t ~from_lsn ~name =
-  if not t.layers then
-    invalid_arg "Deploy.create_branch: deployment has no layer stores";
-  if Hashtbl.mem t.branches name then
-    invalid_arg ("Deploy.create_branch: dup branch " ^ name);
-  let parent, be_parent, be_tc, tables =
+let create_branch ?tc ?from t ~from_lsn ~name =
+  let fn = "Deploy.create_branch" in
+  if not t.layers then invalid_arg (fn ^ ": deployment has no layer stores");
+  if Hashtbl.mem t.branches name then invalid_arg (fn ^ ": dup branch " ^ name);
+  let parent, be_parent, tables =
     match from with
     | Some pname ->
-      let e =
-        match Hashtbl.find_opt t.branches pname with
-        | Some e -> e
-        | None ->
-          invalid_arg ("Deploy.create_branch: unknown parent branch " ^ pname)
-      in
-      ( Branch.as_parent e.be_branch,
-        Some pname,
-        e.be_tc,
-        Branch.tables e.be_branch )
+      let e = branch_entry t ~fn pname in
+      (Branch.as_parent e.be_branch, Some pname, Branch.tables e.be_branch)
     | None ->
-      let tc_name =
-        match tc_sel with
-        | Some n -> n
-        | None -> (
-          match tc_names t with
-          | [ n ] -> n
-          | _ -> invalid_arg "Deploy.create_branch: several TCs; pass ~tc")
-      in
-      if not (Hashtbl.mem t.tcs tc_name) then
-        invalid_arg ("Deploy.create_branch: unknown TC " ^ tc_name);
+      let tc_name = resolve_tc t ~fn tc in
       ( Branch.of_manager ~label:tc_name (manager_for t tc_name),
         None,
-        tc_name,
         all_tables t )
   in
   (* the branch DC mirrors a primary's tuning; a fresh partition id
      keeps cross-wiring loud (misrouted frames are rejected) *)
   let dc_config =
-    match
-      Hashtbl.fold (fun n _ a -> n :: a) t.dc_configs []
-      |> List.sort String.compare
-    with
-    | n :: _ -> Hashtbl.find t.dc_configs n
+    match dc_names t with
+    | n :: _ -> Dc.config (dc t n)
     | [] -> Dc.default_config
   in
   let part = t.next_part in
   t.next_part <- t.next_part + 1;
-  let wrap f frame =
-    try f frame
-    with e ->
-      t.last_faulted <- Some name;
-      raise e
-  in
   let br =
-    try
-      Branch.create ~counters:t.counters ~policy:t.policy ~seed:(fresh_seed t)
-        ~wrap ~name ~fork_lsn:from_lsn ~parent ~tc_id:(fresh_tc_id t)
-        ~dc_config ~part ~tables ()
-    with Branch.Out_of_range { wanted; durable } ->
-      (* the deployment's typed boundary error, same shape everywhere *)
-      raise (Out_of_range { wanted; durable })
+    Branch.create ~counters:t.counters ~policy:t.policy ~seed:(fresh_seed t)
+      ~wrap:(attribute t name) ~name ~fork_lsn:from_lsn ~parent
+      ~tc_id:(fresh_tc_id t) ~dc_config ~part ~tables ()
   in
-  Hashtbl.add t.branches name { be_branch = br; be_parent; be_tc };
+  Hashtbl.add t.branches name { be_branch = br; be_parent };
   br
 
 let delete_branch t name =
-  let e =
-    match Hashtbl.find_opt t.branches name with
-    | Some e -> e
-    | None -> invalid_arg ("Deploy.delete_branch: unknown branch " ^ name)
-  in
+  let e = branch_entry t ~fn:"Deploy.delete_branch" name in
   (match branch_children t name with
   | [] -> ()
   | children -> raise (Branch_has_children { parent = name; children }));
@@ -814,16 +740,8 @@ let crash_branch_dc t name = Branch.crash_dc (branch t name)
    clamped by live branch pins and the durable watermark) into a
    snapshot layer.  Branch retention is exactly why the pin floor is in
    the clamp — a fork point stays answerable while its branch lives. *)
-let truncate_history ?tc:tc_sel t ~below =
-  let tc_name =
-    match tc_sel with
-    | Some n -> n
-    | None -> (
-      match tc_names t with
-      | [ n ] -> n
-      | _ -> invalid_arg "Deploy.truncate_history: several TCs; pass ~tc")
-  in
-  let m = manager_for t tc_name in
+let truncate_history ?tc t ~below =
+  let m = manager_for t (resolve_tc t ~fn:"Deploy.truncate_history" tc) in
   Repl.Manager.sync_layers m;
   match Repl.Manager.layer_store m with
   | Some s -> Layer.truncate_history s ~below

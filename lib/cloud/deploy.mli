@@ -182,12 +182,6 @@ val rebuild_replica : t -> string -> int
     [Invalid_argument] for unknown replicas or deployments created
     without [~layers:true]. *)
 
-exception Out_of_range of { wanted : Untx_util.Lsn.t; durable : Untx_util.Lsn.t }
-(** A point-in-time read or fork point beyond every store's ingest
-    watermark: [wanted] exceeds [durable], the highest answerable LSN.
-    Typed (mirroring [Wal.Truncated {wanted; retained}]) so callers can
-    tell unanswerable-at-[at] from a legitimate absent-at-[at] [None]. *)
-
 val read_as_of :
   t -> table:string -> key:string -> at:Untx_util.Lsn.t -> string option
 (** Point-in-time read: the key's visible value after every logged
@@ -198,8 +192,10 @@ val read_as_of :
     keeps only the newest record version.  Counted as
     ["deploy.history_reads"].  Every store is synced to
     end-of-stable-log first, so any [at <= stable_lsn] is answerable.
-    Raises {!Out_of_range} when [at] is beyond every store's ingest
-    watermark — never a silent [None] — and
+    Raises {!Untx_layer.Layer.Beyond_ingested} when [at] is beyond every
+    store's ingest watermark ([ingested] is the highest of them) — never
+    a silent [None], so unanswerable-at-[at] cannot pass for a
+    legitimate absent-at-[at] — and
     [Untx_layer.Layer.History_truncated] when [at] sits below a rebased
     store's {!truncate_history} cut.  Requires [~layers:true]. *)
 
@@ -226,9 +222,11 @@ val create_branch :
     branch when given (nesting; [from_lsn] is then in that branch's
     combined LSN space), else [~tc]'s root layer store ([~tc] may be
     omitted with a single TC; the branch serves every table created in
-    the deployment).  Raises {!Out_of_range} when [from_lsn] exceeds
-    the parent's ingest watermark, [Invalid_argument] for duplicate
-    names or deployments without [~layers:true]. *)
+    the deployment).  Raises {!Untx_layer.Layer.Beyond_ingested} when
+    [from_lsn] exceeds the parent's ingest watermark ([ingested] in the
+    parent's LSN space), [Invalid_argument] for duplicate names, unknown
+    TCs or parents, an omitted [~tc] with several TCs, or deployments
+    without [~layers:true]. *)
 
 val branch : t -> string -> Untx_branch.Branch.t
 
@@ -236,9 +234,6 @@ val branch_names : t -> string list
 
 val branch_children : t -> string -> string list
 (** The live branches forked directly off the named branch. *)
-
-val branch_root_tc : t -> string -> string
-(** The root TC whose (combined) LSN space the named branch addresses. *)
 
 val delete_branch : t -> string -> unit
 (** Close the branch and release its fork-point pin, letting parent
@@ -254,7 +249,9 @@ val truncate_history : ?tc:string -> t -> below:Untx_util.Lsn.t -> int
 (** Rebase [~tc]'s layer store ({!Untx_layer.Layer.truncate_history}):
     fold history below [below] — as clamped by live branch fork-point
     pins and the durable watermark — into a snapshot layer.  Returns
-    entries reclaimed. *)
+    entries reclaimed.  [~tc] may be omitted with a single TC; raises
+    [Invalid_argument] for an unknown TC or an omitted [~tc] with
+    several. *)
 
 val crash_for_point : t -> point:string -> tc:string -> dc:string -> unit
 (** Kill whichever component owns the fault point (see

@@ -65,31 +65,43 @@ let check_oracle k ~table ~expected errs =
   | `Ok () -> ()
   | `Blocked | `Fail _ -> Kernel.abort k txn ~reason:"audit scan"
 
-(* One more recovery would resend exactly the stable suffix from the
-   redo-scan start point.  Deliver it straight into the DC: if the
-   abstract-LSN idempotence machinery is sound, state is bit-identical
-   afterwards. *)
-let check_idempotence k errs =
-  let tc = Kernel.tc k and dc = Kernel.dc k in
-  let before = dump_all dc in
+(* Structure and version hygiene of every named DC, then idempotence:
+   one more recovery would resend exactly [tc]'s stable suffix from the
+   redo-scan start point, each operation to the DC [dc_of] routes it to
+   (the TC's map — the same map redo uses).  Deliver it straight into
+   the DCs: if the abstract-LSN idempotence machinery is sound, state is
+   bit-identical afterwards, and still well-formed.  Returns the number
+   of operations re-delivered. *)
+let check_dcs ~dcs ~tc ~dc_of errs =
+  List.iter
+    (fun (name, dc) ->
+      check_structure dc ~stage:("post-recovery " ^ name) errs;
+      check_versions dc errs)
+    dcs;
+  let dump () = List.map (fun (name, dc) -> (name, dump_all dc)) dcs in
+  let before = dump () in
   let n = ref 0 in
   Tc.iter_stable_ops tc (fun lsn op ->
       incr n;
+      let dc = dc_of op in
       ignore (Dc.perform dc { Wire.tc = Tc.id tc; lsn; part = Dc.part dc; op }));
-  if dump_all dc <> before then
+  if dump () <> before then
     errs :=
       Printf.sprintf
-        "idempotence: re-delivering %d stable ops changed DC state" !n
+        "idempotence: re-delivering %d stable ops changed some partition" !n
       :: !errs;
+  List.iter
+    (fun (name, dc) ->
+      check_structure dc ~stage:("post-redelivery " ^ name) errs)
+    dcs;
   !n
 
 let run k ~table ~expected =
   let errs = ref [] in
   let dc = Kernel.dc k in
-  check_structure dc ~stage:"post-recovery" errs;
-  check_versions dc errs;
-  let redelivered = check_idempotence k errs in
-  check_structure dc ~stage:"post-redelivery" errs;
+  let redelivered =
+    check_dcs ~dcs:[ ("dc", dc) ] ~tc:(Kernel.tc k) ~dc_of:(fun _ -> dc) errs
+  in
   check_oracle k ~table ~expected errs;
   { violations = List.rev !errs; redelivered }
 
@@ -191,29 +203,6 @@ let check_index d ~idx ~table =
       diff (actual, expected))
     (Index.indexes idx ~table);
   List.rev !errs
-
-(* Deployment-wide idempotence: one more recovery would resend the
-   stable suffix, each record to its owning partition.  Route through
-   the TC's map — the same map redo uses. *)
-let check_idempotence_deploy d ~tc:tc_name errs =
-  let tc = Deploy.tc d tc_name in
-  let before =
-    List.map (fun name -> (name, dump_all (Deploy.dc d name))) (Deploy.dc_names d)
-  in
-  let n = ref 0 in
-  Tc.iter_stable_ops tc (fun lsn op ->
-      incr n;
-      let dc = Deploy.dc d (Tc.dc_of_op tc op) in
-      ignore (Dc.perform dc { Wire.tc = Tc.id tc; lsn; part = Dc.part dc; op }));
-  let after =
-    List.map (fun name -> (name, dump_all (Deploy.dc d name))) (Deploy.dc_names d)
-  in
-  if after <> before then
-    errs :=
-      Printf.sprintf
-        "idempotence: re-delivering %d stable ops changed some partition" !n
-      :: !errs;
-  !n
 
 (* Replica consistency: after shipping reaches parity, every standby's
    logical state must equal its primary's, table by table.  Valid only
@@ -431,18 +420,14 @@ let check_branch d ~name ~table =
 
 let run_deploy d ~tc ~table ~expected =
   let errs = ref [] in
-  List.iter
-    (fun name ->
-      let dc = Deploy.dc d name in
-      check_structure dc ~stage:("post-recovery " ^ name) errs;
-      check_versions dc errs)
-    (Deploy.dc_names d);
-  let redelivered = check_idempotence_deploy d ~tc errs in
-  List.iter
-    (fun name ->
-      check_structure (Deploy.dc d name) ~stage:("post-redelivery " ^ name)
-        errs)
-    (Deploy.dc_names d);
+  let tc = Deploy.tc d tc in
+  let redelivered =
+    check_dcs
+      ~dcs:(List.map (fun name -> (name, Deploy.dc d name)) (Deploy.dc_names d))
+      ~tc
+      ~dc_of:(fun op -> Deploy.dc d (Tc.dc_of_op tc op))
+      errs
+  in
   check_oracle_deploy d ~table ~expected errs;
   check_replicas d errs;
   check_layers d errs;

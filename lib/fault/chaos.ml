@@ -101,7 +101,6 @@ let tc_config id =
   {
     (Tc.default_config (Tc_id.of_int id)) with
     lwm_every = 8;
-    debug_checks = true;
   }
 
 let dc_config ~seed ~sync_policy =

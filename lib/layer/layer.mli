@@ -44,7 +44,11 @@ exception Beyond_ingested of { wanted : Untx_util.Lsn.t; ingested : Untx_util.Ls
 (** A history read past the ingest watermark: the store has not absorbed
     [wanted] yet (it only holds [..ingested]).  Mirrors
     [Wal.Truncated {wanted; retained}] — typed, so callers can match on
-    the boundary instead of parsing a message. *)
+    the boundary instead of parsing a message.  The tiers built on the
+    store refuse with it too: {!Untx_branch.Branch} for forks and reads
+    past a branch's durable LSN (both LSNs combined), and
+    {!Untx_cloud.Deploy} for point-in-time reads past every store and
+    for branch forks. *)
 
 exception History_truncated of { wanted : Untx_util.Lsn.t; history_from : Untx_util.Lsn.t }
 (** A history read below the rebase cut: {!truncate_history} dropped the

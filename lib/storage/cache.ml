@@ -82,8 +82,6 @@ let set_policy t ~can_flush ~prepare_flush =
   t.can_flush <- can_flush;
   t.prepare_flush <- prepare_flush
 
-let disk t = t.disk
-
 let touch _t entry = entry.referenced <- true
 
 let ring_of t entry =

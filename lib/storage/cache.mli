@@ -40,8 +40,6 @@ val create :
 val set_policy :
   t -> can_flush:(Page.t -> bool) -> prepare_flush:(Page.t -> unit) -> unit
 
-val disk : t -> Disk.t
-
 val new_page : t -> kind:Page.kind -> page_capacity:int -> Page.t
 (** Allocate a fresh page, resident and dirty (not yet stable). *)
 

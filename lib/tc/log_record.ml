@@ -10,15 +10,6 @@ type t =
   | Finished of { xid : int }
   | Checkpoint of { rssp : Lsn.t; active : int list }
 
-let xid = function
-  | Begin { xid }
-  | Op_log { xid; _ }
-  | Commit { xid }
-  | Abort { xid }
-  | Compensation { xid; _ }
-  | Finished { xid } -> Some xid
-  | Checkpoint _ -> None
-
 let size = function
   | Begin _ | Commit _ | Abort _ | Finished _ -> 12
   | Op_log { op; undo; _ } ->

@@ -22,8 +22,6 @@ type t =
       (** rollback complete, or post-commit version cleanup complete *)
   | Checkpoint of { rssp : Untx_util.Lsn.t; active : int list }
 
-val xid : t -> int option
-
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ type config = {
   cc_protocol : cc_protocol;
   lwm_every : int;
   pipeline_writes : bool;
-  debug_checks : bool;
 }
 
 let default_config id =
@@ -25,7 +24,6 @@ let default_config id =
     cc_protocol = Key_locks;
     lwm_every = 16;
     pipeline_writes = true;
-    debug_checks = false;
   }
 
 let p_commit_before_force = Fault.declare "tc.commit.before_force"
@@ -106,9 +104,9 @@ type batch = {
 
 type 'a outcome = [ `Ok of 'a | `Blocked | `Fail of string ]
 
-type route =
-  | Single of { r_dc : string; r_versioned : bool }
-  | Partitioned of { p_versioned : bool; p_f : string -> string }
+(* [r_dc_of key] names the DC holding [key]: a partition map, constant
+   for a table mapped to one DC. *)
+type route = { r_versioned : bool; r_dc_of : string -> string }
 
 type t = {
   cfg : config;
@@ -224,16 +222,16 @@ let attach_dc t link =
 let map_table t ~table ~dc ~versioned =
   if not (Hashtbl.mem t.links dc) then
     invalid_arg ("Tc.map_table: unknown DC " ^ dc);
-  Hashtbl.replace t.routes table (Single { r_dc = dc; r_versioned = versioned })
+  Hashtbl.replace t.routes table
+    { r_versioned = versioned; r_dc_of = (fun _ -> dc) }
 
 let map_table_partitioned t ~table ~versioned ~partition =
   Hashtbl.replace t.routes table
-    (Partitioned { p_versioned = versioned; p_f = partition })
+    { r_versioned = versioned; r_dc_of = partition }
 
 let dc_of_key t table key =
   match Hashtbl.find_opt t.routes table with
-  | Some (Single { r_dc; _ }) -> r_dc
-  | Some (Partitioned { p_f; _ }) -> p_f key
+  | Some r -> r.r_dc_of key
   | None -> invalid_arg ("Tc: table not mapped: " ^ table)
 
 (* Route by the operation's key footprint: point ops by their key,
@@ -258,13 +256,10 @@ let route_op t (op : Op.t) =
   | Some link -> link
   | None -> invalid_arg ("Tc: no link to DC " ^ dc)
 
-let versioned_of_table t table =
+let table_versioned t table =
   match Hashtbl.find_opt t.routes table with
-  | Some (Single { r_versioned; _ }) -> r_versioned
-  | Some (Partitioned { p_versioned; _ }) -> p_versioned
+  | Some r -> r.r_versioned
   | None -> false
-
-let table_versioned = versioned_of_table
 
 let xid txn = txn.t_xid
 
@@ -814,7 +809,7 @@ let write t txn op =
       | _ -> invalid_arg "Tc.write: not a point write"
     in
     let link = route_op t op in
-    let versioned = versioned_of_table t table in
+    let versioned = table_versioned t table in
     match lock t txn (rsrc_for t table key) Lock_mgr.X with
     | `Blocked -> `Blocked
     | `Granted ->
@@ -1451,7 +1446,7 @@ let recover t =
             occ_applying = false;
           }
         in
-        let versioned_of table = versioned_of_table t table in
+        let versioned_of table = table_versioned t table in
         let rev_undo, vwrites =
           List.fold_left
             (fun (undo, vwrites) (_, op, inv) ->

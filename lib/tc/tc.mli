@@ -40,7 +40,6 @@ type config = {
   lwm_every : int;  (** send a low-water mark every n acknowledged ops *)
   pipeline_writes : bool;
       (** dispatch versioned-table writes without awaiting each ack *)
-  debug_checks : bool;
 }
 (** The resend policy is not configured here.  Requests and control
     messages the DC does not answer are resent on

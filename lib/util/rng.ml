@@ -10,10 +10,6 @@ let bool t = Random.State.bool t
 
 let chance t p = p > 0. && (p >= 1. || Random.State.float t 1.0 < p)
 
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -19,8 +19,5 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

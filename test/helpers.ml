@@ -44,7 +44,6 @@ let kernel_config
         (Tc.default_config (Tc_id.of_int 1)) with
         cc_protocol;
         pipeline_writes;
-        debug_checks = true;
       };
     dc =
       {

@@ -81,7 +81,6 @@ let make_deploy ~versioned () =
        {
          (Tc.default_config (Tc_id.of_int 1)) with
          lwm_every = 4;
-         debug_checks = true;
        });
   let dc_names = [ "dc0"; "dc1" ] in
   List.iter

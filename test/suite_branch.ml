@@ -103,7 +103,7 @@ let test_read_as_of_combined_lsn () =
   Alcotest.(check (option string)) "above fork: branch tier" (Some "bern")
     (rd durable);
   Alcotest.check_raises "beyond branch durable refused, typed"
-    (Branch.Out_of_range { wanted = Lsn.next durable; durable })
+    (Layer.Beyond_ingested { wanted = Lsn.next durable; ingested = durable })
     (fun () -> ignore (rd (Lsn.next durable)))
 
 let test_unwritten_falls_through_gone_does_not () =
@@ -223,7 +223,6 @@ let test_delete_rules_and_nesting () =
   let b2 = Deploy.create_branch d ~from:"b1" ~from_lsn:d1 ~name:"b2" in
   Alcotest.(check (list string)) "children tracked" [ "b2" ]
     (Deploy.branch_children d "b1");
-  Alcotest.(check string) "root TC tracked" "tc1" (Deploy.branch_root_tc d "b2");
   Alcotest.(check (option string)) "grandchild sees the branch write"
     (Some "b1v") (br_read b2 ~key:"k000");
   Alcotest.(check (option string)) "grandchild sees the root base"
@@ -249,7 +248,7 @@ let test_fork_out_of_range () =
   fill tc ~value:"base" 3;
   let head = stamp d tc in
   Alcotest.check_raises "fork beyond the watermark refused, typed"
-    (Deploy.Out_of_range { wanted = Lsn.next head; durable = head })
+    (Layer.Beyond_ingested { wanted = Lsn.next head; ingested = head })
     (fun () ->
       ignore (Deploy.create_branch d ~from_lsn:(Lsn.next head) ~name:"bx"));
   Alcotest.(check (list string)) "nothing half-created" []

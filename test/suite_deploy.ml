@@ -92,11 +92,11 @@ let test_names_listing () =
 
 (* --- the sharded deployment: one TC over N hash partitions --------- *)
 
-let part_deploy ?counters ~parts () =
-  let d = Deploy.create ?counters () in
+let part_deploy ?counters ?layers ?(dc = Dc.default_config) ~parts () =
+  let d = Deploy.create ?counters ?layers () in
   let tc = Deploy.add_tc d ~name:"tc1" (Tc.default_config (Tc_id.of_int 1)) in
   let dcs = List.init parts (Printf.sprintf "dc%d") in
-  List.iter (fun n -> ignore (Deploy.add_dc d ~name:n Dc.default_config)) dcs;
+  List.iter (fun n -> ignore (Deploy.add_dc d ~name:n dc)) dcs;
   Deploy.add_partitioned_table d ~name:"t" ~versioned:false ~dcs ();
   (d, tc)
 
@@ -217,6 +217,101 @@ let test_checkpoint_fans_out () =
   Alcotest.(check (option string)) "still readable" (Some "v")
     (Tc.read_committed tc ~table:"t" ~key:"c00")
 
+(* --- fault attribution and the omitted ~tc ------------------------ *)
+
+module Fault = Untx_fault.Fault
+module Repl = Untx_repl.Repl
+module Branch = Untx_branch.Branch
+
+let small_pages =
+  { Dc.default_config with page_capacity = 160; cache_pages = 6 }
+
+(* Run [f] under a plan that crashes at the [nth] hit of the mid-split
+   point; returns the point that fired. *)
+let split_fault ~nth f =
+  Fault.arm [ Fault.crash_at "dc.smo.split.mid" nth ];
+  match f () with
+  | () ->
+    Fault.disarm ();
+    Alcotest.fail "the split fault never fired"
+  | exception Fault.Injected_crash p ->
+    Fault.disarm ();
+    p
+
+(* The primary splits while it is filled; a replica added afterwards
+   replays those splits only when it catches up, so the fault fires
+   inside the standby's apply.  [crash_for_point] must crash the
+   standby (its volatile applied cursor is gone) and leave the primary
+   alone (no TC redo reaches it). *)
+let test_standby_fault_crashes_the_standby () =
+  let d, tc = part_deploy ~dc:small_pages ~parts:1 () in
+  let keys = List.init 60 (Printf.sprintf "k%02d") in
+  List.iter (fun key -> commit_one tc ~key ~value:("v-" ^ key)) keys;
+  Deploy.quiesce d;
+  let sb = Deploy.add_replica d ~dc:"dc0" in
+  let applied () =
+    Lsn.to_int (Repl.Standby.applied (Deploy.standby d sb) ~tc:(Tc.id tc))
+  in
+  let before = Deploy.messages_total d in
+  let point = split_fault ~nth:15 (fun () -> Deploy.settle_replicas d) in
+  Alcotest.(check bool) "the standby applied a batch first" true
+    (applied () > 0);
+  Deploy.crash_for_point d ~point ~tc:"tc1" ~dc:"dc0";
+  Alcotest.(check int) "the standby crashed" 0 (applied ());
+  Deploy.quiesce d;
+  Alcotest.(check int) "no redo reached the primary" before
+    (Deploy.messages_total d);
+  let expected = List.map (fun key -> (key, "v-" ^ key)) keys in
+  let report = Audit.run_deploy d ~tc:"tc1" ~table:"t" ~expected in
+  Alcotest.(check (list string)) "audit clean, standby at parity" []
+    report.Audit.violations
+
+(* A fault escaping a branch's DC crashes that DC, not a primary. *)
+let test_branch_fault_crashes_the_branch_dc () =
+  let counters = Instrument.create () in
+  let d, tc = part_deploy ~counters ~layers:true ~dc:small_pages ~parts:1 () in
+  List.iter
+    (fun i -> commit_one tc ~key:(Printf.sprintf "k%02d" i) ~value:"base")
+    (List.init 4 Fun.id);
+  Deploy.quiesce d;
+  Tc.force_log tc;
+  let br = Deploy.create_branch d ~from_lsn:(Tc.stable_lsn tc) ~name:"b" in
+  let before = Deploy.messages_total d in
+  let point =
+    split_fault ~nth:1 (fun () ->
+        List.iter
+          (fun i ->
+            let txn = Branch.begin_txn br in
+            ok
+              (Branch.insert br txn ~table:"t" ~key:(Printf.sprintf "b%02d" i)
+                 ~value:"branch");
+            ok (Branch.commit br txn))
+          (List.init 60 Fun.id))
+  in
+  Deploy.crash_for_point d ~point ~tc:"tc1" ~dc:"dc0";
+  Alcotest.(check int) "the branch DC crashed" 1
+    (Instrument.get counters "branch.dc_crashes");
+  Deploy.quiesce d;
+  Alcotest.(check int) "no redo reached the primary" before
+    (Deploy.messages_total d);
+  Alcotest.(check (list string)) "branch audit clean" []
+    (Audit.check_branch d ~name:"b" ~table:"t")
+
+let test_omitted_tc_refused_with_several () =
+  let d = Deploy.create ~layers:true () in
+  ignore (Deploy.add_tc d ~name:"tc1" (Tc.default_config (Tc_id.of_int 1)));
+  ignore (Deploy.add_tc d ~name:"tc2" (Tc.default_config (Tc_id.of_int 2)));
+  ignore (Deploy.add_dc d ~name:"dc0" Dc.default_config);
+  Alcotest.check_raises "create_branch"
+    (Invalid_argument "Deploy.create_branch: several TCs; pass ~tc") (fun () ->
+      ignore (Deploy.create_branch d ~from_lsn:Lsn.zero ~name:"b"));
+  Alcotest.check_raises "truncate_history"
+    (Invalid_argument "Deploy.truncate_history: several TCs; pass ~tc")
+    (fun () -> ignore (Deploy.truncate_history d ~below:Lsn.zero));
+  ignore (Deploy.create_branch d ~tc:"tc2" ~from_lsn:Lsn.zero ~name:"b");
+  Alcotest.(check (list string)) "a named TC resolves" [ "b" ]
+    (Deploy.branch_names d)
+
 let suite =
   [
     Alcotest.test_case "link order irrelevant" `Quick test_add_order_irrelevant;
@@ -233,4 +328,10 @@ let suite =
       test_single_partition_crash_siblings_serve;
     Alcotest.test_case "checkpoint fans out to every partition" `Quick
       test_checkpoint_fans_out;
+    Alcotest.test_case "a standby's fault crashes the standby" `Quick
+      test_standby_fault_crashes_the_standby;
+    Alcotest.test_case "a branch's fault crashes the branch DC" `Quick
+      test_branch_fault_crashes_the_branch_dc;
+    Alcotest.test_case "an omitted ~tc is refused with several TCs" `Quick
+      test_omitted_tc_refused_with_several;
   ]

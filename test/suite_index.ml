@@ -40,7 +40,6 @@ let make_deploy ?(parts = 2) ?(replicas = 0) ?(tcs = 1)
            (Tc.default_config (Tc_id.of_int i)) with
            cc_protocol;
            lwm_every = 4;
-           debug_checks = true;
          })
   done;
   let dc_names = List.init parts (Printf.sprintf "dc%d") in

@@ -448,7 +448,7 @@ let test_deploy_read_as_of_boundaries () =
   Alcotest.(check (option string)) "at durable" (Some "v1")
     (Deploy.read_as_of d ~table:"t" ~key:"a" ~at:durable);
   Alcotest.check_raises "beyond durable refused, typed"
-    (Deploy.Out_of_range { wanted = Lsn.next durable; durable })
+    (Layer.Beyond_ingested { wanted = Lsn.next durable; ingested = durable })
     (fun () ->
       ignore (Deploy.read_as_of d ~table:"t" ~key:"a" ~at:(Lsn.next durable)))
 

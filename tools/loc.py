@@ -17,6 +17,7 @@ Run it from the repository root.  Stdlib only.
 """
 
 import argparse
+import bisect
 import os
 import re
 import subprocess
@@ -33,48 +34,54 @@ CHAR = re.compile(
 QUOTED = re.compile(r"\{([a-z_]*)\|")
 
 
-def code_lines(text):
-    """The number of lines holding code outside comments."""
-    lines = set()
+def spans(text):
+    """Yield (start, end, kind) for the code of [text] outside comments:
+    kind "literal" for a string or character literal, "code" for one
+    other non-blank character.  Comments nest, as OCaml's do; a comment
+    marker inside a literal (in code or inside a comment, where OCaml
+    lexes literals too) is not one."""
     depth = 0  # comment nesting
-    line = 0
     i, n = 0, len(text)
-
-    def skip(j):
-        # Step over text[i:j], a literal; it is code outside comments.
-        nonlocal i, line
-        if depth == 0:
-            lines.update(range(line, line + text.count("\n", i, j) + 1))
-        line += text.count("\n", i, j)
-        i = j
-
     while i < n:
         c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif text.startswith("(*", i):
+        j = None  # the end of a literal starting at i
+        if text.startswith("(*", i):
             depth += 1
             i += 2
-        elif depth and text.startswith("*)", i):
+            continue
+        if depth and text.startswith("*)", i):
             depth -= 1
             i += 2
-        elif c == '"':
+            continue
+        if c == '"':
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
-            skip(min(j + 1, n))
+            j = min(j + 1, n)
         elif c == "{" and QUOTED.match(text, i):
             close = "|" + QUOTED.match(text, i).group(1) + "}"
-            j = text.find(close, i + 1)
-            skip(n if j < 0 else j + len(close))
+            k = text.find(close, i + 1)
+            j = n if k < 0 else k + len(close)
         elif c == "'" and (i == 0 or not (text[i - 1].isalnum() or text[i - 1] in "_'")) \
                 and CHAR.match(text, i):
-            skip(CHAR.match(text, i).end())
+            j = CHAR.match(text, i).end()
+        if j is not None:
+            if depth == 0:
+                yield i, j, "literal"
+            i = j
         else:
             if depth == 0 and not c.isspace():
-                lines.add(line)
+                yield i, i + 1, "code"
             i += 1
+
+
+def code_lines(text):
+    """The number of lines holding code outside comments."""
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    lines = set()
+    for start, end, _ in spans(text):
+        first = bisect.bisect_right(starts, start) - 1
+        lines.update(range(first, bisect.bisect_right(starts, end - 1)))
     return len(lines)
 
 
