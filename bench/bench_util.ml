@@ -118,7 +118,6 @@ let kernel_config ?(policy = Transport.reliable) ?(sync_policy = Dc.Full_ablsn)
       };
     policy;
     seed;
-    auto_checkpoint_every = 0;
   }
 
 let make_kernel ?policy ?sync_policy ?tc_reset_mode ?cc_protocol

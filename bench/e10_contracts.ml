@@ -35,20 +35,20 @@ let workload ?(at_boundary = fun _ -> ()) k =
   let known = Hashtbl.create 1024 in
   for t = 0 to 199 do
     at_boundary t;
-    let txn = Kernel.begin_txn k in
+    let txn = Tc.begin_txn (Kernel.tc k) in
     let staged = ref [] in
     for i = 0 to 9 do
       let key = Printf.sprintf "k%04d" (((t * 13) + (i * 29)) mod 800) in
       if Hashtbl.mem known key || List.mem key !staged then
-        ok (Kernel.update k txn ~table ~key ~value:(Printf.sprintf "%d.%d" t i))
+        ok (Tc.update (Kernel.tc k) txn ~table ~key ~value:(Printf.sprintf "%d.%d" t i))
       else begin
         staged := key :: !staged;
-        ok (Kernel.insert k txn ~table ~key ~value:(Printf.sprintf "%d.%d" t i))
+        ok (Tc.insert (Kernel.tc k) txn ~table ~key ~value:(Printf.sprintf "%d.%d" t i))
       end
     done;
-    if t mod 3 = 0 then Kernel.abort k txn ~reason:"mix in rollbacks"
+    if t mod 3 = 0 then Tc.abort (Kernel.tc k) txn ~reason:"mix in rollbacks"
     else begin
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       List.iter (fun key -> Hashtbl.replace known key ()) !staged
     end
   done;

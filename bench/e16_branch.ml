@@ -54,13 +54,14 @@ let stamp d tc =
 let br_commit br = Bench_util.upsert (Branch.engine br) ~table
 
 let br_read br ~key =
-  let txn = Branch.begin_txn br in
+  let module E = (val Branch.engine br) in
+  let txn = E.begin_txn () in
   let v =
-    match Branch.read br txn ~table ~key with
+    match E.read txn ~table ~key with
     | `Ok v -> v
     | `Blocked | `Fail _ -> failwith "branch read failed"
   in
-  (match Branch.commit br txn with
+  (match E.commit txn with
   | `Ok () -> ()
   | `Blocked | `Fail _ -> failwith "branch read-commit failed");
   v

@@ -28,17 +28,17 @@ let run_policy label policy seed =
   let known = Hashtbl.create 1024 in
   let n_txns = 300 and writes_per_txn = 24 in
   for t = 0 to n_txns - 1 do
-    let txn = Kernel.begin_txn k in
+    let txn = Tc.begin_txn (Kernel.tc k) in
     for i = 0 to writes_per_txn - 1 do
       let key = Printf.sprintf "k%05d" (((t * 7) + (i * 131)) mod 2000) in
       if Hashtbl.mem known key then
-        ok (Kernel.update k txn ~table ~key ~value:(string_of_int t))
+        ok (Tc.update (Kernel.tc k) txn ~table ~key ~value:(string_of_int t))
       else begin
         Hashtbl.replace known key ();
-        ok (Kernel.insert k txn ~table ~key ~value:(string_of_int t))
+        ok (Tc.insert (Kernel.tc k) txn ~table ~key ~value:(string_of_int t))
       end
     done;
-    ok (Kernel.commit k txn)
+    ok (Tc.commit (Kernel.tc k) txn)
   done;
   Kernel.quiesce k;
   let dc = Kernel.dc k in

@@ -25,15 +25,15 @@ let ok = function
 let populate k n =
   let rec go i =
     if i < n then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min n (i + 40) in
       for j = i to hi - 1 do
         ok
-          (Kernel.insert k txn ~table
+          (Tc.insert (Kernel.tc k) txn ~table
              ~key:(Printf.sprintf "k%06d" j)
              ~value:(Printf.sprintf "v%06d" j))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       go hi
     end
   in
@@ -41,24 +41,24 @@ let populate k n =
 
 (* a little uncommitted work so there is something to lose *)
 let open_work k =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for i = 0 to 9 do
     ok
-      (Kernel.update k txn ~table
+      (Tc.update (Kernel.tc k) txn ~table
          ~key:(Printf.sprintf "k%06d" (i * 97))
          ~value:"dirty")
   done;
   Kernel.quiesce k
 
 let populate_more k =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for j = 0 to 199 do
     ok
-      (Kernel.insert k txn ~table
+      (Tc.insert (Kernel.tc k) txn ~table
          ~key:(Printf.sprintf "x%06d" j)
          ~value:"post-checkpoint")
   done;
-  ok (Kernel.commit k txn)
+  ok (Tc.commit (Kernel.tc k) txn)
 
 let scenario label ~reset_mode ~checkpointed ~crash =
   let counters = Instrument.create () in
@@ -66,7 +66,7 @@ let scenario label ~reset_mode ~checkpointed ~crash =
   populate k 3_000;
   if checkpointed then begin
     Kernel.quiesce k;
-    ignore (Kernel.checkpoint k)
+    ignore (Tc.checkpoint (Kernel.tc k))
   end;
   populate_more k;
   open_work k;

@@ -30,15 +30,15 @@ let run () =
   let bytes0 = Dc.dc_log_bytes dc in
   let rec fill i =
     if i < n then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min n (i + 50) in
       for j = i to hi - 1 do
         ok
-          (Kernel.insert k txn ~table
+          (Tc.insert (Kernel.tc k) txn ~table
              ~key:(Printf.sprintf "k%06d" j)
              ~value:(String.make 24 'v'))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       fill hi
     end
   in
@@ -50,13 +50,13 @@ let run () =
   let bytes1 = Dc.dc_log_bytes dc in
   let rec drain i =
     if i < n then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min n (i + 50) in
       for j = i to hi - 1 do
         if j mod 8 <> 0 then
-          ok (Kernel.delete k txn ~table ~key:(Printf.sprintf "k%06d" j))
+          ok (Tc.delete (Kernel.tc k) txn ~table ~key:(Printf.sprintf "k%06d" j))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       drain hi
     end
   in

@@ -8,6 +8,7 @@
 open Bechamel
 open Toolkit
 module Kernel = Untx_kernel.Kernel
+module Tc = Untx_tc.Tc
 module Ablsn = Untx_dc.Ablsn
 module Lsn = Untx_util.Lsn
 module Btree = Untx_btree.Btree
@@ -33,37 +34,37 @@ let ok = function
 
 let kernel_txn_test () =
   let k = Bench_util.make_kernel () in
-  let txn0 = Kernel.begin_txn k in
+  let txn0 = Tc.begin_txn (Kernel.tc k) in
   for j = 0 to 1_999 do
-    ok (Kernel.insert k txn0 ~table:"kv" ~key:(Printf.sprintf "k%06d" j) ~value:"v")
+    ok (Tc.insert (Kernel.tc k) txn0 ~table:"kv" ~key:(Printf.sprintf "k%06d" j) ~value:"v")
   done;
-  ok (Kernel.commit k txn0);
+  ok (Tc.commit (Kernel.tc k) txn0);
   let i = ref 0 in
   Test.make ~name:"unbundled: 1-write txn (commit+force)"
     (Staged.stage (fun () ->
          incr i;
          let key = Printf.sprintf "k%06d" (!i mod 2_000) in
-         let txn = Kernel.begin_txn k in
-         ok (Kernel.update k txn ~table:"kv" ~key ~value:"v");
-         ok (Kernel.commit k txn)))
+         let txn = Tc.begin_txn (Kernel.tc k) in
+         ok (Tc.update (Kernel.tc k) txn ~table:"kv" ~key ~value:"v");
+         ok (Tc.commit (Kernel.tc k) txn)))
 
 let kernel_read_test () =
   let k = Bench_util.make_kernel () in
-  let txn0 = Kernel.begin_txn k in
+  let txn0 = Tc.begin_txn (Kernel.tc k) in
   for j = 0 to 999 do
-    ok (Kernel.insert k txn0 ~table:"kv" ~key:(Printf.sprintf "k%04d" j) ~value:"v")
+    ok (Tc.insert (Kernel.tc k) txn0 ~table:"kv" ~key:(Printf.sprintf "k%04d" j) ~value:"v")
   done;
-  ok (Kernel.commit k txn0);
+  ok (Tc.commit (Kernel.tc k) txn0);
   let i = ref 0 in
   Test.make ~name:"unbundled: point read (lock+message)"
     (Staged.stage (fun () ->
          incr i;
-         let txn = Kernel.begin_txn k in
+         let txn = Tc.begin_txn (Kernel.tc k) in
          ignore
            (ok
-              (Kernel.read k txn ~table:"kv"
+              (Tc.read (Kernel.tc k) txn ~table:"kv"
                  ~key:(Printf.sprintf "k%04d" (!i mod 1000))));
-         ok (Kernel.commit k txn)))
+         ok (Tc.commit (Kernel.tc k) txn)))
 
 let mono_txn_test () =
   let m = Bench_util.make_mono () in
@@ -286,15 +287,15 @@ let gate_dc_apply () =
    its write set stays bounded. *)
 let tc_dispatch_fixture () =
   let k = Bench_util.make_kernel () in
-  let txn0 = Kernel.begin_txn k in
-  ok (Kernel.insert k txn0 ~table:"kv" ~key:"k" ~value:"v");
-  ok (Kernel.commit k txn0);
-  let txn = ref (Kernel.begin_txn k) in
+  let txn0 = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.insert (Kernel.tc k) txn0 ~table:"kv" ~key:"k" ~value:"v");
+  ok (Tc.commit (Kernel.tc k) txn0);
+  let txn = ref (Tc.begin_txn (Kernel.tc k)) in
   fun i ->
-    ok (Kernel.update k !txn ~table:"kv" ~key:"k" ~value:"w");
+    ok (Tc.update (Kernel.tc k) !txn ~table:"kv" ~key:"k" ~value:"w");
     if i mod 1000 = 0 then begin
-      ok (Kernel.commit k !txn);
-      txn := Kernel.begin_txn k
+      ok (Tc.commit (Kernel.tc k) !txn);
+      txn := Tc.begin_txn (Kernel.tc k)
     end
 
 (* As for DC apply, the ceiling is ~5x the cost measured on a 2-core
@@ -362,7 +363,7 @@ let redo_batch =
       tc = tc1;
       part = 0;
       ops =
-        List.init Untx_tc.Tc.redo_batch_cap (fun i ->
+        List.init Tc.redo_batch_cap (fun i ->
             let key = key_of (i * 7) in
             ( Lsn.of_int (123_456 + i),
               if i mod 4 = 0 then Op.Update { table = "kv"; key; value = "w" }
@@ -453,21 +454,21 @@ let redo_fixture () =
   let counters = Untx_util.Instrument.create () in
   let k = Bench_util.make_kernel ~counters ~cache_pages:4096 () in
   for t = 0 to 149 do
-    let txn = Kernel.begin_txn k in
+    let txn = Tc.begin_txn (Kernel.tc k) in
     for j = 0 to 7 do
-      ok (Kernel.insert k txn ~table:"kv" ~key:(key_of ((t * 8) + j)) ~value:"v")
+      ok (Tc.insert (Kernel.tc k) txn ~table:"kv" ~key:(key_of ((t * 8) + j)) ~value:"v")
     done;
-    ok (Kernel.commit k txn)
+    ok (Tc.commit (Kernel.tc k) txn)
   done;
   for t = 0 to 99 do
-    let txn = Kernel.begin_txn k in
+    let txn = Tc.begin_txn (Kernel.tc k) in
     for j = 0 to 3 do
       ok
-        (Kernel.update k txn ~table:"kv"
+        (Tc.update (Kernel.tc k) txn ~table:"kv"
            ~key:(key_of (((t * 4) + j) * 3 mod 1200))
            ~value:"w")
     done;
-    ok (Kernel.commit k txn)
+    ok (Tc.commit (Kernel.tc k) txn)
   done;
   Kernel.quiesce k;
   Kernel.crash_dc k;
@@ -682,16 +683,16 @@ let gate_index_density tree =
 let gate_scan_requests () =
   let k = Bench_util.make_kernel () in
   let tc = Kernel.tc k in
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn tc in
   for j = 0 to 19 do
-    ok (Kernel.insert k txn ~table:"kv" ~key:(key_of j) ~value:"v")
+    ok (Tc.insert tc txn ~table:"kv" ~key:(key_of j) ~value:"v")
   done;
-  ok (Kernel.commit k txn);
-  let txn = Kernel.begin_txn k in
-  let before = Untx_tc.Tc.messages_sent tc in
-  let rows = ok (Kernel.scan k txn ~table:"kv" ~from_key:"" ~limit:10) in
-  let sent = Untx_tc.Tc.messages_sent tc - before in
-  ok (Kernel.commit k txn);
+  ok (Tc.commit tc txn);
+  let txn = Tc.begin_txn tc in
+  let before = Tc.messages_sent tc in
+  let rows = ok (Tc.scan tc txn ~table:"kv" ~from_key:"" ~limit:10) in
+  let sent = Tc.messages_sent tc - before in
+  ok (Tc.commit tc txn);
   if List.length rows <> 10 then failwith "the scan missed rows";
   count_line "fetch-ahead 10-key scan, requests" sent ~ceiling:2
 

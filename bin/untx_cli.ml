@@ -21,11 +21,10 @@ let mk_kernel ~chaos ~seed ~counters =
   let policy = if chaos then Transport.chaotic else Transport.reliable in
   let cfg =
     {
-      K.tc = Tc.default_config (Untx.Tc_id.of_int 1);
-      dc = Dc.default_config;
+      K.default_config with
+      tc = { K.default_config.tc with checkpoint_every = 50 };
       policy;
       seed;
-      auto_checkpoint_every = 50;
     }
   in
   let k = K.create ~counters cfg in
@@ -74,9 +73,9 @@ let crash component txns seed =
   Driver.preload e spec;
   ignore (Driver.run e spec);
   let count () =
-    match K.begin_txn k |> fun txn ->
-          let r = K.scan k txn ~table:"kv" ~from_key:"" ~limit:max_int in
-          ignore (K.commit k txn);
+    match Tc.begin_txn (K.tc k) |> fun txn ->
+          let r = Tc.scan (K.tc k) txn ~table:"kv" ~from_key:"" ~limit:max_int in
+          ignore (Tc.commit (K.tc k) txn);
           r
     with
     | `Ok rows -> List.length rows
@@ -147,7 +146,7 @@ let inspect txns seed =
   let spec = run_spec ~txns ~ops:6 ~reads:0.5 ~keys:2_000 ~conc:2 ~seed in
   Driver.preload e spec;
   ignore (Driver.run e spec);
-  ignore (K.checkpoint k);
+  ignore (Tc.checkpoint (K.tc k));
   Format.printf "%a@." Instrument.pp counters;
   0
 

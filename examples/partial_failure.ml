@@ -35,26 +35,25 @@ let make reset_mode =
           };
         policy = Transport.reliable;
         seed = 7;
-        auto_checkpoint_every = 0;
       }
   in
   Kernel.create_table k ~name:table ~versioned:true;
   k
 
 let seed k n =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for i = 0 to n - 1 do
     ok
-      (Kernel.insert k txn ~table
+      (Tc.insert (Kernel.tc k) txn ~table
          ~key:(Printf.sprintf "entry%03d" i)
          ~value:(Printf.sprintf "amount-%d" i))
   done;
-  ok (Kernel.commit k txn)
+  ok (Tc.commit (Kernel.tc k) txn)
 
 let count k =
-  let txn = Kernel.begin_txn k in
-  let rows = ok (Kernel.scan k txn ~table ~from_key:"" ~limit:10_000) in
-  ignore (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let rows = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"" ~limit:10_000) in
+  ignore (Tc.commit (Kernel.tc k) txn);
   List.length rows
 
 let banner msg = Printf.printf "\n=== %s ===\n" msg
@@ -64,21 +63,21 @@ let () =
   let k = make Dc.Selective in
   seed k 200;
   Printf.printf "committed rows before crash: %d\n" (count k);
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"entry000" ~value:"uncommitted!");
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"entry000" ~value:"uncommitted!");
   Kernel.crash_dc k;
   Printf.printf
     "DC recovered: structures rebuilt from stable pages + DC-log,\n\
      then the TC resent logical history from its redo scan start point.\n";
-  Kernel.abort k txn ~reason:"demo rollback";
+  Tc.abort (Kernel.tc k) txn ~reason:"demo rollback";
   Printf.printf "in-flight txn rolled back; entry000 restored.\n";
   Printf.printf "rows after DC recovery: %d\n" (count k);
 
   banner "TC failure with SELECTIVE reset";
   let k = make Dc.Selective in
   seed k 200;
-  let doomed = Kernel.begin_txn k in
-  ok (Kernel.update k doomed ~table ~key:"entry042" ~value:"lost-forever");
+  let doomed = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) doomed ~table ~key:"entry042" ~value:"lost-forever");
   Kernel.quiesce k;
   let dc = Kernel.dc k in
   let reset_before = Dc.pages_reset dc in
@@ -93,8 +92,8 @@ let () =
   banner "TC failure with DRACONIAN (complete) reset";
   let k = make Dc.Complete in
   seed k 200;
-  let doomed = Kernel.begin_txn k in
-  ok (Kernel.update k doomed ~table ~key:"entry042" ~value:"lost-again");
+  let doomed = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) doomed ~table ~key:"entry042" ~value:"lost-again");
   Kernel.quiesce k;
   Kernel.crash_tc k;
   Printf.printf

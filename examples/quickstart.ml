@@ -8,6 +8,7 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 module Kernel = Untx_kernel.Kernel
+module Tc = Untx_tc.Tc
 
 let table = "accounts"
 
@@ -17,9 +18,9 @@ let ok = function
   | `Fail msg -> failwith msg
 
 let show k label =
-  let txn = Kernel.begin_txn k in
-  let rows = ok (Kernel.scan k txn ~table ~from_key:"" ~limit:100) in
-  ignore (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let rows = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"" ~limit:100) in
+  ignore (Tc.commit (Kernel.tc k) txn);
   Printf.printf "%-28s %s\n" label
     (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) rows))
 
@@ -28,25 +29,25 @@ let () =
   Kernel.create_table k ~name:table ~versioned:true;
 
   (* A committed transaction: open two accounts. *)
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.insert k txn ~table ~key:"alice" ~value:"100");
-  ok (Kernel.insert k txn ~table ~key:"bob" ~value:"50");
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"alice" ~value:"100");
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"bob" ~value:"50");
+  ok (Tc.commit (Kernel.tc k) txn);
   show k "after first commit:";
 
   (* A transfer, also committed. *)
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"alice" ~value:"70");
-  ok (Kernel.update k txn ~table ~key:"bob" ~value:"80");
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"alice" ~value:"70");
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"bob" ~value:"80");
+  ok (Tc.commit (Kernel.tc k) txn);
   show k "after transfer:";
 
   (* An uncommitted transaction, interrupted by a TC crash: the Data
      Component resets exactly the pages holding the lost operations and
      the restarted TC repeats history, so the transfer survives and the
      in-flight doubling does not. *)
-  let doomed = Kernel.begin_txn k in
-  ok (Kernel.update k doomed ~table ~key:"alice" ~value:"140");
+  let doomed = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) doomed ~table ~key:"alice" ~value:"140");
   Printf.printf "%-28s (uncommitted: alice=140)\n" "in-flight update...";
   Kernel.crash_tc k;
   show k "after TC crash + restart:";

@@ -217,10 +217,6 @@ let ensure_table t ~table =
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 
-let begin_txn t =
-  check_open t;
-  Tc.begin_txn t.tc
-
 let write_op t ~table ~key k =
   check_open t;
   match ensure_key t ~table ~key with
@@ -229,58 +225,50 @@ let write_op t ~table ~key k =
     k ()
   | (`Blocked | `Fail _) as r -> r
 
-let insert t txn ~table ~key ~value =
-  write_op t ~table ~key (fun () -> Tc.insert t.tc txn ~table ~key ~value)
-
-let update t txn ~table ~key ~value =
-  write_op t ~table ~key (fun () -> Tc.update t.tc txn ~table ~key ~value)
-
-let delete t txn ~table ~key =
-  write_op t ~table ~key (fun () -> Tc.delete t.tc txn ~table ~key)
-
-let read t txn ~table ~key =
-  check_open t;
-  match ensure_key t ~table ~key with
-  | `Ok () ->
-    Instrument.bump t.counters "branch.reads";
-    Tc.read t.tc txn ~table ~key
-  | (`Blocked | `Fail _) as r -> (r :> string option Tc.outcome)
-
-let scan t txn ~table ~from_key ~limit =
-  check_open t;
-  if not (ensure_table t ~table) then `Blocked
-  else begin
-    Instrument.bump t.counters "branch.reads";
-    Tc.scan t.tc txn ~table ~from_key ~limit
-  end
-
-let commit t txn =
-  check_open t;
-  Tc.commit t.tc txn
-
-let abort t txn ~reason =
-  check_open t;
-  Tc.abort t.tc txn ~reason
-
-(* The copy-on-write accessors above as an engine; the rest of the
-   surface is the branch TC's. *)
+(* The branch TC's surface, copy-on-write: every accessor checks the
+   branch is open, and reads and writes materialize what they touch. *)
 let engine t : (module Untx_kernel.Engine.S) =
-  let module Ops = struct
-    let begin_txn () = begin_txn t
-    let read = read t
-    let insert = insert t
-    let update = update t
-    let delete = delete t
-    let scan = scan t
-    let commit = commit t
-    let abort = abort t
-  end in
   (module struct
     include Untx_kernel.Engine.Of_tc (struct
       let tc = t.tc
     end)
 
-    include Ops
+    let begin_txn () =
+      check_open t;
+      Tc.begin_txn t.tc
+
+    let insert txn ~table ~key ~value =
+      write_op t ~table ~key (fun () -> Tc.insert t.tc txn ~table ~key ~value)
+
+    let update txn ~table ~key ~value =
+      write_op t ~table ~key (fun () -> Tc.update t.tc txn ~table ~key ~value)
+
+    let delete txn ~table ~key =
+      write_op t ~table ~key (fun () -> Tc.delete t.tc txn ~table ~key)
+
+    let read txn ~table ~key =
+      check_open t;
+      match ensure_key t ~table ~key with
+      | `Ok () ->
+        Instrument.bump t.counters "branch.reads";
+        Tc.read t.tc txn ~table ~key
+      | (`Blocked | `Fail _) as r -> (r :> string option Tc.outcome)
+
+    let scan txn ~table ~from_key ~limit =
+      check_open t;
+      if not (ensure_table t ~table) then `Blocked
+      else begin
+        Instrument.bump t.counters "branch.reads";
+        Tc.scan t.tc txn ~table ~from_key ~limit
+      end
+
+    let commit txn =
+      check_open t;
+      Tc.commit t.tc txn
+
+    let abort txn ~reason =
+      check_open t;
+      Tc.abort t.tc txn ~reason
   end)
 
 (* ------------------------------------------------------------------ *)

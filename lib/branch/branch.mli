@@ -101,48 +101,20 @@ val durable : t -> Untx_util.Lsn.t
 val materialized_count : t -> int
 (** Keys whose fork-point base state has been faulted in so far. *)
 
-(** {2 Transactions}
-
-    The full TC surface, copy-on-write: each accessor first ensures the
-    touched key's fork-point base state is materialized (a separately
-    committed system transaction — [`Blocked]/[`Fail] from that install
-    surfaces to the caller, with nothing marked), then runs the user
-    operation through the branch TC's ordinary dispatch path.  Reads
-    are counted as ["branch.reads"], writes as ["branch.writes"],
-    installs as ["branch.materializations"]. *)
-
-val begin_txn : t -> Untx_tc.Tc.txn
-
-val insert :
-  t -> Untx_tc.Tc.txn -> table:string -> key:string -> value:string ->
-  unit Untx_tc.Tc.outcome
-
-val update :
-  t -> Untx_tc.Tc.txn -> table:string -> key:string -> value:string ->
-  unit Untx_tc.Tc.outcome
-
-val delete :
-  t -> Untx_tc.Tc.txn -> table:string -> key:string -> unit Untx_tc.Tc.outcome
-
-val read :
-  t -> Untx_tc.Tc.txn -> table:string -> key:string ->
-  string option Untx_tc.Tc.outcome
-
-val scan :
-  t -> Untx_tc.Tc.txn -> table:string -> from_key:string -> limit:int ->
-  (string * string) list Untx_tc.Tc.outcome
-(** A scan must see every parent key, so it materializes the whole
-    table first (the parent's fork-point rows, one system transaction
-    each); if any install could not run the scan answers [`Blocked]
-    rather than a partial view. *)
-
-val commit : t -> Untx_tc.Tc.txn -> unit Untx_tc.Tc.outcome
-
-val abort : t -> Untx_tc.Tc.txn -> reason:string -> unit
+(** {2 Transactions} *)
 
 val engine : t -> (module Untx_kernel.Engine.S)
-(** The branch's transactions above as an {!Untx_kernel.Engine.S}, so
-    a harness drives a branch exactly as it drives a TC. *)
+(** The branch's transactions, as an {!Untx_kernel.Engine.S} so a
+    harness drives a branch exactly as it drives a TC.  Copy-on-write:
+    each accessor first ensures the touched key's fork-point base state
+    is materialized (a separately committed system transaction —
+    [`Blocked]/[`Fail] from that install surfaces to the caller, with
+    nothing marked), then runs the user operation through the branch
+    TC's ordinary dispatch path.  A scan must see every parent key, so
+    it materializes the whole table first; if any install could not run
+    it answers [`Blocked] rather than a partial view.  Reads are counted
+    as ["branch.reads"], writes as ["branch.writes"], installs as
+    ["branch.materializations"]. *)
 
 (** {2 Point-in-time reads} *)
 

@@ -61,18 +61,3 @@ let size = function
     24 + String.length table + String.length removed_sep
     + image_size survivor_image
   | Tc_restart _ -> 12
-
-let pp ppf = function
-  | Create_table { table; versioned; root } ->
-    Format.fprintf ppf "create-table %s%s root=%a" table
-      (if versioned then " (versioned)" else "")
-      Page_id.pp root
-  | Split { table; level; old_pid; sep_key; new_image; _ } ->
-    Format.fprintf ppf "split %s level=%d %a at %S -> %a" table level
-      Page_id.pp old_pid sep_key Page_id.pp new_image.pid
-  | Consolidate { table; survivor_image; freed_pid; _ } ->
-    Format.fprintf ppf "consolidate %s %a <- %a" table Page_id.pp
-      survivor_image.pid Page_id.pp freed_pid
-  | Tc_restart { tc; stable_lsn } ->
-    Format.fprintf ppf "tc-restart %a stable=%a" Tc_id.pp tc
-      Untx_util.Lsn.pp stable_lsn

@@ -78,4 +78,3 @@ val size : t -> int
     and encodes no record, so this is a model of a record's log volume,
     not bytes written — E9's logical-vs-physical comparison. *)
 
-val pp : Format.formatter -> t -> unit

@@ -36,8 +36,9 @@ let check_versions dc errs =
     (dump_all dc)
 
 let check_oracle k ~table ~expected errs =
-  let txn = Kernel.begin_txn k in
-  (match Kernel.scan k txn ~table ~from_key:"" ~limit:max_int with
+  let tc = Kernel.tc k in
+  let txn = Tc.begin_txn tc in
+  (match Tc.scan tc txn ~table ~from_key:"" ~limit:max_int with
   | `Ok rows ->
     if rows <> expected then begin
       let first_diff =
@@ -61,9 +62,9 @@ let check_oracle k ~table ~expected errs =
       Printf.sprintf "oracle: scan of %s blocked after quiesce" table :: !errs
   | `Fail msg ->
     errs := Printf.sprintf "oracle: scan of %s failed: %s" table msg :: !errs);
-  match Kernel.commit k txn with
+  match Tc.commit tc txn with
   | `Ok () -> ()
-  | `Blocked | `Fail _ -> Kernel.abort k txn ~reason:"audit scan"
+  | `Blocked | `Fail _ -> Tc.abort tc txn ~reason:"audit scan"
 
 (* Structure and version hygiene of every named DC, then idempotence:
    one more recovery would resend exactly [tc]'s stable suffix from the
@@ -81,7 +82,7 @@ let check_dcs ~dcs ~tc ~dc_of errs =
   let dump () = List.map (fun (name, dc) -> (name, dump_all dc)) dcs in
   let before = dump () in
   let n = ref 0 in
-  Tc.iter_stable_ops tc (fun lsn op ->
+  Tc.iter_stable_ops_from tc ~from:(Tc.rssp tc) (fun lsn op ->
       incr n;
       let dc = dc_of op in
       ignore (Dc.perform dc { Wire.tc = Tc.id tc; lsn; part = Dc.part dc; op }));

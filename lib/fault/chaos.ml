@@ -316,17 +316,20 @@ let checkpoint_at_midpoint ~handle ~txns ~quiesce ~checkpoint i =
         quiesce ();
         ignore (checkpoint ()))
 
-(* The plain cycle drives [Kernel] itself, so its commits take the
-   auto-checkpoint path and the audit is {!Audit.run}. *)
+(* The plain cycle drives a [Kernel], its TC auto-checkpointing on
+   every fourth seed, and the audit is {!Audit.run}. *)
 let kernel_rig cx ~counters ~seed ~txns =
   let k =
     Kernel.create ~counters
       {
-        Kernel.tc = tc_config 1;
+        Kernel.tc =
+          {
+            (tc_config 1) with
+            checkpoint_every = (if seed mod 4 = 0 then 7 else 0);
+          };
         dc = dc_config ~seed ~sync_policy:(sync_of seed);
         policy = policy_of seed;
         seed;
-        auto_checkpoint_every = (if seed mod 4 = 0 then 7 else 0);
       }
   in
   Kernel.create_table k ~name:table ~versioned:(versioned_of seed);
@@ -339,7 +342,7 @@ let kernel_rig cx ~counters ~seed ~txns =
     iteration =
       (fun i ->
         checkpoint_at_midpoint ~handle ~txns ~quiesce
-          ~checkpoint:(fun () -> Kernel.checkpoint k)
+          ~checkpoint:(fun () -> Tc.checkpoint (Kernel.tc k))
           i;
         run_txn cx ~handle ~strict:false engine ~shadow:cx.oracle
           ~marker:(Printf.sprintf "m%03d" i)

@@ -51,8 +51,7 @@ type repl = {
 type shape =
   | Kernel
       (** one TC and one DC as a {!Untx_kernel.Kernel}, driven through
-          {!Untx_kernel.Engine.of_kernel}, so commits take its
-          auto-checkpoint path
+          {!Untx_kernel.Engine.of_kernel}; the TC auto-checkpoints
           (every 7 commits on seeds divisible by 4); quiesce and
           checkpoint at the midpoint; audited by {!Audit.run} *)
   | Partitioned of int

@@ -4,8 +4,8 @@
     Both the unbundled kernel and the monolithic baseline expose this
     surface, so every experiment compares them on identical workloads.
     The constructors live next to the type they wrap: {!of_tc},
-    {!of_kernel} and {!of_mono} here, [Index.engine] and
-    [Branch.engine] beside indexes and branches. *)
+    {!of_kernel} (the kernel's TC) and {!of_mono} here, [Index.engine]
+    and [Branch.engine] beside indexes and branches. *)
 
 type 'a outcome = [ `Ok of 'a | `Blocked | `Fail of string ]
 
@@ -81,16 +81,9 @@ let of_tc tc : (module S) =
     let tc = tc
   end))
 
-(* The kernel's own operations are passthroughs to its TC; only commit
-   differs, taking the kernel's auto-checkpoint path. *)
-let of_kernel (k : Kernel.t) : (module S) =
-  (module struct
-    include Of_tc (struct
-      let tc = Kernel.tc k
-    end)
-
-    let commit txn = Kernel.commit k txn
-  end)
+(* A kernel runs its transactions on its TC, auto-checkpoint included
+   ([Tc.config.checkpoint_every]). *)
+let of_kernel k = of_tc (Kernel.tc k)
 
 let of_mono (m : Untx_baseline.Mono.t) : (module S) =
   (module struct

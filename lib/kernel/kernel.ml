@@ -9,7 +9,6 @@ type config = {
   dc : Dc.config;
   policy : Transport.policy;
   seed : int;
-  auto_checkpoint_every : int;
 }
 
 let default_config =
@@ -18,16 +17,9 @@ let default_config =
     dc = Dc.default_config;
     policy = Transport.reliable;
     seed = 42;
-    auto_checkpoint_every = 0;
   }
 
-type t = {
-  k_tc : Tc.t;
-  k_dc : Dc.t;
-  k_transport : Transport.t;
-  k_auto_ckpt : int;
-  mutable k_commits_since_ckpt : int;
-}
+type t = { k_tc : Tc.t; k_dc : Dc.t; k_transport : Transport.t }
 
 let dc_name = "dc1"
 
@@ -59,13 +51,7 @@ let create ?(counters = Instrument.global) config =
   let transport =
     link ~counters ~policy:config.policy ~seed:config.seed tc ~dc_name dc
   in
-  {
-    k_tc = tc;
-    k_dc = dc;
-    k_transport = transport;
-    k_auto_ckpt = config.auto_checkpoint_every;
-    k_commits_since_ckpt = 0;
-  }
+  { k_tc = tc; k_dc = dc; k_transport = transport }
 
 let tc t = t.k_tc
 
@@ -76,38 +62,6 @@ let transport t = t.k_transport
 let create_table t ~name ~versioned =
   Dc.create_table t.k_dc ~name ~versioned;
   Tc.map_table t.k_tc ~table:name ~dc:dc_name ~versioned
-
-type txn = Tc.txn
-
-let begin_txn t = Tc.begin_txn t.k_tc
-
-let read t txn ~table ~key = Tc.read t.k_tc txn ~table ~key
-
-let insert t txn ~table ~key ~value = Tc.insert t.k_tc txn ~table ~key ~value
-
-let update t txn ~table ~key ~value = Tc.update t.k_tc txn ~table ~key ~value
-
-let delete t txn ~table ~key = Tc.delete t.k_tc txn ~table ~key
-
-let scan t txn ~table ~from_key ~limit =
-  Tc.scan t.k_tc txn ~table ~from_key ~limit
-
-let commit t txn =
-  let r = Tc.commit t.k_tc txn in
-  (match r with
-  | `Ok () when t.k_auto_ckpt > 0 ->
-    t.k_commits_since_ckpt <- t.k_commits_since_ckpt + 1;
-    if t.k_commits_since_ckpt >= t.k_auto_ckpt then begin
-      t.k_commits_since_ckpt <- 0;
-      (* best effort: an ungranted checkpoint just retries later *)
-      ignore (Tc.checkpoint t.k_tc)
-    end
-  | _ -> ());
-  r
-
-let abort t txn ~reason = Tc.abort t.k_tc txn ~reason
-
-let checkpoint t = Tc.checkpoint t.k_tc
 
 (* Quiescing goes through the TC's await/resend loop: outstanding
    requests complete because the contracts (unique ids, resend with

@@ -2,18 +2,16 @@
     injectable transport (Figure 1 with a single instance of each; the
     multi-TC / multi-DC deployments of Section 6 live in [Untx_cloud]).
 
-    This is the primary user-facing API of the library: create a kernel,
-    create tables, run transactions, crash components, recover. *)
+    A kernel only wires one TC to one DC and injects failures: create
+    it, create tables, crash components.  Transactions run on the TC
+    itself, [Untx_tc.Tc.begin_txn (Kernel.tc k)] and the rest of
+    {!Untx_tc.Tc}, or through [Engine.of_kernel k]. *)
 
 type config = {
   tc : Untx_tc.Tc.config;
   dc : Untx_dc.Dc.config;
   policy : Transport.policy;
   seed : int;
-  auto_checkpoint_every : int;
-      (** attempt a checkpoint every n commits; 0 disables (manual
-          {!checkpoint} only).  Checkpoints are the contract-termination
-          mechanism bounding restart redo (Section 4.2). *)
 }
 
 val default_config : config
@@ -48,30 +46,6 @@ val transport : t -> Transport.t
 
 val create_table : t -> name:string -> versioned:bool -> unit
 (** Register the table at the DC and route it in the TC. *)
-
-(** {2 Transactions} — thin passthroughs to {!Untx_tc.Tc}. *)
-
-type txn = Untx_tc.Tc.txn
-
-val begin_txn : t -> txn
-
-val read : t -> txn -> table:string -> key:string -> string option Untx_tc.Tc.outcome
-
-val insert : t -> txn -> table:string -> key:string -> value:string -> unit Untx_tc.Tc.outcome
-
-val update : t -> txn -> table:string -> key:string -> value:string -> unit Untx_tc.Tc.outcome
-
-val delete : t -> txn -> table:string -> key:string -> unit Untx_tc.Tc.outcome
-
-val scan :
-  t -> txn -> table:string -> from_key:string -> limit:int ->
-  (string * string) list Untx_tc.Tc.outcome
-
-val commit : t -> txn -> unit Untx_tc.Tc.outcome
-
-val abort : t -> txn -> reason:string -> unit
-
-val checkpoint : t -> bool
 
 (** {2 Failure injection (Section 5.3)} *)
 

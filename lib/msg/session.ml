@@ -202,10 +202,4 @@ module Receiver = struct
         Applied first
       end
     end
-
-  let reset t =
-    t.epoch <- 0;
-    t.applied <- 0;
-    Hashtbl.reset t.replies;
-    Hashtbl.reset t.buffer
 end

@@ -149,8 +149,4 @@ module Receiver : sig
       the duplicate path).  [fallback] answers a duplicate older than
       the memo window — long since settled, a bare acknowledgement
       suffices. *)
-
-  val reset : ('msg, 'reply) t -> unit
-  (** Forget everything (component crash lost the state the session
-      guards). *)
 end

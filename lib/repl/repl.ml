@@ -558,8 +558,6 @@ module Manager = struct
       sync_layers t;
       Layer.compact ~all:true store
 
-  let durability t = t.durability
-
   let last_ship_primary t = t.last_ship
 
   (* Open (or resume) the session with a hello and adopt the standby's

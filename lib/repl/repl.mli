@@ -110,8 +110,6 @@ module Manager : sig
       {!Untx_msg.Session.Backoff}'s clock, and a wait with
       {!Untx_msg.Session.max_stalls} rounds without progress fails. *)
 
-  val durability : t -> durability
-
   val enable_layers : t -> unit
   (** Switch this manager's TC onto an {!Untx_layer} store: the stable
       redo stream is absorbed into L0 at every durability-gate force and
@@ -213,13 +211,6 @@ module Manager : sig
 
   val remove : t -> name:string -> unit
   (** Forget a replica entirely (promoted or decommissioned). *)
-
-  val ship : t -> unit
-  (** Ship the stable suffix past every attached replica's cursor. *)
-
-  val pump : t -> bool
-  (** One delivery round: drain every replica link, match acks,
-      advance confirmed floors.  [true] if any ack landed. *)
 
   val settle : t -> unit
   (** Ship everything stable and pump (with backoff resend) until every

@@ -207,9 +207,3 @@ let replace_cells t cells =
   t.cells <- [||];
   t.used <- 0;
   absorb t cells
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a %s cells=%d used=%d/%d next=%s@]" Page_id.pp t.id
-    (match t.kind with Leaf -> "leaf" | Inner -> "inner")
-    (cell_count t) t.used t.capacity
-    (match t.next with None -> "-" | Some p -> Page_id.to_string p)

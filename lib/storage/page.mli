@@ -106,4 +106,3 @@ val replace_cells : t -> (string * string) list -> unit
 (** Overwrite the cell content wholesale (recovery from a physical page
     image).  The list need not be sorted. *)
 
-val pp : Format.formatter -> t -> unit

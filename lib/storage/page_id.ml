@@ -10,8 +10,6 @@ let compare = Int.compare
 
 let pp ppf t = Format.fprintf ppf "pg%d" t
 
-let to_string t = "pg" ^ string_of_int t
-
 module Map = Map.Make (Int)
 module Set = Set.Make (Int)
 

@@ -15,8 +15,6 @@ val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val to_string : t -> string
-
 module Map : Map.S with type key = t
 
 module Set : Set.S with type elt = t

@@ -17,19 +17,6 @@ let size = function
   | Compensation { op; _ } -> 12 + Op.size op
   | Checkpoint { active; _ } -> 16 + (8 * List.length active)
 
-let pp ppf = function
-  | Begin { xid } -> Format.fprintf ppf "begin x%d" xid
-  | Op_log { xid; op; undo } ->
-    Format.fprintf ppf "op x%d %a%s" xid Op.pp op
-      (match undo with Some _ -> " (+undo)" | None -> "")
-  | Commit { xid } -> Format.fprintf ppf "commit x%d" xid
-  | Abort { xid } -> Format.fprintf ppf "abort x%d" xid
-  | Compensation { xid; op } ->
-    Format.fprintf ppf "compensate x%d %a" xid Op.pp op
-  | Finished { xid } -> Format.fprintf ppf "finished x%d" xid
-  | Checkpoint { rssp; active } ->
-    Format.fprintf ppf "checkpoint rssp=%a active=[%a]" Lsn.pp rssp
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-         Format.pp_print_int)
-      active
+let redone f lsn = function
+  | Op_log { op; _ } | Compensation { op; _ } -> f lsn op
+  | Begin _ | Commit _ | Abort _ | Finished _ | Checkpoint _ -> ()

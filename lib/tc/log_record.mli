@@ -24,4 +24,10 @@ type t =
 
 val size : t -> int
 
-val pp : Format.formatter -> t -> unit
+val redone :
+  (Untx_util.Lsn.t -> Untx_msg.Op.t -> unit) -> Untx_util.Lsn.t -> t -> unit
+(** The one rule for which records redo repeats: [redone f] is a
+    visitor over (LSN, record) pairs that calls [f] on the operation of
+    every [Op_log] and [Compensation] record and skips the rest.
+    Restart redo, DC-restart redo and log shipping all read the log
+    through it. *)

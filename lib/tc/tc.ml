@@ -16,6 +16,7 @@ type config = {
   cc_protocol : cc_protocol;
   lwm_every : int;
   pipeline_writes : bool;
+  checkpoint_every : int;
 }
 
 let default_config id =
@@ -24,6 +25,7 @@ let default_config id =
     cc_protocol = Key_locks;
     lwm_every = 16;
     pipeline_writes = true;
+    checkpoint_every = 0;
   }
 
 let p_commit_before_force = Fault.declare "tc.commit.before_force"
@@ -145,6 +147,9 @@ type t = {
   mutable msgs : int;
   mutable resend_count : int;
   mutable unforced_commits : int; (* group commit: commits awaiting a force *)
+  mutable commits_since_ckpt : int;
+      (* toward [cfg.checkpoint_every]; a crash keeps it, so the next
+         checkpoint still comes that many commits after the last *)
   mutable group_commit : int;
       (* live group-commit batch size, initially 1.  A session front end
          retunes it at run time to batch commits from many client
@@ -191,6 +196,7 @@ let create ?(counters = Instrument.global) cfg =
     msgs = 0;
     resend_count = 0;
     unforced_commits = 0;
+    commits_since_ckpt = 0;
     group_commit = 1;
     durability_gate = None;
     truncate_floor = None;
@@ -1000,6 +1006,71 @@ let scan t txn ~table ~from_key ~limit =
       | `Granted -> `Ok (scan_rows t link ~table ~from_key ~limit))
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoint (contract termination)                                   *)
+
+let active_xids t =
+  Hashtbl.fold
+    (fun x txn acc -> if txn.state = Active then x :: acc else acc)
+    t.txns []
+  |> List.sort Int.compare
+
+let checkpoint t =
+  Wal.force t.log;
+  send_eosl t;
+  send_lwm t;
+  let target = Lsn.min (current_lwm t) (Wal.stable_lsn t.log) in
+  if Lsn.(target <= t.rssp) then true (* nothing to advance *)
+  else begin
+    (* Ask every DC concurrently; the grants arrive through the pump
+       loop as ordinary control replies. *)
+    let waits =
+      Hashtbl.fold
+        (fun _ ls acc ->
+          post_control t ls
+            (Wire.Checkpoint { tc = t.cfg.id; new_rssp = target })
+          :: acc)
+        t.links []
+    in
+    let granted =
+      List.fold_left
+        (fun acc tk ->
+          match await_control_reply t tk with
+          | Wire.Checkpoint_done { granted } -> acc && granted
+          | Wire.Ack -> false)
+        true waits
+    in
+    if granted then begin
+      t.rssp <- target;
+      let active = active_xids t in
+      ignore (Wal.append t.log (Log_record.Checkpoint { rssp = target; active }));
+      Wal.force t.log;
+      send_eosl t;
+      let oldest_active =
+        Hashtbl.fold
+          (fun _ txn acc ->
+            if txn.state = Active then Lsn.min acc txn.first_lsn else acc)
+          t.txns target
+      in
+      let cut = Lsn.min target oldest_active in
+      (* A lagging standby's catch-up reads the stable log from its
+         applied cursor; truncation must never outrun the slowest
+         replica or rejoin would need a full rebuild. *)
+      let cut =
+        match t.truncate_floor with
+        | Some floor -> (
+          match floor () with
+          | Some fl -> Lsn.min cut fl
+          | None -> cut)
+        | None -> cut
+      in
+      Wal.truncate t.log cut;
+      Instrument.bump t.counters "tc.checkpoints";
+      true
+    end
+    else false
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Commit / abort                                                      *)
 
 (* Group a transaction's versioned writes by (table, DC): version
@@ -1191,6 +1262,16 @@ let rec commit t txn =
       txn.state <- Committed;
       Hashtbl.remove t.txns txn.t_xid;
       incr t.c_commits;
+      (* Only this success path counts, so an optimistic commit, which
+         recurses into it, counts once. *)
+      if t.cfg.checkpoint_every > 0 then begin
+        t.commits_since_ckpt <- t.commits_since_ckpt + 1;
+        if t.commits_since_ckpt >= t.cfg.checkpoint_every then begin
+          t.commits_since_ckpt <- 0;
+          (* best effort: an ungranted checkpoint just retries later *)
+          ignore (checkpoint t)
+        end
+      end;
       `Ok ()
   end
 
@@ -1211,71 +1292,6 @@ let resolve_deadlock t =
       abort t txn ~reason:"deadlock victim";
       Some victim
     | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint (contract termination)                                   *)
-
-let active_xids t =
-  Hashtbl.fold
-    (fun x txn acc -> if txn.state = Active then x :: acc else acc)
-    t.txns []
-  |> List.sort Int.compare
-
-let checkpoint t =
-  Wal.force t.log;
-  send_eosl t;
-  send_lwm t;
-  let target = Lsn.min (current_lwm t) (Wal.stable_lsn t.log) in
-  if Lsn.(target <= t.rssp) then true (* nothing to advance *)
-  else begin
-    (* Ask every DC concurrently; the grants arrive through the pump
-       loop as ordinary control replies. *)
-    let waits =
-      Hashtbl.fold
-        (fun _ ls acc ->
-          post_control t ls
-            (Wire.Checkpoint { tc = t.cfg.id; new_rssp = target })
-          :: acc)
-        t.links []
-    in
-    let granted =
-      List.fold_left
-        (fun acc tk ->
-          match await_control_reply t tk with
-          | Wire.Checkpoint_done { granted } -> acc && granted
-          | Wire.Ack -> false)
-        true waits
-    in
-    if granted then begin
-      t.rssp <- target;
-      let active = active_xids t in
-      ignore (Wal.append t.log (Log_record.Checkpoint { rssp = target; active }));
-      Wal.force t.log;
-      send_eosl t;
-      let oldest_active =
-        Hashtbl.fold
-          (fun _ txn acc ->
-            if txn.state = Active then Lsn.min acc txn.first_lsn else acc)
-          t.txns target
-      in
-      let cut = Lsn.min target oldest_active in
-      (* A lagging standby's catch-up reads the stable log from its
-         applied cursor; truncation must never outrun the slowest
-         replica or rejoin would need a full rebuild. *)
-      let cut =
-        match t.truncate_floor with
-        | Some floor -> (
-          match floor () with
-          | Some fl -> Lsn.min cut fl
-          | None -> cut)
-        | None -> cut
-      in
-      Wal.truncate t.log cut;
-      Instrument.bump t.counters "tc.checkpoints";
-      true
-    end
-    else false
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Failures                                                            *)
@@ -1421,11 +1437,8 @@ let recover t =
   redo t
     ~after_batch:(fun () -> Fault.hit p_recover_mid)
     (fun resend ->
-      Wal.iter_retained t.log t.rssp (fun lsn record ->
-          match record with
-          | Log_record.Op_log { op; _ } | Log_record.Compensation { op; _ } ->
-            resend (route_op t op) lsn op
-          | _ -> ()));
+      Wal.iter_retained t.log t.rssp
+        (Log_record.redone (fun lsn op -> resend (route_op t op) lsn op)));
   t.lwm_cap <- None;
   (* Undo losers; finish interrupted post-commit version cleanup. *)
   Hashtbl.iter
@@ -1567,11 +1580,7 @@ let on_dc_restart ?(from = Lsn.zero) t ~dc =
     let link = route_op t op in
     if String.equal link.ls_link.dc_name dc then resend link lsn op
   in
-  let logged resend lsn = function
-    | Log_record.Op_log { op; _ } | Log_record.Compensation { op; _ } ->
-      to_dc resend lsn op
-    | _ -> ()
-  in
+  let logged resend = Log_record.redone (to_dc resend) in
   (* Cap the low-water mark at the redo cursor BEFORE the first barrier
      exchange: awaiting the fence ack pumps the transports, and an ack
      from a sibling partition arriving there can trigger a watermark
@@ -1599,9 +1608,8 @@ let on_dc_restart ?(from = Lsn.zero) t ~dc =
         if
           p.p_fenced
           && Lsn.(p.p_req.Wire.lsn < start)
-          && (match Wal.find t.log p.p_req.Wire.lsn with
-             | Some (Log_record.Op_log _ | Log_record.Compensation _) -> true
-             | _ -> false)
+          (* a reserved LSN (an unlogged read) has no record *)
+          && Option.is_some (Wal.find t.log p.p_req.Wire.lsn)
         then p :: acc
         else acc)
       t.pendings []
@@ -1671,23 +1679,12 @@ let resends t = t.resend_count
 
 let dc_of_op t op = (route_op t op).ls_link.dc_name
 
-let iter_stable_ops t f =
-  Wal.iter_from t.log t.rssp (fun lsn record ->
-      match record with
-      | Log_record.Op_log { op; _ } | Log_record.Compensation { op; _ } ->
-        f lsn op
-      | _ -> ())
-
 (* The log-shipping read path: logged operations of the stable log from
    an arbitrary cursor.  Only stable records ship — a volatile record
    can still be lost by a TC crash, and a standby must never hold
    effects the TC's log cannot account for. *)
 let iter_stable_ops_from t ~from f =
-  Wal.iter_retained t.log from (fun lsn record ->
-      match record with
-      | Log_record.Op_log { op; _ } | Log_record.Compensation { op; _ } ->
-        f lsn op
-      | _ -> ())
+  Wal.iter_retained t.log from (Log_record.redone f)
 
 let force_log t =
   Wal.force t.log;

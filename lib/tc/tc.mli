@@ -40,6 +40,11 @@ type config = {
   lwm_every : int;  (** send a low-water mark every n acknowledged ops *)
   pipeline_writes : bool;
       (** dispatch versioned-table writes without awaiting each ack *)
+  checkpoint_every : int;
+      (** attempt a {!checkpoint} after every n successful commits; 0
+          disables (manual checkpoints only).  Checkpoints are the
+          contract-termination mechanism bounding restart redo (Section
+          4.2).  A TC crash does not reset the count. *)
 }
 (** The resend policy is not configured here.  Requests and control
     messages the DC does not answer are resent on
@@ -131,7 +136,9 @@ val scan :
 val commit : t -> txn -> unit outcome
 (** Forces the log, finishes version housekeeping, awaits outstanding
     acknowledgements, releases locks.  [`Fail] if a pipelined operation
-    had failed — the transaction is rolled back automatically. *)
+    had failed — the transaction is rolled back automatically.  Every
+    [config.checkpoint_every]-th successful commit then attempts a
+    {!checkpoint}. *)
 
 val abort : t -> txn -> reason:string -> unit
 (** Roll back: inverse operations (unversioned tables) and
@@ -274,12 +281,6 @@ val messages_sent : t -> int
 
 val resends : t -> int
 
-val iter_stable_ops :
-  t -> (Untx_util.Lsn.t -> Untx_msg.Op.t -> unit) -> unit
-(** Visit every operation in the stable log from the redo scan start
-    point, in LSN order — the exact suffix recovery would resend.  The
-    post-recovery auditor re-delivers it to prove idempotence. *)
-
 val iter_stable_ops_from :
   t ->
   from:Untx_util.Lsn.t ->
@@ -289,7 +290,9 @@ val iter_stable_ops_from :
     in LSN order — the log-shipping read path.  Allocation-light: seeks
     to the cursor instead of scanning the whole log.  Volatile records
     are never visited (a standby must not hold effects a TC crash could
-    disown). *)
+    disown).  From {!rssp} it visits the exact suffix recovery would
+    resend, which the post-recovery auditor re-delivers to prove
+    idempotence. *)
 
 val dc_of_op : t -> Untx_msg.Op.t -> string
 (** The DC this operation routes to under the current table maps — the

@@ -1,8 +1,10 @@
 (** Umbrella namespace for the unbundled-transaction-services library.
 
-    [Untx.Kernel] is the usual entry point: one Transactional Component
-    and one Data Component over an in-process transport.  [Untx.Deploy]
-    builds the multi-TC / multi-DC topologies of the paper's Section 6.
+    [Untx.Kernel] is the usual entry point: it wires one Transactional
+    Component to one Data Component over an in-process transport and
+    injects failures; transactions run on its TC, through [Untx.Tc].
+    [Untx.Deploy] builds the multi-TC / multi-DC topologies of the
+    paper's Section 6.
     Everything else is re-exported for users who assemble their own
     deployments or build custom Data Components. *)
 

@@ -6,11 +6,7 @@ let to_int t = t
 
 let equal = Int.equal
 
-let compare = Int.compare
-
 let pp ppf t = Format.fprintf ppf "tc%d" t
-
-let to_string t = "tc" ^ string_of_int t
 
 module Map = Map.Make (Int)
 module Set = Set.Make (Int)

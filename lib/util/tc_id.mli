@@ -11,11 +11,7 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
 
 module Map : Map.S with type key = t
 

@@ -55,7 +55,6 @@ let kernel_config
       };
     policy;
     seed;
-    auto_checkpoint_every = 0;
   }
 
 let make_kernel ?policy ?sync_policy ?tc_reset_mode ?cc_protocol
@@ -71,24 +70,24 @@ let make_kernel ?policy ?sync_policy ?tc_reset_mode ?cc_protocol
 
 (* Run one committed transaction applying [ops]. *)
 let committed k ops =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   List.iter (fun op -> ok (op txn)) ops;
-  ok (Kernel.commit k txn)
+  ok (Tc.commit (Kernel.tc k) txn)
 
 let put k ~table key value =
-  committed k [ (fun txn -> Kernel.insert k txn ~table ~key ~value) ]
+  committed k [ (fun txn -> Tc.insert (Kernel.tc k) txn ~table ~key ~value) ]
 
 let get k ~table key =
-  let txn = Kernel.begin_txn k in
-  let v = ok (Kernel.read k txn ~table ~key) in
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let v = ok (Tc.read (Kernel.tc k) txn ~table ~key) in
+  ok (Tc.commit (Kernel.tc k) txn);
   v
 
 (* Full observable table contents via a fresh read transaction. *)
 let snapshot k ~table =
-  let txn = Kernel.begin_txn k in
-  let rows = ok (Kernel.scan k txn ~table ~from_key:"" ~limit:max_int) in
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let rows = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"" ~limit:max_int) in
+  ok (Tc.commit (Kernel.tc k) txn);
   rows
 
 let check_wellformed k =

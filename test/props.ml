@@ -14,6 +14,7 @@ module Disk = Untx_storage.Disk
 module Cache = Untx_storage.Cache
 module Btree = Untx_btree.Btree
 module Lock_mgr = Untx_tc.Lock_mgr
+module Tc = Untx_tc.Tc
 module Wal = Untx_wal.Wal
 module Wire = Untx_msg.Wire
 module Op = Untx_msg.Op
@@ -611,29 +612,28 @@ let prop_scan_protocol_equivalence =
       let from_key = Printf.sprintf "k%03d" from_ix in
       let scan_with cc =
         let k = Helpers.make_kernel ~cc_protocol:cc () in
-        let module K = Untx_kernel.Kernel in
-        let txn = K.begin_txn k in
+        let tc = Untx_kernel.Kernel.tc k in
+        let txn = Tc.begin_txn tc in
         List.iter
           (fun key ->
-            match K.insert k txn ~table:"kv" ~key ~value:("v" ^ key) with
+            match Tc.insert tc txn ~table:"kv" ~key ~value:("v" ^ key) with
             | `Ok () -> ()
             | `Blocked | `Fail _ -> failwith "insert")
           keys;
-        (match K.commit k txn with `Ok () -> () | _ -> failwith "commit");
-        let txn = K.begin_txn k in
+        (match Tc.commit tc txn with `Ok () -> () | _ -> failwith "commit");
+        let txn = Tc.begin_txn tc in
         let rows =
-          match K.scan k txn ~table:"kv" ~from_key ~limit:50 with
+          match Tc.scan tc txn ~table:"kv" ~from_key ~limit:50 with
           | `Ok rows -> rows
           | `Blocked | `Fail _ -> failwith "scan"
         in
-        ignore (K.commit k txn);
+        ignore (Tc.commit tc txn);
         rows
       in
-      let reference = scan_with Untx_tc.Tc.Key_locks in
+      let reference = scan_with Tc.Key_locks in
       List.for_all
         (fun cc -> scan_with cc = reference)
-        [ Untx_tc.Tc.Range_locks 16; Untx_tc.Tc.Table_locks;
-          Untx_tc.Tc.Optimistic ])
+        [ Tc.Range_locks 16; Tc.Table_locks; Tc.Optimistic ])
 
 let suite = suite @ [ test prop_scan_protocol_equivalence ]
 

@@ -130,22 +130,22 @@ let prop_fork_parity =
       let br_oracle = Hashtbl.copy fork_oracle in
       let commit_branch i step_key act =
         let key = Printf.sprintf "k%d" step_key in
-        let txn = Branch.begin_txn br in
+        let module E = (val Branch.engine br) in
+        let txn = E.begin_txn () in
         (match act with
         | 2 ->
           if Hashtbl.mem br_oracle key then begin
-            Helpers.ok (Branch.delete br txn ~table:"t" ~key);
+            Helpers.ok (E.delete txn ~table:"t" ~key);
             Hashtbl.remove br_oracle key
           end
         | _ ->
           let value = Printf.sprintf "b%d" i in
-          (match Branch.update br txn ~table:"t" ~key ~value with
+          (match E.update txn ~table:"t" ~key ~value with
           | `Ok () -> ()
           | `Blocked -> Alcotest.fail "branch blocked"
-          | `Fail _ ->
-            Helpers.ok (Branch.insert br txn ~table:"t" ~key ~value));
+          | `Fail _ -> Helpers.ok (E.insert txn ~table:"t" ~key ~value));
           Hashtbl.replace br_oracle key value);
-        Helpers.ok (Branch.commit br txn)
+        Helpers.ok (E.commit txn)
       in
       (* post-fork traffic on both sides, with maintenance mixed in *)
       List.iteri
@@ -176,9 +176,10 @@ let prop_fork_parity =
       List.iter
         (fun key ->
           let expected = Hashtbl.find_opt br_oracle key in
-          let txn = Branch.begin_txn br in
-          let got = Helpers.ok (Branch.read br txn ~table:"t" ~key) in
-          Helpers.ok (Branch.commit br txn);
+          let module E = (val Branch.engine br) in
+          let txn = E.begin_txn () in
+          let got = Helpers.ok (E.read txn ~table:"t" ~key) in
+          Helpers.ok (E.commit txn);
           if got <> expected then
             QCheck.Test.fail_reportf "branch %s: got=%s oracle=%s" key
               (show got) (show expected);

@@ -1,7 +1,7 @@
 (* Copy-on-write branches: fork-at-LSN semantics, lazy materialization,
    combined-LSN point-in-time reads, crash recovery scoped to the
    branch, fork-point pinning against parent truncation, and the typed
-   deletion rules — the unit half of the @branch gate. *)
+   deletion rules — the unit half of the branch tests. *)
 
 open Helpers
 module Deploy = Untx_cloud.Deploy
@@ -38,14 +38,16 @@ let stamp d tc =
 let br_commit br = upsert (Branch.engine br) ~table:"t"
 
 let br_delete br ~key =
-  let txn = Branch.begin_txn br in
-  ok (Branch.delete br txn ~table:"t" ~key);
-  ok (Branch.commit br txn)
+  let module E = (val Branch.engine br) in
+  let txn = E.begin_txn () in
+  ok (E.delete txn ~table:"t" ~key);
+  ok (E.commit txn)
 
 let br_read br ~key =
-  let txn = Branch.begin_txn br in
-  let v = ok (Branch.read br txn ~table:"t" ~key) in
-  ok (Branch.commit br txn);
+  let module E = (val Branch.engine br) in
+  let txn = E.begin_txn () in
+  let v = ok (E.read txn ~table:"t" ~key) in
+  ok (E.commit txn);
   v
 
 let test_fork_and_divergence () =
@@ -77,9 +79,10 @@ let test_fork_and_divergence () =
     (Some "parent")
     (Tc.read_committed tc ~table:"t" ~key:"k001");
   (* a key born on the branch exists nowhere on the parent *)
-  let txn = Branch.begin_txn br in
-  ok (Branch.insert br txn ~table:"t" ~key:"only-branch" ~value:"x");
-  ok (Branch.commit br txn);
+  let module E = (val Branch.engine br) in
+  let txn = E.begin_txn () in
+  ok (E.insert txn ~table:"t" ~key:"only-branch" ~value:"x");
+  ok (E.commit txn);
   Alcotest.(check (option string)) "branch-born key stays on the branch" None
     (Tc.read_committed tc ~table:"t" ~key:"only-branch")
 
@@ -138,9 +141,10 @@ let test_scan_materializes_table () =
   let br = Deploy.create_branch d ~from_lsn:fork ~name:"b1" in
   br_commit br ~key:"k003" ~value:"branch";
   br_delete br ~key:"k005";
-  let txn = Branch.begin_txn br in
-  let rows = ok (Branch.scan br txn ~table:"t" ~from_key:"" ~limit:100) in
-  ok (Branch.commit br txn);
+  let module E = (val Branch.engine br) in
+  let txn = E.begin_txn () in
+  let rows = ok (E.scan txn ~table:"t" ~from_key:"" ~limit:100) in
+  ok (E.commit txn);
   let expected =
     List.init 8 (fun i -> Printf.sprintf "k%03d" i)
     |> List.filter (fun k -> k <> "k005")

@@ -281,11 +281,12 @@ let test_branch_fault_crashes_the_branch_dc () =
     split_fault ~nth:1 (fun () ->
         List.iter
           (fun i ->
-            let txn = Branch.begin_txn br in
+            let module E = (val Branch.engine br) in
+            let txn = E.begin_txn () in
             ok
-              (Branch.insert br txn ~table:"t" ~key:(Printf.sprintf "b%02d" i)
+              (E.insert txn ~table:"t" ~key:(Printf.sprintf "b%02d" i)
                  ~value:"branch");
-            ok (Branch.commit br txn))
+            ok (E.commit txn))
           (List.init 60 Fun.id))
   in
   Deploy.crash_for_point d ~point ~tc:"tc1" ~dc:"dc0";

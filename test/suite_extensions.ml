@@ -12,19 +12,19 @@ module Lsn = Untx_util.Lsn
 let table = "kv"
 
 let seed_rows k n =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for j = 0 to n - 1 do
     ok
-      (Kernel.insert k txn ~table
+      (Tc.insert (Kernel.tc k) txn ~table
          ~key:(Printf.sprintf "k%04d" j)
          ~value:(Printf.sprintf "v%04d" j))
   done;
-  ok (Kernel.commit k txn)
+  ok (Tc.commit (Kernel.tc k) txn)
 
 let scan_all k =
-  let txn = Kernel.begin_txn k in
-  let rows = ok (Kernel.scan k txn ~table ~from_key:"" ~limit:max_int) in
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let rows = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"" ~limit:max_int) in
+  ok (Tc.commit (Kernel.tc k) txn);
   rows
 
 let test_table_locks_agree () =
@@ -32,25 +32,25 @@ let test_table_locks_agree () =
   seed_rows k 120;
   Alcotest.(check int) "scan complete" 120 (List.length (scan_all k));
   committed k
-    [ (fun txn -> Kernel.update k txn ~table ~key:"k0003" ~value:"x") ];
+    [ (fun txn -> Tc.update (Kernel.tc k) txn ~table ~key:"k0003" ~value:"x") ];
   Alcotest.(check (option string)) "update under table lock" (Some "x")
     (get k ~table "k0003")
 
 let test_table_locks_block_everything () =
   let k = make_kernel ~cc_protocol:Tc.Table_locks () in
   seed_rows k 10;
-  let t1 = Kernel.begin_txn k in
-  ok (Kernel.update k t1 ~table ~key:"k0001" ~value:"a");
+  let t1 = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) t1 ~table ~key:"k0001" ~value:"a");
   (* any other access to the table blocks: the coarsest protocol *)
-  let t2 = Kernel.begin_txn k in
-  (match Kernel.read k t2 ~table ~key:"k0009" with
+  let t2 = Tc.begin_txn (Kernel.tc k) in
+  (match Tc.read (Kernel.tc k) t2 ~table ~key:"k0009" with
   | `Blocked -> ()
   | _ -> Alcotest.fail "table lock should block unrelated reads");
-  ok (Kernel.commit k t1);
+  ok (Tc.commit (Kernel.tc k) t1);
   Alcotest.(check (option string))
     "t2 proceeds after release" (Some "v0009")
-    (ok (Kernel.read k t2 ~table ~key:"k0009"));
-  ok (Kernel.commit k t2)
+    (ok (Tc.read (Kernel.tc k) t2 ~table ~key:"k0009"));
+  ok (Tc.commit (Kernel.tc k) t2)
 
 let test_group_commit_durability () =
   (* With group size 4, only commits covered by a group force survive a
@@ -59,11 +59,7 @@ let test_group_commit_durability () =
   Tc.set_group_commit (Kernel.tc k) 4;
   Kernel.create_table k ~name:table ~versioned:true;
   for i = 0 to 9 do
-    committed k
-      [ (fun txn ->
-          Kernel.insert k txn ~table
-            ~key:(Printf.sprintf "g%02d" i)
-            ~value:"v") ]
+    put k ~table (Printf.sprintf "g%02d" i) "v"
   done;
   (* 10 commits, group 4: forces after #4 and #8; 9,10 not yet durable *)
   Kernel.quiesce k;
@@ -91,14 +87,14 @@ let test_proactive_rssp () =
     Lsn.(after_flush >= before_flush);
   (* a checkpoint at the suggestion succeeds immediately *)
   Alcotest.(check bool) "checkpoint at suggestion granted" true
-    (Kernel.checkpoint k);
+    (Tc.checkpoint (Kernel.tc k));
   Alcotest.(check bool) "rssp actually advanced" true
     Lsn.(Tc.rssp (Kernel.tc k) > Lsn.of_int 1)
 
 let test_group_commit_one_is_default () =
   let k = make_kernel () in
   seed_rows k 10;
-  committed k [ (fun txn -> Kernel.insert k txn ~table ~key:"zz" ~value:"v") ];
+  put k ~table "zz" "v";
   Kernel.crash_tc k;
   Alcotest.(check (option string))
     "every commit durable at group size 1" (Some "v") (get k ~table "zz")
@@ -126,24 +122,24 @@ let test_sealed_table () =
   Alcotest.(check (option string)) "read sealed" (Some "v0003")
     (get k ~table "k0003");
   (* writes rejected *)
-  let txn = Kernel.begin_txn k in
-  (match Kernel.insert k txn ~table ~key:"new" ~value:"x" with
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  (match Tc.insert (Kernel.tc k) txn ~table ~key:"new" ~value:"x" with
   | `Ok () -> (
     (* pipelined: failure surfaces at commit *)
-    match Kernel.commit k txn with
+    match Tc.commit (Kernel.tc k) txn with
     | `Fail _ -> ()
     | _ -> Alcotest.fail "write to sealed table must fail")
-  | `Fail _ -> Kernel.abort k txn ~reason:"expected"
+  | `Fail _ -> Tc.abort (Kernel.tc k) txn ~reason:"expected"
   | `Blocked -> Alcotest.fail "blocked");
   (* the seal survives a DC crash *)
   Kernel.crash_dc k;
-  let txn = Kernel.begin_txn k in
-  (match Kernel.insert k txn ~table ~key:"new2" ~value:"x" with
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  (match Tc.insert (Kernel.tc k) txn ~table ~key:"new2" ~value:"x" with
   | `Ok () -> (
-    match Kernel.commit k txn with
+    match Tc.commit (Kernel.tc k) txn with
     | `Fail _ -> ()
     | _ -> Alcotest.fail "seal must survive recovery")
-  | `Fail _ -> Kernel.abort k txn ~reason:"expected"
+  | `Fail _ -> Tc.abort (Kernel.tc k) txn ~reason:"expected"
   | `Blocked -> Alcotest.fail "blocked");
   Alcotest.(check int) "contents intact" 30 (List.length (scan_all k))
 
@@ -152,15 +148,11 @@ let suite =
 
 let test_auto_checkpoint () =
   let cfg = kernel_config () in
-  let cfg = { cfg with Kernel.auto_checkpoint_every = 10 } in
+  let cfg = { cfg with tc = { cfg.tc with checkpoint_every = 10 } } in
   let k = Kernel.create cfg in
   Kernel.create_table k ~name:table ~versioned:true;
   for i = 0 to 49 do
-    committed k
-      [ (fun txn ->
-          Kernel.insert k txn ~table
-            ~key:(Printf.sprintf "a%03d" i)
-            ~value:"v") ]
+    put k ~table (Printf.sprintf "a%03d" i) "v"
   done;
   let tc = Kernel.tc k in
   Alcotest.(check bool) "rssp advanced without manual checkpoint" true

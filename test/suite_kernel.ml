@@ -17,31 +17,31 @@ let test_crud () =
   Alcotest.(check (option string)) "read b" (Some "2") (get k ~table "b");
   Alcotest.(check (option string)) "read missing" None (get k ~table "zz");
   committed k
-    [ (fun txn -> Kernel.update k txn ~table ~key:"a" ~value:"1'") ];
+    [ (fun txn -> Tc.update (Kernel.tc k) txn ~table ~key:"a" ~value:"1'") ];
   Alcotest.(check (option string)) "updated" (Some "1'") (get k ~table "a");
-  committed k [ (fun txn -> Kernel.delete k txn ~table ~key:"b") ];
+  committed k [ (fun txn -> Tc.delete (Kernel.tc k) txn ~table ~key:"b") ];
   Alcotest.(check (option string)) "deleted" None (get k ~table "b");
   check_wellformed k
 
 let test_txn_isolation_own_reads () =
   let k = make_kernel () in
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.insert k txn ~table ~key:"x" ~value:"v0");
-  ok (Kernel.update k txn ~table ~key:"x" ~value:"v1");
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"x" ~value:"v0");
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"x" ~value:"v1");
   Alcotest.(check (option string))
     "own write visible" (Some "v1")
-    (ok (Kernel.read k txn ~table ~key:"x"));
-  ok (Kernel.commit k txn);
+    (ok (Tc.read (Kernel.tc k) txn ~table ~key:"x"));
+  ok (Tc.commit (Kernel.tc k) txn);
   Alcotest.(check (option string)) "after commit" (Some "v1") (get k ~table "x")
 
 let test_abort_rolls_back () =
   let k = make_kernel () in
   put k ~table "a" "old";
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"a" ~value:"new");
-  ok (Kernel.insert k txn ~table ~key:"b" ~value:"temp");
-  ok (Kernel.delete k txn ~table ~key:"a" |> fun _ -> `Ok ());
-  Kernel.abort k txn ~reason:"user";
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"a" ~value:"new");
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"b" ~value:"temp");
+  ok (Tc.delete (Kernel.tc k) txn ~table ~key:"a" |> fun _ -> `Ok ());
+  Tc.abort (Kernel.tc k) txn ~reason:"user";
   Alcotest.(check (option string)) "a restored" (Some "old") (get k ~table "a");
   Alcotest.(check (option string)) "b gone" None (get k ~table "b");
   check_wellformed k
@@ -49,20 +49,20 @@ let test_abort_rolls_back () =
 let test_abort_unversioned () =
   let k = make_kernel ~versioned:false () in
   put k ~table "a" "old";
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"a" ~value:"new");
-  ok (Kernel.insert k txn ~table ~key:"b" ~value:"temp");
-  Kernel.abort k txn ~reason:"user";
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"a" ~value:"new");
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"b" ~value:"temp");
+  Tc.abort (Kernel.tc k) txn ~reason:"user";
   Alcotest.(check (option string)) "a restored" (Some "old") (get k ~table "a");
   Alcotest.(check (option string)) "b gone" None (get k ~table "b")
 
 let test_duplicate_insert_fails () =
   let k = make_kernel ~versioned:false () in
   put k ~table "a" "1";
-  let txn = Kernel.begin_txn k in
-  let msg = expect_fail (Kernel.insert k txn ~table ~key:"a" ~value:"2") in
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let msg = expect_fail (Tc.insert (Kernel.tc k) txn ~table ~key:"a" ~value:"2") in
   Alcotest.(check string) "dup msg" "duplicate key" msg;
-  Kernel.abort k txn ~reason:"test";
+  Tc.abort (Kernel.tc k) txn ~reason:"test";
   Alcotest.(check (option string)) "unchanged" (Some "1") (get k ~table "a")
 
 let test_scan () =
@@ -74,24 +74,24 @@ let test_scan () =
     "sorted scan"
     [ ("k01", "1"); ("k03", "3"); ("k05", "5"); ("k07", "7"); ("k09", "9") ]
     rows;
-  let txn = Kernel.begin_txn k in
-  let some = ok (Kernel.scan k txn ~table ~from_key:"k04" ~limit:2) in
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let some = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"k04" ~limit:2) in
+  ok (Tc.commit (Kernel.tc k) txn);
   Alcotest.(check (list (pair string string)))
     "bounded scan" [ ("k05", "5"); ("k07", "7") ] some
 
 let populate k n =
   let rec go i =
     if i < n then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min n (i + 50) in
       for j = i to hi - 1 do
         ok
-          (Kernel.insert k txn ~table
+          (Tc.insert (Kernel.tc k) txn ~table
              ~key:(Printf.sprintf "k%05d" j)
              ~value:(Printf.sprintf "v%05d" j))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       go hi
     end
   in
@@ -114,13 +114,13 @@ let test_deletes_consolidate () =
   (* Delete most records to trigger page consolidation. *)
   let rec del i =
     if i < 400 then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min 400 (i + 50) in
       for j = i to hi - 1 do
         if j mod 10 <> 0 then
-          ok (Kernel.delete k txn ~table ~key:(Printf.sprintf "k%05d" j))
+          ok (Tc.delete (Kernel.tc k) txn ~table ~key:(Printf.sprintf "k%05d" j))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       del hi
     end
   in
@@ -152,7 +152,7 @@ let test_dc_crash_after_checkpoint () =
   let k = make_kernel () in
   populate k 300;
   Kernel.quiesce k;
-  Alcotest.(check bool) "checkpoint granted" true (Kernel.checkpoint k);
+  Alcotest.(check bool) "checkpoint granted" true (Tc.checkpoint (Kernel.tc k));
   populate_more k;
   Kernel.crash_dc k;
   check_wellformed k;
@@ -167,9 +167,9 @@ let test_tc_crash_losers_rolled_back () =
   let k = make_kernel () in
   put k ~table "a" "committed";
   (* A transaction that never commits, then the TC crashes. *)
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"a" ~value:"uncommitted");
-  ok (Kernel.insert k txn ~table ~key:"loser" ~value:"x");
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"a" ~value:"uncommitted");
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"loser" ~value:"x");
   Kernel.quiesce k;
   Kernel.crash_tc k;
   Alcotest.(check (option string))
@@ -188,8 +188,8 @@ let test_tc_crash_committed_survive () =
 let test_tc_crash_draconian () =
   let k = make_kernel ~tc_reset_mode:Dc.Complete () in
   populate k 120;
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"k00005" ~value:"dirty");
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"k00005" ~value:"dirty");
   Kernel.quiesce k;
   Kernel.crash_tc k;
   Alcotest.(check (option string))
@@ -200,8 +200,8 @@ let test_tc_crash_draconian () =
 let test_crash_both () =
   let k = make_kernel () in
   populate k 150;
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"k00007" ~value:"dirty");
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"k00007" ~value:"dirty");
   Kernel.quiesce k;
   Kernel.crash_both k;
   Alcotest.(check (option string))
@@ -215,7 +215,7 @@ let test_chaotic_transport () =
   let k = make_kernel ~policy:Transport.chaotic ~seed:99 () in
   populate k 200;
   committed k
-    [ (fun txn -> Kernel.update k txn ~table ~key:"k00050" ~value:"once") ];
+    [ (fun txn -> Tc.update (Kernel.tc k) txn ~table ~key:"k00050" ~value:"once") ];
   Kernel.quiesce k;
   Alcotest.(check (option string)) "update applied once" (Some "once")
     (get k ~table "k00050");

@@ -25,7 +25,7 @@ let apply_crash k = function
 (* One scripted committed transaction: a few upserts/deletes on a small
    key space, mirrored into the oracle at commit. *)
 let run_txn k oracle rng =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   let staged = Hashtbl.create 8 in
   let n_ops = 1 + Rng.int rng 4 in
   for _ = 1 to n_ops do
@@ -38,21 +38,21 @@ let run_txn k oracle rng =
       in
       match current with
       | Some _ -> (
-        match Kernel.update k txn ~table ~key ~value with
+        match Tc.update (Kernel.tc k) txn ~table ~key ~value with
         | `Ok () -> Hashtbl.replace staged key (Some value)
         | `Fail _ | `Blocked -> ())
       | None -> (
-        match Kernel.insert k txn ~table ~key ~value with
+        match Tc.insert (Kernel.tc k) txn ~table ~key ~value with
         | `Ok () -> Hashtbl.replace staged key (Some value)
         | `Fail _ | `Blocked -> ())
     end
     else begin
-      match Kernel.delete k txn ~table ~key with
+      match Tc.delete (Kernel.tc k) txn ~table ~key with
       | `Ok () -> Hashtbl.replace staged key None
       | `Fail _ | `Blocked -> ()
     end
   done;
-  match Kernel.commit k txn with
+  match Tc.commit (Kernel.tc k) txn with
   | `Ok () ->
     Hashtbl.iter (fun key v -> Hashtbl.replace oracle key v) staged;
     true
@@ -63,11 +63,11 @@ let run_txn k oracle rng =
    DC-only crash the TC (and its locks) survive, so the sweep rolls it
    back explicitly — which itself exercises undo over a recovered DC. *)
 let open_loser k rng =
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for _ = 1 to 1 + Rng.int rng 3 do
     let key = Printf.sprintf "k%02d" (Rng.int rng 40) in
-    ignore (Kernel.update k txn ~table ~key ~value:"LOSER");
-    ignore (Kernel.insert k txn ~table ~key:(key ^ "-loser") ~value:"LOSER")
+    ignore (Tc.update (Kernel.tc k) txn ~table ~key ~value:"LOSER");
+    ignore (Tc.insert (Kernel.tc k) txn ~table ~key:(key ^ "-loser") ~value:"LOSER")
   done;
   txn
 
@@ -91,7 +91,7 @@ let sweep ~crash ~versioned ~chaotic ~seeds () =
       (* sometimes checkpoint mid-history *)
       if Rng.chance rng 0.4 then begin
         Kernel.quiesce k;
-        ignore (Kernel.checkpoint k)
+        ignore (Tc.checkpoint (Kernel.tc k))
       end;
       for _ = 1 to Rng.int rng 10 do
         ignore (run_txn k oracle rng)
@@ -100,7 +100,7 @@ let sweep ~crash ~versioned ~chaotic ~seeds () =
       if Rng.chance rng 0.5 then Kernel.quiesce k;
       apply_crash k crash;
       (match (crash, loser) with
-      | Crash_dc, Some txn -> Kernel.abort k txn ~reason:"post-crash rollback"
+      | Crash_dc, Some txn -> Tc.abort (Kernel.tc k) txn ~reason:"post-crash rollback"
       | _ -> ());
       check_wellformed k;
       let got = snapshot k ~table in
@@ -194,10 +194,10 @@ let test_redo_batch_crash () =
     committed k
       (List.init 4 (fun j txn ->
            let key = Printf.sprintf "k%02d" ((i * 4) + j) in
-           Kernel.insert k txn ~table ~key ~value:(string_of_int i)));
+           Tc.insert (Kernel.tc k) txn ~table ~key ~value:(string_of_int i)));
     if i mod 3 = 0 then
       committed k
-        [ (fun txn -> Kernel.update k txn ~table ~key:(Printf.sprintf "k%02d" i) ~value:"u") ]
+        [ (fun txn -> Tc.update (Kernel.tc k) txn ~table ~key:(Printf.sprintf "k%02d" i) ~value:"u") ]
   done;
   Kernel.quiesce k;
   let pre = Dc.dump_table (Kernel.dc k) table in

@@ -17,24 +17,24 @@ let table = "kv"
 let seed_rows k n =
   let rec go i =
     if i < n then begin
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       let hi = min n (i + 64) in
       for j = i to hi - 1 do
         ok
-          (Kernel.insert k txn ~table
+          (Tc.insert (Kernel.tc k) txn ~table
              ~key:(Printf.sprintf "k%04d" j)
              ~value:(Printf.sprintf "v%04d" j))
       done;
-      ok (Kernel.commit k txn);
+      ok (Tc.commit (Kernel.tc k) txn);
       go hi
     end
   in
   go 0
 
 let scan_all k =
-  let txn = Kernel.begin_txn k in
-  let rows = ok (Kernel.scan k txn ~table ~from_key:"" ~limit:max_int) in
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  let rows = ok (Tc.scan (Kernel.tc k) txn ~table ~from_key:"" ~limit:max_int) in
+  ok (Tc.commit (Kernel.tc k) txn);
   rows
 
 let test_scan_protocols_agree () =
@@ -68,7 +68,7 @@ let test_range_locks_writes () =
   let k = make_kernel ~cc_protocol:(Tc.Range_locks 8) () in
   seed_rows k 60;
   committed k
-    [ (fun txn -> Kernel.update k txn ~table ~key:"k0033" ~value:"rw") ];
+    [ (fun txn -> Tc.update (Kernel.tc k) txn ~table ~key:"k0033" ~value:"rw") ];
   Alcotest.(check (option string)) "update under range lock" (Some "rw")
     (get k ~table "k0033")
 
@@ -81,14 +81,14 @@ let test_pipelined_reordered_writes () =
       dup_prob = 0.05; drop_prob = 0.05 }
   in
   let k = make_kernel ~policy ~seed:1234 () in
-  let txn = Kernel.begin_txn k in
+  let txn = Tc.begin_txn (Kernel.tc k) in
   for i = 0 to 39 do
     ok
-      (Kernel.insert k txn ~table
+      (Tc.insert (Kernel.tc k) txn ~table
          ~key:(Printf.sprintf "p%02d" i)
          ~value:(string_of_int i))
   done;
-  ok (Kernel.commit k txn);
+  ok (Tc.commit (Kernel.tc k) txn);
   Kernel.quiesce k;
   let rows = scan_all k in
   Alcotest.(check int) "all present exactly once" 40 (List.length rows);
@@ -100,7 +100,7 @@ let test_checkpoint_truncates_log () =
   let tc = Kernel.tc k in
   let records_before = Tc.log_records tc in
   Kernel.quiesce k;
-  Alcotest.(check bool) "granted" true (Kernel.checkpoint k);
+  Alcotest.(check bool) "granted" true (Tc.checkpoint tc);
   Alcotest.(check bool) "rssp advanced" true Lsn.(Tc.rssp tc > Lsn.of_int 1);
   Alcotest.(check bool)
     (Printf.sprintf "log shrank (%d -> %d)" records_before (Tc.log_records tc))
@@ -111,28 +111,28 @@ let test_checkpoint_not_granted_before_eosl () =
   (* With a sync policy that stalls flushes, an immediate checkpoint
      request cannot be granted. *)
   let k = make_kernel ~sync_policy:Dc.Stall_until_lwm () in
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.insert k txn ~table ~key:"k" ~value:"v");
-  ok (Kernel.commit k txn);
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.insert (Kernel.tc k) txn ~table ~key:"k" ~value:"v");
+  ok (Tc.commit (Kernel.tc k) txn);
   (* force more unacknowledged work so the LWM stays behind *)
-  let txn2 = Kernel.begin_txn k in
-  ok (Kernel.insert k txn2 ~table ~key:"k2" ~value:"v2");
+  let txn2 = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.insert (Kernel.tc k) txn2 ~table ~key:"k2" ~value:"v2");
   Kernel.quiesce k;
-  ok (Kernel.commit k txn2);
+  ok (Tc.commit (Kernel.tc k) txn2);
   Alcotest.(check bool) "eventually granted after quiesce" true
     (Kernel.quiesce k;
-     Kernel.checkpoint k)
+     Tc.checkpoint (Kernel.tc k))
 
 let test_aborted_txn_after_failed_op () =
   let k = make_kernel ~versioned:false () in
   put k ~table "a" "committed";
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.update k txn ~table ~key:"a" ~value:"x");
-  (match Kernel.insert k txn ~table ~key:"a" ~value:"dup" with
+  let txn = Tc.begin_txn (Kernel.tc k) in
+  ok (Tc.update (Kernel.tc k) txn ~table ~key:"a" ~value:"x");
+  (match Tc.insert (Kernel.tc k) txn ~table ~key:"a" ~value:"dup" with
   | `Fail _ -> ()
   | _ -> Alcotest.fail "dup insert must fail");
   (* the transaction can still proceed or abort cleanly *)
-  Kernel.abort k txn ~reason:"test";
+  Tc.abort (Kernel.tc k) txn ~reason:"test";
   Alcotest.(check (option string)) "rolled back" (Some "committed")
     (get k ~table "a")
 
@@ -154,14 +154,14 @@ let test_wakeups_and_deadlock () =
   put k ~table "a" "0";
   put k ~table "b" "0";
   let tc = Kernel.tc k in
-  let t1 = Kernel.begin_txn k in
-  let t2 = Kernel.begin_txn k in
-  ok (Kernel.update k t1 ~table ~key:"a" ~value:"1");
-  ok (Kernel.update k t2 ~table ~key:"b" ~value:"2");
-  (match Kernel.update k t1 ~table ~key:"b" ~value:"1b" with
+  let t1 = Tc.begin_txn tc in
+  let t2 = Tc.begin_txn tc in
+  ok (Tc.update tc t1 ~table ~key:"a" ~value:"1");
+  ok (Tc.update tc t2 ~table ~key:"b" ~value:"2");
+  (match Tc.update tc t1 ~table ~key:"b" ~value:"1b" with
   | `Blocked -> ()
   | _ -> Alcotest.fail "t1 should block on b");
-  (match Kernel.update k t2 ~table ~key:"a" ~value:"2a" with
+  (match Tc.update tc t2 ~table ~key:"a" ~value:"2a" with
   | `Blocked -> ()
   | _ -> Alcotest.fail "t2 should block on a");
   (match Tc.resolve_deadlock tc with
@@ -171,8 +171,8 @@ let test_wakeups_and_deadlock () =
   (* t1 was granted b by the victim's release *)
   let wakeups = Tc.wakeups tc in
   Alcotest.(check bool) "t1 woken" true (List.mem (Tc.xid t1) wakeups);
-  ok (Kernel.update k t1 ~table ~key:"b" ~value:"1b");
-  ok (Kernel.commit k t1);
+  ok (Tc.update tc t1 ~table ~key:"b" ~value:"1b");
+  ok (Tc.commit tc t1);
   Alcotest.(check (option string)) "t1 effects" (Some "1b") (get k ~table "b");
   Alcotest.(check (option string))
     "a holds t1's committed value, not t2's" (Some "1") (get k ~table "a")
@@ -182,24 +182,20 @@ let test_wakeups_and_deadlock () =
    transactions stays near its size after 1000, instead of growing with
    every transaction it ever ran. *)
 let test_finished_txns_released () =
-  let k =
-    Kernel.create
-      {
-        (kernel_config ()) with
-        Kernel.auto_checkpoint_every = 50;
-      }
-  in
+  let cfg = kernel_config () in
+  let cfg = { cfg with tc = { cfg.tc with checkpoint_every = 50 } } in
+  let k = Kernel.create cfg in
   Kernel.create_table k ~name:table ~versioned:true;
   seed_rows k 64;
   let run n =
     for i = 1 to n do
-      let txn = Kernel.begin_txn k in
+      let txn = Tc.begin_txn (Kernel.tc k) in
       ok
-        (Kernel.update k txn ~table
+        (Tc.update (Kernel.tc k) txn ~table
            ~key:(Printf.sprintf "k%04d" (i mod 64))
            ~value:(Printf.sprintf "w%d" i));
-      if i mod 10 = 0 then Kernel.abort k txn ~reason:"test"
-      else ok (Kernel.commit k txn)
+      if i mod 10 = 0 then Tc.abort (Kernel.tc k) txn ~reason:"test"
+      else ok (Tc.commit (Kernel.tc k) txn)
     done
   in
   run 1000;
@@ -225,13 +221,13 @@ let test_unwound_commit_leaves_no_floor () =
         fail_once := false;
         raise Exit
       end);
-  let txn = Kernel.begin_txn k in
-  ok (Kernel.insert k txn ~table ~key:"a" ~value:"1");
-  (match Kernel.commit k txn with
+  let txn = Tc.begin_txn tc in
+  ok (Tc.insert tc txn ~table ~key:"a" ~value:"1");
+  (match Tc.commit tc txn with
   | exception Exit -> ()
   | _ -> Alcotest.fail "the gate should have raised");
   let husk = Tc.last_lsn tc in
-  ok (Kernel.commit k txn);
+  ok (Tc.commit tc txn);
   Kernel.quiesce k;
   let lwm = Dc.lwm_of (Kernel.dc k) (Tc.id tc) in
   Alcotest.(check bool)

@@ -350,15 +350,15 @@ let prop_exactly_once =
       let run p s =
         let k = make_kernel ~policy:p ~seed:s () in
         for t = 0 to 19 do
-          let txn = Kernel.begin_txn k in
+          let txn = Tc.begin_txn (Kernel.tc k) in
           for i = 0 to 5 do
             ok
-              (Kernel.insert k txn ~table:"kv"
+              (Tc.insert (Kernel.tc k) txn ~table:"kv"
                  ~key:(Printf.sprintf "k%02d-%02d" t i)
                  ~value:(string_of_int (t * i)))
           done;
-          if t mod 4 = 0 then Kernel.abort k txn ~reason:"mix"
-          else ok (Kernel.commit k txn)
+          if t mod 4 = 0 then Tc.abort (Kernel.tc k) txn ~reason:"mix"
+          else ok (Tc.commit (Kernel.tc k) txn)
         done;
         Kernel.quiesce k;
         snapshot k ~table:"kv"
